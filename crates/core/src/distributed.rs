@@ -58,7 +58,7 @@ use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcom
 use crate::pipeline::{dr_topk_with_stats, DrTopKConfig, PhaseBreakdown};
 use crate::radix_flags::flag_radix_topk;
 use crate::stages::{
-    Executor, Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport, TransferLane,
+    Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport, TransferLane,
 };
 
 /// How out-of-core sub-vector reloads are scheduled against compute.
@@ -268,7 +268,7 @@ pub fn distributed_dr_topk_scheduled<K: TopKKey>(
     config: &DrTopKConfig,
     schedule: ReloadSchedule,
 ) -> DistributedResult<K> {
-    distributed_dr_topk_executor(cluster, data, k, config, schedule, Executor::Threaded)
+    run_distributed(cluster, data, k, config, schedule, None)
 }
 
 /// The mutable state one device's stages write: its local candidate buffer
@@ -287,51 +287,31 @@ struct DistCtx<K> {
     winners: Mutex<Option<Vec<K>>>,
 }
 
-/// Run distributed Dr. Top-k under an explicit [`ReloadSchedule`] *and* an
-/// explicit host [`Executor`].
-///
-/// Results and every modeled report field are bit-identical across
-/// executors; [`Executor::Threaded`] (the default of every other entry
-/// point) additionally makes host wall-clock track the modeled makespan,
-/// which the calibration acceptance test pins against [`Executor::Serial`].
-pub fn distributed_dr_topk_executor<K: TopKKey>(
-    cluster: &GpuCluster,
-    data: &[K],
-    k: usize,
-    config: &DrTopKConfig,
-    schedule: ReloadSchedule,
-    executor: Executor,
-) -> DistributedResult<K> {
-    run_distributed(cluster, data, k, config, schedule, executor, None)
-}
-
-/// [`distributed_dr_topk_executor`] with a [`TraceSink`] attached to the
+/// [`distributed_dr_topk_scheduled`] with a [`TraceSink`] attached to the
 /// stage graph: the run's stages stream into `sink` as spans whose modeled
 /// intervals match the returned report's `stages` **bit-for-bit**, plus
 /// live executor events (dispatches, dependency-gate wakes, debug-build
 /// verifier passes). A deterministic
 /// [`TraceRecorder`](drtopk_obs::TraceRecorder) fed from this entry point
-/// exports byte-identical Chrome traces across runs and executors.
+/// exports byte-identical Chrome traces across runs.
 pub fn distributed_dr_topk_observed<'a, K: TopKKey>(
     cluster: &'a GpuCluster,
     data: &'a [K],
     k: usize,
     config: &'a DrTopKConfig,
     schedule: ReloadSchedule,
-    executor: Executor,
     sink: &'a dyn TraceSink,
 ) -> DistributedResult<K> {
-    run_distributed(cluster, data, k, config, schedule, executor, Some(sink))
+    run_distributed(cluster, data, k, config, schedule, Some(sink))
 }
 
-/// Shared body of the executor-selecting entry points.
+/// Shared body of the scheduled and observed entry points.
 fn run_distributed<'a, K: TopKKey>(
     cluster: &'a GpuCluster,
     data: &'a [K],
     k: usize,
     config: &'a DrTopKConfig,
     schedule: ReloadSchedule,
-    executor: Executor,
     sink: Option<&'a dyn TraceSink>,
 ) -> DistributedResult<K> {
     let k = k.min(data.len());
@@ -366,7 +346,7 @@ fn run_distributed<'a, K: TopKKey>(
         ctx,
         predicted_recall,
     } = plan;
-    let report = graph.execute_with(&ctx, executor);
+    let report = graph.execute(&ctx);
     finish_distributed_run(ctx, report, num_devices, predicted_recall, schedule)
 }
 
@@ -377,7 +357,7 @@ fn run_distributed<'a, K: TopKKey>(
 /// stage graph, runs every order for real on a freshly built graph, and
 /// requires byte-identical deterministic summaries plus bit-identical
 /// winners across all of them (see [`crate::explore`]). On success the run
-/// executes once more under [`Executor::Threaded`] and its result is
+/// executes once more through [`StageGraph::execute`] and its result is
 /// returned alongside the coverage summary; the first disagreement (or a
 /// deadlocked interleaving) returns the [`Divergence`] instead.
 pub fn distributed_dr_topk_explore<K: TopKKey>(
@@ -412,8 +392,7 @@ pub fn distributed_dr_topk_explore<K: TopKKey>(
         },
         budget,
     )?;
-    let result =
-        distributed_dr_topk_executor(cluster, data, k, config, schedule, Executor::Threaded);
+    let result = distributed_dr_topk_scheduled(cluster, data, k, config, schedule);
     Ok((result, outcome))
 }
 
@@ -685,11 +664,8 @@ fn finish_distributed_run<K: TopKKey>(
         .expect("the final selection stage always runs");
     let mut chunk_phases = PhaseBreakdown::default();
     for slot in &slots {
-        for b in &slot.lock().unwrap().breakdowns {
-            chunk_phases.delegate_ms += b.delegate_ms;
-            chunk_phases.first_topk_ms += b.first_topk_ms;
-            chunk_phases.concat_ms += b.concat_ms;
-            chunk_phases.second_topk_ms += b.second_topk_ms;
+        for &b in &slot.lock().unwrap().breakdowns {
+            chunk_phases += b;
         }
     }
 
@@ -865,33 +841,32 @@ mod tests {
 
     #[test]
     fn serial_and_threaded_executors_are_bit_identical() {
+        // A one-schedule exhaustive budget replays exactly schedule 0, the
+        // insertion order, serially on this thread; the returned result
+        // comes from the threaded executor.
         let data = topk_datagen::uniform(1 << 16, 21);
         let k = 96;
         let c = cluster(4, 1 << 13); // 8 sub-vectors, 2 per device
-        let threaded = distributed_dr_topk_executor(
+        let (threaded, serial) = distributed_dr_topk_explore(
             &c,
             &data,
             k,
             &DrTopKConfig::default(),
             ReloadSchedule::DoubleBuffered,
-            Executor::Threaded,
-        );
-        let serial = distributed_dr_topk_executor(
-            &c,
-            &data,
-            k,
-            &DrTopKConfig::default(),
-            ReloadSchedule::DoubleBuffered,
-            Executor::Serial,
-        );
-        assert_eq!(threaded.values, serial.values);
+            ExploreBudget::Exhaustive { max_schedules: 1 },
+        )
+        .expect("one schedule cannot diverge from itself");
+        assert_eq!(serial.schedules_run, 1);
         assert_eq!(threaded.values, reference_topk(&data, k));
-        assert_eq!(threaded.total_ms.to_bits(), serial.total_ms.to_bits());
+        assert_eq!(
+            threaded.total_ms.to_bits(),
+            serial.reference.makespan_ms.to_bits()
+        );
         assert_eq!(
             threaded.stages.deterministic_summary(),
-            serial.stages.deterministic_summary()
+            serial.reference.deterministic_summary()
         );
-        assert_eq!(threaded.stats, serial.stats);
+        assert_eq!(threaded.stats, serial.reference.stats());
     }
 
     #[test]

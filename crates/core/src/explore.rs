@@ -1,7 +1,7 @@
 //! Schedule-space exploration — a loom-style model checker for the
 //! threaded stage-graph executor.
 //!
-//! The threaded executor ([`Executor::Threaded`]) dispatches stages onto
+//! The threaded executor ([`StageGraph::execute`]) dispatches stages onto
 //! one host worker per resource; which *global* interleaving actually runs
 //! depends on OS scheduling. Correctness therefore rests on a claim the
 //! test suite cannot check by running the executor a few times: **every**
@@ -30,7 +30,6 @@
 //! sampling ([`ExploreBudget::Sampled`]) so exploration stays bounded.
 //!
 //! [loom]: https://github.com/tokio-rs/loom
-//! [`Executor::Threaded`]: crate::stages::Executor::Threaded
 
 use crate::stages::{StageGraph, StageReport};
 use crate::verify::StageSpec;

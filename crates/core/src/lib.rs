@@ -52,7 +52,6 @@
 #![deny(missing_docs)]
 
 pub mod approx;
-pub mod calibrate;
 pub mod concat;
 pub mod delegate;
 pub mod distributed;
@@ -67,13 +66,12 @@ pub mod tuning;
 pub mod verify;
 
 pub use approx::{expected_recall, measured_recall, required_budget, Mode, RecallTarget};
-pub use calibrate::{CalibrationFit, KindFit};
 pub use concat::{concatenate, Concatenated};
 pub use delegate::{build_delegate_vector, ConstructionMethod, DelegateVector};
 pub use distributed::{
-    capacity_in_keys, distributed_dr_topk, distributed_dr_topk_executor,
-    distributed_dr_topk_explore, distributed_dr_topk_observed, distributed_dr_topk_scheduled,
-    partition_subvectors, place_shards, DistributedResult, ReloadSchedule,
+    capacity_in_keys, distributed_dr_topk, distributed_dr_topk_explore,
+    distributed_dr_topk_observed, distributed_dr_topk_scheduled, partition_subvectors,
+    place_shards, DistributedResult, ReloadSchedule,
 };
 pub use explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 pub use first_topk::{first_topk, FirstTopK};
@@ -89,7 +87,7 @@ pub use rows::{
     topk_rows, topk_rows_explore, topk_rows_min, topk_rows_on, RowK, RowMatrix, RowTopKResult,
 };
 pub use stages::{
-    ExecutedStage, Executor, Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport,
+    ExecutedStage, Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport,
     TransferLane,
 };
 pub use topk_baselines::{Desc, KeyBits, TopKKey};

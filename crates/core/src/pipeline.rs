@@ -265,6 +265,17 @@ impl PhaseBreakdown {
     }
 }
 
+/// Field-wise sum: folds per-unit or per-chunk breakdowns into a total.
+impl std::ops::AddAssign for PhaseBreakdown {
+    fn add_assign(&mut self, rhs: PhaseBreakdown) {
+        self.delegate_ms += rhs.delegate_ms;
+        self.first_topk_ms += rhs.first_topk_ms;
+        self.concat_ms += rhs.concat_ms;
+        self.second_topk_ms += rhs.second_topk_ms;
+        self.transfer_ms += rhs.transfer_ms;
+    }
+}
+
 /// Workload statistics: the vector sizes each phase operated on (the
 /// quantities plotted in Figures 20 and 21).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -894,6 +905,36 @@ mod tests {
 
     fn device() -> Device {
         Device::with_host_threads(DeviceSpec::v100s(), 4)
+    }
+
+    #[test]
+    fn phase_breakdowns_add_field_by_field() {
+        let mut total = PhaseBreakdown::default();
+        let a = PhaseBreakdown {
+            delegate_ms: 1.0,
+            first_topk_ms: 2.0,
+            concat_ms: 0.25,
+            second_topk_ms: 4.0,
+            transfer_ms: 0.5,
+        };
+        total += a;
+        assert_eq!(total, a, "adding to zero is the identity");
+        total += PhaseBreakdown {
+            delegate_ms: 0.5,
+            transfer_ms: 1.5,
+            ..PhaseBreakdown::default()
+        };
+        assert_eq!(
+            total,
+            PhaseBreakdown {
+                delegate_ms: 1.5,
+                first_topk_ms: 2.0,
+                concat_ms: 0.25,
+                second_topk_ms: 4.0,
+                transfer_ms: 2.0,
+            }
+        );
+        assert_eq!(total.total_ms(), 9.75);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! The pipeline promotes the out-of-place radix baseline
 //! ([`topk_baselines::radix_topk`]) into first-class stages so the
-//! executor, verifier, calibrator and observability layers see it like any
-//! other schedule:
+//! executor, verifier, schedule explorer and observability layers see it
+//! like any other schedule:
 //!
 //! * [`StageKind::RadixHistogram`] — one per digit pass: histogram the
 //!   surviving candidates by their current 8-bit digit (global atomics,
@@ -37,7 +37,7 @@
 //!
 //! The stage *structure* is fixed by the key width alone
 //! (`key_bits / 8` histogram/refine pairs, then gather and select), so
-//! same-shaped runs produce byte-identical schedules under every executor.
+//! same-shaped runs produce byte-identical schedules in every dispatch order.
 //! When the k-th value is pinned down early (a compaction leaves a single
 //! candidate), the remaining histogram/refine stages still exist but
 //! execute as zero-cost no-ops — determinism costs nothing because a no-op

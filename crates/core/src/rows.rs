@@ -42,7 +42,7 @@ use crate::delegate::{top_beta_of, DelegateVector};
 use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 use crate::first_topk::{first_topk, FirstTopK};
 use crate::pipeline::{as_desc, DrTopKConfig, PhaseBreakdown, PlannedQuery};
-use crate::stages::{Executor, Resource, StageGraph, StageKind, StageOutcome, StageReport};
+use crate::stages::{Resource, StageGraph, StageKind, StageOutcome, StageReport};
 
 /// A borrowed row-major `rows × cols` matrix.
 ///
@@ -651,7 +651,7 @@ pub fn topk_rows<K: TopKKey>(
     config: &DrTopKConfig,
 ) -> RowTopKResult<K> {
     let devices: Vec<&Device> = cluster.devices().iter().collect();
-    topk_rows_on(&devices, matrix, ks, config, None, Executor::Threaded)
+    topk_rows_on(&devices, matrix, ks, config, None)
 }
 
 /// Row-wise top-k-**smallest**: each row's k minimum elements, ascending —
@@ -667,20 +667,18 @@ pub fn topk_rows_min<K: TopKKey>(
     topk_rows(cluster, matrix.as_desc(), ks, config).into_native()
 }
 
-/// The fully parameterised entry point: explicit device set, block size and
-/// executor. `rows_per_block = None` defaults to `⌈rows / devices⌉` (one
-/// block per device); block `b` runs on `devices[b % devices.len()]`.
+/// The fully parameterised entry point: explicit device set and block
+/// size. `rows_per_block = None` defaults to `⌈rows / devices⌉` (one block
+/// per device); block `b` runs on `devices[b % devices.len()]`.
 ///
 /// This is the seam the batching engine uses to run a row-matrix unit on
-/// one assigned worker device, and what the executor-matrix tests use to
-/// pin serial/threaded equivalence.
+/// one assigned worker device.
 pub fn topk_rows_on<K: TopKKey>(
     devices: &[&Device],
     matrix: RowMatrix<'_, K>,
     ks: &RowK,
     config: &DrTopKConfig,
     rows_per_block: Option<usize>,
-    executor: Executor,
 ) -> RowTopKResult<K> {
     assert!(!devices.is_empty(), "need at least one device");
     let rpb = rows_per_block.unwrap_or_else(|| matrix.rows.div_ceil(devices.len()).max(1));
@@ -708,7 +706,7 @@ pub fn topk_rows_on<K: TopKKey>(
         };
     }
     let (graph, ctx, passes) = build_rows_graph(devices, matrix, &layout);
-    let report = graph.execute_with(&ctx, executor);
+    let report = graph.execute(&ctx);
     gather_result(&layout, matrix.rows, ctx, report, passes)
 }
 
@@ -738,7 +736,7 @@ pub fn topk_rows_explore<K: TopKKey>(
             stages: 0,
             reference: StageReport::default(),
         };
-        let result = topk_rows_on(devices, matrix, ks, config, Some(rpb), Executor::Threaded);
+        let result = topk_rows_on(devices, matrix, ks, config, Some(rpb));
         return Ok((result, outcome));
     }
     let outcome = explore_schedules(
@@ -770,7 +768,7 @@ pub fn topk_rows_explore<K: TopKKey>(
         },
         budget,
     )?;
-    let result = topk_rows_on(devices, matrix, ks, config, Some(rpb), Executor::Threaded);
+    let result = topk_rows_on(devices, matrix, ks, config, Some(rpb));
     Ok((result, outcome))
 }
 

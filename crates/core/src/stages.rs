@@ -24,7 +24,11 @@
 //!   [`gpu_sim::Stream`]s: stages on the same resource serialize, stages on
 //!   different resources overlap as far as their dependencies allow —
 //!   which is exactly how double-buffered chunked ingestion hides
-//!   host→device transfers behind compute.
+//!   host→device transfers behind compute. A graph that touches a single
+//!   resource runs inline on the calling thread instead.
+//! * [`StageGraph::execute_in_order`] runs the closures on the calling
+//!   thread in one explicit dispatch order — the replay primitive of the
+//!   schedule model checker ([`crate::explore`]).
 //!
 //! # Modeled vs measured time
 //!
@@ -36,9 +40,7 @@
 //! [`StageReport::deterministic_summary`]). *Measured* milliseconds are host
 //! wall-clock timestamps taken around each closure
 //! ([`ExecutedStage::measured_start_ms`] / [`ExecutedStage::measured_end_ms`],
-//! [`StageReport::measured_makespan_ms`]) and vary run to run; the
-//! [`crate::calibrate`] module regresses measured against modeled time per
-//! [`StageKind`] so benches can print the two side by side.
+//! [`StageReport::measured_makespan_ms`]) and vary run to run.
 //!
 //! Because stage closures run concurrently, they take `&C` (not `&mut C`)
 //! and must be `Send`; the caller partitions or synchronizes the context —
@@ -47,10 +49,9 @@
 //!
 //! The executor is also the one instrumentation point: the returned
 //! [`StageReport`] carries every executed stage's interval, the modeled
-//! makespan, the compute/transfer split, the overlap efficiency, the
-//! per-kind calibration fit, and a [`PhaseBreakdown`] derived from the
-//! stage kinds — the pipeline, approximate, distributed and engine reports
-//! are all views of it.
+//! makespan, the compute/transfer split, the overlap efficiency, and a
+//! [`PhaseBreakdown`] derived from the stage kinds — the pipeline,
+//! approximate, distributed and engine reports are all views of it.
 
 // Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
 // the executor's slot table is the synchronization primitive everything
@@ -65,7 +66,6 @@ use std::time::Instant;
 use drtopk_obs::{EventKind, ExecEvent, SpanRecord, TraceSink};
 use gpu_sim::{KernelStats, StreamSet};
 
-use crate::calibrate::CalibrationFit;
 use crate::pipeline::PhaseBreakdown;
 use crate::verify::{verify_specs, Diagnostic, StageSpec, VerifyOptions};
 
@@ -229,36 +229,6 @@ pub struct StageOutcome {
 /// Handle to a stage within its graph, used to declare dependencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageId(usize);
-
-/// Which host execution strategy runs the stage closures.
-///
-/// Every strategy produces bit-identical results and byte-identical
-/// *modeled* reports; they differ only in host wall-clock (the `measured_*`
-/// fields) and in which dispatch order actually runs the closures.
-/// [`Executor::Threaded`] is the default everywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Executor {
-    /// Run every stage closure on the calling thread, in insertion order.
-    /// The historical behavior: measured wall-clock is the sum of all
-    /// stages no matter how much the modeled schedule overlaps.
-    Serial,
-    /// Dispatch ready stages onto one host worker thread per modeled
-    /// resource, with dependency events gating cross-resource handoff, so
-    /// measured wall-clock tracks the modeled makespan. Graphs that touch
-    /// a single resource (or none) run inline on the calling thread — a
-    /// lone worker could only replay insertion order anyway.
-    #[default]
-    Threaded,
-    /// Run one deterministic *adversarial* dispatch order on the calling
-    /// thread: at every step, dispatch the highest-index stage the
-    /// threaded executor's workers could legally pick (dependencies done,
-    /// per-resource FIFO respected). This is the single schedule furthest
-    /// from insertion order — a cheap anti-insertion-order probe. The
-    /// full schedule-space enumeration lives in
-    /// [`crate::explore::explore_schedules`], which drives
-    /// [`StageGraph::execute_in_order`] over *every* reachable order.
-    Explore,
-}
 
 type BoxedStage<'g, C> = Box<dyn FnOnce(&C) -> StageOutcome + Send + 'g>;
 type PanicPayload = Box<dyn Any + Send>;
@@ -495,52 +465,13 @@ impl<'g, C> StageGraph<'g, C> {
         (metas, runs)
     }
 
-    /// Execute the graph with the default [`Executor::Threaded`] strategy.
-    ///
-    /// Host-side, ready stages dispatch onto one worker thread per modeled
-    /// resource — dependency events gate cross-resource handoff, exactly
-    /// like kernels launched on CUDA streams after `cudaStreamWaitEvent`s —
-    /// so real wall-clock tracks the modeled makespan. Afterwards the graph
-    /// is replayed in insertion order on modeled per-resource streams, so
-    /// every modeled field of the report is deterministic regardless of how
-    /// the host threads interleaved.
-    pub fn execute(self, ctx: &C) -> StageReport
-    where
-        C: Sync,
-    {
-        self.execute_with(ctx, Executor::Threaded)
-    }
-
-    /// Execute the graph with an explicit host strategy. Results and
-    /// modeled reports are identical either way; only the `measured_*`
-    /// wall-clock fields differ.
-    pub fn execute_with(self, ctx: &C, executor: Executor) -> StageReport
-    where
-        C: Sync,
-    {
-        match executor {
-            Executor::Serial => self.execute_serial(ctx),
-            Executor::Threaded => {
-                self.debug_verify();
-                self.execute_threaded(ctx)
-            }
-            Executor::Explore => {
-                let order = self.adversarial_order();
-                self.execute_in_order(ctx, &order)
-            }
-        }
-    }
-
-    /// Execute every stage closure on the calling thread, in insertion
-    /// order (the historical serial executor). Does not require `C: Sync`.
-    pub fn execute_serial(self, ctx: &C) -> StageReport {
-        self.debug_verify();
-        self.run_serial(ctx)
-    }
-
-    /// The serial executor body, shared by [`StageGraph::execute_serial`]
-    /// and the threaded executor's single-resource short circuit (which has
-    /// already verified the graph).
+    /// The single-resource path of [`StageGraph::execute`]: every closure
+    /// on the calling thread, in insertion order, with no thread machinery
+    /// (so closure panics propagate unchanged). Kept apart from
+    /// `execute_in_order`'s replay loop on purpose: sharing that loop with
+    /// an identity order measured about 50% slower CPU time per call on
+    /// `perfbench`'s `single_query` workload (2-core host), all of it
+    /// inside the kernel bodies; the cause was not isolated.
     fn run_serial(self, ctx: &C) -> StageReport {
         let sink = self.sink;
         let (metas, runs) = self.into_parts();
@@ -567,16 +498,29 @@ impl<'g, C> StageGraph<'g, C> {
         finish_report(metas, records, sink)
     }
 
-    /// One worker per distinct resource; dependencies gate handoff through
-    /// a slot table + condvar. Deadlock-free because `add_labeled`
+    /// Execute the graph.
+    ///
+    /// Host-side, ready stages dispatch onto one worker thread per modeled
+    /// resource — dependency events gate cross-resource handoff, exactly
+    /// like kernels launched on CUDA streams after `cudaStreamWaitEvent`s —
+    /// so real wall-clock tracks the modeled makespan. A graph that touches
+    /// a single resource (or none) runs inline on the calling thread, in
+    /// insertion order: a lone worker could only replay that order anyway.
+    /// Afterwards the graph is replayed in insertion order on modeled
+    /// per-resource streams, so every modeled field of the report is
+    /// deterministic regardless of how the host threads interleaved.
+    ///
+    /// The workers gate dependencies through a slot table + condvar. This
+    /// is deadlock-free because `add_labeled`
     /// guarantees every dependency index is smaller than the stage's own
     /// index and each worker walks its list in insertion order: the
     /// globally smallest unfinished stage always has every dependency
     /// finished, so its worker can run it.
-    fn execute_threaded(self, ctx: &C) -> StageReport
+    pub fn execute(self, ctx: &C) -> StageReport
     where
         C: Sync,
     {
+        self.debug_verify();
         let mut resources: Vec<Resource> = Vec::new();
         for node in &self.stages {
             if !resources.contains(&node.resource) {
@@ -584,8 +528,6 @@ impl<'g, C> StageGraph<'g, C> {
             }
         }
         if resources.len() <= 1 {
-            // A lone worker could only replay insertion order; skip the
-            // thread machinery (and keep plain panic propagation).
             return self.run_serial(ctx);
         }
         let sink = self.sink;
@@ -673,8 +615,8 @@ impl<'g, C> StageGraph<'g, C> {
         });
         let mut panics = panics.into_inner().unwrap();
         if !panics.is_empty() {
-            // Re-raise the earliest stage's panic — the one the serial
-            // executor would have hit first.
+            // Re-raise the earliest stage's panic — the one an
+            // insertion-order run would have hit first.
             panics.sort_by_key(|(i, _)| *i);
             std::panic::resume_unwind(panics.remove(0).1);
         }
@@ -692,15 +634,15 @@ impl<'g, C> StageGraph<'g, C> {
         finish_report(metas, records, sink)
     }
 
-    /// Execute the stage closures serially in an explicit dispatch `order`
-    /// — the schedule-replay primitive behind
+    /// Execute the stage closures on the calling thread in an explicit
+    /// dispatch `order` — the schedule-replay primitive behind
     /// [`crate::explore::explore_schedules`]. The report is byte-identical
-    /// (modeled fields) to any other executor's: the modeled replay always
-    /// runs in insertion order.
+    /// (modeled fields) to [`StageGraph::execute`]'s: the modeled replay
+    /// always runs in insertion order.
     ///
     /// # Panics
     ///
-    /// Panics when `order` is not a dispatch order the threaded executor
+    /// Panics when `order` is not a dispatch order the threaded workers
     /// could take: it must be a permutation of `0..len()` in which every
     /// stage appears after all of its dependencies *and* after every
     /// earlier-inserted stage on its own resource (workers drain their
@@ -763,38 +705,12 @@ impl<'g, C> StageGraph<'g, C> {
             .collect();
         finish_report(metas, records, sink)
     }
-
-    /// The deterministic [`Executor::Explore`] schedule: at every step,
-    /// dispatch the highest-index stage whose dependencies are done and
-    /// whose resource has no earlier undispatched stage.
-    fn adversarial_order(&self) -> Vec<usize> {
-        let n = self.stages.len();
-        let mut done = vec![false; n];
-        let mut order = Vec::with_capacity(n);
-        while order.len() < n {
-            let next = (0..n)
-                .rev()
-                .find(|&i| {
-                    !done[i]
-                        && self.stages[i].deps.iter().all(|&d| done[d])
-                        && (0..i)
-                            .all(|j| done[j] || self.stages[j].resource != self.stages[i].resource)
-                })
-                .expect(
-                    "a graph whose dependencies point at earlier stages always has a \
-                     dispatchable stage",
-                );
-            done[next] = true;
-            order.push(next);
-        }
-        order
-    }
 }
 
-/// [`build_report`] plus span emission: every executor funnels through
+/// [`build_report`] plus span emission: both entry points funnel through
 /// here, so an attached sink sees exactly the report's stages, in insertion
 /// order — which is what makes deterministic traces byte-identical across
-/// executors.
+/// runs and dispatch orders.
 fn finish_report(
     metas: Vec<StageMeta>,
     records: Vec<RunRecord>,
@@ -842,12 +758,10 @@ fn build_report(metas: Vec<StageMeta>, records: Vec<RunRecord>) -> StageReport {
         "modeled makespan ({makespan_ms} ms) must never exceed the serialized cost \
          ({serial_ms} ms); overlap can only hide time"
     );
-    let calibration = CalibrationFit::fit(&executed);
     StageReport {
         stages: executed,
         makespan_ms,
         measured_makespan_ms,
-        calibration,
     }
 }
 
@@ -896,8 +810,7 @@ impl ExecutedStage {
 ///
 /// Modeled fields (`makespan_ms`, per-stage `start_ms`/`end_ms`, stats,
 /// everything derived from them) are deterministic; the `measured_*`
-/// fields and [`StageReport::calibration`] reflect host wall-clock and
-/// vary run to run.
+/// fields reflect host wall-clock and vary run to run.
 #[derive(Debug, Clone, Default)]
 pub struct StageReport {
     /// Every executed stage, in insertion (= replay) order.
@@ -906,13 +819,12 @@ pub struct StageReport {
     /// resources. Deterministic.
     pub makespan_ms: f64,
     /// Measured end-to-end host wall-clock: the latest measured stage
-    /// completion. Under [`Executor::Threaded`] this tracks `makespan_ms`
-    /// through the calibration fit; under [`Executor::Serial`] it tracks
-    /// the serialized sum. **Not deterministic.**
+    /// completion. When [`StageGraph::execute`] runs stages of different
+    /// resources on their own workers, they overlap in wall-clock and this
+    /// falls below [`StageReport::measured_serial_ms`]; for single-resource
+    /// graphs and [`StageGraph::execute_in_order`] it is the serialized
+    /// sum. **Not deterministic.**
     pub measured_makespan_ms: f64,
-    /// Per-[`StageKind`] least-squares fit of measured against modeled
-    /// stage durations (see [`crate::calibrate`]). **Not deterministic.**
-    pub calibration: CalibrationFit,
 }
 
 impl StageReport {
@@ -1018,10 +930,10 @@ impl StageReport {
     /// A byte-stable rendering of every *deterministic* field of the
     /// report: stage kinds, labels, resources, dependencies, modeled
     /// intervals (as exact bit patterns) and kernel counters, plus the
-    /// modeled makespan. Two runs of the same graph — under any executor,
-    /// any thread count — must produce identical strings; the determinism
-    /// CI step and the executor stress test diff exactly this. Measured
-    /// wall-clock and calibration fields are deliberately excluded.
+    /// modeled makespan. Two runs of the same graph — in any dispatch
+    /// order, any thread count — must produce identical strings; the
+    /// determinism CI step and the executor stress test diff exactly this.
+    /// Measured wall-clock fields are deliberately excluded.
     pub fn deterministic_summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -1259,7 +1171,6 @@ mod tests {
         assert_eq!(report.overlap_efficiency(), 0.0);
         assert_eq!(report.measured_overlap_efficiency(), 0.0);
         assert!(report.stats().is_empty());
-        assert!(report.calibration.fits.is_empty());
         assert_eq!(report.phase_breakdown(), PhaseBreakdown::default());
     }
 
@@ -1290,7 +1201,7 @@ mod tests {
     }
 
     /// The same two-resource graph, buildable repeatedly for
-    /// executor-equivalence tests.
+    /// dispatch-order equivalence tests.
     fn two_resource_graph(g: &mut StageGraph<'_, Mutex<Vec<u32>>>) {
         let lane = Resource::Transfer(TransferLane::HostToDevice(0));
         let l0 = g.add(StageKind::ChunkLoad, lane, &[], |_| outcome(3.0));
@@ -1315,17 +1226,19 @@ mod tests {
         );
     }
 
+    /// The serial side is `execute_in_order` in insertion order: every
+    /// closure on the calling thread, one after another.
     #[test]
     fn threaded_and_serial_executors_agree_on_everything_deterministic() {
         let mut serial_graph = StageGraph::new();
         two_resource_graph(&mut serial_graph);
         let serial_log = Mutex::new(Vec::new());
-        let serial = serial_graph.execute_with(&serial_log, Executor::Serial);
+        let serial = serial_graph.execute_in_order(&serial_log, &[0, 1, 2, 3, 4]);
 
         let mut threaded_graph = StageGraph::new();
         two_resource_graph(&mut threaded_graph);
         let threaded_log = Mutex::new(Vec::new());
-        let threaded = threaded_graph.execute_with(&threaded_log, Executor::Threaded);
+        let threaded = threaded_graph.execute(&threaded_log);
 
         // Same context bits: the compute stages are chained on one
         // resource, so their side effects land in the same order.
@@ -1339,7 +1252,7 @@ mod tests {
             threaded.deterministic_summary()
         );
         assert_eq!(serial.makespan_ms, threaded.makespan_ms);
-        // Measured fields exist and are sane under both executors.
+        // Measured fields exist and are sane either way.
         for report in [&serial, &threaded] {
             for s in &report.stages {
                 assert!(s.measured_end_ms >= s.measured_start_ms);
@@ -1350,25 +1263,32 @@ mod tests {
         }
     }
 
+    /// Every dispatch order the model checker can replay agrees with the
+    /// threaded run, whose log is the chained compute stages' output.
     #[test]
     fn explore_executor_matches_threaded_results_and_summary() {
         let mut threaded_graph = StageGraph::new();
         two_resource_graph(&mut threaded_graph);
         let threaded_log = Mutex::new(Vec::new());
-        let threaded = threaded_graph.execute_with(&threaded_log, Executor::Threaded);
+        let threaded = threaded_graph.execute(&threaded_log);
+        assert_eq!(threaded_log.into_inner().unwrap(), vec![10, 20, 30]);
 
-        let mut explore_graph = StageGraph::new();
-        two_resource_graph(&mut explore_graph);
-        let explore_log = Mutex::new(Vec::new());
-        let explored = explore_graph.execute_with(&explore_log, Executor::Explore);
-
-        assert_eq!(
-            threaded_log.into_inner().unwrap(),
-            explore_log.into_inner().unwrap()
-        );
+        let outcome = crate::explore::explore_schedules(
+            || {
+                let mut g = StageGraph::new();
+                two_resource_graph(&mut g);
+                (g, Mutex::new(Vec::new()))
+            },
+            |log: &Mutex<Vec<u32>>, _| log.lock().unwrap().clone(),
+            crate::explore::ExploreBudget::default(),
+        )
+        .expect("the two-resource graph is schedule-invariant");
+        // The second load may overtake the first compute stage or not.
+        assert_eq!(outcome.schedules_run, 2);
+        assert!(outcome.exhaustive);
         assert_eq!(
             threaded.deterministic_summary(),
-            explored.deterministic_summary()
+            outcome.reference.deterministic_summary()
         );
     }
 
@@ -1396,20 +1316,26 @@ mod tests {
         assert!(spans.iter().all(|s| s.measured_end_ms == 0.0));
     }
 
+    /// The threaded run and both legal single-thread dispatch orders
+    /// (insertion order, and the second load overtaking the first compute
+    /// stage) export the same deterministic trace.
     #[test]
     fn deterministic_traces_are_byte_identical_across_executors() {
-        let trace_of = |executor: Executor| {
+        let trace_of = |order: Option<&[usize]>| {
             let rec = drtopk_obs::TraceRecorder::deterministic();
             let mut g = StageGraph::new();
             two_resource_graph(&mut g);
             g.set_trace_sink(&rec);
             let log = Mutex::new(Vec::new());
-            g.execute_with(&log, executor);
+            match order {
+                Some(order) => g.execute_in_order(&log, order),
+                None => g.execute(&log),
+            };
             rec.chrome_trace_json()
         };
-        let serial = trace_of(Executor::Serial);
-        assert_eq!(serial, trace_of(Executor::Threaded));
-        assert_eq!(serial, trace_of(Executor::Explore));
+        let serial = trace_of(Some(&[0, 1, 2, 3, 4]));
+        assert_eq!(serial, trace_of(None));
+        assert_eq!(serial, trace_of(Some(&[0, 2, 1, 3, 4])));
         drtopk_obs::validate_chrome_trace(&serial).unwrap();
     }
 
@@ -1420,7 +1346,7 @@ mod tests {
         two_resource_graph(&mut g);
         g.set_trace_sink(&rec);
         let log = Mutex::new(Vec::new());
-        g.execute_with(&log, Executor::Threaded);
+        g.execute(&log);
         let dispatches = rec
             .events()
             .iter()
@@ -1574,7 +1500,6 @@ mod tests {
             }],
             makespan_ms: 1.0,
             measured_makespan_ms: 6.0,
-            calibration: CalibrationFit::default(),
         };
         assert_eq!(report.measured_serial_ms(), 1.0);
         assert_eq!(report.measured_hidden_ms(), 0.0);

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use drtopk_core::{DrTopKConfig, StageKind};
+use drtopk_core::DrTopKConfig;
 use drtopk_obs::{EventKind, ExecEvent, MetricName, MetricsRegistry, MetricsSnapshot, TraceSink};
 use gpu_sim::{DeviceSpec, GpuCluster};
 use parking_lot::Mutex;
@@ -91,8 +91,7 @@ impl TopKEngine {
         let cache = Mutex::new(PlanCache::with_delegate_capacity(
             config.delegate_cache_capacity,
         ));
-        let kinds: Vec<&'static str> = StageKind::ALL.iter().map(|k| k.name()).collect();
-        let metrics = MetricsRegistry::new(cluster.num_devices(), &kinds);
+        let metrics = MetricsRegistry::new(cluster.num_devices());
         TopKEngine {
             cluster,
             config,
@@ -128,7 +127,7 @@ impl TopKEngine {
     }
 
     /// The engine's cumulative metrics registry (caches, latency
-    /// percentiles, worker occupancy, calibration drift). Always live —
+    /// percentiles, worker occupancy). Always live —
     /// updates are lock-free atomics and cost a few nanoseconds per batch.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -263,7 +262,7 @@ impl TopKEngine {
                     _ => (d, r),
                 });
         // Rows count as queries: the metric catalog stays its closed
-        // 16-variant self, row throughput rides the existing counters.
+        // 15-variant self, row throughput rides the existing counters.
         let rows_served: usize = exec.row_results.iter().map(|r| r.rows.len()).sum();
         let total_selections = num_queries + rows_served;
         let total_ms = exec.pool_ms + exec.sharded_ms;
@@ -304,9 +303,6 @@ impl TopKEngine {
                 },
             );
             m.set_worker_queue_depth(slot, exec.worker_units[slot] as f64);
-        }
-        for &(kind, residual) in &exec.kind_residual_ms {
-            m.set_stage_residual_ms(kind.name(), residual);
         }
 
         let report = EngineReport {

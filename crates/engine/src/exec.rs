@@ -21,9 +21,8 @@ use std::sync::Arc;
 
 use drtopk_core::{
     as_desc, build_delegate_vector, capacity_in_keys, distributed_dr_topk, dr_topk_planned,
-    topk_rows_on, CalibrationFit, DelegateVector, DrTopKConfig, DrTopKResult, ExecutedStage,
-    Executor, PhaseBreakdown, Resource, RowMatrix, RowTopKResult, StageGraph, StageId, StageKind,
-    StageOutcome, StageReport,
+    topk_rows_on, DelegateVector, DrTopKConfig, DrTopKResult, ExecutedStage, PhaseBreakdown,
+    Resource, RowMatrix, RowTopKResult, StageGraph, StageId, StageKind, StageOutcome, StageReport,
 };
 use drtopk_obs::TraceSink;
 use gpu_sim::{Device, GpuCluster, KernelStats};
@@ -93,44 +92,6 @@ pub(crate) struct ExecOutput<K: TopKKey> {
     pub worker_loads: Vec<f64>,
     /// Fused units each pool worker executed under the list schedule.
     pub worker_units: Vec<usize>,
-    /// Per-[`StageKind`] modeled-vs-measured drift: the sample-weighted
-    /// mean absolute calibration residual across every unit and sharded
-    /// stage schedule of the batch.
-    pub kind_residual_ms: Vec<(StageKind, f64)>,
-}
-
-/// Sample-weighted accumulator for per-kind calibration residuals.
-#[derive(Default)]
-struct ResidualAccum {
-    by_kind: Vec<(StageKind, f64, usize)>,
-}
-
-impl ResidualAccum {
-    fn absorb(&mut self, fit: &CalibrationFit) {
-        for f in &fit.fits {
-            if f.samples == 0 {
-                continue;
-            }
-            match self.by_kind.iter_mut().find(|(k, _, _)| *k == f.kind) {
-                Some((_, sum, n)) => {
-                    *sum += f.mean_abs_residual_ms * f.samples as f64;
-                    *n += f.samples;
-                }
-                None => self.by_kind.push((
-                    f.kind,
-                    f.mean_abs_residual_ms * f.samples as f64,
-                    f.samples,
-                )),
-            }
-        }
-    }
-
-    fn weighted_means(self) -> Vec<(StageKind, f64)> {
-        self.by_kind
-            .into_iter()
-            .map(|(k, sum, n)| (k, sum / n as f64))
-            .collect()
-    }
 }
 
 /// Compose the unit-level stage report from the macro graph's schedule.
@@ -140,7 +101,7 @@ impl ResidualAccum {
 /// executed pipeline stages, shifted onto the unit's serial timeline and
 /// re-tagged with the worker's device. Dependencies are remapped into the
 /// composed index space, with the shared pass as the root of every member
-/// chain, and the per-kind calibration is refit over the spliced stages.
+/// chain.
 fn splice_unit_stages<K: TopKKey>(
     macro_report: &StageReport,
     pass_ran: bool,
@@ -180,12 +141,10 @@ fn splice_unit_stages<K: TopKKey>(
             });
         }
     }
-    let calibration = CalibrationFit::fit(&stages);
     let report = StageReport {
         stages,
         makespan_ms: macro_report.makespan_ms,
         measured_makespan_ms: macro_report.measured_makespan_ms,
-        calibration,
     };
     // The macro graph was verified when it executed; splicing re-wires
     // kinds, resources and dependencies, so debug builds re-check the
@@ -386,10 +345,9 @@ fn run_fused_unit<K: TopKKey>(
 
 /// Compose a row unit's stage report: the members' row-block schedules
 /// run back-to-back on the worker's device, so each member's stages are
-/// shifted onto the unit's serial timeline, re-tagged with the worker, and
-/// the per-kind calibration is refit over the composition. Dependencies
-/// stay within each member (row-block graphs are self-contained), only
-/// re-indexed into the composed stage list.
+/// shifted onto the unit's serial timeline and re-tagged with the worker.
+/// Dependencies stay within each member (row-block graphs are
+/// self-contained), only re-indexed into the composed stage list.
 fn splice_row_stages(members: &[StageReport], device: usize) -> StageReport {
     let mut stages: Vec<ExecutedStage> = Vec::new();
     let mut offset_ms = 0.0f64;
@@ -412,12 +370,10 @@ fn splice_row_stages(members: &[StageReport], device: usize) -> StageReport {
         offset_ms += member.makespan_ms;
         measured_offset_ms += member.measured_makespan_ms;
     }
-    let calibration = CalibrationFit::fit(&stages);
     let report = StageReport {
         stages,
         makespan_ms: offset_ms,
         measured_makespan_ms: measured_offset_ms,
-        calibration,
     };
     #[cfg(debug_assertions)]
     {
@@ -461,18 +417,10 @@ fn run_rows_unit<K: TopKKey>(
         let matrix = RowMatrix::new(data, q.rows, q.cols);
         let devices = [device];
         let r: RowTopKResult<K> = match q.direction {
-            Direction::Largest => {
-                topk_rows_on(&devices, matrix, &q.ks, &cfg, None, Executor::Threaded)
+            Direction::Largest => topk_rows_on(&devices, matrix, &q.ks, &cfg, None),
+            Direction::Smallest => {
+                topk_rows_on(&devices, matrix.as_desc(), &q.ks, &cfg, None).into_native()
             }
-            Direction::Smallest => topk_rows_on(
-                &devices,
-                matrix.as_desc(),
-                &q.ks,
-                &cfg,
-                None,
-                Executor::Threaded,
-            )
-            .into_native(),
         };
         delegate_passes += r.delegate_passes;
         results.push((
@@ -597,7 +545,6 @@ pub(crate) fn execute_plan<K: TopKKey>(
     let mut delegate_passes_run = 0usize;
     let mut delegate_passes_saved = 0usize;
     let mut delegate_cache = CacheReport::default();
-    let mut residuals = ResidualAccum::default();
     // Modeled cost of each fused unit, in unit order, for the deterministic
     // makespan computation below; the stage schedule rides along (cloned)
     // only when a trace sink wants spans.
@@ -605,26 +552,25 @@ pub(crate) fn execute_plan<K: TopKKey>(
 
     for outcomes in per_device {
         for pool_outcome in outcomes {
+            // One instrumentation point for both unit kinds: the unit's
+            // composed stage schedule carries the shared pass, every member
+            // phase (and any member-level pass rebuild), so phases,
+            // counters and the unit's modeled cost are all read off it.
+            let (unit_idx, unit_stages) = match &pool_outcome {
+                PoolOutcome::Fused(outcome) => (outcome.unit, &outcome.unit_stages),
+                PoolOutcome::Rows(outcome) => (outcome.unit, &outcome.unit_stages),
+            };
+            phase_ms += unit_stages.phase_breakdown();
+            stats += unit_stages.stats();
+            unit_costs.push((
+                unit_idx,
+                unit_stages.makespan_ms,
+                sink.map(|_| unit_stages.clone()),
+            ));
             let outcome = match pool_outcome {
                 PoolOutcome::Fused(outcome) => outcome,
                 PoolOutcome::Rows(outcome) => {
-                    // One instrumentation point for row units too: phases,
-                    // counters and the unit's modeled cost come off the
-                    // composed member schedules.
-                    let unit_phases = outcome.unit_stages.phase_breakdown();
-                    phase_ms.delegate_ms += unit_phases.delegate_ms;
-                    phase_ms.first_topk_ms += unit_phases.first_topk_ms;
-                    phase_ms.concat_ms += unit_phases.concat_ms;
-                    phase_ms.second_topk_ms += unit_phases.second_topk_ms;
-                    phase_ms.transfer_ms += unit_phases.transfer_ms;
-                    stats += outcome.unit_stages.stats();
-                    residuals.absorb(&outcome.unit_stages.calibration);
                     delegate_passes_run += outcome.delegate_passes;
-                    unit_costs.push((
-                        outcome.unit,
-                        outcome.unit_stages.makespan_ms,
-                        sink.map(|_| outcome.unit_stages.clone()),
-                    ));
                     for (query_idx, result) in outcome.results {
                         row_results[query_idx] = Some(result);
                     }
@@ -634,24 +580,6 @@ pub(crate) fn execute_plan<K: TopKKey>(
             let PlanUnit::Fused(unit) = &plan.units[outcome.unit] else {
                 unreachable!()
             };
-            // One instrumentation point: the unit's composed stage
-            // schedule carries the shared pass, every member phase (and
-            // any member-level pass rebuild), so phases, counters and the
-            // unit's modeled cost are all read off it.
-            let unit_phases = outcome.unit_stages.phase_breakdown();
-            phase_ms.delegate_ms += unit_phases.delegate_ms;
-            phase_ms.first_topk_ms += unit_phases.first_topk_ms;
-            phase_ms.concat_ms += unit_phases.concat_ms;
-            phase_ms.second_topk_ms += unit_phases.second_topk_ms;
-            phase_ms.transfer_ms += unit_phases.transfer_ms;
-            stats += outcome.unit_stages.stats();
-            residuals.absorb(&outcome.unit_stages.calibration);
-            unit_costs.push((
-                outcome.unit,
-                outcome.unit_stages.makespan_ms,
-                sink.map(|_| outcome.unit_stages.clone()),
-            ));
-
             let delegate_users = unit.planned.iter().filter(|p| p.use_delegates).count();
             let cacheable = batch.corpora()[unit.corpus].id.is_some();
             if outcome.delegate_pass_run {
@@ -766,18 +694,13 @@ pub(crate) fn execute_plan<K: TopKKey>(
                 // (compute / copy lanes / interconnect per device).
                 d.stages.record_shifted(sink, pool_ms + sharded_ms);
             }
-            residuals.absorb(&d.stages.calibration);
             sharded_ms += d.total_ms;
             sharded_serial_ms += d.stages.serial_ms();
             stats += d.stats;
             // Sharded phases report compute and data movement separately
             // (the distributed breakdown keeps reload/gather time under
             // `transfer_ms` instead of folding it into compute).
-            phase_ms.delegate_ms += d.breakdown.delegate_ms;
-            phase_ms.first_topk_ms += d.breakdown.first_topk_ms;
-            phase_ms.concat_ms += d.breakdown.concat_ms;
-            phase_ms.second_topk_ms += d.breakdown.second_topk_ms;
-            phase_ms.transfer_ms += d.breakdown.transfer_ms;
+            phase_ms += d.breakdown;
             slot.insert(ShardAnswer {
                 values: d.values,
                 kth_value: d.kth_value,
@@ -820,6 +743,5 @@ pub(crate) fn execute_plan<K: TopKKey>(
         sharded_serial_ms,
         worker_loads,
         worker_units,
-        kind_residual_ms: residuals.weighted_means(),
     })
 }

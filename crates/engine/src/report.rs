@@ -175,9 +175,9 @@ pub struct EngineReport {
     pub stats: KernelStats,
     /// Snapshot of the engine's cumulative metrics registry taken right
     /// after this batch was folded in: latency percentiles (p50/p95/p99),
-    /// sustained QPS over engine-busy time, per-worker occupancy and
-    /// per-kind calibration residuals. Cumulative across the engine's
-    /// lifetime, unlike the batch-scoped fields above.
+    /// sustained QPS over engine-busy time and per-worker occupancy.
+    /// Cumulative across the engine's lifetime, unlike the batch-scoped
+    /// fields above.
     pub metrics: MetricsSnapshot,
 }
 

@@ -3,7 +3,7 @@
 //! Three pillars, re-exported at the crate root:
 //!
 //! * **Tracing** ([`trace`]): a [`TraceSink`] trait the stage-graph
-//!   executors emit into, and a [`TraceRecorder`] that exports Chrome Trace
+//!   executor emits into, and a [`TraceRecorder`] that exports Chrome Trace
 //!   Event Format JSON — one track per modeled resource, a parallel track
 //!   group for measured wall-clock, and a deterministic mode CI can
 //!   byte-diff.

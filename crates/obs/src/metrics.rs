@@ -297,8 +297,6 @@ pub enum MetricUnit {
     SlotGauge,
     /// Monotone millisecond accumulator, one instance per worker slot.
     SlotSumMs,
-    /// Last-write gauge, one instance per `StageKind`.
-    KindGauge,
 }
 
 /// The closed catalog of metric families the registry exposes.
@@ -339,13 +337,11 @@ pub enum MetricName {
     WorkerOccupancy,
     /// Per-worker-slot scheduled unit count in the last batch.
     WorkerQueueDepth,
-    /// Per-`StageKind` mean |measured − calibrated-model| residual, ms.
-    StageResidualMs,
 }
 
 impl MetricName {
     /// Every metric family, in declaration order.
-    pub const ALL: [MetricName; 16] = [
+    pub const ALL: [MetricName; 15] = [
         MetricName::PlanCacheHits,
         MetricName::PlanCacheMisses,
         MetricName::DelegateCacheHits,
@@ -361,7 +357,6 @@ impl MetricName {
         MetricName::WorkerBusyMs,
         MetricName::WorkerOccupancy,
         MetricName::WorkerQueueDepth,
-        MetricName::StageResidualMs,
     ];
 
     /// Stable snake_case identifier.
@@ -382,7 +377,6 @@ impl MetricName {
             MetricName::WorkerBusyMs => "worker_busy_ms",
             MetricName::WorkerOccupancy => "worker_occupancy",
             MetricName::WorkerQueueDepth => "worker_queue_depth",
-            MetricName::StageResidualMs => "stage_residual_ms",
         }
     }
 
@@ -402,7 +396,6 @@ impl MetricName {
             MetricName::QueryLatencyMs | MetricName::BatchMakespanMs => MetricUnit::HistogramMs,
             MetricName::WorkerBusyMs => MetricUnit::SlotSumMs,
             MetricName::WorkerOccupancy | MetricName::WorkerQueueDepth => MetricUnit::SlotGauge,
-            MetricName::StageResidualMs => MetricUnit::KindGauge,
         }
     }
 }
@@ -414,7 +407,7 @@ impl std::fmt::Display for MetricName {
 }
 
 /// The engine's metric store: one instance per [`MetricName`] family, with
-/// per-slot and per-kind instances where the family calls for them.
+/// per-slot instances where the family calls for them.
 ///
 /// All update paths are lock-free atomics; `snapshot()` reads a consistent-
 /// enough point-in-time view (metrics are monotone or last-write, so torn
@@ -436,13 +429,11 @@ pub struct MetricsRegistry {
     worker_busy_ms: Vec<FloatCounter>,
     worker_occupancy: Vec<Gauge>,
     worker_queue_depth: Vec<Gauge>,
-    stage_residual_ms: Vec<(&'static str, Gauge)>,
 }
 
 impl MetricsRegistry {
-    /// A registry with `slots` worker slots and one residual gauge per
-    /// stage-kind name in `kinds`.
-    pub fn new(slots: usize, kinds: &[&'static str]) -> MetricsRegistry {
+    /// A registry with `slots` worker slots.
+    pub fn new(slots: usize) -> MetricsRegistry {
         MetricsRegistry {
             plan_cache_hits: Counter::new(),
             plan_cache_misses: Counter::new(),
@@ -459,7 +450,6 @@ impl MetricsRegistry {
             worker_busy_ms: (0..slots).map(|_| FloatCounter::new()).collect(),
             worker_occupancy: (0..slots).map(|_| Gauge::new()).collect(),
             worker_queue_depth: (0..slots).map(|_| Gauge::new()).collect(),
-            stage_residual_ms: kinds.iter().map(|k| (*k, Gauge::new())).collect(),
         }
     }
 
@@ -522,14 +512,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Sets the modeled-vs-calibrated residual gauge for one stage kind
-    /// (`stage_residual_ms`). Unknown kind names are ignored.
-    pub fn set_stage_residual_ms(&self, kind: &str, ms: f64) {
-        if let Some((_, g)) = self.stage_residual_ms.iter().find(|(k, _)| *k == kind) {
-            g.set(ms);
-        }
-    }
-
     /// Number of worker slots this registry tracks.
     pub fn slots(&self) -> usize {
         self.worker_busy_ms.len()
@@ -559,8 +541,7 @@ impl MetricsRegistry {
                 | MetricName::BatchMakespanMs
                 | MetricName::WorkerBusyMs
                 | MetricName::WorkerOccupancy
-                | MetricName::WorkerQueueDepth
-                | MetricName::StageResidualMs => None,
+                | MetricName::WorkerQueueDepth => None,
             };
             if let Some(v) = value {
                 counters.push((name, v));
@@ -585,11 +566,6 @@ impl MetricsRegistry {
                     occupancy: self.worker_occupancy[slot].get(),
                     queue_depth: self.worker_queue_depth[slot].get(),
                 })
-                .collect(),
-            stage_residual_ms: self
-                .stage_residual_ms
-                .iter()
-                .map(|(k, g)| (k.to_string(), g.get()))
                 .collect(),
             sustained_qps,
         }
@@ -622,9 +598,6 @@ pub struct MetricsSnapshot {
     pub batch_makespan_ms: HistogramSummary,
     /// Per-slot worker telemetry.
     pub workers: Vec<WorkerSnapshot>,
-    /// `(stage kind name, mean abs residual ms)` per kind, in `StageKind`
-    /// declaration order.
-    pub stage_residual_ms: Vec<(String, f64)>,
     /// Queries served per second of modeled engine busy time.
     pub sustained_qps: f64,
 }
@@ -662,19 +635,12 @@ impl MetricsSnapshot {
                 })
                 .collect(),
         );
-        let residuals = Json::Obj(
-            self.stage_residual_ms
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                .collect(),
-        );
         Snapshot::new("metrics_snapshot")
             .field("counters", counters)
             .field("engine_busy_ms", Json::Num(self.engine_busy_ms))
             .field("query_latency_ms", self.query_latency_ms.to_json())
             .field("batch_makespan_ms", self.batch_makespan_ms.to_json())
             .field("workers", workers)
-            .field("stage_residual_ms", residuals)
             .field("sustained_qps", Json::Num(self.sustained_qps))
             .build()
     }
@@ -759,8 +725,7 @@ mod tests {
 
     #[test]
     fn registry_snapshot_reflects_updates() {
-        let kinds = ["local_topk", "gather"];
-        let reg = MetricsRegistry::new(2, &kinds);
+        let reg = MetricsRegistry::new(2);
         reg.counter(MetricName::QueriesServed).add(10);
         reg.counter(MetricName::BatchesServed).inc();
         reg.add_engine_busy_ms(50.0);
@@ -768,8 +733,6 @@ mod tests {
         reg.add_worker_busy_ms(1, 12.5);
         reg.set_worker_occupancy(1, 0.8);
         reg.set_worker_queue_depth(1, 3.0);
-        reg.set_stage_residual_ms("gather", 0.25);
-        reg.set_stage_residual_ms("unknown_kind", 9.0); // ignored
 
         let snap = reg.snapshot();
         assert_eq!(snap.counter(MetricName::QueriesServed), 10);
@@ -780,7 +743,6 @@ mod tests {
         assert_eq!(snap.workers[1].busy_ms, 12.5);
         assert_eq!(snap.workers[1].occupancy, 0.8);
         assert_eq!(snap.workers[1].queue_depth, 3.0);
-        assert_eq!(snap.stage_residual_ms[1], ("gather".to_string(), 0.25));
         // 10 queries over 50 ms busy = 200 QPS sustained.
         assert_eq!(snap.sustained_qps, 200.0);
 
@@ -803,7 +765,7 @@ mod tests {
 
     #[test]
     fn registry_updates_are_thread_safe() {
-        let reg = MetricsRegistry::new(1, &[]);
+        let reg = MetricsRegistry::new(1);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {

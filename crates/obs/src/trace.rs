@@ -1,6 +1,7 @@
-//! Stage-graph tracing: a [`TraceSink`] trait the executors emit into, and a
-//! [`TraceRecorder`] that collects spans/events and exports Chrome Trace
-//! Event Format JSON (loads directly in Perfetto or `chrome://tracing`).
+//! Stage-graph tracing: a [`TraceSink`] trait the stage executor emits
+//! into, and a [`TraceRecorder`] that collects spans/events and exports
+//! Chrome Trace Event Format JSON (loads directly in Perfetto or
+//! `chrome://tracing`).
 //!
 //! The sink is deliberately string-typed (stage kinds and resource tracks
 //! arrive as names) so this crate stays a leaf: core, engine and benches all
@@ -31,7 +32,7 @@ use parking_lot::Mutex;
 /// relative to the executor's epoch and varies run to run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Stage index in schedule (insertion) order — stable across executors.
+    /// Stage index in schedule (insertion) order — stable across dispatch orders.
     pub seq: usize,
     /// Stage kind name (e.g. `"local_topk"`).
     pub kind: String,
@@ -129,7 +130,7 @@ impl TraceRecorder {
     }
 
     /// A deterministic recorder: measured fields zeroed, events dropped,
-    /// export byte-stable across runs and executors.
+    /// export byte-stable across runs and dispatch orders.
     pub fn deterministic() -> TraceRecorder {
         TraceRecorder {
             deterministic: true,

@@ -1,18 +1,21 @@
 //! Deterministic stage-report replay: run the out-of-core distributed
-//! graph under both the serial and the threaded executor and print the
-//! **modeled** stage schedule's deterministic summary — stage kinds,
-//! labels, resources, dependencies and bit-exact modeled timestamps, with
-//! every measured wall-clock field deliberately excluded.
+//! graph once serially in insertion order and once through the threaded
+//! executor, and print the **modeled** stage schedule's deterministic
+//! summary — stage kinds, labels, resources, dependencies and bit-exact
+//! modeled timestamps, with every measured wall-clock field deliberately
+//! excluded.
 //!
 //! Usage: `cargo run --release --example deterministic_report [cap_exp] [multiple]`
 //! (defaults: per-device capacity `2^14` elements, corpus `4×` the aggregate).
 //!
-//! The example self-verifies: both executors must return bit-identical
-//! values and byte-identical summaries, so CI runs it twice and diffs the
-//! output — any nondeterminism in the threaded executor's modeled replay
-//! shows up as a diff.
+//! The serial run is the schedule explorer's reference: a one-schedule
+//! exhaustive budget replays exactly the insertion order on the calling
+//! thread, and the explorer then returns a threaded run of the same graph.
+//! The example self-verifies that both give byte-identical summaries, and
+//! CI runs it twice and diffs the output — any nondeterminism in the
+//! threaded executor's modeled replay shows up as a diff.
 
-use drtopk::core::{distributed_dr_topk_executor, DrTopKConfig, Executor, ReloadSchedule};
+use drtopk::core::{distributed_dr_topk_explore, DrTopKConfig, ExploreBudget, ReloadSchedule};
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 use topk_baselines::reference_topk;
@@ -34,32 +37,24 @@ fn main() {
     let data = topk_datagen::uniform(n, 7);
     let cfg = DrTopKConfig::default();
 
-    let serial = distributed_dr_topk_executor(
+    let (threaded, serial) = distributed_dr_topk_explore(
         &cluster,
         &data,
         k,
         &cfg,
         ReloadSchedule::DoubleBuffered,
-        Executor::Serial,
-    );
-    let threaded = distributed_dr_topk_executor(
-        &cluster,
-        &data,
-        k,
-        &cfg,
-        ReloadSchedule::DoubleBuffered,
-        Executor::Threaded,
-    );
+        ExploreBudget::Exhaustive { max_schedules: 1 },
+    )
+    .expect("one schedule cannot diverge from itself");
 
     // Self-verification: values match the CPU reference, and the modeled
-    // report is executor-independent down to the last bit.
-    assert_eq!(serial.values, reference_topk(&data, k));
-    assert_eq!(threaded.values, serial.values, "executors must agree");
+    // report is dispatch-order-independent down to the last bit.
+    assert_eq!(threaded.values, reference_topk(&data, k));
     let summary = threaded.stages.deterministic_summary();
     assert_eq!(
         summary,
-        serial.stages.deterministic_summary(),
-        "modeled schedule must not depend on the executor"
+        serial.reference.deterministic_summary(),
+        "modeled schedule must not depend on the dispatch order"
     );
 
     println!(
@@ -71,6 +66,6 @@ fn main() {
     // artifact CI diffs across runs, and measured time varies run to run.
     eprintln!(
         "(measured, stderr only: threaded wall-clock {:.3} ms, serial {:.3} ms)",
-        threaded.stages.measured_makespan_ms, serial.stages.measured_makespan_ms,
+        threaded.stages.measured_makespan_ms, serial.reference.measured_makespan_ms,
     );
 }

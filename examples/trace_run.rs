@@ -10,8 +10,8 @@
 //! * the traced run returns exactly the CPU reference top-k;
 //! * every recorded span matches the returned [`StageReport`]'s modeled
 //!   intervals **bit for bit**, and the report passes `verify()`;
-//! * the *deterministic* trace is byte-identical between the Serial and
-//!   Threaded executors (CI diffs the written file across two runs);
+//! * the *deterministic* trace is byte-identical between two threaded runs
+//!   in one process (CI also diffs the written file across two processes);
 //! * the exported JSON is well-formed Chrome Trace Event Format with one
 //!   track per modeled resource.
 //!
@@ -20,9 +20,7 @@
 use std::io::Write as _;
 use std::sync::Arc;
 
-use drtopk::core::{
-    distributed_dr_topk_observed, DrTopKConfig, Executor, ReloadSchedule, StageKind,
-};
+use drtopk::core::{distributed_dr_topk_observed, DrTopKConfig, ReloadSchedule, StageKind};
 use drtopk::engine::{QueryBatch, TopKEngine};
 use drtopk::obs::{validate_chrome_trace, TraceRecorder};
 use drtopk::prelude::*;
@@ -55,10 +53,10 @@ fn main() {
          ({multiple}x aggregate, double-buffered), k = {K}"
     );
 
-    // Deterministic traces under both executors: modeled spans only, in
+    // Deterministic traces of two threaded runs: modeled spans only, in
     // stable order — they must agree byte for byte.
     let mut traces = Vec::new();
-    for executor in [Executor::Serial, Executor::Threaded] {
+    for run in 1..=2 {
         let rec = TraceRecorder::deterministic();
         let d = distributed_dr_topk_observed(
             &cluster(capacity),
@@ -66,10 +64,9 @@ fn main() {
             K,
             &cfg,
             ReloadSchedule::DoubleBuffered,
-            executor,
             &rec,
         );
-        assert_eq!(d.values, expected, "{executor:?} run must be exact");
+        assert_eq!(d.values, expected, "run {run} must be exact");
         assert!(
             d.stages.verify().is_empty(),
             "stage report failed dependency verification"
@@ -95,14 +92,14 @@ fn main() {
             "one trace track per modeled resource"
         );
         println!(
-            "{executor:?}: {} spans on {} tracks, modeled makespan {:.4} ms",
+            "run {run}: {} spans on {} tracks, modeled makespan {:.4} ms",
             check.spans, check.tracks, d.stages.makespan_ms
         );
         traces.push(json);
     }
     assert_eq!(
         traces[0], traces[1],
-        "deterministic traces must be byte-identical across executors"
+        "deterministic traces must be byte-identical across runs"
     );
 
     // A full (non-deterministic) recorder adds the measured track group and
@@ -114,7 +111,6 @@ fn main() {
         K,
         &cfg,
         ReloadSchedule::DoubleBuffered,
-        Executor::Threaded,
         &full,
     );
     assert_eq!(d.values, expected);

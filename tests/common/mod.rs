@@ -10,7 +10,6 @@
 //! different subset of it, hence the file-level `dead_code` allow.
 #![allow(dead_code)]
 
-use drtopk::core::Executor;
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 
@@ -56,16 +55,4 @@ pub fn reference_bits<K: TopKKey>(data: &[K], k: usize, largest: bool) -> Vec<K:
 /// A deterministic uniformly-distributed `u32` corpus.
 pub fn seeded_corpus(n: usize, seed: u64) -> Vec<u32> {
     topk_datagen::uniform(n, seed)
-}
-
-/// The stage-graph executor the suite should run under, switched by the
-/// `DRTOPK_TEST_EXECUTOR` environment variable (`serial` / `threaded`).
-/// CI runs the executor-sensitive suites once per value; the default is
-/// the production `Threaded` executor.
-pub fn test_executor() -> Executor {
-    match std::env::var("DRTOPK_TEST_EXECUTOR").as_deref() {
-        Ok("serial") => Executor::Serial,
-        Ok("threaded") | Err(_) => Executor::Threaded,
-        Ok(other) => panic!("DRTOPK_TEST_EXECUTOR must be `serial` or `threaded`, got `{other}`"),
-    }
 }

@@ -77,7 +77,6 @@ fn metric_name_index(name: MetricName) -> usize {
         MetricName::WorkerBusyMs => 12,
         MetricName::WorkerOccupancy => 13,
         MetricName::WorkerQueueDepth => 14,
-        MetricName::StageResidualMs => 15,
     }
 }
 

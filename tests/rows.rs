@@ -9,17 +9,16 @@
 //! and the fused plan moves measurably fewer modeled global-memory
 //! transactions than independent per-row runs.
 //!
-//! The whole suite runs under the executor selected by
-//! `DRTOPK_TEST_EXECUTOR` (CI runs it under both `serial` and `threaded`),
-//! and the executor matrix is additionally pinned in-process: byte-equal
+//! A threaded run is also pinned against an insertion-order serial replay
+//! of the same row graph: byte-equal
 //! [`deterministic_summary`](drtopk::core::StageReport::deterministic_summary)
-//! strings for the same row graph under both executors.
+//! strings.
 
 mod common;
 
-use common::{bits, device, test_executor};
+use common::{bits, device};
 use drtopk::core::{
-    dr_topk, dr_topk_min, topk_rows_explore, topk_rows_on, DrTopKConfig, Executor, ExploreBudget,
+    dr_topk, dr_topk_min, topk_rows_explore, topk_rows_on, DrTopKConfig, ExploreBudget,
 };
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
@@ -29,8 +28,8 @@ fn pool(devices: usize) -> GpuCluster {
     GpuCluster::homogeneous(devices, DeviceSpec::v100s())
 }
 
-/// The differential oracle: `topk_rows` over a 2-device pool (under the
-/// suite's executor) against one independent `dr_topk` / `dr_topk_min`
+/// The differential oracle: `topk_rows` over a 2-device pool against one
+/// independent `dr_topk` / `dr_topk_min`
 /// call per row, compared through order-preserving bit images so NaNs are
 /// concrete multiset elements.
 fn assert_rows_match_per_row<K: TopKKey>(
@@ -45,9 +44,9 @@ fn assert_rows_match_per_row<K: TopKKey>(
     let devices: Vec<&Device> = c.devices().iter().collect();
     let matrix = RowMatrix::new(data, rows, cols);
     let got = if largest {
-        topk_rows_on(&devices, matrix, ks, cfg, None, test_executor())
+        topk_rows_on(&devices, matrix, ks, cfg, None)
     } else {
-        topk_rows_on(&devices, matrix.as_desc(), ks, cfg, None, test_executor()).into_native()
+        topk_rows_on(&devices, matrix.as_desc(), ks, cfg, None).into_native()
     };
     assert_eq!(got.rows.len(), rows);
     // One fused pass per block per path kind at most — never one per row.
@@ -167,7 +166,6 @@ fn delegate_passes_scale_with_blocks_not_rows() {
         &RowK::Uniform(32),
         &DrTopKConfig::default(),
         Some(rpb),
-        test_executor(),
     );
     let blocks = rows.div_ceil(rpb);
     assert_eq!(got.num_blocks, blocks);
@@ -208,14 +206,7 @@ fn fused_rows_move_fewer_transactions_than_independent_runs() {
     let data = topk_datagen::customized(rows * cols, 21);
     let matrix = RowMatrix::new(&data, rows, cols);
     let cfg = DrTopKConfig::default();
-    let fused = topk_rows_on(
-        &devices,
-        matrix,
-        &RowK::Uniform(k),
-        &cfg,
-        None,
-        test_executor(),
-    );
+    let fused = topk_rows_on(&devices, matrix, &RowK::Uniform(k), &cfg, None);
     let dev = device();
     let mut independent = 0u64;
     for r in 0..rows {
@@ -230,9 +221,10 @@ fn fused_rows_move_fewer_transactions_than_independent_runs() {
     );
 }
 
-/// Executor matrix, pinned in-process: the same row graph under
-/// `Executor::Serial` and `Executor::Threaded` yields byte-identical
-/// deterministic schedule summaries and bit-identical winners.
+/// Serial against threaded, pinned in-process: a one-schedule exhaustive
+/// budget replays exactly the insertion order on the calling thread, and
+/// its modeled schedule must be byte-identical to a threaded run's; the
+/// explorer's own threaded run must return the same winners.
 #[test]
 fn serial_and_threaded_row_graphs_are_byte_identical() {
     let rows = 6;
@@ -244,22 +236,31 @@ fn serial_and_threaded_row_graphs_are_byte_identical() {
     // Mixed paths in one graph: skip, delegate, fallback, clamped.
     let ks = RowK::PerRow(vec![0, 16, cols / 2, cols, cols + 9, 16]);
     let cfg = DrTopKConfig::default();
-    let serial = topk_rows_on(&devices, matrix, &ks, &cfg, Some(2), Executor::Serial);
-    let threaded = topk_rows_on(&devices, matrix, &ks, &cfg, Some(2), Executor::Threaded);
+    let threaded = topk_rows_on(&devices, matrix, &ks, &cfg, Some(2));
+    let (again, serial) = topk_rows_explore(
+        &devices,
+        matrix,
+        &ks,
+        &cfg,
+        Some(2),
+        ExploreBudget::Exhaustive { max_schedules: 1 },
+    )
+    .expect("one schedule cannot diverge from itself");
+    assert_eq!(serial.schedules_run, 1);
     assert_eq!(
-        serial.stages.deterministic_summary(),
+        serial.reference.deterministic_summary(),
         threaded.stages.deterministic_summary(),
-        "modeled schedule must not depend on the executor"
+        "modeled schedule must not depend on the dispatch order"
     );
     for r in 0..rows {
         assert_eq!(
-            bits(&serial.rows[r].values),
+            bits(&again.rows[r].values),
             bits(&threaded.rows[r].values),
             "row {r}"
         );
     }
-    assert_eq!(serial.breakdown, threaded.breakdown);
-    assert_eq!(serial.stats, threaded.stats);
+    assert_eq!(serial.reference.phase_breakdown(), threaded.breakdown);
+    assert_eq!(serial.reference.stats(), threaded.stats);
 }
 
 /// Small exhaustive interleaving check: every dispatch order the

@@ -3,17 +3,18 @@
 //! chunked/out-of-core distributed under both reload schedules, approximate
 //! mode) for all six key types and both directions — including NaN floats —
 //! and the double-buffered schedule must actually hide reload time behind
-//! compute (the pinned out-of-core makespan test).
+//! compute (the pinned out-of-core makespan test). Repeated threaded runs
+//! must also agree bit for bit, whatever the host thread interleaving.
 
 mod common;
 
-use common::{bits, cluster, device, test_executor};
+use common::{bits, cluster, device};
 use drtopk::core::{
-    as_desc, distributed_dr_topk, distributed_dr_topk_executor, distributed_dr_topk_scheduled,
-    dr_topk_min, dr_topk_with_stats, DrTopKConfig, ReloadSchedule, Resource, StageKind,
-    TransferLane,
+    as_desc, distributed_dr_topk, distributed_dr_topk_scheduled, dr_topk_min, dr_topk_with_stats,
+    DrTopKConfig, ReloadSchedule, Resource, StageKind, TransferLane,
 };
 use drtopk::prelude::*;
+use drtopk::sim::{GpuCluster, InterconnectSpec};
 use proptest::prelude::*;
 use topk_baselines::{reference_topk, reference_topk_min};
 
@@ -49,13 +50,10 @@ fn assert_stage_execution_matches_reference<K: TopKKey>(data: &[K], k: usize, la
     let capacity = (data.len() / 3).max(1);
     let c = cluster(2, capacity);
     for schedule in [ReloadSchedule::Serial, ReloadSchedule::DoubleBuffered] {
-        // Runs under the suite's executor (`DRTOPK_TEST_EXECUTOR`): CI
-        // replays the whole matrix under both Serial and Threaded.
         let got = if largest {
-            distributed_dr_topk_executor(&c, data, k, &cfg, schedule, test_executor())
+            distributed_dr_topk_scheduled(&c, data, k, &cfg, schedule)
         } else {
-            distributed_dr_topk_executor(&c, as_desc(data), k, &cfg, schedule, test_executor())
-                .into_native()
+            distributed_dr_topk_scheduled(&c, as_desc(data), k, &cfg, schedule).into_native()
         };
         assert_eq!(bits(&got.values), expected, "distributed {schedule}");
         assert_eq!(got.schedule, schedule);
@@ -309,4 +307,64 @@ fn engine_reports_overlap_and_transfer_for_sharded_batches() {
     let out = engine.run_batch(&batch).unwrap();
     assert_eq!(out.report.phase_ms.transfer_ms, 0.0);
     assert_eq!(out.report.overlap_efficiency, 0.0);
+}
+
+/// A cluster whose devices do all simulated kernel work on the calling
+/// host thread (`host_threads = 1`), so the only host parallelism in play
+/// is the threaded stage-graph executor's.
+fn single_threaded_cluster(devices: usize, capacity: usize) -> GpuCluster {
+    let devices = (0..devices)
+        .map(|_| Device::with_host_threads(DeviceSpec::v100s(), 1))
+        .collect();
+    let c = GpuCluster::new(devices, InterconnectSpec::default());
+    for d in c.devices() {
+        d.set_capacity_elems(capacity);
+    }
+    c
+}
+
+/// Determinism stress test: the same exact, approximate and distributed
+/// graphs run repeatedly under the threaded executor must return
+/// bit-identical values and byte-identical **modeled** stage reports on
+/// every run — thread interleaving may only move the measured fields.
+#[test]
+fn repeated_threaded_runs_are_bit_identical() {
+    let dev = device();
+    let cfg = DrTopKConfig::default();
+    let data = topk_datagen::customized(1 << 15, 77);
+    let k = 96;
+    let distributed = || {
+        let c = single_threaded_cluster(4, 1 << 13);
+        distributed_dr_topk(&c, &data, k, &cfg)
+    };
+
+    let exact0 = dr_topk_with_stats(&dev, &data, k, &cfg);
+    let approx0 = dr_topk_approx(&dev, &data, k, 0.9, &cfg);
+    let dist0 = distributed();
+    for run in 1..4 {
+        let exact = dr_topk_with_stats(&dev, &data, k, &cfg);
+        assert_eq!(exact.values, exact0.values, "exact values, run {run}");
+        assert_eq!(
+            exact.stages.deterministic_summary(),
+            exact0.stages.deterministic_summary(),
+            "exact report, run {run}"
+        );
+
+        let approx = dr_topk_approx(&dev, &data, k, 0.9, &cfg);
+        assert_eq!(approx.values, approx0.values, "approx values, run {run}");
+        assert_eq!(
+            approx.stages.deterministic_summary(),
+            approx0.stages.deterministic_summary(),
+            "approx report, run {run}"
+        );
+
+        let dist = distributed();
+        assert_eq!(dist.values, dist0.values, "distributed values, run {run}");
+        assert_eq!(dist.total_ms.to_bits(), dist0.total_ms.to_bits());
+        assert_eq!(
+            dist.stages.deterministic_summary(),
+            dist0.stages.deterministic_summary(),
+            "distributed report, run {run}"
+        );
+    }
 }

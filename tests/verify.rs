@@ -7,7 +7,7 @@
 //! * **Positive**: every graph the real planners build — exact,
 //!   approximate, distributed out-of-core under both reload schedules,
 //!   engine-fused batches — verifies clean, across key types, shard
-//!   counts and modes. In debug builds the executors assert this on every
+//!   counts and modes. In debug builds the executor asserts this on every
 //!   run, so the whole suite doubles as a verification corpus; these
 //!   tests additionally pin it through the public `verify()` API.
 
