@@ -5,7 +5,7 @@
 //! *delegates* — together with the subrange id, producing the delegate
 //! vector the first top-k runs on.
 //!
-//! Two construction kernels are implemented:
+//! Two construction kernels are modeled:
 //!
 //! * **warp-centric** ([`ConstructionMethod::WarpShuffle`]) — one warp scans
 //!   one subrange; each lane keeps a running maximum and the warp combines
@@ -19,9 +19,28 @@
 //!   bank conflicts) and then each *thread* extracts the delegates of one
 //!   subrange privately, eliminating the shuffle traffic entirely
 //!   (Section 5.3, Figure 15).
+//!
+//! ## Model versus host work
+//!
+//! A kernel closure may compute its outputs any way the host likes: the
+//! model is only what it records on its [`WarpCtx`](gpu_sim::WarpCtx) —
+//! loads, stores, shuffles, shared-memory traffic, barriers and ALU work.
+//! Both methods therefore run the same host extraction loop and differ only
+//! in the accounting they record, and a faster host loop changes wall-clock
+//! time without moving a counter or a modeled millisecond (the pinned
+//! `KernelStats` unit test guards this).
+//!
+//! The host loop is `top_beta_into`, which applies the paper's
+//! maximum-delegate filtering one level down: after seeding the β slots it
+//! scans each subrange in warp-wide chunks of 32 elements, takes a
+//! branch-free maximum of each chunk in radix space, and looks at the
+//! individual elements only when that maximum beats the current β-th best.
+//! Each warp appends its delegates straight into one values vector; the
+//! subrange ids are a function of the shape alone and are built once after
+//! the launch (`delegate_subrange_ids`).
 
 use gpu_sim::{Device, KernelStats, WARP_SIZE};
-use topk_baselines::TopKKey;
+use topk_baselines::{KeyBits, TopKKey};
 
 /// How the delegate vector is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,25 +108,82 @@ impl<K: TopKKey> DelegateVector<K> {
     }
 }
 
-/// Extract the top `beta` values of `slice` in descending key order (β is
-/// tiny — 1 to 4 — so a simple insertion pass beats sorting). Comparisons
-/// run in the key's order-preserving radix space. Shared with the row-block
-/// fused pass ([`crate::rows`]), which extracts per-row delegates inside a
-/// single kernel launch.
+/// Append the top `beta` values of `slice` (β ≥ 1) to `out`, in descending
+/// key order; a slice shorter than β appends all of its values. Comparisons
+/// run in the key's order-preserving radix space, and an element that ties
+/// one already kept lands after it.
+///
+/// The first β elements seed a β-slot tail of `out`; the rest are scanned in
+/// [`WARP_SIZE`]-element chunks whose branch-free maximum is compared against
+/// the tail's last (β-th best) key, so only chunks holding a new candidate
+/// take the per-element insertion path. Shared with the row-block fused pass
+/// ([`crate::rows`]), which extracts per-row delegates inside a single
+/// kernel launch.
 #[inline]
-pub(crate) fn top_beta_of<K: TopKKey>(slice: &[K], beta: usize, out: &mut Vec<K>) {
-    out.clear();
-    for &x in slice {
-        let xb = x.to_bits();
-        if out.len() < beta {
-            let pos = out.partition_point(|y| y.to_bits() >= xb);
-            out.insert(pos, x);
-        } else if xb > out.last().unwrap().to_bits() {
-            out.pop();
-            let pos = out.partition_point(|y| y.to_bits() >= xb);
-            out.insert(pos, x);
+pub(crate) fn top_beta_into<K: TopKKey>(slice: &[K], beta: usize, out: &mut Vec<K>) {
+    let seed = beta.min(slice.len());
+    let base = out.len();
+    for &x in &slice[..seed] {
+        out.push(x);
+        let tail = &mut out[base..];
+        sift_up(tail, tail.len() - 1, x);
+    }
+    if seed == slice.len() {
+        return;
+    }
+    let tail = &mut out[base..];
+    let mut floor = tail[beta - 1].to_bits();
+    let mut chunks = slice[beta..].chunks_exact(WARP_SIZE);
+    for chunk in &mut chunks {
+        let max = chunk
+            .iter()
+            .fold(K::Bits::ZERO, |m, x| Ord::max(m, x.to_bits()));
+        if max > floor {
+            floor = insert_above(tail, chunk, floor);
         }
     }
+    insert_above(tail, chunks.remainder(), floor);
+}
+
+/// Insert every element of `xs` whose key beats `floor` (the key of the last
+/// slot) into the full descending slot array `tail`, dropping the last slot
+/// each time. Returns the new floor.
+#[inline]
+fn insert_above<K: TopKKey>(tail: &mut [K], xs: &[K], mut floor: K::Bits) -> K::Bits {
+    let last = tail.len() - 1;
+    for &x in xs {
+        if x.to_bits() > floor {
+            sift_up(tail, last, x);
+            floor = tail[last].to_bits();
+        }
+    }
+    floor
+}
+
+/// Place `x` into the descending `tail` by shifting every strictly smaller
+/// key in `tail[..=from]` one slot right; `tail[from]` is overwritten.
+#[inline]
+fn sift_up<K: TopKKey>(tail: &mut [K], from: usize, x: K) {
+    let xb = x.to_bits();
+    let mut i = from;
+    while i > 0 && tail[i - 1].to_bits() < xb {
+        tail[i] = tail[i - 1];
+        i -= 1;
+    }
+    tail[i] = x;
+}
+
+/// The subrange id of every delegate entry of a `len`-element vector: each
+/// subrange `s` contributes `min(β, len_s)` entries, and only the last
+/// subrange can be shorter than `subrange_size`.
+pub(crate) fn delegate_subrange_ids(len: usize, subrange_size: usize, beta: usize) -> Vec<u32> {
+    let num_subranges = len.div_ceil(subrange_size);
+    let mut ids = Vec::with_capacity(num_subranges * beta);
+    for s in 0..num_subranges {
+        let len_s = subrange_size.min(len - s * subrange_size);
+        ids.extend(std::iter::repeat_n(s as u32, beta.min(len_s)));
+    }
+    ids
 }
 
 /// Build the delegate vector of `data` for subrange size `2^alpha` and `beta`
@@ -142,9 +218,12 @@ pub fn build_delegate_vector<K: TopKKey>(
     // warp count so tiny subranges do not explode the simulation overhead.
     let num_warps = num_subranges.clamp(1, 1 << 14);
 
-    let kernel_name = match method {
-        ConstructionMethod::WarpShuffle => "drtopk_delegate_construction_warp",
-        ConstructionMethod::CoalescedShared => "drtopk_delegate_construction_coalesced",
+    let (kernel_name, staged_subranges) = match method {
+        ConstructionMethod::WarpShuffle => ("drtopk_delegate_construction_warp", 1),
+        // The warp stages WARP_SIZE subranges at a time.
+        ConstructionMethod::CoalescedShared => {
+            ("drtopk_delegate_construction_coalesced", WARP_SIZE)
+        }
         ConstructionMethod::Auto => unreachable!("resolved above"),
     };
 
@@ -154,70 +233,38 @@ pub fn build_delegate_vector<K: TopKKey>(
 
     let launch = device.launch(kernel_name, num_warps, |ctx| {
         let subranges = ctx.chunk_of(num_subranges);
+        let own =
+            &data[subranges.start * subrange_size..(subranges.end * subrange_size).min(data.len())];
         let mut values: Vec<K> = Vec::with_capacity(subranges.len() * beta);
-        let mut ids: Vec<u32> = Vec::with_capacity(subranges.len() * beta);
-        let mut scratch: Vec<K> = Vec::with_capacity(beta);
-        match method {
-            ConstructionMethod::WarpShuffle => {
-                for s in subranges {
-                    let start = s * subrange_size;
-                    let end = ((s + 1) * subrange_size).min(data.len());
-                    let slice = ctx.read_coalesced(&data[start..end]);
-                    ctx.record_alu(slice.len() as u64);
-                    top_beta_of(slice, beta, &mut scratch);
+        for group in own.chunks(staged_subranges * subrange_size) {
+            let staged = ctx.read_coalesced(group);
+            ctx.record_alu(staged.len() as u64);
+            if method == ConstructionMethod::CoalescedShared {
+                // shared-memory staging: one store per element (padded →
+                // conflict free), then each thread reads its subrange back
+                // (strided by the padded pitch → conflict free).
+                ctx.record_shared(2 * staged.len() as u64);
+                ctx.syncthreads();
+            }
+            for subrange in staged.chunks(subrange_size) {
+                let first = values.len();
+                top_beta_into(subrange, beta, &mut values);
+                if method == ConstructionMethod::WarpShuffle {
                     // β warp reductions to agree on the top-β of the subrange
-                    for &v in &scratch {
+                    for &v in &values[first..] {
                         ctx.warp_reduce_max(v.to_bits());
-                        values.push(v);
-                        ids.push(s as u32);
-                    }
-                    // delegate (value, id) pair written to global memory
-                    ctx.record_store_coalesced::<u32>(kv_words * scratch.len());
-                }
-            }
-            ConstructionMethod::CoalescedShared => {
-                // Stage WARP_SIZE subranges at a time: the warp loads them
-                // coalesced into (padded) shared memory, then each thread
-                // extracts the delegates of one subrange without any shuffle.
-                let mut iter = subranges.clone().peekable();
-                while iter.peek().is_some() {
-                    let group: Vec<usize> = iter.by_ref().take(WARP_SIZE).collect();
-                    let group_start = group[0] * subrange_size;
-                    let group_end = ((group[group.len() - 1] + 1) * subrange_size).min(data.len());
-                    let staged = ctx.read_coalesced(&data[group_start..group_end]);
-                    // shared-memory staging: one store per element (padded →
-                    // conflict free), then each thread reads its subrange
-                    // back (strided by the padded pitch → conflict free).
-                    ctx.record_shared(2 * staged.len() as u64);
-                    ctx.record_alu(staged.len() as u64);
-                    ctx.syncthreads();
-                    for &s in &group {
-                        let start = s * subrange_size;
-                        let end = ((s + 1) * subrange_size).min(data.len());
-                        top_beta_of(&data[start..end], beta, &mut scratch);
-                        for &v in &scratch {
-                            values.push(v);
-                            ids.push(s as u32);
-                        }
-                        ctx.record_store_coalesced::<u32>(kv_words * scratch.len());
                     }
                 }
+                // delegate (value, id) pairs written to global memory
+                ctx.record_store_coalesced::<u32>(kv_words * (values.len() - first));
             }
-            ConstructionMethod::Auto => unreachable!(),
         }
-        (values, ids)
+        values
     });
 
-    let mut values = Vec::with_capacity(num_subranges * beta);
-    let mut subrange_ids = Vec::with_capacity(num_subranges * beta);
-    for (v, i) in launch.output {
-        values.extend(v);
-        subrange_ids.extend(i);
-    }
-
     DelegateVector {
-        values,
-        subrange_ids,
+        values: launch.output.concat(),
+        subrange_ids: delegate_subrange_ids(data.len(), subrange_size, beta),
         beta,
         subrange_size,
         num_subranges,
@@ -231,6 +278,7 @@ pub fn build_delegate_vector<K: TopKKey>(
 mod tests {
     use super::*;
     use gpu_sim::DeviceSpec;
+    use topk_baselines::Desc;
 
     fn device() -> Device {
         Device::with_host_threads(DeviceSpec::v100s(), 4)
@@ -364,5 +412,204 @@ mod tests {
     fn zero_beta_panics() {
         let dev = device();
         build_delegate_vector(&dev, &[1, 2, 3], 2, 0, ConstructionMethod::Auto);
+    }
+
+    /// Sort-then-truncate reference for [`top_beta_into`], in bits.
+    fn reference_top_beta<K: TopKKey>(slice: &[K], beta: usize) -> Vec<K::Bits> {
+        let mut bits: Vec<K::Bits> = slice.iter().map(|x| x.to_bits()).collect();
+        bits.sort_unstable_by(|a, b| b.cmp(a));
+        bits.truncate(beta);
+        bits
+    }
+
+    /// Sweep [`top_beta_into`] against the reference over β ∈ 1..=8 and 64,
+    /// every length 0..=300 (ragged against the 32-element chunks, and below
+    /// β), and random / ascending / descending / constant orders. Random
+    /// inputs mix uniformly random bit patterns with `specials`. The helper
+    /// appends, so a sentinel prefix must survive untouched.
+    fn sweep_top_beta<K: TopKKey>(specials: &[K], seed: u64) {
+        let mut rng = topk_datagen::rng::Xoshiro256StarStar::seed_from_u64(seed);
+        let mut draw = || {
+            if !specials.is_empty() && rng.next_bounded(4) == 0 {
+                specials[rng.next_bounded(specials.len() as u64) as usize]
+            } else {
+                K::from_bits(K::Bits::from_u64(rng.next_u64()))
+            }
+        };
+        let sentinel = K::from_bits(K::Bits::MAX);
+        for len in 0..=300usize {
+            let random: Vec<K> = (0..len).map(|_| draw()).collect();
+            let mut ascending = random.clone();
+            topk_baselines::sort_keys_asc(&mut ascending);
+            let mut descending = random.clone();
+            topk_baselines::sort_keys_desc(&mut descending);
+            let constant = vec![random.first().copied().unwrap_or_default(); len];
+            for (order, input) in [
+                ("random", &random),
+                ("ascending", &ascending),
+                ("descending", &descending),
+                ("constant", &constant),
+            ] {
+                for beta in (1..=8).chain([64]) {
+                    let mut out = vec![sentinel; 3];
+                    top_beta_into(input, beta, &mut out);
+                    let got: Vec<K::Bits> = out.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(&got[..3], &[sentinel.to_bits(); 3], "prefix clobbered");
+                    assert_eq!(
+                        got[3..],
+                        reference_top_beta(input, beta),
+                        "{} len={len} beta={beta} {order}",
+                        std::any::type_name::<K>()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_beta_into_matches_sort_then_truncate_for_every_key_type() {
+        sweep_top_beta::<u32>(&[0, 1, u32::MAX, u32::MAX - 1], 1);
+        sweep_top_beta::<u64>(&[0, 1, u64::MAX, 1 << 32], 2);
+        sweep_top_beta::<i32>(&[i32::MIN, -1, 0, 1, i32::MAX], 3);
+        sweep_top_beta::<i64>(&[i64::MIN, -1, 0, 1, i64::MAX], 4);
+        let f32_specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_0001),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+        ];
+        sweep_top_beta::<f32>(&f32_specials, 5);
+        sweep_top_beta::<f64>(
+            &[
+                f64::NAN,
+                -f64::NAN,
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::from_bits(1),
+                -f64::MIN_POSITIVE / 4.0,
+            ],
+            6,
+        );
+        let desc_specials: Vec<Desc<f32>> = f32_specials.iter().map(|&x| Desc(x)).collect();
+        sweep_top_beta::<Desc<f32>>(&desc_specials, 7);
+        sweep_top_beta::<Desc<i64>>(&[Desc(i64::MIN), Desc(0), Desc(i64::MAX)], 8);
+    }
+
+    #[test]
+    fn both_methods_agree_for_every_small_alpha_with_ragged_tails() {
+        let dev = device();
+        for alpha in 1u32..=6 {
+            let size = 1usize << alpha;
+            // 70 subranges spill past one 32-subrange staging group, and the
+            // ragged tails cover short final subranges on both sides of β
+            for tail in [0, 1, size / 2, size - 1] {
+                let data = topk_datagen::uniform(70 * size + tail, u64::from(alpha) + 10);
+                for beta in [1usize, 2, 3, 5] {
+                    let warp = build_delegate_vector(
+                        &dev,
+                        &data,
+                        alpha,
+                        beta,
+                        ConstructionMethod::WarpShuffle,
+                    );
+                    let coal = build_delegate_vector(
+                        &dev,
+                        &data,
+                        alpha,
+                        beta,
+                        ConstructionMethod::CoalescedShared,
+                    );
+                    let (vals, ids) = reference_delegates(&data, alpha, beta);
+                    let case = format!("alpha={alpha} tail={tail} beta={beta}");
+                    assert_eq!(warp.values, vals, "{case}");
+                    assert_eq!(warp.subrange_ids, ids, "{case}");
+                    assert_eq!(coal.values, warp.values, "{case}");
+                    assert_eq!(coal.subrange_ids, warp.subrange_ids, "{case}");
+                }
+            }
+        }
+    }
+
+    /// The modeled cost of delegate construction is what the kernel records
+    /// on its `WarpCtx`, not how the host computes the delegates. These
+    /// counters and times were captured before the host extraction loop was
+    /// rewritten; a host-side change must leave them bit-identical.
+    #[test]
+    fn construction_model_is_pinned() {
+        let dev = device();
+        let pinned =
+            |load_tx, store_tx, loaded, stored, shuffles, shared, syncs, alu| KernelStats {
+                global_load_transactions: load_tx,
+                global_store_transactions: store_tx,
+                global_loaded_bytes: loaded,
+                global_stored_bytes: stored,
+                shuffle_instructions: shuffles,
+                shared_ops: shared,
+                syncthreads: syncs,
+                alu_ops: alu,
+                warps_launched: 1 << 14,
+                ..KernelStats::default()
+            };
+        // (n, α, β, method, stats, time_ms bits): the second input gives
+        // every warp two staging groups under CoalescedShared
+        let cases = [
+            (
+                200_002,
+                3,
+                3,
+                ConstructionMethod::WarpShuffle,
+                pinned(25_001, 25_001, 800_008, 600_016, 2_325_062, 0, 0, 200_002),
+                0x3f98_94fb_f135_f10d_u64,
+            ),
+            (
+                200_002,
+                3,
+                3,
+                ConstructionMethod::CoalescedShared,
+                pinned(
+                    16_384, 25_001, 800_008, 600_016, 0, 400_004, 16_384, 200_002,
+                ),
+                0x3f72_6d8e_4324_41fe,
+            ),
+            (
+                1_400_003,
+                1,
+                2,
+                ConstructionMethod::WarpShuffle,
+                pinned(
+                    700_002, 700_002, 5_600_012, 11_200_024, 43_400_093, 0, 0, 1_400_003,
+                ),
+                0x3fdb_f3fb_ef1d_1217,
+            ),
+            (
+                1_400_003,
+                1,
+                2,
+                ConstructionMethod::CoalescedShared,
+                pinned(
+                    49_152, 700_002, 5_600_012, 11_200_024, 0, 2_800_006, 32_768, 1_400_003,
+                ),
+                0x3fa5_afc2_7631_b585,
+            ),
+        ];
+        for (n, alpha, beta, method, stats, time_bits) in cases {
+            let data = topk_datagen::uniform(n, 2021);
+            let dv = build_delegate_vector(&dev, &data, alpha, beta, method);
+            assert_eq!(dv.stats, stats, "n={n} alpha={alpha} {method:?}");
+            assert_eq!(
+                dv.time_ms.to_bits(),
+                time_bits,
+                "n={n} alpha={alpha} {method:?}: {} ms",
+                dv.time_ms
+            );
+        }
     }
 }

@@ -21,7 +21,7 @@
 //! [`dr_topk_min`] through [`RowTopKResult::into_native`]) on each row
 //! independently: every row is planned with the same [`PlannedQuery`]
 //! machinery and executed with the same delegate extraction
-//! (`top_beta_of` per subrange), the same `first_topk` / `concatenate`
+//! (`top_beta_into` per subrange), the same `first_topk` / `concatenate`
 //! phases and the same second-top-k skip rule.
 //!
 //! [`dr_topk`]: crate::pipeline::dr_topk
@@ -38,7 +38,7 @@ use std::sync::Mutex;
 use topk_baselines::{Desc, TopKKey, TopKResult};
 
 use crate::concat::{concatenate, Concatenated};
-use crate::delegate::{top_beta_of, DelegateVector};
+use crate::delegate::{delegate_subrange_ids, top_beta_into, DelegateVector};
 use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 use crate::first_topk::{first_topk, FirstTopK};
 use crate::pipeline::{as_desc, DrTopKConfig, PhaseBreakdown, PlannedQuery};
@@ -353,7 +353,6 @@ fn build_rows_graph<'a, K: TopKKey>(
                 let launch = device.launch("drtopk_rows_fused_pass", num_warps, |kctx| {
                     let local = kctx.chunk_of(block_len);
                     let mut out: Vec<(usize, RowPass<K>)> = Vec::new();
-                    let mut scratch: Vec<K> = Vec::new();
                     let mut i = local.start;
                     while i < local.end {
                         if layout.paths[start + i] == RowPath::Skip {
@@ -395,25 +394,19 @@ fn build_rows_graph<'a, K: TopKKey>(
                                     let beta = planned.config.beta;
                                     let num_subranges = matrix.cols.div_ceil(subrange_size);
                                     let mut values = Vec::with_capacity(num_subranges * beta);
-                                    let mut ids = Vec::with_capacity(num_subranges * beta);
-                                    for s in 0..num_subranges {
-                                        let sub_end = ((s + 1) * subrange_size).min(matrix.cols);
-                                        top_beta_of(
-                                            &row[s * subrange_size..sub_end],
-                                            beta,
-                                            &mut scratch,
-                                        );
-                                        for &v in &scratch {
-                                            values.push(v);
-                                            ids.push(s as u32);
-                                        }
+                                    for subrange in row.chunks(subrange_size) {
+                                        top_beta_into(subrange, beta, &mut values);
                                     }
                                     kctx.record_store_coalesced::<u32>(kv_words * values.len());
                                     out.push((
                                         l,
                                         RowPass::Delegates(DelegateVector {
                                             values,
-                                            subrange_ids: ids,
+                                            subrange_ids: delegate_subrange_ids(
+                                                matrix.cols,
+                                                subrange_size,
+                                                beta,
+                                            ),
                                             beta,
                                             subrange_size,
                                             num_subranges,

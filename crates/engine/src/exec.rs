@@ -5,12 +5,16 @@
 //! balancing: a worker that drew a cheap unit immediately takes the next
 //! one). Each unit executes as a **stage graph** on its worker's device:
 //! one shared delegate-pass stage — built, or recalled from the delegate
-//! cache — followed by every member query's own pipeline stages (first
+//! cache by a lookup the calling thread resolves in plan order before
+//! dispatch — followed by every member query's own pipeline stages (first
 //! top-k, concatenation, second top-k — themselves scheduled by the core
 //! stage executor inside [`dr_topk_planned`]). The unit's
 //! [`StageReport`] is the engine's single instrumentation point: per-phase
 //! times, the compute/transfer split and the modeled unit cost are all
 //! derived from it instead of being hand-accumulated at three sites.
+//! Outcomes are folded in unit order after the pool, which is also when
+//! freshly built passes enter the cache, so cache counts, LRU state and
+//! every reported sum are independent of host-thread timing.
 //! Sharded queries run the distributed stage graph (double-buffered chunk
 //! ingestion) and report their breakdown and overlap the same way. Worker
 //! failures are surfaced per device through
@@ -34,6 +38,32 @@ use crate::plan::{ExecutionPlan, FusedUnit, PlanCache, PlanUnit, RowUnit};
 use crate::query::{Direction, QueryBatch, RowQuery};
 use crate::report::{CacheReport, ExecPath, QueryResult, RowQueryResult};
 
+/// A unit's shared delegate pass in the key type the unit runs over:
+/// smallest-direction units run over the order-reversing [`Desc`] adapter.
+#[derive(Clone)]
+enum SharedPass<K: TopKKey> {
+    Largest(Arc<DelegateVector<K>>),
+    Smallest(Arc<DelegateVector<Desc<K>>>),
+}
+
+/// Look up `unit`'s shared pass in the delegate cache (a hit refreshes its
+/// LRU recency; a cacheable miss is counted).
+fn lookup_shared_pass<K: TopKKey>(
+    cache: &mut PlanCache,
+    corpus_id: Option<u64>,
+    len: usize,
+    unit: &FusedUnit,
+) -> Option<SharedPass<K>> {
+    match unit.direction {
+        Direction::Largest => cache
+            .get_delegates::<K>(corpus_id, len, unit.alpha, unit.beta)
+            .map(SharedPass::Largest),
+        Direction::Smallest => cache
+            .get_delegates::<Desc<K>>(corpus_id, len, unit.alpha, unit.beta)
+            .map(SharedPass::Smallest),
+    }
+}
+
 /// What executing one fused unit produced.
 struct FusedOutcome<K: TopKKey> {
     unit: usize,
@@ -43,8 +73,9 @@ struct FusedOutcome<K: TopKKey> {
     /// one was built) followed by every member's stages, serial on the
     /// worker's device.
     unit_stages: StageReport,
-    delegate_pass_run: bool,
-    delegate_from_cache: bool,
+    /// The shared pass this unit built, for the caller to cache. A unit
+    /// that needs delegates and built none took them from the cache.
+    built: Option<SharedPass<K>>,
 }
 
 /// What executing one row-matrix unit produced.
@@ -166,39 +197,33 @@ fn splice_unit_stages<K: TopKKey>(
     report
 }
 
+/// What [`run_fused_typed`] returns: the member results, the unit's
+/// spliced stage report, and the shared pass it built, if any.
+type TypedUnitRun<K> = (
+    Vec<DrTopKResult<K>>,
+    StageReport,
+    Option<Arc<DelegateVector<K>>>,
+);
+
 /// Run one fused unit's typed half as a real stage graph: the shared
-/// delegate pass (cache miss only) is the root stage, and every member
-/// query is a dependent stage on the same worker device. The graph is
-/// single-resource, so the executor runs it inline on the calling worker
+/// delegate pass (when `cached` holds none) is the root stage, and every
+/// member query is a dependent stage on the same worker device. The graph
+/// is single-resource, so the executor runs it inline on the calling worker
 /// thread; the member macro stages are then spliced into a unit-level
-/// report via [`splice_unit_stages`].
+/// report via [`splice_unit_stages`]. Returns the pass it built, if any.
 fn run_fused_typed<K: TopKKey>(
     device: &Device,
     device_idx: usize,
     data: &[K],
-    corpus_id: Option<u64>,
+    cached: Option<Arc<DelegateVector<K>>>,
     unit: &FusedUnit,
     base: &DrTopKConfig,
-    cache: &Mutex<PlanCache>,
-) -> (
-    Vec<DrTopKResult<K>>,
-    StageReport,
-    /* pass_run */ bool,
-    /* from_cache */ bool,
-) {
+) -> TypedUnitRun<K> {
     let beta = unit.beta;
-    // Resolve the delegate cache up front: a hit means the |V|-scan
-    // disappears from the batch entirely (no pass stage in the graph); a
-    // miss means the graph's first stage builds and caches it.
-    let cached: Option<Arc<DelegateVector<K>>> = if unit.needs_delegates {
-        cache
-            .lock()
-            .get_delegates::<K>(corpus_id, data.len(), unit.alpha, beta)
-    } else {
-        None
-    };
-    let from_cache = cached.is_some();
-    let needs_build = unit.needs_delegates && !from_cache;
+    // A cache hit means the |V|-scan disappears from the batch entirely
+    // (no pass stage in the graph); a miss means the graph's first stage
+    // builds it.
+    let needs_build = unit.needs_delegates && cached.is_none();
 
     struct UnitCtx<K: TopKKey> {
         delegates: Mutex<Option<Arc<DelegateVector<K>>>>,
@@ -233,15 +258,6 @@ fn run_fused_typed<K: TopKKey>(
                     beta,
                     base.construction,
                 ));
-                if let Some(id) = corpus_id {
-                    cache.lock().put_delegates(
-                        id,
-                        data.len(),
-                        unit.alpha,
-                        beta,
-                        Arc::clone(&built),
-                    );
-                }
                 let outcome = StageOutcome {
                     stats: built.stats,
                     time_ms: built.time_ms,
@@ -283,48 +299,53 @@ fn run_fused_typed<K: TopKKey>(
         );
     }
     let macro_report = graph.execute(&ctx);
-    let results: Vec<DrTopKResult<K>> = ctx
-        .members
+    let UnitCtx { delegates, members } = ctx;
+    let results: Vec<DrTopKResult<K>> = members
         .into_iter()
         .map(|slot| slot.into_inner().expect("member stage ran"))
         .collect();
     let unit_stages = splice_unit_stages(&macro_report, needs_build, device_idx, &results);
-    (results, unit_stages, needs_build, from_cache)
+    let built = if needs_build {
+        delegates.into_inner()
+    } else {
+        None
+    };
+    (results, unit_stages, built)
 }
 
 /// Direction dispatch around [`run_fused_typed`].
-#[allow(clippy::too_many_arguments)]
 fn run_fused_unit<K: TopKKey>(
     device: &Device,
     device_idx: usize,
     data: &[K],
-    corpus_id: Option<u64>,
+    cached: Option<SharedPass<K>>,
     unit_idx: usize,
     unit: &FusedUnit,
     base: &DrTopKConfig,
-    cache: &Mutex<PlanCache>,
 ) -> FusedOutcome<K> {
-    let (results, unit_stages, pass_run, from_cache) = match unit.direction {
+    let (results, unit_stages, built) = match unit.direction {
         Direction::Largest => {
-            run_fused_typed::<K>(device, device_idx, data, corpus_id, unit, base, cache)
+            let cached = match cached {
+                Some(SharedPass::Largest(d)) => Some(d),
+                _ => None,
+            };
+            let (res, stages, built) =
+                run_fused_typed::<K>(device, device_idx, data, cached, unit, base);
+            (res, stages, built.map(SharedPass::Largest))
         }
         Direction::Smallest => {
-            let (res, stages, run, cached) = run_fused_typed::<Desc<K>>(
-                device,
-                device_idx,
-                as_desc(data),
-                corpus_id,
-                unit,
-                base,
-                cache,
-            );
+            let cached = match cached {
+                Some(SharedPass::Smallest(d)) => Some(d),
+                _ => None,
+            };
+            let (res, stages, built) =
+                run_fused_typed::<Desc<K>>(device, device_idx, as_desc(data), cached, unit, base);
             (
                 res.into_iter()
                     .map(DrTopKResult::into_native)
                     .collect::<Vec<_>>(),
                 stages,
-                run,
-                cached,
+                built.map(SharedPass::Smallest),
             )
         }
     };
@@ -338,8 +359,7 @@ fn run_fused_unit<K: TopKKey>(
             .map(|((&qi, planned), r)| (qi, planned.predicted_recall, r))
             .collect(),
         unit_stages,
-        delegate_pass_run: pass_run,
-        delegate_from_cache: from_cache,
+        built,
     }
 }
 
@@ -469,6 +489,24 @@ pub(crate) fn execute_plan<K: TopKKey>(
         .filter_map(|(i, u)| matches!(u, PlanUnit::Fused(_) | PlanUnit::Rows(_)).then_some(i))
         .collect();
 
+    // Every fused unit's delegate-cache lookup is resolved here, on the
+    // calling thread in plan order, and the passes built on a miss are
+    // inserted in unit order after the pool: hits, misses and LRU recency
+    // never depend on which worker reaches the cache first.
+    let cached: Vec<Option<SharedPass<K>>> = {
+        let mut cache = cache.lock();
+        pool_indices
+            .iter()
+            .map(|&unit_idx| match &plan.units[unit_idx] {
+                PlanUnit::Fused(unit) if unit.needs_delegates => {
+                    let corpus = &batch.corpora()[unit.corpus];
+                    lookup_shared_pass(&mut cache, corpus.id, corpus.data.len(), unit)
+                }
+                _ => None,
+            })
+            .collect()
+    };
+
     // Worker pool: one worker per device, pulling fused and row-matrix
     // units from a shared queue (dynamic load balance in host wall-clock).
     // The *modeled* makespan is computed afterwards by deterministic list
@@ -504,11 +542,10 @@ pub(crate) fn execute_plan<K: TopKKey>(
                             device,
                             device_idx,
                             corpus.data,
-                            corpus.id,
+                            cached[slot].clone(),
                             unit_idx,
                             unit,
                             base,
-                            cache,
                         )));
                     }
                     PlanUnit::Rows(unit) => {
@@ -548,61 +585,68 @@ pub(crate) fn execute_plan<K: TopKKey>(
     // Modeled cost of each fused unit, in unit order, for the deterministic
     // makespan computation below; the stage schedule rides along (cloned)
     // only when a trace sink wants spans.
-    let mut unit_costs: Vec<(usize, f64, Option<StageReport>)> = Vec::new();
+    let mut unit_costs: Vec<(f64, Option<StageReport>)> = Vec::new();
 
-    for outcomes in per_device {
-        for pool_outcome in outcomes {
-            // One instrumentation point for both unit kinds: the unit's
-            // composed stage schedule carries the shared pass, every member
-            // phase (and any member-level pass rebuild), so phases,
-            // counters and the unit's modeled cost are all read off it.
-            let (unit_idx, unit_stages) = match &pool_outcome {
-                PoolOutcome::Fused(outcome) => (outcome.unit, &outcome.unit_stages),
-                PoolOutcome::Rows(outcome) => (outcome.unit, &outcome.unit_stages),
-            };
-            phase_ms += unit_stages.phase_breakdown();
-            stats += unit_stages.stats();
-            unit_costs.push((
-                unit_idx,
-                unit_stages.makespan_ms,
-                sink.map(|_| unit_stages.clone()),
-            ));
-            let outcome = match pool_outcome {
-                PoolOutcome::Fused(outcome) => outcome,
-                PoolOutcome::Rows(outcome) => {
-                    delegate_passes_run += outcome.delegate_passes;
-                    for (query_idx, result) in outcome.results {
-                        row_results[query_idx] = Some(result);
-                    }
-                    continue;
+    // Fold the outcomes in unit order, whichever worker ran them, so the
+    // cache inserts and every floating-point sum happen in plan order.
+    let mut outcomes: Vec<PoolOutcome<K>> = per_device.into_iter().flatten().collect();
+    outcomes.sort_unstable_by_key(|o| match o {
+        PoolOutcome::Fused(outcome) => outcome.unit,
+        PoolOutcome::Rows(outcome) => outcome.unit,
+    });
+    for pool_outcome in outcomes {
+        // One instrumentation point for both unit kinds: the unit's
+        // composed stage schedule carries the shared pass, every member
+        // phase (and any member-level pass rebuild), so phases, counters
+        // and the unit's modeled cost are all read off it.
+        let unit_stages = match &pool_outcome {
+            PoolOutcome::Fused(outcome) => &outcome.unit_stages,
+            PoolOutcome::Rows(outcome) => &outcome.unit_stages,
+        };
+        phase_ms += unit_stages.phase_breakdown();
+        stats += unit_stages.stats();
+        unit_costs.push((unit_stages.makespan_ms, sink.map(|_| unit_stages.clone())));
+        let outcome = match pool_outcome {
+            PoolOutcome::Fused(outcome) => outcome,
+            PoolOutcome::Rows(outcome) => {
+                delegate_passes_run += outcome.delegate_passes;
+                for (query_idx, result) in outcome.results {
+                    row_results[query_idx] = Some(result);
                 }
-            };
-            let PlanUnit::Fused(unit) = &plan.units[outcome.unit] else {
-                unreachable!()
-            };
-            let delegate_users = unit.planned.iter().filter(|p| p.use_delegates).count();
-            let cacheable = batch.corpora()[unit.corpus].id.is_some();
-            if outcome.delegate_pass_run {
-                delegate_passes_run += 1;
-                delegate_passes_saved += delegate_users.saturating_sub(1);
-                if cacheable {
-                    delegate_cache.misses += 1;
+                continue;
+            }
+        };
+        let PlanUnit::Fused(unit) = &plan.units[outcome.unit] else {
+            unreachable!()
+        };
+        let delegate_users = unit.planned.iter().filter(|p| p.use_delegates).count();
+        let corpus = &batch.corpora()[unit.corpus];
+        if let Some(pass) = outcome.built {
+            delegate_passes_run += 1;
+            delegate_passes_saved += delegate_users.saturating_sub(1);
+            if let Some(id) = corpus.id {
+                delegate_cache.misses += 1;
+                let (len, alpha, beta) = (corpus.data.len(), unit.alpha, unit.beta);
+                let mut cache = cache.lock();
+                match pass {
+                    SharedPass::Largest(d) => cache.put_delegates(id, len, alpha, beta, d),
+                    SharedPass::Smallest(d) => cache.put_delegates(id, len, alpha, beta, d),
                 }
-            } else if outcome.delegate_from_cache {
-                delegate_passes_saved += delegate_users;
-                delegate_cache.hits += 1;
             }
-            for (query_idx, predicted_recall, r) in outcome.results {
-                results[query_idx] = Some(QueryResult {
-                    values: r.values,
-                    kth_value: r.kth_value,
-                    time_ms: r.time_ms,
-                    stats: r.stats,
-                    breakdown: r.breakdown,
-                    predicted_recall,
-                    path: ExecPath::Fused { unit: outcome.unit },
-                });
-            }
+        } else if unit.needs_delegates {
+            delegate_passes_saved += delegate_users;
+            delegate_cache.hits += 1;
+        }
+        for (query_idx, predicted_recall, r) in outcome.results {
+            results[query_idx] = Some(QueryResult {
+                values: r.values,
+                kth_value: r.kth_value,
+                time_ms: r.time_ms,
+                stats: r.stats,
+                breakdown: r.breakdown,
+                predicted_recall,
+                path: ExecPath::Fused { unit: outcome.unit },
+            });
         }
     }
 
@@ -610,10 +654,9 @@ pub(crate) fn execute_plan<K: TopKKey>(
     // fused units in plan order onto the workers, each unit going to the
     // earliest-available (least-loaded) worker — exactly what the shared
     // queue does in modeled time, but independent of host-thread timing.
-    unit_costs.sort_unstable_by_key(|&(unit, _, _)| unit);
     let mut worker_loads = vec![0.0f64; cluster.num_devices()];
     let mut worker_units = vec![0usize; cluster.num_devices()];
-    for (_, cost, traced) in &unit_costs {
+    for (cost, traced) in &unit_costs {
         let earliest = worker_loads
             .iter()
             .enumerate()

@@ -326,3 +326,57 @@ fn engine_delegate_cache_capacity_zero_disables_caching() {
     // tuning plans still memoize — they are shape-keyed, not data-keyed
     assert_eq!(again.report.plan_cache.hits, 1);
 }
+
+/// Delegate-cache outcomes must not depend on which pool worker reaches the
+/// shared LRU first: the same 40-batch clustered stream (exact and
+/// approximate traffic in both directions, 2 devices) on two fresh engines
+/// reports equal cache counts and delegate passes, and bit-equal totals.
+#[test]
+fn delegate_cache_outcomes_do_not_depend_on_thread_timing() {
+    use topk_datagen::{multi_query_workload, CorpusMix};
+    let corpora: Vec<Vec<u32>> = (0..4u64)
+        .map(|i| topk_datagen::uniform(1 << 14, 300 + i))
+        .collect();
+    let run = || {
+        let eng = engine(2);
+        (0..40u64)
+            .map(|b| {
+                let specs = multi_query_workload(
+                    64,
+                    CorpusMix::Clustered { corpora: 4 },
+                    1024,
+                    1.0,
+                    0.25,
+                    0.1,
+                    101 + b,
+                );
+                let mut batch = QueryBatch::new();
+                let ids: Vec<usize> = corpora
+                    .iter()
+                    .enumerate()
+                    .map(|(i, d)| batch.add_corpus(i as u64, d))
+                    .collect();
+                for s in &specs {
+                    let c = ids[s.corpus];
+                    match (s.largest, s.approx_recall_bp) {
+                        (true, None) => batch.push_topk(c, s.k),
+                        (false, None) => batch.push_topk_min(c, s.k),
+                        (true, Some(bp)) => batch.push_topk_approx(c, s.k, f64::from(bp) / 1e4),
+                        (false, Some(bp)) => {
+                            batch.push_topk_min_approx(c, s.k, f64::from(bp) / 1e4)
+                        }
+                    };
+                }
+                let r = eng.run_batch(&batch).expect("batch must execute").report;
+                (
+                    b,
+                    r.delegate_cache.hits,
+                    r.delegate_cache.misses,
+                    r.delegate_passes_run,
+                    r.total_ms.to_bits(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(run(), run());
+}
