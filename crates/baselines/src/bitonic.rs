@@ -147,7 +147,7 @@ mod tests {
     use topk_datagen::Distribution;
 
     fn device() -> Device {
-        Device::with_host_threads(DeviceSpec::v100s(), 4)
+        Device::new(DeviceSpec::v100s())
     }
 
     #[test]

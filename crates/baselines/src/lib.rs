@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn all_baselines_agree_with_each_other() {
-        let device = Device::with_host_threads(DeviceSpec::v100s(), 4);
+        let device = Device::new(DeviceSpec::v100s());
         let data = topk_datagen::uniform(1 << 13, 77);
         let k = 99;
         let expected = reference_topk(&data, k);

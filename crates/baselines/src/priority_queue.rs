@@ -67,6 +67,7 @@ pub fn parallel_priority_queue_topk<K: TopKKey>(
     TopKResult::from_values(merged, KernelStats::default(), wall_ms)
 }
 
+#[allow(clippy::disallowed_methods)] // the paper's multi-threaded CPU comparison
 fn scoped_partial_topk<K: TopKKey>(
     data: &[K],
     k: usize,

@@ -74,7 +74,7 @@ mod tests {
     use gpu_sim::DeviceSpec;
 
     fn device() -> Device {
-        Device::with_host_threads(DeviceSpec::v100s(), 4)
+        Device::new(DeviceSpec::v100s())
     }
 
     #[test]

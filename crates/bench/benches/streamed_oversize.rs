@@ -11,13 +11,15 @@
 //! bit-identical to the CPU reference.
 //!
 //! Beyond the CSV every harness writes, this target records
-//! `bench_results/streamed_oversize.json`; the committed
-//! `streamed_oversize_baseline.json` is the trajectory-tracking reference.
+//! `bench_results/streamed_oversize.json` under the shared `drtopk-obs`
+//! snapshot schema; the committed `streamed_oversize_baseline.json` is the
+//! trajectory-tracking reference.
 
 use std::io::Write as _;
 
 use drtopk_bench_harness::*;
 use drtopk_core::{distributed_dr_topk_scheduled, DrTopKConfig, ReloadSchedule};
+use drtopk_obs::{Json, Snapshot};
 use gpu_sim::{DeviceSpec, GpuCluster};
 use topk_baselines::reference_topk;
 
@@ -110,27 +112,29 @@ fn main() {
         &rows,
     );
 
-    // Baseline JSON for trajectory tracking (hand-rolled: no serde in the
-    // offline workspace).
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"capacity\": {capacity},\n  \"devices\": {DEVICES},\n  \"k\": {K},\n  \"seed\": {},\n  \"cells\": [\n",
-        seed()
-    ));
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"capacity_multiple\": {}, \"n\": {}, \"chunks\": {}, \"serial_ms\": {:.4}, \"double_buffered_ms\": {:.4}, \"win_pct\": {:.1}, \"overlap_efficiency\": {:.3}}}{}\n",
-            c.multiple,
-            c.n,
-            c.chunks,
-            c.serial_ms,
-            c.double_buffered_ms,
-            c.win_pct,
-            c.overlap_efficiency,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    // Baseline JSON for trajectory tracking, under the shared obs snapshot
+    // schema (versioned `schema` + `kind` header).
+    let cell_objs: Vec<Json> = cells
+        .iter()
+        .map(|c| {
+            Json::obj(vec![
+                ("capacity_multiple", Json::Int(c.multiple as i64)),
+                ("n", Json::Int(c.n as i64)),
+                ("chunks", Json::Int(c.chunks as i64)),
+                ("serial_ms", Json::Num(c.serial_ms)),
+                ("double_buffered_ms", Json::Num(c.double_buffered_ms)),
+                ("win_pct", Json::Num(c.win_pct)),
+                ("overlap_efficiency", Json::Num(c.overlap_efficiency)),
+            ])
+        })
+        .collect();
+    let json = Snapshot::new("streamed_oversize")
+        .field("capacity", Json::Int(capacity as i64))
+        .field("devices", Json::Int(DEVICES as i64))
+        .field("k", Json::Int(K as i64))
+        .field("seed", Json::Int(seed() as i64))
+        .field("cells", Json::Arr(cell_objs))
+        .to_pretty_string();
     let path = results_dir().join("streamed_oversize.json");
     let mut file = std::fs::File::create(&path).expect("cannot create JSON file");
     file.write_all(json.as_bytes()).unwrap();

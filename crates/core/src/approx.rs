@@ -401,7 +401,7 @@ mod tests {
     use topk_baselines::{reference_topk, reference_topk_min};
 
     fn device() -> Device {
-        Device::with_host_threads(DeviceSpec::v100s(), 4)
+        Device::new(DeviceSpec::v100s())
     }
 
     #[test]

@@ -281,7 +281,7 @@ mod tests {
     use topk_baselines::Desc;
 
     fn device() -> Device {
-        Device::with_host_threads(DeviceSpec::v100s(), 4)
+        Device::new(DeviceSpec::v100s())
     }
 
     fn reference_delegates(data: &[u32], alpha: u32, beta: usize) -> (Vec<u32>, Vec<u32>) {

@@ -189,7 +189,7 @@ mod tests {
     use topk_baselines::reference_kth;
 
     fn device() -> Device {
-        Device::with_host_threads(DeviceSpec::v100s(), 4)
+        Device::new(DeviceSpec::v100s())
     }
 
     fn build(data: &[u32], alpha: u32, beta: usize, dev: &Device) -> DelegateVector {

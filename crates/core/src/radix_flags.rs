@@ -90,9 +90,9 @@ pub fn flag_radix_select_by_key<T, K, F>(
     name_prefix: &str,
 ) -> FlagSelectOutcome<K>
 where
-    T: Sync + Copy,
+    T: Copy,
     K: TopKKey,
-    F: Fn(&T) -> K + Sync,
+    F: Fn(&T) -> K,
 {
     assert!(k >= 1 && k <= data.len(), "k must be in 1..=|V|");
     let mut stats = KernelStats::default();
@@ -200,7 +200,7 @@ mod tests {
     use topk_baselines::{radix_topk, reference_kth, reference_topk, RadixConfig};
 
     fn device() -> Device {
-        Device::with_host_threads(DeviceSpec::v100s(), 4)
+        Device::new(DeviceSpec::v100s())
     }
 
     #[test]

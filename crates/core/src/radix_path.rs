@@ -481,7 +481,7 @@ mod tests {
     use topk_baselines::reference_topk;
 
     fn device() -> Device {
-        Device::with_host_threads(DeviceSpec::v100s(), 4)
+        Device::new(DeviceSpec::v100s())
     }
 
     #[test]

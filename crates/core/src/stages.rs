@@ -516,6 +516,7 @@ impl<'g, C> StageGraph<'g, C> {
     /// index and each worker walks its list in insertion order: the
     /// globally smallest unfinished stage always has every dependency
     /// finished, so its worker can run it.
+    #[allow(clippy::disallowed_methods)] // the stage executor is one of the two host-parallel layers
     pub fn execute(self, ctx: &C) -> StageReport
     where
         C: Sync,

@@ -135,6 +135,7 @@ const CHUNK_ELEMS: usize = 1 << 18;
 /// `seed` and the chunk index, so the output is independent of the number of
 /// worker threads. Generic over the element type so the same machinery
 /// produces `u32` datasets and the `f32` distance/score datasets.
+#[allow(clippy::disallowed_methods)] // input set-up, not on the request path
 pub(crate) fn parallel_fill<T, F>(n: usize, seed: u64, fill: F) -> Vec<T>
 where
     T: Default + Copy + Send,

@@ -743,7 +743,7 @@ mod tests {
     }
 
     fn build_entry(data: &[u32]) -> Arc<drtopk_core::DelegateVector<u32>> {
-        let dev = gpu_sim::Device::with_host_threads(gpu_sim::DeviceSpec::v100s(), 2);
+        let dev = gpu_sim::Device::new(gpu_sim::DeviceSpec::v100s());
         Arc::new(drtopk_core::build_delegate_vector(
             &dev,
             data,

@@ -1,10 +1,11 @@
 //! The simulated device and its kernel launcher.
 //!
-//! A [`Device`] owns a [`DeviceSpec`], a log of every kernel launched on it
-//! ([`DeviceStats`]), and a host-side thread pool size. Kernels are
-//! warp-centric closures executed once per warp; warps are distributed over
-//! host threads with `std::thread::scope`, each thread accumulating
-//! instrumentation counters locally which the launcher merges at the end.
+//! A [`Device`] owns a [`DeviceSpec`] and a log of every kernel launched on
+//! it ([`DeviceStats`]). Kernels are warp-centric closures executed once per
+//! warp; a launch runs its warps in warp order on the calling thread and
+//! merges each warp's instrumentation counters as it goes. Host parallelism
+//! lives one level up, in the stage executor and the cluster's per-device
+//! run, never inside a launch.
 
 use std::time::Instant;
 
@@ -32,7 +33,6 @@ pub struct LaunchResult<R> {
 pub struct Device {
     spec: DeviceSpec,
     stats: Mutex<DeviceStats>,
-    host_threads: usize,
     /// Maximum number of `u32` elements this device is allowed to hold at
     /// once. Defaults to the spec's capacity; experiments (Table 2) shrink it
     /// to reproduce the out-of-memory / reload regime at reduced scale.
@@ -40,23 +40,13 @@ pub struct Device {
 }
 
 impl Device {
-    /// Create a device with the given hardware spec, using all available
-    /// host CPUs to simulate it.
+    /// Create a device with the given hardware spec. Its kernels run on
+    /// whichever host thread launches them.
     pub fn new(spec: DeviceSpec) -> Self {
-        let host_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Device::with_host_threads(spec, host_threads)
-    }
-
-    /// Create a device simulated with an explicit number of host threads
-    /// (useful for deterministic single-threaded debugging).
-    pub fn with_host_threads(spec: DeviceSpec, host_threads: usize) -> Self {
         let capacity = spec.capacity_u32_elems(0.25);
         Device {
             spec,
             stats: Mutex::new(DeviceStats::default()),
-            host_threads: host_threads.max(1),
             capacity_elems: Mutex::new(capacity),
         }
     }
@@ -64,11 +54,6 @@ impl Device {
     /// Hardware description of the device.
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
-    }
-
-    /// Number of host threads used to simulate kernels.
-    pub fn host_threads(&self) -> usize {
-        self.host_threads
     }
 
     /// Current device memory capacity expressed in `u32` elements.
@@ -110,68 +95,19 @@ impl Device {
     }
 
     /// Launch a warp-centric kernel: `kernel` is called once per warp with a
-    /// [`WarpCtx`], warps being distributed over the host thread pool.
-    /// Returns the per-warp outputs in warp order plus the merged counters
-    /// and the modeled time.
+    /// [`WarpCtx`], in warp order on the calling thread. Returns the per-warp
+    /// outputs in warp order plus the merged counters and the modeled time.
     pub fn launch<R, F>(&self, name: &str, num_warps: usize, kernel: F) -> LaunchResult<R>
     where
-        R: Send,
-        F: Fn(&mut WarpCtx<'_>) -> R + Sync,
+        F: Fn(&mut WarpCtx<'_>) -> R,
     {
         let started = Instant::now();
         let mut stats = KernelStats::default();
         let mut output: Vec<R> = Vec::with_capacity(num_warps);
-
-        if num_warps == 0 {
-            let time_ms = estimate_time_ms(&stats, &self.spec);
-            self.stats.lock().record(KernelRecord {
-                name: name.to_string(),
-                stats,
-                time_ms,
-                wall_ms: 0.0,
-            });
-            return LaunchResult {
-                output,
-                stats,
-                time_ms,
-                wall_ms: 0.0,
-            };
-        }
-
-        let workers = self.host_threads.min(num_warps);
-        if workers <= 1 {
-            for warp_id in 0..num_warps {
-                let mut ctx = WarpCtx::new(warp_id, num_warps, &self.spec);
-                output.push(kernel(&mut ctx));
-                stats.merge(&ctx.into_stats());
-            }
-        } else {
-            let kernel_ref = &kernel;
-            let spec_ref = &self.spec;
-            let mut partials: Vec<(Vec<R>, KernelStats)> = Vec::with_capacity(workers);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let range = crate::warp::chunk_range(num_warps, workers, w);
-                    handles.push(scope.spawn(move || {
-                        let mut local_out = Vec::with_capacity(range.len());
-                        let mut local_stats = KernelStats::default();
-                        for warp_id in range {
-                            let mut ctx = WarpCtx::new(warp_id, num_warps, spec_ref);
-                            local_out.push(kernel_ref(&mut ctx));
-                            local_stats.merge(&ctx.into_stats());
-                        }
-                        (local_out, local_stats)
-                    }));
-                }
-                for h in handles {
-                    partials.push(h.join().expect("simulated warp panicked"));
-                }
-            });
-            for (mut out, s) in partials {
-                output.append(&mut out);
-                stats.merge(&s);
-            }
+        for warp_id in 0..num_warps {
+            let mut ctx = WarpCtx::new(warp_id, num_warps, &self.spec);
+            output.push(kernel(&mut ctx));
+            stats.merge(&ctx.into_stats());
         }
 
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -195,7 +131,6 @@ impl std::fmt::Debug for Device {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Device")
             .field("spec", &self.spec.name)
-            .field("host_threads", &self.host_threads)
             .field("capacity_elems", &self.capacity_elems())
             .finish()
     }
@@ -208,7 +143,7 @@ mod tests {
 
     #[test]
     fn launch_collects_outputs_in_warp_order() {
-        let device = Device::with_host_threads(DeviceSpec::v100s(), 4);
+        let device = Device::new(DeviceSpec::v100s());
         let result = device.launch("identity", 100, |ctx| ctx.warp_id);
         assert_eq!(result.output, (0..100).collect::<Vec<_>>());
         assert_eq!(result.stats.warps_launched, 100);
@@ -216,34 +151,15 @@ mod tests {
 
     #[test]
     fn launch_zero_warps_is_ok() {
-        let device = Device::with_host_threads(DeviceSpec::v100s(), 4);
+        let device = Device::new(DeviceSpec::v100s());
         let result: LaunchResult<()> = device.launch("empty", 0, |_| ());
         assert!(result.output.is_empty());
         assert!(result.stats.is_empty() || result.stats.warps_launched == 0);
     }
 
     #[test]
-    fn single_threaded_and_parallel_agree_on_stats() {
-        let data: Vec<u32> = (0..32 * 64u32).collect();
-        let run = |threads: usize| {
-            let device = Device::with_host_threads(DeviceSpec::v100s(), threads);
-            let result = device.launch("scan", 64, |ctx| {
-                let chunk = ctx.chunk_of(data.len());
-                let slice = ctx.read_coalesced(&data[chunk]);
-                let lane_max = slice.iter().copied().max().unwrap_or(0);
-                ctx.warp_reduce_max(lane_max)
-            });
-            (result.output.clone(), result.stats)
-        };
-        let (out1, stats1) = run(1);
-        let (out8, stats8) = run(8);
-        assert_eq!(out1, out8);
-        assert_eq!(stats1, stats8);
-    }
-
-    #[test]
     fn device_log_accumulates_and_resets() {
-        let device = Device::with_host_threads(DeviceSpec::v100s(), 2);
+        let device = Device::new(DeviceSpec::v100s());
         let data = vec![1u32; 1024];
         device.launch("a", 4, |ctx| {
             ctx.read_coalesced(&data[ctx.chunk_of(data.len())]);
@@ -260,22 +176,28 @@ mod tests {
     }
 
     #[test]
-    fn atomic_counter_yields_disjoint_slots_across_parallel_warps() {
-        let device = Device::with_host_threads(DeviceSpec::v100s(), 8);
-        let counter = AtomicCounter::new(0);
-        let out = AtomicBuffer::zeroed(256);
-        device.launch("concat", 64, |ctx| {
-            // each warp writes 4 entries at atomically allocated positions
-            for i in 0..4u32 {
-                let pos = counter.fetch_add(ctx, 1) as usize;
-                out.store(ctx, pos, ctx.warp_id as u32 * 10 + i);
-            }
-        });
-        assert_eq!(counter.load(), 256);
-        let mut values = out.to_vec();
-        values.sort_unstable();
-        values.dedup();
-        assert_eq!(values.len(), 256, "every slot written exactly once");
+    fn warps_run_in_order_on_the_calling_thread() {
+        let device = Device::new(DeviceSpec::v100s());
+        let caller = std::thread::current().id();
+        let threads = device.launch("whoami", 64, |_| std::thread::current().id());
+        assert!(threads.output.iter().all(|&id| id == caller));
+
+        for run in 0..3 {
+            let counter = AtomicCounter::new(0);
+            let out = AtomicBuffer::zeroed(256);
+            device.launch("concat", 64, |ctx| {
+                // each warp writes 4 entries at atomically allocated positions
+                for i in 0..4u32 {
+                    let pos = counter.fetch_add(ctx, 1) as usize;
+                    out.store(ctx, pos, ctx.warp_id as u32 * 10 + i);
+                }
+            });
+            assert_eq!(counter.load(), 256);
+            let expected: Vec<u32> = (0..64u32)
+                .flat_map(|w| (0..4u32).map(move |i| w * 10 + i))
+                .collect();
+            assert_eq!(out.to_vec(), expected, "positions in warp order, run {run}");
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! reproduction: a *software* model of a CUDA-like device that
 //!
 //! * executes **warp-centric kernels** (a kernel is a function of a warp id,
-//!   run for every warp of a launch grid) in parallel on host threads,
+//!   run for every warp of a launch grid, in warp order on the launching
+//!   host thread),
 //! * **instruments** every global-memory transaction, shared-memory access,
 //!   shuffle instruction and atomic operation exactly the way the paper's own
 //!   cost model (Section 5.2) accounts for them, and

@@ -1,9 +1,11 @@
-//! Device-global writable buffers shared between concurrently executing
-//! warps.
+//! Device-global writable buffers shared between the warps of a kernel.
 //!
-//! Simulated kernels run in parallel on host threads, so any buffer written
-//! by more than one warp must be shared safely. Two primitives cover every
-//! pattern the paper's kernels need:
+//! The warps of one launch run in warp order on the launching thread, but a
+//! kernel closure reaches its buffers through `&`, and on the modeled device
+//! these writes are atomic operations that the timing model charges for. So
+//! the buffers stay atomic: shared writes need no `&mut`, and each access
+//! carries its modeled atomic accounting. Two primitives cover every pattern
+//! the paper's kernels need:
 //!
 //! * [`AtomicCounter`] — a single `u64` used to hand out output positions
 //!   (the paper's concatenation step "resorts to atomic operations to

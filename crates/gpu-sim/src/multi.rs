@@ -240,6 +240,7 @@ impl GpuCluster {
     /// lowest-indexed failing device is surfaced as a [`DeviceError`] so the
     /// caller knows *which* device to blame (and can retry elsewhere)
     /// instead of the whole run being poisoned.
+    #[allow(clippy::disallowed_methods)] // the per-device run is one of the two host-parallel layers
     pub fn try_run_on_all<R, E, F>(&self, work: F) -> Result<Vec<R>, DeviceError<E>>
     where
         R: Send,

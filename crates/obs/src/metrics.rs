@@ -764,6 +764,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // concurrent updates are what this test checks
     fn registry_updates_are_thread_safe() {
         let reg = MetricsRegistry::new(1);
         std::thread::scope(|scope| {

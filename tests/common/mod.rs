@@ -3,8 +3,7 @@
 //! Every suite used to carry its own copy of `device()` / `cluster()` /
 //! `bits()`; they live here once so the suites cannot drift apart (a
 //! simulator change that needs a different default shows up in exactly one
-//! place). The simulated results are host-thread-count independent, so the
-//! shared [`device`] settles on 2 host threads for everyone.
+//! place).
 //!
 //! Each binary test target compiles this module independently and uses a
 //! different subset of it, hence the file-level `dead_code` allow.
@@ -13,11 +12,9 @@
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 
-/// The standard single test device: a V100S with 2 host worker threads.
-/// Simulator results are independent of the host thread count, so tests
-/// that used 4 threads historically get identical answers here.
+/// The standard single test device: a V100S.
 pub fn device() -> Device {
-    Device::with_host_threads(DeviceSpec::v100s(), 2)
+    Device::new(DeviceSpec::v100s())
 }
 
 /// A homogeneous V100S cluster with every device clamped to `capacity`

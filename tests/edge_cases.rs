@@ -21,7 +21,7 @@ use topk_baselines::{
 };
 
 fn device() -> Device {
-    Device::with_host_threads(DeviceSpec::v100s(), 2)
+    Device::new(DeviceSpec::v100s())
 }
 
 /// Every total top-k in the workspace, normalized to `(name, values)`.

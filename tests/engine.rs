@@ -36,7 +36,7 @@ fn assert_batch_matches_independent<K: TopKKey>(data: &[K], specs: &[(usize, boo
     let out = eng.run_batch(&batch).expect("batch must execute");
     assert_eq!(out.results.len(), specs.len());
 
-    let device = Device::with_host_threads(DeviceSpec::v100s(), 2);
+    let device = Device::new(DeviceSpec::v100s());
     let config = DrTopKConfig::default();
     for (i, &(k, largest)) in specs.iter().enumerate() {
         let independent = if largest {

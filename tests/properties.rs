@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use topk_baselines::{reference_kth, reference_topk};
 
 fn device() -> Device {
-    Device::with_host_threads(DeviceSpec::v100s(), 2)
+    Device::new(DeviceSpec::v100s())
 }
 
 proptest! {
@@ -289,9 +289,8 @@ proptest! {
 // Radix-path properties: the forced multi-pass radix pipeline
 // (`PathHint::Radix`) must be bit-identical to the forced delegate pipeline
 // and the CPU reference for every key type, in both directions, including
-// float specials and degenerate k (0, |V|, > |V|) — all under the threaded
-// executor (`Device::with_host_threads`). `Auto` must reproduce whichever
-// forced path the sampled crossover resolves, exactly.
+// float specials and degenerate k (0, |V|, > |V|). `Auto` must reproduce
+// whichever forced path the sampled crossover resolves, exactly.
 // ---------------------------------------------------------------------------
 
 use drtopk::core::{choose_path_sampled, dr_topk_min, ChosenPath, PathHint};

@@ -14,7 +14,6 @@ use drtopk::core::{
     DrTopKConfig, ReloadSchedule, Resource, StageKind, TransferLane,
 };
 use drtopk::prelude::*;
-use drtopk::sim::{GpuCluster, InterconnectSpec};
 use proptest::prelude::*;
 use topk_baselines::{reference_topk, reference_topk_min};
 
@@ -309,20 +308,6 @@ fn engine_reports_overlap_and_transfer_for_sharded_batches() {
     assert_eq!(out.report.overlap_efficiency, 0.0);
 }
 
-/// A cluster whose devices do all simulated kernel work on the calling
-/// host thread (`host_threads = 1`), so the only host parallelism in play
-/// is the threaded stage-graph executor's.
-fn single_threaded_cluster(devices: usize, capacity: usize) -> GpuCluster {
-    let devices = (0..devices)
-        .map(|_| Device::with_host_threads(DeviceSpec::v100s(), 1))
-        .collect();
-    let c = GpuCluster::new(devices, InterconnectSpec::default());
-    for d in c.devices() {
-        d.set_capacity_elems(capacity);
-    }
-    c
-}
-
 /// Determinism stress test: the same exact, approximate and distributed
 /// graphs run repeatedly under the threaded executor must return
 /// bit-identical values and byte-identical **modeled** stage reports on
@@ -334,7 +319,7 @@ fn repeated_threaded_runs_are_bit_identical() {
     let data = topk_datagen::customized(1 << 15, 77);
     let k = 96;
     let distributed = || {
-        let c = single_threaded_cluster(4, 1 << 13);
+        let c = cluster(4, 1 << 13);
         distributed_dr_topk(&c, &data, k, &cfg)
     };
 

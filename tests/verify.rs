@@ -265,7 +265,7 @@ fn mutation_dropped_radix_select_is_caught_as_v012() {
 #[test]
 fn planner_built_radix_graphs_verify_clean() {
     use drtopk::core::PathHint;
-    let dev = Device::with_host_threads(DeviceSpec::v100s(), 2);
+    let dev = Device::new(DeviceSpec::v100s());
     let cfg = DrTopKConfig {
         path: PathHint::Radix,
         ..DrTopKConfig::default()
@@ -351,7 +351,7 @@ proptest! {
         target in 0.7f64..1.0,
     ) {
         let k = ((raw.len() as f64 * k_frac) as usize).clamp(1, raw.len());
-        let dev = Device::with_host_threads(DeviceSpec::v100s(), 2);
+        let dev = Device::new(DeviceSpec::v100s());
         let cfg = DrTopKConfig::default();
 
         let exact = dr_topk_with_stats(&dev, &raw, k, &cfg);

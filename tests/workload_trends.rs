@@ -5,7 +5,7 @@ use drtopk::core::{dr_topk_with_stats, DrTopKConfig};
 use drtopk::prelude::*;
 
 fn device() -> Device {
-    Device::with_host_threads(DeviceSpec::v100s(), 4)
+    Device::new(DeviceSpec::v100s())
 }
 
 #[test]
