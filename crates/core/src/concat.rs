@@ -14,7 +14,7 @@
 //! `fully_taken × subrange_size` upper-bound buffer and copying a prefix of
 //! it (which doubled the allocation on the hot path).
 
-use gpu_sim::{AtomicCounter, Device, KernelStats};
+use gpu_sim::{Device, KernelStats, WarpCtx};
 use topk_baselines::TopKKey;
 
 /// Result of the concatenation step.
@@ -58,8 +58,7 @@ pub fn concatenate<K: TopKKey>(
         };
     }
 
-    let threshold_bits = threshold.to_bits();
-    let cursor = AtomicCounter::new(0);
+    let filter = filtering.then(|| threshold.to_bits());
 
     // One simulated warp per group of qualified subranges.
     let num_warps = fully_taken_subranges.len().clamp(1, 1 << 14);
@@ -69,42 +68,54 @@ pub fn concatenate<K: TopKKey>(
         let ids = ctx.read_coalesced(&fully_taken_subranges[share]);
         let mut gathered: Vec<K> = Vec::new();
         for &id in ids {
-            let start = (id as usize) * subrange_size;
-            let end = (start + subrange_size).min(data.len());
-            let slice = ctx.read_coalesced(&data[start..end]);
-            let mut kept: Vec<K> = Vec::with_capacity(slice.len());
-            for &x in slice {
-                if !filtering || x.to_bits() >= threshold_bits {
-                    kept.push(x);
-                }
-                ctx.record_alu(1);
-            }
-            if !kept.is_empty() {
-                // the eligible count is unknown beforehand: claim positions
-                // with an atomic, then store (warp-aggregated)
-                cursor.fetch_add(ctx, kept.len() as u64);
-                ctx.record_store_coalesced::<K>(kept.len());
-                gathered.append(&mut kept);
-            }
+            gather_subrange(ctx, data, subrange_size, id, filter, &mut gathered);
         }
         gathered
     });
     stats += launch.stats;
     time_ms += launch.time_ms;
 
-    let gathered_len = cursor.load() as usize;
+    let gathered_len: usize = launch.output.iter().map(Vec::len).sum();
     let mut elements: Vec<K> = Vec::with_capacity(partial_delegate_values.len() + gathered_len);
     elements.extend_from_slice(partial_delegate_values);
     for warp_kept in launch.output {
         elements.extend(warp_kept);
     }
-    debug_assert_eq!(elements.len(), partial_delegate_values.len() + gathered_len);
 
     Concatenated {
         elements,
         partial_delegates: partial_delegate_values.len(),
         stats,
         time_ms,
+    }
+}
+
+/// Gather subrange `id` of `data` into `out`, keeping only elements
+/// `≥ filter` when a filter is given. Records the warp's coalesced read of
+/// the subrange and one compare per element; when anything survives, one
+/// warp-aggregated atomic claims its output positions (the survivor count is
+/// unknown beforehand) before a coalesced store.
+pub(crate) fn gather_subrange<K: TopKKey>(
+    ctx: &mut WarpCtx<'_>,
+    data: &[K],
+    subrange_size: usize,
+    id: u32,
+    filter: Option<K::Bits>,
+    out: &mut Vec<K>,
+) {
+    let start = id as usize * subrange_size;
+    let end = (start + subrange_size).min(data.len());
+    let slice = ctx.read_coalesced(&data[start..end]);
+    ctx.record_alu(slice.len() as u64);
+    let before = out.len();
+    match filter {
+        Some(bits) => out.extend(slice.iter().filter(|x| x.to_bits() >= bits)),
+        None => out.extend_from_slice(slice),
+    }
+    let kept = out.len() - before;
+    if kept > 0 {
+        ctx.record_atomics(1);
+        ctx.record_store_coalesced::<K>(kept);
     }
 }
 

@@ -81,9 +81,7 @@ pub fn first_topk<K: TopKKey>(
     let threshold_bits = threshold.to_bits();
 
     // Mark pass: find every delegate entry ≥ threshold and report it together
-    // with its subrange id. When the threshold is exact we cap the ties so
-    // exactly k entries are taken (a true top-k); with a skipped pass the
-    // threshold is a lower bound and every qualifying entry is taken.
+    // with its subrange id.
     let values = &delegates.values;
     let ids = &delegates.subrange_ids;
     let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
@@ -91,56 +89,83 @@ pub fn first_topk<K: TopKKey>(
     let launch = device.launch("drtopk_first_topk_mark", num_warps, |ctx| {
         let chunk = ctx.chunk_of(values.len());
         let vals = ctx.read_coalesced(&values[chunk.clone()]);
-        let mut above: Vec<(K, u32)> = Vec::new();
-        let mut ties: Vec<(K, u32)> = Vec::new();
-        for (offset, &v) in vals.iter().enumerate() {
-            let vb = v.to_bits();
-            if vb >= threshold_bits {
-                let id = ids[chunk.start + offset];
-                ctx.record_load_coalesced::<u32>(1);
-                if vb > threshold_bits {
-                    above.push((v, id));
-                } else {
-                    ties.push((v, id));
-                }
-            }
-            ctx.record_alu(1);
-        }
-        ctx.record_store_coalesced::<u32>(kv_words * (above.len() + ties.len()));
-        (above, ties)
+        let mut marked = Marked::default();
+        mark(vals, &ids[chunk], threshold_bits, &mut marked);
+        let hits = marked.above.len() + marked.ties.len();
+        // each qualifying entry fetches its subrange id
+        ctx.record_load_random::<u32>(hits);
+        ctx.record_alu(vals.len() as u64);
+        ctx.record_store_coalesced::<u32>(kv_words * hits);
+        marked
     });
     stats += launch.stats;
     time_ms += launch.time_ms;
 
-    let mut above: Vec<(K, u32)> = Vec::new();
-    let mut ties: Vec<(K, u32)> = Vec::new();
-    for (a, t) in launch.output {
-        above.extend(a);
-        ties.extend(t);
+    let mut marked = Marked::default();
+    for m in launch.output {
+        marked.above.extend(m.above);
+        marked.ties.extend(m.ties);
     }
+    FirstTopK {
+        stats,
+        time_ms,
+        ..take_marked(delegates, marked, k, threshold, select.exact)
+    }
+}
 
-    let taken: Vec<(K, u32)> = if select.exact {
-        // exactly k entries: all strictly-above entries plus enough ties
-        let need = k.saturating_sub(above.len());
-        above.extend(ties.into_iter().take(need));
-        above
+/// Delegate entries at or above a threshold with their subrange ids, in
+/// index order: strictly-above entries and ties kept apart.
+#[derive(Default)]
+pub(crate) struct Marked<K> {
+    above: Vec<(K, u32)>,
+    ties: Vec<(K, u32)>,
+}
+
+/// The mark pass over a run of delegate entries (`values[i]` belongs to
+/// subrange `ids[i]`): append every entry `≥ threshold_bits` to `marked`.
+pub(crate) fn mark<K: TopKKey>(
+    values: &[K],
+    ids: &[u32],
+    threshold_bits: K::Bits,
+    marked: &mut Marked<K>,
+) {
+    for (&v, &id) in values.iter().zip(ids) {
+        let vb = v.to_bits();
+        if vb > threshold_bits {
+            marked.above.push((v, id));
+        } else if vb == threshold_bits {
+            marked.ties.push((v, id));
+        }
+    }
+}
+
+/// Take the top-k entries of a marked delegate vector and apply Rule 3.
+///
+/// When the threshold is exact the ties are capped so exactly k entries are
+/// taken (a true top-k); with a skipped pass the threshold is a lower bound
+/// and every marked entry is taken. Counters are left empty for the caller.
+pub(crate) fn take_marked<K: TopKKey>(
+    delegates: &DelegateVector<K>,
+    marked: Marked<K>,
+    k: usize,
+    threshold: K,
+    exact: bool,
+) -> FirstTopK<K> {
+    let Marked {
+        above: mut taken,
+        ties,
+    } = marked;
+    let need = if exact {
+        k.saturating_sub(taken.len())
     } else {
-        // relaxed threshold: everything ≥ threshold is taken (correct, just
-        // admits a few extra subranges, as the paper's skipping accepts)
-        above.extend(ties);
-        above
+        ties.len()
     };
+    taken.extend(ties.into_iter().take(need));
 
-    // Group the taken entries per subrange to apply Rule 3.
-    let beta = delegates.beta;
-    let mut per_subrange: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    for &(_, id) in &taken {
-        *per_subrange.entry(id).or_insert(0) += 1;
-    }
     // A short final subrange (or a subrange smaller than β) holds fewer than
     // β delegate entries; it counts as fully taken once all the delegates it
     // *has* are taken.
-    let regular_entries = beta.min(delegates.subrange_size);
+    let regular_entries = delegates.beta.min(delegates.subrange_size);
     let tail_entries = delegates
         .len()
         .saturating_sub((delegates.num_subranges - 1) * regular_entries)
@@ -153,31 +178,29 @@ pub fn first_topk<K: TopKKey>(
         }
     };
 
-    let mut fully_taken_subranges: Vec<u32> = Vec::new();
-    let mut partial_ids: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    for (&id, &count) in &per_subrange {
-        if count as usize >= entries_of(id) {
-            fully_taken_subranges.push(id);
-        } else {
-            partial_ids.insert(id);
-        }
-    }
-    fully_taken_subranges.sort_unstable();
-
+    // Count the taken entries per subrange (Rule 3), then keep the values
+    // of the subranges that are not fully taken.
+    let mut taken_ids: Vec<u32> = taken.iter().map(|&(_, id)| id).collect();
+    taken_ids.sort_unstable();
+    let fully_taken_subranges: Vec<u32> = taken_ids
+        .chunk_by(|a, b| a == b)
+        .filter(|run| run.len() >= entries_of(run[0]))
+        .map(|run| run[0])
+        .collect();
     let partial_delegate_values: Vec<K> = taken
         .iter()
-        .filter(|&&(_, id)| partial_ids.contains(&id))
+        .filter(|(_, id)| fully_taken_subranges.binary_search(id).is_err())
         .map(|&(v, _)| v)
         .collect();
 
     FirstTopK {
         threshold,
-        exact_threshold: select.exact,
+        exact_threshold: exact,
         fully_taken_subranges,
         partial_delegate_values,
         taken_entries: taken.len(),
-        stats,
-        time_ms,
+        stats: KernelStats::default(),
+        time_ms: 0.0,
     }
 }
 

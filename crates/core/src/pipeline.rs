@@ -94,7 +94,10 @@ pub struct DrTopKConfig {
     pub filtering: bool,
     /// Delegate construction kernel selection.
     pub construction: ConstructionMethod,
-    /// Algorithm used for the second top-k.
+    /// Algorithm used for the second top-k. Row-blocks
+    /// ([`topk_rows`](crate::rows::topk_rows)) ignore it and always use
+    /// their warp-per-row selection: every inner algorithm is exact, so a
+    /// row's values do not depend on it.
     pub inner: InnerAlgorithm,
     /// Skip the last radix pass of the first top-k (the paper enables this
     /// once β delegates + filtering absorb the lost precision on uniform-like

@@ -5,24 +5,27 @@
 //! The paper's pipeline answers top-k over one vector. The dominant
 //! consumers of GPU top-k in 2026 — MoE gating, beam search, sparse
 //! attention — need the top-k of *every row* of an activation matrix, with
-//! tiny per-row k and huge row counts. Running the single-vector pipeline
-//! once per row would launch a delegate pass per row; [`topk_rows`] instead
-//! packs rows into per-device **row-blocks** and runs **one fused pass per
-//! block**: a single kernel launch that reads each block's row slab once
-//! (coalesced) and extracts, per row, either the row's per-subrange
-//! delegates (the exact and approximate paths) or the row's sorted top-k
-//! directly (rows whose shape makes the single-vector pipeline fall back to
-//! its inner algorithm). The remaining phases — first top-k, concatenation,
-//! second top-k — run once per block over the rows that need them, so an
-//! `R`-row matrix on `D` devices runs at most `⌈R / rows_per_block⌉`
-//! delegate passes instead of `R`.
+//! tiny per-row k and huge row counts. [`topk_rows`] packs rows into
+//! per-device **row-blocks** and runs **one launch per phase per block**,
+//! one warp per row (RTop-K's mapping; past 2^14 rows a warp takes a
+//! balanced chunk of rows). The fused pass reads the block's row slab once
+//! (coalesced) and extracts each row's per-subrange delegates, or, for rows
+//! whose plan falls back to the inner algorithm, the row's sorted top-k.
+//! The first top-k, concatenation and second top-k kernels then each take
+//! every row that needs them, so an `R`-row matrix on `D` devices runs at
+//! most four launches and one delegate pass per block instead of per row.
 //!
 //! Per-row results are **bit-identical** to running [`dr_topk`] (or
 //! [`dr_topk_min`] through [`RowTopKResult::into_native`]) on each row
-//! independently: every row is planned with the same [`PlannedQuery`]
-//! machinery and executed with the same delegate extraction
-//! (`top_beta_into` per subrange), the same `first_topk` / `concatenate`
-//! phases and the same second-top-k skip rule.
+//! independently: the same [`PlannedQuery`] plan, delegates
+//! (`top_beta_into`), flag-radix threshold, mark / Rule 3 / subrange-gather
+//! helpers of `first_topk` and `concatenate`, and second-top-k skip rule.
+//! Rows select at host speed and never run `config.inner`: every inner
+//! algorithm is exact, so the sorted top-k is the same values. The kernels
+//! record the warp-per-row cost instead: coalesced loads of each row's
+//! delegates or candidates, a shared-memory histogram and warp scan per
+//! radix pass, each gathered subrange's read, atomic and store, and k
+//! stores.
 //!
 //! [`dr_topk`]: crate::pipeline::dr_topk
 //! [`dr_topk_min`]: crate::pipeline::dr_topk_min
@@ -32,16 +35,18 @@
 // mutex slots, as the executor's `&C` sharing rule requires.
 #![allow(clippy::disallowed_types)]
 
-use gpu_sim::{Device, GpuCluster, KernelStats};
+use gpu_sim::warp::SHUFFLES_PER_WARP_REDUCTION;
+use gpu_sim::{Device, GpuCluster, KernelStats, WarpCtx};
 use std::cmp::Reverse;
 use std::sync::Mutex;
-use topk_baselines::{Desc, TopKKey, TopKResult};
+use topk_baselines::{Desc, KeyBits, TopKKey, TopKResult};
 
-use crate::concat::{concatenate, Concatenated};
+use crate::concat::gather_subrange;
 use crate::delegate::{delegate_subrange_ids, top_beta_into, DelegateVector};
 use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
-use crate::first_topk::{first_topk, FirstTopK};
+use crate::first_topk::{mark, take_marked, FirstTopK, Marked};
 use crate::pipeline::{as_desc, DrTopKConfig, PhaseBreakdown, PlannedQuery};
+use crate::radix_flags::{radix_select_threshold, BITS_PER_PASS};
 use crate::stages::{Resource, StageGraph, StageKind, StageOutcome, StageReport};
 
 /// A borrowed row-major `rows × cols` matrix.
@@ -270,24 +275,16 @@ fn layout_rows<K: TopKKey>(
     }
 }
 
-/// What the fused pass produced for one row.
-enum RowPass<K: TopKKey> {
-    /// The row's delegate (or per-bucket candidate) vector, extracted
-    /// inside the fused kernel — identical values/ids to
-    /// [`build_delegate_vector`](crate::delegate::build_delegate_vector)
-    /// on the row alone.
-    Delegates(DelegateVector<K>),
-    /// A fallback row's answer, sorted descending in radix space and
-    /// truncated to k — bit-identical to the values an exact inner
-    /// algorithm returns for the row.
-    Sorted(Vec<K>),
-}
+/// Warp cap of one row-block launch: past it, each warp takes a balanced
+/// chunk of rows.
+const MAX_ROW_WARPS: usize = 1 << 14;
 
-/// Per-block phase buffers, one slot per local row.
+/// Per-block phase buffers, one slot per local row. A fallback row's
+/// winners go from the fused pass straight to `out`.
 struct BlockState<K: TopKKey> {
-    pass: Vec<Option<RowPass<K>>>,
+    delegates: Vec<Option<DelegateVector<K>>>,
     first: Vec<Option<FirstTopK<K>>>,
-    concat: Vec<Option<Concatenated<K>>>,
+    concat: Vec<Option<Vec<K>>>,
     out: Vec<Option<(Vec<K>, K)>>,
 }
 
@@ -297,10 +294,62 @@ struct RowsCtx<K: TopKKey> {
     blocks: Vec<Mutex<BlockState<K>>>,
 }
 
+/// The top-k of `values` sorted descending in radix space, and its k-th
+/// value: exactly what every (exact) inner algorithm returns for them.
+fn sorted_topk<K: TopKKey>(values: &[K], k: usize) -> (Vec<K>, K) {
+    let mut top = values.to_vec();
+    top.sort_unstable_by_key(|v| Reverse(v.to_bits()));
+    top.truncate(k);
+    let kth = top.last().copied().unwrap_or_default();
+    (top, kth)
+}
+
+/// RTop-K's cost of one warp's radix select over a row's `n` keys: per
+/// pass, a shared-memory histogram of the keys plus a warp scan of the
+/// digit counts.
+fn record_row_select(kctx: &mut WarpCtx<'_>, n: usize, passes: u32) {
+    let passes = u64::from(passes);
+    kctx.record_shared(passes * (n as u64 + (1 << BITS_PER_PASS)));
+    kctx.record_shuffles(passes * SHUFFLES_PER_WARP_REDUCTION);
+}
+
+/// One launch over the block's rows whose path is in `want`, one warp per
+/// row up to [`MAX_ROW_WARPS`]; local row `l`'s output lands in `slots[l]`.
+/// No such rows, no launch.
+fn launch_rows<R>(
+    device: &Device,
+    name: &str,
+    (paths, want): (&[RowPath], &[RowPath]),
+    slots: &mut [Option<R>],
+    row_kernel: impl Fn(&mut WarpCtx<'_>, usize) -> R,
+) -> StageOutcome {
+    let rows: Vec<usize> = (0..paths.len())
+        .filter(|&l| want.contains(&paths[l]))
+        .collect();
+    if rows.is_empty() {
+        return StageOutcome::default();
+    }
+    let launch = device.launch(name, rows.len().min(MAX_ROW_WARPS), |kctx| {
+        let chunk = kctx.chunk_of(rows.len());
+        rows[chunk]
+            .iter()
+            .map(|&l| (l, row_kernel(kctx, l)))
+            .collect::<Vec<_>>()
+    });
+    for (l, out) in launch.output.into_iter().flatten() {
+        slots[l] = Some(out);
+    }
+    StageOutcome {
+        stats: launch.stats,
+        time_ms: launch.time_ms,
+    }
+}
+
 /// Build the matrix's stage graph: per block with any work, a fused pass
 /// stage, then (when the block has exact-path rows) first-top-k and
-/// concatenation stages, then always a terminal second-top-k stage.
-/// Returns the graph, its context and the number of fused pass stages.
+/// concatenation stages, then always a terminal second-top-k stage. Each
+/// stage is at most one kernel launch. Returns the graph, its context and
+/// the number of fused pass stages.
 fn build_rows_graph<'a, K: TopKKey>(
     devices: &'a [&'a Device],
     matrix: RowMatrix<'a, K>,
@@ -309,12 +358,13 @@ fn build_rows_graph<'a, K: TopKKey>(
     let mut graph: StageGraph<'a, RowsCtx<K>> = StageGraph::new();
     let mut blocks = Vec::with_capacity(layout.num_blocks);
     let mut passes = 0usize;
+    let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
 
     for b in 0..layout.num_blocks {
         let (start, end) = layout.block_span(b, matrix.rows);
         let block_len = end - start;
         blocks.push(Mutex::new(BlockState {
-            pass: (0..block_len).map(|_| None).collect(),
+            delegates: (0..block_len).map(|_| None).collect(),
             first: (0..block_len).map(|_| None).collect(),
             concat: (0..block_len).map(|_| None).collect(),
             out: (0..block_len).map(|_| None).collect(),
@@ -348,14 +398,13 @@ fn build_rows_graph<'a, K: TopKKey>(
             resource,
             &[],
             move |ctx: &RowsCtx<K>| {
-                let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
-                let num_warps = block_len.clamp(1, 1 << 14);
+                let num_warps = block_len.clamp(1, MAX_ROW_WARPS);
                 let launch = device.launch("drtopk_rows_fused_pass", num_warps, |kctx| {
                     let local = kctx.chunk_of(block_len);
-                    let mut out: Vec<(usize, RowPass<K>)> = Vec::new();
+                    let (mut built, mut sorted) = (Vec::new(), Vec::new());
                     let mut i = local.start;
                     while i < local.end {
-                        if layout.paths[start + i] == RowPath::Skip {
+                        if paths[i] == RowPath::Skip {
                             i += 1;
                             continue;
                         }
@@ -364,7 +413,7 @@ fn build_rows_graph<'a, K: TopKKey>(
                         // access — this is the fused pass's transaction
                         // saving over per-row pipeline runs.
                         let mut j = i + 1;
-                        while j < local.end && layout.paths[start + j] != RowPath::Skip {
+                        while j < local.end && paths[j] != RowPath::Skip {
                             j += 1;
                         }
                         let slab_start = (start + i) * matrix.cols;
@@ -372,59 +421,53 @@ fn build_rows_graph<'a, K: TopKKey>(
                         let slab = kctx.read_coalesced(&matrix.data[slab_start..slab_end]);
                         kctx.record_alu(slab.len() as u64);
                         for l in i..j {
-                            let r = start + l;
                             let row = &slab[(l - i) * matrix.cols..(l - i + 1) * matrix.cols];
-                            let planned = &layout.plans[r];
-                            match layout.paths[r] {
-                                RowPath::Skip => unreachable!("runs exclude skip rows"),
-                                RowPath::Direct => {
-                                    // The inner algorithm's exact answer is
-                                    // the unique descending top-k sequence
-                                    // in radix space; produce it straight
-                                    // from the slab.
-                                    let mut vals = row.to_vec();
-                                    vals.sort_unstable_by_key(|v| Reverse(v.to_bits()));
-                                    vals.truncate(planned.k);
-                                    kctx.record_store_coalesced::<u32>(kv_words * vals.len());
-                                    out.push((l, RowPass::Sorted(vals)));
-                                }
-                                RowPath::Exact | RowPath::Approx => {
-                                    let alpha = planned.alpha;
-                                    let subrange_size = 1usize << alpha;
-                                    let beta = planned.config.beta;
-                                    let num_subranges = matrix.cols.div_ceil(subrange_size);
-                                    let mut values = Vec::with_capacity(num_subranges * beta);
-                                    for subrange in row.chunks(subrange_size) {
-                                        top_beta_into(subrange, beta, &mut values);
-                                    }
-                                    kctx.record_store_coalesced::<u32>(kv_words * values.len());
-                                    out.push((
-                                        l,
-                                        RowPass::Delegates(DelegateVector {
-                                            values,
-                                            subrange_ids: delegate_subrange_ids(
-                                                matrix.cols,
-                                                subrange_size,
-                                                beta,
-                                            ),
-                                            beta,
-                                            subrange_size,
-                                            num_subranges,
-                                            method: planned.config.construction.resolve(alpha),
-                                            stats: KernelStats::default(),
-                                            time_ms: 0.0,
-                                        }),
-                                    ));
-                                }
+                            let planned = &layout.plans[start + l];
+                            if paths[l] == RowPath::Direct {
+                                let (vals, kth) = sorted_topk(row, planned.k);
+                                kctx.record_store_coalesced::<u32>(kv_words * vals.len());
+                                sorted.push((l, (vals, kth)));
+                                continue;
                             }
+                            let alpha = planned.alpha;
+                            let subrange_size = 1usize << alpha;
+                            let beta = planned.config.beta;
+                            let num_subranges = matrix.cols.div_ceil(subrange_size);
+                            let mut values = Vec::with_capacity(num_subranges * beta);
+                            for subrange in row.chunks(subrange_size) {
+                                top_beta_into(subrange, beta, &mut values);
+                            }
+                            kctx.record_store_coalesced::<u32>(kv_words * values.len());
+                            built.push((
+                                l,
+                                DelegateVector {
+                                    values,
+                                    subrange_ids: delegate_subrange_ids(
+                                        matrix.cols,
+                                        subrange_size,
+                                        beta,
+                                    ),
+                                    beta,
+                                    subrange_size,
+                                    num_subranges,
+                                    method: planned.config.construction.resolve(alpha),
+                                    stats: KernelStats::default(),
+                                    time_ms: 0.0,
+                                },
+                            ));
                         }
                         i = j;
                     }
-                    out
+                    (built, sorted)
                 });
                 let mut block = ctx.blocks[b].lock().unwrap();
-                for (l, pass) in launch.output.into_iter().flatten() {
-                    block.pass[l] = Some(pass);
+                for (built, sorted) in launch.output {
+                    for (l, dv) in built {
+                        block.delegates[l] = Some(dv);
+                    }
+                    for (l, out) in sorted {
+                        block.out[l] = Some(out);
+                    }
                 }
                 StageOutcome {
                     stats: launch.stats,
@@ -442,26 +485,30 @@ fn build_rows_graph<'a, K: TopKKey>(
                 resource,
                 &[pass_id],
                 move |ctx: &RowsCtx<K>| {
-                    let mut stats = KernelStats::default();
-                    let mut time_ms = 0.0;
-                    let mut block = ctx.blocks[b].lock().unwrap();
-                    let BlockState { pass, first, .. } = &mut *block;
-                    for l in 0..block_len {
-                        let r = start + l;
-                        if layout.paths[r] != RowPath::Exact {
-                            continue;
-                        }
-                        let planned = &layout.plans[r];
-                        let Some(RowPass::Delegates(dv)) = pass[l].as_ref() else {
-                            unreachable!("the fused pass built this row's delegates")
-                        };
-                        let f =
-                            first_topk(device, dv, planned.k, planned.config.resolve_skip_last());
-                        stats.merge(&f.stats);
-                        time_ms += f.time_ms;
-                        first[l] = Some(f);
-                    }
-                    StageOutcome { stats, time_ms }
+                    let block = &mut *ctx.blocks[b].lock().unwrap();
+                    let rows = (paths, &[RowPath::Exact][..]);
+                    launch_rows(
+                        device,
+                        "drtopk_rows_first_topk",
+                        rows,
+                        &mut block.first,
+                        |kctx, l| {
+                            let dv = block.delegates[l].as_ref().expect("fused pass ran");
+                            let planned = &layout.plans[start + l];
+                            let k = planned.k.min(dv.len());
+                            let skip_last = planned.config.resolve_skip_last();
+                            let values = kctx.read_coalesced(&dv.values);
+                            let passes = K::Bits::BITS / BITS_PER_PASS - u32::from(skip_last);
+                            record_row_select(kctx, values.len(), passes);
+                            let threshold = radix_select_threshold(values, k, skip_last);
+                            let mut marked = Marked::default();
+                            mark(values, &dv.subrange_ids, threshold.to_bits(), &mut marked);
+                            kctx.record_alu(values.len() as u64);
+                            let first = take_marked(dv, marked, k, threshold, !skip_last);
+                            kctx.record_store_coalesced::<u32>(kv_words * first.taken_entries);
+                            first
+                        },
+                    )
                 },
             );
             let concat_id = graph.add_labeled(
@@ -470,108 +517,80 @@ fn build_rows_graph<'a, K: TopKKey>(
                 resource,
                 &[first_id],
                 move |ctx: &RowsCtx<K>| {
-                    let mut stats = KernelStats::default();
-                    let mut time_ms = 0.0;
-                    let mut block = ctx.blocks[b].lock().unwrap();
-                    let BlockState {
-                        pass,
-                        first,
-                        concat,
-                        ..
-                    } = &mut *block;
-                    for l in 0..block_len {
-                        let r = start + l;
-                        if layout.paths[r] != RowPath::Exact {
-                            continue;
-                        }
-                        let planned = &layout.plans[r];
-                        let Some(RowPass::Delegates(dv)) = pass[l].as_ref() else {
-                            unreachable!("the fused pass built this row's delegates")
-                        };
-                        let f = first[l].as_ref().expect("first top-k ran for this row");
-                        let c = concatenate(
-                            device,
-                            matrix.row(r),
-                            dv.subrange_size,
-                            &f.fully_taken_subranges,
-                            &f.partial_delegate_values,
-                            f.threshold,
-                            planned.config.filtering,
-                        );
-                        stats.merge(&c.stats);
-                        time_ms += c.time_ms;
-                        concat[l] = Some(c);
-                    }
-                    StageOutcome { stats, time_ms }
+                    let block = &mut *ctx.blocks[b].lock().unwrap();
+                    let rows = (paths, &[RowPath::Exact][..]);
+                    launch_rows(
+                        device,
+                        "drtopk_rows_concat",
+                        rows,
+                        &mut block.concat,
+                        |kctx, l| {
+                            let r = start + l;
+                            let first = block.first[l].as_ref().expect("first top-k ran");
+                            let filter = layout.plans[r]
+                                .config
+                                .filtering
+                                .then(|| first.threshold.to_bits());
+                            let dv = block.delegates[l].as_ref().expect("fused pass ran");
+                            let mut elements = first.partial_delegate_values.clone();
+                            for &id in kctx.read_coalesced(&first.fully_taken_subranges) {
+                                let row = matrix.row(r);
+                                let size = dv.subrange_size;
+                                gather_subrange(kctx, row, size, id, filter, &mut elements);
+                            }
+                            elements
+                        },
+                    )
                 },
             );
             second_dep = concat_id;
         }
 
-        // Phase 4: the terminal second top-k settles every row of the block.
+        // Phase 4: the terminal second top-k settles every delegate-path
+        // row of the block.
         graph.add_labeled(
             StageKind::SecondTopK,
             format!("rows {start}..{end} second top-k"),
             resource,
             &[second_dep],
             move |ctx: &RowsCtx<K>| {
-                let mut stats = KernelStats::default();
-                let mut time_ms = 0.0;
-                let mut block = ctx.blocks[b].lock().unwrap();
-                let BlockState {
-                    pass,
-                    first,
-                    concat,
-                    out,
-                } = &mut *block;
-                for l in 0..block_len {
-                    let r = start + l;
-                    let planned = &layout.plans[r];
-                    match layout.paths[r] {
-                        RowPath::Skip => {
-                            out[l] = Some((Vec::new(), K::default()));
-                        }
-                        RowPath::Direct => {
-                            let Some(RowPass::Sorted(vals)) = pass[l].take() else {
-                                unreachable!("the fused pass answered this row")
-                            };
-                            let kth = vals.last().copied().unwrap_or_default();
-                            out[l] = Some((vals, kth));
-                        }
-                        RowPath::Approx => {
-                            let Some(RowPass::Delegates(dv)) = pass[l].as_ref() else {
-                                unreachable!("the fused pass built this row's candidates")
-                            };
-                            let inner = planned.config.inner.run(device, &dv.values, planned.k);
-                            stats.merge(&inner.stats);
-                            time_ms += inner.time_ms;
-                            out[l] = Some((inner.values, inner.kth_value));
-                        }
-                        RowPath::Exact => {
-                            let f = first[l].as_ref().expect("first top-k ran for this row");
-                            let c = concat[l].as_ref().expect("concatenation ran for this row");
+                let block = &mut *ctx.blocks[b].lock().unwrap();
+                let rows = (paths, &[RowPath::Exact, RowPath::Approx][..]);
+                launch_rows(
+                    device,
+                    "drtopk_rows_second_topk",
+                    rows,
+                    &mut block.out,
+                    |kctx, l| {
+                        let k = layout.plans[start + l].k;
+                        // Exact rows select from their concatenation,
+                        // approximate rows from their candidates.
+                        let (candidates, skipped) = match &block.first[l] {
                             // Same skip rule as the single-vector pipeline
                             // (Figure 8b): the taken delegates alone answer
                             // the query exactly.
-                            let skipped = f.fully_taken_subranges.is_empty()
-                                && f.exact_threshold
-                                && c.elements.len() == planned.k;
-                            if skipped {
-                                let mut vals = c.elements.clone();
-                                vals.sort_unstable_by_key(|v| Reverse(v.to_bits()));
-                                let kth = vals.last().copied().unwrap_or_default();
-                                out[l] = Some((vals, kth));
-                            } else {
-                                let inner =
-                                    planned.config.inner.run(device, &c.elements, planned.k);
-                                stats.merge(&inner.stats);
-                                time_ms += inner.time_ms;
-                                out[l] = Some((inner.values, inner.kth_value));
+                            Some(first) => {
+                                let c = block.concat[l].as_ref().expect("concatenation ran");
+                                let skipped = first.fully_taken_subranges.is_empty()
+                                    && first.exact_threshold
+                                    && c.len() == k;
+                                (c.as_slice(), skipped)
                             }
+                            None => {
+                                let dv = block.delegates[l].as_ref().expect("fused pass ran");
+                                (dv.values.as_slice(), false)
+                            }
+                        };
+                        let candidates = kctx.read_coalesced(candidates);
+                        if !skipped {
+                            let passes = K::Bits::BITS / BITS_PER_PASS;
+                            record_row_select(kctx, candidates.len(), passes);
                         }
-                    }
-                }
-                StageOutcome { stats, time_ms }
+                        let (top, kth) = sorted_topk(candidates, k);
+                        kctx.record_store_coalesced::<K>(top.len());
+                        (top, kth)
+                    },
+                )
             },
         );
     }
@@ -676,28 +695,6 @@ pub fn topk_rows_on<K: TopKKey>(
     assert!(!devices.is_empty(), "need at least one device");
     let rpb = rows_per_block.unwrap_or_else(|| matrix.rows.div_ceil(devices.len()).max(1));
     let layout = layout_rows(&matrix, ks, config, rpb);
-    if layout.paths.iter().all(|p| *p == RowPath::Skip) {
-        // Nothing to compute (no rows, empty rows, or every k = 0).
-        return RowTopKResult {
-            rows: vec![
-                TopKResult {
-                    values: Vec::new(),
-                    kth_value: K::default(),
-                    stats: KernelStats::default(),
-                    time_ms: 0.0,
-                };
-                matrix.rows
-            ],
-            num_blocks: layout.num_blocks,
-            rows_per_block: layout.rows_per_block,
-            delegate_passes: 0,
-            breakdown: PhaseBreakdown::default(),
-            stats: KernelStats::default(),
-            time_ms: 0.0,
-            stages: StageReport::default(),
-            predicted_recall: 1.0,
-        };
-    }
     let (graph, ctx, passes) = build_rows_graph(devices, matrix, &layout);
     let report = graph.execute(&ctx);
     gather_result(&layout, matrix.rows, ctx, report, passes)

@@ -1,9 +1,9 @@
 //! Mixture-of-Experts gating with the row-wise matrix top-k: a batch of
 //! token rows each picks its top-`k` experts from one `rows × experts`
-//! logit matrix in a single fused row-block plan — one delegate pass per
-//! row-block per device, never one per row — first through the core
-//! [`topk_rows`] entry point, then as a [`RowQuery`] through the serving
-//! engine.
+//! logit matrix in a single row-block plan — one kernel launch per phase
+//! per row-block, one warp per token row, never a launch per row — first
+//! through the core [`topk_rows`] entry point, then as a [`RowQuery`]
+//! through the serving engine.
 //!
 //! Run with: `cargo run --release --example moe_gating [rows] [experts] [k]`
 //! (defaults: 4096 tokens × 128 experts, top-2 routing).

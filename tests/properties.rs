@@ -452,3 +452,70 @@ fn auto_crossover_pins_match_the_model() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Host-speed threshold: the row-block kernels select each row's threshold
+// with `radix_select_threshold`; it must equal the flag radix select's
+// threshold for every key type, with and without the skipped last pass.
+// ---------------------------------------------------------------------------
+
+use drtopk::core::{flag_radix_select_by_key, radix_flags::radix_select_threshold};
+
+fn assert_threshold_agrees<K: TopKKey>(
+    device: &Device,
+    data: &[K],
+    k: usize,
+) -> Result<(), String> {
+    for skip_last_pass in [false, true] {
+        let config = FlagSelectConfig {
+            skip_last_pass,
+            ..FlagSelectConfig::default()
+        };
+        let flag = flag_radix_select_by_key(device, data, |&v| v, k, &config, "threshold_check");
+        let host = radix_select_threshold(data, k, skip_last_pass);
+        if host.to_bits() != flag.threshold.to_bits() {
+            return Err(format!(
+                "k={k} skip_last_pass={skip_last_pass}: host {:?} vs flag {:?}",
+                host.to_bits(),
+                flag.threshold.to_bits()
+            ));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// All six key types; the float vectors carry NaN payloads of both signs
+    /// (every third value is negated), ±0, ±∞ and subnormals.
+    #[test]
+    fn host_threshold_equals_flag_radix_select(
+        ints in proptest::collection::vec(any::<u64>(), 1..1200),
+        f32s in proptest::collection::vec(f32_with_specials(), 1..1200),
+        f64s in proptest::collection::vec(f64_with_specials(), 1..1200),
+        k_frac in 0.0f64..1.0,
+    ) {
+        let device = device();
+        let k_of = |n: usize| ((n as f64 * k_frac) as usize).clamp(1, n);
+        let k = k_of(ints.len());
+        let u32s: Vec<u32> = ints.iter().map(|&x| x as u32).collect();
+        let i32s: Vec<i32> = ints.iter().map(|&x| (x >> 32) as i32).collect();
+        let i64s: Vec<i64> = ints.iter().map(|&x| x as i64).collect();
+        let f32s: Vec<f32> = f32s.iter().enumerate().map(|(i, &x)| if i % 3 == 0 { -x } else { x }).collect();
+        let f64s: Vec<f64> = f64s.iter().enumerate().map(|(i, &x)| if i % 3 == 0 { -x } else { x }).collect();
+        let checks = [
+            assert_threshold_agrees(&device, &ints, k),
+            assert_threshold_agrees(&device, &u32s, k),
+            assert_threshold_agrees(&device, &i32s, k),
+            assert_threshold_agrees(&device, &i64s, k),
+            assert_threshold_agrees(&device, &f32s, k_of(f32s.len())),
+            assert_threshold_agrees(&device, &f64s, k_of(f64s.len())),
+        ];
+        for check in checks {
+            if let Err(msg) = check {
+                prop_assert!(false, "{}", msg);
+            }
+        }
+    }
+}

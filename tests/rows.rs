@@ -7,7 +7,9 @@
 //! recall-targeted approximate modes. The fused row-block plan is pinned
 //! structurally too: delegate passes scale with blocks, never with rows,
 //! and the fused plan moves measurably fewer modeled global-memory
-//! transactions than independent per-row runs.
+//! transactions than independent per-row runs. Each block issues at most
+//! one launch per phase (also past the 2^14-warp cap), and the row-block
+//! kernels' modeled counters are pinned.
 //!
 //! A threaded run is also pinned against an insertion-order serial replay
 //! of the same row graph: byte-equal
@@ -292,5 +294,124 @@ fn explore_exhausts_row_graph_interleavings() {
             topk_baselines::reference_topk(matrix.row(r), k),
             "row {r}"
         );
+    }
+}
+
+/// Total kernel launches across a cluster's devices since the last reset.
+fn launches(c: &GpuCluster) -> usize {
+    c.devices().iter().map(|d| d.stats().kernels.len()).sum()
+}
+
+/// Each block issues at most one launch per phase — the fused pass, first
+/// top-k, concatenation and second top-k — however many rows it holds.
+#[test]
+fn row_blocks_launch_at_most_four_kernels_each() {
+    let rows = 24;
+    let cols = 1 << 11;
+    let c = pool(2);
+    let devices: Vec<&Device> = c.devices().iter().collect();
+    let data = topk_datagen::uniform(rows * cols, 41);
+    let matrix = RowMatrix::new(&data, rows, cols);
+    let mixed = RowK::PerRow((0..rows).map(|r| [0, 16, cols / 2, 3][r % 4]).collect());
+    for (ks, cfg) in [
+        (RowK::Uniform(16), DrTopKConfig::default()),
+        (mixed, DrTopKConfig::default()),
+        (RowK::Uniform(16), DrTopKConfig::approx(0.9)),
+    ] {
+        for rpb in [None, Some(5)] {
+            c.reset_stats();
+            let got = topk_rows_on(&devices, matrix, &ks, &cfg, rpb);
+            assert!(
+                launches(&c) <= 4 * got.num_blocks,
+                "{} launches for {} blocks",
+                launches(&c),
+                got.num_blocks
+            );
+            for r in 0..rows {
+                let k = ks.get(r);
+                assert_eq!(got.rows[r].values.len(), k.min(cols), "row {r}");
+            }
+        }
+    }
+}
+
+/// One block with more rows than the 2^14-warp launch cap: warps take
+/// several rows each, and every row still answers exactly.
+#[test]
+fn a_block_past_the_warp_cap_answers_every_row() {
+    let rows = 40_000;
+    let cols = 16;
+    let k = 2;
+    let c = pool(1);
+    let data = topk_datagen::moe_gating_logits(rows, cols, 1.0, 0xcafe);
+    let matrix = RowMatrix::new(&data, rows, cols);
+    let cfg = DrTopKConfig::default();
+    let got = topk_rows(&c, matrix, &RowK::Uniform(k), &cfg);
+    assert_eq!(got.num_blocks, 1);
+    let first = c.device(0).stats().stats_for("drtopk_rows_first_topk");
+    assert_eq!(first.warps_launched, 1 << 14, "the first top-k runs capped");
+    let dev = device();
+    for r in 0..rows {
+        assert_eq!(
+            bits(&got.rows[r].values),
+            bits(&topk_baselines::reference_topk(matrix.row(r), k)),
+            "row {r}"
+        );
+        if r % 97 == 0 {
+            let single = dr_topk(&dev, matrix.row(r), k, &cfg);
+            assert_eq!(bits(&got.rows[r].values), bits(&single.values), "row {r}");
+            assert_eq!(got.rows[r].kth_value.to_bits(), single.kth_value.to_bits());
+        }
+    }
+}
+
+/// The modeled cost of the row-block kernels is what they record on their
+/// `WarpCtx`, not how the host computes each row's selection: every counter
+/// and the `time_ms` bits of the first top-k, concatenation and second
+/// top-k kernels are pinned on a fixed mixed-path matrix (exact, skipped and
+/// fallback rows in one block).
+#[test]
+fn row_kernel_model_is_pinned() {
+    let rows = 6;
+    let cols = 1 << 12;
+    let c = pool(1);
+    let data = topk_datagen::uniform(rows * cols, 2021);
+    let matrix = RowMatrix::new(&data, rows, cols);
+    let ks = RowK::PerRow(vec![16, 0, cols / 2, 16, 100, cols]);
+    topk_rows(&c, matrix, &ks, &DrTopKConfig::default());
+    let pinned = |load_tx, store_tx, loaded, stored, shuffles, atomics, shared, alu| KernelStats {
+        global_load_transactions: load_tx,
+        global_store_transactions: store_tx,
+        global_loaded_bytes: loaded,
+        global_stored_bytes: stored,
+        shuffle_instructions: shuffles,
+        atomic_operations: atomics,
+        shared_ops: shared,
+        alu_ops: alu,
+        warps_launched: 3,
+        ..KernelStats::default()
+    };
+    let cases = [
+        (
+            "drtopk_rows_first_topk",
+            pinned(24, 9, 3072, 1056, 372, 0, 6144, 768),
+            0x3f60_7575_6158_deda_u64,
+        ),
+        (
+            "drtopk_rows_concat",
+            pinned(30, 22, 2456, 180, 0, 22, 0, 592),
+            0x3f60_6a31_02ef_dfe9,
+        ),
+        (
+            "drtopk_rows_second_topk",
+            pinned(6, 6, 532, 528, 372, 0, 3604, 0),
+            0x3f60_6d1b_6caf_c29c,
+        ),
+    ];
+    let log = c.device(0).stats();
+    for (name, stats, time_bits) in cases {
+        assert_eq!(log.stats_for(name), stats, "{name}");
+        let time_ms = log.time_ms_for(name);
+        assert_eq!(time_ms.to_bits(), time_bits, "{name}: {time_ms} ms");
     }
 }
