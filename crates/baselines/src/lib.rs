@@ -20,11 +20,11 @@
 //!
 //! ```
 //! use gpu_sim::{Device, DeviceSpec};
-//! use topk_baselines::{radix_topk, reference_topk, RadixConfig};
+//! use topk_baselines::{radix_topk, reference_topk, RadixVariant};
 //!
 //! let device = Device::new(DeviceSpec::v100s());
 //! let data: Vec<u32> = (0..10_000u32).rev().collect();
-//! let top = radix_topk(&device, &data, 5, &RadixConfig::default());
+//! let top = radix_topk(&device, &data, 5, RadixVariant::OutOfPlace);
 //! assert_eq!(top.values, reference_topk(&data, 5));
 //! assert_eq!(top.values, vec![9999, 9998, 9997, 9996, 9995]);
 //! ```
@@ -41,9 +41,7 @@ pub use bitonic::{bitonic_iterations, bitonic_topk, BitonicConfig};
 pub use bucket::{bucket_select_kth, bucket_topk, BucketConfig, BucketSelectOutcome};
 pub use key::{sort_keys_asc, sort_keys_desc, Desc, KeyBits, TopKKey};
 pub use priority_queue::{parallel_priority_queue_topk, priority_queue_topk};
-pub use radix::{
-    gather_topk, radix_select_kth, radix_topk, RadixConfig, RadixVariant, SelectOutcome,
-};
+pub use radix::{gather_topk, radix_select_kth, radix_topk, RadixVariant, SelectOutcome};
 pub use result::{
     collect_topk_by_threshold, reference_kth, reference_topk, reference_topk_min, TopKResult,
 };
@@ -84,7 +82,7 @@ impl BaselineAlgorithm {
     /// Run this baseline with its default configuration, on any key type.
     pub fn run<K: TopKKey>(&self, device: &gpu_sim::Device, data: &[K], k: usize) -> TopKResult<K> {
         match self {
-            BaselineAlgorithm::Radix => radix_topk(device, data, k, &RadixConfig::default()),
+            BaselineAlgorithm::Radix => radix_topk(device, data, k, RadixVariant::OutOfPlace),
             BaselineAlgorithm::Bucket => bucket_topk(device, data, k, &BucketConfig::default()),
             BaselineAlgorithm::Bitonic => bitonic_topk(device, data, k, &BitonicConfig::default()),
             BaselineAlgorithm::SortAndChoose => sort_and_choose_topk(device, data, k),

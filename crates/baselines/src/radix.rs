@@ -1,20 +1,39 @@
-//! GGKS-style radix top-k (Alabi et al., "Fast k-Selection Algorithms for
-//! Graphics Processing Units"), generic over any [`TopKKey`].
+//! Most-significant-digit radix selection on the simulated GPU: the digit
+//! pass every radix select in the workspace runs, and the GGKS radix top-k
+//! baseline built on it (Alabi et al., "Fast k-Selection Algorithms for
+//! Graphics Processing Units"). Generic over any [`TopKKey`].
 //!
-//! Radix select walks the bits of the values from the most significant digit
-//! to the least significant digit (8 bits per pass by default). Each pass
-//! histograms the current candidates by their digit, locates the digit that
-//! contains the k-th largest element, and restricts the candidate set to
-//! that digit. After all passes the accumulated digit prefix *is* the k-th
-//! value; a final gather pass collects every element above it.
+//! # The digit pass
+//!
+//! Radix select walks the key's bits [`BITS_PER_PASS`] at a time, most
+//! significant digit first. Each pass histograms the candidates that share
+//! the [`DigitPrefix`] fixed so far by their current digit
+//! ([`digit_histogram`]); [`choose_digit`] then locates the digit holding
+//! the k-th largest element, and the prefix grows by that digit. After the
+//! last pass the prefix *is* the k-th value. Three selects run this pass:
+//!
+//! * the GGKS baseline of this module ([`radix_select_kth`],
+//!   [`radix_topk`]);
+//! * Dr. Top-k's flag-based select (`drtopk_core::radix_flags`), which
+//!   drops non-candidates by the prefix check alone and never stores;
+//! * the large-k path (`drtopk_core::radix_path`), whose first pass also
+//!   compacts every element at or above a top-digit cutoff chosen from a
+//!   strided sample ([`sample_top_digits`]).
 //!
 //! All digit arithmetic happens in the key's radix space
 //! ([`TopKKey::Bits`]): the order-preserving bijection makes unsigned radix
 //! selection correct for signed integers and IEEE-754 floats unchanged. A
-//! 32-bit key takes 4 passes at the default 8 bits per digit; a 64-bit key
-//! takes 8.
+//! 32-bit key takes 4 passes; a 64-bit key takes 8.
 //!
-//! Two variants are provided, matching the paper's discussion:
+//! Histogram updates use global atomics (per-warp counts flushed with
+//! atomicAdd), as in the GGKS code; on skewed distributions most updates hit
+//! the same bucket and serialize, which the simulator's contention model
+//! captures.
+//!
+//! # The GGKS baseline
+//!
+//! Two variants restrict the candidates between passes, matching the
+//! paper's discussion:
 //!
 //! * **out-of-place** ([`RadixVariant::OutOfPlace`]) — candidates matching
 //!   the digit of interest are compacted into a fresh buffer each pass, so
@@ -26,18 +45,149 @@
 //!   so they drop out of later histograms. The overwrites are random stores,
 //!   which is exactly the overhead the paper's flag-based optimization
 //!   (Section 5.1, Figure 12) removes.
-//!
-//! Histogram updates use global atomics (per-warp counts flushed with
-//! atomicAdd), as in the GGKS code; on skewed distributions most updates hit
-//! the same bucket and serialize, which the simulator's contention model
-//! captures.
 
-use gpu_sim::{AtomicBuffer, AtomicCounter, Device, KernelStats};
+use gpu_sim::{AtomicBuffer, AtomicCounter, Device, KernelStats, LaunchResult};
 
 use crate::key::{KeyBits, TopKKey};
 use crate::result::TopKResult;
 
-/// Which radix-select variant to run.
+/// Bits consumed per digit pass. 8 matches the paper ("8-bit per digit
+/// yields the optimal performance").
+pub const BITS_PER_PASS: u32 = 8;
+
+/// Digits per pass.
+const DIGITS: usize = 1 << BITS_PER_PASS;
+
+/// Elements assigned to each warp in scan kernels.
+pub const ELEMS_PER_WARP: usize = 8192;
+
+/// Elements in the strided sample of [`sample_top_digits`].
+pub const SAMPLE_SIZE: usize = 1024;
+
+/// The digits of the k-th value fixed by the passes run so far. An element
+/// is still a candidate iff it shares them ([`DigitPrefix::matches`]).
+#[derive(Debug, Clone, Copy)]
+pub struct DigitPrefix<B> {
+    /// The fixed digits; every bit outside `mask` is zero.
+    value: B,
+    /// Mask covering the fixed digits.
+    mask: B,
+}
+
+impl<B: KeyBits> Default for DigitPrefix<B> {
+    /// No digit fixed: every element matches.
+    fn default() -> Self {
+        DigitPrefix {
+            value: B::ZERO,
+            mask: B::ZERO,
+        }
+    }
+}
+
+impl<B: KeyBits> DigitPrefix<B> {
+    /// The fixed digits, with every unfixed digit zero: the smallest key
+    /// that matches. After the last pass, the k-th value.
+    pub fn value(self) -> B {
+        self.value
+    }
+
+    /// Whether `x` shares every fixed digit.
+    pub fn matches(self, x: B) -> bool {
+        x & self.mask == self.value
+    }
+
+    /// Fix `digit` as the digit of pass `pass`.
+    pub fn push(&mut self, pass: u32, digit: usize) {
+        let shift = B::BITS - BITS_PER_PASS * (pass + 1);
+        self.value |= B::from_u64(digit as u64) << shift;
+        self.mask |= B::from_u64(DIGITS as u64 - 1) << shift;
+    }
+}
+
+/// The digit of `x` that pass `pass` inspects (pass 0 is the top digit).
+pub fn digit_of<B: KeyBits>(x: B, pass: u32) -> usize {
+    let shift = B::BITS - BITS_PER_PASS * (pass + 1);
+    ((x >> shift) & B::from_u64(DIGITS as u64 - 1)).as_digit()
+}
+
+/// The digit-histogram kernel of pass `pass`, launched as `name`: one warp
+/// per [`ELEMS_PER_WARP`] elements of `scan` counts every element matching
+/// `prefix` by its digit, then flushes its counts with one atomicAdd per
+/// non-empty digit. Returns the histogram and the launch.
+///
+/// With `keep_from = Some(c)` the same scan also keeps every matching
+/// element whose digit is at least `c`: each warp allocates its slots
+/// with one atomic and stores them coalesced, and the kept elements are
+/// the launch's per-warp output (empty without a cutoff).
+pub fn digit_histogram<K: TopKKey>(
+    device: &Device,
+    name: &'static str,
+    scan: &[K],
+    prefix: DigitPrefix<K::Bits>,
+    pass: u32,
+    keep_from: Option<usize>,
+) -> (Vec<u32>, LaunchResult<Vec<K>>) {
+    let histogram = AtomicBuffer::zeroed(DIGITS);
+    let cursor = AtomicCounter::new(0);
+    let launch = device.launch(name, scan.len().div_ceil(ELEMS_PER_WARP), |ctx| {
+        let chunk = ctx.chunk_of(scan.len());
+        let slice = ctx.read_coalesced(&scan[chunk]);
+        let mut local = [0u32; DIGITS];
+        let mut kept = Vec::new();
+        for &x in slice {
+            let bits = x.to_bits();
+            if prefix.matches(bits) {
+                let d = digit_of(bits, pass);
+                local[d] += 1;
+                if keep_from.is_some_and(|c| d >= c) {
+                    kept.push(x);
+                }
+            }
+        }
+        ctx.record_alu(2 * slice.len() as u64);
+        for (d, &c) in local.iter().enumerate() {
+            if c > 0 {
+                histogram.fetch_add(ctx, d, c);
+            }
+        }
+        if !kept.is_empty() {
+            cursor.fetch_add(ctx, kept.len() as u64);
+            ctx.record_store_coalesced::<K>(kept.len());
+        }
+        kept
+    });
+    (histogram.to_vec(), launch)
+}
+
+/// The digit of a pass `histogram` that holds the `k_remaining`-th largest
+/// counted element, and how many counted elements lie in higher digits.
+pub fn choose_digit(histogram: &[u32], k_remaining: usize) -> (usize, usize) {
+    let mut above = 0;
+    for (digit, &count) in histogram.iter().enumerate().rev() {
+        if above + count as usize >= k_remaining {
+            return (digit, above);
+        }
+        above += count as usize;
+    }
+    (0, above)
+}
+
+/// Top-digit histogram of a deterministic strided sample of `data`:
+/// `min(|data|, SAMPLE_SIZE)` elements, `|data| / sample` apart. Computed on
+/// the host; a kernel that models the probe records one random load per
+/// sampled element.
+pub fn sample_top_digits<K: TopKKey>(data: &[K]) -> Vec<u32> {
+    let mut histogram = vec![0u32; DIGITS];
+    let sample = data.len().min(SAMPLE_SIZE);
+    if let Some(stride) = data.len().checked_div(sample) {
+        for &x in data.iter().step_by(stride).take(sample) {
+            histogram[digit_of(x.to_bits(), 0)] += 1;
+        }
+    }
+    histogram
+}
+
+/// How the GGKS baseline restricts the candidates between passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RadixVariant {
     /// Compact surviving candidates into a new buffer every pass.
@@ -47,50 +197,11 @@ pub enum RadixVariant {
     InPlaceZeroing,
 }
 
-/// Configuration of the radix top-k baseline.
-#[derive(Debug, Clone)]
-pub struct RadixConfig {
-    /// Bits consumed per pass. 8 matches the paper ("8-bit per digit yields
-    /// the optimal performance").
-    pub bits_per_pass: u32,
-    /// Elements assigned to each warp in scan kernels.
-    pub elems_per_warp: usize,
-    /// Algorithm variant.
-    pub variant: RadixVariant,
-}
-
-impl Default for RadixConfig {
-    fn default() -> Self {
-        RadixConfig {
-            bits_per_pass: 8,
-            elems_per_warp: 8192,
-            variant: RadixVariant::OutOfPlace,
-        }
-    }
-}
-
-impl RadixConfig {
-    /// The GGKS in-place variant (used as the slow baseline of Figure 12).
-    pub fn in_place() -> Self {
-        RadixConfig {
-            variant: RadixVariant::InPlaceZeroing,
-            ..RadixConfig::default()
-        }
-    }
-
-    fn num_digits(&self) -> u32 {
-        1 << self.bits_per_pass
-    }
-
-    fn num_passes<B: KeyBits>(&self) -> u32 {
-        B::BITS.div_ceil(self.bits_per_pass)
-    }
-}
-
 /// Outcome of a k-selection (threshold search) on the device.
 #[derive(Debug, Clone)]
 pub struct SelectOutcome<K: TopKKey = u32> {
-    /// The k-th largest value.
+    /// The k-th largest value, or a lower bound of it from a select that
+    /// stops before the last digit pass.
     pub threshold: K,
     /// Counters accumulated by the selection kernels.
     pub stats: KernelStats,
@@ -104,122 +215,59 @@ pub fn radix_select_kth<K: TopKKey>(
     device: &Device,
     data: &[K],
     k: usize,
-    config: &RadixConfig,
+    variant: RadixVariant,
 ) -> SelectOutcome<K> {
     assert!(k >= 1 && k <= data.len(), "k must be in 1..=|V|");
     let mut stats = KernelStats::default();
     let mut time_ms = 0.0;
-
-    let bits = config.bits_per_pass;
-    let digits = config.num_digits() as usize;
-    let passes = config.num_passes::<K::Bits>();
-
-    let mut prefix_value = K::Bits::ZERO;
-    let mut prefix_mask = K::Bits::ZERO;
-    let digit_mask = K::Bits::from_u64(digits as u64 - 1);
+    let mut prefix = DigitPrefix::default();
     let mut k_remaining = k;
+    // Out-of-place: the candidates (shrinking every pass). In-place: the
+    // working copy whose ineligible elements are overwritten with zero.
+    let mut candidates = data.to_vec();
 
-    // All selection arithmetic happens in the radix space; the initial
-    // conversion is the same host-side copy the u32 version always made.
-    // Out-of-place candidate buffer (starts as the full input, shrinks).
-    let mut candidates: Vec<K::Bits> = match config.variant {
-        RadixVariant::OutOfPlace => data.iter().map(|x| x.to_bits()).collect(),
-        RadixVariant::InPlaceZeroing => Vec::new(),
-    };
-    // In-place working copy (ineligible elements are overwritten with 0).
-    let mut working: Vec<K::Bits> = match config.variant {
-        RadixVariant::InPlaceZeroing => data.iter().map(|x| x.to_bits()).collect(),
-        RadixVariant::OutOfPlace => Vec::new(),
-    };
-
-    for pass in 0..passes {
-        let shift = K::Bits::BITS - bits * (pass + 1);
-        let scan: &[K::Bits] = match config.variant {
-            RadixVariant::OutOfPlace => &candidates,
-            RadixVariant::InPlaceZeroing => &working,
-        };
-        if scan.is_empty() {
-            break;
-        }
-
-        // --- histogram kernel -------------------------------------------------
-        let num_warps = scan.len().div_ceil(config.elems_per_warp);
-        let hist_buf = AtomicBuffer::zeroed(digits);
-        let launch = device.launch(
-            &format!("baseline_radix_hist_pass{pass}"),
-            num_warps,
-            |ctx| {
-                let chunk = ctx.chunk_of(scan.len());
-                let slice = ctx.read_coalesced(&scan[chunk]);
-                let mut local = vec![0u32; digits];
-                for &x in slice {
-                    if x & prefix_mask == prefix_value {
-                        let d = ((x >> shift) & digit_mask).as_digit();
-                        local[d] += 1;
-                    }
-                    ctx.record_alu(2);
-                }
-                // flush the warp-local histogram to the global one with one
-                // atomicAdd per non-empty bucket (block-level flush, GGKS style)
-                for (d, &c) in local.iter().enumerate() {
-                    if c > 0 {
-                        hist_buf.fetch_add(ctx, d, c);
-                    }
-                }
-            },
+    for pass in 0..K::Bits::BITS.div_ceil(BITS_PER_PASS) {
+        let (histogram, launch) = digit_histogram(
+            device,
+            "baseline_radix_hist",
+            &candidates,
+            prefix,
+            pass,
+            None,
         );
         stats += launch.stats;
         time_ms += launch.time_ms;
-
-        let histogram = hist_buf.to_vec();
-
-        // --- locate the digit that holds the k-th largest --------------------
-        let mut chosen = 0usize;
-        let mut above = 0usize;
-        for d in (0..digits).rev() {
-            let count = histogram[d] as usize;
-            if above + count >= k_remaining {
-                chosen = d;
-                break;
-            }
-            above += count;
-        }
+        let (digit, above) = choose_digit(&histogram, k_remaining);
         k_remaining -= above;
-        prefix_value |= K::Bits::from_u64(chosen as u64) << shift;
-        prefix_mask |= digit_mask << shift;
+        prefix.push(pass, digit);
 
-        // --- restrict candidates ----------------------------------------------
-        match config.variant {
+        match variant {
             RadixVariant::OutOfPlace => {
                 let cursor = AtomicCounter::new(0);
-                let launch = device.launch(
-                    &format!("baseline_radix_compact_pass{pass}"),
-                    num_warps,
-                    |ctx| {
-                        let chunk = ctx.chunk_of(scan.len());
-                        let slice = ctx.read_coalesced(&scan[chunk]);
-                        let mut kept: Vec<K::Bits> = Vec::new();
-                        for &x in slice {
-                            if x & prefix_mask == prefix_value {
-                                kept.push(x);
-                            }
-                            ctx.record_alu(1);
-                        }
-                        if !kept.is_empty() {
-                            // warp-aggregated position allocation + coalesced store
-                            cursor.fetch_add(ctx, kept.len() as u64);
-                            ctx.record_store_coalesced::<K::Bits>(kept.len());
-                        }
-                        kept
-                    },
-                );
+                let num_warps = candidates.len().div_ceil(ELEMS_PER_WARP);
+                let launch = device.launch("baseline_radix_compact", num_warps, |ctx| {
+                    let chunk = ctx.chunk_of(candidates.len());
+                    let slice = ctx.read_coalesced(&candidates[chunk]);
+                    let kept: Vec<K> = slice
+                        .iter()
+                        .copied()
+                        .filter(|x| prefix.matches(x.to_bits()))
+                        .collect();
+                    ctx.record_alu(slice.len() as u64);
+                    if !kept.is_empty() {
+                        // warp-aggregated position allocation + coalesced store
+                        cursor.fetch_add(ctx, kept.len() as u64);
+                        ctx.record_store_coalesced::<K>(kept.len());
+                    }
+                    kept
+                });
                 stats += launch.stats;
                 time_ms += launch.time_ms;
                 candidates = launch.output.into_iter().flatten().collect();
                 if candidates.len() == 1 {
                     // the k-th value is pinned down early
                     return SelectOutcome {
-                        threshold: K::from_bits(candidates[0]),
+                        threshold: candidates[0],
                         stats,
                         time_ms,
                     };
@@ -232,46 +280,31 @@ pub fn radix_select_kth<K: TopKKey>(
                 // charge them as random store transactions; the zeroing is
                 // fused with the histogram scan, so no extra loads.
                 let mut zeroed: u64 = 0;
-                for x in working.iter_mut() {
-                    if *x != K::Bits::ZERO && *x & prefix_mask != prefix_value && *x < prefix_value
-                    {
-                        *x = K::Bits::ZERO;
+                for x in candidates.iter_mut() {
+                    let bits = x.to_bits();
+                    if bits != K::Bits::ZERO && !prefix.matches(bits) && bits < prefix.value() {
+                        *x = K::from_bits(K::Bits::ZERO);
                         zeroed += 1;
                     }
                 }
-                let elem_bytes = std::mem::size_of::<K::Bits>() as u64;
+                let elem_bytes = std::mem::size_of::<K>() as u64;
                 let zero_stats = KernelStats {
                     global_store_transactions: zeroed,
                     global_stored_bytes: zeroed * elem_bytes,
                     ..KernelStats::default()
                 };
                 let zero_time = gpu_sim::estimate_time_ms(&zero_stats, device.spec());
-                device.record_external(
-                    &format!("baseline_radix_zero_pass{pass}"),
-                    zero_stats,
-                    zero_time,
-                );
+                device.record_external("baseline_radix_zero", zero_stats, zero_time);
                 stats += zero_stats;
                 time_ms += zero_time;
             }
         }
     }
 
-    let threshold = match config.variant {
-        RadixVariant::OutOfPlace => {
-            // After the final pass every surviving candidate equals the full
-            // prefix, which is the k-th value.
-            if candidates.is_empty() {
-                K::from_bits(prefix_value)
-            } else {
-                K::from_bits(candidates[0])
-            }
-        }
-        RadixVariant::InPlaceZeroing => K::from_bits(prefix_value),
-    };
-
+    // After the last pass the prefix holds every digit: it is the k-th value
+    // (and equals every surviving out-of-place candidate).
     SelectOutcome {
-        threshold,
+        threshold: K::from_bits(prefix.value()),
         stats,
         time_ms,
     }
@@ -332,19 +365,19 @@ pub fn radix_topk<K: TopKKey>(
     device: &Device,
     data: &[K],
     k: usize,
-    config: &RadixConfig,
+    variant: RadixVariant,
 ) -> TopKResult<K> {
     let k = k.min(data.len());
     if k == 0 {
         return TopKResult::from_values(Vec::new(), KernelStats::default(), 0.0);
     }
-    let select = radix_select_kth(device, data, k, config);
+    let select = radix_select_kth(device, data, k, variant);
     gather_topk(
         device,
         data,
         k,
         select.threshold,
-        config.elems_per_warp,
+        ELEMS_PER_WARP,
         select.stats,
         select.time_ms,
     )
@@ -365,7 +398,7 @@ mod tests {
         let data = topk_datagen::uniform(1 << 14, 42);
         let dev = device();
         for &k in &[1usize, 2, 37, 1024, 1 << 13] {
-            let got = radix_select_kth(&dev, &data, k, &RadixConfig::default());
+            let got = radix_select_kth(&dev, &data, k, RadixVariant::OutOfPlace);
             assert_eq!(got.threshold, reference_kth(&data, k), "k={k}");
         }
     }
@@ -375,7 +408,7 @@ mod tests {
         let data = topk_datagen::normal(1 << 14, 7);
         let dev = device();
         for &k in &[1usize, 100, 4096] {
-            let got = radix_select_kth(&dev, &data, k, &RadixConfig::in_place());
+            let got = radix_select_kth(&dev, &data, k, RadixVariant::InPlaceZeroing);
             assert_eq!(got.threshold, reference_kth(&data, k), "k={k}");
         }
     }
@@ -386,7 +419,7 @@ mod tests {
         for dist in topk_datagen::Distribution::SYNTHETIC {
             let data = topk_datagen::generate(dist, 1 << 14, 3);
             for &k in &[1usize, 33, 512] {
-                let got = radix_topk(&dev, &data, k, &RadixConfig::default());
+                let got = radix_topk(&dev, &data, k, RadixVariant::OutOfPlace);
                 assert_eq!(got.values, reference_topk(&data, k), "{dist} k={k}");
             }
         }
@@ -396,15 +429,15 @@ mod tests {
     fn radix_topk_handles_duplicates_and_edge_sizes() {
         let dev = device();
         let data = vec![7u32; 1000];
-        let got = radix_topk(&dev, &data, 10, &RadixConfig::default());
+        let got = radix_topk(&dev, &data, 10, RadixVariant::OutOfPlace);
         assert_eq!(got.values, vec![7u32; 10]);
         let tiny = vec![3u32, 1, 2];
-        let got = radix_topk(&dev, &tiny, 3, &RadixConfig::default());
+        let got = radix_topk(&dev, &tiny, 3, RadixVariant::OutOfPlace);
         assert_eq!(got.values, vec![3, 2, 1]);
-        let zero = radix_topk(&dev, &tiny, 0, &RadixConfig::default());
+        let zero = radix_topk(&dev, &tiny, 0, RadixVariant::OutOfPlace);
         assert!(zero.is_empty());
         // k larger than |V| clamps
-        let clamped = radix_topk(&dev, &tiny, 10, &RadixConfig::default());
+        let clamped = radix_topk(&dev, &tiny, 10, RadixVariant::OutOfPlace);
         assert_eq!(clamped.values, vec![3, 2, 1]);
     }
 
@@ -412,7 +445,7 @@ mod tests {
     fn radix_topk_works_with_extreme_values() {
         let dev = device();
         let data = vec![0u32, u32::MAX, 5, u32::MAX - 1, 0];
-        let got = radix_topk(&dev, &data, 2, &RadixConfig::default());
+        let got = radix_topk(&dev, &data, 2, RadixVariant::OutOfPlace);
         assert_eq!(got.values, vec![u32::MAX, u32::MAX - 1]);
     }
 
@@ -423,12 +456,12 @@ mod tests {
         // keys run 8 digit passes, floats go through the total-order map.
         let signed: Vec<i64> = (-500i64..500).map(|x| x * 3_000_000_007).collect();
         assert_eq!(
-            radix_topk(&dev, &signed, 7, &RadixConfig::default()).values,
+            radix_topk(&dev, &signed, 7, RadixVariant::OutOfPlace).values,
             reference_topk(&signed, 7)
         );
         let wide: Vec<u64> = (0..1000u64).map(|x| x << 40 | x).collect();
         assert_eq!(
-            radix_topk(&dev, &wide, 5, &RadixConfig::in_place()).values,
+            radix_topk(&dev, &wide, 5, RadixVariant::InPlaceZeroing).values,
             reference_topk(&wide, 5)
         );
         let floats = vec![
@@ -440,7 +473,7 @@ mod tests {
             f32::NEG_INFINITY,
             3.75,
         ];
-        let got = radix_topk(&dev, &floats, 3, &RadixConfig::default());
+        let got = radix_topk(&dev, &floats, 3, RadixVariant::OutOfPlace);
         assert_eq!(got.values, vec![f32::INFINITY, 3.75, 1.5]);
         assert_eq!(got.kth_value, 1.5);
     }
@@ -449,8 +482,8 @@ mod tests {
     fn in_place_variant_pays_random_stores() {
         let data = topk_datagen::uniform(1 << 14, 11);
         let dev = device();
-        let oop = radix_topk(&dev, &data, 64, &RadixConfig::default());
-        let inp = radix_topk(&dev, &data, 64, &RadixConfig::in_place());
+        let oop = radix_topk(&dev, &data, 64, RadixVariant::OutOfPlace);
+        let inp = radix_topk(&dev, &data, 64, RadixVariant::InPlaceZeroing);
         assert_eq!(oop.values, inp.values);
         // GGKS in-place zeroes out most of the vector in the first pass,
         // producing far more store transactions than the compaction variant
@@ -468,7 +501,7 @@ mod tests {
         let data = topk_datagen::uniform(1 << 14, 1);
         let dev = device();
         dev.reset_stats();
-        let got = radix_topk(&dev, &data, 128, &RadixConfig::default());
+        let got = radix_topk(&dev, &data, 128, RadixVariant::OutOfPlace);
         assert!(got.stats.global_load_transactions > 0);
         assert!(got.time_ms > 0.0);
         // the device log saw the same kernels

@@ -3,7 +3,7 @@
 
 use drtopk_bench_harness::*;
 use drtopk_core::flag_radix_topk;
-use topk_baselines::{radix_topk, RadixConfig};
+use topk_baselines::{radix_topk, RadixVariant};
 use topk_datagen::Distribution;
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
     for k in k_sweep(2) {
         let k = k.min(n / 2);
         let flag = flag_radix_topk(&device, &data, k);
-        let ggks = radix_topk(&device, &data, k, &RadixConfig::in_place());
+        let ggks = radix_topk(&device, &data, k, RadixVariant::InPlaceZeroing);
         assert_eq!(flag.values, ggks.values);
         rows.push(vec![
             k.to_string(),

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use drtopk_core::{dr_topk, DrTopKConfig};
 use gpu_sim::{Device, DeviceSpec};
 use topk_baselines::{
-    bitonic_topk, bucket_topk, radix_topk, BitonicConfig, BucketConfig, RadixConfig,
+    bitonic_topk, bucket_topk, radix_topk, BitonicConfig, BucketConfig, RadixVariant,
 };
 
 fn bench_topk(c: &mut Criterion) {
@@ -27,7 +27,7 @@ fn bench_topk(c: &mut Criterion) {
         )
     });
     group.bench_function("baseline_radix", |b| {
-        b.iter(|| radix_topk(&device, &data, k, &RadixConfig::default()))
+        b.iter(|| radix_topk(&device, &data, k, RadixVariant::OutOfPlace))
     });
     group.bench_function("baseline_bucket", |b| {
         b.iter(|| bucket_topk(&device, &data, k, &BucketConfig::default()))

@@ -17,10 +17,11 @@
 //! entries and groups them by subrange.
 
 use gpu_sim::{Device, KernelStats};
+use topk_baselines::radix::ELEMS_PER_WARP;
 use topk_baselines::TopKKey;
 
 use crate::delegate::DelegateVector;
-use crate::radix_flags::{flag_radix_select_by_key, FlagSelectConfig, ELEMS_PER_WARP};
+use crate::radix_flags::flag_radix_select_kth;
 
 /// Outcome of the first top-k over the delegate vector.
 #[derive(Debug, Clone)]
@@ -61,20 +62,8 @@ pub fn first_topk<K: TopKKey>(
 ) -> FirstTopK<K> {
     assert!(!delegates.is_empty(), "delegate vector must not be empty");
     let k = k.min(delegates.len());
-    let config = FlagSelectConfig {
-        skip_last_pass,
-        elems_per_warp: ELEMS_PER_WARP,
-    };
-
     // Selection over the delegate *values* (the key column).
-    let select = flag_radix_select_by_key(
-        device,
-        &delegates.values,
-        |&v| v,
-        k,
-        &config,
-        "drtopk_first_topk_select",
-    );
+    let select = flag_radix_select_kth(device, &delegates.values, k, skip_last_pass);
     let mut stats = select.stats;
     let mut time_ms = select.time_ms;
     let threshold = select.threshold;
@@ -109,7 +98,7 @@ pub fn first_topk<K: TopKKey>(
     FirstTopK {
         stats,
         time_ms,
-        ..take_marked(delegates, marked, k, threshold, select.exact)
+        ..take_marked(delegates, marked, k, threshold, !skip_last_pass)
     }
 }
 

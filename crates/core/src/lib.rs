@@ -79,10 +79,7 @@ pub use pipeline::{
     as_desc, dr_topk, dr_topk_approx, dr_topk_min, dr_topk_planned, dr_topk_with_stats,
     DrTopKConfig, DrTopKResult, InnerAlgorithm, PhaseBreakdown, PlannedQuery, WorkloadStats,
 };
-pub use radix_flags::{
-    flag_radix_select_by_key, flag_radix_select_kth, flag_radix_topk, FlagSelectConfig,
-    FlagSelectOutcome,
-};
+pub use radix_flags::{flag_radix_select_kth, flag_radix_topk};
 pub use rows::{
     topk_rows, topk_rows_explore, topk_rows_min, topk_rows_on, RowK, RowMatrix, RowTopKResult,
 };

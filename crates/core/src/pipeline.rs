@@ -18,8 +18,8 @@ use gpu_sim::{Device, KernelStats};
 use std::cmp::Reverse;
 use std::sync::Mutex;
 use topk_baselines::{
-    bitonic_topk, bucket_topk, radix_topk, BitonicConfig, BucketConfig, Desc, RadixConfig, TopKKey,
-    TopKResult,
+    bitonic_topk, bucket_topk, radix_topk, BitonicConfig, BucketConfig, Desc, RadixVariant,
+    TopKKey, TopKResult,
 };
 
 use crate::approx::{dr_topk_approx_planned, expected_recall, required_budget, Mode, RecallTarget};
@@ -68,7 +68,7 @@ impl InnerAlgorithm {
     pub(crate) fn run<K: TopKKey>(&self, device: &Device, data: &[K], k: usize) -> TopKResult<K> {
         match self {
             InnerAlgorithm::FlagRadix => flag_radix_topk(device, data, k),
-            InnerAlgorithm::Radix => radix_topk(device, data, k, &RadixConfig::default()),
+            InnerAlgorithm::Radix => radix_topk(device, data, k, RadixVariant::OutOfPlace),
             InnerAlgorithm::Bucket => bucket_topk(device, data, k, &BucketConfig::default()),
             InnerAlgorithm::Bitonic => bitonic_topk(device, data, k, &BitonicConfig::default()),
         }

@@ -9,161 +9,72 @@
 //! selection passes. Figure 12 reports this optimization is on average 10.7×
 //! faster than the GGKS in-place radix top-k.
 //!
-//! Every entry point is generic over [`TopKKey`]: the flag arithmetic runs
-//! in the key's order-preserving radix space ([`TopKKey::Bits`]), so signed
-//! and float keys work unchanged. A 32-bit key runs 4 selection passes at
-//! the default 8 bits per digit; a 64-bit key runs 8.
+//! The flag is the digit prefix of the shared radix digit pass
+//! ([`topk_baselines::radix`]): every selection pass is one
+//! [`digit_histogram`] launch over the unmodified input, so the GGKS
+//! baseline and this select differ only in how they restrict the
+//! candidates between passes. Every entry point is generic over
+//! [`TopKKey`]: the flag arithmetic runs in the key's order-preserving
+//! radix space ([`TopKKey::Bits`]), so signed and float keys work
+//! unchanged. A 32-bit key runs 4 selection passes; a 64-bit key runs 8.
 //!
-//! Two entry points are provided:
-//!
-//! * [`flag_radix_select_kth`] / [`flag_radix_topk`] over plain key values
-//!   (used as the second top-k and as the standalone optimized algorithm of
-//!   Figure 12), and
-//! * [`flag_radix_select_by_key`] over a *key array* that is paired with a
-//!   payload array (used by the first top-k, where the key is the delegate
-//!   value and the payload is the subrange id).
+//! * [`flag_radix_select_kth`] finds the k-th largest key. The first top-k
+//!   runs it over the delegate values, with the last pass skipped when β
+//!   delegates and filtering make the exact threshold unnecessary.
+//! * [`flag_radix_topk`] adds the shared gather pass; it is the second
+//!   top-k's default inner algorithm and the standalone optimized algorithm
+//!   of Figure 12.
+//! * [`radix_select_threshold`] returns the same threshold at host speed,
+//!   for row-block kernels that model the passes themselves.
 
-use gpu_sim::{AtomicBuffer, Device, KernelStats};
-use topk_baselines::{gather_topk, KeyBits, TopKKey, TopKResult};
+use gpu_sim::{Device, KernelStats};
+use topk_baselines::radix::{
+    choose_digit, digit_histogram, DigitPrefix, BITS_PER_PASS, ELEMS_PER_WARP,
+};
+use topk_baselines::{gather_topk, KeyBits, SelectOutcome, TopKKey, TopKResult};
 
-/// Elements assigned to each simulated warp in scan kernels.
-pub const ELEMS_PER_WARP: usize = 8192;
-
-/// Number of bits consumed per selection pass (8, as tuned in the paper).
-pub const BITS_PER_PASS: u32 = 8;
-
-/// Result of a flag-based radix selection.
-#[derive(Debug, Clone)]
-pub struct FlagSelectOutcome<K: TopKKey = u32> {
-    /// Lower bound for qualification: with all passes executed this is the
-    /// exact k-th largest key; with [`skip_last_pass`](FlagSelectConfig::skip_last_pass)
-    /// it is the lower edge of the final radix bucket (≤ the exact value in
-    /// the key's total order), which is still a safe filter threshold
-    /// (Rule 2). For float keys a relaxed threshold is the bucket edge
-    /// mapped back through the bijection and need not be a value present in
-    /// the input; comparisons against it must use the key order (it may
-    /// even be a NaN, which the key order handles).
-    pub threshold: K,
-    /// True when the threshold is exact (no pass was skipped).
-    pub exact: bool,
-    /// Number of selection passes executed.
-    pub passes: u32,
-    /// Counters accumulated by the selection kernels.
-    pub stats: KernelStats,
-    /// Modeled selection time in milliseconds.
-    pub time_ms: f64,
-}
-
-/// Configuration of the flag-based selection.
-#[derive(Debug, Clone, Copy)]
-pub struct FlagSelectConfig {
-    /// Skip the last radix pass. The paper enables this for the *first*
-    /// top-k when β delegates and delegate filtering are active: the first
-    /// top-k only needs a good-enough threshold, and the skipped precision is
-    /// recovered by the second top-k at negligible cost.
-    pub skip_last_pass: bool,
-    /// Elements per simulated warp.
-    pub elems_per_warp: usize,
-}
-
-impl Default for FlagSelectConfig {
-    fn default() -> Self {
-        FlagSelectConfig {
-            skip_last_pass: false,
-            elems_per_warp: ELEMS_PER_WARP,
-        }
-    }
-}
-
-/// Flag-based radix k-selection over `keys[i] = key_of(data[i])`.
+/// Flag-based radix k-selection: the k-th largest of `data`
+/// (1 ≤ k ≤ |data|), with no store during the selection passes.
 ///
-/// Generic over a key extractor so the same kernel serves plain key vectors
-/// (`|&x| x`) and the delegate vector's value column. `name_prefix` labels
-/// the kernels in the device log (`<prefix>_pass<i>`), which the figure
-/// harnesses use to attribute time to pipeline phases.
-pub fn flag_radix_select_by_key<T, K, F>(
+/// With `skip_last_pass` the final digit pass is skipped, as the paper does
+/// for the *first* top-k when β delegates and delegate filtering are
+/// active: the threshold is then the lower edge of the k-th key's last
+/// radix bucket (≤ the exact value in the key's total order), still a safe
+/// filter threshold (Rule 2), and the second top-k recovers the skipped
+/// precision at negligible cost. For float keys that relaxed threshold is
+/// the bucket edge mapped back through the bijection and need not be a
+/// value present in the input; comparisons against it must use the key
+/// order (it may even be a NaN, which the key order handles).
+pub fn flag_radix_select_kth<K: TopKKey>(
     device: &Device,
-    data: &[T],
-    key_of: F,
+    data: &[K],
     k: usize,
-    config: &FlagSelectConfig,
-    name_prefix: &str,
-) -> FlagSelectOutcome<K>
-where
-    T: Copy,
-    K: TopKKey,
-    F: Fn(&T) -> K,
-{
+    skip_last_pass: bool,
+) -> SelectOutcome<K> {
     assert!(k >= 1 && k <= data.len(), "k must be in 1..=|V|");
     let mut stats = KernelStats::default();
     let mut time_ms = 0.0;
-
-    let digits = 1usize << BITS_PER_PASS;
-    let digit_mask = K::Bits::from_u64(digits as u64 - 1);
-    let total_passes = K::Bits::BITS / BITS_PER_PASS;
-    let run_passes = if config.skip_last_pass {
-        total_passes - 1
-    } else {
-        total_passes
-    };
-
-    let mut flag_value = K::Bits::ZERO; // radix prefix of the k-th largest element
-    let mut flag_mask = K::Bits::ZERO; // which bits of the prefix are pinned
+    let mut flag = DigitPrefix::default();
     let mut k_remaining = k;
-    let num_warps = data.len().div_ceil(config.elems_per_warp).max(1);
-
-    for pass in 0..run_passes {
-        let shift = K::Bits::BITS - BITS_PER_PASS * (pass + 1);
-        let hist_buf = AtomicBuffer::zeroed(digits);
-        let key_of = &key_of;
-        let launch = device.launch(&format!("{name_prefix}_pass{pass}"), num_warps, |ctx| {
-            let chunk = ctx.chunk_of(data.len());
-            let slice = ctx.read_coalesced(&data[chunk]);
-            let mut local = vec![0u32; digits];
-            for item in slice {
-                let key = key_of(item).to_bits();
-                // the flag check: only elements whose pinned radixes match
-                // remain candidates — no element is ever modified.
-                if key & flag_mask == flag_value {
-                    local[((key >> shift) & digit_mask).as_digit()] += 1;
-                }
-                ctx.record_alu(2);
-            }
-            for (d, &c) in local.iter().enumerate() {
-                if c > 0 {
-                    hist_buf.fetch_add(ctx, d, c);
-                }
-            }
-        });
+    for pass in 0..K::Bits::BITS / BITS_PER_PASS - u32::from(skip_last_pass) {
+        // the flag check inside the kernel keeps only the elements whose
+        // pinned radixes match — no element is ever modified
+        let (histogram, launch) =
+            digit_histogram(device, "flag_radix_select", data, flag, pass, None);
         stats += launch.stats;
         time_ms += launch.time_ms;
-
-        let histogram = hist_buf.to_vec();
-        let mut chosen = 0usize;
-        let mut above = 0usize;
-        for d in (0..digits).rev() {
-            let count = histogram[d] as usize;
-            if above + count >= k_remaining {
-                chosen = d;
-                break;
-            }
-            above += count;
-        }
+        let (digit, above) = choose_digit(&histogram, k_remaining);
         k_remaining -= above;
-        flag_value |= K::Bits::from_u64(chosen as u64) << shift;
-        flag_mask |= digit_mask << shift;
+        flag.push(pass, digit);
     }
-
-    FlagSelectOutcome {
-        threshold: K::from_bits(flag_value),
-        exact: !config.skip_last_pass,
-        passes: run_passes,
+    SelectOutcome {
+        threshold: K::from_bits(flag.value()),
         stats,
         time_ms,
     }
 }
 
-/// The threshold [`flag_radix_select_by_key`] returns for `keys` and `k`,
+/// The threshold [`flag_radix_select_kth`] returns for `keys` and `k`,
 /// computed at host speed: the k-th largest key, found with one
 /// `select_nth_unstable` over the radix bits, with the final pass's digit
 /// cleared when `skip_last_pass` is set (the lower edge of the k-th key's
@@ -181,16 +92,6 @@ pub fn radix_select_threshold<K: TopKKey>(keys: &[K], k: usize, skip_last_pass: 
     })
 }
 
-/// Flag-based radix k-selection over plain key values.
-pub fn flag_radix_select_kth<K: TopKKey>(
-    device: &Device,
-    data: &[K],
-    k: usize,
-    config: &FlagSelectConfig,
-) -> FlagSelectOutcome<K> {
-    flag_radix_select_by_key(device, data, |&x| x, k, config, "flag_radix_select")
-}
-
 /// Full flag-based radix **top-k** over plain key values: selection (all
 /// passes, exact threshold) followed by the shared gather pass.
 pub fn flag_radix_topk<K: TopKKey>(device: &Device, data: &[K], k: usize) -> TopKResult<K> {
@@ -198,14 +99,13 @@ pub fn flag_radix_topk<K: TopKKey>(device: &Device, data: &[K], k: usize) -> Top
     if k == 0 {
         return TopKResult::from_values(Vec::new(), KernelStats::default(), 0.0);
     }
-    let config = FlagSelectConfig::default();
-    let outcome = flag_radix_select_kth(device, data, k, &config);
+    let outcome = flag_radix_select_kth(device, data, k, false);
     gather_topk(
         device,
         data,
         k,
         outcome.threshold,
-        config.elems_per_warp,
+        ELEMS_PER_WARP,
         outcome.stats,
         outcome.time_ms,
     )
@@ -215,7 +115,7 @@ pub fn flag_radix_topk<K: TopKKey>(device: &Device, data: &[K], k: usize) -> Top
 mod tests {
     use super::*;
     use gpu_sim::DeviceSpec;
-    use topk_baselines::{radix_topk, reference_kth, reference_topk, RadixConfig};
+    use topk_baselines::{radix_topk, reference_kth, reference_topk, RadixVariant};
 
     fn device() -> Device {
         Device::new(DeviceSpec::v100s())
@@ -227,10 +127,10 @@ mod tests {
         for dist in topk_datagen::Distribution::SYNTHETIC {
             let data = topk_datagen::generate(dist, 1 << 14, 9);
             for &k in &[1usize, 13, 700, 1 << 12] {
-                let got = flag_radix_select_kth(&dev, &data, k, &FlagSelectConfig::default());
+                dev.reset_stats();
+                let got = flag_radix_select_kth(&dev, &data, k, false);
                 assert_eq!(got.threshold, reference_kth(&data, k), "{dist} k={k}");
-                assert!(got.exact);
-                assert_eq!(got.passes, 4);
+                assert_eq!(dev.stats().kernels.len(), 4, "one launch per pass");
             }
         }
     }
@@ -255,8 +155,13 @@ mod tests {
         let wide: Vec<u64> = (0..4096u64)
             .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
-        let got = flag_radix_select_kth(&dev, &wide, 33, &FlagSelectConfig::default());
-        assert_eq!(got.passes, 8, "64-bit keys take 8 digit passes");
+        dev.reset_stats();
+        let got = flag_radix_select_kth(&dev, &wide, 33, false);
+        assert_eq!(
+            dev.stats().kernels.len(),
+            8,
+            "64-bit keys take 8 digit passes"
+        );
         assert_eq!(got.threshold, reference_kth(&wide, 33));
         let signed: Vec<i64> = wide.iter().map(|&x| x as i64).collect();
         assert_eq!(
@@ -276,17 +181,9 @@ mod tests {
         let data = topk_datagen::uniform(1 << 14, 6);
         let k = 257;
         let exact = reference_kth(&data, k);
-        let got = flag_radix_select_kth(
-            &dev,
-            &data,
-            k,
-            &FlagSelectConfig {
-                skip_last_pass: true,
-                ..FlagSelectConfig::default()
-            },
-        );
-        assert!(!got.exact);
-        assert_eq!(got.passes, 3);
+        dev.reset_stats();
+        let got = flag_radix_select_kth(&dev, &data, k, true);
+        assert_eq!(dev.stats().kernels.len(), 3, "the last pass is skipped");
         assert!(
             got.threshold <= exact,
             "skipped threshold must not exceed exact"
@@ -296,30 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn select_by_key_ignores_payload() {
-        let dev = device();
-        let pairs: Vec<(u32, u32)> = topk_datagen::uniform(1 << 12, 5)
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| (v, i as u32))
-            .collect();
-        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let got = flag_radix_select_by_key(
-            &dev,
-            &pairs,
-            |p| p.0,
-            33,
-            &FlagSelectConfig::default(),
-            "kv_select",
-        );
-        assert_eq!(got.threshold, reference_kth(&keys, 33));
-    }
-
-    #[test]
     fn never_stores_during_selection() {
         let dev = device();
         let data = topk_datagen::normal(1 << 14, 2);
-        let got = flag_radix_select_kth(&dev, &data, 512, &FlagSelectConfig::default());
+        let got = flag_radix_select_kth(&dev, &data, 512, false);
         assert_eq!(
             got.stats.global_store_transactions, 0,
             "flag-based selection must not write global memory"
@@ -334,7 +211,7 @@ mod tests {
         let data = topk_datagen::uniform(1 << 16, 12);
         let k = 64;
         let flag = flag_radix_topk(&dev, &data, k);
-        let ggks = radix_topk(&dev, &data, k, &RadixConfig::in_place());
+        let ggks = radix_topk(&dev, &data, k, RadixVariant::InPlaceZeroing);
         assert_eq!(flag.values, ggks.values);
         assert!(
             flag.time_ms < ggks.time_ms,

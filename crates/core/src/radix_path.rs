@@ -10,7 +10,10 @@
 //! The pipeline promotes the out-of-place radix baseline
 //! ([`topk_baselines::radix_topk`]) into first-class stages so the
 //! executor, verifier, schedule explorer and observability layers see it
-//! like any other schedule:
+//! like any other schedule. It runs the baseline's digit pass: every
+//! histogram stage is one [`digit_histogram`] launch, every refine stage
+//! picks its digit with [`choose_digit`], and the filter's probe reads the
+//! same strided sample as the planner ([`sample_top_digits`]). The stages:
 //!
 //! * [`StageKind::RadixHistogram`] — one per digit pass: histogram the
 //!   surviving candidates by their current 8-bit digit (global atomics,
@@ -57,23 +60,15 @@
 use std::cmp::Reverse;
 use std::sync::Mutex;
 
-use gpu_sim::{AtomicBuffer, AtomicCounter, Device};
+use gpu_sim::{AtomicCounter, Device};
+use topk_baselines::radix::{
+    choose_digit, digit_histogram, digit_of, sample_top_digits, DigitPrefix, BITS_PER_PASS,
+    ELEMS_PER_WARP, SAMPLE_SIZE,
+};
 use topk_baselines::{KeyBits, TopKKey};
 
 use crate::pipeline::{DrTopKConfig, DrTopKResult, PhaseBreakdown, WorkloadStats};
 use crate::stages::{Resource, StageGraph, StageKind, StageOutcome};
-
-/// Bits consumed per digit pass (8 matches the paper's radix baselines:
-/// "8-bit per digit yields the optimal performance").
-const BITS_PER_PASS: u32 = 8;
-
-/// Elements assigned to each warp in the scan kernels (the baseline's
-/// default).
-const ELEMS_PER_WARP: usize = 8192;
-
-/// Elements of the deterministic strided sample that seeds the first-pass
-/// filter cutoff (RadiK sizes its filter from a sample the same way).
-pub(crate) const SAMPLE_SIZE: usize = 1024;
 
 /// The filter keeps, in expectation, at least this multiple of `k`
 /// elements above the cutoff — headroom that makes a speculation miss
@@ -94,23 +89,21 @@ pub(crate) const FILTER_BAILOUT_DIV: usize = 4;
 
 /// Per-run selection state threaded through the stage closures.
 struct RadixCtx<K: TopKKey> {
-    /// Surviving candidates in radix space (starts as the full input).
-    candidates: Vec<K::Bits>,
+    /// Surviving candidates (starts as the full input).
+    candidates: Vec<K>,
     /// The first pass's speculative filter output: every element whose top
     /// digit is at or above [`RadixCtx::filter_cutoff`]. `None` when the
     /// filter was disabled (sample predicted poor selectivity) or already
     /// consumed.
-    filtered: Option<Vec<K::Bits>>,
+    filtered: Option<Vec<K>>,
     /// Top-digit cutoff of the speculative filter (meaningful only while
     /// `filtered` is `Some`).
     filter_cutoff: usize,
     /// Histogram of the current pass (filled by the histogram stage, read
     /// by the refine stage).
     histogram: Vec<u32>,
-    /// Accumulated digit prefix of the k-th value.
-    prefix_value: K::Bits,
-    /// Mask covering the digits fixed so far.
-    prefix_mask: K::Bits,
+    /// Digits of the k-th value fixed so far.
+    prefix: DigitPrefix<K::Bits>,
     /// How many of the k largest still lie inside the candidate set.
     k_remaining: usize,
     /// Set once a compaction pins the k-th value down to a single
@@ -118,7 +111,7 @@ struct RadixCtx<K: TopKKey> {
     pinned: bool,
     /// Elements strictly above the k-th value, collected by the refine
     /// passes (digit above the chosen one ⇒ in the top-k for certain).
-    above: Vec<K::Bits>,
+    above: Vec<K>,
     /// The final k candidates assembled by the gather stage.
     assembled: Vec<K>,
     /// The selected values, descending.
@@ -132,8 +125,8 @@ impl<K: TopKKey> RadixCtx<K> {
     /// prefix, so any of them (or the prefix itself) is the threshold.
     fn threshold(&self) -> K {
         match self.candidates.first() {
-            Some(&bits) => K::from_bits(bits),
-            None => K::from_bits(self.prefix_value),
+            Some(&x) => x,
+            None => K::from_bits(self.prefix.value()),
         }
     }
 }
@@ -159,14 +152,11 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
         "degenerate shapes handled upstream"
     );
 
-    let digits = 1usize << BITS_PER_PASS;
-    let digit_mask = K::Bits::from_u64(digits as u64 - 1);
     let passes = K::Bits::BITS.div_ceil(BITS_PER_PASS);
 
     let mut graph: StageGraph<'_, Mutex<RadixCtx<K>>> = StageGraph::new();
     let mut prev_refine = None;
     for pass in 0..passes {
-        let shift = K::Bits::BITS - BITS_PER_PASS * (pass + 1);
         let deps: Vec<_> = prev_refine.into_iter().collect();
         let hist_id = graph.add_labeled(
             StageKind::RadixHistogram,
@@ -179,98 +169,52 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
                     return StageOutcome::default();
                 }
                 let scan = std::mem::take(&mut guard.candidates);
-                let prefix_value = guard.prefix_value;
-                let prefix_mask = guard.prefix_mask;
+                let prefix = guard.prefix;
                 drop(guard);
 
                 // First pass only: a deterministic strided sample picks the
                 // speculative filter cutoff that the main scan fuses in.
-                let mut probe_stats = gpu_sim::KernelStats::default();
-                let mut probe_ms = 0.0;
+                let mut probe = StageOutcome::default();
                 let mut cutoff: Option<usize> = None;
                 // The filter needs a sample big enough for the cutoff
                 // target to be meaningful; tiny inputs skip it outright.
                 if pass == 0 && scan.len() >= 2 * MIN_SAMPLE_TARGET {
                     let sample_n = scan.len().min(SAMPLE_SIZE);
-                    let stride = scan.len() / sample_n;
-                    let probe = device.launch("radix_sample_probe", 1, |kctx| {
-                        let mut hist = vec![0u32; digits];
-                        for i in 0..sample_n {
-                            let x = kctx.read_random(&scan, i * stride);
-                            hist[((x >> shift) & digit_mask).as_digit()] += 1;
-                            kctx.record_alu(2);
-                        }
-                        hist
+                    let sample_hist = sample_top_digits(&scan);
+                    let launch = device.launch("radix_sample_probe", 1, |kctx| {
+                        kctx.record_load_random::<K>(sample_n);
+                        kctx.record_alu(2 * sample_n as u64);
                     });
-                    let sample_hist = &probe.output[0];
-                    probe_stats = probe.stats;
-                    probe_ms = probe.time_ms;
+                    probe = StageOutcome {
+                        stats: launch.stats,
+                        time_ms: launch.time_ms,
+                    };
                     // Smallest digit whose above-or-equal sample mass covers
                     // the target: `FILTER_HEADROOM ×` the sample's expected
                     // share of the top k, floored for tiny k.
                     let target = (FILTER_HEADROOM * sample_n * k / scan.len())
                         .clamp(MIN_SAMPLE_TARGET, sample_n / 2);
-                    let mut cum = 0usize;
-                    let mut cut = 0usize;
-                    for d in (0..digits).rev() {
-                        cum += sample_hist[d] as usize;
-                        if cum >= target {
-                            cut = d;
-                            break;
-                        }
-                    }
+                    let (cut, above) = choose_digit(&sample_hist, target);
                     // Predicted kept fraction; bail out when the filter
                     // would keep most of the input (duplicate-heavy data).
-                    let predicted = scan.len() * cum / sample_n;
-                    if predicted <= scan.len() / FILTER_BAILOUT_DIV {
+                    let kept = above + sample_hist[cut] as usize;
+                    if scan.len() * kept / sample_n <= scan.len() / FILTER_BAILOUT_DIV {
                         cutoff = Some(cut);
                     }
                 }
 
-                let num_warps = scan.len().div_ceil(ELEMS_PER_WARP);
-                let hist_buf = AtomicBuffer::zeroed(digits);
-                let cursor = AtomicCounter::new(0);
-                let launch =
-                    device.launch(&format!("radix_histogram_pass{pass}"), num_warps, |kctx| {
-                        let chunk = kctx.chunk_of(scan.len());
-                        let slice = kctx.read_coalesced(&scan[chunk]);
-                        let mut local = vec![0u32; digits];
-                        let mut kept: Vec<K::Bits> = Vec::new();
-                        for &x in slice {
-                            if x & prefix_mask == prefix_value {
-                                let d = ((x >> shift) & digit_mask).as_digit();
-                                local[d] += 1;
-                                if cutoff.is_some_and(|c| d >= c) {
-                                    kept.push(x);
-                                }
-                            }
-                            kctx.record_alu(2);
-                        }
-                        // flush the warp-local histogram with one atomicAdd
-                        // per non-empty bucket (block-level flush)
-                        for (d, &c) in local.iter().enumerate() {
-                            if c > 0 {
-                                hist_buf.fetch_add(kctx, d, c);
-                            }
-                        }
-                        if !kept.is_empty() {
-                            // warp-aggregated position allocation followed
-                            // by a coalesced store of the filtered elements
-                            cursor.fetch_add(kctx, kept.len() as u64);
-                            kctx.record_store_coalesced::<K::Bits>(kept.len());
-                        }
-                        kept
-                    });
+                let (histogram, launch) =
+                    digit_histogram(device, "radix_histogram", &scan, prefix, pass, cutoff);
                 let mut guard = ctx.lock().unwrap();
                 guard.candidates = scan;
-                guard.histogram = hist_buf.to_vec();
+                guard.histogram = histogram;
                 if let Some(cut) = cutoff {
                     guard.filter_cutoff = cut;
                     guard.filtered = Some(launch.output.into_iter().flatten().collect());
                 }
                 StageOutcome {
-                    stats: probe_stats + launch.stats,
-                    time_ms: probe_ms + launch.time_ms,
+                    stats: probe.stats + launch.stats,
+                    time_ms: probe.time_ms + launch.time_ms,
                 }
             },
         );
@@ -285,24 +229,13 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
                     return StageOutcome::default();
                 }
                 // locate the digit that holds the k-th largest
-                let mut chosen = 0usize;
-                let mut above_count = 0usize;
-                for d in (0..digits).rev() {
-                    let count = guard.histogram[d] as usize;
-                    if above_count + count >= guard.k_remaining {
-                        chosen = d;
-                        break;
-                    }
-                    above_count += count;
-                }
+                let (chosen, above_count) = choose_digit(&guard.histogram, guard.k_remaining);
                 guard.k_remaining -= above_count;
                 // The digit prefix *before* this pass: the kernel keys off
                 // the raw digit, so elements above the chosen one can be
                 // collected (they are in the final top-k for certain).
-                let prev_value = guard.prefix_value;
-                let prev_mask = guard.prefix_mask;
-                guard.prefix_value |= K::Bits::from_u64(chosen as u64) << shift;
-                guard.prefix_mask |= digit_mask << shift;
+                let prev = guard.prefix;
+                guard.prefix.push(pass, chosen);
                 // Scan the speculative filter output when it provably kept
                 // the chosen digit (cutoff ≤ chosen); otherwise fall back
                 // to the full candidate set.
@@ -316,32 +249,32 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
                 drop(guard);
                 let num_warps = scan.len().div_ceil(ELEMS_PER_WARP);
                 let cursor = AtomicCounter::new(0);
-                let launch =
-                    device.launch(&format!("radix_refine_pass{pass}"), num_warps, |kctx| {
-                        let chunk = kctx.chunk_of(scan.len());
-                        let slice = kctx.read_coalesced(&scan[chunk]);
-                        let mut survivors: Vec<K::Bits> = Vec::new();
-                        let mut above: Vec<K::Bits> = Vec::new();
-                        for &x in slice {
-                            if x & prev_mask == prev_value {
-                                let d = ((x >> shift) & digit_mask).as_digit();
-                                if d > chosen {
-                                    above.push(x);
-                                } else if d == chosen {
-                                    survivors.push(x);
-                                }
+                let launch = device.launch("radix_refine", num_warps, |kctx| {
+                    let chunk = kctx.chunk_of(scan.len());
+                    let slice = kctx.read_coalesced(&scan[chunk]);
+                    let mut survivors: Vec<K> = Vec::new();
+                    let mut above: Vec<K> = Vec::new();
+                    for &x in slice {
+                        let bits = x.to_bits();
+                        if prev.matches(bits) {
+                            let d = digit_of(bits, pass);
+                            if d > chosen {
+                                above.push(x);
+                            } else if d == chosen {
+                                survivors.push(x);
                             }
-                            kctx.record_alu(2);
                         }
-                        let stored = survivors.len() + above.len();
-                        if stored > 0 {
-                            // warp-aggregated position allocation followed
-                            // by a coalesced store of both partitions
-                            cursor.fetch_add(kctx, stored as u64);
-                            kctx.record_store_coalesced::<K::Bits>(stored);
-                        }
-                        (survivors, above)
-                    });
+                    }
+                    kctx.record_alu(2 * slice.len() as u64);
+                    let stored = survivors.len() + above.len();
+                    if stored > 0 {
+                        // warp-aggregated position allocation followed by a
+                        // coalesced store of both partitions
+                        cursor.fetch_add(kctx, stored as u64);
+                        kctx.record_store_coalesced::<K>(stored);
+                    }
+                    (survivors, above)
+                });
                 let mut guard = ctx.lock().unwrap();
                 let mut collected_above = 0usize;
                 let mut survivors = Vec::new();
@@ -388,14 +321,10 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
             let launch = device.launch("candidate_gather", num_warps, |kctx| {
                 let chunk = kctx.chunk_of(k);
                 let reads = chunk.start.min(above.len())..chunk.end.min(above.len());
-                kctx.record_load_coalesced::<K::Bits>(reads.len());
+                kctx.record_load_coalesced::<K>(reads.len());
                 let mut out: Vec<K> = Vec::with_capacity(chunk.len());
                 for i in chunk.clone() {
-                    out.push(if i < above.len() {
-                        K::from_bits(above[i])
-                    } else {
-                        threshold
-                    });
+                    out.push(if i < above.len() { above[i] } else { threshold });
                     kctx.record_alu(1);
                 }
                 kctx.record_store_coalesced::<K>(out.len());
@@ -437,12 +366,11 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
     );
 
     let ctx = Mutex::new(RadixCtx::<K> {
-        candidates: data.iter().map(|x| x.to_bits()).collect(),
+        candidates: data.to_vec(),
         filtered: None,
         filter_cutoff: 0,
         histogram: Vec::new(),
-        prefix_value: K::Bits::ZERO,
-        prefix_mask: K::Bits::ZERO,
+        prefix: DigitPrefix::default(),
         k_remaining: k,
         pinned: false,
         above: Vec::new(),
@@ -575,5 +503,129 @@ mod tests {
         assert_eq!(got.alpha, 0, "the radix path has no subrange parameter");
         assert!(got.time_ms > 0.0);
         assert!(got.stats.global_load_transactions > 0);
+    }
+
+    /// The modeled cost of every radix select is what its kernels record on
+    /// their `WarpCtx`. These counters and times were captured before the
+    /// three selects shared one digit pass; a host-side change must leave
+    /// them bit-identical.
+    #[test]
+    fn radix_model_is_pinned() {
+        use crate::pipeline::dr_topk;
+        use crate::radix_flags::flag_radix_select_kth;
+        use crate::tuning::PathHint;
+        use gpu_sim::KernelStats;
+        use topk_baselines::{radix_topk, RadixVariant};
+
+        let dev = device();
+        let pinned = |load_tx, store_tx, loaded, stored, atomics, alu, warps| KernelStats {
+            global_load_transactions: load_tx,
+            global_store_transactions: store_tx,
+            global_loaded_bytes: loaded,
+            global_stored_bytes: stored,
+            atomic_operations: atomics,
+            alu_ops: alu,
+            warps_launched: warps,
+            ..KernelStats::default()
+        };
+        let check = |case: &str, stats: KernelStats, time_ms: f64, want: KernelStats, bits| {
+            assert_eq!(stats, want, "{case}");
+            assert_eq!(time_ms.to_bits(), bits, "{case}: {time_ms} ms");
+        };
+
+        let data = topk_datagen::uniform(1 << 16, 2021);
+        let wide: Vec<u64> = (0..1u64 << 14)
+            .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let flag_cases = [
+            (
+                false,
+                pinned(8192, 0, 1_048_576, 0, 2298, 524_288, 32),
+                0x3f82_f96e_5ad2_23d6_u64,
+            ),
+            (
+                true,
+                pinned(6144, 0, 786_432, 0, 2297, 393_216, 24),
+                0x3f7c_8f34_0564_e576,
+            ),
+        ];
+        for (skip, want, bits) in flag_cases {
+            let got = flag_radix_select_kth(&dev, &data, 1000, skip);
+            check(
+                &format!("flag skip={skip}"),
+                got.stats,
+                got.time_ms,
+                want,
+                bits,
+            );
+        }
+        let got = flag_radix_select_kth(&dev, &wide, 33, false);
+        check(
+            "flag u64",
+            got.stats,
+            got.time_ms,
+            pinned(8192, 0, 1_048_576, 0, 582, 262_144, 16),
+            0x3f91_922d_2808_c770,
+        );
+
+        let ggks_cases = [
+            (
+                RadixVariant::OutOfPlace,
+                pinned(6164, 50, 788_536, 5052, 2237, 262_933, 28),
+                0x3f8e_a3b3_9fd9_9605_u64,
+            ),
+            (
+                RadixVariant::InPlaceZeroing,
+                pinned(10_240, 64_573, 1_310_720, 262_140, 2306, 589_824, 40),
+                0x3f97_76da_5d3a_d884,
+            ),
+        ];
+        for (variant, want, bits) in ggks_cases {
+            let got = radix_topk(&dev, &data, 1000, variant);
+            check(&format!("{variant:?}"), got.stats, got.time_ms, want, bits);
+        }
+
+        // (input, k, pass-0 filter engaged, stats, time_ms bits): the
+        // duplicate-heavy input puts every sample in one top digit, so the
+        // filter bails out and every pass re-reads the candidates
+        let dup: Vec<u32> = (0..1u32 << 16).map(|i| i % 7).collect();
+        let config = DrTopKConfig {
+            path: PathHint::Radix,
+            ..DrTopKConfig::default()
+        };
+        let path_cases = [
+            (
+                &data,
+                4096,
+                true,
+                pinned(4093, 634, 396_868, 80_456, 2305, 190_244, 18),
+                0x3f97_370d_2ff6_865e_u64,
+            ),
+            (
+                &dup,
+                100,
+                false,
+                pinned(17_428, 6444, 2_103_248, 824_280, 116, 1_051_624, 71),
+                0x3fa1_07fe_c51b_a4fc,
+            ),
+        ];
+        for (input, k, filtered, want, bits) in path_cases {
+            let got = dr_topk(&dev, input, k, &config);
+            assert_eq!(got.values, reference_topk(input, k));
+            let labels: Vec<&str> = got.stages.stages.iter().map(|s| s.label.as_str()).collect();
+            let mut expected: Vec<String> = (0..4)
+                .flat_map(|p| {
+                    [
+                        format!("radix_histogram_pass{p}"),
+                        format!("radix_refine_pass{p}"),
+                    ]
+                })
+                .collect();
+            expected.extend(["candidate_gather".into(), "radix_select".into()]);
+            assert_eq!(labels, expected);
+            let pass0_stores = got.stages.stages[0].stats.global_store_transactions;
+            assert_eq!(pass0_stores > 0, filtered, "k={k}: filter engagement");
+            check(&format!("path k={k}"), got.stats, got.time_ms, want, bits);
+        }
     }
 }

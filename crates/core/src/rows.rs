@@ -39,6 +39,7 @@ use gpu_sim::warp::SHUFFLES_PER_WARP_REDUCTION;
 use gpu_sim::{Device, GpuCluster, KernelStats, WarpCtx};
 use std::cmp::Reverse;
 use std::sync::Mutex;
+use topk_baselines::radix::BITS_PER_PASS;
 use topk_baselines::{Desc, KeyBits, TopKKey, TopKResult};
 
 use crate::concat::gather_subrange;
@@ -46,7 +47,7 @@ use crate::delegate::{delegate_subrange_ids, top_beta_into, DelegateVector};
 use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 use crate::first_topk::{mark, take_marked, FirstTopK, Marked};
 use crate::pipeline::{as_desc, DrTopKConfig, PhaseBreakdown, PlannedQuery};
-use crate::radix_flags::{radix_select_threshold, BITS_PER_PASS};
+use crate::radix_flags::radix_select_threshold;
 use crate::stages::{Resource, StageGraph, StageKind, StageOutcome, StageReport};
 
 /// A borrowed row-major `rows × cols` matrix.

@@ -16,6 +16,7 @@
 //! available from [`gpu_sim::DeviceSpec::rule4_const_analytic`].
 
 use gpu_sim::DeviceSpec;
+use topk_baselines::radix::{sample_top_digits, BITS_PER_PASS, SAMPLE_SIZE};
 use topk_baselines::{KeyBits, TopKKey};
 
 use crate::approx::{expected_recall, required_budget, RecallTarget};
@@ -366,13 +367,14 @@ impl RadixPredictedCost {
 }
 
 /// Per-pass candidate survival fraction the *data-blind* radix cost model
-/// assumes: 8-bit digits split the candidates into 256 buckets, and on
-/// well-distributed keys only the bucket holding the k-th value survives.
+/// assumes: [`BITS_PER_PASS`]-bit digits split the candidates into
+/// `2^BITS_PER_PASS` buckets, and on well-distributed keys only the bucket
+/// holding the k-th value survives.
 /// When the input is at hand, [`estimate_radix_survival`] measures the
 /// actual survival from a sample instead — adversarially low-entropy keys
 /// shrink much slower (up to not at all), which is exactly what routes
 /// them back to the delegate path.
-pub const RADIX_DIGIT_SURVIVAL: f64 = 1.0 / 256.0;
+pub const RADIX_DIGIT_SURVIVAL: f64 = 1.0 / (1u64 << BITS_PER_PASS) as f64;
 
 /// Multiplier [`choose_path`] applies to the modeled radix makespan before
 /// comparing it with the delegate model.
@@ -448,9 +450,9 @@ pub fn radix_predicted_cost_with_survival(
     let nf = n.max(1) as f64;
     let kf = k.min(n) as f64;
     let s = survival.clamp(1.0 / nf, 1.0);
-    let passes = key_bits.div_ceil(8);
+    let passes = key_bits.div_ceil(BITS_PER_PASS);
     let kept_frac = (crate::radix_path::FILTER_HEADROOM as f64 * kf / nf)
-        .max(crate::radix_path::MIN_SAMPLE_TARGET as f64 / crate::radix_path::SAMPLE_SIZE as f64)
+        .max(crate::radix_path::MIN_SAMPLE_TARGET as f64 / SAMPLE_SIZE as f64)
         .max(s);
     let filter_on = kept_frac <= 1.0 / crate::radix_path::FILTER_BAILOUT_DIV as f64;
     let mut histogram = 0.0;
@@ -487,26 +489,19 @@ pub fn radix_predicted_cost_with_survival(
 /// deterministic strided sample's top-digit histogram, reduced to the
 /// largest single-bucket share.
 ///
-/// Uniform keys land near `1/256` (every bucket holds a sample-noise-sized
-/// share); low-entropy keys that concentrate in one top digit return
-/// close to 1.0, which prices every radix pass at a full re-scan and
-/// disables the modeled filter — the planner then keeps such inputs on
-/// the delegate path at every k. The sample is strided (no RNG), so the
-/// estimate — and therefore [`choose_path_sampled`] — is a pure function
-/// of the data.
+/// Uniform keys land near [`RADIX_DIGIT_SURVIVAL`] (every bucket holds a
+/// sample-noise-sized share); low-entropy keys that concentrate in one top
+/// digit return close to 1.0, which prices every radix pass at a full
+/// re-scan and disables the modeled filter — the planner then keeps such
+/// inputs on the delegate path at every k. The sample is strided (no RNG),
+/// so the estimate — and therefore [`choose_path_sampled`] — is a pure
+/// function of the data.
 pub fn estimate_radix_survival<K: TopKKey>(data: &[K]) -> f64 {
     if data.is_empty() {
         return 1.0;
     }
-    let sample_n = data.len().min(crate::radix_path::SAMPLE_SIZE);
-    let stride = data.len() / sample_n;
-    let shift = <K::Bits as KeyBits>::BITS - 8;
-    let digit_mask = K::Bits::from_u64(255);
-    let mut hist = [0u32; 256];
-    for i in 0..sample_n {
-        let bits = data[i * stride].to_bits();
-        hist[((bits >> shift) & digit_mask).as_digit()] += 1;
-    }
+    let sample_n = data.len().min(SAMPLE_SIZE);
+    let hist = sample_top_digits(data);
     f64::from(hist.iter().copied().max().unwrap_or(0)) / sample_n as f64
 }
 
@@ -541,7 +536,7 @@ pub fn choose_path_with_survival(
     if k == 0 || n < 4 || k >= n {
         return ChosenPath::Delegate;
     }
-    let key_bytes = f64::from(key_bits) / 8.0;
+    let key_bytes = f64::from(key_bits) / f64::from(u8::BITS);
     let alpha = auto_alpha(n, k, 2, PAPER_RULE4_CONST);
     let delegate = modeled_path_us(
         predicted_cost(alpha as f64, k, n, spec).total(),
@@ -551,7 +546,7 @@ pub fn choose_path_with_survival(
     );
     let radix = modeled_path_us(
         radix_predicted_cost_with_survival(n, k, key_bits, spec, survival).total(),
-        radix_model_launches(key_bits.div_ceil(8)),
+        radix_model_launches(key_bits.div_ceil(BITS_PER_PASS)),
         key_bytes,
         spec,
     ) * RADIX_MODEL_CALIBRATION;

@@ -23,7 +23,7 @@ fn main() {
     let result = dr_topk(&device, &data, k, &config);
 
     // Baseline: stand-alone radix top-k on the same device.
-    let baseline = radix_topk(&device, &data, k, &topk_baselines::RadixConfig::default());
+    let baseline = radix_topk(&device, &data, k, topk_baselines::RadixVariant::OutOfPlace);
 
     assert_eq!(result.values, baseline.values, "both must agree");
     assert_eq!(

@@ -13,11 +13,11 @@
 //!   there — the `should_panic` tests below freeze that contract.
 
 use drtopk::prelude::*;
-use drtopk_core::{distributed_dr_topk, flag_radix_topk, FlagSelectConfig};
+use drtopk_core::{distributed_dr_topk, flag_radix_topk};
 use gpu_sim::GpuCluster;
 use topk_baselines::{
     parallel_priority_queue_topk, reference_kth, reference_topk, BitonicConfig, BucketConfig,
-    RadixConfig,
+    RadixVariant,
 };
 
 fn device() -> Device {
@@ -33,7 +33,7 @@ fn all_topk_values(device: &Device, data: &[u32], k: usize) -> Vec<(&'static str
         ),
         (
             "radix_topk",
-            radix_topk(device, data, k, &RadixConfig::default()).values,
+            radix_topk(device, data, k, RadixVariant::OutOfPlace).values,
         ),
         (
             "bucket_topk",
@@ -151,14 +151,14 @@ fn distributed_edges_match_single_device() {
 #[should_panic(expected = "k must be in 1..=|V|")]
 fn radix_select_kth_panics_on_k_zero() {
     let device = device();
-    topk_baselines::radix_select_kth(&device, &[1, 2, 3], 0, &RadixConfig::default());
+    topk_baselines::radix_select_kth(&device, &[1, 2, 3], 0, RadixVariant::OutOfPlace);
 }
 
 #[test]
 #[should_panic(expected = "k must be in 1..=|V|")]
 fn radix_select_kth_panics_on_k_beyond_len() {
     let device = device();
-    topk_baselines::radix_select_kth(&device, &[1, 2, 3], 4, &RadixConfig::default());
+    topk_baselines::radix_select_kth(&device, &[1, 2, 3], 4, RadixVariant::OutOfPlace);
 }
 
 #[test]
@@ -178,5 +178,5 @@ fn reference_kth_panics_on_empty_input() {
 #[should_panic(expected = "k must be in 1..=|V|")]
 fn flag_radix_select_kth_panics_on_k_zero() {
     let device = device();
-    drtopk_core::flag_radix_select_kth(&device, &[1, 2, 3], 0, &FlagSelectConfig::default());
+    drtopk_core::flag_radix_select_kth(&device, &[1, 2, 3], 0, false);
 }

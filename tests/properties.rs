@@ -3,7 +3,7 @@
 
 use drtopk::core::{
     build_delegate_vector, dr_topk, first_topk, flag_radix_select_kth, flag_radix_topk,
-    rule4_alpha, ConstructionMethod, DrTopKConfig, FlagSelectConfig,
+    rule4_alpha, ConstructionMethod, DrTopKConfig,
 };
 use drtopk::prelude::*;
 use proptest::prelude::*;
@@ -46,7 +46,7 @@ proptest! {
     ) {
         let k = ((data.len() as f64 * k_frac) as usize).clamp(1, data.len());
         let device = device();
-        let got = flag_radix_select_kth(&device, &data, k, &FlagSelectConfig::default());
+        let got = flag_radix_select_kth(&device, &data, k, false);
         prop_assert_eq!(got.threshold, reference_kth(&data, k));
         let topk = flag_radix_topk(&device, &data, k);
         prop_assert_eq!(topk.values, reference_topk(&data, k));
@@ -127,7 +127,7 @@ proptest! {
         let k = ((data.len() as f64 * k_frac) as usize).clamp(1, data.len());
         let device = device();
         let expected = reference_topk(&data, k);
-        let radix = radix_topk(&device, &data, k, &topk_baselines::RadixConfig::default());
+        let radix = radix_topk(&device, &data, k, topk_baselines::RadixVariant::OutOfPlace);
         let bucket = bucket_topk(&device, &data, k, &topk_baselines::BucketConfig::default());
         let bitonic = bitonic_topk(&device, &data, k, &topk_baselines::BitonicConfig::default());
         prop_assert_eq!(radix.values, expected.clone());
@@ -148,7 +148,7 @@ use proptest::test_runner::TestRng;
 use topk_baselines::{
     bitonic_topk as generic_bitonic, bucket_topk as generic_bucket, priority_queue_topk,
     radix_topk as generic_radix, reference_topk_min, sort_and_choose_topk, BitonicConfig,
-    BucketConfig, RadixConfig, TopKKey,
+    BucketConfig, RadixVariant, TopKKey,
 };
 
 /// Compare key vectors through their order-preserving bit images, so NaN
@@ -190,11 +190,11 @@ fn assert_all_agree<K: TopKKey>(device: &Device, data: &[K], k: usize) -> Result
         ),
         (
             "radix",
-            bits_of(&generic_radix(device, data, k, &RadixConfig::default()).values),
+            bits_of(&generic_radix(device, data, k, RadixVariant::OutOfPlace).values),
         ),
         (
             "radix_in_place",
-            bits_of(&generic_radix(device, data, k, &RadixConfig::in_place()).values),
+            bits_of(&generic_radix(device, data, k, RadixVariant::InPlaceZeroing).values),
         ),
         (
             "bucket",
@@ -456,10 +456,12 @@ fn auto_crossover_pins_match_the_model() {
 // ---------------------------------------------------------------------------
 // Host-speed threshold: the row-block kernels select each row's threshold
 // with `radix_select_threshold`; it must equal the flag radix select's
-// threshold for every key type, with and without the skipped last pass.
+// threshold for every key type, with and without the skipped last pass,
+// and the exact one must equal the GGKS baseline's under both variants.
 // ---------------------------------------------------------------------------
 
-use drtopk::core::{flag_radix_select_by_key, radix_flags::radix_select_threshold};
+use drtopk::core::radix_flags::radix_select_threshold;
+use topk_baselines::radix_select_kth;
 
 fn assert_threshold_agrees<K: TopKKey>(
     device: &Device,
@@ -467,11 +469,7 @@ fn assert_threshold_agrees<K: TopKKey>(
     k: usize,
 ) -> Result<(), String> {
     for skip_last_pass in [false, true] {
-        let config = FlagSelectConfig {
-            skip_last_pass,
-            ..FlagSelectConfig::default()
-        };
-        let flag = flag_radix_select_by_key(device, data, |&v| v, k, &config, "threshold_check");
+        let flag = flag_radix_select_kth(device, data, k, skip_last_pass);
         let host = radix_select_threshold(data, k, skip_last_pass);
         if host.to_bits() != flag.threshold.to_bits() {
             return Err(format!(
@@ -479,6 +477,19 @@ fn assert_threshold_agrees<K: TopKKey>(
                 host.to_bits(),
                 flag.threshold.to_bits()
             ));
+        }
+        if skip_last_pass {
+            continue;
+        }
+        for variant in [RadixVariant::OutOfPlace, RadixVariant::InPlaceZeroing] {
+            let ggks = radix_select_kth(device, data, k, variant);
+            if ggks.threshold.to_bits() != host.to_bits() {
+                return Err(format!(
+                    "k={k} {variant:?}: baseline {:?} vs host {:?}",
+                    ggks.threshold.to_bits(),
+                    host.to_bits()
+                ));
+            }
         }
     }
     Ok(())

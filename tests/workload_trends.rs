@@ -71,7 +71,12 @@ fn drtopk_moves_fewer_bytes_than_baselines() {
             base.stats.global_load_transactions
         );
     }
-    let ggks_inplace = radix_topk(&device, &data, k, &topk_baselines::RadixConfig::in_place());
+    let ggks_inplace = radix_topk(
+        &device,
+        &data,
+        k,
+        topk_baselines::RadixVariant::InPlaceZeroing,
+    );
     assert!(
         dr.stats.global_store_transactions < ggks_inplace.stats.global_store_transactions,
         "stores {} vs GGKS in-place {}",
