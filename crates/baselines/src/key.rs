@@ -25,14 +25,15 @@
 //! ```
 //!
 //! Consequently a *top-k largest* query ranks positive NaNs above `+∞`,
-//! while a *top-k smallest* query (e.g. [`dr_topk_min`] over k-NN distances,
-//! which are non-negative, possibly `NaN` when a computation misfired) ranks
+//! while a *top-k smallest* query (e.g. `dr_topk` with
+//! [`Direction::Smallest`] over k-NN distances, which are non-negative,
+//! possibly `NaN` when a computation misfired) ranks
 //! positive NaNs **last** — after every real distance — so NaNs never
 //! displace a genuine neighbour. Distinct NaN payloads round-trip bit-exactly
 //! through the bijection; no canonicalization is performed. `-0.0` and `+0.0`
 //! are distinct keys, with `-0.0 < +0.0`.
 //!
-//! [`dr_topk_min`]: https://docs.rs/drtopk-core
+//! [`Direction::Smallest`]: https://docs.rs/drtopk-core
 //!
 //! ## Contract
 //!
@@ -263,8 +264,8 @@ impl TopKKey for f64 {
 /// *reverse* of `K`'s, obtained by complementing the bits (itself an
 /// order-reversing bijection of the radix space).
 ///
-/// This is how `dr_topk_min` and friends answer top-k-*smallest* queries
-/// with the top-k-largest machinery and zero per-element work: the layout is
+/// This is how Dr. Top-k's runners answer top-k-*smallest* requests with
+/// the top-k-largest machinery and zero per-element work: the layout is
 /// `#[repr(transparent)]`, so a `&[K]` reinterprets as `&[Desc<K>]` without
 /// copying or flipping anything in memory.
 ///

@@ -69,7 +69,7 @@ pub fn reference_topk<K: TopKKey>(data: &[K], k: usize) -> Vec<K> {
 }
 
 /// CPU reference: the `min(k, |V|)` *smallest* values of `data`, ascending.
-/// Ground truth for the `dr_topk_min` / descending-order entry points.
+/// Ground truth for smallest-direction requests.
 pub fn reference_topk_min<K: TopKKey>(data: &[K], k: usize) -> Vec<K> {
     let k = k.min(data.len());
     if k == 0 {

@@ -20,7 +20,7 @@
 
 use drtopk_bench_harness::*;
 use drtopk_core::{
-    build_delegate_vector, dr_topk_planned, measured_recall, DrTopKConfig, DrTopKResult,
+    build_delegate_vector, dr_topk_planned, measured_recall, Direction, DrTopKConfig, DrTopKResult,
     PlannedQuery,
 };
 use gpu_sim::KernelStats;
@@ -46,6 +46,7 @@ fn run_both(
             planned.alpha,
             planned.config.beta,
             planned.config.construction,
+            Direction::Largest,
         );
         dr_topk_planned(device, data, Some(&shared), &planned)
     } else {

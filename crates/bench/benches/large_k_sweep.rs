@@ -84,7 +84,7 @@ fn main() {
                     path,
                     ..DrTopKConfig::default()
                 };
-                let r = drtopk_core::dr_topk_with_stats(&device, data, k, &cfg);
+                let r = drtopk_core::dr_topk(&device, data, k, &cfg);
                 assert_eq!(
                     r.values, expected,
                     "{name}: {path} path wrong at k={k} (n={n})"

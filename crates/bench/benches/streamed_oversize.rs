@@ -18,7 +18,7 @@
 use std::io::Write as _;
 
 use drtopk_bench_harness::*;
-use drtopk_core::{distributed_dr_topk_scheduled, DrTopKConfig, ReloadSchedule};
+use drtopk_core::{distributed_dr_topk, DrTopKConfig, ReloadSchedule};
 use drtopk_obs::{Json, Snapshot};
 use gpu_sim::{DeviceSpec, GpuCluster};
 use topk_baselines::reference_topk;
@@ -51,19 +51,21 @@ fn main() {
         let n = capacity * multiple * DEVICES;
         let data = topk_datagen::uniform(n, seed());
         let expected = reference_topk(&data, K);
-        let serial = distributed_dr_topk_scheduled(
+        let serial = distributed_dr_topk(
             &cluster,
             &data,
             K,
             &DrTopKConfig::default(),
             ReloadSchedule::Serial,
+            None,
         );
-        let db = distributed_dr_topk_scheduled(
+        let db = distributed_dr_topk(
             &cluster,
             &data,
             K,
             &DrTopKConfig::default(),
             ReloadSchedule::DoubleBuffered,
+            None,
         );
         assert_eq!(serial.values, expected, "serial schedule must be exact");
         assert_eq!(

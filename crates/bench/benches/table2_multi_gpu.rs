@@ -9,7 +9,7 @@
 //! the `streamed_oversize` target instead.
 
 use drtopk_bench_harness::*;
-use drtopk_core::{distributed_dr_topk_scheduled, DrTopKConfig, ReloadSchedule};
+use drtopk_core::{distributed_dr_topk, DrTopKConfig, ReloadSchedule};
 use gpu_sim::{DeviceSpec, GpuCluster};
 use topk_datagen::Distribution;
 
@@ -26,12 +26,13 @@ fn main() {
             for d in cluster.devices() {
                 d.set_capacity_elems(base);
             }
-            let r = distributed_dr_topk_scheduled(
+            let r = distributed_dr_topk(
                 &cluster,
                 &data,
                 k,
                 &DrTopKConfig::default(),
                 ReloadSchedule::Serial,
+                None,
             );
             assert_eq!(r.values, topk_baselines::reference_topk(&data, k));
             let speedup = match single_total {

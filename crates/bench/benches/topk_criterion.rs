@@ -47,6 +47,7 @@ fn bench_topk(c: &mut Criterion) {
                 8,
                 2,
                 drtopk_core::ConstructionMethod::WarpShuffle,
+                drtopk_core::Direction::Largest,
             )
         })
     });
@@ -58,6 +59,7 @@ fn bench_topk(c: &mut Criterion) {
                 4,
                 2,
                 drtopk_core::ConstructionMethod::CoalescedShared,
+                drtopk_core::Direction::Largest,
             )
         })
     });

@@ -20,7 +20,7 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use drtopk_core::{dr_topk_with_stats, DrTopKConfig, DrTopKResult};
+use drtopk_core::{dr_topk, DrTopKConfig, DrTopKResult};
 use gpu_sim::{Device, DeviceSpec};
 use topk_baselines::{BaselineAlgorithm, TopKResult};
 use topk_datagen::Distribution;
@@ -110,7 +110,7 @@ pub fn run_drtopk_checked(
     k: usize,
     config: &DrTopKConfig,
 ) -> DrTopKResult {
-    let result = dr_topk_with_stats(device, data, k, config);
+    let result = dr_topk(device, data, k, config);
     debug_assert_eq!(
         result.values,
         topk_baselines::reference_topk(data, k),

@@ -56,7 +56,7 @@ use std::sync::Mutex;
 
 use gpu_sim::Device;
 
-use crate::delegate::{build_delegate_vector, DelegateVector};
+use crate::delegate::{construct, DelegateVector, Delegates};
 use crate::pipeline::{DrTopKResult, PlannedQuery, WorkloadStats};
 use crate::stages::{Resource, StageGraph, StageKind, StageOutcome};
 use topk_baselines::{TopKKey, TopKResult};
@@ -277,13 +277,13 @@ pub fn measured_recall<K: TopKKey>(approx: &[K], exact: &[K]) -> f64 {
 /// skipped and charged to the provider, exactly like the exact pipeline's
 /// shared-delegate seam — this is how the engine amortizes one bucket scan
 /// over a fused approximate group and how a warm delegate cache serves
-/// repeat approximate traffic without re-reading the corpus. A shared
-/// vector with a *larger* budget than planned is accepted (more candidates
-/// only raises recall); a smaller one is rejected.
+/// repeat approximate traffic without re-reading the corpus. The shared
+/// vector's shape was checked against the plan by
+/// [`dr_topk_planned`](crate::pipeline::dr_topk_planned).
 pub(crate) fn dr_topk_approx_planned<K: TopKKey>(
     device: &Device,
     data: &[K],
-    shared_delegates: Option<&DelegateVector<K>>,
+    shared_delegates: Option<Delegates<'_, K>>,
     planned: &PlannedQuery,
 ) -> DrTopKResult<K> {
     let config = &planned.config;
@@ -294,25 +294,6 @@ pub(crate) fn dr_topk_approx_planned<K: TopKKey>(
     let k = planned.k.min(data.len());
     let alpha = planned.alpha;
     let budget = config.beta;
-
-    if let Some(shared) = shared_delegates {
-        assert_eq!(
-            shared.subrange_size,
-            1usize << alpha,
-            "shared candidate vector was built with a different alpha"
-        );
-        assert!(
-            shared.beta >= budget,
-            "shared candidate vector budget {} is below the plan's {}",
-            shared.beta,
-            budget
-        );
-        assert_eq!(
-            shared.num_subranges,
-            data.len().div_ceil(shared.subrange_size),
-            "shared candidate vector does not cover this input"
-        );
-    }
 
     // The approximate pipeline as a two-stage graph: the bucket-top-k′
     // candidate pass (absent when a shared, already-built vector is
@@ -331,7 +312,7 @@ pub(crate) fn dr_topk_approx_planned<K: TopKKey>(
             Resource::Compute(0),
             &[],
             move |ctx: &Mutex<ApproxCtx<K>>| {
-                let built = build_delegate_vector(device, data, alpha, budget, config.construction);
+                let built = construct(device, data, alpha, budget, config.construction);
                 let outcome = StageOutcome {
                     stats: built.stats,
                     time_ms: built.time_ms,
@@ -349,9 +330,9 @@ pub(crate) fn dr_topk_approx_planned<K: TopKKey>(
         move |ctx: &Mutex<ApproxCtx<K>>| {
             let mut guard = ctx.lock().unwrap();
             let candidates = shared_delegates
-                .or(guard.built.as_ref())
+                .or_else(|| guard.built.as_ref().map(DelegateVector::view))
                 .expect("candidate vector available once stage 1 ran");
-            let inner = config.inner.run(device, &candidates.values, k);
+            let inner = config.inner.run(device, candidates.values, k);
             let outcome = StageOutcome {
                 stats: inner.stats,
                 time_ms: inner.time_ms,
@@ -368,7 +349,7 @@ pub(crate) fn dr_topk_approx_planned<K: TopKKey>(
     let report = graph.execute(&ctx);
     let mut ctx = ctx.into_inner().unwrap();
     let candidates = shared_delegates
-        .or(ctx.built.as_ref())
+        .or_else(|| ctx.built.as_ref().map(DelegateVector::view))
         .expect("candidate vector available");
     let workload = WorkloadStats {
         input_len: data.len(),
@@ -396,7 +377,8 @@ pub(crate) fn dr_topk_approx_planned<K: TopKKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{dr_topk, dr_topk_approx, dr_topk_min, DrTopKConfig};
+    use crate::direction::Direction;
+    use crate::pipeline::{dr_topk, DrTopKConfig};
     use gpu_sim::DeviceSpec;
     use topk_baselines::{reference_topk, reference_topk_min};
 
@@ -573,7 +555,7 @@ mod tests {
         for &k in &[32usize, 256] {
             for &target in &[0.9f64, 0.95, 0.99] {
                 let exact = reference_topk(&data, k);
-                let got = dr_topk_approx(&dev, &data, k, target, &DrTopKConfig::default());
+                let got = dr_topk(&dev, &data, k, &DrTopKConfig::approx(target));
                 assert_eq!(got.values.len(), k);
                 let recall = measured_recall(&got.values, &exact);
                 assert!(
@@ -595,7 +577,7 @@ mod tests {
         let dev = device();
         let data = topk_datagen::uniform(1 << 16, 3);
         let k = 100;
-        let got = dr_topk_approx(&dev, &data, k, 0.9, &DrTopKConfig::default());
+        let got = dr_topk(&dev, &data, k, &DrTopKConfig::approx(0.9));
         // descending, and each value no larger than the exact counterpart
         assert!(got.values.windows(2).all(|w| w[0] >= w[1]));
         let exact = reference_topk(&data, k);
@@ -612,8 +594,11 @@ mod tests {
             .into_iter()
             .map(|x| (x % 1_000_000) as f32 * 0.5)
             .collect();
-        let cfg = DrTopKConfig::approx(0.95);
-        let got = dr_topk_min(&dev, &distances, 64, &cfg);
+        let cfg = DrTopKConfig {
+            direction: Direction::Smallest,
+            ..DrTopKConfig::approx(0.95)
+        };
+        let got = dr_topk(&dev, &distances, 64, &cfg);
         assert_eq!(got.values.len(), 64);
         assert!(got.values.windows(2).all(|w| w[0] <= w[1]));
         let recall = measured_recall(&got.values, &reference_topk_min(&distances, 64));
@@ -626,7 +611,7 @@ mod tests {
         let data = topk_datagen::normal(1 << 15, 9);
         let k = 200;
         let exact = dr_topk(&dev, &data, k, &DrTopKConfig::default());
-        let via_approx = dr_topk_approx(&dev, &data, k, 1.0, &DrTopKConfig::default());
+        let via_approx = dr_topk(&dev, &data, k, &DrTopKConfig::approx(1.0));
         assert_eq!(exact.values, via_approx.values);
         assert_eq!(exact.stats, via_approx.stats);
         assert_eq!(exact.workload, via_approx.workload);
@@ -638,22 +623,18 @@ mod tests {
         let data: Vec<u32> = (0..100u32).collect();
         // k so close to n that no recall-meeting candidate set is smaller
         // than the input: the plan falls back and the answer is exact.
-        let got = dr_topk_approx(&dev, &data, 90, 0.9, &DrTopKConfig::default());
+        let got = dr_topk(&dev, &data, 90, &DrTopKConfig::approx(0.9));
         assert_eq!(got.values, reference_topk(&data, 90));
         assert!(got.workload.fell_back);
         // k = n, k = 0 and empty inputs degrade exactly like the exact mode
-        let got = dr_topk_approx(&dev, &data, 100, 0.9, &DrTopKConfig::default());
+        let got = dr_topk(&dev, &data, 100, &DrTopKConfig::approx(0.9));
         assert_eq!(got.values, reference_topk(&data, 100));
-        assert!(
-            dr_topk_approx(&dev, &data, 0, 0.9, &DrTopKConfig::default())
-                .values
-                .is_empty()
-        );
-        assert!(
-            dr_topk_approx::<u32>(&dev, &[], 5, 0.9, &DrTopKConfig::default())
-                .values
-                .is_empty()
-        );
+        assert!(dr_topk(&dev, &data, 0, &DrTopKConfig::approx(0.9))
+            .values
+            .is_empty());
+        assert!(dr_topk::<u32>(&dev, &[], 5, &DrTopKConfig::approx(0.9))
+            .values
+            .is_empty());
     }
 
     #[test]
@@ -662,7 +643,7 @@ mod tests {
         // result must still be k values drawn from the input.
         let dev = device();
         let data = topk_datagen::uniform(512, 31);
-        let got = dr_topk_approx(&dev, &data, 16, 0.9, &DrTopKConfig::default());
+        let got = dr_topk(&dev, &data, 16, &DrTopKConfig::approx(0.9));
         assert_eq!(got.values.len(), 16);
         assert!(!got.workload.fell_back);
         assert!(got.workload.num_subranges >= 32, "≥ 2k buckets");
@@ -670,7 +651,7 @@ mod tests {
         // k too large for a 2k-bucket split → the plan normalises to the
         // exact machinery (delegate pipeline or inner-direct) and the
         // answer is exact
-        let got = dr_topk_approx(&dev, &data, 200, 0.9, &DrTopKConfig::default());
+        let got = dr_topk(&dev, &data, 200, &DrTopKConfig::approx(0.9));
         assert_eq!(got.values, reference_topk(&data, 200));
         assert!(got.workload.concatenated_len > 0 || got.workload.fell_back);
     }
@@ -683,7 +664,7 @@ mod tests {
         let data = topk_datagen::uniform(1 << 18, 5);
         let k = 256;
         let exact = dr_topk(&dev, &data, k, &DrTopKConfig::default());
-        let approx = dr_topk_approx(&dev, &data, k, 0.95, &DrTopKConfig::default());
+        let approx = dr_topk(&dev, &data, k, &DrTopKConfig::approx(0.95));
         let t = |r: &DrTopKResult<u32>| {
             r.stats.global_load_transactions + r.stats.global_store_transactions
         };

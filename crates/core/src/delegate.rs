@@ -42,6 +42,8 @@
 use gpu_sim::{Device, KernelStats, WARP_SIZE};
 use topk_baselines::{KeyBits, TopKKey};
 
+use crate::direction::{as_desc, Direction};
+
 /// How the delegate vector is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConstructionMethod {
@@ -76,8 +78,10 @@ impl ConstructionMethod {
 /// stored as two parallel columns (structure of arrays).
 #[derive(Debug, Clone)]
 pub struct DelegateVector<K: TopKKey = u32> {
-    /// Delegate values, `β` consecutive entries per subrange, each subrange's
-    /// entries in descending order.
+    /// Delegate values, `β` consecutive entries per subrange: each
+    /// subrange's best β native keys in [`direction`](Self::direction)'s
+    /// order, best first (descending for the largest, ascending for the
+    /// smallest).
     pub values: Vec<K>,
     /// Subrange id of each delegate entry (parallel to `values`).
     pub subrange_ids: Vec<u32>,
@@ -89,6 +93,9 @@ pub struct DelegateVector<K: TopKKey = u32> {
     pub num_subranges: usize,
     /// Which construction kernel actually ran.
     pub method: ConstructionMethod,
+    /// The direction the delegates were extracted for; only plans of that
+    /// direction may share the vector.
+    pub direction: Direction,
     /// Counters accumulated by the construction kernel.
     pub stats: KernelStats,
     /// Modeled construction time in milliseconds.
@@ -105,6 +112,38 @@ impl<K: TopKKey> DelegateVector<K> {
     /// True when the delegate vector is empty (empty input).
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
+    }
+
+    /// The vector as the pipeline reads it, in `K`'s own order.
+    pub(crate) fn view(&self) -> Delegates<'_, K> {
+        Delegates {
+            values: &self.values,
+            subrange_ids: &self.subrange_ids,
+            beta: self.beta,
+            subrange_size: self.subrange_size,
+            num_subranges: self.num_subranges,
+        }
+    }
+}
+
+/// A borrowed delegate vector: its values in the key order being selected
+/// (best first per subrange), with the shape they were extracted for. The
+/// first top-k and the approximate pass read delegates through it, so a
+/// smallest-direction vector of native keys is read as `Desc` keys without
+/// a copy ([`Delegates::as_desc`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Delegates<'a, K> {
+    pub(crate) values: &'a [K],
+    pub(crate) subrange_ids: &'a [u32],
+    pub(crate) beta: usize,
+    pub(crate) subrange_size: usize,
+    pub(crate) num_subranges: usize,
+}
+
+impl<K> Delegates<'_, K> {
+    /// Total number of delegate entries.
+    pub(crate) fn len(&self) -> usize {
+        self.values.len()
     }
 }
 
@@ -187,8 +226,25 @@ pub(crate) fn delegate_subrange_ids(len: usize, subrange_size: usize, beta: usiz
 }
 
 /// Build the delegate vector of `data` for subrange size `2^alpha` and `beta`
-/// delegates per subrange.
+/// delegates per subrange: each subrange's β best keys in `direction`'s
+/// order. Only plans of the same direction may share the result (see
+/// [`dr_topk_planned`](crate::pipeline::dr_topk_planned)).
 pub fn build_delegate_vector<K: TopKKey>(
+    device: &Device,
+    data: &[K],
+    alpha: u32,
+    beta: usize,
+    method: ConstructionMethod,
+    direction: Direction,
+) -> DelegateVector<K> {
+    match direction {
+        Direction::Largest => construct(device, data, alpha, beta, method),
+        Direction::Smallest => construct(device, as_desc(data), alpha, beta, method).into_native(),
+    }
+}
+
+/// The construction kernel: the top-β of every subrange in `K`'s order.
+pub(crate) fn construct<K: TopKKey>(
     device: &Device,
     data: &[K],
     alpha: u32,
@@ -209,6 +265,7 @@ pub fn build_delegate_vector<K: TopKKey>(
             subrange_size,
             num_subranges: 0,
             method,
+            direction: Direction::Largest,
             stats: KernelStats::default(),
             time_ms: 0.0,
         };
@@ -269,6 +326,7 @@ pub fn build_delegate_vector<K: TopKKey>(
         subrange_size,
         num_subranges,
         method,
+        direction: Direction::Largest,
         stats: launch.stats,
         time_ms: launch.time_ms,
     }
@@ -305,7 +363,7 @@ mod tests {
         let dev = device();
         let data = topk_datagen::uniform(1 << 14, 3);
         for alpha in [4u32, 8, 10] {
-            let dv = build_delegate_vector(&dev, &data, alpha, 1, ConstructionMethod::WarpShuffle);
+            let dv = construct(&dev, &data, alpha, 1, ConstructionMethod::WarpShuffle);
             let (vals, ids) = reference_delegates(&data, alpha, 1);
             assert_eq!(dv.values, vals, "alpha={alpha}");
             assert_eq!(dv.subrange_ids, ids);
@@ -322,7 +380,7 @@ mod tests {
                 ConstructionMethod::WarpShuffle,
                 ConstructionMethod::CoalescedShared,
             ] {
-                let dv = build_delegate_vector(&dev, &data, 6, beta, method);
+                let dv = construct(&dev, &data, 6, beta, method);
                 let (vals, ids) = reference_delegates(&data, 6, beta);
                 assert_eq!(dv.values, vals, "beta={beta} {method:?}");
                 assert_eq!(dv.subrange_ids, ids);
@@ -334,7 +392,7 @@ mod tests {
     fn short_final_subrange_is_handled() {
         let dev = device();
         let data: Vec<u32> = (0..1000u32).collect(); // not a multiple of 2^α
-        let dv = build_delegate_vector(&dev, &data, 8, 2, ConstructionMethod::Auto);
+        let dv = construct(&dev, &data, 8, 2, ConstructionMethod::Auto);
         assert_eq!(dv.num_subranges, 4);
         // last subrange has 1000 - 768 = 232 elements, still 2 delegates
         assert_eq!(dv.len(), 8);
@@ -347,7 +405,7 @@ mod tests {
     fn subrange_smaller_than_beta_yields_fewer_entries() {
         let dev = device();
         let data: Vec<u32> = vec![10, 20, 30, 40, 50];
-        let dv = build_delegate_vector(&dev, &data, 2, 3, ConstructionMethod::WarpShuffle);
+        let dv = construct(&dev, &data, 2, 3, ConstructionMethod::WarpShuffle);
         // subrange 0 = [10,20,30,40] -> 3 delegates; subrange 1 = [50] -> 1
         assert_eq!(dv.values, vec![40, 30, 20, 50]);
         assert_eq!(dv.subrange_ids, vec![0, 0, 0, 1]);
@@ -373,8 +431,8 @@ mod tests {
     fn coalesced_method_eliminates_shuffles() {
         let dev = device();
         let data = topk_datagen::uniform(1 << 16, 1);
-        let warp = build_delegate_vector(&dev, &data, 4, 2, ConstructionMethod::WarpShuffle);
-        let coal = build_delegate_vector(&dev, &data, 4, 2, ConstructionMethod::CoalescedShared);
+        let warp = construct(&dev, &data, 4, 2, ConstructionMethod::WarpShuffle);
+        let coal = construct(&dev, &data, 4, 2, ConstructionMethod::CoalescedShared);
         assert_eq!(warp.values, coal.values);
         assert!(warp.stats.shuffle_instructions > 0);
         assert_eq!(coal.stats.shuffle_instructions, 0);
@@ -389,7 +447,7 @@ mod tests {
         let dev = device();
         let n = 1 << 16;
         let data = topk_datagen::uniform(n, 1);
-        let dv = build_delegate_vector(&dev, &data, 8, 1, ConstructionMethod::WarpShuffle);
+        let dv = construct(&dev, &data, 8, 1, ConstructionMethod::WarpShuffle);
         let loaded = dv.stats.global_loaded_bytes;
         assert!(
             loaded >= (n * 4) as u64 && loaded < (n * 4) as u64 * 11 / 10,
@@ -402,7 +460,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let dev = device();
-        let dv = build_delegate_vector::<u32>(&dev, &[], 8, 2, ConstructionMethod::Auto);
+        let dv = construct::<u32>(&dev, &[], 8, 2, ConstructionMethod::Auto);
         assert!(dv.is_empty());
         assert_eq!(dv.num_subranges, 0);
     }
@@ -411,7 +469,7 @@ mod tests {
     #[should_panic(expected = "beta must be at least 1")]
     fn zero_beta_panics() {
         let dev = device();
-        build_delegate_vector(&dev, &[1, 2, 3], 2, 0, ConstructionMethod::Auto);
+        construct(&dev, &[1, 2, 3], 2, 0, ConstructionMethod::Auto);
     }
 
     /// Sort-then-truncate reference for [`top_beta_into`], in bits.
@@ -513,14 +571,8 @@ mod tests {
             for tail in [0, 1, size / 2, size - 1] {
                 let data = topk_datagen::uniform(70 * size + tail, u64::from(alpha) + 10);
                 for beta in [1usize, 2, 3, 5] {
-                    let warp = build_delegate_vector(
-                        &dev,
-                        &data,
-                        alpha,
-                        beta,
-                        ConstructionMethod::WarpShuffle,
-                    );
-                    let coal = build_delegate_vector(
+                    let warp = construct(&dev, &data, alpha, beta, ConstructionMethod::WarpShuffle);
+                    let coal = construct(
                         &dev,
                         &data,
                         alpha,
@@ -602,7 +654,7 @@ mod tests {
         ];
         for (n, alpha, beta, method, stats, time_bits) in cases {
             let data = topk_datagen::uniform(n, 2021);
-            let dv = build_delegate_vector(&dev, &data, alpha, beta, method);
+            let dv = construct(&dev, &data, alpha, beta, method);
             assert_eq!(dv.stats, stats, "n={n} alpha={alpha} {method:?}");
             assert_eq!(
                 dv.time_ms.to_bits(),

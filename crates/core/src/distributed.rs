@@ -52,14 +52,16 @@ use std::sync::Mutex;
 
 use drtopk_obs::TraceSink;
 use gpu_sim::{GpuCluster, KernelStats, TransferDirection};
-use topk_baselines::{reference_topk, Desc, TopKKey};
+use topk_baselines::{reference_topk, TopKKey};
 
+use crate::direction::{as_desc, Direction};
 use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
-use crate::pipeline::{dr_topk_with_stats, DrTopKConfig, PhaseBreakdown};
+use crate::pipeline::{run_planned, DrTopKConfig, PhaseBreakdown, PlannedQuery};
 use crate::radix_flags::flag_radix_topk;
 use crate::stages::{
     Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport, TransferLane,
 };
+use crate::verify::{debug_assert_verified, VerifyOptions};
 
 /// How out-of-core sub-vector reloads are scheduled against compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -162,28 +164,6 @@ pub struct DistributedResult<K: TopKKey = u32> {
     pub schedule: ReloadSchedule,
 }
 
-impl<K: TopKKey> DistributedResult<Desc<K>> {
-    /// Unwrap a result computed in [`Desc`] space back to native keys
-    /// (ascending order for the caller's smallest-direction query).
-    pub fn into_native(self) -> DistributedResult<K> {
-        DistributedResult {
-            values: self.values.into_iter().map(|d| d.0).collect(),
-            kth_value: self.kth_value.0,
-            per_device_compute_ms: self.per_device_compute_ms,
-            per_device_reload_ms: self.per_device_reload_ms,
-            communication_ms: self.communication_ms,
-            final_topk_ms: self.final_topk_ms,
-            total_ms: self.total_ms,
-            reload_overhead_ms: self.reload_overhead_ms,
-            stats: self.stats,
-            predicted_recall: self.predicted_recall,
-            breakdown: self.breakdown,
-            stages: self.stages,
-            schedule: self.schedule,
-        }
-    }
-}
-
 /// Convert a device capacity expressed in `u32` elements (the unit of
 /// [`gpu_sim::Device::capacity_elems`]) into a capacity in `K`-typed keys:
 /// an 8-byte key occupies two `u32` words, so half as many fit.
@@ -245,30 +225,34 @@ pub fn place_shards(lens: &[usize], capabilities: &[f64]) -> Vec<usize> {
         .collect()
 }
 
-/// Run Dr. Top-k on `data` distributed over the devices of `cluster`,
-/// under the default [`ReloadSchedule::DoubleBuffered`] chunked ingestion.
-pub fn distributed_dr_topk<K: TopKKey>(
-    cluster: &GpuCluster,
-    data: &[K],
-    k: usize,
-    config: &DrTopKConfig,
-) -> DistributedResult<K> {
-    distributed_dr_topk_scheduled(cluster, data, k, config, ReloadSchedule::default())
-}
-
-/// Run distributed Dr. Top-k under an explicit [`ReloadSchedule`].
+/// Run Dr. Top-k on `data` distributed over the devices of `cluster`: the
+/// k largest keys (or the k smallest, per [`DrTopKConfig::direction`])
+/// under an explicit [`ReloadSchedule`].
 ///
 /// Both schedules execute the identical stage graph and return bit-identical
 /// values; only the modeled timeline differs (the bench target
 /// `streamed_oversize` and the pinned out-of-core tests compare the two).
-pub fn distributed_dr_topk_scheduled<K: TopKKey>(
-    cluster: &GpuCluster,
-    data: &[K],
+///
+/// With a `sink`, the run's stages stream into it as spans whose modeled
+/// intervals match the returned report's `stages` **bit-for-bit**, plus
+/// live executor events (dispatches, dependency-gate wakes, debug-build
+/// verifier passes). A deterministic
+/// [`TraceRecorder`](drtopk_obs::TraceRecorder) fed from this runner
+/// exports byte-identical Chrome traces across runs.
+pub fn distributed_dr_topk<'a, K: TopKKey>(
+    cluster: &'a GpuCluster,
+    data: &'a [K],
     k: usize,
-    config: &DrTopKConfig,
+    config: &'a DrTopKConfig,
     schedule: ReloadSchedule,
+    sink: Option<&'a dyn TraceSink>,
 ) -> DistributedResult<K> {
-    run_distributed(cluster, data, k, config, schedule, None)
+    match config.direction {
+        Direction::Largest => run_distributed(cluster, data, k, config, schedule, sink),
+        Direction::Smallest => {
+            run_distributed(cluster, as_desc(data), k, config, schedule, sink).into_native()
+        }
+    }
 }
 
 /// The mutable state one device's stages write: its local candidate buffer
@@ -287,25 +271,8 @@ struct DistCtx<K> {
     winners: Mutex<Option<Vec<K>>>,
 }
 
-/// [`distributed_dr_topk_scheduled`] with a [`TraceSink`] attached to the
-/// stage graph: the run's stages stream into `sink` as spans whose modeled
-/// intervals match the returned report's `stages` **bit-for-bit**, plus
-/// live executor events (dispatches, dependency-gate wakes, debug-build
-/// verifier passes). A deterministic
-/// [`TraceRecorder`](drtopk_obs::TraceRecorder) fed from this entry point
-/// exports byte-identical Chrome traces across runs.
-pub fn distributed_dr_topk_observed<'a, K: TopKKey>(
-    cluster: &'a GpuCluster,
-    data: &'a [K],
-    k: usize,
-    config: &'a DrTopKConfig,
-    schedule: ReloadSchedule,
-    sink: &'a dyn TraceSink,
-) -> DistributedResult<K> {
-    run_distributed(cluster, data, k, config, schedule, Some(sink))
-}
-
-/// Shared body of the scheduled and observed entry points.
+/// [`distributed_dr_topk`] below the direction boundary: the largest keys
+/// of `data` in `K`'s order.
 fn run_distributed<'a, K: TopKKey>(
     cluster: &'a GpuCluster,
     data: &'a [K],
@@ -323,24 +290,14 @@ fn run_distributed<'a, K: TopKKey>(
     if let Some(sink) = sink {
         plan.graph.set_trace_sink(sink);
     }
-    #[cfg(debug_assertions)]
-    {
-        // The generic execute-time check runs with default options; the
-        // planner knows its staging-buffer count, so it additionally arms
-        // the V010 double-buffer hazard analysis.
-        let diags = plan.graph.verify_with(&crate::verify::VerifyOptions {
+    // The generic execute-time check runs with default options; the
+    // planner knows its staging-buffer count, so it additionally arms the
+    // V010 double-buffer hazard analysis.
+    debug_assert_verified("distributed stage graph", || {
+        plan.graph.verify_with(&VerifyOptions {
             staging_buffers: Some(schedule.staging_buffers()),
-        });
-        assert!(
-            diags.is_empty(),
-            "distributed stage graph failed verification:\n{}",
-            diags
-                .iter()
-                .map(|d| format!("  {d}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
+        })
+    });
     let DistPlan {
         graph,
         ctx,
@@ -361,6 +318,24 @@ fn run_distributed<'a, K: TopKKey>(
 /// returned alongside the coverage summary; the first disagreement (or a
 /// deadlocked interleaving) returns the [`Divergence`] instead.
 pub fn distributed_dr_topk_explore<K: TopKKey>(
+    cluster: &GpuCluster,
+    data: &[K],
+    k: usize,
+    config: &DrTopKConfig,
+    schedule: ReloadSchedule,
+    budget: ExploreBudget,
+) -> Result<(DistributedResult<K>, ExploreOutcome), Box<Divergence>> {
+    match config.direction {
+        Direction::Largest => explore_distributed(cluster, data, k, config, schedule, budget),
+        Direction::Smallest => {
+            explore_distributed(cluster, as_desc(data), k, config, schedule, budget)
+                .map(|(result, outcome)| (result.into_native(), outcome))
+        }
+    }
+}
+
+/// [`distributed_dr_topk_explore`] below the direction boundary.
+fn explore_distributed<K: TopKKey>(
     cluster: &GpuCluster,
     data: &[K],
     k: usize,
@@ -392,7 +367,7 @@ pub fn distributed_dr_topk_explore<K: TopKKey>(
         },
         budget,
     )?;
-    let result = distributed_dr_topk_scheduled(cluster, data, k, config, schedule);
+    let result = run_distributed(cluster, data, k, config, schedule, None);
     Ok((result, outcome))
 }
 
@@ -546,7 +521,9 @@ fn build_distributed_graph<'a, K: TopKKey>(
                 Resource::Compute(d),
                 &deps,
                 move |ctx: &DistCtx<K>| {
-                    let r = dr_topk_with_stats(device, &data[range], k, config);
+                    let chunk = &data[range];
+                    let planned = PlannedQuery::plan(chunk.len(), k, config);
+                    let r = run_planned(device, chunk, None, &planned);
                     let outcome = StageOutcome {
                         stats: r.stats,
                         time_ms: r.time_ms,
@@ -733,6 +710,12 @@ mod tests {
         c
     }
 
+    /// The default request under the default schedule, untraced.
+    fn run<K: TopKKey>(c: &GpuCluster, data: &[K], k: usize) -> DistributedResult<K> {
+        let config = DrTopKConfig::default();
+        distributed_dr_topk(c, data, k, &config, ReloadSchedule::default(), None)
+    }
+
     #[test]
     fn partitioning_covers_everything_equally() {
         let parts = partition_subvectors(1000, 300);
@@ -755,7 +738,7 @@ mod tests {
         let k = 128;
         for devices in [1usize, 2, 4] {
             let c = cluster(devices, 1 << 20);
-            let got = distributed_dr_topk(&c, &data, k, &DrTopKConfig::default());
+            let got = run(&c, &data, k);
             assert_eq!(got.values, reference_topk(&data, k), "{devices} devices");
             assert_eq!(got.reload_overhead_ms, 0.0, "no reload when data fits");
         }
@@ -767,7 +750,7 @@ mod tests {
         let data = topk_datagen::customized(1 << 16, 9);
         let k = 64;
         let c = cluster(2, 1 << 13);
-        let got = distributed_dr_topk(&c, &data, k, &DrTopKConfig::default());
+        let got = run(&c, &data, k);
         assert_eq!(got.values, reference_topk(&data, k));
         assert!(got.reload_overhead_ms > 0.0);
     }
@@ -777,9 +760,9 @@ mod tests {
         let data = topk_datagen::uniform(1 << 18, 7);
         let k = 128;
         let capacity = 1 << 15; // 8 sub-vectors
-        let t1 = distributed_dr_topk(&cluster(1, capacity), &data, k, &DrTopKConfig::default());
-        let t4 = distributed_dr_topk(&cluster(4, capacity), &data, k, &DrTopKConfig::default());
-        let t8 = distributed_dr_topk(&cluster(8, capacity), &data, k, &DrTopKConfig::default());
+        let t1 = run(&cluster(1, capacity), &data, k);
+        let t4 = run(&cluster(4, capacity), &data, k);
+        let t8 = run(&cluster(8, capacity), &data, k);
         assert_eq!(t1.values, t8.values);
         assert!(
             t4.total_ms < t1.total_ms,
@@ -878,7 +861,7 @@ mod tests {
         // no source is exactly the verifier's V007 diagnostic).
         let data = topk_datagen::uniform(1 << 12, 5);
         let c = cluster(4, 1 << 20);
-        let got = distributed_dr_topk(&c, &data, 32, &DrTopKConfig::default());
+        let got = run(&c, &data, 32);
         assert_eq!(got.values, reference_topk(&data, 32));
         assert_eq!(got.communication_ms, 0.0, "no sources → no gathers");
         assert!(got
@@ -916,7 +899,7 @@ mod tests {
     fn single_device_has_no_communication() {
         let data = topk_datagen::uniform(1 << 14, 3);
         let c = cluster(1, 1 << 20);
-        let got = distributed_dr_topk(&c, &data, 32, &DrTopKConfig::default());
+        let got = run(&c, &data, 32);
         assert_eq!(got.communication_ms, 0.0);
         assert_eq!(got.final_topk_ms, 0.0);
         assert_eq!(got.values, reference_topk(&data, 32));
@@ -925,15 +908,9 @@ mod tests {
     #[test]
     fn empty_and_zero_k_inputs() {
         let c = cluster(2, 1 << 20);
-        assert!(
-            distributed_dr_topk::<u32>(&c, &[], 5, &DrTopKConfig::default())
-                .values
-                .is_empty()
-        );
+        assert!(run::<u32>(&c, &[], 5).values.is_empty());
         let data = topk_datagen::uniform(1 << 12, 1);
-        assert!(distributed_dr_topk(&c, &data, 0, &DrTopKConfig::default())
-            .values
-            .is_empty());
+        assert!(run(&c, &data, 0).values.is_empty());
     }
 
     #[test]
@@ -949,9 +926,9 @@ mod tests {
         let wide: Vec<u64> = base.iter().map(|&x| (x as u64) << 8).collect();
         let k = 32;
         let c = cluster(1, n); // exactly |V| u32 elements of memory
-        let narrow_run = distributed_dr_topk(&c, &base, k, &DrTopKConfig::default());
+        let narrow_run = run(&c, &base, k);
         assert_eq!(narrow_run.reload_overhead_ms, 0.0, "u32 input fits");
-        let wide_run = distributed_dr_topk(&c, &wide, k, &DrTopKConfig::default());
+        let wide_run = run(&c, &wide, k);
         assert_eq!(wide_run.values, reference_topk(&wide, k));
         assert!(
             wide_run.reload_overhead_ms > 0.0,
@@ -971,11 +948,11 @@ mod tests {
         let signed: Vec<i64> = base.iter().map(|&x| x as i64 - (1 << 31)).collect();
         let k = 73;
         let c = cluster(3, 1 << 12); // forces reloads on every device
-        let got = distributed_dr_topk(&c, &floats, k, &DrTopKConfig::default());
+        let got = run(&c, &floats, k);
         assert_eq!(got.values, reference_topk(&floats, k));
         assert_eq!(got.kth_value, *got.values.last().unwrap());
         assert!(got.reload_overhead_ms > 0.0);
-        let got = distributed_dr_topk(&c, &signed, k, &DrTopKConfig::default());
+        let got = run(&c, &signed, k);
         assert_eq!(got.values, reference_topk(&signed, k));
     }
 
@@ -1031,7 +1008,7 @@ mod tests {
         }
         let data = topk_datagen::uniform(1 << 16, 42); // 8 sub-vectors
         let k = 64;
-        let got = distributed_dr_topk(&c, &data, k, &DrTopKConfig::default());
+        let got = run(&c, &data, k);
         assert_eq!(got.values, reference_topk(&data, k));
         let count_on = |dev: usize| {
             got.stages

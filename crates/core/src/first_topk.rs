@@ -20,7 +20,8 @@ use gpu_sim::{Device, KernelStats};
 use topk_baselines::radix::ELEMS_PER_WARP;
 use topk_baselines::TopKKey;
 
-use crate::delegate::DelegateVector;
+use crate::delegate::{DelegateVector, Delegates};
+use crate::direction::Direction;
 use crate::radix_flags::flag_radix_select_kth;
 
 /// Outcome of the first top-k over the delegate vector.
@@ -49,21 +50,41 @@ pub struct FirstTopK<K: TopKKey = u32> {
     pub time_ms: f64,
 }
 
-/// Run the first top-k on a delegate vector.
+/// Run the first top-k on a largest-direction delegate vector.
 ///
 /// `k` is the query's k; `skip_last_pass` enables the paper's optimization of
 /// dropping the final radix pass when β delegates and filtering make the
 /// precision unnecessary.
+///
+/// # Panics
+///
+/// Panics on an empty vector or a smallest-direction vector (the pipeline
+/// runners read those in reversed order themselves).
 pub fn first_topk<K: TopKKey>(
     device: &Device,
     delegates: &DelegateVector<K>,
     k: usize,
     skip_last_pass: bool,
 ) -> FirstTopK<K> {
-    assert!(!delegates.is_empty(), "delegate vector must not be empty");
+    let largest = delegates.direction == Direction::Largest;
+    assert!(largest, "first_topk needs a largest-direction vector");
+    select_first_topk(device, delegates.view(), k, skip_last_pass)
+}
+
+/// [`first_topk`] over a delegate view in the order being selected.
+pub(crate) fn select_first_topk<K: TopKKey>(
+    device: &Device,
+    delegates: Delegates<'_, K>,
+    k: usize,
+    skip_last_pass: bool,
+) -> FirstTopK<K> {
+    assert!(
+        !delegates.values.is_empty(),
+        "delegate vector must not be empty"
+    );
     let k = k.min(delegates.len());
     // Selection over the delegate *values* (the key column).
-    let select = flag_radix_select_kth(device, &delegates.values, k, skip_last_pass);
+    let select = flag_radix_select_kth(device, delegates.values, k, skip_last_pass);
     let mut stats = select.stats;
     let mut time_ms = select.time_ms;
     let threshold = select.threshold;
@@ -71,8 +92,8 @@ pub fn first_topk<K: TopKKey>(
 
     // Mark pass: find every delegate entry ≥ threshold and report it together
     // with its subrange id.
-    let values = &delegates.values;
-    let ids = &delegates.subrange_ids;
+    let values = delegates.values;
+    let ids = delegates.subrange_ids;
     let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
     let num_warps = values.len().div_ceil(ELEMS_PER_WARP).max(1);
     let launch = device.launch("drtopk_first_topk_mark", num_warps, |ctx| {
@@ -134,7 +155,7 @@ pub(crate) fn mark<K: TopKKey>(
 /// taken (a true top-k); with a skipped pass the threshold is a lower bound
 /// and every marked entry is taken. Counters are left empty for the caller.
 pub(crate) fn take_marked<K: TopKKey>(
-    delegates: &DelegateVector<K>,
+    delegates: Delegates<'_, K>,
     marked: Marked<K>,
     k: usize,
     threshold: K,
@@ -196,7 +217,7 @@ pub(crate) fn take_marked<K: TopKKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delegate::{build_delegate_vector, ConstructionMethod};
+    use crate::delegate::{construct, ConstructionMethod};
     use gpu_sim::DeviceSpec;
     use topk_baselines::reference_kth;
 
@@ -205,7 +226,7 @@ mod tests {
     }
 
     fn build(data: &[u32], alpha: u32, beta: usize, dev: &Device) -> DelegateVector {
-        build_delegate_vector(dev, data, alpha, beta, ConstructionMethod::Auto)
+        construct(dev, data, alpha, beta, ConstructionMethod::Auto)
     }
 
     #[test]

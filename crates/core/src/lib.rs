@@ -23,15 +23,24 @@
 //!   pipeline as a second execution path, chosen per `(n, k, key_bits,
 //!   device)` by a modeled crossover ([`choose_path`], [`PathHint`];
 //!   going beyond the paper, following RadiK's large-k observation).
-//! * **Generic keys** — every entry point is generic over
-//!   [`TopKKey`] (`u32`/`u64`/`i32`/`i64`/`f32`/`f64`), and [`dr_topk_min`]
-//!   answers top-k-*smallest* queries (k-NN distances) on native keys with
-//!   no caller-side bit tricks.
-//! * **Recall-targeted approximate selection** — [`dr_topk_approx`] (and
-//!   the [`Mode`] knob on [`DrTopKConfig`]) trades exactness for speed:
-//!   per-bucket candidates sized by an analytic recall model replace the
-//!   concatenation/refill passes entirely ([`approx`], going beyond the
-//!   paper).
+//! * **Generic keys and both directions** — every entry point is generic
+//!   over [`TopKKey`] (`u32`/`u64`/`i32`/`i64`/`f32`/`f64`), and
+//!   [`DrTopKConfig::direction`] selects top-k-*largest* (default) or
+//!   top-k-*smallest* (k-NN distances) on native keys with no caller-side
+//!   bit tricks ([`mod@direction`]).
+//! * **Recall-targeted approximate selection** — the [`Mode`] knob on
+//!   [`DrTopKConfig`] (or [`DrTopKConfig::approx`]) trades exactness for
+//!   speed: per-bucket candidates sized by an analytic recall model
+//!   replace the concatenation/refill passes entirely ([`approx`], going
+//!   beyond the paper).
+//!
+//! ## Entry points
+//!
+//! One runner per target, each taking the request as a [`DrTopKConfig`]:
+//! [`dr_topk`] and [`dr_topk_planned`] on one device, [`distributed_dr_topk`]
+//! on a cluster, [`topk_rows`] and [`topk_rows_on`] on a row matrix, plus
+//! the schedule-exploring twins [`distributed_dr_topk_explore`] and
+//! [`topk_rows_explore`].
 //!
 //! ## Quickstart
 //!
@@ -54,6 +63,7 @@
 pub mod approx;
 pub mod concat;
 pub mod delegate;
+pub mod direction;
 pub mod distributed;
 pub mod explore;
 pub mod first_topk;
@@ -68,32 +78,29 @@ pub mod verify;
 pub use approx::{expected_recall, measured_recall, required_budget, Mode, RecallTarget};
 pub use concat::{concatenate, Concatenated};
 pub use delegate::{build_delegate_vector, ConstructionMethod, DelegateVector};
+pub use direction::Direction;
 pub use distributed::{
-    capacity_in_keys, distributed_dr_topk, distributed_dr_topk_explore,
-    distributed_dr_topk_observed, distributed_dr_topk_scheduled, partition_subvectors,
+    capacity_in_keys, distributed_dr_topk, distributed_dr_topk_explore, partition_subvectors,
     place_shards, DistributedResult, ReloadSchedule,
 };
 pub use explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 pub use first_topk::{first_topk, FirstTopK};
 pub use pipeline::{
-    as_desc, dr_topk, dr_topk_approx, dr_topk_min, dr_topk_planned, dr_topk_with_stats,
-    DrTopKConfig, DrTopKResult, InnerAlgorithm, PhaseBreakdown, PlannedQuery, WorkloadStats,
+    dr_topk, dr_topk_planned, DrTopKConfig, DrTopKResult, InnerAlgorithm, PhaseBreakdown,
+    PlannedQuery, WorkloadStats,
 };
 pub use radix_flags::{flag_radix_select_kth, flag_radix_topk};
-pub use rows::{
-    topk_rows, topk_rows_explore, topk_rows_min, topk_rows_on, RowK, RowMatrix, RowTopKResult,
-};
+pub use rows::{topk_rows, topk_rows_explore, topk_rows_on, RowK, RowMatrix, RowTopKResult};
 pub use stages::{
     ExecutedStage, Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport,
     TransferLane,
 };
-pub use topk_baselines::{Desc, KeyBits, TopKKey};
+pub use topk_baselines::{KeyBits, TopKKey};
 pub use tuning::{
-    auto_alpha, choose_path, choose_path_sampled, choose_path_with_survival,
-    estimate_radix_survival, is_convex_in_alpha, model_optimal_alpha, optimal_approx_tuning,
-    predicted_approx_cost, predicted_cost, radix_predicted_cost,
-    radix_predicted_cost_with_survival, rule4_alpha, ApproxTuning, ChosenPath, PathHint,
-    PredictedCost, RadixPredictedCost, PAPER_RULE4_CONST, RADIX_DIGIT_SURVIVAL,
-    RADIX_MODEL_CALIBRATION,
+    auto_alpha, choose_path, choose_path_sampled, estimate_radix_survival, is_convex_in_alpha,
+    model_optimal_alpha, optimal_approx_tuning, predicted_approx_cost, predicted_cost, rule4_alpha,
+    ApproxTuning, ChosenPath, PathHint, PredictedCost, PAPER_RULE4_CONST, RADIX_DIGIT_SURVIVAL,
 };
-pub use verify::{verify_specs, Diagnostic, DiagnosticCode, StageSpec, VerifyOptions};
+pub use verify::{
+    debug_assert_verified, verify_specs, Diagnostic, DiagnosticCode, StageSpec, VerifyOptions,
+};

@@ -4,10 +4,11 @@
 //!
 //! Every entry point is generic over [`TopKKey`], so the same pipeline
 //! serves `u32`/`u64`/`i32`/`i64`/`f32`/`f64` workloads; the `u32`
-//! monomorphization is byte-for-byte the historical one. [`dr_topk`] answers
-//! top-k-*largest*; [`dr_topk_min`] answers top-k-*smallest* (e.g. k-NN
-//! distances) by running the same machinery through the order-reversing
-//! [`Desc`] key adapter with zero per-element cost.
+//! monomorphization is byte-for-byte the historical one. [`dr_topk`]
+//! answers top-k-*largest* by default and top-k-*smallest* (e.g. k-NN
+//! distances) when [`DrTopKConfig::direction`] says so: the same machinery
+//! runs over a zero-copy order-reversing view of the input (see
+//! [`crate::direction`]).
 
 // Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
 // the exact pipeline's stage-graph context keeps its phase buffers in
@@ -18,14 +19,15 @@ use gpu_sim::{Device, KernelStats};
 use std::cmp::Reverse;
 use std::sync::Mutex;
 use topk_baselines::{
-    bitonic_topk, bucket_topk, radix_topk, BitonicConfig, BucketConfig, Desc, RadixVariant,
-    TopKKey, TopKResult,
+    bitonic_topk, bucket_topk, radix_topk, BitonicConfig, BucketConfig, RadixVariant, TopKKey,
+    TopKResult,
 };
 
 use crate::approx::{dr_topk_approx_planned, expected_recall, required_budget, Mode, RecallTarget};
 use crate::concat::{concatenate, Concatenated};
-use crate::delegate::{build_delegate_vector, ConstructionMethod, DelegateVector};
-use crate::first_topk::{first_topk, FirstTopK};
+use crate::delegate::{construct, ConstructionMethod, DelegateVector, Delegates};
+use crate::direction::{as_desc, Direction};
+use crate::first_topk::{select_first_topk, FirstTopK};
 use crate::radix_flags::flag_radix_topk;
 use crate::radix_path::radix_dr_topk;
 use crate::stages::{Resource, StageGraph, StageKind, StageOutcome, StageReport};
@@ -121,6 +123,26 @@ pub struct DrTopKConfig {
     /// (unless `alpha` is pinned, in which case only the per-bucket budget
     /// is derived), and the concatenation/refill phases are skipped.
     pub mode: Mode,
+    /// Select the k largest keys (default, descending) or the k smallest
+    /// (ascending). Every runner honours it.
+    ///
+    /// Top-k smallest is the natural entry point for k-nearest-neighbour
+    /// search over native distances, with no caller-side bit flipping.
+    ///
+    /// ```
+    /// use drtopk_core::{dr_topk, Direction, DrTopKConfig};
+    /// use gpu_sim::{Device, DeviceSpec};
+    ///
+    /// let device = Device::new(DeviceSpec::v100s());
+    /// let distances: Vec<f32> = (0..50_000u32)
+    ///     .map(|x| (x.wrapping_mul(2654435761) % 100_000) as f32 * 0.125)
+    ///     .collect();
+    /// let config = DrTopKConfig { direction: Direction::Smallest, ..DrTopKConfig::default() };
+    /// let nearest = dr_topk(&device, &distances, 10, &config);
+    /// assert_eq!(nearest.values, topk_baselines::reference_topk_min(&distances, 10));
+    /// assert!(nearest.values.windows(2).all(|w| w[0] <= w[1])); // closest first
+    /// ```
+    pub direction: Direction,
 }
 
 impl Default for DrTopKConfig {
@@ -135,6 +157,7 @@ impl Default for DrTopKConfig {
             rule4_const: PAPER_RULE4_CONST,
             path: PathHint::Auto,
             mode: Mode::Exact,
+            direction: Direction::Largest,
         }
     }
 }
@@ -165,7 +188,27 @@ impl DrTopKConfig {
     /// `Mode::Approx` at the given expected-recall floor (a fraction in
     /// `(0, 1]`; 1.0 runs the exact pipeline). The planner derives the
     /// bucketing and per-bucket candidate budget from the recall model per
-    /// query shape.
+    /// query shape: the input is split into buckets, the top-`k'`
+    /// candidates of each bucket are extracted, and the inner algorithm
+    /// selects the top-k of the candidates — the exact pipeline's
+    /// concatenation and refill passes never run.
+    ///
+    /// ```
+    /// use drtopk_core::{dr_topk, measured_recall, DrTopKConfig};
+    /// use gpu_sim::{Device, DeviceSpec};
+    ///
+    /// let device = Device::new(DeviceSpec::v100s());
+    /// let data: Vec<u32> = (0..1u32 << 16).map(|x| x.wrapping_mul(2654435761)).collect();
+    ///
+    /// let got = dr_topk(&device, &data, 64, &DrTopKConfig::approx(0.95));
+    /// assert_eq!(got.values.len(), 64);
+    ///
+    /// let exact = topk_baselines::reference_topk(&data, 64);
+    /// assert!(measured_recall(&got.values, &exact) >= 0.9);
+    /// // the second stage ran on a candidate vector, not the input
+    /// assert!(got.workload.delegate_vector_len < data.len() / 4);
+    /// assert_eq!(got.workload.concatenated_len, 0);
+    /// ```
     pub fn approx(target_recall: f64) -> Self {
         DrTopKConfig {
             mode: Mode::Approx {
@@ -322,8 +365,8 @@ impl WorkloadStats {
 /// Result of a Dr. Top-k run.
 #[derive(Debug, Clone)]
 pub struct DrTopKResult<K: TopKKey = u32> {
-    /// The selected values: the k largest in descending order for
-    /// [`dr_topk`], the k smallest in ascending order for [`dr_topk_min`].
+    /// The selected values, best first: the k largest in descending order,
+    /// or the k smallest in ascending order for [`Direction::Smallest`].
     pub values: Vec<K>,
     /// The k-th selected value (the selection threshold).
     pub kth_value: K,
@@ -348,12 +391,13 @@ pub struct DrTopKResult<K: TopKKey = u32> {
 /// input length, α pinned, and the delegate-vs-fallback decision already
 /// made.
 ///
-/// [`dr_topk_with_stats`] is exactly [`PlannedQuery::plan`] followed by
+/// [`dr_topk`] is exactly [`PlannedQuery::plan`] followed by
 /// [`dr_topk_planned`]; the two halves are public so a batching engine can
 /// plan many queries against the same corpus up front and then execute them
 /// against **one shared delegate vector** (built once with
-/// [`build_delegate_vector`], or recalled from a cache) instead of paying a
-/// full `|V|`-scan delegate construction per query.
+/// [`build_delegate_vector`](crate::delegate::build_delegate_vector), or
+/// recalled from a cache) instead of paying a full `|V|`-scan delegate
+/// construction per query.
 #[derive(Debug, Clone)]
 pub struct PlannedQuery {
     /// The query's k, clamped to the input length the plan was made for.
@@ -381,7 +425,7 @@ pub struct PlannedQuery {
 impl PlannedQuery {
     /// Resolve the execution plan of one query (`k` over an `n`-element
     /// input) under `config`. This performs the α resolution and the
-    /// degenerate-split analysis of [`dr_topk_with_stats`] without touching
+    /// degenerate-split analysis of [`dr_topk`] without touching
     /// any data.
     pub fn plan(n: usize, k: usize, config: &DrTopKConfig) -> PlannedQuery {
         assert!(config.beta >= 1, "beta must be at least 1");
@@ -481,8 +525,21 @@ impl PlannedQuery {
     }
 }
 
-/// Run Dr. Top-k on `data`, returning the full result with breakdowns.
-pub fn dr_topk_with_stats<K: TopKKey>(
+/// Run Dr. Top-k on `data`: the k largest keys (or the k smallest, per
+/// [`DrTopKConfig::direction`], whose docs show a k-nearest-neighbour
+/// call) with per-phase breakdowns and workload statistics.
+///
+/// ```
+/// use drtopk_core::{dr_topk, DrTopKConfig};
+/// use gpu_sim::{Device, DeviceSpec};
+///
+/// let device = Device::new(DeviceSpec::v100s());
+/// let data: Vec<u32> = (0..50_000u32).map(|x| x.wrapping_mul(2654435761)).collect();
+/// let result = dr_topk(&device, &data, 5, &DrTopKConfig::default());
+/// assert_eq!(result.values, topk_baselines::reference_topk(&data, 5));
+/// assert_eq!(result.kth_value, result.values[4]);
+/// ```
+pub fn dr_topk<K: TopKKey>(
     device: &Device,
     data: &[K],
     k: usize,
@@ -501,14 +558,70 @@ pub fn dr_topk_with_stats<K: TopKKey>(
 /// accounts for that one-time cost (this is how the batching engine
 /// amortizes one delegate pass over a whole same-corpus batch, and how a
 /// delegate cache makes repeat traffic on an unchanged corpus skip the
-/// `|V|` scan altogether). The shared vector's α, β and subrange count are
-/// asserted against the plan; that it was built from *this* `data` is an
-/// unchecked caller contract — delegates of different same-length data
-/// pass the asserts and silently select over the wrong corpus.
+/// `|V|` scan altogether). The shared vector's direction, α, β and subrange
+/// count are asserted against the plan; that it was built from *this*
+/// `data` is an unchecked caller contract — delegates of different
+/// same-length data pass the asserts and silently select over the wrong
+/// corpus.
 pub fn dr_topk_planned<K: TopKKey>(
     device: &Device,
     data: &[K],
     shared_delegates: Option<&DelegateVector<K>>,
+    planned: &PlannedQuery,
+) -> DrTopKResult<K> {
+    let config = &planned.config;
+    if let Some(shared) = shared_delegates {
+        assert_eq!(
+            shared.direction, config.direction,
+            "shared delegate vector was built for a different direction"
+        );
+        if planned.use_delegates && !data.is_empty() {
+            assert_eq!(
+                shared.subrange_size,
+                1usize << planned.alpha,
+                "shared delegate vector was built with a different alpha"
+            );
+            // An approximate plan accepts a larger candidate budget (more
+            // candidates only raise recall); an exact plan needs its own β.
+            if config.mode.strict_target().is_some() {
+                assert!(
+                    shared.beta >= config.beta,
+                    "shared candidate budget {} is below the plan's {}",
+                    shared.beta,
+                    config.beta
+                );
+            } else {
+                assert_eq!(
+                    shared.beta, config.beta,
+                    "shared delegate vector was built with a different beta"
+                );
+            }
+            assert_eq!(
+                shared.num_subranges,
+                data.len().div_ceil(shared.subrange_size),
+                "shared delegate vector does not cover this input"
+            );
+        }
+    }
+    let shared = shared_delegates.map(DelegateVector::view);
+    match config.direction {
+        Direction::Largest => run_planned(device, data, shared, planned),
+        Direction::Smallest => run_planned(
+            device,
+            as_desc(data),
+            shared.map(Delegates::as_desc),
+            planned,
+        )
+        .into_native(),
+    }
+}
+
+/// [`dr_topk_planned`] below the direction boundary: selects the largest
+/// keys of `data` in `K`'s order, whatever the plan's direction says.
+pub(crate) fn run_planned<K: TopKKey>(
+    device: &Device,
+    data: &[K],
+    shared_delegates: Option<Delegates<'_, K>>,
     planned: &PlannedQuery,
 ) -> DrTopKResult<K> {
     let config = &planned.config;
@@ -590,23 +703,6 @@ pub fn dr_topk_planned<K: TopKKey>(
         };
     }
 
-    if let Some(shared) = shared_delegates {
-        assert_eq!(
-            shared.subrange_size,
-            1usize << alpha,
-            "shared delegate vector was built with a different alpha"
-        );
-        assert_eq!(
-            shared.beta, config.beta,
-            "shared delegate vector was built with a different beta"
-        );
-        assert_eq!(
-            shared.num_subranges,
-            data.len().div_ceil(shared.subrange_size),
-            "shared delegate vector does not cover this input"
-        );
-    }
-
     // The exact pipeline as a stage graph: one stage per paper phase, all
     // on this device's compute queue, chained by their buffer dependencies.
     // Buffers travel through the context (a single mutex: every stage lives
@@ -622,10 +718,10 @@ pub fn dr_topk_planned<K: TopKKey>(
     }
     fn delegates_of<'c, K: TopKKey>(
         ctx: &'c ExactCtx<K>,
-        shared: Option<&'c DelegateVector<K>>,
-    ) -> &'c DelegateVector<K> {
+        shared: Option<Delegates<'c, K>>,
+    ) -> Delegates<'c, K> {
         shared
-            .or(ctx.built.as_ref())
+            .or_else(|| ctx.built.as_ref().map(DelegateVector::view))
             .expect("delegate vector available once phase 1 ran")
     }
 
@@ -640,8 +736,7 @@ pub fn dr_topk_planned<K: TopKKey>(
             Resource::Compute(0),
             &[],
             move |ctx: &Mutex<ExactCtx<K>>| {
-                let built =
-                    build_delegate_vector(device, data, alpha, config.beta, config.construction);
+                let built = construct(device, data, alpha, config.beta, config.construction);
                 let outcome = StageOutcome {
                     stats: built.stats,
                     time_ms: built.time_ms,
@@ -660,7 +755,7 @@ pub fn dr_topk_planned<K: TopKKey>(
         &deps,
         move |ctx: &Mutex<ExactCtx<K>>| {
             let mut guard = ctx.lock().unwrap();
-            let first = first_topk(
+            let first = select_first_topk(
                 device,
                 delegates_of(&guard, shared_delegates),
                 k,
@@ -769,133 +864,6 @@ pub fn dr_topk_planned<K: TopKKey>(
         workload,
         stats: report.stats(),
         stages: report,
-    }
-}
-
-/// Convenience wrapper around [`dr_topk_with_stats`] (same result type; the
-/// name mirrors the two-function API described in the README quickstart).
-///
-/// ```
-/// use drtopk_core::{dr_topk, DrTopKConfig};
-/// use gpu_sim::{Device, DeviceSpec};
-///
-/// let device = Device::new(DeviceSpec::v100s());
-/// let data: Vec<u32> = (0..50_000u32).map(|x| x.wrapping_mul(2654435761)).collect();
-/// let result = dr_topk(&device, &data, 5, &DrTopKConfig::default());
-/// assert_eq!(result.values, topk_baselines::reference_topk(&data, 5));
-/// assert_eq!(result.kth_value, result.values[4]);
-/// ```
-pub fn dr_topk<K: TopKKey>(
-    device: &Device,
-    data: &[K],
-    k: usize,
-    config: &DrTopKConfig,
-) -> DrTopKResult<K> {
-    dr_topk_with_stats(device, data, k, config)
-}
-
-/// Recall-targeted approximate top-k: the same signature as [`dr_topk`]
-/// plus an expected-recall floor in `(0, 1]`.
-///
-/// Equivalent to running [`dr_topk`] with
-/// [`DrTopKConfig::approx`]`(target_recall)` layered over `config`: the
-/// input is split into buckets, the top-`k'` candidates of each bucket are
-/// extracted (with `k'` sized by the analytic recall model of
-/// [`crate::approx`]), and the inner algorithm selects the top-k of the
-/// candidates — the exact pipeline's concatenation and refill passes never
-/// run. A target of 1.0 runs the exact pipeline unchanged.
-///
-/// ```
-/// use drtopk_core::{dr_topk_approx, measured_recall, DrTopKConfig};
-/// use gpu_sim::{Device, DeviceSpec};
-///
-/// let device = Device::new(DeviceSpec::v100s());
-/// let data: Vec<u32> = (0..1u32 << 16).map(|x| x.wrapping_mul(2654435761)).collect();
-///
-/// let got = dr_topk_approx(&device, &data, 64, 0.95, &DrTopKConfig::default());
-/// assert_eq!(got.values.len(), 64);
-///
-/// let exact = topk_baselines::reference_topk(&data, 64);
-/// assert!(measured_recall(&got.values, &exact) >= 0.9);
-/// // the second stage ran on a candidate vector, not the input
-/// assert!(got.workload.delegate_vector_len < data.len() / 4);
-/// assert_eq!(got.workload.concatenated_len, 0);
-/// ```
-pub fn dr_topk_approx<K: TopKKey>(
-    device: &Device,
-    data: &[K],
-    k: usize,
-    target_recall: f64,
-    config: &DrTopKConfig,
-) -> DrTopKResult<K> {
-    let cfg = DrTopKConfig {
-        mode: Mode::Approx {
-            target_recall: RecallTarget::from_fraction(target_recall),
-        },
-        ..config.clone()
-    };
-    dr_topk_with_stats(device, data, k, &cfg)
-}
-
-/// Top-k **smallest**: the k minimum elements of `data`, ascending
-/// (closest-first for distance data).
-///
-/// This is the natural entry point for k-nearest-neighbour search over
-/// native distances (f32 squared L2, etc.) — no caller-side bit flipping is
-/// needed. Internally the input is *reinterpreted* (not copied) as a slice
-/// of the order-reversing [`Desc`] key adapter, so the cost is identical to
-/// [`dr_topk`].
-///
-/// Float caveat (see the NaN policy in [`topk_baselines::key`]): positive
-/// NaNs are the *largest* keys in the total order, so a min-query ranks
-/// them last — NaN distances can never displace a genuine neighbour.
-///
-/// ```
-/// use drtopk_core::{dr_topk_min, DrTopKConfig};
-/// use gpu_sim::{Device, DeviceSpec};
-///
-/// let device = Device::new(DeviceSpec::v100s());
-/// let distances: Vec<f32> = (0..50_000u32)
-///     .map(|x| (x.wrapping_mul(2654435761) % 100_000) as f32 * 0.125)
-///     .collect();
-/// let nearest = dr_topk_min(&device, &distances, 10, &DrTopKConfig::default());
-/// assert_eq!(nearest.values, topk_baselines::reference_topk_min(&distances, 10));
-/// assert!(nearest.values.windows(2).all(|w| w[0] <= w[1])); // closest first
-/// ```
-pub fn dr_topk_min<K: TopKKey>(
-    device: &Device,
-    data: &[K],
-    k: usize,
-    config: &DrTopKConfig,
-) -> DrTopKResult<K> {
-    dr_topk_with_stats(device, as_desc(data), k, config).into_native()
-}
-
-/// Reinterpret a key slice through the order-reversing [`Desc`] adapter,
-/// without copying: running any max-machinery over the result answers the
-/// corresponding *min* query. This is the one place that relies on the
-/// `#[repr(transparent)]` layout of `Desc<K>`; every min-direction path
-/// ([`dr_topk_min`], the batching engine) goes through it.
-pub fn as_desc<K: TopKKey>(data: &[K]) -> &[Desc<K>] {
-    // SAFETY: `Desc<K>` is `#[repr(transparent)]` over `K`, so the slice
-    // layouts are identical and the reinterpretation is sound.
-    unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<Desc<K>>(), data.len()) }
-}
-
-impl<K: TopKKey> DrTopKResult<Desc<K>> {
-    /// Unwrap a result computed in [`Desc`] space back to native keys
-    /// (ascending order for the caller's smallest-direction query).
-    pub fn into_native(self) -> DrTopKResult<K> {
-        DrTopKResult {
-            values: self.values.into_iter().map(|d| d.0).collect(),
-            kth_value: self.kth_value.0,
-            alpha: self.alpha,
-            breakdown: self.breakdown,
-            workload: self.workload,
-            stats: self.stats,
-            time_ms: self.time_ms,
-            stages: self.stages,
-        }
     }
 }
 
@@ -1043,12 +1011,16 @@ mod tests {
             .into_iter()
             .map(|x| (x % 100_000) as f32 * 0.125)
             .collect();
-        let got = dr_topk_min(&dev, &distances, 50, &DrTopKConfig::default());
+        let smallest = DrTopKConfig {
+            direction: Direction::Smallest,
+            ..DrTopKConfig::default()
+        };
+        let got = dr_topk(&dev, &distances, 50, &smallest);
         assert_eq!(got.values, reference_topk_min(&distances, 50));
         assert_eq!(got.kth_value, *got.values.last().unwrap());
         // u32 keys work through the same entry point
         let ints = topk_datagen::uniform(1 << 13, 5);
-        let got = dr_topk_min(&dev, &ints, 17, &DrTopKConfig::default());
+        let got = dr_topk(&dev, &ints, 17, &smallest);
         assert_eq!(got.values, reference_topk_min(&ints, 17));
     }
 
@@ -1058,7 +1030,11 @@ mod tests {
         let mut distances: Vec<f32> = (0..4096).map(|i| 1.0 + (i % 977) as f32).collect();
         distances[7] = f32::NAN;
         distances[999] = f32::NAN;
-        let got = dr_topk_min(&dev, &distances, 64, &DrTopKConfig::default());
+        let smallest = DrTopKConfig {
+            direction: Direction::Smallest,
+            ..DrTopKConfig::default()
+        };
+        let got = dr_topk(&dev, &distances, 64, &smallest);
         assert!(
             got.values.iter().all(|v| !v.is_nan()),
             "NaN distances must never displace genuine neighbours"
@@ -1211,7 +1187,7 @@ mod tests {
 
     #[test]
     fn planned_query_splits_dr_topk_exactly() {
-        // dr_topk_with_stats == plan + execute: same values, same breakdown,
+        // dr_topk == plan + execute: same values, same breakdown,
         // same counters — the seam adds nothing and loses nothing.
         let dev = device();
         let data = topk_datagen::uniform(1 << 15, 17);
@@ -1219,7 +1195,7 @@ mod tests {
             let cfg = DrTopKConfig::default();
             let planned = PlannedQuery::plan(data.len(), k, &cfg);
             let via_seam = dr_topk_planned(&dev, &data, None, &planned);
-            let direct = dr_topk_with_stats(&dev, &data, k, &cfg);
+            let direct = dr_topk(&dev, &data, k, &cfg);
             assert_eq!(via_seam.values, direct.values, "k={k}");
             assert_eq!(via_seam.alpha, direct.alpha);
             assert_eq!(via_seam.stats, direct.stats);
@@ -1254,7 +1230,7 @@ mod tests {
         let ks = [16usize, 128, 1000];
         let k_max = 1000;
         let group = PlannedQuery::plan(data.len(), k_max, &cfg);
-        let delegates = build_delegate_vector(&dev, &data, group.alpha, cfg.beta, cfg.construction);
+        let delegates = construct(&dev, &data, group.alpha, cfg.beta, cfg.construction);
         for k in ks {
             // per-query plan under the group's pinned α
             let planned = PlannedQuery::plan(data.len(), k, &group.config);
@@ -1265,7 +1241,7 @@ mod tests {
             // but the first-top-k workload is still reported
             assert_eq!(shared.workload.delegate_vector_len, delegates.len());
             // and the query's own counters exclude the |V|-scan construction
-            let independent = dr_topk_with_stats(&dev, &data, k, &group.config);
+            let independent = dr_topk(&dev, &data, k, &group.config);
             assert_eq!(shared.values, independent.values);
             assert!(
                 shared.stats.global_loaded_bytes < independent.stats.global_loaded_bytes,
@@ -1275,11 +1251,29 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "different direction")]
+    fn shared_delegates_of_the_other_direction_panic() {
+        let dev = device();
+        let data = topk_datagen::uniform(1 << 12, 3);
+        let delegates = construct(&dev, &data, 6, 2, ConstructionMethod::Auto);
+        let planned = PlannedQuery::plan(
+            data.len(),
+            32,
+            &DrTopKConfig {
+                alpha: Some(6),
+                direction: Direction::Smallest,
+                ..DrTopKConfig::default()
+            },
+        );
+        dr_topk_planned(&dev, &data, Some(&delegates), &planned);
+    }
+
+    #[test]
     #[should_panic(expected = "different alpha")]
     fn shared_delegates_with_wrong_alpha_panic() {
         let dev = device();
         let data = topk_datagen::uniform(1 << 12, 3);
-        let delegates = build_delegate_vector(&dev, &data, 6, 2, ConstructionMethod::Auto);
+        let delegates = construct(&dev, &data, 6, 2, ConstructionMethod::Auto);
         let planned = PlannedQuery::plan(
             data.len(),
             32,

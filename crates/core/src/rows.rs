@@ -15,9 +15,9 @@
 //! every row that needs them, so an `R`-row matrix on `D` devices runs at
 //! most four launches and one delegate pass per block instead of per row.
 //!
-//! Per-row results are **bit-identical** to running [`dr_topk`] (or
-//! [`dr_topk_min`] through [`RowTopKResult::into_native`]) on each row
-//! independently: the same [`PlannedQuery`] plan, delegates
+//! Per-row results are **bit-identical** to running [`dr_topk`] with the
+//! same configuration, direction included, on each row independently: the
+//! same [`PlannedQuery`] plan, delegates
 //! (`top_beta_into`), flag-radix threshold, mark / Rule 3 / subrange-gather
 //! helpers of `first_topk` and `concatenate`, and second-top-k skip rule.
 //! Rows select at host speed and never run `config.inner`: every inner
@@ -28,7 +28,6 @@
 //! stores.
 //!
 //! [`dr_topk`]: crate::pipeline::dr_topk
-//! [`dr_topk_min`]: crate::pipeline::dr_topk_min
 
 // Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
 // the row-block stage-graph context keeps its per-block phase buffers in
@@ -40,13 +39,14 @@ use gpu_sim::{Device, GpuCluster, KernelStats, WarpCtx};
 use std::cmp::Reverse;
 use std::sync::Mutex;
 use topk_baselines::radix::BITS_PER_PASS;
-use topk_baselines::{Desc, KeyBits, TopKKey, TopKResult};
+use topk_baselines::{KeyBits, TopKKey, TopKResult};
 
 use crate::concat::gather_subrange;
 use crate::delegate::{delegate_subrange_ids, top_beta_into, DelegateVector};
+use crate::direction::{as_desc, Direction};
 use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 use crate::first_topk::{mark, take_marked, FirstTopK, Marked};
-use crate::pipeline::{as_desc, DrTopKConfig, PhaseBreakdown, PlannedQuery};
+use crate::pipeline::{DrTopKConfig, PhaseBreakdown, PlannedQuery};
 use crate::radix_flags::radix_select_threshold;
 use crate::stages::{Resource, StageGraph, StageKind, StageOutcome, StageReport};
 
@@ -82,17 +82,6 @@ impl<'a, K: TopKKey> RowMatrix<'a, K> {
     /// Row `r` as a slice.
     pub fn row(&self, r: usize) -> &'a [K] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Reinterpret the matrix through the order-reversing [`Desc`] adapter
-    /// (no copy): max-machinery over the result answers per-row *min*
-    /// queries. See [`as_desc`].
-    pub fn as_desc(&self) -> RowMatrix<'a, Desc<K>> {
-        RowMatrix {
-            data: as_desc(self.data),
-            rows: self.rows,
-            cols: self.cols,
-        }
     }
 }
 
@@ -159,33 +148,6 @@ pub struct RowTopKResult<K: TopKKey = u32> {
     /// Minimum plan-time expected recall across rows: 1.0 when every row
     /// ran an exact plan, the weakest row's modeled recall otherwise.
     pub predicted_recall: f64,
-}
-
-impl<K: TopKKey> RowTopKResult<Desc<K>> {
-    /// Unwrap a result computed in [`Desc`] space back to native keys
-    /// (each row ascending, for smallest-direction queries).
-    pub fn into_native(self) -> RowTopKResult<K> {
-        RowTopKResult {
-            rows: self
-                .rows
-                .into_iter()
-                .map(|r| TopKResult {
-                    values: r.values.into_iter().map(|d| d.0).collect(),
-                    kth_value: r.kth_value.0,
-                    stats: r.stats,
-                    time_ms: r.time_ms,
-                })
-                .collect(),
-            num_blocks: self.num_blocks,
-            rows_per_block: self.rows_per_block,
-            delegate_passes: self.delegate_passes,
-            breakdown: self.breakdown,
-            stats: self.stats,
-            time_ms: self.time_ms,
-            stages: self.stages,
-            predicted_recall: self.predicted_recall,
-        }
-    }
 }
 
 /// Which execution path a row's plan resolved to — the row-block mirror of
@@ -452,6 +414,7 @@ fn build_rows_graph<'a, K: TopKKey>(
                                     subrange_size,
                                     num_subranges,
                                     method: planned.config.construction.resolve(alpha),
+                                    direction: Direction::Largest,
                                     stats: KernelStats::default(),
                                     time_ms: 0.0,
                                 },
@@ -505,7 +468,7 @@ fn build_rows_graph<'a, K: TopKKey>(
                             let mut marked = Marked::default();
                             mark(values, &dv.subrange_ids, threshold.to_bits(), &mut marked);
                             kctx.record_alu(values.len() as u64);
-                            let first = take_marked(dv, marked, k, threshold, !skip_last);
+                            let first = take_marked(dv.view(), marked, k, threshold, !skip_last);
                             kctx.record_store_coalesced::<u32>(kv_words * first.taken_entries);
                             first
                         },
@@ -635,8 +598,9 @@ fn gather_result<K: TopKKey>(
     }
 }
 
-/// Row-wise top-k-largest over every row of `matrix`, planned as one stage
-/// graph with `⌈rows / num_devices⌉` rows per block (one block per device).
+/// Row-wise top-k over every row of `matrix` (largest or smallest per
+/// [`DrTopKConfig::direction`]), planned as one stage graph with
+/// `⌈rows / num_devices⌉` rows per block (one block per device).
 ///
 /// Each row's values are bit-identical to
 /// [`dr_topk`](crate::pipeline::dr_topk) on that row with the same
@@ -667,19 +631,6 @@ pub fn topk_rows<K: TopKKey>(
     topk_rows_on(&devices, matrix, ks, config, None)
 }
 
-/// Row-wise top-k-**smallest**: each row's k minimum elements, ascending —
-/// the row-matrix analogue of [`dr_topk_min`](crate::pipeline::dr_topk_min)
-/// (batched k-NN shortlists, distance matrices). Runs [`topk_rows`] through
-/// the zero-copy [`Desc`] reinterpretation.
-pub fn topk_rows_min<K: TopKKey>(
-    cluster: &GpuCluster,
-    matrix: RowMatrix<'_, K>,
-    ks: &RowK,
-    config: &DrTopKConfig,
-) -> RowTopKResult<K> {
-    topk_rows(cluster, matrix.as_desc(), ks, config).into_native()
-}
-
 /// The fully parameterised entry point: explicit device set and block
 /// size. `rows_per_block = None` defaults to `⌈rows / devices⌉` (one block
 /// per device); block `b` runs on `devices[b % devices.len()]`.
@@ -687,6 +638,28 @@ pub fn topk_rows_min<K: TopKKey>(
 /// This is the seam the batching engine uses to run a row-matrix unit on
 /// one assigned worker device.
 pub fn topk_rows_on<K: TopKKey>(
+    devices: &[&Device],
+    matrix: RowMatrix<'_, K>,
+    ks: &RowK,
+    config: &DrTopKConfig,
+    rows_per_block: Option<usize>,
+) -> RowTopKResult<K> {
+    match config.direction {
+        Direction::Largest => run_rows(devices, matrix, ks, config, rows_per_block),
+        Direction::Smallest => run_rows(
+            devices,
+            RowMatrix::new(as_desc(matrix.data), matrix.rows, matrix.cols),
+            ks,
+            config,
+            rows_per_block,
+        )
+        .into_native(),
+    }
+}
+
+/// [`topk_rows_on`] below the direction boundary: every row's largest keys
+/// in `K`'s order.
+fn run_rows<K: TopKKey>(
     devices: &[&Device],
     matrix: RowMatrix<'_, K>,
     ks: &RowK,
@@ -717,6 +690,29 @@ pub fn topk_rows_explore<K: TopKKey>(
     rows_per_block: Option<usize>,
     budget: ExploreBudget,
 ) -> Result<(RowTopKResult<K>, ExploreOutcome), Box<Divergence>> {
+    match config.direction {
+        Direction::Largest => explore_rows(devices, matrix, ks, config, rows_per_block, budget),
+        Direction::Smallest => explore_rows(
+            devices,
+            RowMatrix::new(as_desc(matrix.data), matrix.rows, matrix.cols),
+            ks,
+            config,
+            rows_per_block,
+            budget,
+        )
+        .map(|(result, outcome)| (result.into_native(), outcome)),
+    }
+}
+
+/// [`topk_rows_explore`] below the direction boundary.
+fn explore_rows<K: TopKKey>(
+    devices: &[&Device],
+    matrix: RowMatrix<'_, K>,
+    ks: &RowK,
+    config: &DrTopKConfig,
+    rows_per_block: Option<usize>,
+    budget: ExploreBudget,
+) -> Result<(RowTopKResult<K>, ExploreOutcome), Box<Divergence>> {
     assert!(!devices.is_empty(), "need at least one device");
     let rpb = rows_per_block.unwrap_or_else(|| matrix.rows.div_ceil(devices.len()).max(1));
     let layout = layout_rows(&matrix, ks, config, rpb);
@@ -727,7 +723,7 @@ pub fn topk_rows_explore<K: TopKKey>(
             stages: 0,
             reference: StageReport::default(),
         };
-        let result = topk_rows_on(devices, matrix, ks, config, Some(rpb));
+        let result = run_rows(devices, matrix, ks, config, Some(rpb));
         return Ok((result, outcome));
     }
     let outcome = explore_schedules(
@@ -759,14 +755,14 @@ pub fn topk_rows_explore<K: TopKKey>(
         },
         budget,
     )?;
-    let result = topk_rows_on(devices, matrix, ks, config, Some(rpb));
+    let result = run_rows(devices, matrix, ks, config, Some(rpb));
     Ok((result, outcome))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{dr_topk, dr_topk_min};
+    use crate::pipeline::dr_topk;
     use gpu_sim::DeviceSpec;
     use topk_baselines::{reference_topk, reference_topk_min};
 
@@ -826,10 +822,14 @@ mod tests {
             .map(|x| (x % 100_000) as f32 * 0.25)
             .collect();
         let matrix = RowMatrix::new(&data, rows, cols);
-        let got = topk_rows_min(&c, matrix, &RowK::Uniform(10), &DrTopKConfig::default());
+        let smallest = DrTopKConfig {
+            direction: Direction::Smallest,
+            ..DrTopKConfig::default()
+        };
+        let got = topk_rows(&c, matrix, &RowK::Uniform(10), &smallest);
         for r in 0..rows {
             assert_eq!(got.rows[r].values, reference_topk_min(matrix.row(r), 10));
-            let single = dr_topk_min(c.device(0), matrix.row(r), 10, &DrTopKConfig::default());
+            let single = dr_topk(c.device(0), matrix.row(r), 10, &smallest);
             assert_eq!(got.rows[r].values, single.values);
         }
     }

@@ -67,7 +67,7 @@ use drtopk_obs::{EventKind, ExecEvent, SpanRecord, TraceSink};
 use gpu_sim::{KernelStats, StreamSet};
 
 use crate::pipeline::PhaseBreakdown;
-use crate::verify::{verify_specs, Diagnostic, StageSpec, VerifyOptions};
+use crate::verify::{debug_assert_verified, verify_specs, Diagnostic, StageSpec, VerifyOptions};
 
 /// Which paper phase (or infrastructure step) a stage implements.
 ///
@@ -427,26 +427,14 @@ impl<'g, C> StageGraph<'g, C> {
     /// [`EventKind::VerifierPass`] event (at `t = 0`: verification precedes
     /// the executor epoch).
     fn debug_verify(&self) {
-        #[cfg(debug_assertions)]
-        {
-            let diags = self.verify();
-            assert!(
-                diags.is_empty(),
-                "stage graph failed verification:\n{}",
-                diags
-                    .iter()
-                    .map(|d| format!("  {d}"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
+        debug_assert_verified("stage graph", || self.verify());
+        if cfg!(debug_assertions) && self.sink.is_some() {
+            emit_event(
+                self.sink,
+                EventKind::VerifierPass,
+                &format!("{} stage(s) verified", self.stages.len()),
+                0.0,
             );
-            if self.sink.is_some() {
-                emit_event(
-                    self.sink,
-                    EventKind::VerifierPass,
-                    &format!("{} stage(s) verified", self.stages.len()),
-                    0.0,
-                );
-            }
         }
     }
 

@@ -344,7 +344,7 @@ impl std::fmt::Display for ChosenPath {
 /// Predicted per-stage cost of the multi-pass radix-select path in abstract
 /// cycles, mirroring the Equations 2–5 shape of [`PredictedCost`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RadixPredictedCost {
+struct RadixPredictedCost {
     /// Digit-histogram passes (read the shrinking candidate set once per
     /// pass; pass 0 also writes the fused sampled-filter output).
     pub histogram: f64,
@@ -361,7 +361,7 @@ pub struct RadixPredictedCost {
 
 impl RadixPredictedCost {
     /// Total predicted cost.
-    pub fn total(&self) -> f64 {
+    fn total(&self) -> f64 {
         self.histogram + self.compact + self.gather + self.select
     }
 }
@@ -375,18 +375,6 @@ impl RadixPredictedCost {
 /// shrink much slower (up to not at all), which is exactly what routes
 /// them back to the delegate path.
 pub const RADIX_DIGIT_SURVIVAL: f64 = 1.0 / (1u64 << BITS_PER_PASS) as f64;
-
-/// Multiplier [`choose_path`] applies to the modeled radix makespan before
-/// comparing it with the delegate model.
-///
-/// Both sides are expressed in modeled microseconds (global traffic over
-/// effective bandwidth plus per-kernel launch overhead), built from the
-/// same [`DeviceSpec`] constants the simulator charges — so after the
-/// sampled-filter optimisation the analytic crossover lands in the same
-/// inter-sample gap as the measured one (`large_k_sweep`) with no
-/// correction. The constant stays as the single re-tuning knob should the
-/// pipelines and the model drift apart again.
-pub const RADIX_MODEL_CALIBRATION: f64 = 1.0;
 
 /// Kernel launches the delegate pipeline issues, as charged by the modeled
 /// crossover: delegate-vector construction, the five-pass in-place first
@@ -412,19 +400,9 @@ fn modeled_path_us(cycles: f64, launches: f64, key_bytes: f64, spec: &DeviceSpec
 }
 
 /// Evaluate the radix-path cost model for an `n`-element input of
-/// `key_bits`-wide keys and the device constants of `spec`, assuming the
-/// data-blind [`RADIX_DIGIT_SURVIVAL`] per-pass shrink.
-pub fn radix_predicted_cost(
-    n: usize,
-    k: usize,
-    key_bits: u32,
-    spec: &DeviceSpec,
-) -> RadixPredictedCost {
-    radix_predicted_cost_with_survival(n, k, key_bits, spec, RADIX_DIGIT_SURVIVAL)
-}
-
-/// Evaluate the radix-path cost model under an explicit per-pass candidate
-/// `survival` fraction (as sampled by [`estimate_radix_survival`]).
+/// `key_bits`-wide keys and the device constants of `spec`, under a
+/// per-pass candidate `survival` fraction (the data-blind
+/// [`RADIX_DIGIT_SURVIVAL`], or as sampled by [`estimate_radix_survival`]).
 ///
 /// The model mirrors the staged pipeline stage by stage: pass 0 reads the
 /// input once and writes the fused sampled-filter output (sized
@@ -439,7 +417,7 @@ pub fn radix_predicted_cost(
 /// there is no free parameter to tune: the cost is fixed by
 /// `(n, k, key_bits, survival)`, and k enters only through the filter
 /// width and the `O(k)` tail, never multiplied by a subrange size.
-pub fn radix_predicted_cost_with_survival(
+fn radix_predicted_cost(
     n: usize,
     k: usize,
     key_bits: u32,
@@ -511,10 +489,9 @@ pub fn estimate_radix_survival<K: TopKKey>(data: &[K]) -> f64 {
 ///
 /// Compares the Equations 2–5 delegate model at the Rule 4 α (the α the
 /// pipeline itself would resolve) against
-/// [`radix_predicted_cost_with_survival`], both converted to modeled
+/// `radix_predicted_cost`, both converted to modeled
 /// microseconds — global traffic over the device's effective bandwidth
-/// plus per-kernel launch overhead (`modeled_path_us`) — and the radix
-/// side scaled by [`RADIX_MODEL_CALIBRATION`]. Both models are built from
+/// plus per-kernel launch overhead (`modeled_path_us`). Both models are built from
 /// the same per-device constants, so the crossover moves with the
 /// hardware profile. The delegate side grows like `√(n·k)` (concatenation
 /// and second top-k at the shrinking Rule 4 subrange size) while the
@@ -526,7 +503,7 @@ pub fn estimate_radix_survival<K: TopKKey>(data: &[K]) -> f64 {
 /// Degenerate shapes (`k == 0`, `k ≥ n`, tiny inputs) return
 /// [`ChosenPath::Delegate`]: the delegate pipeline owns the fallback
 /// machinery for them.
-pub fn choose_path_with_survival(
+fn choose_path_with_survival(
     n: usize,
     k: usize,
     key_bits: u32,
@@ -545,11 +522,11 @@ pub fn choose_path_with_survival(
         spec,
     );
     let radix = modeled_path_us(
-        radix_predicted_cost_with_survival(n, k, key_bits, spec, survival).total(),
+        radix_predicted_cost(n, k, key_bits, spec, survival).total(),
         radix_model_launches(key_bits.div_ceil(BITS_PER_PASS)),
         key_bytes,
         spec,
-    ) * RADIX_MODEL_CALIBRATION;
+    );
     if radix < delegate {
         ChosenPath::Radix
     } else {
@@ -557,7 +534,7 @@ pub fn choose_path_with_survival(
     }
 }
 
-/// Data-blind crossover: [`choose_path_with_survival`] at the
+/// Data-blind crossover: `choose_path_with_survival` at the
 /// well-distributed [`RADIX_DIGIT_SURVIVAL`] default. Used where only the
 /// query shape is known; resolution seams that hold the input prefer
 /// [`choose_path_sampled`].
@@ -567,7 +544,7 @@ pub fn choose_path(n: usize, k: usize, key_bits: u32, spec: &DeviceSpec) -> Chos
 
 /// Data-aware crossover: measure the per-pass survival from the input via
 /// [`estimate_radix_survival`], then resolve through
-/// [`choose_path_with_survival`]. This is what the pipeline's `Auto` seam
+/// `choose_path_with_survival`. This is what the pipeline's `Auto` seam
 /// and the engine planner call — it keeps duplicate-heavy inputs on the
 /// delegate path at every k while letting well-distributed inputs escape
 /// to radix past the crossover.
@@ -873,7 +850,7 @@ mod tests {
     fn radix_cost_is_one_input_scan_plus_linear_k_terms() {
         let spec = DeviceSpec::v100s();
         let n = 1usize << 24;
-        let c = radix_predicted_cost(n, 1 << 10, 32, &spec);
+        let c = radix_predicted_cost(n, 1 << 10, 32, &spec, RADIX_DIGIT_SURVIVAL);
         let scan = n as f64 * spec.c_global_cycles;
         // pass 0 reads the input once and the fused filter shrinks every
         // later stage to noise: the total sits just above one full scan
@@ -881,17 +858,17 @@ mod tests {
         assert!(c.total() < 1.1 * scan, "total {} vs scan {scan}", c.total());
         // k enters through the filter width and the O(k) gather/select
         // tail: monotone, and still under two scans at k = n/16
-        let big_k = radix_predicted_cost(n, 1 << 20, 32, &spec);
+        let big_k = radix_predicted_cost(n, 1 << 20, 32, &spec, RADIX_DIGIT_SURVIVAL);
         assert!(big_k.total() > c.total());
         assert!(big_k.total() < 2.0 * scan, "total {}", big_k.total());
         // 64-bit keys pay more passes, but the geometric shrink pins the
         // candidates down long before the extra passes can cost anything
-        let wide = radix_predicted_cost(n, 1 << 10, 64, &spec);
+        let wide = radix_predicted_cost(n, 1 << 10, 64, &spec, RADIX_DIGIT_SURVIVAL);
         assert!(wide.total() >= c.total());
         assert!(wide.total() < 1.05 * c.total());
         // a survival of 1.0 (every key in one top bucket) disables the
         // modeled filter and re-scans the full input every pass
-        let worst = radix_predicted_cost_with_survival(n, 1 << 10, 32, &spec, 1.0);
+        let worst = radix_predicted_cost(n, 1 << 10, 32, &spec, 1.0);
         assert!(worst.total() > 10.0 * scan, "total {}", worst.total());
     }
 

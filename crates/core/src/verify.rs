@@ -314,6 +314,25 @@ fn reaches(adj: &[Vec<usize>], from: usize, to: usize) -> bool {
     false
 }
 
+/// The debug-build verification gate every built or spliced stage graph
+/// goes through: panic naming `what` and listing every diagnostic `verify`
+/// returns. Release builds skip the check without calling `verify`.
+#[track_caller]
+pub fn debug_assert_verified(what: &str, verify: impl FnOnce() -> Vec<Diagnostic>) {
+    if cfg!(debug_assertions) {
+        let diags = verify();
+        assert!(
+            diags.is_empty(),
+            "{what} failed verification:\n{}",
+            diags
+                .iter()
+                .map(|d| format!("  {d}"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+    }
+}
+
 /// Verify a stage list, returning every finding (empty = clean).
 ///
 /// Checks run in dependency order: if dependency indices are out of range

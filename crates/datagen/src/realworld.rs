@@ -65,11 +65,11 @@ pub fn ann_sift_distances(n: usize, seed: u64) -> Vec<u32> {
 /// Euclidean (non-squared) L2 distances between a fixed query descriptor and
 /// `n` random 128-dimensional byte descriptors, as native `f32` values.
 ///
-/// This is the float-keyed counterpart of [`ann_sift_distances`], feeding
-/// `dr_topk_min` directly: real ANN pipelines keep distances in `f32` and a
-/// generic-key top-k has no reason to quantize them. The descriptor stream
-/// is identical to the `u32` generator's (same per-chunk RNG draws), so the
-/// two datasets rank vectors identically.
+/// This is the float-keyed counterpart of [`ann_sift_distances`], feeding a
+/// smallest-direction top-k directly: real ANN pipelines keep distances in
+/// `f32` and a generic-key top-k has no reason to quantize them. The
+/// descriptor stream is identical to the `u32` generator's (same per-chunk
+/// RNG draws), so the two datasets rank vectors identically.
 pub fn ann_sift_distances_f32(n: usize, seed: u64) -> Vec<f32> {
     let mut qrng = Xoshiro256StarStar::seed_from_u64(seed ^ 0xA11C_E500);
     let query: Vec<u8> = (0..SIFT_DIMS)

@@ -20,49 +20,25 @@
 //! failures are surfaced per device through
 //! [`GpuCluster::try_run_on_all`] instead of poisoning the batch.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use drtopk_core::{
-    as_desc, build_delegate_vector, capacity_in_keys, distributed_dr_topk, dr_topk_planned,
-    topk_rows_on, DelegateVector, DrTopKConfig, DrTopKResult, ExecutedStage, PhaseBreakdown,
-    Resource, RowMatrix, RowTopKResult, StageGraph, StageId, StageKind, StageOutcome, StageReport,
+    build_delegate_vector, capacity_in_keys, debug_assert_verified, distributed_dr_topk,
+    dr_topk_planned, topk_rows_on, DelegateVector, DrTopKConfig, DrTopKResult, ExecutedStage,
+    PhaseBreakdown, ReloadSchedule, Resource, RowMatrix, StageGraph, StageId, StageKind,
+    StageOutcome, StageReport,
 };
 use drtopk_obs::TraceSink;
 use gpu_sim::{Device, GpuCluster, KernelStats};
 use parking_lot::Mutex;
-use topk_baselines::{Desc, TopKKey};
+use topk_baselines::TopKKey;
 
 use crate::engine::EngineError;
 use crate::plan::{ExecutionPlan, FusedUnit, PlanCache, PlanUnit, RowUnit};
-use crate::query::{Direction, QueryBatch, RowQuery};
+use crate::query::{Query, QueryBatch, RowQuery};
 use crate::report::{CacheReport, ExecPath, QueryResult, RowQueryResult};
-
-/// A unit's shared delegate pass in the key type the unit runs over:
-/// smallest-direction units run over the order-reversing [`Desc`] adapter.
-#[derive(Clone)]
-enum SharedPass<K: TopKKey> {
-    Largest(Arc<DelegateVector<K>>),
-    Smallest(Arc<DelegateVector<Desc<K>>>),
-}
-
-/// Look up `unit`'s shared pass in the delegate cache (a hit refreshes its
-/// LRU recency; a cacheable miss is counted).
-fn lookup_shared_pass<K: TopKKey>(
-    cache: &mut PlanCache,
-    corpus_id: Option<u64>,
-    len: usize,
-    unit: &FusedUnit,
-) -> Option<SharedPass<K>> {
-    match unit.direction {
-        Direction::Largest => cache
-            .get_delegates::<K>(corpus_id, len, unit.alpha, unit.beta)
-            .map(SharedPass::Largest),
-        Direction::Smallest => cache
-            .get_delegates::<Desc<K>>(corpus_id, len, unit.alpha, unit.beta)
-            .map(SharedPass::Smallest),
-    }
-}
 
 /// What executing one fused unit produced.
 struct FusedOutcome<K: TopKKey> {
@@ -75,7 +51,7 @@ struct FusedOutcome<K: TopKKey> {
     unit_stages: StageReport,
     /// The shared pass this unit built, for the caller to cache. A unit
     /// that needs delegates and built none took them from the cache.
-    built: Option<SharedPass<K>>,
+    built: Option<Arc<DelegateVector<K>>>,
 }
 
 /// What executing one row-matrix unit produced.
@@ -181,44 +157,26 @@ fn splice_unit_stages<K: TopKKey>(
     // kinds, resources and dependencies, so debug builds re-check the
     // composed schedule too (the index remapping is exactly the kind of
     // arithmetic the verifier exists to catch).
-    #[cfg(debug_assertions)]
-    {
-        let diags = report.verify();
-        assert!(
-            diags.is_empty(),
-            "spliced unit stage report failed verification:\n{}",
-            diags
-                .iter()
-                .map(|d| format!("  {d}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
+    debug_assert_verified("spliced unit stage report", || report.verify());
     report
 }
 
-/// What [`run_fused_typed`] returns: the member results, the unit's
-/// spliced stage report, and the shared pass it built, if any.
-type TypedUnitRun<K> = (
-    Vec<DrTopKResult<K>>,
-    StageReport,
-    Option<Arc<DelegateVector<K>>>,
-);
-
-/// Run one fused unit's typed half as a real stage graph: the shared
-/// delegate pass (when `cached` holds none) is the root stage, and every
-/// member query is a dependent stage on the same worker device. The graph
+/// Run one fused unit as a real stage graph on its worker's device: the
+/// shared delegate pass (when `cached` holds none) is the root stage, and
+/// every member query is a dependent stage on the same device. The graph
 /// is single-resource, so the executor runs it inline on the calling worker
 /// thread; the member macro stages are then spliced into a unit-level
-/// report via [`splice_unit_stages`]. Returns the pass it built, if any.
-fn run_fused_typed<K: TopKKey>(
+/// report via [`splice_unit_stages`]. The outcome carries the pass it
+/// built, if any.
+fn run_fused_unit<K: TopKKey>(
     device: &Device,
     device_idx: usize,
     data: &[K],
     cached: Option<Arc<DelegateVector<K>>>,
+    unit_idx: usize,
     unit: &FusedUnit,
     base: &DrTopKConfig,
-) -> TypedUnitRun<K> {
+) -> FusedOutcome<K> {
     let beta = unit.beta;
     // A cache hit means the |V|-scan disappears from the batch entirely
     // (no pass stage in the graph); a miss means the graph's first stage
@@ -257,6 +215,7 @@ fn run_fused_typed<K: TopKKey>(
                     unit.alpha,
                     beta,
                     base.construction,
+                    unit.direction,
                 ));
                 let outcome = StageOutcome {
                     stats: built.stats,
@@ -310,45 +269,6 @@ fn run_fused_typed<K: TopKKey>(
     } else {
         None
     };
-    (results, unit_stages, built)
-}
-
-/// Direction dispatch around [`run_fused_typed`].
-fn run_fused_unit<K: TopKKey>(
-    device: &Device,
-    device_idx: usize,
-    data: &[K],
-    cached: Option<SharedPass<K>>,
-    unit_idx: usize,
-    unit: &FusedUnit,
-    base: &DrTopKConfig,
-) -> FusedOutcome<K> {
-    let (results, unit_stages, built) = match unit.direction {
-        Direction::Largest => {
-            let cached = match cached {
-                Some(SharedPass::Largest(d)) => Some(d),
-                _ => None,
-            };
-            let (res, stages, built) =
-                run_fused_typed::<K>(device, device_idx, data, cached, unit, base);
-            (res, stages, built.map(SharedPass::Largest))
-        }
-        Direction::Smallest => {
-            let cached = match cached {
-                Some(SharedPass::Smallest(d)) => Some(d),
-                _ => None,
-            };
-            let (res, stages, built) =
-                run_fused_typed::<Desc<K>>(device, device_idx, as_desc(data), cached, unit, base);
-            (
-                res.into_iter()
-                    .map(DrTopKResult::into_native)
-                    .collect::<Vec<_>>(),
-                stages,
-                built.map(SharedPass::Smallest),
-            )
-        }
-    };
     FusedOutcome {
         unit: unit_idx,
         results: unit
@@ -395,26 +315,13 @@ fn splice_row_stages(members: &[StageReport], device: usize) -> StageReport {
         makespan_ms: offset_ms,
         measured_makespan_ms: measured_offset_ms,
     };
-    #[cfg(debug_assertions)]
-    {
-        let diags = report.verify();
-        assert!(
-            diags.is_empty(),
-            "spliced row unit stage report failed verification:\n{}",
-            diags
-                .iter()
-                .map(|d| format!("  {d}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
+    debug_assert_verified("spliced row unit stage report", || report.verify());
     report
 }
 
 /// Run one row-matrix unit on its assigned worker device: each member
 /// reinterprets the corpus as its own `rows × cols` matrix and runs the
-/// row-block stage graph through [`topk_rows_on`] (direction dispatched
-/// through the order-reversing [`Desc`] adapter, like vector queries).
+/// row-block stage graph through [`topk_rows_on`] in its own direction.
 fn run_rows_unit<K: TopKKey>(
     device: &Device,
     device_idx: usize,
@@ -432,16 +339,11 @@ fn run_rows_unit<K: TopKKey>(
         let cfg = DrTopKConfig {
             inner: q.inner,
             mode: q.mode,
+            direction: q.direction,
             ..base.clone()
         };
         let matrix = RowMatrix::new(data, q.rows, q.cols);
-        let devices = [device];
-        let r: RowTopKResult<K> = match q.direction {
-            Direction::Largest => topk_rows_on(&devices, matrix, &q.ks, &cfg, None),
-            Direction::Smallest => {
-                topk_rows_on(&devices, matrix.as_desc(), &q.ks, &cfg, None).into_native()
-            }
-        };
+        let r = topk_rows_on(&[device], matrix, &q.ks, &cfg, None);
         delegate_passes += r.delegate_passes;
         results.push((
             qi,
@@ -493,14 +395,15 @@ pub(crate) fn execute_plan<K: TopKKey>(
     // calling thread in plan order, and the passes built on a miss are
     // inserted in unit order after the pool: hits, misses and LRU recency
     // never depend on which worker reaches the cache first.
-    let cached: Vec<Option<SharedPass<K>>> = {
+    let cached: Vec<Option<Arc<DelegateVector<K>>>> = {
         let mut cache = cache.lock();
         pool_indices
             .iter()
             .map(|&unit_idx| match &plan.units[unit_idx] {
                 PlanUnit::Fused(unit) if unit.needs_delegates => {
                     let corpus = &batch.corpora()[unit.corpus];
-                    lookup_shared_pass(&mut cache, corpus.id, corpus.data.len(), unit)
+                    let len = corpus.data.len();
+                    cache.get_delegates(corpus.id, len, unit.alpha, unit.beta, unit.direction)
                 }
                 _ => None,
             })
@@ -627,11 +530,7 @@ pub(crate) fn execute_plan<K: TopKKey>(
             if let Some(id) = corpus.id {
                 delegate_cache.misses += 1;
                 let (len, alpha, beta) = (corpus.data.len(), unit.alpha, unit.beta);
-                let mut cache = cache.lock();
-                match pass {
-                    SharedPass::Largest(d) => cache.put_delegates(id, len, alpha, beta, d),
-                    SharedPass::Smallest(d) => cache.put_delegates(id, len, alpha, beta, d),
-                }
+                cache.lock().put_delegates(id, len, alpha, beta, pass);
             }
         } else if unit.needs_delegates {
             delegate_passes_saved += delegate_users;
@@ -688,24 +587,7 @@ pub(crate) fn execute_plan<K: TopKKey>(
     // once. Approximate sharded queries run the approximate pipeline on
     // every sub-vector, so the recall target is met per shard (and
     // therefore overall).
-    type ShardKey = (
-        usize,
-        Direction,
-        usize,
-        drtopk_core::InnerAlgorithm,
-        drtopk_core::Mode,
-        drtopk_core::PathHint,
-    );
-    struct ShardAnswer<K: TopKKey> {
-        values: Vec<K>,
-        kth_value: K,
-        total_ms: f64,
-        stats: KernelStats,
-        predicted_recall: f64,
-        breakdown: PhaseBreakdown,
-    }
-    let mut answered: std::collections::HashMap<ShardKey, ShardAnswer<K>> =
-        std::collections::HashMap::new();
+    let mut answered: HashMap<Query, QueryResult<K>> = HashMap::new();
     let mut sharded_ms = 0.0f64;
     let mut sharded_serial_ms = 0.0f64;
     for unit in &plan.units {
@@ -713,8 +595,7 @@ pub(crate) fn execute_plan<K: TopKKey>(
             continue;
         };
         let q = batch.queries()[sharded.query];
-        let key: ShardKey = (q.corpus, q.direction, q.k, q.inner, q.mode, q.path);
-        if let std::collections::hash_map::Entry::Vacant(slot) = answered.entry(key) {
+        if let Entry::Vacant(slot) = answered.entry(q) {
             let corpus = &batch.corpora()[q.corpus];
             // The path hint rides into the distributed run: each device's
             // local pipeline resolves `Auto` against its own profile and
@@ -723,14 +604,11 @@ pub(crate) fn execute_plan<K: TopKKey>(
                 inner: q.inner,
                 mode: q.mode,
                 path: q.path,
+                direction: q.direction,
                 ..base.clone()
             };
-            let d = match q.direction {
-                Direction::Largest => distributed_dr_topk(cluster, corpus.data, q.k, &cfg),
-                Direction::Smallest => {
-                    distributed_dr_topk(cluster, as_desc(corpus.data), q.k, &cfg).into_native()
-                }
-            };
+            let schedule = ReloadSchedule::default();
+            let d = distributed_dr_topk(cluster, corpus.data, q.k, &cfg, schedule, None);
             if let Some(sink) = sink {
                 // Sharded runs own the whole cluster after the pool phase;
                 // their spans keep the distributed resource tracks
@@ -744,27 +622,19 @@ pub(crate) fn execute_plan<K: TopKKey>(
             // (the distributed breakdown keeps reload/gather time under
             // `transfer_ms` instead of folding it into compute).
             phase_ms += d.breakdown;
-            slot.insert(ShardAnswer {
+            slot.insert(QueryResult {
                 values: d.values,
                 kth_value: d.kth_value,
-                total_ms: d.total_ms,
+                time_ms: d.total_ms,
                 stats: d.stats,
-                predicted_recall: d.predicted_recall,
                 breakdown: d.breakdown,
+                predicted_recall: d.predicted_recall,
+                path: ExecPath::Sharded {
+                    devices: cluster.num_devices(),
+                },
             });
         }
-        let answer = answered.get(&key).expect("answered above");
-        results[sharded.query] = Some(QueryResult {
-            values: answer.values.clone(),
-            kth_value: answer.kth_value,
-            time_ms: answer.total_ms,
-            stats: answer.stats,
-            breakdown: answer.breakdown,
-            predicted_recall: answer.predicted_recall,
-            path: ExecPath::Sharded {
-                devices: cluster.num_devices(),
-            },
-        });
+        results[sharded.query] = Some(answered[&q].clone());
     }
 
     Ok(ExecOutput {

@@ -15,8 +15,8 @@
 //!                    │  ▲                          │
 //!                    ▼  │ memoized α (+ k')        │ one Device per worker
 //!              tuning-plan cache             delegate cache
-//!              (n, k, mode, key type,        (corpus id, α, β, key type)
-//!               device)
+//!              (n, k, mode, key type,        (corpus id, α, β, key type,
+//!               direction, device)            direction)
 //! ```
 //!
 //! * **Planner** ([`plan`]) — groups same-corpus, same-direction,
@@ -55,18 +55,21 @@
 //!   ([`gpu_sim::GpuCluster::try_run_on_all`]) instead of poisoning the
 //!   batch.
 //! * **Plan cache** ([`PlanCache`]) — two memoizations keyed for repeat
-//!   traffic: `(n, k, key type, device) → α` skips `auto_alpha`
-//!   re-derivation, and `(corpus id, length, α, β, key type) →`
-//!   [`drtopk_core::DelegateVector`] skips delegate reconstruction for
+//!   traffic: `(n, k, key type, direction, device) → α` skips
+//!   `auto_alpha` re-derivation, and `(corpus id, length, α, β, key type,
+//!   direction) →` [`drtopk_core::DelegateVector`] skips delegate
+//!   reconstruction for
 //!   unchanged corpora entirely, so a warm engine answers a repeated query
 //!   without ever re-reading the corpus at full length.
 //!
-//! Correctness is anchored by construction: fused members run the ordinary
-//! planned pipeline ([`drtopk_core::dr_topk_planned`]) against the shared
-//! delegate vector, so every result is bit-identical to an independent
-//! [`drtopk_core::dr_topk`] / [`drtopk_core::dr_topk_min`] call — the
-//! workspace property tests pin this for all six key types, mixed
-//! directions, duplicate queries and degenerate `k`.
+//! Correctness is anchored by construction: a query's direction is one
+//! more field of the core request ([`drtopk_core::DrTopKConfig::direction`]),
+//! and every unit runs a core runner with it — fused members run the
+//! ordinary planned pipeline ([`drtopk_core::dr_topk_planned`]) against a
+//! shared delegate vector built for their direction — so every result is
+//! bit-identical to an independent [`drtopk_core::dr_topk`] call with the
+//! same direction. The workspace property tests pin this for all six key
+//! types, mixed directions, duplicate queries and degenerate `k`.
 //!
 //! ## Quickstart
 //!
@@ -98,11 +101,11 @@ pub mod plan;
 pub mod query;
 pub mod report;
 
-pub use drtopk_core::PathHint;
+pub use drtopk_core::{Direction, PathHint};
 pub use engine::{EngineConfig, EngineError, TopKEngine};
 pub use plan::{
     DelegateCacheEntry, ExecutionPlan, FusedUnit, PlanCache, PlanUnit, RowUnit, ShardedUnit,
     TuningPlan,
 };
-pub use query::{Corpus, Direction, Query, QueryBatch, RowQuery};
+pub use query::{Corpus, Query, QueryBatch, RowQuery};
 pub use report::{BatchOutput, CacheReport, EngineReport, ExecPath, QueryResult, RowQueryResult};

@@ -16,24 +16,25 @@
 //!
 //! Two memoizations make repeat traffic cheap:
 //!
-//! * the **tuning-plan cache** maps `(n, k, mode, key type, device)` to
-//!   the resolved Rule-4 α (exact) or recall-model `(α, k')` (approximate),
-//!   so a repeated query shape skips the derivation;
-//! * the **delegate cache** maps `(corpus id, length, α, β, key type)` to
-//!   the built [`DelegateVector`], so an unchanged corpus skips delegate
-//!   reconstruction altogether.
+//! * the **tuning-plan cache** maps `(n, k, mode, key type, direction,
+//!   device)` to the resolved Rule-4 α (exact) or recall-model `(α, k')`
+//!   (approximate), so a repeated query shape skips the derivation;
+//! * the **delegate cache** maps `(corpus id, length, α, β, key type,
+//!   direction)` to the built [`DelegateVector`], so an unchanged corpus
+//!   skips delegate reconstruction altogether.
 
 use std::any::{Any, TypeId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use drtopk_core::{
-    optimal_approx_tuning, ChosenPath, DelegateVector, DrTopKConfig, Mode, PathHint, PlannedQuery,
+    optimal_approx_tuning, ChosenPath, DelegateVector, Direction, DrTopKConfig, Mode, PathHint,
+    PlannedQuery,
 };
 use gpu_sim::DeviceSpec;
-use topk_baselines::{Desc, TopKKey};
+use topk_baselines::TopKKey;
 
-use crate::query::{Direction, QueryBatch};
+use crate::query::QueryBatch;
 use crate::report::CacheReport;
 
 /// Key of the tuning-plan cache: one resolved α per problem shape per
@@ -44,6 +45,7 @@ pub(crate) struct PlanKey {
     n: usize,
     k: usize,
     key_type: TypeId,
+    direction: Direction,
     device: String,
     mode: Mode,
 }
@@ -58,9 +60,8 @@ pub struct TuningPlan {
     pub beta: usize,
 }
 
-/// Key of the delegate cache. The key type distinguishes direction too:
-/// a smallest-direction pass is built over `Desc<K>` and gets
-/// `TypeId::of::<Desc<K>>()`.
+/// Key of the delegate cache: a pass is reusable only by queries of the
+/// same key type and direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct DelegateKey {
     corpus_id: u64,
@@ -68,6 +69,7 @@ pub(crate) struct DelegateKey {
     alpha: u32,
     beta: usize,
     key_type: TypeId,
+    direction: Direction,
 }
 
 /// One cached delegate vector with its own usage accounting.
@@ -130,19 +132,20 @@ impl PlanCache {
     /// Resolve the α (and, for approximate shapes, the candidate budget)
     /// for `(n, k, mode)` under `base`, through the memo: a hit skips the
     /// `auto_alpha` / recall-model derivation entirely.
-    pub(crate) fn resolve_tuning(
+    pub(crate) fn resolve_tuning<K: TopKKey>(
         &mut self,
         n: usize,
         k: usize,
         mode: Mode,
-        key_type: TypeId,
+        direction: Direction,
         device: &str,
         base: &DrTopKConfig,
     ) -> (TuningPlan, bool) {
         let key = PlanKey {
             n,
             k,
-            key_type,
+            key_type: TypeId::of::<K>(),
+            direction,
             device: device.to_string(),
             mode,
         };
@@ -190,6 +193,7 @@ impl PlanCache {
         len: usize,
         alpha: u32,
         beta: usize,
+        direction: Direction,
     ) -> Option<Arc<DelegateVector<K>>> {
         let id = corpus_id?;
         let key = DelegateKey {
@@ -198,6 +202,7 @@ impl PlanCache {
             alpha,
             beta,
             key_type: TypeId::of::<K>(),
+            direction,
         };
         match self.delegates.get_mut(&key) {
             Some(slot) => {
@@ -237,6 +242,7 @@ impl PlanCache {
             alpha,
             beta,
             key_type: TypeId::of::<K>(),
+            direction: delegates.direction,
         };
         self.delegates.insert(
             key,
@@ -296,15 +302,6 @@ impl PlanCache {
     /// Number of memoized tuning plans.
     pub fn cached_tuning_plans(&self) -> usize {
         self.plans.len()
-    }
-}
-
-/// The `TypeId` a `(K, direction)` pair executes under: smallest-direction
-/// work runs over the order-reversing [`Desc`] adapter.
-pub(crate) fn effective_type_id<K: TopKKey>(direction: Direction) -> TypeId {
-    match direction {
-        Direction::Largest => TypeId::of::<K>(),
-        Direction::Smallest => TypeId::of::<Desc<K>>(),
     }
 }
 
@@ -443,7 +440,7 @@ pub(crate) fn plan_batch<K: TopKKey>(
     // target, and delegate-path queries never fuse with radix-path ones
     // (a radix member would not touch the shared delegate pass, and a
     // delegate member in a radix unit would have no pass to share).
-    let mut groups: BTreeMap<(usize, bool, Mode, ChosenPath), Vec<usize>> = BTreeMap::new();
+    let mut groups: BTreeMap<(usize, Direction, Mode, ChosenPath), Vec<usize>> = BTreeMap::new();
     let mut sharded: Vec<ShardedUnit> = Vec::new();
     for (idx, q) in batch.queries.iter().enumerate() {
         let n = batch.corpora[q.corpus].data.len();
@@ -462,33 +459,22 @@ pub(crate) fn plan_batch<K: TopKKey>(
                     .resolve_for(batch.corpora[q.corpus].data, q.k.min(n), device)
             };
             groups
-                .entry((q.corpus, q.direction == Direction::Smallest, q.mode, path))
+                .entry((q.corpus, q.direction, q.mode, path))
                 .or_default()
                 .push(idx);
         }
     }
 
     let mut units: Vec<PlanUnit> = Vec::with_capacity(groups.len() + sharded.len());
-    for ((corpus, smallest, mode, path), queries) in groups {
-        let direction = if smallest {
-            Direction::Smallest
-        } else {
-            Direction::Largest
-        };
+    for ((corpus, direction, mode, path), queries) in groups {
         let n = batch.corpora[corpus].data.len();
         let k_max = queries
             .iter()
             .map(|&qi| batch.queries[qi].k.min(n))
             .max()
             .unwrap_or(0);
-        let (tuning, tuning_cached) = cache.resolve_tuning(
-            n,
-            k_max,
-            mode,
-            effective_type_id::<K>(direction),
-            &device.name,
-            base,
-        );
+        let (tuning, tuning_cached) =
+            cache.resolve_tuning::<K>(n, k_max, mode, direction, &device.name, base);
         // Pin every member to the group's resolved path so execution cannot
         // re-resolve differently (the member seam in `dr_topk_planned`
         // honors the pin; degenerate members still take their fallbacks).
@@ -505,6 +491,7 @@ pub(crate) fn plan_batch<K: TopKKey>(
                     inner: q.inner,
                     mode: q.mode,
                     path: member_path,
+                    direction,
                     ..base.clone()
                 };
                 PlannedQuery::plan(n, q.k, &member_config)
@@ -543,24 +530,20 @@ pub(crate) fn plan_batch<K: TopKKey>(
     // Per-row tuning happens inside the row-block machinery at execution
     // (α depends on each member's `cols`, which members of one corpus may
     // reshape differently), so planning only groups and orders them.
-    let mut row_groups: BTreeMap<(usize, bool, Mode), Vec<usize>> = BTreeMap::new();
+    let mut row_groups: BTreeMap<(usize, Direction, Mode), Vec<usize>> = BTreeMap::new();
     for (idx, q) in batch.row_queries.iter().enumerate() {
         row_groups
-            .entry((q.corpus, q.direction == Direction::Smallest, q.mode))
+            .entry((q.corpus, q.direction, q.mode))
             .or_default()
             .push(idx);
     }
     units.extend(
         row_groups
             .into_iter()
-            .map(|((corpus, smallest, mode), members)| {
+            .map(|((corpus, direction, mode), members)| {
                 PlanUnit::Rows(RowUnit {
                     corpus,
-                    direction: if smallest {
-                        Direction::Smallest
-                    } else {
-                        Direction::Largest
-                    },
+                    direction,
                     mode,
                     members,
                 })
@@ -750,6 +733,7 @@ mod tests {
             6,
             2,
             drtopk_core::ConstructionMethod::Auto,
+            Direction::Largest,
         ))
     }
 
@@ -763,18 +747,20 @@ mod tests {
         assert_eq!(cache.cached_delegate_vectors(), 2);
         // no hits in between: recency == insertion, so entry 0 was evicted
         assert!(cache
-            .get_delegates::<u32>(Some(0), data.len(), 6, 2)
+            .get_delegates::<u32>(Some(0), data.len(), 6, 2, Direction::Largest)
             .is_none());
         assert!(cache
-            .get_delegates::<u32>(Some(1), data.len(), 6, 2)
+            .get_delegates::<u32>(Some(1), data.len(), 6, 2, Direction::Largest)
             .is_some());
         assert!(cache
-            .get_delegates::<u32>(Some(2), data.len(), 6, 2)
+            .get_delegates::<u32>(Some(2), data.len(), 6, 2, Direction::Largest)
             .is_some());
         let rep = cache.delegate_report();
         assert_eq!((rep.hits, rep.misses), (2, 1));
         // uncacheable corpora never count
-        assert!(cache.get_delegates::<u32>(None, data.len(), 6, 2).is_none());
+        assert!(cache
+            .get_delegates::<u32>(None, data.len(), 6, 2, Direction::Largest)
+            .is_none());
         let rep = cache.delegate_report();
         assert_eq!((rep.hits, rep.misses), (2, 1));
     }
@@ -791,16 +777,16 @@ mod tests {
         // repeat traffic on corpus 0 refreshes its recency
         for _ in 0..3 {
             assert!(cache
-                .get_delegates::<u32>(Some(0), data.len(), 6, 2)
+                .get_delegates::<u32>(Some(0), data.len(), 6, 2, Direction::Largest)
                 .is_some());
         }
         // a new corpus streams past: the idle corpus 1 is evicted, not 0
         cache.put_delegates(2, data.len(), 6, 2, build_entry(&data));
         assert!(cache
-            .get_delegates::<u32>(Some(0), data.len(), 6, 2)
+            .get_delegates::<u32>(Some(0), data.len(), 6, 2, Direction::Largest)
             .is_some());
         assert!(cache
-            .get_delegates::<u32>(Some(1), data.len(), 6, 2)
+            .get_delegates::<u32>(Some(1), data.len(), 6, 2, Direction::Largest)
             .is_none());
         // per-entry hit counts survive and report in LRU → MRU order
         let entries = cache.delegate_entries();
@@ -826,10 +812,10 @@ mod tests {
         // 0 is now most recent, so inserting a third evicts 1
         cache.put_delegates(2, data.len(), 6, 2, build_entry(&data));
         assert!(cache
-            .get_delegates::<u32>(Some(0), data.len(), 6, 2)
+            .get_delegates::<u32>(Some(0), data.len(), 6, 2, Direction::Largest)
             .is_some());
         assert!(cache
-            .get_delegates::<u32>(Some(1), data.len(), 6, 2)
+            .get_delegates::<u32>(Some(1), data.len(), 6, 2, Direction::Largest)
             .is_none());
         assert_eq!(cache.delegate_entries().len(), 2);
     }

@@ -7,20 +7,11 @@
 //! `k`, and different second-phase algorithms — the planner sorts out what
 //! can be fused and what cannot.
 
-use drtopk_core::{InnerAlgorithm, Mode, PathHint, RecallTarget, RowK};
+use drtopk_core::{Direction, DrTopKConfig, InnerAlgorithm, Mode, PathHint, RowK};
 use topk_baselines::TopKKey;
 
-/// Which end of the key order a query selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction {
-    /// Top-k **largest**, descending (the classic Dr. Top-k query).
-    Largest,
-    /// Top-k **smallest**, ascending (k-NN distances and friends).
-    Smallest,
-}
-
 /// One top-k query of a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Query {
     /// Index of the corpus this query selects over (see
     /// [`QueryBatch::add_corpus`]).
@@ -46,6 +37,21 @@ pub struct Query {
     /// without one. Approximate queries ignore the hint (the bucket
     /// machinery has no radix twin).
     pub path: PathHint,
+}
+
+impl Query {
+    /// A query with the default flag-radix inner algorithm and the
+    /// planner's automatic path.
+    fn new(corpus: usize, k: usize, direction: Direction, mode: Mode) -> Query {
+        Query {
+            corpus,
+            k,
+            direction,
+            inner: InnerAlgorithm::FlagRadix,
+            mode,
+            path: PathHint::Auto,
+        }
+    }
 }
 
 /// One row-matrix top-k query: the corpus reinterpreted as a row-major
@@ -74,6 +80,21 @@ pub struct RowQuery {
     pub inner: InnerAlgorithm,
     /// Exact selection or a recall target, applied to every row.
     pub mode: Mode,
+}
+
+impl RowQuery {
+    /// An exact row query with the default flag-radix inner algorithm.
+    fn new(corpus: usize, rows: usize, cols: usize, ks: RowK, direction: Direction) -> RowQuery {
+        RowQuery {
+            corpus,
+            rows,
+            cols,
+            ks,
+            direction,
+            inner: InnerAlgorithm::FlagRadix,
+            mode: Mode::Exact,
+        }
+    }
 }
 
 /// A corpus registered with a batch: a borrowed key slice plus a
@@ -140,14 +161,7 @@ impl<'a, K: TopKKey> QueryBatch<'a, K> {
     /// Convenience: append a top-k-largest query with the default
     /// flag-radix inner algorithm.
     pub fn push_topk(&mut self, corpus: usize, k: usize) -> usize {
-        self.push(Query {
-            corpus,
-            k,
-            direction: Direction::Largest,
-            inner: InnerAlgorithm::FlagRadix,
-            mode: Mode::Exact,
-            path: PathHint::Auto,
-        })
+        self.push(Query::new(corpus, k, Direction::Largest, Mode::Exact))
     }
 
     /// Convenience: append a top-k-largest query pinned (or auto-routed)
@@ -155,56 +169,29 @@ impl<'a, K: TopKKey> QueryBatch<'a, K> {
     /// delegate or radix pipeline.
     pub fn push_topk_path(&mut self, corpus: usize, k: usize, path: PathHint) -> usize {
         self.push(Query {
-            corpus,
-            k,
-            direction: Direction::Largest,
-            inner: InnerAlgorithm::FlagRadix,
-            mode: Mode::Exact,
             path,
+            ..Query::new(corpus, k, Direction::Largest, Mode::Exact)
         })
     }
 
     /// Convenience: append a top-k-smallest query with the default
     /// flag-radix inner algorithm.
     pub fn push_topk_min(&mut self, corpus: usize, k: usize) -> usize {
-        self.push(Query {
-            corpus,
-            k,
-            direction: Direction::Smallest,
-            inner: InnerAlgorithm::FlagRadix,
-            mode: Mode::Exact,
-            path: PathHint::Auto,
-        })
+        self.push(Query::new(corpus, k, Direction::Smallest, Mode::Exact))
     }
 
     /// Convenience: append a recall-targeted approximate top-k-largest
     /// query (`target_recall` is a fraction in `(0, 1]`; 1.0 is exact).
     pub fn push_topk_approx(&mut self, corpus: usize, k: usize, target_recall: f64) -> usize {
-        self.push(Query {
-            corpus,
-            k,
-            direction: Direction::Largest,
-            inner: InnerAlgorithm::FlagRadix,
-            mode: Mode::Approx {
-                target_recall: RecallTarget::from_fraction(target_recall),
-            },
-            path: PathHint::Auto,
-        })
+        let mode = DrTopKConfig::approx(target_recall).mode;
+        self.push(Query::new(corpus, k, Direction::Largest, mode))
     }
 
     /// Convenience: append a recall-targeted approximate top-k-smallest
     /// query.
     pub fn push_topk_min_approx(&mut self, corpus: usize, k: usize, target_recall: f64) -> usize {
-        self.push(Query {
-            corpus,
-            k,
-            direction: Direction::Smallest,
-            inner: InnerAlgorithm::FlagRadix,
-            mode: Mode::Approx {
-                target_recall: RecallTarget::from_fraction(target_recall),
-            },
-            path: PathHint::Auto,
-        })
+        let mode = DrTopKConfig::approx(target_recall).mode;
+        self.push(Query::new(corpus, k, Direction::Smallest, mode))
     }
 
     /// Append a row-matrix query; returns its index, which is also the
@@ -241,30 +228,14 @@ impl<'a, K: TopKKey> QueryBatch<'a, K> {
     /// corpus viewed as a row-major `rows × cols` matrix, with the default
     /// flag-radix inner algorithm.
     pub fn push_rows(&mut self, corpus: usize, rows: usize, cols: usize, ks: RowK) -> usize {
-        self.push_row_query(RowQuery {
-            corpus,
-            rows,
-            cols,
-            ks,
-            direction: Direction::Largest,
-            inner: InnerAlgorithm::FlagRadix,
-            mode: Mode::Exact,
-        })
+        self.push_row_query(RowQuery::new(corpus, rows, cols, ks, Direction::Largest))
     }
 
     /// Convenience: append a row-wise top-k-**smallest** query (each row's
     /// k minimum elements, ascending) with the default flag-radix inner
     /// algorithm.
     pub fn push_rows_min(&mut self, corpus: usize, rows: usize, cols: usize, ks: RowK) -> usize {
-        self.push_row_query(RowQuery {
-            corpus,
-            rows,
-            cols,
-            ks,
-            direction: Direction::Smallest,
-            inner: InnerAlgorithm::FlagRadix,
-            mode: Mode::Exact,
-        })
+        self.push_row_query(RowQuery::new(corpus, rows, cols, ks, Direction::Smallest))
     }
 
     /// The registered corpora.

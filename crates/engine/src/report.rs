@@ -46,7 +46,7 @@ pub enum ExecPath {
 pub struct QueryResult<K: TopKKey> {
     /// The selected values: descending for largest-direction queries,
     /// ascending for smallest-direction ones (matching
-    /// [`drtopk_core::dr_topk`] / [`drtopk_core::dr_topk_min`]).
+    /// [`drtopk_core::dr_topk`] with the query's direction).
     pub values: Vec<K>,
     /// The k-th selected value (`K::default()` for empty results).
     pub kth_value: K,
@@ -157,7 +157,7 @@ pub struct EngineReport {
     /// parallel with each other — so a multi-device sharded run reports a
     /// nonzero value even when nothing streamed. To isolate the
     /// transfer-hiding effect alone, compare
-    /// [`distributed_dr_topk_scheduled`](drtopk_core::distributed_dr_topk_scheduled)
+    /// [`distributed_dr_topk`](drtopk_core::distributed_dr_topk)
     /// makespans under the two [`drtopk_core::ReloadSchedule`]s (what the
     /// `streamed_oversize` bench does). 0.0 when the batch had no sharded
     /// queries or their schedules were fully serial.

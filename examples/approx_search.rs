@@ -42,6 +42,7 @@ fn main() {
         exact_plan.alpha,
         exact_plan.config.beta,
         exact_plan.config.construction,
+        Direction::Largest,
     );
     let exact_resident = dr_topk_planned(&device, &data, Some(&exact_shared), &exact_plan);
     println!(
@@ -66,6 +67,7 @@ fn main() {
             plan.alpha,
             plan.config.beta,
             plan.config.construction,
+            Direction::Largest,
         );
         let resident = dr_topk_planned(&device, &data, Some(&shared), &plan);
         assert_eq!(

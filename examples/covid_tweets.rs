@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example covid_tweets [n_exp] [k]`
 
-use drtopk::core::distributed_dr_topk;
+use drtopk::core::{distributed_dr_topk, ReloadSchedule};
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 
@@ -37,7 +37,14 @@ fn main() {
 
     // The same query distributed over 4 simulated V100s.
     let cluster = GpuCluster::homogeneous(4, DeviceSpec::v100s());
-    let distributed = distributed_dr_topk(&cluster, &flipped, k, &DrTopKConfig::auto(n, k));
+    let distributed = distributed_dr_topk(
+        &cluster,
+        &flipped,
+        k,
+        &DrTopKConfig::auto(n, k),
+        ReloadSchedule::default(),
+        None,
+    );
     let mut dist_scores: Vec<u32> = distributed.values.iter().map(|&v| u32::MAX - v).collect();
     dist_scores.sort_unstable();
     assert_eq!(dist_scores, expected);

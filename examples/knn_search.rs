@@ -2,8 +2,9 @@
 //! distances between a query descriptor and a database of 128-dimensional
 //! descriptors, then use Dr. Top-k to find the k *closest* vectors.
 //!
-//! Distances stay native `f32` end to end: `dr_topk_min` answers
-//! top-k-smallest directly through the generic-key pipeline, so no
+//! Distances stay native `f32` end to end: `dr_topk` with
+//! `direction: Direction::Smallest` answers top-k-smallest directly
+//! through the generic-key pipeline, so no
 //! caller-side bit flipping (the old `u32::MAX − d` hack) is needed. NaN
 //! distances, if a computation ever produced one, would rank *after* every
 //! real distance (see the NaN policy in `topk_baselines::key`).
@@ -22,9 +23,17 @@ fn main() {
     let distances = topk_datagen::ann_sift_distances_f32(n, 7);
 
     let device = Device::new(DeviceSpec::v100s());
-    let result = dr_topk_min(&device, &distances, k, &DrTopKConfig::auto(n, k));
+    let result = dr_topk(
+        &device,
+        &distances,
+        k,
+        &DrTopKConfig {
+            direction: Direction::Smallest,
+            ..DrTopKConfig::auto(n, k)
+        },
+    );
 
-    // `dr_topk_min` returns the k smallest distances, closest first.
+    // The smallest direction returns the k smallest distances, closest first.
     let nearest = &result.values;
 
     // verify against the CPU reference

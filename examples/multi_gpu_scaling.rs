@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example multi_gpu_scaling [n_exp] [k]`
 
-use drtopk::core::{distributed_dr_topk, DrTopKConfig};
+use drtopk::core::{distributed_dr_topk, DrTopKConfig, ReloadSchedule};
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 
@@ -33,7 +33,14 @@ fn main() {
         for d in cluster.devices() {
             d.set_capacity_elems(capacity);
         }
-        let r = distributed_dr_topk(&cluster, &data, k, &DrTopKConfig::default());
+        let r = distributed_dr_topk(
+            &cluster,
+            &data,
+            k,
+            &DrTopKConfig::default(),
+            ReloadSchedule::default(),
+            None,
+        );
         assert_eq!(r.values, expected);
         let speedup = match single {
             None => {

@@ -12,9 +12,7 @@
 //! reference top-k, and double buffering must model a strictly lower
 //! makespan, so CI can run it as a smoke test.
 
-use drtopk::core::{
-    distributed_dr_topk_scheduled, DrTopKConfig, ReloadSchedule, Resource, StageKind,
-};
+use drtopk::core::{distributed_dr_topk, DrTopKConfig, ReloadSchedule, Resource, StageKind};
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 
@@ -47,8 +45,7 @@ fn main() {
 
     let mut makespans = Vec::new();
     for schedule in [ReloadSchedule::Serial, ReloadSchedule::DoubleBuffered] {
-        let got =
-            distributed_dr_topk_scheduled(&cluster, &data, k, &DrTopKConfig::default(), schedule);
+        let got = distributed_dr_topk(&cluster, &data, k, &DrTopKConfig::default(), schedule, None);
         assert_eq!(got.values, expected, "{schedule} schedule must be exact");
         println!(
             "\n{schedule}: makespan {:.4} ms (reload {:.4} ms, gather {:.4} ms, overlap \

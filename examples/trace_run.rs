@@ -20,7 +20,7 @@
 use std::io::Write as _;
 use std::sync::Arc;
 
-use drtopk::core::{distributed_dr_topk_observed, DrTopKConfig, ReloadSchedule, StageKind};
+use drtopk::core::{distributed_dr_topk, DrTopKConfig, ReloadSchedule, StageKind};
 use drtopk::engine::{QueryBatch, TopKEngine};
 use drtopk::obs::{validate_chrome_trace, TraceRecorder};
 use drtopk::prelude::*;
@@ -58,13 +58,13 @@ fn main() {
     let mut traces = Vec::new();
     for run in 1..=2 {
         let rec = TraceRecorder::deterministic();
-        let d = distributed_dr_topk_observed(
+        let d = distributed_dr_topk(
             &cluster(capacity),
             &data,
             K,
             &cfg,
             ReloadSchedule::DoubleBuffered,
-            &rec,
+            Some(&rec),
         );
         assert_eq!(d.values, expected, "run {run} must be exact");
         assert!(
@@ -105,13 +105,13 @@ fn main() {
     // A full (non-deterministic) recorder adds the measured track group and
     // executor instant events on top of the same modeled spans.
     let full = TraceRecorder::new();
-    let d = distributed_dr_topk_observed(
+    let d = distributed_dr_topk(
         &cluster(capacity),
         &data,
         K,
         &cfg,
         ReloadSchedule::DoubleBuffered,
-        &full,
+        Some(&full),
     );
     assert_eq!(d.values, expected);
     validate_chrome_trace(&full.chrome_trace_json()).expect("full trace must validate");

@@ -60,16 +60,14 @@ pub use topk_datagen as datagen;
 pub mod prelude {
     pub use bmw_baseline::{BmwIndex, BmwStats};
     pub use drtopk_core::{
-        dr_topk, dr_topk_approx, dr_topk_min, dr_topk_with_stats, measured_recall, topk_rows,
-        topk_rows_min, DrTopKConfig, DrTopKResult, InnerAlgorithm, Mode, RecallTarget, RowK,
-        RowMatrix, RowTopKResult,
+        dr_topk, measured_recall, topk_rows, Direction, DrTopKConfig, DrTopKResult, InnerAlgorithm,
+        Mode, RecallTarget, RowK, RowMatrix, RowTopKResult,
     };
     pub use drtopk_engine::{QueryBatch, RowQuery, TopKEngine};
     pub use drtopk_obs::{MetricName, MetricsRegistry, TraceRecorder, TraceSink};
     pub use gpu_sim::{Device, DeviceSpec, KernelStats};
     pub use topk_baselines::{
-        bitonic_topk, bucket_topk, priority_queue_topk, radix_topk, sort_and_choose_topk, Desc,
-        TopKKey,
+        bitonic_topk, bucket_topk, priority_queue_topk, radix_topk, sort_and_choose_topk, TopKKey,
     };
     pub use topk_datagen::{self, Distribution};
 }

@@ -5,8 +5,8 @@
 //! than exact Dr. Top-k.
 
 use drtopk::core::{
-    build_delegate_vector, dr_topk, dr_topk_approx, dr_topk_min, dr_topk_planned, measured_recall,
-    DrTopKConfig, Mode, PlannedQuery, RecallTarget,
+    build_delegate_vector, dr_topk, dr_topk_planned, measured_recall, DrTopKConfig, Mode,
+    PlannedQuery, RecallTarget,
 };
 use drtopk::prelude::*;
 use gpu_sim::KernelStats;
@@ -20,23 +20,19 @@ use common::device;
 /// Exact-vs-`Approx { 1.0 }` bit-identity for one key type.
 fn assert_exact_target_identical<K: TopKKey>(data: &[K], k: usize) {
     let dev = device();
-    let exact_cfg = DrTopKConfig::default();
-    let approx_cfg = DrTopKConfig {
-        mode: Mode::Approx {
-            target_recall: RecallTarget::EXACT,
-        },
-        ..DrTopKConfig::default()
-    };
-    for (a, b) in [
-        (
-            dr_topk(&dev, data, k, &exact_cfg),
-            dr_topk(&dev, data, k, &approx_cfg),
-        ),
-        (
-            dr_topk_min(&dev, data, k, &exact_cfg),
-            dr_topk_min(&dev, data, k, &approx_cfg),
-        ),
-    ] {
+    for direction in [Direction::Largest, Direction::Smallest] {
+        let exact_cfg = DrTopKConfig {
+            direction,
+            ..DrTopKConfig::default()
+        };
+        let approx_cfg = DrTopKConfig {
+            mode: Mode::Approx {
+                target_recall: RecallTarget::EXACT,
+            },
+            ..exact_cfg.clone()
+        };
+        let a = dr_topk(&dev, data, k, &exact_cfg);
+        let b = dr_topk(&dev, data, k, &approx_cfg);
         let got: Vec<_> = a.values.iter().map(|v| v.to_bits()).collect();
         let want: Vec<_> = b.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, want, "values must be bit-identical");
@@ -86,7 +82,7 @@ proptest! {
         let dev = device();
         let data = topk_datagen::uniform(1 << 15, seed);
         let target = target_bp as f64 / 10_000.0;
-        let got = dr_topk_approx(&dev, &data, k, target, &DrTopKConfig::default());
+        let got = dr_topk(&dev, &data, k, &DrTopKConfig::approx(target));
         prop_assert_eq!(got.values.len(), k);
         let recall = measured_recall(&got.values, &reference_topk(&data, k));
         // the planning headroom makes landing below the raw target rare;
@@ -116,7 +112,7 @@ fn pinned_recall_on_seeded_corpora_meets_every_target() {
         for &k in &[32usize, 256] {
             let exact = reference_topk(data, k);
             for &target in &[0.99f64, 0.95, 0.90] {
-                let got = dr_topk_approx(&dev, data, k, target, &DrTopKConfig::default());
+                let got = dr_topk(&dev, data, k, &DrTopKConfig::approx(target));
                 assert_eq!(got.values.len(), k, "{name} k={k}");
                 let recall = measured_recall(&got.values, &exact);
                 assert!(
@@ -156,6 +152,7 @@ fn approx_moves_fewer_transactions_than_exact() {
         exact_plan.alpha,
         exact_plan.config.beta,
         exact_plan.config.construction,
+        Direction::Largest,
     );
     let exact_resident = dr_topk_planned(&dev, &data, Some(&exact_shared), &exact_plan);
 
@@ -168,6 +165,7 @@ fn approx_moves_fewer_transactions_than_exact() {
         plan.alpha,
         plan.config.beta,
         plan.config.construction,
+        Direction::Largest,
     );
     let resident = dr_topk_planned(&dev, &data, Some(&shared), &plan);
 
@@ -207,6 +205,7 @@ fn approx_modeled_time_beats_exact_at_serving_shapes() {
         exact_plan.alpha,
         exact_plan.config.beta,
         exact_plan.config.construction,
+        Direction::Largest,
     );
     let exact = dr_topk_planned(&dev, &data, Some(&exact_shared), &exact_plan);
 
@@ -217,6 +216,7 @@ fn approx_modeled_time_beats_exact_at_serving_shapes() {
         plan.alpha,
         plan.config.beta,
         plan.config.construction,
+        Direction::Largest,
     );
     let approx = dr_topk_planned(&dev, &data, Some(&shared), &plan);
     assert!(

@@ -1,6 +1,6 @@
 //! Integration tests of the distributed (multi-GPU) Dr. Top-k.
 
-use drtopk::core::{distributed_dr_topk, DrTopKConfig};
+use drtopk::core::{distributed_dr_topk, DrTopKConfig, ReloadSchedule};
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 use topk_baselines::reference_topk;
@@ -14,6 +14,18 @@ fn cluster(devices: usize, capacity: usize) -> GpuCluster {
     c
 }
 
+/// The default request under the default reload schedule, untraced.
+fn run(c: &GpuCluster, data: &[u32], k: usize) -> drtopk::core::DistributedResult {
+    distributed_dr_topk(
+        c,
+        data,
+        k,
+        &DrTopKConfig::default(),
+        ReloadSchedule::default(),
+        None,
+    )
+}
+
 #[test]
 fn distributed_equals_single_device_for_all_distributions() {
     let n = 1 << 15;
@@ -23,7 +35,7 @@ fn distributed_equals_single_device_for_all_distributions() {
         let expected = reference_topk(&data, k);
         for devices in [1usize, 3, 4, 7] {
             let c = cluster(devices, n / 2);
-            let got = distributed_dr_topk(&c, &data, k, &DrTopKConfig::default());
+            let got = run(&c, &data, k);
             assert_eq!(got.values, expected, "{dist} on {devices} devices");
         }
     }
@@ -37,13 +49,13 @@ fn reload_regime_is_correct_and_reported() {
     let expected = reference_topk(&data, k);
     // capacity of 1/16 of |V| on 2 devices: each device owns 8 sub-vectors
     let c = cluster(2, n / 16);
-    let got = distributed_dr_topk(&c, &data, k, &DrTopKConfig::default());
+    let got = run(&c, &data, k);
     assert_eq!(got.values, expected);
     assert!(got.reload_overhead_ms > 0.0);
     assert!(got.per_device_reload_ms.iter().all(|&t| t > 0.0));
     // fits-in-memory configuration has zero reload
     let c = cluster(16, n / 16);
-    let got = distributed_dr_topk(&c, &data, k, &DrTopKConfig::default());
+    let got = run(&c, &data, k);
     assert_eq!(got.values, expected);
     assert_eq!(got.reload_overhead_ms, 0.0);
 }
@@ -54,8 +66,8 @@ fn scaling_improves_total_time() {
     let data = topk_datagen::uniform(n, 13);
     let k = 128;
     let capacity = n / 8;
-    let t1 = distributed_dr_topk(&cluster(1, capacity), &data, k, &DrTopKConfig::default());
-    let t8 = distributed_dr_topk(&cluster(8, capacity), &data, k, &DrTopKConfig::default());
+    let t1 = run(&cluster(1, capacity), &data, k);
+    let t8 = run(&cluster(8, capacity), &data, k);
     assert_eq!(t1.values, t8.values);
     assert!(
         t8.total_ms < t1.total_ms,
@@ -73,6 +85,6 @@ fn k_larger_than_subvector_is_handled() {
     let data = topk_datagen::normal(n, 5);
     let k = 3000; // larger than each sub-vector
     let c = cluster(4, n / 4);
-    let got = distributed_dr_topk(&c, &data, k, &DrTopKConfig::default());
+    let got = run(&c, &data, k);
     assert_eq!(got.values, reference_topk(&data, k));
 }

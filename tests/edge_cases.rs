@@ -13,7 +13,7 @@
 //!   there — the `should_panic` tests below freeze that contract.
 
 use drtopk::prelude::*;
-use drtopk_core::{distributed_dr_topk, flag_radix_topk};
+use drtopk_core::{distributed_dr_topk, flag_radix_topk, ReloadSchedule};
 use gpu_sim::GpuCluster;
 use topk_baselines::{
     parallel_priority_queue_topk, reference_kth, reference_topk, BitonicConfig, BucketConfig,
@@ -135,13 +135,24 @@ fn distributed_edges_match_single_device() {
     let cluster = GpuCluster::homogeneous(4, DeviceSpec::v100s());
     let data = topk_datagen::uniform(1 << 12, 77);
     let config = DrTopKConfig::default();
-    assert!(distributed_dr_topk(&cluster, &data, 0, &config)
-        .values
-        .is_empty());
-    assert!(distributed_dr_topk::<u32>(&cluster, &[], 8, &config)
-        .values
-        .is_empty());
-    let full = distributed_dr_topk(&cluster, &data, data.len() + 5, &config);
+    assert!(
+        distributed_dr_topk(&cluster, &data, 0, &config, ReloadSchedule::default(), None)
+            .values
+            .is_empty()
+    );
+    assert!(
+        distributed_dr_topk::<u32>(&cluster, &[], 8, &config, ReloadSchedule::default(), None)
+            .values
+            .is_empty()
+    );
+    let full = distributed_dr_topk(
+        &cluster,
+        &data,
+        data.len() + 5,
+        &config,
+        ReloadSchedule::default(),
+        None,
+    );
     assert_eq!(full.values, reference_topk(&data, data.len()));
 }
 

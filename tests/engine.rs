@@ -1,5 +1,5 @@
 //! Integration tests of the batched multi-query engine: fused batches must
-//! be bit-identical to independent `dr_topk` / `dr_topk_min` calls for
+//! be bit-identical to independent `dr_topk` calls (either direction) for
 //! every key type, repeat traffic must hit the plan cache, and fusion must
 //! be observably cheaper than per-query loops in global-memory
 //! transactions.
@@ -7,7 +7,7 @@
 mod common;
 
 use common::engine;
-use drtopk::core::{dr_topk, dr_topk_min, DrTopKConfig};
+use drtopk::core::{dr_topk, DrTopKConfig};
 use drtopk::engine::{Direction, EngineConfig, Query, QueryBatch, TopKEngine};
 use drtopk::prelude::*;
 use proptest::prelude::*;
@@ -37,13 +37,17 @@ fn assert_batch_matches_independent<K: TopKKey>(data: &[K], specs: &[(usize, boo
     assert_eq!(out.results.len(), specs.len());
 
     let device = Device::new(DeviceSpec::v100s());
-    let config = DrTopKConfig::default();
     for (i, &(k, largest)) in specs.iter().enumerate() {
-        let independent = if largest {
-            dr_topk(&device, data, k, &config).values
+        let direction = if largest {
+            Direction::Largest
         } else {
-            dr_topk_min(&device, data, k, &config).values
+            Direction::Smallest
         };
+        let config = DrTopKConfig {
+            direction,
+            ..DrTopKConfig::default()
+        };
+        let independent = dr_topk(&device, data, k, &config).values;
         let got: Vec<_> = out.results[i].values.iter().map(|v| v.to_bits()).collect();
         let want: Vec<_> = independent.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, want, "query {i} (k={k}, largest={largest})");

@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use drtopk::core::{
-    distributed_dr_topk_explore, distributed_dr_topk_scheduled, explore_schedules, DrTopKConfig,
+    distributed_dr_topk, distributed_dr_topk_explore, explore_schedules, DrTopKConfig,
     ExploreBudget, ReloadSchedule, Resource, StageGraph, StageKind, StageOutcome,
 };
 use drtopk::prelude::*;
@@ -164,8 +164,14 @@ fn distributed_out_of_core_run_model_checks_exhaustively() {
     assert!(outcome.schedules_run > 1);
     assert_eq!(outcome.stages, outcome.reference.stages.len());
 
-    let reference =
-        distributed_dr_topk_scheduled(&cluster, &data, 16, &cfg, ReloadSchedule::DoubleBuffered);
+    let reference = distributed_dr_topk(
+        &cluster,
+        &data,
+        16,
+        &cfg,
+        ReloadSchedule::DoubleBuffered,
+        None,
+    );
     assert_eq!(bits(&result.values), bits(&reference.values));
 }
 

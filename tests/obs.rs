@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use drtopk::core::{distributed_dr_topk_observed, DrTopKConfig, ReloadSchedule, StageReport};
+use drtopk::core::{distributed_dr_topk, DrTopKConfig, ReloadSchedule, StageReport};
 use drtopk::engine::{QueryBatch, TopKEngine};
 use drtopk::obs::{validate_chrome_trace, Histogram, Json, MetricName, TraceRecorder};
 use drtopk::prelude::*;
@@ -119,13 +119,13 @@ fn trace_spans_match_stage_report_bit_for_bit() {
     let mut reports: Vec<StageReport> = Vec::new();
     for run in 0..2 {
         let rec = TraceRecorder::deterministic();
-        let d = distributed_dr_topk_observed(
+        let d = distributed_dr_topk(
             &cluster(capacity),
             &data,
             K,
             &cfg,
             ReloadSchedule::DoubleBuffered,
-            &rec,
+            Some(&rec),
         );
         assert_eq!(d.values, expected, "run {run} must be exact");
         assert!(
@@ -175,13 +175,13 @@ fn full_recorder_adds_measured_tracks_and_events() {
     let capacity = 1usize << 12;
     let data = topk_datagen::uniform(capacity * 2 * DEVICES, 99);
     let rec = TraceRecorder::new();
-    let d = distributed_dr_topk_observed(
+    let d = distributed_dr_topk(
         &cluster(capacity),
         &data,
         K,
         &DrTopKConfig::default(),
         ReloadSchedule::DoubleBuffered,
-        &rec,
+        Some(&rec),
     );
     assert_eq!(d.values, topk_baselines::reference_topk(&data, K));
     assert!(

@@ -63,7 +63,9 @@ proptest! {
     ) {
         let device = device();
         let k = k.min(data.len());
-        let delegates = build_delegate_vector(&device, &data, alpha, beta, ConstructionMethod::Auto);
+        let delegates = build_delegate_vector(
+            &device, &data, alpha, beta, ConstructionMethod::Auto, Direction::Largest,
+        );
         // Rule 2 presupposes that the k-th delegate exists (k <= |D|); the
         // pipeline falls back to a plain top-k otherwise.
         prop_assume!(k <= delegates.len());
@@ -82,8 +84,11 @@ proptest! {
         beta in 1usize..4,
     ) {
         let device = device();
-        let warp = build_delegate_vector(&device, &data, alpha, beta, ConstructionMethod::WarpShuffle);
-        let shared = build_delegate_vector(&device, &data, alpha, beta, ConstructionMethod::CoalescedShared);
+        let build = |method| {
+            build_delegate_vector(&device, &data, alpha, beta, method, Direction::Largest)
+        };
+        let warp = build(ConstructionMethod::WarpShuffle);
+        let shared = build(ConstructionMethod::CoalescedShared);
         prop_assert_eq!(&warp.values, &shared.values);
         prop_assert_eq!(&warp.subrange_ids, &shared.subrange_ids);
         let size = 1usize << alpha;
@@ -171,6 +176,7 @@ fn f32_with_specials() -> impl proptest::strategy::Strategy<Value = f32> {
         5 => 0.0,
         6 => -0.0,
         7 => f32::from_bits(rng.next_u64() as u32 & 0x007F_FFFF), // subnormal
+        8 => f32::from_bits(0xFFC0_0000 | (rng.next_u64() as u32 & 0x3F_FFFF)),
         _ => (rng.next_unit_f64() as f32 - 0.5) * 2.0e6,
     })
 }
@@ -237,7 +243,11 @@ proptest! {
             prop_assert!(false, "{}", msg);
         }
         // min-queries rank positive NaNs last
-        let min = dr_topk_min(&device, &data, k, &DrTopKConfig::default());
+        let smallest = DrTopKConfig {
+            direction: Direction::Smallest,
+            ..DrTopKConfig::default()
+        };
+        let min = dr_topk(&device, &data, k, &smallest);
         prop_assert_eq!(bits_of(&min.values), bits_of(&reference_topk_min(&data, k)));
     }
 
@@ -293,9 +303,14 @@ proptest! {
 // whichever forced path the sampled crossover resolves, exactly.
 // ---------------------------------------------------------------------------
 
-use drtopk::core::{choose_path_sampled, dr_topk_min, ChosenPath, PathHint};
+use drtopk::core::{
+    choose_path_sampled, distributed_dr_topk, dr_topk_planned, topk_rows_on, ChosenPath, PathHint,
+    PlannedQuery, ReloadSchedule,
+};
+use drtopk::sim::GpuCluster;
 
-/// f64 twin of [`f32_with_specials`]: NaN payloads, ±∞, ±0, subnormals.
+/// f64 twin of [`f32_with_specials`]: NaN payloads of both signs, ±∞, ±0,
+/// subnormals.
 fn f64_with_specials() -> impl proptest::strategy::Strategy<Value = f64> {
     FnStrategy(|rng: &mut TestRng| match rng.next_below(12) {
         0 => f64::NAN,
@@ -306,6 +321,7 @@ fn f64_with_specials() -> impl proptest::strategy::Strategy<Value = f64> {
         5 => 0.0,
         6 => -0.0,
         7 => f64::from_bits(rng.next_u64() & 0x000F_FFFF_FFFF_FFFF), // subnormal
+        8 => f64::from_bits(0xFFF8_0000_0000_0000 | (rng.next_u64() & 0x7_FFFF_FFFF_FFFF)),
         _ => (rng.next_unit_f64() - 0.5) * 2.0e12,
     })
 }
@@ -337,14 +353,131 @@ fn assert_radix_path_agrees<K: TopKKey>(
     if auto != expected {
         return Err(format!("Auto disagrees with reference at k={k}"));
     }
-    // Min-direction: the Desc wrapper must flow through the radix stages
-    // unchanged (NaNs rank last on min-queries).
+    // Smallest direction: the reversed key order must flow through the
+    // radix stages unchanged (NaNs rank last on min-queries).
     let expected_min = bits_of(&reference_topk_min(data, k));
-    let rad_min = bits_of(&dr_topk_min(device, data, k, &force(PathHint::Radix)).values);
+    let smallest = DrTopKConfig {
+        direction: Direction::Smallest,
+        ..force(PathHint::Radix)
+    };
+    let rad_min = bits_of(&dr_topk(device, data, k, &smallest).values);
     if rad_min != expected_min {
         return Err(format!("radix-forced min-query disagrees at k={k}"));
     }
     Ok(())
+}
+
+/// Every runner answers a `direction: Smallest` request with exactly
+/// `reference_topk_min`, bit for bit (values and the k-th value): `dr_topk`,
+/// `dr_topk_planned` against a shared smallest-direction delegate vector,
+/// `distributed_dr_topk` out of core under both reload schedules, and
+/// `topk_rows_on` over the data reshaped into rows.
+fn assert_smallest_on_every_runner<K: TopKKey>(
+    device: &Device,
+    data: &[K],
+    k: usize,
+) -> Result<(), String> {
+    let smallest = DrTopKConfig {
+        direction: Direction::Smallest,
+        ..DrTopKConfig::default()
+    };
+    let expected = bits_of(&reference_topk_min(data, k));
+    let check = |runner: &str, values: &[K], kth: K| -> Result<(), String> {
+        if bits_of(values) != expected {
+            return Err(format!(
+                "{runner} disagrees with reference_topk_min at k={k}"
+            ));
+        }
+        if expected.last().is_some_and(|&e| e != kth.to_bits()) {
+            return Err(format!("{runner} reports the wrong k-th value at k={k}"));
+        }
+        Ok(())
+    };
+
+    let got = dr_topk(device, data, k, &smallest);
+    check("dr_topk", &got.values, got.kth_value)?;
+
+    // A small pinned α keeps the delegate machinery (and so the shared
+    // vector) in play on short inputs.
+    let planned = PlannedQuery::plan(
+        data.len(),
+        k,
+        &DrTopKConfig {
+            alpha: Some(3),
+            ..smallest.clone()
+        },
+    );
+    let shared = build_delegate_vector(
+        device,
+        data,
+        planned.alpha,
+        planned.config.beta,
+        planned.config.construction,
+        Direction::Smallest,
+    );
+    let got = dr_topk_planned(device, data, Some(&shared), &planned);
+    check("dr_topk_planned (shared)", &got.values, got.kth_value)?;
+
+    let cluster = GpuCluster::homogeneous(2, DeviceSpec::v100s());
+    for d in cluster.devices() {
+        // several chunks per device
+        d.set_capacity_elems((data.len() / 3).max(2));
+    }
+    for schedule in [ReloadSchedule::Serial, ReloadSchedule::DoubleBuffered] {
+        let got = distributed_dr_topk(&cluster, data, k, &smallest, schedule, None);
+        check(
+            &format!("distributed_dr_topk ({schedule})"),
+            &got.values,
+            got.kth_value,
+        )?;
+    }
+
+    let rows = if data.len() >= 4 { 4 } else { 1 };
+    let cols = data.len() / rows;
+    let matrix = RowMatrix::new(&data[..rows * cols], rows, cols);
+    let got = topk_rows_on(&[device], matrix, &RowK::Uniform(k), &smallest, None);
+    for (r, row) in got.rows.iter().enumerate() {
+        let want = bits_of(&reference_topk_min(matrix.row(r), k));
+        if bits_of(&row.values) != want {
+            return Err(format!("topk_rows_on row {r} disagrees at k={k}"));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The smallest direction on every runner, over one input table of all
+    /// six key types: integers of both widths and signs, and floats with
+    /// NaN payloads of both signs, ±0, ±∞ and subnormals.
+    #[test]
+    fn smallest_direction_agrees_on_every_runner_for_six_key_types(
+        ints in proptest::collection::vec(any::<u64>(), 1..800),
+        data32 in proptest::collection::vec(f32_with_specials(), 1..800),
+        data64 in proptest::collection::vec(f64_with_specials(), 1..800),
+        k_frac in 0.0f64..1.0,
+    ) {
+        let device = device();
+        let k_of = |n: usize| ((n as f64 * k_frac) as usize).clamp(1, n);
+        let u32s: Vec<u32> = ints.iter().map(|&x| x as u32).collect();
+        let i32s: Vec<i32> = ints.iter().map(|&x| x as i32).collect();
+        let i64s: Vec<i64> = ints.iter().map(|&x| x as i64).collect();
+        let k = k_of(ints.len());
+        let table = [
+            ("u32", assert_smallest_on_every_runner(&device, &u32s, k)),
+            ("i32", assert_smallest_on_every_runner(&device, &i32s, k)),
+            ("u64", assert_smallest_on_every_runner(&device, &ints, k)),
+            ("i64", assert_smallest_on_every_runner(&device, &i64s, k)),
+            ("f32", assert_smallest_on_every_runner(&device, &data32, k_of(data32.len()))),
+            ("f64", assert_smallest_on_every_runner(&device, &data64, k_of(data64.len()))),
+        ];
+        for (key, outcome) in table {
+            if let Err(msg) = outcome {
+                prop_assert!(false, "{}: {}", key, msg);
+            }
+        }
+    }
 }
 
 /// Degenerate-k grid shared by every key type: 0, 1, mid, |V|, > |V|.

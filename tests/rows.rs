@@ -1,7 +1,7 @@
 //! Differential conformance suite for the row-wise matrix top-k
 //! ([`drtopk::core::topk_rows`]): every row of a `rows × cols` matrix must
-//! be **bit-identical** to an independent per-row `dr_topk` /
-//! `dr_topk_min` call — across all six key types, both directions,
+//! be **bit-identical** to an independent per-row `dr_topk` call in the
+//! same direction — across all six key types, both directions,
 //! NaN-laden float rows, uniform and per-row `k` (with `k = 0`, `k = cols`
 //! and `k > cols` mixed into one matrix), and both the exact and the
 //! recall-targeted approximate modes. The fused row-block plan is pinned
@@ -19,9 +19,7 @@
 mod common;
 
 use common::{bits, device};
-use drtopk::core::{
-    dr_topk, dr_topk_min, topk_rows_explore, topk_rows_on, DrTopKConfig, ExploreBudget,
-};
+use drtopk::core::{dr_topk, topk_rows_explore, topk_rows_on, DrTopKConfig, ExploreBudget};
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 use proptest::prelude::*;
@@ -31,9 +29,9 @@ fn pool(devices: usize) -> GpuCluster {
 }
 
 /// The differential oracle: `topk_rows` over a 2-device pool against one
-/// independent `dr_topk` / `dr_topk_min`
-/// call per row, compared through order-preserving bit images so NaNs are
-/// concrete multiset elements.
+/// independent `dr_topk` call per row in the same direction, compared
+/// through order-preserving bit images so NaNs are concrete multiset
+/// elements.
 fn assert_rows_match_per_row<K: TopKKey>(
     data: &[K],
     rows: usize,
@@ -45,11 +43,15 @@ fn assert_rows_match_per_row<K: TopKKey>(
     let c = pool(2);
     let devices: Vec<&Device> = c.devices().iter().collect();
     let matrix = RowMatrix::new(data, rows, cols);
-    let got = if largest {
-        topk_rows_on(&devices, matrix, ks, cfg, None)
-    } else {
-        topk_rows_on(&devices, matrix.as_desc(), ks, cfg, None).into_native()
+    let cfg = &DrTopKConfig {
+        direction: if largest {
+            Direction::Largest
+        } else {
+            Direction::Smallest
+        },
+        ..cfg.clone()
     };
+    let got = topk_rows_on(&devices, matrix, ks, cfg, None);
     assert_eq!(got.rows.len(), rows);
     // One fused pass per block per path kind at most — never one per row.
     assert!(
@@ -61,11 +63,7 @@ fn assert_rows_match_per_row<K: TopKKey>(
     let dev = device();
     for r in 0..rows {
         let k = ks.get(r);
-        let single = if largest {
-            dr_topk(&dev, matrix.row(r), k, cfg)
-        } else {
-            dr_topk_min(&dev, matrix.row(r), k, cfg)
-        };
+        let single = dr_topk(&dev, matrix.row(r), k, cfg);
         assert_eq!(
             bits(&got.rows[r].values),
             bits(&single.values),
@@ -98,7 +96,7 @@ fn degenerate_ks(rows: usize, cols: usize, ordinary: usize) -> RowK {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// `topk_rows` is bit-identical to per-row `dr_topk` / `dr_topk_min`
+    /// `topk_rows` is bit-identical to per-row `dr_topk` in either direction
     /// for all six key types, both directions, uniform and degenerate
     /// per-row k, in both the exact and the approximate mode. The float
     /// matrices are salted with NaNs of both signs.

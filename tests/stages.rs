@@ -9,10 +9,7 @@
 mod common;
 
 use common::{bits, cluster, device};
-use drtopk::core::{
-    as_desc, distributed_dr_topk, distributed_dr_topk_scheduled, dr_topk_min, dr_topk_with_stats,
-    DrTopKConfig, ReloadSchedule, Resource, StageKind, TransferLane,
-};
+use drtopk::core::{distributed_dr_topk, ReloadSchedule, Resource, StageKind, TransferLane};
 use drtopk::prelude::*;
 use proptest::prelude::*;
 use topk_baselines::{reference_topk, reference_topk_min};
@@ -23,19 +20,18 @@ use topk_baselines::{reference_topk, reference_topk_min};
 /// contractually the exact pipeline).
 fn assert_stage_execution_matches_reference<K: TopKKey>(data: &[K], k: usize, largest: bool) {
     let dev = device();
-    let cfg = DrTopKConfig::default();
-    let expected = if largest {
-        bits(&reference_topk(data, k))
+    let (direction, expected) = if largest {
+        (Direction::Largest, bits(&reference_topk(data, k)))
     } else {
-        bits(&reference_topk_min(data, k))
+        (Direction::Smallest, bits(&reference_topk_min(data, k)))
+    };
+    let cfg = DrTopKConfig {
+        direction,
+        ..DrTopKConfig::default()
     };
 
     // In-core single-device pipeline.
-    let in_core = if largest {
-        dr_topk_with_stats(&dev, data, k, &cfg)
-    } else {
-        dr_topk_min(&dev, data, k, &cfg)
-    };
+    let in_core = dr_topk(&dev, data, k, &cfg);
     assert_eq!(bits(&in_core.values), expected, "in-core");
     // The result *is* its stage schedule: time and breakdown re-derive.
     assert!((in_core.time_ms - in_core.stages.makespan_ms).abs() < 1e-12);
@@ -49,11 +45,7 @@ fn assert_stage_execution_matches_reference<K: TopKKey>(data: &[K], k: usize, la
     let capacity = (data.len() / 3).max(1);
     let c = cluster(2, capacity);
     for schedule in [ReloadSchedule::Serial, ReloadSchedule::DoubleBuffered] {
-        let got = if largest {
-            distributed_dr_topk_scheduled(&c, data, k, &cfg, schedule)
-        } else {
-            distributed_dr_topk_scheduled(&c, as_desc(data), k, &cfg, schedule).into_native()
-        };
+        let got = distributed_dr_topk(&c, data, k, &cfg, schedule, None);
         assert_eq!(bits(&got.values), expected, "distributed {schedule}");
         assert_eq!(got.schedule, schedule);
         assert!((got.total_ms - got.stages.makespan_ms).abs() < 1e-12);
@@ -68,7 +60,7 @@ fn assert_stage_execution_matches_reference<K: TopKKey>(data: &[K], k: usize, la
 
     // Approximate mode at target 1.0 is contractually the exact pipeline.
     if largest {
-        let exact_again = dr_topk_approx(&dev, data, k, 1.0, &cfg);
+        let exact_again = dr_topk(&dev, data, k, &DrTopKConfig::approx(1.0));
         assert_eq!(bits(&exact_again.values), expected, "approx target 1.0");
     }
 }
@@ -113,9 +105,9 @@ proptest! {
         k in 1usize..32,
     ) {
         let dev = device();
-        let cfg = DrTopKConfig::default();
-        let a = dr_topk_approx(&dev, &raw, k, 0.9, &cfg);
-        let b = dr_topk_approx(&dev, &raw, k, 0.9, &cfg);
+        let cfg = DrTopKConfig::approx(0.9);
+        let a = dr_topk(&dev, &raw, k, &cfg);
+        let b = dr_topk(&dev, &raw, k, &cfg);
         prop_assert_eq!(bits(&a.values), bits(&b.values));
         prop_assert_eq!(a.stats, b.stats);
         prop_assert!((a.time_ms - b.time_ms).abs() < 1e-12);
@@ -134,19 +126,21 @@ fn double_buffering_hides_at_least_twenty_percent_at_4x_capacity() {
         let n = capacity * 4 * devices; // 4× the aggregate capacity
         let data = topk_datagen::uniform(n, 0xC0FFEE);
         let c = cluster(devices, capacity);
-        let serial = distributed_dr_topk_scheduled(
+        let serial = distributed_dr_topk(
             &c,
             &data,
             k,
             &DrTopKConfig::default(),
             ReloadSchedule::Serial,
+            None,
         );
-        let db = distributed_dr_topk_scheduled(
+        let db = distributed_dr_topk(
             &c,
             &data,
             k,
             &DrTopKConfig::default(),
             ReloadSchedule::DoubleBuffered,
+            None,
         );
         // bit-identical results on both schedules, equal to the reference
         assert_eq!(serial.values, reference_topk(&data, k), "{devices} devices");
@@ -185,7 +179,14 @@ fn out_of_core_corpus_beyond_aggregate_memory_is_exact() {
     let n = capacity * 8 * devices;
     let data = topk_datagen::customized(n, 17);
     let c = cluster(devices, capacity);
-    let got = distributed_dr_topk(&c, &data, 200, &DrTopKConfig::default());
+    let got = distributed_dr_topk(
+        &c,
+        &data,
+        200,
+        &DrTopKConfig::default(),
+        ReloadSchedule::default(),
+        None,
+    );
     assert_eq!(got.values, reference_topk(&data, 200));
     assert_eq!(got.schedule, ReloadSchedule::DoubleBuffered);
     assert!(got.stages.overlap_efficiency() > 0.0);
@@ -205,7 +206,14 @@ fn distributed_stage_schedule_is_well_formed() {
     let capacity = 1 << 13;
     let data = topk_datagen::uniform(capacity * 6, 3);
     let c = cluster(2, capacity);
-    let got = distributed_dr_topk(&c, &data, 64, &DrTopKConfig::default());
+    let got = distributed_dr_topk(
+        &c,
+        &data,
+        64,
+        &DrTopKConfig::default(),
+        ReloadSchedule::default(),
+        None,
+    );
     let stages = &got.stages.stages;
     // chunk loads live on per-device host→device lanes, computes on the
     // device queues, the gather on the interconnect, the final on device 0
@@ -320,14 +328,14 @@ fn repeated_threaded_runs_are_bit_identical() {
     let k = 96;
     let distributed = || {
         let c = cluster(4, 1 << 13);
-        distributed_dr_topk(&c, &data, k, &cfg)
+        distributed_dr_topk(&c, &data, k, &cfg, ReloadSchedule::default(), None)
     };
 
-    let exact0 = dr_topk_with_stats(&dev, &data, k, &cfg);
-    let approx0 = dr_topk_approx(&dev, &data, k, 0.9, &cfg);
+    let exact0 = dr_topk(&dev, &data, k, &cfg);
+    let approx0 = dr_topk(&dev, &data, k, &DrTopKConfig::approx(0.9));
     let dist0 = distributed();
     for run in 1..4 {
-        let exact = dr_topk_with_stats(&dev, &data, k, &cfg);
+        let exact = dr_topk(&dev, &data, k, &cfg);
         assert_eq!(exact.values, exact0.values, "exact values, run {run}");
         assert_eq!(
             exact.stages.deterministic_summary(),
@@ -335,7 +343,7 @@ fn repeated_threaded_runs_are_bit_identical() {
             "exact report, run {run}"
         );
 
-        let approx = dr_topk_approx(&dev, &data, k, 0.9, &cfg);
+        let approx = dr_topk(&dev, &data, k, &DrTopKConfig::approx(0.9));
         assert_eq!(approx.values, approx0.values, "approx values, run {run}");
         assert_eq!(
             approx.stages.deterministic_summary(),

@@ -12,9 +12,8 @@
 //!   tests additionally pin it through the public `verify()` API.
 
 use drtopk::core::{
-    distributed_dr_topk_scheduled, dr_topk_approx, dr_topk_min, dr_topk_with_stats, verify_specs,
-    DiagnosticCode, DrTopKConfig, ReloadSchedule, Resource, StageGraph, StageKind, StageOutcome,
-    StageSpec, TransferLane, VerifyOptions,
+    distributed_dr_topk, verify_specs, DiagnosticCode, DrTopKConfig, ReloadSchedule, Resource,
+    StageGraph, StageKind, StageOutcome, StageSpec, TransferLane, VerifyOptions,
 };
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
@@ -272,15 +271,23 @@ fn planner_built_radix_graphs_verify_clean() {
     };
     let data = topk_datagen::uniform(1 << 13, 0xD00D);
     for &k in &[1usize, 100, 1 << 12] {
-        let got = dr_topk_with_stats(&dev, &data, k, &cfg);
+        let got = dr_topk(&dev, &data, k, &cfg);
         assert!(got.stages.verify().is_empty(), "k={k}");
-        let min = dr_topk_min(&dev, &data, k, &cfg);
+        let min = dr_topk(
+            &dev,
+            &data,
+            k,
+            &DrTopKConfig {
+                direction: Direction::Smallest,
+                ..cfg.clone()
+            },
+        );
         assert!(min.stages.verify().is_empty(), "min k={k}");
     }
     // Early pinning: the no-op tail stages still form an unbroken chain.
     let mut spiked = vec![7u32; 1 << 12];
     spiked[99] = u32::MAX;
-    let got = dr_topk_with_stats(&dev, &spiked, 1, &cfg);
+    let got = dr_topk(&dev, &spiked, 1, &cfg);
     assert!(got.stages.verify().is_empty());
 }
 
@@ -354,11 +361,15 @@ proptest! {
         let dev = Device::new(DeviceSpec::v100s());
         let cfg = DrTopKConfig::default();
 
-        let exact = dr_topk_with_stats(&dev, &raw, k, &cfg);
+        let exact = dr_topk(&dev, &raw, k, &cfg);
         prop_assert!(exact.stages.verify().is_empty());
-        let min = dr_topk_min(&dev, &raw, k, &cfg);
+        let smallest = DrTopKConfig {
+            direction: Direction::Smallest,
+            ..cfg.clone()
+        };
+        let min = dr_topk(&dev, &raw, k, &smallest);
         prop_assert!(min.stages.verify().is_empty());
-        let approx = dr_topk_approx(&dev, &raw, k, target, &cfg);
+        let approx = dr_topk(&dev, &raw, k, &DrTopKConfig::approx(target));
         prop_assert!(approx.stages.verify().is_empty());
 
         let schedule = if double_buffered {
@@ -374,15 +385,15 @@ proptest! {
             // Small enough to force multiple chunks per device.
             d.set_capacity_elems((raw.len() / 3).max(1));
         }
-        let dist = distributed_dr_topk_scheduled(&cluster, &raw, k, &cfg, schedule);
+        let dist = distributed_dr_topk(&cluster, &raw, k, &cfg, schedule, None);
         prop_assert!(dist.stages.verify_with(&opts).is_empty());
 
         // Signed and float key paths reuse the same planners; spot-check
         // that the key type does not change the graph's verdict.
         let as_i64: Vec<i64> = raw.iter().map(|&x| x as i64 - (1 << 31)).collect();
-        prop_assert!(dr_topk_with_stats(&dev, &as_i64, k, &cfg).stages.verify().is_empty());
+        prop_assert!(dr_topk(&dev, &as_i64, k, &cfg).stages.verify().is_empty());
         let as_f32: Vec<f32> = raw.iter().map(|&x| f32::from_bits(x)).collect();
-        let dist_f = distributed_dr_topk_scheduled(&cluster, &as_f32, k, &cfg, schedule);
+        let dist_f = distributed_dr_topk(&cluster, &as_f32, k, &cfg, schedule, None);
         prop_assert!(dist_f.stages.verify_with(&opts).is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests of the workload-reduction trends the paper reports
 //! (Figures 20–22) and of the per-phase accounting.
 
-use drtopk::core::{dr_topk_with_stats, DrTopKConfig};
+use drtopk::core::{dr_topk, DrTopKConfig};
 use drtopk::prelude::*;
 
 fn device() -> Device {
@@ -17,7 +17,7 @@ fn workload_fraction_shrinks_as_v_grows() {
     for exp in [14u32, 16, 18, 20] {
         let n = 1usize << exp;
         let data = topk_datagen::uniform(n, 3);
-        let r = dr_topk_with_stats(&device, &data, k, &DrTopKConfig::default());
+        let r = dr_topk(&device, &data, k, &DrTopKConfig::default());
         let frac = r.workload.workload_fraction();
         assert!(
             frac < last,
@@ -41,7 +41,7 @@ fn workload_fraction_grows_with_k() {
     };
     let mut last = 0.0;
     for k_exp in [4u32, 8, 12, 14] {
-        let r = dr_topk_with_stats(&device, &data, 1 << k_exp, &config);
+        let r = dr_topk(&device, &data, 1 << k_exp, &config);
         let frac = r.workload.workload_fraction();
         assert!(
             frac >= last,
@@ -61,7 +61,7 @@ fn drtopk_moves_fewer_bytes_than_baselines() {
     let n = 1 << 18;
     let k = 128;
     let data = topk_datagen::uniform(n, 9);
-    let dr = dr_topk_with_stats(&device, &data, k, &DrTopKConfig::default());
+    let dr = dr_topk(&device, &data, k, &DrTopKConfig::default());
     for algo in topk_baselines::BaselineAlgorithm::TOPK {
         let base = algo.run(&device, &data, k);
         assert!(
@@ -98,7 +98,7 @@ fn drtopk_is_faster_than_every_baseline_at_moderate_k() {
     let n = 1 << 21;
     let k = 1024;
     let data = topk_datagen::uniform(n, 21);
-    let dr = dr_topk_with_stats(&device, &data, k, &DrTopKConfig::default());
+    let dr = dr_topk(&device, &data, k, &DrTopKConfig::default());
     for algo in topk_baselines::BaselineAlgorithm::TOPK {
         let base = algo.run(&device, &data, k);
         assert!(
