@@ -77,40 +77,36 @@ pub fn bitonic_topk<K: TopKKey>(
         let num_warps = num_chunks.clamp(1, 4096);
         let input = &survivors;
         let merge_depth = (usize::BITS - (chunk - 1).leading_zeros()) as u64; // log2(2k)
-        let launch = device.launch(
-            &format!("baseline_bitonic_merge_iter{iteration}"),
-            num_warps,
-            |ctx| {
-                // each simulated warp handles its share of the 2k chunks
-                let chunk_range = ctx.chunk_of(num_chunks);
-                let mut kept: Vec<K> = Vec::new();
-                for c in chunk_range {
-                    let start = c * chunk;
-                    let end = ((c + 1) * chunk).min(input.len());
-                    let slice = ctx.read_coalesced(&input[start..end]);
-                    // bitonic merge of the 2k working set in shared memory:
-                    // log2(2k) stages, each touching every element once.
-                    let ops = (slice.len() as u64) * merge_depth * occupancy_penalty as u64;
-                    ctx.record_shared(2 * ops);
-                    ctx.record_alu(ops);
-                    if iteration == 0 {
-                        // the initial local sort is a full bitonic sort:
-                        // log2(2k)·(log2(2k)+1)/2 stages instead of log2(2k)
-                        let extra = (slice.len() as u64) * merge_depth * (merge_depth + 1) / 2
-                            * occupancy_penalty as u64;
-                        ctx.record_shared(2 * extra);
-                        ctx.record_alu(extra);
-                    }
-                    ctx.syncthreads();
-                    let mut local: Vec<K> = slice.to_vec();
-                    local.sort_unstable_by_key(|v| Reverse(v.to_bits()));
-                    local.truncate(k);
-                    ctx.record_store_coalesced::<K>(local.len());
-                    kept.extend(local);
+        let launch = device.launch("baseline_bitonic_merge", num_warps, |ctx| {
+            // each simulated warp handles its share of the 2k chunks
+            let chunk_range = ctx.chunk_of(num_chunks);
+            let mut kept: Vec<K> = Vec::new();
+            for c in chunk_range {
+                let start = c * chunk;
+                let end = ((c + 1) * chunk).min(input.len());
+                let slice = ctx.read_coalesced(&input[start..end]);
+                // bitonic merge of the 2k working set in shared memory:
+                // log2(2k) stages, each touching every element once.
+                let ops = (slice.len() as u64) * merge_depth * occupancy_penalty as u64;
+                ctx.record_shared(2 * ops);
+                ctx.record_alu(ops);
+                if iteration == 0 {
+                    // the initial local sort is a full bitonic sort:
+                    // log2(2k)·(log2(2k)+1)/2 stages instead of log2(2k)
+                    let extra = (slice.len() as u64) * merge_depth * (merge_depth + 1) / 2
+                        * occupancy_penalty as u64;
+                    ctx.record_shared(2 * extra);
+                    ctx.record_alu(extra);
                 }
-                kept
-            },
-        );
+                ctx.syncthreads();
+                let mut local: Vec<K> = slice.to_vec();
+                local.sort_unstable_by_key(|v| Reverse(v.to_bits()));
+                local.truncate(k);
+                ctx.record_store_coalesced::<K>(local.len());
+                kept.extend(local);
+            }
+            kept
+        });
         stats += launch.stats;
         time_ms += launch.time_ms;
         survivors = launch.output.into_iter().flatten().collect();

@@ -158,24 +158,20 @@ pub fn bucket_select_kth<K: TopKKey>(
         let num_warps = candidates.len().div_ceil(config.elems_per_warp).max(1);
         let hist_buf = AtomicBuffer::zeroed(nb);
         let cand = &candidates;
-        let launch = device.launch(
-            &format!("baseline_bucket_hist_iter{iterations}"),
-            num_warps,
-            |ctx| {
-                let chunk = ctx.chunk_of(cand.len());
-                let slice = ctx.read_coalesced(&cand[chunk]);
-                let mut local = vec![0u32; nb];
-                for &x in slice {
-                    local[bucket_of(x)] += 1;
-                    ctx.record_alu(3);
+        let launch = device.launch("baseline_bucket_hist", num_warps, |ctx| {
+            let chunk = ctx.chunk_of(cand.len());
+            let slice = ctx.read_coalesced(&cand[chunk]);
+            let mut local = vec![0u32; nb];
+            for &x in slice {
+                local[bucket_of(x)] += 1;
+                ctx.record_alu(3);
+            }
+            for (b, &c) in local.iter().enumerate() {
+                if c > 0 {
+                    hist_buf.fetch_add(ctx, b, c);
                 }
-                for (b, &c) in local.iter().enumerate() {
-                    if c > 0 {
-                        hist_buf.fetch_add(ctx, b, c);
-                    }
-                }
-            },
-        );
+            }
+        });
         stats += launch.stats;
         time_ms += launch.time_ms;
         let histogram = hist_buf.to_vec();
@@ -202,26 +198,22 @@ pub fn bucket_select_kth<K: TopKKey>(
 
         // --- compact the candidates into the chosen bucket -------------------
         let cursor = AtomicCounter::new(0);
-        let launch = device.launch(
-            &format!("baseline_bucket_compact_iter{iterations}"),
-            num_warps,
-            |ctx| {
-                let chunk = ctx.chunk_of(cand.len());
-                let slice = ctx.read_coalesced(&cand[chunk]);
-                let mut kept: Vec<K::Bits> = Vec::new();
-                for &x in slice {
-                    if x >= new_lo && x <= new_hi {
-                        kept.push(x);
-                    }
-                    ctx.record_alu(2);
+        let launch = device.launch("baseline_bucket_compact", num_warps, |ctx| {
+            let chunk = ctx.chunk_of(cand.len());
+            let slice = ctx.read_coalesced(&cand[chunk]);
+            let mut kept: Vec<K::Bits> = Vec::new();
+            for &x in slice {
+                if x >= new_lo && x <= new_hi {
+                    kept.push(x);
                 }
-                if !kept.is_empty() {
-                    cursor.fetch_add(ctx, kept.len() as u64);
-                    ctx.record_store_coalesced::<K::Bits>(kept.len());
-                }
-                kept
-            },
-        );
+                ctx.record_alu(2);
+            }
+            if !kept.is_empty() {
+                cursor.fetch_add(ctx, kept.len() as u64);
+                ctx.record_store_coalesced::<K::Bits>(kept.len());
+            }
+            kept
+        });
         stats += launch.stats;
         time_ms += launch.time_ms;
         candidates = launch.output.into_iter().flatten().collect();

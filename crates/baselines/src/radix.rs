@@ -10,25 +10,25 @@
 //! the [`DigitPrefix`] fixed so far by their current digit
 //! ([`digit_histogram`]); [`choose_digit`] then locates the digit holding
 //! the k-th largest element, and the prefix grows by that digit. After the
-//! last pass the prefix *is* the k-th value. Three selects run this pass:
+//! last pass the prefix *is* the k-th value. Each warp counts into a local
+//! histogram and flushes it into the pass histogram with one atomicAdd per
+//! non-empty digit, as the GGKS code does. What a pass keeps besides the
+//! counts is its [`Keep`]. Three selects run this pass:
 //!
 //! * the GGKS baseline of this module ([`radix_select_kth`],
-//!   [`radix_topk`]);
+//!   [`radix_topk`]), which keeps nothing;
 //! * Dr. Top-k's flag-based select (`drtopk_core::radix_flags`), which
-//!   drops non-candidates by the prefix check alone and never stores;
+//!   drops non-candidates by the prefix check alone and never stores. Its
+//!   later passes scan host-side survivor lists ([`Keep::Survivors`]) in
+//!   place of the input and record the same cost;
 //! * the large-k path (`drtopk_core::radix_path`), whose first pass also
-//!   compacts every element at or above a top-digit cutoff chosen from a
-//!   strided sample ([`sample_top_digits`]).
+//!   stores every element at or above a top-digit cutoff chosen from a
+//!   strided sample ([`sample_top_digits`], [`Keep::Stored`]).
 //!
 //! All digit arithmetic happens in the key's radix space
 //! ([`TopKKey::Bits`]): the order-preserving bijection makes unsigned radix
 //! selection correct for signed integers and IEEE-754 floats unchanged. A
 //! 32-bit key takes 4 passes; a 64-bit key takes 8.
-//!
-//! Histogram updates use global atomics (per-warp counts flushed with
-//! atomicAdd), as in the GGKS code; on skewed distributions most updates hit
-//! the same bucket and serialize, which the simulator's contention model
-//! captures.
 //!
 //! # The GGKS baseline
 //!
@@ -46,7 +46,9 @@
 //!   which is exactly the overhead the paper's flag-based optimization
 //!   (Section 5.1, Figure 12) removes.
 
-use gpu_sim::{AtomicBuffer, AtomicCounter, Device, KernelStats, LaunchResult};
+use std::cell::RefCell;
+
+use gpu_sim::{AtomicCounter, Device, KernelStats, LaunchResult};
 
 use crate::key::{KeyBits, TopKKey};
 use crate::result::TopKResult;
@@ -110,58 +112,103 @@ pub fn digit_of<B: KeyBits>(x: B, pass: u32) -> usize {
     ((x >> shift) & B::from_u64(DIGITS as u64 - 1)).as_digit()
 }
 
+/// What a digit pass keeps besides its histogram.
+#[derive(Debug, Clone, Copy)]
+pub enum Keep {
+    /// Nothing: the pass only counts.
+    Nothing,
+    /// Every matching element whose digit is at least the given one,
+    /// stored by the kernel: each warp allocates its slots with one atomic
+    /// and stores them coalesced.
+    Stored(usize),
+    /// Every matching element, as host bookkeeping that records no cost:
+    /// the survivor lists a later pass scans in place of the input.
+    Survivors,
+}
+
 /// The digit-histogram kernel of pass `pass`, launched as `name`: one warp
-/// per [`ELEMS_PER_WARP`] elements of `scan` counts every element matching
-/// `prefix` by its digit, then flushes its counts with one atomicAdd per
-/// non-empty digit. Returns the histogram and the launch.
+/// per [`ELEMS_PER_WARP`] elements of `data` counts every element matching
+/// `prefix` by its digit, then flushes its counts into the pass histogram
+/// with one atomicAdd per non-empty digit. Returns the pass histogram and
+/// the launch, whose per-warp outputs are what `keep` asked for.
 ///
-/// With `keep_from = Some(c)` the same scan also keeps every matching
-/// element whose digit is at least `c`: each warp allocates its slots
-/// with one atomic and stores them coalesced, and the kept elements are
-/// the launch's per-warp output (empty without a cutoff).
+/// With `survivors`, warp `w` scans the host-side list `survivors[w]` (an
+/// earlier pass's [`Keep::Survivors`]) in place of its chunk. A list holds
+/// every element of the chunk that matched the shorter prefix of the pass
+/// that kept it, so the counts are the same; the warp still records the
+/// coalesced load of its whole chunk, as the modeled kernel re-reads the
+/// input and drops non-candidates by the prefix check.
 pub fn digit_histogram<K: TopKKey>(
     device: &Device,
     name: &'static str,
-    scan: &[K],
+    data: &[K],
+    survivors: Option<&[Vec<K>]>,
     prefix: DigitPrefix<K::Bits>,
     pass: u32,
-    keep_from: Option<usize>,
+    keep: Keep,
 ) -> (Vec<u32>, LaunchResult<Vec<K>>) {
-    let histogram = AtomicBuffer::zeroed(DIGITS);
-    let cursor = AtomicCounter::new(0);
-    let launch = device.launch(name, scan.len().div_ceil(ELEMS_PER_WARP), |ctx| {
-        let chunk = ctx.chunk_of(scan.len());
-        let slice = ctx.read_coalesced(&scan[chunk]);
-        let mut local = [0u32; DIGITS];
-        let mut kept = Vec::new();
-        for &x in slice {
-            let bits = x.to_bits();
-            if prefix.matches(bits) {
-                let d = digit_of(bits, pass);
-                local[d] += 1;
-                if keep_from.is_some_and(|c| d >= c) {
-                    kept.push(x);
-                }
-            }
-        }
+    let keep_from = match keep {
+        Keep::Nothing => None,
+        Keep::Stored(cutoff) => Some(cutoff),
+        Keep::Survivors => Some(0),
+    };
+    let total = RefCell::new([0u32; DIGITS]);
+    let launch = device.launch(name, data.len().div_ceil(ELEMS_PER_WARP), |ctx| {
+        let chunk = ctx.chunk_of(data.len());
+        let slice = ctx.read_coalesced(&data[chunk]);
         ctx.record_alu(2 * slice.len() as u64);
-        for (d, &c) in local.iter().enumerate() {
-            if c > 0 {
-                histogram.fetch_add(ctx, d, c);
-            }
+        let scan = survivors.map_or(slice, |lists| &lists[ctx.warp_id]);
+        let mut kept = Vec::new();
+        let histogram = count_digits(scan, prefix, pass, keep_from, &mut kept);
+        // the flush: one atomicAdd per non-empty digit
+        ctx.record_atomics(histogram.iter().filter(|&&c| c > 0).count() as u64);
+        for (sum, &count) in total.borrow_mut().iter_mut().zip(&histogram) {
+            *sum += count;
         }
-        if !kept.is_empty() {
-            cursor.fetch_add(ctx, kept.len() as u64);
+        if matches!(keep, Keep::Stored(_)) && !kept.is_empty() {
+            ctx.record_atomics(1);
             ctx.record_store_coalesced::<K>(kept.len());
         }
         kept
     });
-    (histogram.to_vec(), launch)
+    (total.into_inner().to_vec(), launch)
+}
+
+/// The elements of `scan` matching `prefix`, counted by their digit of pass
+/// `pass`; with `keep_from = Some(c)`, every match whose digit is at least
+/// `c` is also pushed onto `kept`. A non-matching element counts in the
+/// spare slot `DIGITS`, so counting does not branch on the prefix check.
+fn count_digits<K: TopKKey>(
+    scan: &[K],
+    prefix: DigitPrefix<K::Bits>,
+    pass: u32,
+    keep_from: Option<usize>,
+    kept: &mut Vec<K>,
+) -> [u32; DIGITS] {
+    let mut counts = [0u32; DIGITS + 1];
+    let keep_from = keep_from.unwrap_or(DIGITS + 1);
+    for &x in scan {
+        let bits = x.to_bits();
+        let d = if prefix.matches(bits) {
+            digit_of(bits, pass)
+        } else {
+            DIGITS
+        };
+        counts[d] += 1;
+        if d >= keep_from && d < DIGITS {
+            kept.push(x);
+        }
+    }
+    std::array::from_fn(|d| counts[d])
 }
 
 /// The digit of a pass `histogram` that holds the `k_remaining`-th largest
 /// counted element, and how many counted elements lie in higher digits.
 pub fn choose_digit(histogram: &[u32], k_remaining: usize) -> (usize, usize) {
+    debug_assert!(
+        k_remaining <= histogram.iter().map(|&c| c as usize).sum::<usize>(),
+        "k_remaining {k_remaining} exceeds the counted elements"
+    );
     let mut above = 0;
     for (digit, &count) in histogram.iter().enumerate().rev() {
         if above + count as usize >= k_remaining {
@@ -231,9 +278,10 @@ pub fn radix_select_kth<K: TopKKey>(
             device,
             "baseline_radix_hist",
             &candidates,
+            None,
             prefix,
             pass,
-            None,
+            Keep::Nothing,
         );
         stats += launch.stats;
         time_ms += launch.time_ms;

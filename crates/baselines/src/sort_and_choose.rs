@@ -35,8 +35,8 @@ pub fn sort_and_choose_topk<K: TopKKey>(device: &Device, data: &[K], k: usize) -
     // (read all) and scatters (read all + write all, scattered by digit).
     let num_warps = data.len().div_ceil(ELEMS_PER_WARP).max(1);
     let sort_passes = K::Bits::BITS.div_ceil(8);
-    for pass in 0..sort_passes {
-        let launch = device.launch(&format!("baseline_sort_pass{pass}"), num_warps, |ctx| {
+    for _ in 0..sort_passes {
+        let launch = device.launch("baseline_sort_pass", num_warps, |ctx| {
             let chunk = ctx.chunk_of(data.len());
             let slice = ctx.read_coalesced(&data[chunk]);
             // histogram read is the coalesced load above; the scatter write

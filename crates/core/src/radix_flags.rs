@@ -11,12 +11,20 @@
 //!
 //! The flag is the digit prefix of the shared radix digit pass
 //! ([`topk_baselines::radix`]): every selection pass is one
-//! [`digit_histogram`] launch over the unmodified input, so the GGKS
-//! baseline and this select differ only in how they restrict the
-//! candidates between passes. Every entry point is generic over
-//! [`TopKKey`]: the flag arithmetic runs in the key's order-preserving
-//! radix space ([`TopKKey::Bits`]), so signed and float keys work
-//! unchanged. A 32-bit key runs 4 selection passes; a 64-bit key runs 8.
+//! [`digit_histogram`] launch whose warps each read their whole chunk of
+//! the unmodified input and drop non-candidates by the prefix check. The
+//! simulation computes the same counts at host speed. When the previous
+//! pass's histogram shows that at most half of what a pass scans still
+//! shares the flag, that pass also keeps each warp's sharing elements as a
+//! host-side list ([`Keep::Survivors`]), and later passes scan the lists
+//! in place of the chunks. The lists are bookkeeping, not modeled stores:
+//! counters and modeled time are those of the full re-scan, which
+//! `radix_model_is_pinned` and a proptest hold them to.
+//!
+//! Every entry point is generic over [`TopKKey`]: the flag arithmetic runs
+//! in the key's order-preserving radix space ([`TopKKey::Bits`]), so signed
+//! and float keys work unchanged. A 32-bit key runs 4 selection passes; a
+//! 64-bit key runs 8.
 //!
 //! * [`flag_radix_select_kth`] finds the k-th largest key. The first top-k
 //!   runs it over the delegate values, with the last pass skipped when β
@@ -29,7 +37,7 @@
 
 use gpu_sim::{Device, KernelStats};
 use topk_baselines::radix::{
-    choose_digit, digit_histogram, DigitPrefix, BITS_PER_PASS, ELEMS_PER_WARP,
+    choose_digit, digit_histogram, DigitPrefix, Keep, BITS_PER_PASS, ELEMS_PER_WARP,
 };
 use topk_baselines::{gather_topk, KeyBits, SelectOutcome, TopKKey, TopKResult};
 
@@ -52,20 +60,46 @@ pub fn flag_radix_select_kth<K: TopKKey>(
     skip_last_pass: bool,
 ) -> SelectOutcome<K> {
     assert!(k >= 1 && k <= data.len(), "k must be in 1..=|V|");
+    let passes = K::Bits::BITS / BITS_PER_PASS - u32::from(skip_last_pass);
     let mut stats = KernelStats::default();
     let mut time_ms = 0.0;
     let mut flag = DigitPrefix::default();
     let mut k_remaining = k;
-    for pass in 0..K::Bits::BITS / BITS_PER_PASS - u32::from(skip_last_pass) {
-        // the flag check inside the kernel keeps only the elements whose
-        // pinned radixes match — no element is ever modified
-        let (histogram, launch) =
-            digit_histogram(device, "flag_radix_select", data, flag, pass, None);
+    // Per-warp host lists of the elements that still share the flag, once
+    // a pass kept them; until then every warp scans its whole chunk.
+    let mut survivors: Option<Vec<Vec<K>>> = None;
+    // How many elements the next pass scans, and how many of those share
+    // the flag.
+    let mut scanned = data.len();
+    let mut sharing = data.len();
+    for pass in 0..passes {
+        // Keeping survivors costs a copy of every one of them; it pays only
+        // when at most half of the scan still shares the flag.
+        let narrow = pass + 1 < passes && 2 * sharing <= scanned;
+        let keep = if narrow {
+            Keep::Survivors
+        } else {
+            Keep::Nothing
+        };
+        let (histogram, launch) = digit_histogram(
+            device,
+            "flag_radix_select",
+            data,
+            survivors.as_deref(),
+            flag,
+            pass,
+            keep,
+        );
         stats += launch.stats;
         time_ms += launch.time_ms;
         let (digit, above) = choose_digit(&histogram, k_remaining);
         k_remaining -= above;
         flag.push(pass, digit);
+        if narrow {
+            survivors = Some(launch.output);
+            scanned = sharing;
+        }
+        sharing = histogram[digit] as usize;
     }
     SelectOutcome {
         threshold: K::from_bits(flag.value()),
@@ -121,16 +155,20 @@ mod tests {
         Device::new(DeviceSpec::v100s())
     }
 
+    /// Warps a select over `n` elements launches in `passes` passes.
+    fn warps(n: usize, passes: u64) -> u64 {
+        passes * n.div_ceil(ELEMS_PER_WARP) as u64
+    }
+
     #[test]
     fn select_matches_reference() {
         let dev = device();
         for dist in topk_datagen::Distribution::SYNTHETIC {
             let data = topk_datagen::generate(dist, 1 << 14, 9);
             for &k in &[1usize, 13, 700, 1 << 12] {
-                dev.reset_stats();
                 let got = flag_radix_select_kth(&dev, &data, k, false);
                 assert_eq!(got.threshold, reference_kth(&data, k), "{dist} k={k}");
-                assert_eq!(dev.stats().kernels.len(), 4, "one launch per pass");
+                assert_eq!(got.stats.warps_launched, warps(data.len(), 4), "4 passes");
             }
         }
     }
@@ -155,11 +193,10 @@ mod tests {
         let wide: Vec<u64> = (0..4096u64)
             .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
-        dev.reset_stats();
         let got = flag_radix_select_kth(&dev, &wide, 33, false);
         assert_eq!(
-            dev.stats().kernels.len(),
-            8,
+            got.stats.warps_launched,
+            warps(wide.len(), 8),
             "64-bit keys take 8 digit passes"
         );
         assert_eq!(got.threshold, reference_kth(&wide, 33));
@@ -181,9 +218,12 @@ mod tests {
         let data = topk_datagen::uniform(1 << 14, 6);
         let k = 257;
         let exact = reference_kth(&data, k);
-        dev.reset_stats();
         let got = flag_radix_select_kth(&dev, &data, k, true);
-        assert_eq!(dev.stats().kernels.len(), 3, "the last pass is skipped");
+        assert_eq!(
+            got.stats.warps_launched,
+            warps(data.len(), 3),
+            "the last pass is skipped"
+        );
         assert!(
             got.threshold <= exact,
             "skipped threshold must not exceed exact"

@@ -62,7 +62,7 @@ use std::sync::Mutex;
 
 use gpu_sim::{AtomicCounter, Device};
 use topk_baselines::radix::{
-    choose_digit, digit_histogram, digit_of, sample_top_digits, DigitPrefix, BITS_PER_PASS,
+    choose_digit, digit_histogram, digit_of, sample_top_digits, DigitPrefix, Keep, BITS_PER_PASS,
     ELEMS_PER_WARP, SAMPLE_SIZE,
 };
 use topk_baselines::{KeyBits, TopKKey};
@@ -203,8 +203,9 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
                     }
                 }
 
+                let keep = cutoff.map_or(Keep::Nothing, Keep::Stored);
                 let (histogram, launch) =
-                    digit_histogram(device, "radix_histogram", &scan, prefix, pass, cutoff);
+                    digit_histogram(device, "radix_histogram", &scan, None, prefix, pass, keep);
                 let mut guard = ctx.lock().unwrap();
                 guard.candidates = scan;
                 guard.histogram = histogram;
@@ -507,8 +508,9 @@ mod tests {
 
     /// The modeled cost of every radix select is what its kernels record on
     /// their `WarpCtx`. These counters and times were captured before the
-    /// three selects shared one digit pass; a host-side change must leave
-    /// them bit-identical.
+    /// three selects shared one digit pass, and the flag select's
+    /// duplicate-heavy and float cases before it scanned survivor lists; a
+    /// host-side change must leave them bit-identical.
     #[test]
     fn radix_model_is_pinned() {
         use crate::pipeline::dr_topk;
@@ -566,6 +568,33 @@ mod tests {
             got.time_ms,
             pinned(8192, 0, 1_048_576, 0, 582, 262_144, 16),
             0x3f91_922d_2808_c770,
+        );
+        // Every element shares each of the first three digits, so no pass
+        // narrows its scan.
+        let dup: Vec<u32> = (0..1u32 << 16).map(|i| i % 7).collect();
+        let got = flag_radix_select_kth(&dev, &dup, 1000, false);
+        check(
+            "flag dup",
+            got.stats,
+            got.time_ms,
+            pinned(8192, 0, 1_048_576, 0, 80, 524_288, 32),
+            0x3f82_c8fa_6655_566c,
+        );
+        // Three and a bit warps of floats with NaNs of both signs.
+        let floats: Vec<f32> = (0..3 * ELEMS_PER_WARP + 123)
+            .map(|i| match i % 1009 {
+                0 => f32::NAN,
+                5 => -f32::NAN,
+                _ => (i as f32 - 12_000.0) * 0.37,
+            })
+            .collect();
+        let got = flag_radix_select_kth(&dev, &floats, 500, true);
+        check(
+            "flag f32 skip",
+            got.stats,
+            got.time_ms,
+            pinned(2316, 0, 296_388, 0, 261, 148_194, 12),
+            0x3f79_f95b_200f_b335,
         );
 
         let ggks_cases = [

@@ -663,3 +663,136 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Survivor lists: the flag select narrows later passes to per-warp lists of
+// the elements that still share the flag. Over inputs spanning several
+// warps, its outcome — threshold, every counter, modeled time — must be the
+// one a select that re-histograms the whole input every pass returns.
+// ---------------------------------------------------------------------------
+
+use topk_baselines::radix::{
+    choose_digit, digit_histogram, DigitPrefix, Keep, BITS_PER_PASS, ELEMS_PER_WARP,
+};
+use topk_baselines::{KeyBits, SelectOutcome};
+
+/// The flag select with no survivor lists: every pass scans all of `data`.
+fn full_rescan_select<K: TopKKey>(
+    device: &Device,
+    data: &[K],
+    k: usize,
+    skip_last_pass: bool,
+) -> SelectOutcome<K> {
+    let mut stats = KernelStats::default();
+    let mut time_ms = 0.0;
+    let mut flag = DigitPrefix::default();
+    let mut k_remaining = k;
+    for pass in 0..K::Bits::BITS / BITS_PER_PASS - u32::from(skip_last_pass) {
+        let (histogram, launch) = digit_histogram(
+            device,
+            "flag_radix_select",
+            data,
+            None,
+            flag,
+            pass,
+            Keep::Nothing,
+        );
+        stats += launch.stats;
+        time_ms += launch.time_ms;
+        let (digit, above) = choose_digit(&histogram, k_remaining);
+        k_remaining -= above;
+        flag.push(pass, digit);
+    }
+    SelectOutcome {
+        threshold: K::from_bits(flag.value()),
+        stats,
+        time_ms,
+    }
+}
+
+/// Up to five warps of keys made from random 64-bit words by `key`, in one
+/// of three shapes: every word fresh (the first passes already narrow),
+/// words sharing all but their low 8–24 bits (the first passes keep nearly
+/// everything, later ones narrow), or a palette of at most eight words (no
+/// pass narrows).
+fn multi_warp_keys<K>(key: fn(u64) -> K) -> impl proptest::strategy::Strategy<Value = Vec<K>> {
+    FnStrategy(move |rng: &mut TestRng| {
+        let n = 1 + rng.next_below(5 * ELEMS_PER_WARP as u64) as usize;
+        match rng.next_below(3) {
+            0 => (0..n).map(|_| key(rng.next_u64())).collect(),
+            1 => {
+                let base = rng.next_u64();
+                let mask = (1u64 << (8 + rng.next_below(17))) - 1;
+                (0..n)
+                    .map(|_| key(base ^ (rng.next_u64() & mask)))
+                    .collect()
+            }
+            _ => {
+                let palette: Vec<u64> =
+                    (0..1 + rng.next_below(8)).map(|_| rng.next_u64()).collect();
+                (0..n)
+                    .map(|_| key(palette[rng.next_below(palette.len() as u64) as usize]))
+                    .collect()
+            }
+        }
+    })
+}
+
+fn assert_select_matches_rescan<K: TopKKey>(
+    device: &Device,
+    data: &[K],
+    k_frac: f64,
+) -> Result<(), String> {
+    let k = ((data.len() as f64 * k_frac) as usize).clamp(1, data.len());
+    for skip_last_pass in [false, true] {
+        let got = flag_radix_select_kth(device, data, k, skip_last_pass);
+        let want = full_rescan_select(device, data, k, skip_last_pass);
+        let case = format!("n={} k={k} skip_last_pass={skip_last_pass}", data.len());
+        if got.threshold.to_bits() != want.threshold.to_bits() {
+            return Err(format!(
+                "{case}: threshold {:?} vs {:?}",
+                got.threshold.to_bits(),
+                want.threshold.to_bits()
+            ));
+        }
+        if got.stats != want.stats {
+            return Err(format!("{case}: {:?} vs {:?}", got.stats, want.stats));
+        }
+        if got.time_ms.to_bits() != want.time_ms.to_bits() {
+            return Err(format!("{case}: {} vs {} ms", got.time_ms, want.time_ms));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn flag_select_equals_full_rescan_u32(
+        data in multi_warp_keys(|w| w as u32),
+        k_frac in 0.0f64..1.0,
+    ) {
+        let checked = assert_select_matches_rescan(&device(), &data, k_frac);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+
+    #[test]
+    fn flag_select_equals_full_rescan_i64(
+        data in multi_warp_keys(|w| w as i64),
+        k_frac in 0.0f64..1.0,
+    ) {
+        let checked = assert_select_matches_rescan(&device(), &data, k_frac);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+
+    /// Random bit patterns: NaNs of both signs, negatives and subnormals.
+    #[test]
+    fn flag_select_equals_full_rescan_f32(
+        data in multi_warp_keys(|w| f32::from_bits(w as u32)),
+        k_frac in 0.0f64..1.0,
+    ) {
+        let checked = assert_select_matches_rescan(&device(), &data, k_frac);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+}
