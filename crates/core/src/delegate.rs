@@ -25,20 +25,36 @@
 //! A kernel closure may compute its outputs any way the host likes: the
 //! model is only what it records on its [`WarpCtx`](gpu_sim::WarpCtx) —
 //! loads, stores, shuffles, shared-memory traffic, barriers and ALU work.
-//! Both methods therefore run the same host extraction loop and differ only
-//! in the accounting they record, and a faster host loop changes wall-clock
-//! time without moving a counter or a modeled millisecond (the pinned
+//! Both methods therefore run the same host extraction loop, record the
+//! same per-subrange counts (`min(β, len)` delegates: β 31-shuffle
+//! reductions for `WarpShuffle`, one coalesced store), and differ only in
+//! the rest of their accounting. A faster host loop changes wall-clock time
+//! without moving a counter or a modeled millisecond (the pinned
 //! `KernelStats` unit test guards this).
 //!
-//! The host loop is `top_beta_into`, which applies the paper's
-//! maximum-delegate filtering one level down: after seeding the β slots it
-//! scans each subrange in warp-wide chunks of 32 elements, takes a
-//! branch-free maximum of each chunk in radix space, and looks at the
-//! individual elements only when that maximum beats the current β-th best.
-//! Each warp appends its delegates straight into one values vector; the
-//! subrange ids are a function of the shape alone and are built once after
-//! the launch (`delegate_subrange_ids`).
+//! The host loop is `delegates_into`, which picks one of two loops from the
+//! shape it is given:
+//!
+//! * **per-lane** — subranges of at most 256 elements with β ≤ 4 (the
+//!   measured crossover, stated on `delegates_into`): a branch-free running
+//!   top-β per lane, 8 lanes for β ≤ 2 and 4 for β = 3 or 4, each element
+//!   passing through β max/min pairs in radix space, then a pairwise fold of
+//!   the lanes. This is the host analogue of RTop-K's per-lane selection
+//!   (`PAPERS.md`).
+//! * **chunk-skip** (`top_beta_into`) — everything else. It applies the
+//!   paper's maximum-delegate filtering one level down: after seeding the β
+//!   slots it scans each subrange in warp-wide chunks of 32 elements, takes
+//!   a branch-free maximum of each chunk, and looks at the individual
+//!   elements only when that maximum beats the current β-th best.
+//!
+//! The warps of one launch run in order on the calling thread, and each
+//! appends its delegates to one launch-wide values vector; the subrange
+//! ids are a function of the shape alone and are built once after the
+//! launch (`delegate_subrange_ids`).
 
+use std::cell::RefCell;
+
+use gpu_sim::warp::SHUFFLES_PER_WARP_REDUCTION;
 use gpu_sim::{Device, KernelStats, WARP_SIZE};
 use topk_baselines::{KeyBits, TopKKey};
 
@@ -147,6 +163,134 @@ impl<K> Delegates<'_, K> {
     }
 }
 
+/// Append the top-β of every `subrange_size`-element subrange of `data` to
+/// `out`, subrange by subrange and best first, with the same bits as
+/// [`top_beta_into`] on each subrange. The one host extraction loop of
+/// delegate construction and of the row-block fused pass ([`crate::rows`]).
+///
+/// The loop is chosen from the shape: subranges of β to
+/// [`PER_LANE_MAX_SUBRANGE`] elements with β ≤ 4 run the branch-free
+/// per-lane loop ([`per_lane_top`]), everything else the chunk-skip loop.
+/// In a small subrange most 32-element chunks beat the running β-th best,
+/// so chunk-skip walks them element by element on unpredictable branches;
+/// in a large one it mostly skips, and its one max per element beats the
+/// per-lane loop's β max/min pairs. Measured on a 2-core x86-64 host
+/// (release build, whole `construct` call on 2^18 keys, ns per element,
+/// u32 / f32, medians of five interleaved runs): at β = 2 the per-lane loop
+/// costs 3.5 / 2.9 at α = 5 against chunk-skip's 5.4 / 6.3, and 1.8 / 1.1
+/// at α = 8 against 1.8 / 2.3; at α = 9 chunk-skip wins on u32 (1.2 against
+/// 1.6), and at α = 13 on both (0.4 / 0.6 against 1.5 / 0.8). β = 3 also
+/// crosses between α = 8 and 9; β = 4 between α = 7 and 8 on u32 (3.3
+/// against 2.7 at α = 8, a tie on f32). β = 1, a plain max scan, is faster
+/// per-lane at every size measured (up to α = 13); the rule keeps one
+/// crossover for every β.
+#[inline]
+pub(crate) fn delegates_into<K: TopKKey>(
+    data: &[K],
+    subrange_size: usize,
+    beta: usize,
+    out: &mut Vec<K>,
+) {
+    out.reserve(data.len().div_ceil(subrange_size) * beta);
+    if (beta..=PER_LANE_MAX_SUBRANGE).contains(&subrange_size) {
+        // 4 lanes measured faster than 8 for β = 3 and 4: the fold costs
+        // lanes × β² and the running selections lanes × β slots
+        match beta {
+            1 => return per_lane_into::<K, 1, 8>(data, subrange_size, out),
+            2 => return per_lane_into::<K, 2, 8>(data, subrange_size, out),
+            3 => return per_lane_into::<K, 3, 4>(data, subrange_size, out),
+            4 => return per_lane_into::<K, 4, 4>(data, subrange_size, out),
+            _ => {}
+        }
+    }
+    for subrange in data.chunks(subrange_size) {
+        top_beta_into(subrange, beta, out);
+    }
+}
+
+/// Largest subrange the per-lane loop takes (the measured crossover, see
+/// [`delegates_into`]).
+const PER_LANE_MAX_SUBRANGE: usize = 256;
+
+/// [`delegates_into`] on the per-lane loop: every full subrange through
+/// [`per_lane_top`], a short final one through [`top_beta_into`].
+fn per_lane_into<K: TopKKey, const B: usize, const LANES: usize>(
+    data: &[K],
+    subrange_size: usize,
+    out: &mut Vec<K>,
+) {
+    let mut subranges = data.chunks_exact(subrange_size);
+    for subrange in &mut subranges {
+        out.extend(per_lane_top::<K, B, LANES>(subrange).map(K::from_bits));
+    }
+    top_beta_into(subranges.remainder(), B, out);
+}
+
+/// The top-`B` keys of `slice` (at least `B` elements), best first, in
+/// radix space. Element `i` goes to lane `i % LANES`, whose `B` descending
+/// slots it passes through as one max/min pair per slot, so the running
+/// selection takes no branch; at the end the lanes fold pairwise into lane
+/// 0 ([`merge_top`]).
+///
+/// The slots start at `Bits::ZERO`, the minimum of the radix space. With at
+/// least `B` real elements a filler can only tie a real zero, so the
+/// result's bits are those of the slice's top-`B`.
+#[inline]
+fn per_lane_top<K: TopKKey, const B: usize, const LANES: usize>(slice: &[K]) -> [K::Bits; B] {
+    debug_assert!(slice.len() >= B);
+    // slot-major: slot j of every lane side by side
+    let mut slots = [[K::Bits::ZERO; LANES]; B];
+    let mut chunks = slice.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        let mut x: [K::Bits; LANES] = std::array::from_fn(|l| chunk[l].to_bits());
+        for slot in &mut slots {
+            for l in 0..LANES {
+                order_pair(&mut slot[l], &mut x[l]);
+            }
+        }
+    }
+    for (l, &key) in chunks.remainder().iter().enumerate() {
+        let mut x = key.to_bits();
+        for slot in &mut slots {
+            order_pair(&mut slot[l], &mut x);
+        }
+    }
+    let mut lanes: [[K::Bits; B]; LANES] =
+        std::array::from_fn(|l| std::array::from_fn(|j| slots[j][l]));
+    let mut width = LANES / 2;
+    while width > 0 {
+        for l in 0..width {
+            lanes[l] = merge_top(lanes[l], lanes[l + width]);
+        }
+        width /= 2;
+    }
+    lanes[0]
+}
+
+/// The top `B` of two descending `B`-lists, descending: the larger of each
+/// pair `a[i]`, `b[B-1-i]` is exactly the top `B` of both (the first step
+/// of a bitonic merge), and a compare-exchange network sorts them.
+#[inline(always)]
+fn merge_top<T: Ord + Copy, const B: usize>(a: [T; B], b: [T; B]) -> [T; B] {
+    let mut c: [T; B] = std::array::from_fn(|i| Ord::max(a[i], b[B - 1 - i]));
+    for pass in 1..B {
+        for i in 0..B - pass {
+            let (left, right) = c.split_at_mut(i + 1);
+            order_pair(&mut left[i], &mut right[0]);
+        }
+    }
+    c
+}
+
+/// Branch-free compare-exchange: the larger key to `hi`, the smaller to
+/// `lo`.
+#[inline(always)]
+fn order_pair<T: Ord + Copy>(hi: &mut T, lo: &mut T) {
+    let (a, b) = (*hi, *lo);
+    *hi = Ord::max(a, b);
+    *lo = Ord::min(a, b);
+}
+
 /// Append the top `beta` values of `slice` (β ≥ 1) to `out`, in descending
 /// key order; a slice shorter than β appends all of its values. Comparisons
 /// run in the key's order-preserving radix space, and an element that ties
@@ -155,11 +299,10 @@ impl<K> Delegates<'_, K> {
 /// The first β elements seed a β-slot tail of `out`; the rest are scanned in
 /// [`WARP_SIZE`]-element chunks whose branch-free maximum is compared against
 /// the tail's last (β-th best) key, so only chunks holding a new candidate
-/// take the per-element insertion path. Shared with the row-block fused pass
-/// ([`crate::rows`]), which extracts per-row delegates inside a single
-/// kernel launch.
+/// take the per-element insertion path. The chunk-skip loop of
+/// [`delegates_into`], and its fallback for a short final subrange.
 #[inline]
-pub(crate) fn top_beta_into<K: TopKKey>(slice: &[K], beta: usize, out: &mut Vec<K>) {
+fn top_beta_into<K: TopKKey>(slice: &[K], beta: usize, out: &mut Vec<K>) {
     let seed = beta.min(slice.len());
     let base = out.len();
     for &x in &slice[..seed] {
@@ -288,11 +431,14 @@ pub(crate) fn construct<K: TopKKey>(
     // words so the charged store bytes stay exact for 8-byte keys.
     let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
 
+    // Warps run in order on the calling thread, so appending into one
+    // launch-wide vector keeps subrange order. The `RefCell` makes the
+    // closure `!Sync`: a launch that ran warps in parallel would not compile.
+    let values = RefCell::new(Vec::with_capacity(num_subranges * beta));
     let launch = device.launch(kernel_name, num_warps, |ctx| {
         let subranges = ctx.chunk_of(num_subranges);
         let own =
             &data[subranges.start * subrange_size..(subranges.end * subrange_size).min(data.len())];
-        let mut values: Vec<K> = Vec::with_capacity(subranges.len() * beta);
         for group in own.chunks(staged_subranges * subrange_size) {
             let staged = ctx.read_coalesced(group);
             ctx.record_alu(staged.len() as u64);
@@ -304,23 +450,20 @@ pub(crate) fn construct<K: TopKKey>(
                 ctx.syncthreads();
             }
             for subrange in staged.chunks(subrange_size) {
-                let first = values.len();
-                top_beta_into(subrange, beta, &mut values);
+                let kept = beta.min(subrange.len());
                 if method == ConstructionMethod::WarpShuffle {
                     // β warp reductions to agree on the top-β of the subrange
-                    for &v in &values[first..] {
-                        ctx.warp_reduce_max(v.to_bits());
-                    }
+                    ctx.record_shuffles(kept as u64 * SHUFFLES_PER_WARP_REDUCTION);
                 }
                 // delegate (value, id) pairs written to global memory
-                ctx.record_store_coalesced::<u32>(kv_words * (values.len() - first));
+                ctx.record_store_coalesced::<u32>(kv_words * kept);
             }
         }
-        values
+        delegates_into(own, subrange_size, beta, &mut values.borrow_mut());
     });
 
     DelegateVector {
-        values: launch.output.concat(),
+        values: values.into_inner(),
         subrange_ids: delegate_subrange_ids(data.len(), subrange_size, beta),
         beta,
         subrange_size,
@@ -480,11 +623,32 @@ mod tests {
         bits
     }
 
-    /// Sweep [`top_beta_into`] against the reference over β ∈ 1..=8 and 64,
-    /// every length 0..=300 (ragged against the 32-element chunks, and below
-    /// β), and random / ascending / descending / constant orders. Random
-    /// inputs mix uniformly random bit patterns with `specials`. The helper
-    /// appends, so a sentinel prefix must survive untouched.
+    /// Call `extract` with a sentinel prefix in `out` and compare what it
+    /// appends, in bits, with `expected`; the prefix must survive untouched.
+    fn assert_appends<K: TopKKey>(
+        extract: impl FnOnce(&mut Vec<K>),
+        expected: Vec<K::Bits>,
+        case: &str,
+    ) {
+        let sentinel = K::from_bits(K::Bits::MAX);
+        let mut out = vec![sentinel; 3];
+        extract(&mut out);
+        let got: Vec<K::Bits> = out.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(
+            &got[..3],
+            &[sentinel.to_bits(); 3],
+            "prefix clobbered: {case}"
+        );
+        assert_eq!(got[3..], expected, "{case}");
+    }
+
+    /// Sweep [`top_beta_into`] and [`delegates_into`] against the reference
+    /// over β ∈ 1..=8 and 64, every length 0..=300 plus lengths past 512
+    /// (ragged against the 32-element chunks and the per-lane loop's lanes,
+    /// and below β), and random / ascending / descending / constant orders.
+    /// `delegates_into` runs at subrange sizes on both sides of the per-lane
+    /// loop's 256-element limit, with ragged final subranges. Random inputs
+    /// mix uniformly random bit patterns with `specials`.
     fn sweep_top_beta<K: TopKKey>(specials: &[K], seed: u64) {
         let mut rng = topk_datagen::rng::Xoshiro256StarStar::seed_from_u64(seed);
         let mut draw = || {
@@ -494,8 +658,8 @@ mod tests {
                 K::from_bits(K::Bits::from_u64(rng.next_u64()))
             }
         };
-        let sentinel = K::from_bits(K::Bits::MAX);
-        for len in 0..=300usize {
+        let ty = std::any::type_name::<K>();
+        for len in (0..=300usize).chain([513, 700, 1100]) {
             let random: Vec<K> = (0..len).map(|_| draw()).collect();
             let mut ascending = random.clone();
             topk_baselines::sort_keys_asc(&mut ascending);
@@ -509,16 +673,27 @@ mod tests {
                 ("constant", &constant),
             ] {
                 for beta in (1..=8).chain([64]) {
-                    let mut out = vec![sentinel; 3];
-                    top_beta_into(input, beta, &mut out);
-                    let got: Vec<K::Bits> = out.iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(&got[..3], &[sentinel.to_bits(); 3], "prefix clobbered");
-                    assert_eq!(
-                        got[3..],
+                    assert_appends(
+                        |out| top_beta_into(input, beta, out),
                         reference_top_beta(input, beta),
-                        "{} len={len} beta={beta} {order}",
-                        std::any::type_name::<K>()
+                        &format!("{ty} len={len} beta={beta} {order}"),
                     );
+                    // every 8th length up to 300 keeps the sweep fast in
+                    // debug builds; the sizes vary the ragged tails anyway
+                    if len <= 300 && len % 8 != 1 {
+                        continue;
+                    }
+                    for size in [1, 3, 8, 29, 256, 257, 512] {
+                        let expected = input
+                            .chunks(size)
+                            .flat_map(|s| reference_top_beta(s, beta))
+                            .collect();
+                        assert_appends(
+                            |out| delegates_into(input, size, beta, out),
+                            expected,
+                            &format!("{ty} len={len} size={size} beta={beta} {order}"),
+                        );
+                    }
                 }
             }
         }
@@ -590,78 +765,108 @@ mod tests {
         }
     }
 
+    /// Construct `data`'s delegates and compare every `KernelStats` field —
+    /// `[load tx, store tx, loaded, stored, shuffles, shared, syncs, alu,
+    /// warps]` — and the bits of the modeled time with pinned values.
+    fn assert_pinned<K: TopKKey>(
+        data: &[K],
+        alpha: u32,
+        beta: usize,
+        method: ConstructionMethod,
+        counters: [u64; 9],
+        time_bits: u64,
+    ) {
+        let [load_tx, store_tx, loaded, stored, shuffles, shared, syncs, alu, warps] = counters;
+        let stats = KernelStats {
+            global_load_transactions: load_tx,
+            global_store_transactions: store_tx,
+            global_loaded_bytes: loaded,
+            global_stored_bytes: stored,
+            shuffle_instructions: shuffles,
+            shared_ops: shared,
+            syncthreads: syncs,
+            alu_ops: alu,
+            warps_launched: warps,
+            ..KernelStats::default()
+        };
+        let dv = construct(&device(), data, alpha, beta, method);
+        let case = format!(
+            "{} n={} alpha={alpha} beta={beta} {method:?}",
+            std::any::type_name::<K>(),
+            data.len()
+        );
+        assert_eq!(dv.stats, stats, "{case}");
+        assert_eq!(dv.time_ms.to_bits(), time_bits, "{case}: {} ms", dv.time_ms);
+    }
+
     /// The modeled cost of delegate construction is what the kernel records
     /// on its `WarpCtx`, not how the host computes the delegates. These
     /// counters and times were captured before the host extraction loop was
-    /// rewritten; a host-side change must leave them bit-identical.
+    /// rewritten (twice: the chunk-skip loop, then the per-lane loop for
+    /// small subranges); a host-side change must leave them bit-identical.
     #[test]
     fn construction_model_is_pinned() {
-        let dev = device();
-        let pinned =
-            |load_tx, store_tx, loaded, stored, shuffles, shared, syncs, alu| KernelStats {
-                global_load_transactions: load_tx,
-                global_store_transactions: store_tx,
-                global_loaded_bytes: loaded,
-                global_stored_bytes: stored,
-                shuffle_instructions: shuffles,
-                shared_ops: shared,
-                syncthreads: syncs,
-                alu_ops: alu,
-                warps_launched: 1 << 14,
-                ..KernelStats::default()
-            };
-        // (n, α, β, method, stats, time_ms bits): the second input gives
-        // every warp two staging groups under CoalescedShared
+        use ConstructionMethod::{CoalescedShared, WarpShuffle};
+        const W: u64 = 1 << 14;
+        // the second input gives every warp two staging groups under
+        // CoalescedShared
+        let u = topk_datagen::uniform(200_002, 2021);
+        #[rustfmt::skip]
         let cases = [
-            (
-                200_002,
-                3,
-                3,
-                ConstructionMethod::WarpShuffle,
-                pinned(25_001, 25_001, 800_008, 600_016, 2_325_062, 0, 0, 200_002),
-                0x3f98_94fb_f135_f10d_u64,
-            ),
-            (
-                200_002,
-                3,
-                3,
-                ConstructionMethod::CoalescedShared,
-                pinned(
-                    16_384, 25_001, 800_008, 600_016, 0, 400_004, 16_384, 200_002,
-                ),
-                0x3f72_6d8e_4324_41fe,
-            ),
-            (
-                1_400_003,
-                1,
-                2,
-                ConstructionMethod::WarpShuffle,
-                pinned(
-                    700_002, 700_002, 5_600_012, 11_200_024, 43_400_093, 0, 0, 1_400_003,
-                ),
-                0x3fdb_f3fb_ef1d_1217,
-            ),
-            (
-                1_400_003,
-                1,
-                2,
-                ConstructionMethod::CoalescedShared,
-                pinned(
-                    49_152, 700_002, 5_600_012, 11_200_024, 0, 2_800_006, 32_768, 1_400_003,
-                ),
-                0x3fa5_afc2_7631_b585,
-            ),
+            (3, 3, WarpShuffle, [25_001, 25_001, 800_008, 600_016, 2_325_062, 0, 0, 200_002, W], 0x3f98_94fb_f135_f10d_u64),
+            (3, 3, CoalescedShared, [16_384, 25_001, 800_008, 600_016, 0, 400_004, 16_384, 200_002, W], 0x3f72_6d8e_4324_41fe),
         ];
-        for (n, alpha, beta, method, stats, time_bits) in cases {
-            let data = topk_datagen::uniform(n, 2021);
-            let dv = construct(&dev, &data, alpha, beta, method);
-            assert_eq!(dv.stats, stats, "n={n} alpha={alpha} {method:?}");
-            assert_eq!(
-                dv.time_ms.to_bits(),
-                time_bits,
-                "n={n} alpha={alpha} {method:?}: {} ms",
-                dv.time_ms
-            );
+        for (alpha, beta, method, counters, time_bits) in cases {
+            assert_pinned(&u, alpha, beta, method, counters, time_bits);
         }
+        let u = topk_datagen::uniform(1_400_003, 2021);
+        #[rustfmt::skip]
+        let cases = [
+            (1, 2, WarpShuffle, [700_002, 700_002, 5_600_012, 11_200_024, 43_400_093, 0, 0, 1_400_003, W], 0x3fdb_f3fb_ef1d_1217_u64),
+            (1, 2, CoalescedShared, [49_152, 700_002, 5_600_012, 11_200_024, 0, 2_800_006, 32_768, 1_400_003, W], 0x3fa5_afc2_7631_b585),
+        ];
+        for (alpha, beta, method, counters, time_bits) in cases {
+            assert_pinned(&u, alpha, beta, method, counters, time_bits);
+        }
+        // the per-lane loop's range: β ∈ {1, 4} at α = 5 and α = 8
+        let u = topk_datagen::uniform(300_007, 2021);
+        #[rustfmt::skip]
+        let cases = [
+            (5, 1, CoalescedShared, [9_376, 9_376, 1_200_028, 75_008, 0, 600_014, 9_376, 300_007, 9_376], 0x3f6d_f30d_fcd1_90b5_u64),
+            (5, 4, WarpShuffle, [9_376, 9_376, 1_200_028, 300_032, 1_162_624, 0, 0, 300_007, 9_376], 0x3f8b_3e45_0804_38ea),
+            (8, 1, WarpShuffle, [9_376, 1_172, 1_200_028, 9_376, 36_332, 0, 0, 300_007, 1_172], 0x3f6d_95ca_d2ba_af31),
+            (8, 4, CoalescedShared, [9_376, 1_172, 1_200_028, 37_504, 0, 600_014, 1_172, 300_007, 1_172], 0x3f6c_c076_4c37_b9b3),
+        ];
+        for (alpha, beta, method, counters, time_bits) in cases {
+            assert_pinned(&u, alpha, beta, method, counters, time_bits);
+        }
+        // f32 whose final subrange (3 elements) is shorter than β = 4
+        let f: Vec<f32> = topk_datagen::uniform(16 * 1000 + 3, 7)
+            .into_iter()
+            .map(f32::from_bits)
+            .collect();
+        assert_pinned(
+            &f,
+            4,
+            4,
+            CoalescedShared,
+            [
+                1_001, 1_001, 64_012, 32_024, 0, 32_006, 1_001, 16_003, 1_001,
+            ],
+            0x3f61_6e28_c0a1_d489,
+        );
+        // u64 keys: two store words per delegate, 8-byte loads
+        let w: Vec<u64> = topk_datagen::uniform(2 * (64 * 700 + 17), 11)
+            .chunks(2)
+            .map(|p| (u64::from(p[0]) << 32) | u64::from(p[1]))
+            .collect();
+        assert_pinned(
+            &w,
+            6,
+            2,
+            WarpShuffle,
+            [2_802, 701, 358_536, 16_824, 43_462, 0, 0, 44_817, 701],
+            0x3f66_a07c_8ac7_cc75,
+        );
     }
 }

@@ -17,8 +17,8 @@
 //!
 //! Per-row results are **bit-identical** to running [`dr_topk`] with the
 //! same configuration, direction included, on each row independently: the
-//! same [`PlannedQuery`] plan, delegates
-//! (`top_beta_into`), flag-radix threshold, mark / Rule 3 / subrange-gather
+//! same [`PlannedQuery`] plan, delegates (the construction's host loop,
+//! `delegates_into`), flag-radix threshold, mark / Rule 3 / subrange-gather
 //! helpers of `first_topk` and `concatenate`, and second-top-k skip rule.
 //! Rows select at host speed and never run `config.inner`: every inner
 //! algorithm is exact, so the sorted top-k is the same values. The kernels
@@ -42,7 +42,7 @@ use topk_baselines::radix::BITS_PER_PASS;
 use topk_baselines::{KeyBits, TopKKey, TopKResult};
 
 use crate::concat::gather_subrange;
-use crate::delegate::{delegate_subrange_ids, top_beta_into, DelegateVector};
+use crate::delegate::{delegate_subrange_ids, delegates_into, DelegateVector};
 use crate::direction::{as_desc, Direction};
 use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 use crate::first_topk::{mark, take_marked, FirstTopK, Marked};
@@ -396,10 +396,8 @@ fn build_rows_graph<'a, K: TopKKey>(
                             let subrange_size = 1usize << alpha;
                             let beta = planned.config.beta;
                             let num_subranges = matrix.cols.div_ceil(subrange_size);
-                            let mut values = Vec::with_capacity(num_subranges * beta);
-                            for subrange in row.chunks(subrange_size) {
-                                top_beta_into(subrange, beta, &mut values);
-                            }
+                            let mut values = Vec::new();
+                            delegates_into(row, subrange_size, beta, &mut values);
                             kctx.record_store_coalesced::<u32>(kv_words * values.len());
                             built.push((
                                 l,

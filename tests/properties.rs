@@ -13,6 +13,45 @@ fn device() -> Device {
     Device::new(DeviceSpec::v100s())
 }
 
+/// Both construction kernels, in both directions, give every subrange's β
+/// best keys in the direction's order (descending for the largest,
+/// ascending for the smallest), compared through their bit images against
+/// a per-subrange sort.
+fn assert_delegates_exact<K: TopKKey>(
+    device: &Device,
+    data: &[K],
+    alpha: u32,
+    beta: usize,
+) -> Result<(), String> {
+    for direction in [Direction::Largest, Direction::Smallest] {
+        let mut expected = Vec::new();
+        let mut expected_ids = Vec::new();
+        for (s, subrange) in data.chunks(1 << alpha).enumerate() {
+            let mut bits = bits_of(subrange);
+            bits.sort_unstable();
+            if direction == Direction::Largest {
+                bits.reverse();
+            }
+            bits.truncate(beta);
+            expected_ids.extend(std::iter::repeat_n(s as u32, bits.len()));
+            expected.extend(bits);
+        }
+        for method in [
+            ConstructionMethod::WarpShuffle,
+            ConstructionMethod::CoalescedShared,
+        ] {
+            let dv = build_delegate_vector(device, data, alpha, beta, method, direction);
+            if bits_of(&dv.values) != expected {
+                return Err(format!("{direction:?} {method:?}: values differ"));
+            }
+            if dv.subrange_ids != expected_ids {
+                return Err(format!("{direction:?} {method:?}: subrange ids differ"));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -76,31 +115,28 @@ proptest! {
     }
 
     /// Delegate construction is exact: the β delegates of every subrange are
-    /// its β largest elements, and both construction kernels agree.
+    /// its β best elements in either direction, bit for bit, and both
+    /// construction kernels agree. α and β reach both sides of the per-lane
+    /// loop's limits (256-element subranges, β = 4), and float inputs carry
+    /// NaN payloads of both signs, ±0 and subnormals.
     #[test]
     fn delegate_construction_is_exact(
-        data in proptest::collection::vec(any::<u32>(), 1..2000),
-        alpha in 2u32..7,
-        beta in 1usize..4,
+        data in proptest::collection::vec(any::<u32>(), 1..5000),
+        floats in proptest::collection::vec(f32_with_specials(), 1..5000),
+        wide in proptest::collection::vec(any::<i64>(), 1..5000),
+        alpha in 1u32..11,
+        beta in 1usize..7,
     ) {
         let device = device();
-        let build = |method| {
-            build_delegate_vector(&device, &data, alpha, beta, method, Direction::Largest)
-        };
-        let warp = build(ConstructionMethod::WarpShuffle);
-        let shared = build(ConstructionMethod::CoalescedShared);
-        prop_assert_eq!(&warp.values, &shared.values);
-        prop_assert_eq!(&warp.subrange_ids, &shared.subrange_ids);
-        let size = 1usize << alpha;
-        for (s, chunk) in data.chunks(size).enumerate() {
-            let mut sorted = chunk.to_vec();
-            sorted.sort_unstable_by(|a, b| b.cmp(a));
-            sorted.truncate(beta);
-            let got: Vec<u32> = warp.values.iter().zip(&warp.subrange_ids)
-                .filter(|&(_, &id)| id as usize == s)
-                .map(|(&v, _)| v)
-                .collect();
-            prop_assert_eq!(got, sorted, "subrange {}", s);
+        let table = [
+            ("u32", assert_delegates_exact(&device, &data, alpha, beta)),
+            ("f32", assert_delegates_exact(&device, &floats, alpha, beta)),
+            ("i64", assert_delegates_exact(&device, &wide, alpha, beta)),
+        ];
+        for (key, outcome) in table {
+            if let Err(msg) = outcome {
+                prop_assert!(false, "{} alpha={} beta={}: {}", key, alpha, beta, msg);
+            }
         }
     }
 
