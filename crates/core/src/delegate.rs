@@ -37,10 +37,9 @@
 //!
 //! * **per-lane** — subranges of at most 256 elements with β ≤ 4 (the
 //!   measured crossover, stated on `delegates_into`): a branch-free running
-//!   top-β per lane, 8 lanes for β ≤ 2 and 4 for β = 3 or 4, each element
-//!   passing through β max/min pairs in radix space, then a pairwise fold of
-//!   the lanes. This is the host analogue of RTop-K's per-lane selection
-//!   (`PAPERS.md`).
+//!   top-β in each of 8 lanes, each element passing through β max/min
+//!   pairs in radix space, then a pairwise fold of the lanes. This is the
+//!   host analogue of RTop-K's per-lane selection (`PAPERS.md`).
 //! * **chunk-skip** (`top_beta_into`) — everything else. It applies the
 //!   paper's maximum-delegate filtering one level down: after seeding the β
 //!   slots it scans each subrange in warp-wide chunks of 32 elements, takes
@@ -176,13 +175,14 @@ impl<K> Delegates<'_, K> {
 /// in a large one it mostly skips, and its one max per element beats the
 /// per-lane loop's β max/min pairs. Measured on a 2-core x86-64 host
 /// (release build, whole `construct` call on 2^18 keys, ns per element,
-/// u32 / f32, medians of five interleaved runs): at β = 2 the per-lane loop
-/// costs 3.5 / 2.9 at α = 5 against chunk-skip's 5.4 / 6.3, and 1.8 / 1.1
-/// at α = 8 against 1.8 / 2.3; at α = 9 chunk-skip wins on u32 (1.2 against
-/// 1.6), and at α = 13 on both (0.4 / 0.6 against 1.5 / 0.8). β = 3 also
-/// crosses between α = 8 and 9; β = 4 between α = 7 and 8 on u32 (3.3
-/// against 2.7 at α = 8, a tie on f32). β = 1, a plain max scan, is faster
-/// per-lane at every size measured (up to α = 13); the rule keeps one
+/// u32 / f32, medians of seven interleaved runs): at α = 8 the per-lane
+/// loop costs 0.5 / 0.6 against chunk-skip's 1.5 / 1.2 at β = 1, 1.1 / 0.8
+/// against 1.5 / 1.9 at β = 2, 1.7 / 2.0 against 1.9 / 2.4 at β = 3 and
+/// 2.4 / 2.8 against 2.3 / 2.8 at β = 4 (a tie); at α = 9 chunk-skip wins
+/// for β = 3 (1.3 / 1.6 against 1.6 / 1.9) and β = 4 (1.6 / 2.0 against
+/// 2.3 / 2.7) and ties at β = 2 on u32 (1.0 against 1.0). At α = 5 and
+/// β = 2 the per-lane loop costs 3.2 / 2.7 against 5.7 / 6.5. β = 1, a
+/// plain max scan, stays faster per-lane past α = 8; the rule keeps one
 /// crossover for every β.
 #[inline]
 pub(crate) fn delegates_into<K: TopKKey>(
@@ -193,13 +193,11 @@ pub(crate) fn delegates_into<K: TopKKey>(
 ) {
     out.reserve(data.len().div_ceil(subrange_size) * beta);
     if (beta..=PER_LANE_MAX_SUBRANGE).contains(&subrange_size) {
-        // 4 lanes measured faster than 8 for β = 3 and 4: the fold costs
-        // lanes × β² and the running selections lanes × β slots
         match beta {
-            1 => return per_lane_into::<K, 1, 8>(data, subrange_size, out),
-            2 => return per_lane_into::<K, 2, 8>(data, subrange_size, out),
-            3 => return per_lane_into::<K, 3, 4>(data, subrange_size, out),
-            4 => return per_lane_into::<K, 4, 4>(data, subrange_size, out),
+            1 => return per_lane_into::<K, 1>(data, subrange_size, out),
+            2 => return per_lane_into::<K, 2>(data, subrange_size, out),
+            3 => return per_lane_into::<K, 3>(data, subrange_size, out),
+            4 => return per_lane_into::<K, 4>(data, subrange_size, out),
             _ => {}
         }
     }
@@ -212,16 +210,15 @@ pub(crate) fn delegates_into<K: TopKKey>(
 /// [`delegates_into`]).
 const PER_LANE_MAX_SUBRANGE: usize = 256;
 
+/// Running selections of the per-lane loop.
+const LANES: usize = 8;
+
 /// [`delegates_into`] on the per-lane loop: every full subrange through
 /// [`per_lane_top`], a short final one through [`top_beta_into`].
-fn per_lane_into<K: TopKKey, const B: usize, const LANES: usize>(
-    data: &[K],
-    subrange_size: usize,
-    out: &mut Vec<K>,
-) {
+fn per_lane_into<K: TopKKey, const B: usize>(data: &[K], subrange_size: usize, out: &mut Vec<K>) {
     let mut subranges = data.chunks_exact(subrange_size);
     for subrange in &mut subranges {
-        out.extend(per_lane_top::<K, B, LANES>(subrange).map(K::from_bits));
+        out.extend(per_lane_top::<K, B>(subrange).map(K::from_bits));
     }
     top_beta_into(subranges.remainder(), B, out);
 }
@@ -236,7 +233,7 @@ fn per_lane_into<K: TopKKey, const B: usize, const LANES: usize>(
 /// least `B` real elements a filler can only tie a real zero, so the
 /// result's bits are those of the slice's top-`B`.
 #[inline]
-fn per_lane_top<K: TopKKey, const B: usize, const LANES: usize>(slice: &[K]) -> [K::Bits; B] {
+fn per_lane_top<K: TopKKey, const B: usize>(slice: &[K]) -> [K::Bits; B] {
     debug_assert!(slice.len() >= B);
     // slot-major: slot j of every lane side by side
     let mut slots = [[K::Bits::ZERO; LANES]; B];

@@ -1,19 +1,18 @@
 #!/usr/bin/env bash
 # Paired A/B runs of two built perfbench binaries on one workload.
 #
-#   scripts/perf_pairs.sh [--metric NAME] [--first-seed N] \
-#       PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS
+#   scripts/perf_pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS
 #
-# Pair i runs both binaries with `--workload WORKLOAD --seed FIRST_SEED+i
+# Pair i runs both binaries with `--workload WORKLOAD --seed 901+i
 # --seconds SECONDS --trace 0`, parent first on even pairs and change first
 # on odd ones, so a drift of the host's speed does not favour either side.
-# Each pair prints both values of the metric (default `norm_cpu_p50_ms`;
-# `--metric` must name one where lower is better) and whether `modeled_ms`
-# agrees. The summary gives both medians, the change's wins out of PAIRS,
-# the parent's interquartile range, whether `modeled_ms` agreed on every
-# pair and the failed calls of each side: the evidence a claimed gain
-# needs (wins in at least nine of ten pairs, median gap larger than the
-# parent's IQR).
+# Each pair prints both `norm_cpu_p50_ms` values and whether `modeled_ms`
+# agrees. The summary gives, for `norm_cpu_p50_ms`, `norm_cpu_p90_ms` and
+# `norm_throughput_sel_s`, both medians, the change's wins out of PAIRS
+# (lower time or higher throughput) and the parent's interquartile range,
+# then whether `modeled_ms` agreed on every pair and the failed calls of
+# each side: the evidence a claimed gain needs (wins in at least nine of
+# ten pairs, median gap larger than the parent's IQR).
 #
 # Build the binaries first, each from its own checkout, e.g.
 #   CARGO_TARGET_DIR=/tmp/a cargo build --release --offline \
@@ -22,17 +21,8 @@
 # (SECONDS + set-up) seconds, so this is not part of CI.
 set -euo pipefail
 
-metric=norm_cpu_p50_ms
-first_seed=901
-while [[ $# -gt 0 && $1 == --* ]]; do
-    case $1 in
-        --metric) metric=$2; shift 2 ;;
-        --first-seed) first_seed=$2; shift 2 ;;
-        *) echo "unknown option $1" >&2; exit 2 ;;
-    esac
-done
 if [[ $# -ne 5 ]]; then
-    sed -n '4,5p' "$0" >&2
+    sed -n '4p' "$0" >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3 pairs=$4 seconds=$5
@@ -52,38 +42,40 @@ run() { # side seed
 }
 
 for ((i = 0; i < pairs; i++)); do
-    seed=$((first_seed + i))
+    seed=$((901 + i))
     if ((i % 2 == 0)); then
         run parent "$seed"; run change "$seed"
     else
         run change "$seed"; run parent "$seed"
     fi
-    python3 - "$out" "$seed" "$metric" <<'PY'
+    python3 - "$out" "$seed" <<'PY'
 import json, sys
-out, seed, metric = sys.argv[1:]
+out, seed = sys.argv[1:]
 a, b = (json.load(open(f"{out}/{side}.{seed}.json")) for side in ("parent", "change"))
-va, vb = (r["metrics"][metric]["value"] for r in (a, b))
+va, vb = (r["metrics"]["norm_cpu_p50_ms"]["value"] for r in (a, b))
 same = a["metrics"]["modeled_ms"]["value"] == b["metrics"]["modeled_ms"]["value"]
-print(f"seed {seed}: parent {va:.4f}  change {vb:.4f}  ({(vb - va) / va:+.1%})"
+print(f"seed {seed}: p50 parent {va:.4f}  change {vb:.4f}  ({(vb - va) / va:+.1%})"
       f"  modeled_ms {'equal' if same else 'DIFFERS'}"
       f"  failed {a['failed']}/{b['failed']}")
 PY
 done
 
-python3 - "$out" "$metric" "$first_seed" "$pairs" "$workload" <<'PY'
+python3 - "$out" "$pairs" "$workload" <<'PY'
 import json, statistics, sys
-out, metric, first, n, workload = sys.argv[1], sys.argv[2], *map(int, sys.argv[3:5]), sys.argv[5]
-runs = {side: [json.load(open(f"{out}/{side}.{first + i}.json")) for i in range(n)]
+out, n, workload = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+runs = {side: [json.load(open(f"{out}/{side}.{901 + i}.json")) for i in range(n)]
         for side in ("parent", "change")}
-vals = {side: [r["metrics"][metric]["value"] for r in rs] for side, rs in runs.items()}
-wins = sum(b < a for a, b in zip(vals["parent"], vals["change"]))
-q1, _, q3 = statistics.quantiles(vals["parent"], n=4) if n > 1 else (0, 0, 0)
-ma, mb = statistics.median(vals["parent"]), statistics.median(vals["change"])
+print(f"{workload} over {n} pairs:")
+for metric, lower_wins in [("norm_cpu_p50_ms", True), ("norm_cpu_p90_ms", True),
+                           ("norm_throughput_sel_s", False)]:
+    a, b = ([r["metrics"][metric]["value"] for r in runs[side]] for side in ("parent", "change"))
+    wins = sum((y < x) if lower_wins else (y > x) for x, y in zip(a, b))
+    q1, _, q3 = statistics.quantiles(a, n=4) if n > 1 else (0, 0, 0)
+    ma, mb = statistics.median(a), statistics.median(b)
+    print(f"  {metric}: median parent {ma:.4f}  change {mb:.4f}  ({(mb - ma) / ma:+.1%});"
+          f" change wins {wins}/{n}; parent IQR {q3 - q1:.4f}; |median gap| {abs(mb - ma):.4f}")
 equal = all(a["metrics"]["modeled_ms"]["value"] == b["metrics"]["modeled_ms"]["value"]
             for a, b in zip(runs["parent"], runs["change"]))
-print(f"{workload} {metric} over {n} pairs:")
-print(f"  median parent {ma:.4f}  change {mb:.4f}  ({(mb - ma) / ma:+.1%})")
-print(f"  change wins {wins}/{n}; parent IQR {q3 - q1:.4f}; |median gap| {abs(mb - ma):.4f}")
 print(f"  modeled_ms equal on every pair: {'yes' if equal else 'NO'}")
 print(f"  failed calls: parent {sum(r['failed'] for r in runs['parent'])},"
       f" change {sum(r['failed'] for r in runs['change'])}")
