@@ -21,7 +21,7 @@
 use drtopk_bench_harness::*;
 use drtopk_core::{
     build_delegate_vector, dr_topk_planned, measured_recall, Direction, DrTopKConfig, DrTopKResult,
-    PlannedQuery,
+    PlannedQuery, Shared,
 };
 use gpu_sim::KernelStats;
 use topk_baselines::reference_topk;
@@ -48,7 +48,7 @@ fn run_both(
             planned.config.construction,
             Direction::Largest,
         );
-        dr_topk_planned(device, data, Some(&shared), &planned)
+        dr_topk_planned(device, data, Some(Shared::Delegates(&shared)), &planned)
     } else {
         cold.clone()
     };

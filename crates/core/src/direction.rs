@@ -18,6 +18,7 @@ use topk_baselines::{Desc, TopKKey, TopKResult};
 
 use crate::delegate::{DelegateVector, Delegates};
 use crate::distributed::DistributedResult;
+use crate::first_topk::{FirstTopK, Marked};
 use crate::pipeline::DrTopKResult;
 use crate::rows::RowTopKResult;
 
@@ -78,6 +79,55 @@ impl<K: TopKKey> DelegateVector<Desc<K>> {
             direction: Direction::Smallest,
             stats: self.stats,
             time_ms: self.time_ms,
+        }
+    }
+}
+
+impl<K: TopKKey> FirstTopK<K> {
+    /// The same selection read through [`as_desc`], for a smallest-direction
+    /// vector's view.
+    pub(crate) fn to_desc(&self) -> FirstTopK<Desc<K>> {
+        let desc = |entries: &[(K, u32)]| entries.iter().map(|&(v, id)| (Desc(v), id)).collect();
+        FirstTopK {
+            threshold: Desc(self.threshold),
+            exact_threshold: self.exact_threshold,
+            fully_taken_subranges: self.fully_taken_subranges.clone(),
+            partial_delegate_values: self
+                .partial_delegate_values
+                .iter()
+                .copied()
+                .map(Desc)
+                .collect(),
+            taken_entries: self.taken_entries,
+            stats: self.stats,
+            time_ms: self.time_ms,
+            k: self.k,
+            marked: Marked {
+                above: desc(&self.marked.above),
+                ties: desc(&self.marked.ties),
+            },
+        }
+    }
+}
+
+impl<K: TopKKey> FirstTopK<Desc<K>> {
+    /// Unwrap a selection made in `Desc` space (native keys, best first).
+    pub(crate) fn into_native(self) -> FirstTopK<K> {
+        let native_entries =
+            |entries: Vec<(Desc<K>, u32)>| entries.into_iter().map(|(d, id)| (d.0, id)).collect();
+        FirstTopK {
+            threshold: self.threshold.0,
+            exact_threshold: self.exact_threshold,
+            fully_taken_subranges: self.fully_taken_subranges,
+            partial_delegate_values: native(self.partial_delegate_values),
+            taken_entries: self.taken_entries,
+            stats: self.stats,
+            time_ms: self.time_ms,
+            k: self.k,
+            marked: Marked {
+                above: native_entries(self.marked.above),
+                ties: native_entries(self.marked.ties),
+            },
         }
     }
 }

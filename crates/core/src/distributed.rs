@@ -523,7 +523,7 @@ fn build_distributed_graph<'a, K: TopKKey>(
                 move |ctx: &DistCtx<K>| {
                     let chunk = &data[range];
                     let planned = PlannedQuery::plan(chunk.len(), k, config);
-                    let r = run_planned(device, chunk, None, &planned);
+                    let r = run_planned(device, chunk, None, None, &planned);
                     let outcome = StageOutcome {
                         stats: r.stats,
                         time_ms: r.time_ms,

@@ -15,14 +15,22 @@
 //! The selection itself uses the optimized flag-based radix select from
 //! [`crate::radix_flags`]; a follow-up scan marks the winning delegate
 //! entries and groups them by subrange.
+//!
+//! Because a selection keeps all its winners, one selection at some k
+//! answers every smaller k over the same delegates: the smaller k's
+//! threshold is its k-th largest winner, and its winners are the ones at
+//! or above that threshold. A fused engine unit selects once at its largest
+//! k ([`first_topk`]), and each member *narrows* that selection in one pass
+//! over the winners instead of selecting again.
 
 use gpu_sim::{Device, KernelStats};
-use topk_baselines::radix::ELEMS_PER_WARP;
-use topk_baselines::TopKKey;
+use topk_baselines::radix::{BITS_PER_PASS, ELEMS_PER_WARP};
+use topk_baselines::{KeyBits, TopKKey};
 
 use crate::delegate::{DelegateVector, Delegates};
 use crate::direction::Direction;
 use crate::radix_flags::flag_radix_select_kth;
+use crate::rows::record_warp_select;
 
 /// Outcome of the first top-k over the delegate vector.
 #[derive(Debug, Clone)]
@@ -48,27 +56,36 @@ pub struct FirstTopK<K: TopKKey = u32> {
     pub stats: KernelStats,
     /// Modeled first top-k time in milliseconds.
     pub time_ms: f64,
+    /// The k the selection ran at, clamped to the vector's length.
+    pub(crate) k: usize,
+    /// Every delegate entry at or above `threshold`: what a smaller k
+    /// narrows.
+    pub(crate) marked: Marked<K>,
 }
 
-/// Run the first top-k on a largest-direction delegate vector.
+/// Run the first top-k on a delegate vector, in the vector's direction.
 ///
 /// `k` is the query's k; `skip_last_pass` enables the paper's optimization of
 /// dropping the final radix pass when β delegates and filtering make the
-/// precision unnecessary.
+/// precision unnecessary. The result keeps its winners, so a planned query
+/// with any k up to this one can narrow it instead of selecting again (see
+/// [`Shared::Selected`](crate::pipeline::Shared::Selected)).
 ///
 /// # Panics
 ///
-/// Panics on an empty vector or a smallest-direction vector (the pipeline
-/// runners read those in reversed order themselves).
+/// Panics on an empty vector.
 pub fn first_topk<K: TopKKey>(
     device: &Device,
     delegates: &DelegateVector<K>,
     k: usize,
     skip_last_pass: bool,
 ) -> FirstTopK<K> {
-    let largest = delegates.direction == Direction::Largest;
-    assert!(largest, "first_topk needs a largest-direction vector");
-    select_first_topk(device, delegates.view(), k, skip_last_pass)
+    match delegates.direction {
+        Direction::Largest => select_first_topk(device, delegates.view(), k, skip_last_pass),
+        Direction::Smallest => {
+            select_first_topk(device, delegates.view().as_desc(), k, skip_last_pass).into_native()
+        }
+    }
 }
 
 /// [`first_topk`] over a delegate view in the order being selected.
@@ -94,28 +111,24 @@ pub(crate) fn select_first_topk<K: TopKKey>(
     // with its subrange id.
     let values = delegates.values;
     let ids = delegates.subrange_ids;
-    let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
     let num_warps = values.len().div_ceil(ELEMS_PER_WARP).max(1);
     let launch = device.launch("drtopk_first_topk_mark", num_warps, |ctx| {
         let chunk = ctx.chunk_of(values.len());
         let vals = ctx.read_coalesced(&values[chunk.clone()]);
         let mut marked = Marked::default();
-        mark(vals, &ids[chunk], threshold_bits, &mut marked);
-        let hits = marked.above.len() + marked.ties.len();
+        let entries = vals.iter().copied().zip(ids[chunk].iter().copied());
+        mark(entries, threshold_bits, &mut marked);
+        let hits = marked.len();
         // each qualifying entry fetches its subrange id
         ctx.record_load_random::<u32>(hits);
         ctx.record_alu(vals.len() as u64);
-        ctx.record_store_coalesced::<u32>(kv_words * hits);
+        ctx.record_store_coalesced::<u32>(kv_words::<K>() * hits);
         marked
     });
     stats += launch.stats;
     time_ms += launch.time_ms;
 
-    let mut marked = Marked::default();
-    for m in launch.output {
-        marked.above.extend(m.above);
-        marked.ties.extend(m.ties);
-    }
+    let marked = Marked::merge(launch.output);
     FirstTopK {
         stats,
         time_ms,
@@ -123,23 +136,99 @@ pub(crate) fn select_first_topk<K: TopKKey>(
     }
 }
 
-/// Delegate entries at or above a threshold with their subrange ids, in
-/// index order: strictly-above entries and ties kept apart.
-#[derive(Default)]
-pub(crate) struct Marked<K> {
-    above: Vec<(K, u32)>,
-    ties: Vec<(K, u32)>,
+/// Narrow `unit`, a first top-k over the same delegates at a k at least
+/// this one, to `k`: the result equals an exact [`select_first_topk`] at
+/// `k` field for field, counters aside.
+///
+/// `unit` holds every entry at or above its threshold, so it holds every
+/// entry at or above the k-th largest delegate, which is therefore its
+/// k-th largest marked entry — also when `unit` skipped its last pass and
+/// marked more. Re-marking its entries against that threshold keeps each
+/// list in delegate-index order, so ties are taken as the full selection
+/// takes them. The modeled cost is one launch: each warp reads a chunk of
+/// the winners as (key, subrange id) pairs, runs a warp radix select over
+/// it and stores the entries it keeps.
+pub(crate) fn narrow_first_topk<K: TopKKey>(
+    device: &Device,
+    delegates: Delegates<'_, K>,
+    unit: &FirstTopK<K>,
+    k: usize,
+) -> FirstTopK<K> {
+    let k = k.min(delegates.len());
+    assert!(
+        (1..=unit.k).contains(&k),
+        "a first top-k at k = {} cannot be narrowed to k = {k}",
+        unit.k
+    );
+    let winners = &unit.marked;
+    let mut bits: Vec<K::Bits> = winners.entries().map(|(v, _)| v.to_bits()).collect();
+    let (_, &mut kth, _) = bits.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+    let threshold = K::from_bits(kth);
+
+    let passes = K::Bits::BITS / BITS_PER_PASS;
+    let num_warps = winners.len().div_ceil(ELEMS_PER_WARP).max(1);
+    let launch = device.launch("drtopk_first_topk_narrow", num_warps, |ctx| {
+        let chunk = ctx.chunk_of(winners.len());
+        ctx.record_load_coalesced::<u32>(kv_words::<K>() * chunk.len());
+        record_warp_select(ctx, chunk.len(), passes);
+        let mut marked = Marked::default();
+        let entries = winners.entries().skip(chunk.start).take(chunk.len());
+        mark(entries, kth, &mut marked);
+        ctx.record_alu(chunk.len() as u64);
+        ctx.record_store_coalesced::<u32>(kv_words::<K>() * marked.len());
+        marked
+    });
+    let marked = Marked::merge(launch.output);
+    FirstTopK {
+        stats: launch.stats,
+        time_ms: launch.time_ms,
+        ..take_marked(delegates, marked, k, threshold, true)
+    }
 }
 
-/// The mark pass over a run of delegate entries (`values[i]` belongs to
-/// subrange `ids[i]`): append every entry `≥ threshold_bits` to `marked`.
+/// One (key, subrange id) pair in u32-sized words, so the charged bytes
+/// stay exact for 8-byte keys.
+fn kv_words<K>() -> usize {
+    1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>()
+}
+
+/// Delegate entries at or above a threshold with their subrange ids, in
+/// index order: strictly-above entries and ties kept apart.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Marked<K> {
+    pub(crate) above: Vec<(K, u32)>,
+    pub(crate) ties: Vec<(K, u32)>,
+}
+
+impl<K: TopKKey> Marked<K> {
+    fn len(&self) -> usize {
+        self.above.len() + self.ties.len()
+    }
+
+    /// The strictly-above entries, then the ties.
+    fn entries(&self) -> impl Iterator<Item = (K, u32)> + '_ {
+        self.above.iter().chain(&self.ties).copied()
+    }
+
+    /// Concatenate per-warp marks, keeping index order within each list.
+    fn merge(parts: Vec<Marked<K>>) -> Marked<K> {
+        let mut merged = Marked::default();
+        for m in parts {
+            merged.above.extend(m.above);
+            merged.ties.extend(m.ties);
+        }
+        merged
+    }
+}
+
+/// The mark pass over a run of (key, subrange id) delegate entries:
+/// append every entry `≥ threshold_bits` to `marked`.
 pub(crate) fn mark<K: TopKKey>(
-    values: &[K],
-    ids: &[u32],
+    entries: impl IntoIterator<Item = (K, u32)>,
     threshold_bits: K::Bits,
     marked: &mut Marked<K>,
 ) {
-    for (&v, &id) in values.iter().zip(ids) {
+    for (v, id) in entries {
         let vb = v.to_bits();
         if vb > threshold_bits {
             marked.above.push((v, id));
@@ -153,7 +242,8 @@ pub(crate) fn mark<K: TopKKey>(
 ///
 /// When the threshold is exact the ties are capped so exactly k entries are
 /// taken (a true top-k); with a skipped pass the threshold is a lower bound
-/// and every marked entry is taken. Counters are left empty for the caller.
+/// and every marked entry is taken. The result keeps `marked`; counters are
+/// left empty for the caller.
 pub(crate) fn take_marked<K: TopKKey>(
     delegates: Delegates<'_, K>,
     marked: Marked<K>,
@@ -161,16 +251,12 @@ pub(crate) fn take_marked<K: TopKKey>(
     threshold: K,
     exact: bool,
 ) -> FirstTopK<K> {
-    let Marked {
-        above: mut taken,
-        ties,
-    } = marked;
     let need = if exact {
-        k.saturating_sub(taken.len())
+        k.saturating_sub(marked.above.len())
     } else {
-        ties.len()
+        marked.ties.len()
     };
-    taken.extend(ties.into_iter().take(need));
+    let taken = || marked.above.iter().chain(marked.ties.iter().take(need));
 
     // A short final subrange (or a subrange smaller than β) holds fewer than
     // β delegate entries; it counts as fully taken once all the delegates it
@@ -190,15 +276,14 @@ pub(crate) fn take_marked<K: TopKKey>(
 
     // Count the taken entries per subrange (Rule 3), then keep the values
     // of the subranges that are not fully taken.
-    let mut taken_ids: Vec<u32> = taken.iter().map(|&(_, id)| id).collect();
+    let mut taken_ids: Vec<u32> = taken().map(|&(_, id)| id).collect();
     taken_ids.sort_unstable();
     let fully_taken_subranges: Vec<u32> = taken_ids
         .chunk_by(|a, b| a == b)
         .filter(|run| run.len() >= entries_of(run[0]))
         .map(|run| run[0])
         .collect();
-    let partial_delegate_values: Vec<K> = taken
-        .iter()
+    let partial_delegate_values: Vec<K> = taken()
         .filter(|(_, id)| fully_taken_subranges.binary_search(id).is_err())
         .map(|&(v, _)| v)
         .collect();
@@ -208,9 +293,11 @@ pub(crate) fn take_marked<K: TopKKey>(
         exact_threshold: exact,
         fully_taken_subranges,
         partial_delegate_values,
-        taken_entries: taken.len(),
+        taken_entries: taken_ids.len(),
         stats: KernelStats::default(),
         time_ms: 0.0,
+        k,
+        marked,
     }
 }
 
@@ -310,6 +397,84 @@ mod tests {
         let got = first_topk(&dev, &dv, 1000, false);
         assert_eq!(got.taken_entries, 4);
         assert_eq!(got.fully_taken_subranges.len(), 4);
+    }
+
+    /// Every field the pipeline reads, as comparable bits.
+    fn fields<K: TopKKey>(f: &FirstTopK<K>) -> (K::Bits, bool, Vec<u32>, Vec<K::Bits>, usize) {
+        (
+            f.threshold.to_bits(),
+            f.exact_threshold,
+            f.fully_taken_subranges.clone(),
+            f.partial_delegate_values
+                .iter()
+                .map(|v| v.to_bits())
+                .collect(),
+            f.taken_entries,
+        )
+    }
+
+    /// Narrow one selection at `k_max` to every smaller k and compare with
+    /// an exact selection at that k.
+    fn assert_narrowing_matches<K: TopKKey>(
+        dev: &Device,
+        delegates: Delegates<'_, K>,
+        unit: &FirstTopK<K>,
+        what: &str,
+    ) {
+        for k in 1..=unit.k {
+            let narrowed = narrow_first_topk(dev, delegates, unit, k);
+            let selected = select_first_topk(dev, delegates, k, false);
+            assert_eq!(fields(&narrowed), fields(&selected), "{what}, k = {k}");
+            assert!(
+                narrowed.time_ms > 0.0,
+                "{what}, k = {k}: the narrowing pass is charged"
+            );
+        }
+    }
+
+    #[test]
+    fn narrowing_one_selection_equals_selecting_at_every_smaller_k() {
+        let dev = device();
+        let uniform = topk_datagen::uniform(1 << 12, 17);
+        let few_distinct: Vec<u32> = topk_datagen::uniform(1 << 12, 19)
+            .into_iter()
+            .map(|x| x % 8)
+            .collect();
+        // 64 full subranges of 2^6 and a final one of 3 elements
+        let short_tail = topk_datagen::uniform((1 << 12) + 3, 23);
+        let k_max = 100;
+        for (name, data) in [
+            ("uniform", &uniform),
+            ("8 distinct values", &few_distinct),
+            ("short final subrange", &short_tail),
+        ] {
+            for skip_last_pass in [false, true] {
+                for direction in [Direction::Largest, Direction::Smallest] {
+                    let what = format!("{name}, skip {skip_last_pass}, {direction:?}");
+                    let dv = crate::delegate::build_delegate_vector(
+                        &dev,
+                        data,
+                        6,
+                        2,
+                        ConstructionMethod::Auto,
+                        direction,
+                    );
+                    let unit = first_topk(&dev, &dv, k_max, skip_last_pass);
+                    assert!(unit.marked.len() >= k_max, "{what}");
+                    match direction {
+                        Direction::Largest => {
+                            assert_narrowing_matches(&dev, dv.view(), &unit, &what)
+                        }
+                        Direction::Smallest => assert_narrowing_matches(
+                            &dev,
+                            dv.view().as_desc(),
+                            &unit.to_desc(),
+                            &what,
+                        ),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 pub use first_topk::{first_topk, FirstTopK};
 pub use pipeline::{
     dr_topk, dr_topk_planned, DrTopKConfig, DrTopKResult, InnerAlgorithm, PhaseBreakdown,
-    PlannedQuery, WorkloadStats,
+    PlannedQuery, Shared, WorkloadStats,
 };
 pub use radix_flags::{flag_radix_select_kth, flag_radix_topk};
 pub use rows::{topk_rows, topk_rows_explore, topk_rows_on, RowK, RowMatrix, RowTopKResult};

@@ -27,7 +27,7 @@ use crate::approx::{dr_topk_approx_planned, expected_recall, required_budget, Mo
 use crate::concat::{concatenate, Concatenated};
 use crate::delegate::{construct, ConstructionMethod, DelegateVector, Delegates};
 use crate::direction::{as_desc, Direction};
-use crate::first_topk::{select_first_topk, FirstTopK};
+use crate::first_topk::{narrow_first_topk, select_first_topk, FirstTopK};
 use crate::radix_flags::flag_radix_topk;
 use crate::radix_path::radix_dr_topk;
 use crate::stages::{Resource, StageGraph, StageKind, StageOutcome, StageReport};
@@ -549,27 +549,49 @@ pub fn dr_topk<K: TopKKey>(
     dr_topk_planned(device, data, None, &planned)
 }
 
-/// Execute a [`PlannedQuery`] on `data`, optionally against a shared,
-/// already-built delegate vector.
+/// Work a [`PlannedQuery`] reuses instead of doing it itself, so that many
+/// queries over one corpus pay for it once (see [`dr_topk_planned`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Shared<'a, K: TopKKey> {
+    /// A delegate vector built once for many queries: the query skips
+    /// phase 1, delegate construction.
+    Delegates(&'a DelegateVector<K>),
+    /// A delegate vector plus a first top-k already run on it by
+    /// [`first_topk`](crate::first_topk::first_topk) at a k at least the
+    /// query's (a fused unit's largest): the query also skips phase 2's
+    /// selection, and narrows that first top-k to its own k in one pass
+    /// over its winners. Exact plans only.
+    Selected(&'a DelegateVector<K>, &'a FirstTopK<K>),
+}
+
+/// Execute a [`PlannedQuery`] on `data`, optionally reusing [`Shared`]
+/// work.
 ///
-/// When `shared_delegates` is `Some`, phase 1 (delegate construction) is
-/// skipped entirely: the query charges **zero** delegate time and delegate
-/// kernel counters to its own result — the provider of the shared vector
-/// accounts for that one-time cost (this is how the batching engine
-/// amortizes one delegate pass over a whole same-corpus batch, and how a
-/// delegate cache makes repeat traffic on an unchanged corpus skip the
-/// `|V|` scan altogether). The shared vector's direction, α, β and subrange
-/// count are asserted against the plan; that it was built from *this*
-/// `data` is an unchecked caller contract — delegates of different
-/// same-length data pass the asserts and silently select over the wrong
-/// corpus.
+/// When `shared` is `Some`, phase 1 (delegate construction) is skipped
+/// entirely: the query charges **zero** delegate time and delegate kernel
+/// counters to its own result — the provider of the shared vector accounts
+/// for that one-time cost (this is how the batching engine amortizes one
+/// delegate pass over a whole same-corpus batch, and how a delegate cache
+/// makes repeat traffic on an unchanged corpus skip the `|V|` scan
+/// altogether). With [`Shared::Selected`] the shared first top-k's
+/// selection is likewise the provider's cost; the query charges only its
+/// narrowing pass. The shared vector's direction, α, β and subrange count
+/// are asserted against the plan; that it was built from *this* `data`,
+/// and a shared first top-k from that vector, is an unchecked caller
+/// contract — delegates of different same-length data pass the asserts
+/// and silently select over the wrong corpus.
 pub fn dr_topk_planned<K: TopKKey>(
     device: &Device,
     data: &[K],
-    shared_delegates: Option<&DelegateVector<K>>,
+    shared: Option<Shared<'_, K>>,
     planned: &PlannedQuery,
 ) -> DrTopKResult<K> {
     let config = &planned.config;
+    let (shared_delegates, shared_first) = match shared {
+        None => (None, None),
+        Some(Shared::Delegates(delegates)) => (Some(delegates), None),
+        Some(Shared::Selected(delegates, first)) => (Some(delegates), Some(first)),
+    };
     if let Some(shared) = shared_delegates {
         assert_eq!(
             shared.direction, config.direction,
@@ -584,6 +606,10 @@ pub fn dr_topk_planned<K: TopKKey>(
             // An approximate plan accepts a larger candidate budget (more
             // candidates only raise recall); an exact plan needs its own β.
             if config.mode.strict_target().is_some() {
+                assert!(
+                    shared_first.is_none(),
+                    "an approximate plan runs no first top-k to share"
+                );
                 assert!(
                     shared.beta >= config.beta,
                     "shared candidate budget {} is below the plan's {}",
@@ -605,11 +631,12 @@ pub fn dr_topk_planned<K: TopKKey>(
     }
     let shared = shared_delegates.map(DelegateVector::view);
     match config.direction {
-        Direction::Largest => run_planned(device, data, shared, planned),
+        Direction::Largest => run_planned(device, data, shared, shared_first, planned),
         Direction::Smallest => run_planned(
             device,
             as_desc(data),
             shared.map(Delegates::as_desc),
+            shared_first.map(FirstTopK::to_desc).as_ref(),
             planned,
         )
         .into_native(),
@@ -622,6 +649,7 @@ pub(crate) fn run_planned<K: TopKKey>(
     device: &Device,
     data: &[K],
     shared_delegates: Option<Delegates<'_, K>>,
+    shared_first: Option<&FirstTopK<K>>,
     planned: &PlannedQuery,
 ) -> DrTopKResult<K> {
     let config = &planned.config;
@@ -748,19 +776,19 @@ pub(crate) fn run_planned<K: TopKKey>(
         deps.push(built_id);
     }
 
-    // Phase 2: first top-k on the delegate vector.
+    // Phase 2: first top-k on the delegate vector, or the narrowing of a
+    // shared one.
     let first_id = graph.add(
         StageKind::FirstTopK,
         Resource::Compute(0),
         &deps,
         move |ctx: &Mutex<ExactCtx<K>>| {
             let mut guard = ctx.lock().unwrap();
-            let first = select_first_topk(
-                device,
-                delegates_of(&guard, shared_delegates),
-                k,
-                config.resolve_skip_last(),
-            );
+            let delegates = delegates_of(&guard, shared_delegates);
+            let first = match shared_first {
+                Some(unit) => narrow_first_topk(device, delegates, unit, k),
+                None => select_first_topk(device, delegates, k, config.resolve_skip_last()),
+            };
             let outcome = StageOutcome {
                 stats: first.stats,
                 time_ms: first.time_ms,
@@ -1231,10 +1259,12 @@ mod tests {
         let k_max = 1000;
         let group = PlannedQuery::plan(data.len(), k_max, &cfg);
         let delegates = construct(&dev, &data, group.alpha, cfg.beta, cfg.construction);
+        let first = crate::first_topk::first_topk(&dev, &delegates, k_max, false);
         for k in ks {
             // per-query plan under the group's pinned α
             let planned = PlannedQuery::plan(data.len(), k, &group.config);
-            let shared = dr_topk_planned(&dev, &data, Some(&delegates), &planned);
+            let shared =
+                dr_topk_planned(&dev, &data, Some(Shared::Delegates(&delegates)), &planned);
             assert_eq!(shared.values, reference_topk(&data, k), "k={k}");
             // the shared pass charges no delegate time/bytes to the query
             assert_eq!(shared.breakdown.delegate_ms, 0.0);
@@ -1247,6 +1277,15 @@ mod tests {
                 shared.stats.global_loaded_bytes < independent.stats.global_loaded_bytes,
                 "shared-delegate query must not re-pay the |V| construction scan"
             );
+            // a first top-k shared at k_max, narrowed to k: the same
+            // answer and workload, for one launch instead of a radix
+            // select plus a mark pass
+            let selected = Shared::Selected(&delegates, &first);
+            let narrowed = dr_topk_planned(&dev, &data, Some(selected), &planned);
+            assert_eq!(narrowed.values, shared.values, "k={k}");
+            assert_eq!(narrowed.workload, shared.workload, "k={k}");
+            assert!(narrowed.breakdown.first_topk_ms > 0.0);
+            assert!(narrowed.breakdown.first_topk_ms < shared.breakdown.first_topk_ms);
         }
     }
 
@@ -1265,7 +1304,7 @@ mod tests {
                 ..DrTopKConfig::default()
             },
         );
-        dr_topk_planned(&dev, &data, Some(&delegates), &planned);
+        dr_topk_planned(&dev, &data, Some(Shared::Delegates(&delegates)), &planned);
     }
 
     #[test]
@@ -1282,7 +1321,7 @@ mod tests {
                 ..DrTopKConfig::default()
             },
         );
-        dr_topk_planned(&dev, &data, Some(&delegates), &planned);
+        dr_topk_planned(&dev, &data, Some(Shared::Delegates(&delegates)), &planned);
     }
 
     #[test]

@@ -267,10 +267,10 @@ fn sorted_topk<K: TopKKey>(values: &[K], k: usize) -> (Vec<K>, K) {
     (top, kth)
 }
 
-/// RTop-K's cost of one warp's radix select over a row's `n` keys: per
-/// pass, a shared-memory histogram of the keys plus a warp scan of the
-/// digit counts.
-fn record_row_select(kctx: &mut WarpCtx<'_>, n: usize, passes: u32) {
+/// RTop-K's cost of one warp's radix select over `n` keys (a row, or a
+/// chunk of a fused unit's first top-k winners): per pass, a shared-memory
+/// histogram of the keys plus a warp scan of the digit counts.
+pub(crate) fn record_warp_select(kctx: &mut WarpCtx<'_>, n: usize, passes: u32) {
     let passes = u64::from(passes);
     kctx.record_shared(passes * (n as u64 + (1 << BITS_PER_PASS)));
     kctx.record_shuffles(passes * SHUFFLES_PER_WARP_REDUCTION);
@@ -461,10 +461,12 @@ fn build_rows_graph<'a, K: TopKKey>(
                             let skip_last = planned.config.resolve_skip_last();
                             let values = kctx.read_coalesced(&dv.values);
                             let passes = K::Bits::BITS / BITS_PER_PASS - u32::from(skip_last);
-                            record_row_select(kctx, values.len(), passes);
+                            record_warp_select(kctx, values.len(), passes);
                             let threshold = radix_select_threshold(values, k, skip_last);
                             let mut marked = Marked::default();
-                            mark(values, &dv.subrange_ids, threshold.to_bits(), &mut marked);
+                            let entries =
+                                values.iter().copied().zip(dv.subrange_ids.iter().copied());
+                            mark(entries, threshold.to_bits(), &mut marked);
                             kctx.record_alu(values.len() as u64);
                             let first = take_marked(dv.view(), marked, k, threshold, !skip_last);
                             kctx.record_store_coalesced::<u32>(kv_words * first.taken_entries);
@@ -546,7 +548,7 @@ fn build_rows_graph<'a, K: TopKKey>(
                         let candidates = kctx.read_coalesced(candidates);
                         if !skipped {
                             let passes = K::Bits::BITS / BITS_PER_PASS;
-                            record_row_select(kctx, candidates.len(), passes);
+                            record_warp_select(kctx, candidates.len(), passes);
                         }
                         let (top, kth) = sorted_topk(candidates, k);
                         kctx.record_store_coalesced::<K>(top.len());

@@ -229,8 +229,9 @@ fn allowed_dep_kinds(kind: StageKind) -> &'static [StageKind] {
         DelegateConstruction | BucketTopKPrime => &[DelegateConstruction, BucketTopKPrime],
         // Normally fed by the β-delegate pass; in a spliced engine unit an
         // exact-fallback member's first top-k can chain behind the unit's
-        // shared k′ candidate pass instead.
-        FirstTopK => &[DelegateConstruction, BucketTopKPrime],
+        // shared k′ candidate pass instead, and a member that narrows the
+        // unit's shared first top-k chains behind that selection.
+        FirstTopK => &[DelegateConstruction, BucketTopKPrime, FirstTopK],
         Concatenate => &[FirstTopK],
         // Fed by the concatenation (exact), the candidate pass (approx), or
         // a shared delegate pass (engine macro stage); no deps on the

@@ -22,8 +22,9 @@ pub struct EngineConfig {
     /// the tuning-plan cache) unless explicitly set, in which case that α
     /// is pinned for all traffic.
     pub base: DrTopKConfig,
-    /// Maximum number of delegate vectors the cache retains (FIFO
-    /// eviction). `0` disables delegate caching.
+    /// Maximum number of delegate vectors the cache retains
+    /// (least-recently-used eviction: a hit refreshes an entry). `0`
+    /// disables delegate caching.
     pub delegate_cache_capacity: usize,
     /// Corpora holding more than this many **keys** are routed through the
     /// sharded whole-cluster path. `None` uses the smallest device capacity

@@ -4,11 +4,16 @@
 //! Fused units are pulled from a shared atomic queue (dynamic load
 //! balancing: a worker that drew a cheap unit immediately takes the next
 //! one). Each unit executes as a **stage graph** on its worker's device:
-//! one shared delegate-pass stage — built, or recalled from the delegate
-//! cache by a lookup the calling thread resolves in plan order before
-//! dispatch — followed by every member query's own pipeline stages (first
-//! top-k, concatenation, second top-k — themselves scheduled by the core
-//! stage executor inside [`dr_topk_planned`]). The unit's
+//! pass → shared first top-k → per-member narrow / concatenate / second
+//! top-k. The shared delegate-pass stage is built, or recalled from the
+//! delegate cache by a lookup the calling thread resolves in plan order
+//! before dispatch. When two or more exact members run on it, one shared
+//! first top-k selects at their largest k (the paper's first top-k finds
+//! every winner, so it holds each smaller k's answer). Then every member
+//! query runs its own pipeline stages — themselves scheduled by the core
+//! stage executor inside [`dr_topk_planned`] — and those exact members
+//! narrow the shared first top-k to their k in one pass instead of
+//! selecting again. The unit's
 //! [`StageReport`] is the engine's single instrumentation point: per-phase
 //! times, the compute/transfer split and the modeled unit cost are all
 //! derived from it instead of being hand-accumulated at three sites.
@@ -22,13 +27,13 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use drtopk_core::{
     build_delegate_vector, capacity_in_keys, debug_assert_verified, distributed_dr_topk,
-    dr_topk_planned, topk_rows_on, DelegateVector, DrTopKConfig, DrTopKResult, ExecutedStage,
-    PhaseBreakdown, ReloadSchedule, Resource, RowMatrix, StageGraph, StageId, StageKind,
-    StageOutcome, StageReport,
+    dr_topk_planned, first_topk, topk_rows_on, DelegateVector, DrTopKConfig, DrTopKResult,
+    ExecutedStage, FirstTopK, PhaseBreakdown, PlannedQuery, ReloadSchedule, Resource, RowMatrix,
+    Shared, StageGraph, StageId, StageKind, StageOutcome, StageReport,
 };
 use drtopk_obs::TraceSink;
 use gpu_sim::{Device, GpuCluster, KernelStats};
@@ -46,8 +51,8 @@ struct FusedOutcome<K: TopKKey> {
     /// `(query index, modeled predicted recall, result)` per member.
     results: Vec<(usize, f64, DrTopKResult<K>)>,
     /// The unit's composed stage schedule: the shared delegate pass (when
-    /// one was built) followed by every member's stages, serial on the
-    /// worker's device.
+    /// one was built) and the shared first top-k (when one ran), followed
+    /// by every member's stages, serial on the worker's device.
     unit_stages: StageReport,
     /// The shared pass this unit built, for the caller to cache. A unit
     /// that needs delegates and built none took them from the cache.
@@ -103,35 +108,38 @@ pub(crate) struct ExecOutput<K: TopKKey> {
 
 /// Compose the unit-level stage report from the macro graph's schedule.
 ///
-/// The macro graph has one stage per member (plus the shared pass when one
-/// ran); each member macro stage is replaced here by that member's own
+/// The macro graph's first stages are the unit's shared work, one per
+/// entry of `shared` (the delegate pass when one ran, then the shared first
+/// top-k when one ran). They keep their place and take the kind `shared`
+/// gives them: in the macro graph every shared stage is tagged as the
+/// unit's pass, the one kind a member macro stage may wait on. Every later
+/// macro stage is one member, and is replaced here by that member's own
 /// executed pipeline stages, shifted onto the unit's serial timeline and
 /// re-tagged with the worker's device. Dependencies are remapped into the
-/// composed index space, with the shared pass as the root of every member
-/// chain.
+/// composed index space: a member's root stages wait on whatever its macro
+/// stage waited on.
 fn splice_unit_stages<K: TopKKey>(
     macro_report: &StageReport,
-    pass_ran: bool,
+    shared: &[StageKind],
     device: usize,
     results: &[DrTopKResult<K>],
 ) -> StageReport {
     let mut stages: Vec<ExecutedStage> = Vec::new();
-    let mut pass_idx: Option<usize> = None;
-    let mut members = results.iter();
-    for (i, macro_stage) in macro_report.stages.iter().enumerate() {
-        if pass_ran && i == 0 {
-            pass_idx = Some(stages.len());
-            stages.push(ExecutedStage {
-                resource: Resource::Compute(device),
-                ..macro_stage.clone()
-            });
-            continue;
-        }
-        let member = members.next().expect("one macro stage per member");
+    let (shared_stages, member_stages) = macro_report.stages.split_at(shared.len());
+    for (macro_stage, &kind) in shared_stages.iter().zip(shared) {
+        // The shared stages lead the composed list, so their indices and
+        // dependencies carry over unchanged.
+        stages.push(ExecutedStage {
+            kind,
+            resource: Resource::Compute(device),
+            ..macro_stage.clone()
+        });
+    }
+    for (macro_stage, member) in member_stages.iter().zip(results) {
         let base_idx = stages.len();
         for inner in &member.stages.stages {
             let deps = if inner.deps.is_empty() {
-                pass_idx.into_iter().collect()
+                macro_stage.deps.clone()
             } else {
                 inner.deps.iter().map(|d| d + base_idx).collect()
             };
@@ -162,12 +170,14 @@ fn splice_unit_stages<K: TopKKey>(
 }
 
 /// Run one fused unit as a real stage graph on its worker's device: the
-/// shared delegate pass (when `cached` holds none) is the root stage, and
-/// every member query is a dependent stage on the same device. The graph
-/// is single-resource, so the executor runs it inline on the calling worker
-/// thread; the member macro stages are then spliced into a unit-level
-/// report via [`splice_unit_stages`]. The outcome carries the pass it
-/// built, if any.
+/// shared delegate pass (when `cached` holds none) is the root stage; when
+/// two or more exact members run on the shared delegates, one shared first
+/// top-k at their largest k follows it; every member query is a dependent
+/// stage on the same device, and those exact members narrow the shared
+/// first top-k instead of selecting again. The graph is single-resource,
+/// so the executor runs it inline on the calling worker thread; the member
+/// macro stages are then spliced into a unit-level report via
+/// [`splice_unit_stages`]. The outcome carries the pass it built, if any.
 fn run_fused_unit<K: TopKKey>(
     device: &Device,
     device_idx: usize,
@@ -182,29 +192,57 @@ fn run_fused_unit<K: TopKKey>(
     // (no pass stage in the graph); a miss means the graph's first stage
     // builds it.
     let needs_build = unit.needs_delegates && cached.is_none();
+    // A member may only run against the shared pass when the pass covers
+    // its plan: equal β for exact members, a budget at least the member's
+    // own for approximate ones (more candidates only raise recall). The
+    // rare member that fell back to an incompatible exact plan builds its
+    // own pass.
+    let covered = |planned: &PlannedQuery| {
+        if planned.config.mode.strict_target().is_some() {
+            beta >= planned.config.beta
+        } else {
+            beta == planned.config.beta
+        }
+    };
+    // Exact members on the shared delegates differ only in k, so one first
+    // top-k at their largest k holds every one of their answers. A lone
+    // such member selects for itself, as a narrowing would only add a pass.
+    let selects = |planned: &PlannedQuery| {
+        unit.needs_delegates
+            && planned.use_delegates
+            && planned.config.mode.strict_target().is_none()
+            && covered(planned)
+    };
+    let selecting: Vec<&PlannedQuery> = unit.planned.iter().filter(|p| selects(p)).collect();
+    let shares_first = selecting.len() >= 2;
 
     struct UnitCtx<K: TopKKey> {
         delegates: Mutex<Option<Arc<DelegateVector<K>>>>,
+        first: OnceLock<FirstTopK<K>>,
         members: Vec<Mutex<Option<DrTopKResult<K>>>>,
     }
     let ctx = UnitCtx::<K> {
         delegates: Mutex::new(cached),
+        first: OnceLock::new(),
         members: unit.planned.iter().map(|_| Mutex::new(None)).collect(),
     };
 
     let mut graph: StageGraph<'_, UnitCtx<K>> = StageGraph::new();
-    let mut member_deps: Vec<StageId> = Vec::new();
+    // The kinds of the shared stages, in graph order, for the splice.
+    let mut shared_kinds: Vec<StageKind> = Vec::new();
+    // The one shared pass is the unit's first stage; its kind mirrors what
+    // the pass is (candidate generation for approximate groups, delegate
+    // construction otherwise).
+    let pass_kind = if unit.mode.strict_target().is_some() {
+        StageKind::BucketTopKPrime
+    } else {
+        StageKind::DelegateConstruction
+    };
+    let mut pass_deps: Vec<StageId> = Vec::new();
     if needs_build {
-        // The one shared pass is the unit's first stage; its kind mirrors
-        // what the pass is (candidate generation for approximate groups,
-        // delegate construction otherwise).
-        let kind = if unit.mode.strict_target().is_some() {
-            StageKind::BucketTopKPrime
-        } else {
-            StageKind::DelegateConstruction
-        };
-        member_deps.push(graph.add_labeled(
-            kind,
+        shared_kinds.push(pass_kind);
+        pass_deps.push(graph.add_labeled(
+            pass_kind,
             "shared delegate pass",
             Resource::Compute(device_idx),
             &[],
@@ -226,28 +264,53 @@ fn run_fused_unit<K: TopKKey>(
             },
         ));
     }
+    let mut select_deps = pass_deps.clone();
+    if shares_first {
+        let k_max = selecting.iter().map(|p| p.k).max().unwrap_or(0);
+        let skip_last_pass = selecting[0].config.skip_last_first_pass == Some(true);
+        shared_kinds.push(StageKind::FirstTopK);
+        // Tagged as the pass here: a member macro stage (a second top-k to
+        // the verifier) may wait on a pass but not on a first top-k. The
+        // splice restores `FirstTopK`.
+        select_deps = vec![graph.add_labeled(
+            pass_kind,
+            SHARED_FIRST_TOPK,
+            Resource::Compute(device_idx),
+            &pass_deps,
+            move |ctx: &UnitCtx<K>| {
+                let delegates = ctx
+                    .delegates
+                    .lock()
+                    .clone()
+                    .expect("the unit has delegates");
+                let first = first_topk(device, &delegates, k_max, skip_last_pass);
+                let outcome = StageOutcome {
+                    stats: first.stats,
+                    time_ms: first.time_ms,
+                };
+                ctx.first
+                    .set(first)
+                    .expect("one shared first top-k per unit");
+                outcome
+            },
+        )];
+    }
     for (m, planned) in unit.planned.iter().enumerate() {
+        let narrows = shares_first && selects(planned);
         graph.add_labeled(
             StageKind::SecondTopK,
             format!("member {m}"),
             Resource::Compute(device_idx),
-            &member_deps,
+            if narrows { &select_deps } else { &pass_deps },
             move |ctx: &UnitCtx<K>| {
-                // A member may only run against the shared pass when the
-                // pass covers its plan: equal β for exact members, a
-                // budget at least the member's own for approximate ones
-                // (more candidates only raise recall). The rare member
-                // that fell back to an incompatible exact plan builds its
-                // own pass.
                 let delegates = ctx.delegates.lock().clone();
-                let member_shared = delegates.as_deref().filter(|d| {
-                    if planned.config.mode.strict_target().is_some() {
-                        d.beta >= planned.config.beta
-                    } else {
-                        d.beta == planned.config.beta
+                let shared = delegates.as_deref().filter(|_| covered(planned)).map(|d| {
+                    match ctx.first.get().filter(|_| narrows) {
+                        Some(first) => Shared::Selected(d, first),
+                        None => Shared::Delegates(d),
                     }
                 });
-                let r = dr_topk_planned(device, data, member_shared, planned);
+                let r = dr_topk_planned(device, data, shared, planned);
                 let outcome = StageOutcome {
                     stats: r.stats,
                     time_ms: r.time_ms,
@@ -258,12 +321,14 @@ fn run_fused_unit<K: TopKKey>(
         );
     }
     let macro_report = graph.execute(&ctx);
-    let UnitCtx { delegates, members } = ctx;
+    let UnitCtx {
+        delegates, members, ..
+    } = ctx;
     let results: Vec<DrTopKResult<K>> = members
         .into_iter()
         .map(|slot| slot.into_inner().expect("member stage ran"))
         .collect();
-    let unit_stages = splice_unit_stages(&macro_report, needs_build, device_idx, &results);
+    let unit_stages = splice_unit_stages(&macro_report, &shared_kinds, device_idx, &results);
     let built = if needs_build {
         delegates.into_inner()
     } else {
@@ -282,6 +347,9 @@ fn run_fused_unit<K: TopKKey>(
         built,
     }
 }
+
+/// Label of a fused unit's shared first top-k stage.
+const SHARED_FIRST_TOPK: &str = "shared first top-k";
 
 /// Compose a row unit's stage report: the members' row-block schedules
 /// run back-to-back on the worker's device, so each member's stages are
@@ -657,4 +725,82 @@ pub(crate) fn execute_plan<K: TopKKey>(
         worker_loads,
         worker_units,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use drtopk_core::{ChosenPath, Direction, Mode, PathHint};
+    use gpu_sim::DeviceSpec;
+    use topk_baselines::{reference_topk, reference_topk_min};
+
+    #[test]
+    fn a_four_member_exact_unit_runs_one_shared_first_topk() {
+        let device = Device::new(DeviceSpec::v100s());
+        let data = topk_datagen::uniform(1 << 16, 5);
+        let base = DrTopKConfig::default();
+        let ks = [1, 40, 40, 300];
+        for direction in [Direction::Largest, Direction::Smallest] {
+            let config = DrTopKConfig {
+                alpha: Some(8),
+                path: PathHint::Delegate,
+                direction,
+                ..base.clone()
+            };
+            let planned: Vec<PlannedQuery> = ks
+                .iter()
+                .map(|&k| PlannedQuery::plan(data.len(), k, &config))
+                .collect();
+            assert!(planned.iter().all(|p| p.use_delegates));
+            let unit = FusedUnit {
+                corpus: 0,
+                direction,
+                mode: Mode::Exact,
+                queries: (0..ks.len()).collect(),
+                k_max: 300,
+                alpha: 8,
+                beta: base.beta,
+                tuning_cached: false,
+                planned,
+                needs_delegates: true,
+                path: ChosenPath::Delegate,
+            };
+            let out = run_fused_unit(&device, 0, &data, None, 0, &unit, &base);
+
+            let report = &out.unit_stages;
+            let diags = report.verify();
+            assert!(
+                diags.is_empty(),
+                "{direction:?}: spliced unit report: {diags:?}"
+            );
+            let shared: Vec<&ExecutedStage> = report
+                .stages
+                .iter()
+                .filter(|s| s.label == SHARED_FIRST_TOPK)
+                .collect();
+            assert_eq!(shared.len(), 1, "{direction:?}: one shared selection");
+            assert_eq!(shared[0].kind, StageKind::FirstTopK);
+            assert_eq!(shared[0].deps, vec![0], "it follows the shared pass");
+            let first_topk_stages = report
+                .stages
+                .iter()
+                .filter(|s| s.kind == StageKind::FirstTopK)
+                .count();
+            assert_eq!(first_topk_stages, 1 + ks.len(), "one narrowing per member");
+
+            for ((_, _, r), &k) in out.results.iter().zip(&ks) {
+                let diags = r.stages.verify();
+                assert!(
+                    diags.is_empty(),
+                    "{direction:?} k={k}: member report: {diags:?}"
+                );
+                assert!(r.time_ms > 0.0);
+                let want = match direction {
+                    Direction::Largest => reference_topk(&data, k),
+                    Direction::Smallest => reference_topk_min(&data, k),
+                };
+                assert_eq!(r.values, want, "{direction:?} k={k}");
+            }
+        }
+    }
 }

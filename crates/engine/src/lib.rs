@@ -66,7 +66,8 @@
 //! more field of the core request ([`drtopk_core::DrTopKConfig::direction`]),
 //! and every unit runs a core runner with it — fused members run the
 //! ordinary planned pipeline ([`drtopk_core::dr_topk_planned`]) against a
-//! shared delegate vector built for their direction — so every result is
+//! shared delegate vector built for their direction, and exact members
+//! narrow one shared first top-k taken on it — so every result is
 //! bit-identical to an independent [`drtopk_core::dr_topk`] call with the
 //! same direction. The workspace property tests pin this for all six key
 //! types, mixed directions, duplicate queries and degenerate `k`.

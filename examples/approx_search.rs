@@ -13,6 +13,7 @@
 
 use drtopk::core::{
     build_delegate_vector, dr_topk, dr_topk_planned, measured_recall, DrTopKConfig, PlannedQuery,
+    Shared,
 };
 use drtopk::prelude::*;
 use gpu_sim::KernelStats;
@@ -44,7 +45,12 @@ fn main() {
         exact_plan.config.construction,
         Direction::Largest,
     );
-    let exact_resident = dr_topk_planned(&device, &data, Some(&exact_shared), &exact_plan);
+    let exact_resident = dr_topk_planned(
+        &device,
+        &data,
+        Some(Shared::Delegates(&exact_shared)),
+        &exact_plan,
+    );
     println!(
         "exact:        α = {}, delegate vector {} entries; one-shot {} txns, resident {} txns",
         exact_cold.alpha,
@@ -69,7 +75,7 @@ fn main() {
             plan.config.construction,
             Direction::Largest,
         );
-        let resident = dr_topk_planned(&device, &data, Some(&shared), &plan);
+        let resident = dr_topk_planned(&device, &data, Some(Shared::Delegates(&shared)), &plan);
         assert_eq!(
             resident.values, cold.values,
             "sharing must not change results"

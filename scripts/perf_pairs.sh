@@ -7,12 +7,15 @@
 # --seconds SECONDS --trace 0`, parent first on even pairs and change first
 # on odd ones, so a drift of the host's speed does not favour either side.
 # Each pair prints both `norm_cpu_p50_ms` values and whether `modeled_ms`
-# agrees. The summary gives, for `norm_cpu_p50_ms`, `norm_cpu_p90_ms` and
+# agrees, or both `modeled_ms` values and their change when it does not.
+# The summary gives, for `norm_cpu_p50_ms`, `norm_cpu_p90_ms` and
 # `norm_throughput_sel_s`, both medians, the change's wins out of PAIRS
 # (lower time or higher throughput) and the parent's interquartile range,
-# then whether `modeled_ms` agreed on every pair and the failed calls of
-# each side: the evidence a claimed gain needs (wins in at least nine of
-# ten pairs, median gap larger than the parent's IQR).
+# then whether `modeled_ms` agreed on every pair (if not, both medians and
+# the relative change, so a change that moves the model on purpose reports
+# it from the same run) and the failed calls of each side: the evidence a
+# claimed gain needs (wins in at least nine of ten pairs, median gap larger
+# than the parent's IQR).
 #
 # Build the binaries first, each from its own checkout, e.g.
 #   CARGO_TARGET_DIR=/tmp/a cargo build --release --offline \
@@ -53,9 +56,10 @@ import json, sys
 out, seed = sys.argv[1:]
 a, b = (json.load(open(f"{out}/{side}.{seed}.json")) for side in ("parent", "change"))
 va, vb = (r["metrics"]["norm_cpu_p50_ms"]["value"] for r in (a, b))
-same = a["metrics"]["modeled_ms"]["value"] == b["metrics"]["modeled_ms"]["value"]
+ma, mb = (r["metrics"]["modeled_ms"]["value"] for r in (a, b))
+modeled = "equal" if ma == mb else f"{ma:.4f} -> {mb:.4f} ({(mb - ma) / ma:+.1%})"
 print(f"seed {seed}: p50 parent {va:.4f}  change {vb:.4f}  ({(vb - va) / va:+.1%})"
-      f"  modeled_ms {'equal' if same else 'DIFFERS'}"
+      f"  modeled_ms {modeled}"
       f"  failed {a['failed']}/{b['failed']}")
 PY
 done
@@ -74,9 +78,12 @@ for metric, lower_wins in [("norm_cpu_p50_ms", True), ("norm_cpu_p90_ms", True),
     ma, mb = statistics.median(a), statistics.median(b)
     print(f"  {metric}: median parent {ma:.4f}  change {mb:.4f}  ({(mb - ma) / ma:+.1%});"
           f" change wins {wins}/{n}; parent IQR {q3 - q1:.4f}; |median gap| {abs(mb - ma):.4f}")
-equal = all(a["metrics"]["modeled_ms"]["value"] == b["metrics"]["modeled_ms"]["value"]
-            for a, b in zip(runs["parent"], runs["change"]))
-print(f"  modeled_ms equal on every pair: {'yes' if equal else 'NO'}")
+ma, mb = ([r["metrics"]["modeled_ms"]["value"] for r in runs[side]] for side in ("parent", "change"))
+if ma == mb:
+    print("  modeled_ms: equal on every pair")
+else:
+    pa, pb = statistics.median(ma), statistics.median(mb)
+    print(f"  modeled_ms: DIFFERS; median parent {pa:.4f}  change {pb:.4f}  ({(pb - pa) / pa:+.1%})")
 print(f"  failed calls: parent {sum(r['failed'] for r in runs['parent'])},"
       f" change {sum(r['failed'] for r in runs['change'])}")
 PY

@@ -6,7 +6,7 @@
 
 use drtopk::core::{
     build_delegate_vector, dr_topk, dr_topk_planned, measured_recall, DrTopKConfig, Mode,
-    PlannedQuery, RecallTarget,
+    PlannedQuery, RecallTarget, Shared,
 };
 use drtopk::prelude::*;
 use gpu_sim::KernelStats;
@@ -154,7 +154,12 @@ fn approx_moves_fewer_transactions_than_exact() {
         exact_plan.config.construction,
         Direction::Largest,
     );
-    let exact_resident = dr_topk_planned(&dev, &data, Some(&exact_shared), &exact_plan);
+    let exact_resident = dr_topk_planned(
+        &dev,
+        &data,
+        Some(Shared::Delegates(&exact_shared)),
+        &exact_plan,
+    );
 
     let cfg = DrTopKConfig::approx(0.95);
     let plan = PlannedQuery::plan(n, k, &cfg);
@@ -167,7 +172,7 @@ fn approx_moves_fewer_transactions_than_exact() {
         plan.config.construction,
         Direction::Largest,
     );
-    let resident = dr_topk_planned(&dev, &data, Some(&shared), &plan);
+    let resident = dr_topk_planned(&dev, &data, Some(Shared::Delegates(&shared)), &plan);
 
     assert!(
         transactions(&cold.stats) < transactions(&exact_cold.stats),
@@ -207,7 +212,12 @@ fn approx_modeled_time_beats_exact_at_serving_shapes() {
         exact_plan.config.construction,
         Direction::Largest,
     );
-    let exact = dr_topk_planned(&dev, &data, Some(&exact_shared), &exact_plan);
+    let exact = dr_topk_planned(
+        &dev,
+        &data,
+        Some(Shared::Delegates(&exact_shared)),
+        &exact_plan,
+    );
 
     let plan = PlannedQuery::plan(n, k, &DrTopKConfig::approx(0.95));
     let shared = build_delegate_vector(
@@ -218,7 +228,7 @@ fn approx_modeled_time_beats_exact_at_serving_shapes() {
         plan.config.construction,
         Direction::Largest,
     );
-    let approx = dr_topk_planned(&dev, &data, Some(&shared), &plan);
+    let approx = dr_topk_planned(&dev, &data, Some(Shared::Delegates(&shared)), &plan);
     assert!(
         approx.time_ms < exact.time_ms,
         "resident approx {} ms vs exact {} ms",

@@ -7,7 +7,7 @@
 mod common;
 
 use common::engine;
-use drtopk::core::{dr_topk, DrTopKConfig};
+use drtopk::core::{dr_topk, DrTopKConfig, PathHint};
 use drtopk::engine::{Direction, EngineConfig, Query, QueryBatch, TopKEngine};
 use drtopk::prelude::*;
 use proptest::prelude::*;
@@ -16,6 +16,17 @@ use proptest::prelude::*;
 /// independent single-query calls, comparing bit patterns (so float NaNs
 /// compare identically).
 fn assert_batch_matches_independent<K: TopKKey>(data: &[K], specs: &[(usize, bool)]) {
+    assert_batch_on_path_matches_independent(data, specs, PathHint::Auto);
+}
+
+/// [`assert_batch_matches_independent`] with the batch's queries pinned to
+/// `path` (the independent calls keep the default, so every path must
+/// agree with it).
+fn assert_batch_on_path_matches_independent<K: TopKKey>(
+    data: &[K],
+    specs: &[(usize, bool)],
+    path: PathHint,
+) {
     let eng = engine(2);
     let mut batch = QueryBatch::new();
     let c = batch.add_corpus(1, data);
@@ -30,7 +41,7 @@ fn assert_batch_matches_independent<K: TopKKey>(data: &[K], specs: &[(usize, boo
             },
             inner: drtopk::core::InnerAlgorithm::FlagRadix,
             mode: drtopk::core::Mode::Exact,
-            path: drtopk::core::PathHint::Auto,
+            path,
         });
     }
     let out = eng.run_batch(&batch).expect("batch must execute");
@@ -59,7 +70,8 @@ proptest! {
 
     /// A fused shared-corpus batch is bit-identical to N independent calls
     /// for every key type — with mixed directions, duplicate queries and
-    /// degenerate k = 0 / k > |V| members forced into every batch.
+    /// degenerate k = 0 / k > |V| members forced into every batch — on the
+    /// generated corpus and on a tie-heavy one.
     #[test]
     fn fused_batch_equals_independent_calls_for_all_key_types(
         raw in proptest::collection::vec(any::<u32>(), 64..3000),
@@ -76,22 +88,42 @@ proptest! {
         specs.push((0, true));
         specs.push((raw.len() + 17, false)); // k > |V|, clamped
 
-        assert_batch_matches_independent::<u32>(&raw, &specs);
-        let as_u64: Vec<u64> = raw.iter().map(|&x| (x as u64) << 13 | 0x5).collect();
-        assert_batch_matches_independent::<u64>(&as_u64, &specs);
-        let as_i32: Vec<i32> = raw.iter().map(|&x| x as i32).collect();
-        assert_batch_matches_independent::<i32>(&as_i32, &specs);
-        let as_i64: Vec<i64> = raw.iter().map(|&x| x as i64 - (1 << 31)).collect();
-        assert_batch_matches_independent::<i64>(&as_i64, &specs);
-        // raw bit reinterpretation: exercises NaN/∞/subnormal float keys
-        let as_f32: Vec<f32> = raw.iter().map(|&x| f32::from_bits(x)).collect();
-        assert_batch_matches_independent::<f32>(&as_f32, &specs);
-        let as_f64: Vec<f64> = raw
-            .iter()
-            .map(|&x| f64::from_bits(((x as u64) << 32) | x as u64))
-            .collect();
-        assert_batch_matches_independent::<f64>(&as_f64, &specs);
+        assert_all_key_types(&raw, &specs, PathHint::Auto);
+
+        // A tie-heavy corpus of at most 8 distinct values, so member
+        // thresholds land inside tie runs. It is pinned to the delegate
+        // path, where a fused unit's exact members narrow one shared first
+        // top-k. Small copies of every k stay below the delegate count, and
+        // the largest of them, the unit's k_max, runs in both directions.
+        let ties: Vec<u32> = raw.iter().map(|&x| x % 8).collect();
+        let small: Vec<(usize, bool)> =
+            specs.iter().map(|&(k, largest)| (k % 32 + 1, largest)).collect();
+        let k_top = small.iter().map(|&(k, _)| k).max().unwrap_or(1);
+        let mut tie_specs = specs.clone();
+        tie_specs.extend(small);
+        tie_specs.extend([(k_top, true), (k_top, false)]);
+        assert_all_key_types(&ties, &tie_specs, PathHint::Delegate);
     }
+}
+
+/// [`assert_batch_on_path_matches_independent`] over `raw` mapped through
+/// each of the six key types.
+fn assert_all_key_types(raw: &[u32], specs: &[(usize, bool)], path: PathHint) {
+    assert_batch_on_path_matches_independent::<u32>(raw, specs, path);
+    let as_u64: Vec<u64> = raw.iter().map(|&x| (x as u64) << 13 | 0x5).collect();
+    assert_batch_on_path_matches_independent::<u64>(&as_u64, specs, path);
+    let as_i32: Vec<i32> = raw.iter().map(|&x| x as i32).collect();
+    assert_batch_on_path_matches_independent::<i32>(&as_i32, specs, path);
+    let as_i64: Vec<i64> = raw.iter().map(|&x| x as i64 - (1 << 31)).collect();
+    assert_batch_on_path_matches_independent::<i64>(&as_i64, specs, path);
+    // raw bit reinterpretation: exercises NaN/∞/subnormal float keys
+    let as_f32: Vec<f32> = raw.iter().map(|&x| f32::from_bits(x)).collect();
+    assert_batch_on_path_matches_independent::<f32>(&as_f32, specs, path);
+    let as_f64: Vec<f64> = raw
+        .iter()
+        .map(|&x| f64::from_bits(((x as u64) << 32) | x as u64))
+        .collect();
+    assert_batch_on_path_matches_independent::<f64>(&as_f64, specs, path);
 }
 
 #[test]
@@ -232,7 +264,7 @@ fn generated_workloads_run_end_to_end_on_a_cluster() {
             },
             inner: drtopk::core::InnerAlgorithm::FlagRadix,
             mode: drtopk::core::Mode::Exact,
-            path: drtopk::core::PathHint::Auto,
+            path: PathHint::Auto,
         });
     }
     let out = eng.run_batch(&batch).unwrap();

@@ -341,7 +341,7 @@ proptest! {
 
 use drtopk::core::{
     choose_path_sampled, distributed_dr_topk, dr_topk_planned, topk_rows_on, ChosenPath, PathHint,
-    PlannedQuery, ReloadSchedule,
+    PlannedQuery, ReloadSchedule, Shared,
 };
 use drtopk::sim::GpuCluster;
 
@@ -451,7 +451,7 @@ fn assert_smallest_on_every_runner<K: TopKKey>(
         planned.config.construction,
         Direction::Smallest,
     );
-    let got = dr_topk_planned(device, data, Some(&shared), &planned);
+    let got = dr_topk_planned(device, data, Some(Shared::Delegates(&shared)), &planned);
     check("dr_topk_planned (shared)", &got.values, got.kth_value)?;
 
     let cluster = GpuCluster::homogeneous(2, DeviceSpec::v100s());
