@@ -15,7 +15,7 @@
 //! collapses and performance falls off a cliff (the paper caps the original
 //! implementation at `k ≤ 256`).
 
-use gpu_sim::{Device, KernelStats, WARP_SIZE};
+use gpu_sim::{Device, KernelStats};
 use std::cmp::Reverse;
 
 use crate::key::TopKKey;
@@ -131,9 +131,6 @@ pub fn bitonic_iterations(n: usize, k: usize) -> usize {
     let ratio = n.div_ceil(k);
     (usize::BITS - (ratio - 1).leading_zeros()) as usize
 }
-
-/// Warp size re-export used by sizing heuristics in callers.
-pub const BITONIC_WARP: usize = WARP_SIZE;
 
 #[cfg(test)]
 mod tests {

@@ -136,7 +136,7 @@ pub fn run_baseline_checked(
 }
 
 /// The per-phase breakdown row used by Figures 6, 7, 10 and 15.
-pub fn breakdown_row(k: usize, r: &DrTopKResult) -> Vec<String> {
+pub(crate) fn breakdown_row(k: usize, r: &DrTopKResult) -> Vec<String> {
     vec![
         k.to_string(),
         fmt(r.breakdown.delegate_ms),
@@ -150,7 +150,7 @@ pub fn breakdown_row(k: usize, r: &DrTopKResult) -> Vec<String> {
 }
 
 /// Header matching [`breakdown_row`].
-pub const BREAKDOWN_HEADER: [&str; 8] = [
+pub(crate) const BREAKDOWN_HEADER: [&str; 8] = [
     "k",
     "delegate_ms",
     "first_topk_ms",

@@ -83,35 +83,30 @@ impl<S: TopKKey> BmwIndex<S> {
         self.postings.is_empty()
     }
 
-    /// Block size used by the index.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
     /// Number of blocks.
     pub fn num_blocks(&self) -> usize {
         self.block_max.len()
     }
 
     /// All postings, in doc-id order.
-    pub fn postings(&self) -> &[Posting<S>] {
+    pub(crate) fn postings(&self) -> &[Posting<S>] {
         &self.postings
     }
 
     /// Maximum score of block `b`.
-    pub fn block_max(&self, b: usize) -> S {
+    pub(crate) fn block_max(&self, b: usize) -> S {
         self.block_max[b]
     }
 
     /// Block index containing posting position `pos`.
-    pub fn block_of(&self, pos: usize) -> usize {
+    pub(crate) fn block_of(&self, pos: usize) -> usize {
         pos / self.block_size
     }
 
     /// Position (within the postings) of the first posting of the block
     /// *after* the one containing `pos` — i.e. where a block-level skip
     /// lands.
-    pub fn next_block_start(&self, pos: usize) -> usize {
+    pub(crate) fn next_block_start(&self, pos: usize) -> usize {
         (self.block_of(pos) + 1) * self.block_size
     }
 }
@@ -131,7 +126,7 @@ mod tests {
         assert_eq!(idx.block_max(2), 8);
         assert_eq!(idx.block_of(4), 1);
         assert_eq!(idx.next_block_start(4), 6);
-        assert_eq!(idx.block_size(), 3);
+        assert_eq!(idx.block_size, 3);
         assert!(!idx.is_empty());
     }
 

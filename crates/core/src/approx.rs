@@ -30,7 +30,7 @@
 //! E[recall] = (b / k) · E[min(X, k')]        b = number of buckets
 //! ```
 //!
-//! [`expected_recall`] evaluates that model, [`required_budget`] inverts it
+//! [`expected_recall`] evaluates that model, `required_budget` inverts it
 //! (the smallest `k'` meeting a target), and
 //! [`optimal_approx_tuning`](crate::tuning::optimal_approx_tuning) picks the
 //! `(α, k')` pair that minimises the candidate count subject to the target.
@@ -78,7 +78,7 @@ impl RecallTarget {
     ///
     /// # Panics
     /// Panics when `fraction` is not within `(0, 1]`.
-    pub fn from_fraction(fraction: f64) -> RecallTarget {
+    pub(crate) fn from_fraction(fraction: f64) -> RecallTarget {
         assert!(
             fraction > 0.0 && fraction <= 1.0,
             "recall target must be within (0, 1], got {fraction}"
@@ -86,31 +86,13 @@ impl RecallTarget {
         RecallTarget(((fraction * 10_000.0).round() as u16).clamp(1, 10_000))
     }
 
-    /// Build a target from basis points in `1..=10_000` (`9500` = 0.95) —
-    /// the representation workload generators emit.
-    ///
-    /// # Panics
-    /// Panics when `bp` is 0 or above 10 000.
-    pub fn from_basis_points(bp: u16) -> RecallTarget {
-        assert!(
-            (1..=10_000).contains(&bp),
-            "recall basis points must be within 1..=10000, got {bp}"
-        );
-        RecallTarget(bp)
-    }
-
     /// The target as a fraction in `(0, 1]`.
     pub fn fraction(self) -> f64 {
         self.0 as f64 / 10_000.0
     }
 
-    /// The target in basis points (`9500` = 0.95).
-    pub fn basis_points(self) -> u16 {
-        self.0
-    }
-
     /// True when the target demands recall 1.0 (the exact pipeline runs).
-    pub fn is_exact(self) -> bool {
+    pub(crate) fn is_exact(self) -> bool {
         self.0 == 10_000
     }
 
@@ -122,7 +104,7 @@ impl RecallTarget {
     /// sampling variance around the mean (a target of 0.95 plans for
     /// 0.9875). The cost impact is small: the required budget grows by at
     /// most one or two candidates per bucket at serving shapes.
-    pub fn with_planning_headroom(self) -> RecallTarget {
+    pub(crate) fn with_planning_headroom(self) -> RecallTarget {
         if self.is_exact() {
             return self;
         }
@@ -222,7 +204,7 @@ pub fn expected_recall(k: usize, num_buckets: usize, budget: usize) -> f64 {
 /// The smallest per-bucket candidate budget whose [`expected_recall`] meets
 /// `target` for `k` winners over `num_buckets` buckets. Always at most `k`
 /// (a budget of `k` is exact: no bucket can crowd out more than it holds).
-pub fn required_budget(k: usize, num_buckets: usize, target: RecallTarget) -> usize {
+pub(crate) fn required_budget(k: usize, num_buckets: usize, target: RecallTarget) -> usize {
     assert!(num_buckets >= 1, "need at least one bucket");
     if k == 0 {
         return 1;
@@ -389,7 +371,7 @@ mod tests {
     #[test]
     fn recall_target_roundtrips_and_orders() {
         let t = RecallTarget::from_fraction(0.95);
-        assert_eq!(t.basis_points(), 9500);
+        assert_eq!(t.0, 9500);
         assert!((t.fraction() - 0.95).abs() < 1e-12);
         assert!(!t.is_exact());
         assert!(RecallTarget::EXACT.is_exact());
@@ -397,7 +379,7 @@ mod tests {
         assert_eq!(RecallTarget::from_fraction(1.0), RecallTarget::EXACT);
         assert_eq!(format!("{}", t), "0.9500");
         // tiny fractions clamp to one basis point rather than zero
-        assert_eq!(RecallTarget::from_fraction(1e-9).basis_points(), 1);
+        assert_eq!(RecallTarget::from_fraction(1e-9).0, 1);
     }
 
     #[test]
@@ -409,26 +391,14 @@ mod tests {
     #[test]
     fn planning_headroom_spends_a_quarter_of_the_allowance() {
         let t = RecallTarget::from_fraction(0.95).with_planning_headroom();
-        assert_eq!(t.basis_points(), 9875);
+        assert_eq!(t.0, 9875);
         let t = RecallTarget::from_fraction(0.9).with_planning_headroom();
-        assert_eq!(t.basis_points(), 9750);
+        assert_eq!(t.0, 9750);
         // never inflates into exactness
-        let t = RecallTarget::from_basis_points(9999).with_planning_headroom();
-        assert_eq!(t.basis_points(), 9999);
+        let t = RecallTarget::from_fraction(0.9999).with_planning_headroom();
+        assert_eq!(t.0, 9999);
         assert!(!t.is_exact());
         assert!(RecallTarget::EXACT.with_planning_headroom().is_exact());
-    }
-
-    #[test]
-    fn basis_point_constructor_roundtrips() {
-        let t = RecallTarget::from_basis_points(9500);
-        assert_eq!(t, RecallTarget::from_fraction(0.95));
-    }
-
-    #[test]
-    #[should_panic(expected = "recall basis points")]
-    fn zero_basis_points_panic() {
-        RecallTarget::from_basis_points(0);
     }
 
     #[test]

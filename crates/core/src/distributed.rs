@@ -3,7 +3,7 @@
 //!
 //! The input vector is partitioned into equal sub-vectors no longer than a
 //! device's memory capacity and dealt over the devices by capability
-//! ([`place_shards`]): round-robin on a homogeneous cluster, exactly as the
+//! (`place_shards`): round-robin on a homogeneous cluster, exactly as the
 //! paper prescribes, while a heterogeneous cluster hands faster devices
 //! proportionally more sub-vectors so no slow device bounds the makespan.
 //! Each device runs the single-GPU Dr. Top-k on every sub-vector assigned
@@ -175,7 +175,7 @@ pub fn capacity_in_keys<K>(capacity_u32_elems: usize) -> usize {
 /// Partition `n` elements into sub-vectors of at most `capacity` elements,
 /// returned as index ranges. Sub-vectors are equally sized (within one
 /// element) as the paper prescribes.
-pub fn partition_subvectors(n: usize, capacity: usize) -> Vec<std::ops::Range<usize>> {
+pub(crate) fn partition_subvectors(n: usize, capacity: usize) -> Vec<std::ops::Range<usize>> {
     assert!(capacity > 0, "device capacity must be positive");
     if n == 0 {
         return Vec::new();
@@ -201,7 +201,7 @@ pub fn partition_subvectors(n: usize, capacity: usize) -> Vec<std::ops::Range<us
 /// which shortens the slowest-device tail that bounds the makespan.
 ///
 /// Returns the owning device index for every sub-vector.
-pub fn place_shards(lens: &[usize], capabilities: &[f64]) -> Vec<usize> {
+pub(crate) fn place_shards(lens: &[usize], capabilities: &[f64]) -> Vec<usize> {
     assert!(!capabilities.is_empty(), "need at least one device");
     assert!(
         capabilities.iter().all(|&c| c > 0.0 && c.is_finite()),

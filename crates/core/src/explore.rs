@@ -17,7 +17,7 @@
 //!    stages and an empty ready set is a deadlock and fails exploration
 //!    immediately.
 //! 3. Run every enumerated order serially through
-//!    [`StageGraph::execute_in_order`] on a freshly built graph + context,
+//!    `StageGraph::execute_in_order` on a freshly built graph + context,
 //!    and require (a) byte-identical
 //!    [`deterministic_summary`](crate::stages::StageReport::deterministic_summary)
 //!    strings and (b) equal caller-defined result fingerprints (bit

@@ -75,13 +75,13 @@ pub mod stages;
 pub mod tuning;
 pub mod verify;
 
-pub use approx::{expected_recall, measured_recall, required_budget, Mode, RecallTarget};
+pub use approx::{expected_recall, measured_recall, Mode, RecallTarget};
 pub use concat::{concatenate, Concatenated};
 pub use delegate::{build_delegate_vector, ConstructionMethod, DelegateVector};
 pub use direction::Direction;
 pub use distributed::{
-    capacity_in_keys, distributed_dr_topk, distributed_dr_topk_explore, partition_subvectors,
-    place_shards, DistributedResult, ReloadSchedule,
+    capacity_in_keys, distributed_dr_topk, distributed_dr_topk_explore, DistributedResult,
+    ReloadSchedule,
 };
 pub use explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 pub use first_topk::{first_topk, FirstTopK};
@@ -97,9 +97,9 @@ pub use stages::{
 };
 pub use topk_baselines::{KeyBits, TopKKey};
 pub use tuning::{
-    auto_alpha, choose_path, choose_path_sampled, estimate_radix_survival, is_convex_in_alpha,
-    model_optimal_alpha, optimal_approx_tuning, predicted_approx_cost, predicted_cost, rule4_alpha,
-    ApproxTuning, ChosenPath, PathHint, PredictedCost, PAPER_RULE4_CONST, RADIX_DIGIT_SURVIVAL,
+    auto_alpha, choose_path, choose_path_sampled, is_convex_in_alpha, model_optimal_alpha,
+    optimal_approx_tuning, predicted_approx_cost, predicted_cost, rule4_alpha, ApproxTuning,
+    ChosenPath, PathHint, PredictedCost, PAPER_RULE4_CONST,
 };
 pub use verify::{
     debug_assert_verified, verify_specs, Diagnostic, DiagnosticCode, StageSpec, VerifyOptions,

@@ -103,11 +103,11 @@ pub struct DrTopKConfig {
     pub inner: InnerAlgorithm,
     /// Skip the last radix pass of the first top-k (the paper enables this
     /// once β delegates + filtering absorb the lost precision on uniform-like
-    /// data). `None` defaults to off, because on highly concentrated value
+    /// data). Off by default, because on highly concentrated value
     /// distributions (e.g. ND) the relaxed threshold admits far too many
-    /// subranges; the breakdown harnesses enable it explicitly where the
-    /// paper does.
-    pub skip_last_first_pass: Option<bool>,
+    /// subranges. The result stays exact either way: the relaxed threshold
+    /// only admits more subranges into the second top-k.
+    pub skip_last_first_pass: bool,
     /// Rule 4 constant used when `alpha` is `None`.
     pub rule4_const: f64,
     /// Which execution path to run: the delegate pipeline, the multi-pass
@@ -153,7 +153,7 @@ impl Default for DrTopKConfig {
             filtering: true,
             construction: ConstructionMethod::Auto,
             inner: InnerAlgorithm::FlagRadix,
-            skip_last_first_pass: None,
+            skip_last_first_pass: false,
             rule4_const: PAPER_RULE4_CONST,
             path: PathHint::Auto,
             mode: Mode::Exact,
@@ -252,10 +252,6 @@ impl DrTopKConfig {
             Some(a) => a,
             None => auto_alpha(n.max(2), k.max(1), self.beta, self.rule4_const),
         }
-    }
-
-    pub(crate) fn resolve_skip_last(&self) -> bool {
-        self.skip_last_first_pass.unwrap_or(false)
     }
 }
 
@@ -452,11 +448,15 @@ impl PlannedQuery {
         // exist and pruning is impossible anyway), the delegate machinery
         // cannot help — fall back to the inner algorithm directly, which is
         // what a production library should do.
-        let subrange_size = 1usize << alpha;
-        let num_subranges = n.div_ceil(subrange_size);
-        let delegate_capacity =
-            num_subranges.saturating_sub(1) * config.beta.min(subrange_size) + 1;
-        let use_delegates = k > 0 && n > subrange_size && n > k && k < delegate_capacity;
+        // An α outside construction's `1..32` has no delegate split at all
+        // (and `1 << α` may not even fit), so it takes the same direct run.
+        let use_delegates = (1..32).contains(&alpha) && {
+            let subrange_size = 1usize << alpha;
+            let num_subranges = n.div_ceil(subrange_size);
+            let delegate_capacity =
+                num_subranges.saturating_sub(1) * config.beta.min(subrange_size) + 1;
+            k > 0 && n > subrange_size && n > k && k < delegate_capacity
+        };
         PlannedQuery {
             k,
             alpha,
@@ -787,7 +787,7 @@ pub(crate) fn run_planned<K: TopKKey>(
             let delegates = delegates_of(&guard, shared_delegates);
             let first = match shared_first {
                 Some(unit) => narrow_first_topk(device, delegates, unit, k),
-                None => select_first_topk(device, delegates, k, config.resolve_skip_last()),
+                None => select_first_topk(device, delegates, k, config.skip_last_first_pass),
             };
             let outcome = StageOutcome {
                 stats: first.stats,
@@ -969,7 +969,7 @@ mod tests {
                 ..DrTopKConfig::default()
             },
             DrTopKConfig {
-                skip_last_first_pass: Some(true),
+                skip_last_first_pass: true,
                 ..DrTopKConfig::default()
             },
         ];

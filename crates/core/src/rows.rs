@@ -458,7 +458,7 @@ fn build_rows_graph<'a, K: TopKKey>(
                             let dv = block.delegates[l].as_ref().expect("fused pass ran");
                             let planned = &layout.plans[start + l];
                             let k = planned.k.min(dv.len());
-                            let skip_last = planned.config.resolve_skip_last();
+                            let skip_last = planned.config.skip_last_first_pass;
                             let values = kctx.read_coalesced(&dv.values);
                             let passes = K::Bits::BITS / BITS_PER_PASS - u32::from(skip_last);
                             record_warp_select(kctx, values.len(), passes);

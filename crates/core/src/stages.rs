@@ -26,7 +26,7 @@
 //!   which is exactly how double-buffered chunked ingestion hides
 //!   host→device transfers behind compute. A graph that touches a single
 //!   resource runs inline on the calling thread instead.
-//! * [`StageGraph::execute_in_order`] runs the closures on the calling
+//! * `StageGraph::execute_in_order` runs the closures on the calling
 //!   thread in one explicit dispatch order — the replay primitive of the
 //!   schedule model checker ([`crate::explore`]).
 //!
@@ -321,9 +321,9 @@ impl<'g, C> StageGraph<'g, C> {
 
     /// Attach a [`TraceSink`]: every `execute*` entry point will then
     /// record one span per executed stage (via
-    /// [`StageReport::record_into`]) and live executor events — dispatches,
-    /// dependency-gate wakes, and debug-build verifier passes. Detached
-    /// graphs skip all of it.
+    /// [`StageReport::record_shifted`]) and live executor events —
+    /// dispatches, dependency-gate wakes, and debug-build verifier passes.
+    /// Detached graphs skip all of it.
     pub fn set_trace_sink(&mut self, sink: &'g dyn TraceSink) {
         self.sink = Some(sink);
     }
@@ -637,7 +637,7 @@ impl<'g, C> StageGraph<'g, C> {
     /// earlier-inserted stage on its own resource (workers drain their
     /// worklists in FIFO order). Does not require `C: Sync` — everything
     /// runs on the calling thread.
-    pub fn execute_in_order(self, ctx: &C, order: &[usize]) -> StageReport {
+    pub(crate) fn execute_in_order(self, ctx: &C, order: &[usize]) -> StageReport {
         self.debug_verify();
         let sink = self.sink;
         let (metas, runs) = self.into_parts();
@@ -810,22 +810,13 @@ pub struct StageReport {
     /// Measured end-to-end host wall-clock: the latest measured stage
     /// completion. When [`StageGraph::execute`] runs stages of different
     /// resources on their own workers, they overlap in wall-clock and this
-    /// falls below [`StageReport::measured_serial_ms`]; for single-resource
-    /// graphs and [`StageGraph::execute_in_order`] it is the serialized
-    /// sum. **Not deterministic.**
+    /// falls below the sum of the stages' measured durations; for
+    /// single-resource graphs and `StageGraph::execute_in_order` it is the
+    /// serialized sum. **Not deterministic.**
     pub measured_makespan_ms: f64,
 }
 
 impl StageReport {
-    /// Sum of the durations of all compute stages.
-    pub fn compute_ms(&self) -> f64 {
-        self.stages
-            .iter()
-            .filter(|s| matches!(s.resource, Resource::Compute(_)))
-            .map(ExecutedStage::duration_ms)
-            .sum()
-    }
-
     /// Sum of the durations of all transfer stages.
     pub fn transfer_ms(&self) -> f64 {
         self.stages
@@ -841,14 +832,6 @@ impl StageReport {
         self.stages.iter().map(ExecutedStage::duration_ms).sum()
     }
 
-    /// Modeled time hidden by overlap: `serial_ms − makespan_ms` (0 for a
-    /// fully serial schedule). In modeled time makespan ≤ serial always
-    /// holds (the executor debug-asserts it), so the clamp at 0 is purely
-    /// defensive.
-    pub fn hidden_ms(&self) -> f64 {
-        (self.serial_ms() - self.makespan_ms).max(0.0)
-    }
-
     /// Fraction of the serialized cost hidden by overlap:
     /// `1 − makespan / serial`, in `[0, 1)`; 0 for an empty or fully
     /// serial schedule.
@@ -858,34 +841,6 @@ impl StageReport {
             return 0.0;
         }
         (1.0 - self.makespan_ms / serial).max(0.0)
-    }
-
-    /// Sum of every stage's *measured* host wall-clock duration — what the
-    /// run would have cost with no host-side overlap at all.
-    pub fn measured_serial_ms(&self) -> f64 {
-        self.stages.iter().map(ExecutedStage::measured_ms).sum()
-    }
-
-    /// Measured host wall-clock hidden by the threaded executor:
-    /// `measured_serial_ms − measured_makespan_ms`, clamped at 0.
-    ///
-    /// Unlike the modeled timeline, the measured one may *violate*
-    /// makespan ≤ serial (scheduling jitter, contended host cores), so
-    /// here the clamp is load-bearing, not defensive.
-    pub fn measured_hidden_ms(&self) -> f64 {
-        (self.measured_serial_ms() - self.measured_makespan_ms).max(0.0)
-    }
-
-    /// Fraction of the measured serialized cost hidden by the threaded
-    /// executor, clamped into `[0, 1]`. The pre-clamp ratio can go
-    /// negative when scheduling jitter makes the measured makespan exceed
-    /// the measured serial sum — see [`StageReport::measured_hidden_ms`].
-    pub fn measured_overlap_efficiency(&self) -> f64 {
-        let serial = self.measured_serial_ms();
-        if serial <= 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.measured_makespan_ms / serial).clamp(0.0, 1.0)
     }
 
     /// Kernel counters summed over every stage.
@@ -955,11 +910,11 @@ impl StageReport {
     /// `queue_wait_ms` is the modeled gap between a stage's readiness (all
     /// dependencies complete) and its start, i.e. time spent waiting for
     /// its resource.
-    pub fn record_into(&self, sink: &dyn TraceSink) {
+    pub(crate) fn record_into(&self, sink: &dyn TraceSink) {
         self.record_shifted(sink, 0.0);
     }
 
-    /// Like [`StageReport::record_into`] but with every interval (modeled
+    /// Like `StageReport::record_into` but with every interval (modeled
     /// *and* measured) shifted by `offset_ms` — used by the engine to place
     /// per-unit stage reports onto the batch timeline at their scheduled
     /// worker start times. An offset of exactly `0.0` preserves the
@@ -984,26 +939,6 @@ impl StageReport {
                 queue_wait_ms: (s.start_ms - ready_ms).max(0.0),
             });
         }
-    }
-
-    /// Per-resource busy time and occupancy, in first-occurrence order:
-    /// `(resource, busy_ms, busy_ms / makespan_ms)`. This is the modeled
-    /// view of how idle each executor worker was — ROADMAP item 5's
-    /// transfer-lane workers show up here as low-occupancy rows.
-    pub fn resource_occupancy(&self) -> Vec<(Resource, f64, f64)> {
-        let mut rows: Vec<(Resource, f64, f64)> = Vec::new();
-        for s in &self.stages {
-            match rows.iter_mut().find(|(r, _, _)| *r == s.resource) {
-                Some((_, busy, _)) => *busy += s.duration_ms(),
-                None => rows.push((s.resource, s.duration_ms(), 0.0)),
-            }
-        }
-        if self.makespan_ms > 0.0 {
-            for (_, busy, occ) in &mut rows {
-                *occ = *busy / self.makespan_ms;
-            }
-        }
-        rows
     }
 
     /// Derive the paper-phase breakdown from the stage kinds:
@@ -1088,7 +1023,6 @@ mod tests {
         assert_eq!(report.makespan_ms, 3.5);
         assert_eq!(report.serial_ms(), 3.5);
         assert_eq!(report.overlap_efficiency(), 0.0);
-        assert_eq!(report.compute_ms(), 3.5);
         assert_eq!(report.transfer_ms(), 0.0);
         let b = report.phase_breakdown();
         assert_eq!(b.delegate_ms, 2.0);
@@ -1120,9 +1054,7 @@ mod tests {
         let report = g.execute(&());
         assert_eq!(report.makespan_ms, 11.0);
         assert_eq!(report.serial_ms(), 14.0);
-        assert!((report.hidden_ms() - 3.0).abs() < 1e-12);
         assert!((report.overlap_efficiency() - 3.0 / 14.0).abs() < 1e-12);
-        assert_eq!(report.compute_ms(), 8.0);
         assert_eq!(report.transfer_ms(), 6.0);
         assert_eq!(report.phase_breakdown().transfer_ms, 6.0);
         // the second load started while compute 0 was still running
@@ -1158,7 +1090,6 @@ mod tests {
         assert_eq!(report.makespan_ms, 0.0);
         assert_eq!(report.measured_makespan_ms, 0.0);
         assert_eq!(report.overlap_efficiency(), 0.0);
-        assert_eq!(report.measured_overlap_efficiency(), 0.0);
         assert!(report.stats().is_empty());
         assert_eq!(report.phase_breakdown(), PhaseBreakdown::default());
     }
@@ -1247,8 +1178,6 @@ mod tests {
                 assert!(s.measured_end_ms >= s.measured_start_ms);
             }
             assert!(report.measured_makespan_ms >= 0.0);
-            assert!(report.measured_overlap_efficiency() >= 0.0);
-            assert!(report.measured_overlap_efficiency() <= 1.0);
         }
     }
 
@@ -1351,22 +1280,6 @@ mod tests {
     }
 
     #[test]
-    fn resource_occupancy_accounts_every_resource() {
-        let mut g = StageGraph::new();
-        two_resource_graph(&mut g);
-        let log = Mutex::new(Vec::new());
-        let report = g.execute(&log);
-        let rows = report.resource_occupancy();
-        assert_eq!(rows.len(), 2);
-        let busy_total: f64 = rows.iter().map(|(_, busy, _)| busy).sum();
-        assert!((busy_total - report.serial_ms()).abs() < 1e-9);
-        for &(resource, busy, occ) in &rows {
-            assert!(occ > 0.0 && occ <= 1.0, "{resource:?} occupancy {occ}");
-            assert!((occ - busy / report.makespan_ms).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "per-resource dispatch is FIFO")]
     fn execute_in_order_rejects_fifo_violations() {
         let mut g: StageGraph<'_, ()> = StageGraph::new();
@@ -1421,8 +1334,9 @@ mod tests {
                 |_| outcome(0.0),
             );
             let report = g.execute(&());
-            attempts.push((report.measured_makespan_ms, report.measured_serial_ms()));
-            if report.measured_makespan_ms < report.measured_serial_ms() {
+            let serial: f64 = report.stages.iter().map(ExecutedStage::measured_ms).sum();
+            attempts.push((report.measured_makespan_ms, serial));
+            if report.measured_makespan_ms < serial {
                 return;
             }
         }
@@ -1468,32 +1382,6 @@ mod tests {
             outcome(1.0)
         });
         g.execute(&());
-    }
-
-    #[test]
-    fn measured_clamps_hold_even_when_jitter_inverts_the_timeline() {
-        // Hand-build a report whose measured makespan exceeds the
-        // measured serial sum (possible under scheduling jitter): the
-        // measured-side accessors clamp instead of going negative.
-        let report = StageReport {
-            stages: vec![ExecutedStage {
-                kind: StageKind::LocalTopK,
-                label: "jittery".into(),
-                resource: Resource::Compute(0),
-                deps: vec![],
-                start_ms: 0.0,
-                end_ms: 1.0,
-                measured_start_ms: 5.0,
-                measured_end_ms: 6.0,
-                stats: KernelStats::default(),
-            }],
-            makespan_ms: 1.0,
-            measured_makespan_ms: 6.0,
-        };
-        assert_eq!(report.measured_serial_ms(), 1.0);
-        assert_eq!(report.measured_hidden_ms(), 0.0);
-        assert_eq!(report.measured_overlap_efficiency(), 0.0);
-        assert!(report.hidden_ms() >= 0.0);
     }
 
     #[test]

@@ -374,7 +374,7 @@ impl RadixPredictedCost {
 /// actual survival from a sample instead — adversarially low-entropy keys
 /// shrink much slower (up to not at all), which is exactly what routes
 /// them back to the delegate path.
-pub const RADIX_DIGIT_SURVIVAL: f64 = 1.0 / (1u64 << BITS_PER_PASS) as f64;
+pub(crate) const RADIX_DIGIT_SURVIVAL: f64 = 1.0 / (1u64 << BITS_PER_PASS) as f64;
 
 /// Kernel launches the delegate pipeline issues, as charged by the modeled
 /// crossover: delegate-vector construction, the five-pass in-place first
@@ -474,7 +474,7 @@ fn radix_predicted_cost(
 /// inputs on the delegate path at every k. The sample is strided (no RNG),
 /// so the estimate — and therefore [`choose_path_sampled`] — is a pure
 /// function of the data.
-pub fn estimate_radix_survival<K: TopKKey>(data: &[K]) -> f64 {
+pub(crate) fn estimate_radix_survival<K: TopKKey>(data: &[K]) -> f64 {
     if data.is_empty() {
         return 1.0;
     }
@@ -534,16 +534,16 @@ fn choose_path_with_survival(
     }
 }
 
-/// Data-blind crossover: `choose_path_with_survival` at the
-/// well-distributed [`RADIX_DIGIT_SURVIVAL`] default. Used where only the
-/// query shape is known; resolution seams that hold the input prefer
+/// Data-blind crossover: `choose_path_with_survival` at the survival of
+/// well-distributed keys (one digit bucket in 2^8 per pass). Used where
+/// only the query shape is known; resolution seams that hold the input prefer
 /// [`choose_path_sampled`].
 pub fn choose_path(n: usize, k: usize, key_bits: u32, spec: &DeviceSpec) -> ChosenPath {
     choose_path_with_survival(n, k, key_bits, spec, RADIX_DIGIT_SURVIVAL)
 }
 
 /// Data-aware crossover: measure the per-pass survival from the input via
-/// [`estimate_radix_survival`], then resolve through
+/// `estimate_radix_survival`, then resolve through
 /// `choose_path_with_survival`. This is what the pipeline's `Auto` seam
 /// and the engine planner call — it keeps duplicate-heavy inputs on the
 /// delegate path at every k while letting well-distributed inputs escape

@@ -21,14 +21,12 @@ pub mod rng;
 pub mod synthetic;
 pub mod workload;
 
-pub use realworld::{
-    ann_sift_distances, ann_sift_distances_f32, bm25_scores, twitter_fear_scores, web_degrees,
-};
+pub use realworld::{ann_sift_distances_f32, bm25_scores, twitter_fear_scores, web_degrees};
 pub use synthetic::{
     customized, low_entropy, moe_gating_logits, normal, uniform, uniform_f32, zipf,
-    LOW_ENTROPY_DISTINCT, MOE_HOT_BOOST, MOE_MAX_HOT_EXPERTS, ZIPF_EXPONENT,
+    LOW_ENTROPY_DISTINCT, ZIPF_EXPONENT,
 };
-pub use workload::{multi_query_workload, zipf_ks, CorpusMix, QuerySpec, APPROX_RECALL_PALETTE_BP};
+pub use workload::{multi_query_workload, zipf_ks, CorpusMix, QuerySpec};
 
 use rng::Xoshiro256StarStar;
 
@@ -119,7 +117,7 @@ pub fn generate(dist: Distribution, n: usize, seed: u64) -> Vec<u32> {
         Distribution::Uniform => uniform(n, seed),
         Distribution::Normal => normal(n, seed),
         Distribution::Customized => customized(n, seed),
-        Distribution::AnnSift => ann_sift_distances(n, seed),
+        Distribution::AnnSift => realworld::ann_sift_distances(n, seed),
         Distribution::WebDegrees => web_degrees(n, seed),
         Distribution::TwitterFear => twitter_fear_scores(n, seed),
     }

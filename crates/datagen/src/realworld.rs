@@ -6,7 +6,7 @@
 //!
 //! | paper dataset | proxy |
 //! |---|---|
-//! | ANN_SIFT1B (`AN`) — L2 distances from one query to 10^9 SIFT descriptors | [`ann_sift_distances`]: squared L2 distances between a fixed random 128-d byte vector and `n` random 128-d byte vectors (sum of 128 i.i.d. terms → tight, near-normal distance distribution) |
+//! | ANN_SIFT1B (`AN`) — L2 distances from one query to 10^9 SIFT descriptors | [`crate::generate`] with `Distribution::AnnSift`: squared L2 distances between a fixed random 128-d byte vector and `n` random 128-d byte vectors (sum of 128 i.i.d. terms → tight, near-normal distance distribution) |
 //! | ClueWeb09 (`CW`) — per-page in-degrees of a web graph | [`web_degrees`]: Pareto/Zipf-tailed degree samples (heavy tail, many small values, few huge hubs) |
 //! | TwitterCOVID-19 (`TR`) — COVID-fear scores of 132M tweets tiled to 10^9 | [`twitter_fear_scores`]: bounded integer scores generated for a smaller base population and tiled to `n`, mirroring how the paper duplicates the original posts |
 
@@ -14,19 +14,19 @@ use crate::parallel_fill;
 use crate::rng::{SplitMix64, Xoshiro256StarStar};
 
 /// Dimensionality of the synthetic SIFT descriptors.
-pub const SIFT_DIMS: usize = 128;
+pub(crate) const SIFT_DIMS: usize = 128;
 
 /// Pareto tail exponent used for the web-degree proxy (α ≈ 2.1 is typical
 /// for web graphs).
-pub const WEB_DEGREE_ALPHA: f64 = 2.1;
+pub(crate) const WEB_DEGREE_ALPHA: f64 = 2.1;
 
 /// Number of distinct base tweets the Twitter proxy generates before tiling,
 /// expressed as a divisor of `n` (the paper tiles 132M posts to 10^9,
 /// roughly ×8).
-pub const TWITTER_TILE_FACTOR: usize = 8;
+pub(crate) const TWITTER_TILE_FACTOR: usize = 8;
 
 /// Maximum fear score of the Twitter proxy (scores are scaled to integers).
-pub const TWITTER_MAX_SCORE: u32 = 100_000;
+pub(crate) const TWITTER_MAX_SCORE: u32 = 100_000;
 
 /// Squared L2 distances between a fixed query descriptor and `n` random
 /// 128-dimensional byte descriptors (the `AN` proxy).
@@ -34,7 +34,7 @@ pub const TWITTER_MAX_SCORE: u32 = 100_000;
 /// This is exactly the array the paper feeds to top-k for k-NN search: "We
 /// use the first vector from the ANN_SIFT1B dataset to calculate the
 /// euclidean distances between this vector and the 1 billion vectors."
-pub fn ann_sift_distances(n: usize, seed: u64) -> Vec<u32> {
+pub(crate) fn ann_sift_distances(n: usize, seed: u64) -> Vec<u32> {
     // The query vector is derived from the seed so the whole dataset is
     // reproducible from a single number.
     let mut qrng = Xoshiro256StarStar::seed_from_u64(seed ^ 0xA11C_E500);
@@ -65,7 +65,7 @@ pub fn ann_sift_distances(n: usize, seed: u64) -> Vec<u32> {
 /// Euclidean (non-squared) L2 distances between a fixed query descriptor and
 /// `n` random 128-dimensional byte descriptors, as native `f32` values.
 ///
-/// This is the float-keyed counterpart of [`ann_sift_distances`], feeding a
+/// This is the float-keyed counterpart of the `AN` proxy, feeding a
 /// smallest-direction top-k directly: real ANN pipelines keep distances in
 /// `f32` and a generic-key top-k has no reason to quantize them. The
 /// descriptor stream is identical to the `u32` generator's (same per-chunk
@@ -116,10 +116,9 @@ pub fn bm25_scores(n: usize, seed: u64) -> Vec<f32> {
 
 /// Heavy-tailed web-page degree samples (the `CW` proxy).
 ///
-/// Degrees follow a power law with density exponent
-/// `α =` [`WEB_DEGREE_ALPHA`] (so the inverse-CDF is
-/// `d = ⌊x_min · u^(−1/(α−1))⌋`), producing the many-small / few-huge shape
-/// of real web graphs such as ClueWeb09.
+/// Degrees follow a power law with density exponent α = 2.1 (so the
+/// inverse-CDF is `d = ⌊x_min · u^(−1/(α−1))⌋`), producing the
+/// many-small / few-huge shape of real web graphs such as ClueWeb09.
 pub fn web_degrees(n: usize, seed: u64) -> Vec<u32> {
     parallel_fill(n, seed, |rng, out| {
         for v in out.iter_mut() {
@@ -136,11 +135,11 @@ pub fn web_degrees(n: usize, seed: u64) -> Vec<u32> {
 
 /// COVID-fear scores tiled to `n` elements (the `TR` proxy).
 ///
-/// A base population of `n /` [`TWITTER_TILE_FACTOR`] distinct scores is
-/// generated from a right-skewed (beta-like) distribution over
-/// `[0,` [`TWITTER_MAX_SCORE`]`]` and then repeated to length `n`, mirroring
-/// the paper's duplication of 132M original posts onto a 10^9-element
-/// vector so the value distribution is preserved.
+/// A base population of `n / 8` distinct scores is generated from a
+/// right-skewed (beta-like) distribution over `[0, 100_000]` and then
+/// repeated to length `n`, mirroring the paper's duplication of 132M
+/// original posts onto a 10^9-element vector so the value distribution is
+/// preserved.
 pub fn twitter_fear_scores(n: usize, seed: u64) -> Vec<u32> {
     if n == 0 {
         return Vec::new();

@@ -10,7 +10,7 @@
 /// SplitMix64: used to expand a single `u64` seed into the 256-bit state of
 /// [`Xoshiro256StarStar`] and to derive independent per-chunk seeds.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
@@ -64,13 +64,13 @@ impl Xoshiro256StarStar {
 
     /// Next 32-bit output (high half of the 64-bit output).
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
+    pub(crate) fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
 
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -83,7 +83,7 @@ impl Xoshiro256StarStar {
     }
 
     /// A pair of independent standard-normal samples (Box–Muller transform).
-    pub fn next_normal_pair(&mut self) -> (f64, f64) {
+    pub(crate) fn next_normal_pair(&mut self) -> (f64, f64) {
         // Avoid ln(0) by nudging u1 away from zero.
         let u1 = self.next_f64().max(f64::MIN_POSITIVE);
         let u2 = self.next_f64();

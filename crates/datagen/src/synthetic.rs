@@ -16,9 +16,9 @@ use crate::realworld::chunk_seed;
 use crate::rng::Xoshiro256StarStar;
 
 /// Mean of the ND distribution (`10^8`), as specified in the paper.
-pub const NORMAL_MEAN: f64 = 1.0e8;
+pub(crate) const NORMAL_MEAN: f64 = 1.0e8;
 /// Standard deviation of the ND distribution.
-pub const NORMAL_STD_DEV: f64 = 10.0;
+pub(crate) const NORMAL_STD_DEV: f64 = 10.0;
 
 /// Exponent of the CD distribution: values are
 /// `u32::MAX − ⌊2^32 · u^CD_EXPONENT⌋ − jitter`. The exponent is chosen so
@@ -28,10 +28,10 @@ pub const NORMAL_STD_DEV: f64 = 10.0;
 /// definition of the customized distribution; an 8-bit jitter term breaks
 /// exact ties at the finest scale so the distribution stays a proper
 /// multiset rather than collapsing onto `u32::MAX`.
-pub const CD_EXPONENT: i32 = 16;
+pub(crate) const CD_EXPONENT: i32 = 16;
 
 /// Width of the tie-breaking jitter applied by the CD generator.
-pub const CD_JITTER: u32 = 256;
+pub(crate) const CD_JITTER: u32 = 256;
 
 /// Uniformly distributed `u32` values (the UD dataset).
 pub fn uniform(n: usize, seed: u64) -> Vec<u32> {
@@ -181,22 +181,22 @@ pub fn zipf(n: usize, max_value: u32, exponent: f64, seed: u64) -> Vec<u32> {
 /// Largest number of boosted "hot" experts per row of
 /// [`moe_gating_logits`] (each row draws 1..=this many, capped by the
 /// expert count).
-pub const MOE_MAX_HOT_EXPERTS: usize = 4;
+pub(crate) const MOE_MAX_HOT_EXPERTS: usize = 4;
 
 /// Base logit boost applied to each hot expert of a row (before the
 /// temperature scaling); each boost is jittered up to 2× so hot experts
 /// are clearly separated from the Gaussian bulk without being ties.
-pub const MOE_HOT_BOOST: f32 = 4.0;
+pub(crate) const MOE_HOT_BOOST: f32 = 4.0;
 
 /// A row-major `rows × experts` matrix of MoE router logits — the
 /// softmax-input shape that row-wise top-k gating consumes
 /// (`drtopk_core::topk_rows` over this matrix picks each token's experts).
 ///
-/// Each row is i.i.d. standard-normal logits plus 1–[`MOE_MAX_HOT_EXPERTS`]
-/// boosted hot experts (the dominant-expert structure routers actually
-/// produce), all divided by `temperature`: a low temperature sharpens the
-/// winners, a high one flattens the row toward uniform — the logits are
-/// exactly what a `softmax(z / T)` gate would consume.
+/// Each row is i.i.d. standard-normal logits plus 1–4 boosted hot experts
+/// (the dominant-expert structure routers actually produce), all divided
+/// by `temperature`: a low temperature sharpens the winners, a high one
+/// flattens the row toward uniform — the logits are exactly what a
+/// `softmax(z / T)` gate would consume.
 ///
 /// Deterministic in `(rows, experts, temperature, seed)` and independent
 /// of thread count: the Gaussian bulk rides the chunked

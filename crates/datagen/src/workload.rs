@@ -85,13 +85,13 @@ pub fn zipf_ks(num: usize, k_max: usize, exponent: f64, seed: u64) -> Vec<usize>
 /// The recall-target palette (in basis points) that approximate workload
 /// queries draw from: the targets real retrieval stacks quote (99%, 95%,
 /// 90%), matching the targets the `approx_recall` bench sweeps.
-pub const APPROX_RECALL_PALETTE_BP: [u16; 3] = [9900, 9500, 9000];
+pub(crate) const APPROX_RECALL_PALETTE_BP: [u16; 3] = [9900, 9500, 9000];
 
 /// Generate a `num_queries`-query workload: Zipf-distributed `k` over
 /// `1..=k_max`, corpora assigned by `mix`, a `smallest_fraction` share of
 /// top-k-smallest queries (0.0 = all largest, 1.0 = all smallest), and an
 /// `approx_fraction` share of recall-targeted approximate queries whose
-/// targets are drawn from [`APPROX_RECALL_PALETTE_BP`] (0.0 = all exact).
+/// targets are drawn from 0.99, 0.95 and 0.90 (0.0 = all exact).
 ///
 /// The mode stream is seeded independently of the corpus/direction stream,
 /// so changing `approx_fraction` never reshuffles which corpus or

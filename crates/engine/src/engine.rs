@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use drtopk_core::DrTopKConfig;
 use drtopk_obs::{EventKind, ExecEvent, MetricName, MetricsRegistry, MetricsSnapshot, TraceSink};
-use gpu_sim::{DeviceSpec, GpuCluster};
+use gpu_sim::GpuCluster;
 use parking_lot::Mutex;
 use topk_baselines::TopKKey;
 
@@ -102,11 +102,6 @@ impl TopKEngine {
         }
     }
 
-    /// Convenience: a single-device engine.
-    pub fn single_device(spec: DeviceSpec) -> Self {
-        TopKEngine::new(GpuCluster::homogeneous(1, spec))
-    }
-
     /// The device cluster backing the worker pool.
     pub fn cluster(&self) -> &GpuCluster {
         &self.cluster
@@ -115,16 +110,6 @@ impl TopKEngine {
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Cumulative tuning-plan cache counters since engine creation.
-    pub fn plan_cache_report(&self) -> CacheReport {
-        self.cache.lock().plan_report()
-    }
-
-    /// Cumulative delegate cache counters since engine creation.
-    pub fn delegate_cache_report(&self) -> CacheReport {
-        self.cache.lock().delegate_report()
     }
 
     /// The engine's cumulative metrics registry (caches, latency
@@ -376,7 +361,10 @@ impl std::fmt::Debug for TopKEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{Query, RowQuery};
     use crate::report::ExecPath;
+    use drtopk_core::{Direction, Mode};
+    use gpu_sim::DeviceSpec;
     use topk_baselines::{reference_topk, reference_topk_min};
 
     fn engine(devices: usize) -> TopKEngine {
@@ -454,20 +442,26 @@ mod tests {
             warm.report.stats.global_loaded_bytes,
             cold.report.stats.global_loaded_bytes
         );
-        // cumulative reports agree
-        assert_eq!(eng.plan_cache_report().hits, 1);
-        assert_eq!(eng.delegate_cache_report().hits, 1);
+        // cumulative counters agree
+        let m = eng.metrics();
+        assert_eq!(m.counter(MetricName::PlanCacheHits).get(), 1);
+        assert_eq!(m.counter(MetricName::DelegateCacheHits).get(), 1);
     }
 
     #[test]
     fn uncached_corpora_rebuild_every_time() {
+        // A corpus id the cache has not seen (a new id per batch, as a
+        // caller presents changed data) rebuilds its delegates.
         let eng = engine(1);
         let data = topk_datagen::uniform(1 << 13, 9);
-        let mut batch = QueryBatch::new();
-        let c = batch.add_corpus_uncached(&data);
-        batch.push_topk(c, 32);
-        let a = eng.run_batch(&batch).unwrap();
-        let b = eng.run_batch(&batch).unwrap();
+        let run = |id| {
+            let mut batch = QueryBatch::new();
+            let c = batch.add_corpus(id, &data);
+            batch.push_topk(c, 32);
+            eng.run_batch(&batch).unwrap()
+        };
+        let a = run(1);
+        let b = run(2);
         assert_eq!(a.report.delegate_passes_run, 1);
         assert_eq!(b.report.delegate_passes_run, 1);
         assert_eq!(b.report.delegate_cache.hits, 0);
@@ -670,7 +664,13 @@ mod tests {
         let c = batch.add_corpus(5, &data);
         batch.push_topk(c, 32); // whole-corpus vector query coexists
         let rq = batch.push_rows(c, rows, cols, RowK::Uniform(6));
-        let rq_min = batch.push_rows_min(c, rows, cols, RowK::Uniform(3));
+        let rq_min = batch.push_row_query(RowQuery::new(
+            c,
+            rows,
+            cols,
+            RowK::Uniform(3),
+            Direction::Smallest,
+        ));
         let out = eng.run_batch(&batch).unwrap();
 
         assert_eq!(out.results[0].values, reference_topk(&data, 32));
@@ -745,8 +745,12 @@ mod tests {
         let c = batch.add_corpus(11, &data);
         // Pinned hints force each pipeline; both must agree bit-for-bit
         // with the reference (and therefore with each other).
-        let q_delegate = batch.push_topk_path(c, 96, PathHint::Delegate);
-        let q_radix = batch.push_topk_path(c, 96, PathHint::Radix);
+        let pinned = |path| Query {
+            path,
+            ..Query::new(c, 96, Direction::Largest, Mode::Exact)
+        };
+        let q_delegate = batch.push(pinned(PathHint::Delegate));
+        let q_radix = batch.push(pinned(PathHint::Radix));
         // A small-k Auto query resolves to the delegate path and fuses
         // with the pinned delegate query (same resolved path).
         let q_auto = batch.push_topk(c, 8);

@@ -267,7 +267,7 @@ fn run_fused_unit<K: TopKKey>(
     let mut select_deps = pass_deps.clone();
     if shares_first {
         let k_max = selecting.iter().map(|p| p.k).max().unwrap_or(0);
-        let skip_last_pass = selecting[0].config.skip_last_first_pass == Some(true);
+        let skip_last_pass = selecting[0].config.skip_last_first_pass;
         shared_kinds.push(StageKind::FirstTopK);
         // Tagged as the pass here: a member macro stage (a second top-k to
         // the verifier) may wait on a pass but not on a first top-k. The
@@ -595,11 +595,11 @@ pub(crate) fn execute_plan<K: TopKKey>(
         if let Some(pass) = outcome.built {
             delegate_passes_run += 1;
             delegate_passes_saved += delegate_users.saturating_sub(1);
-            if let Some(id) = corpus.id {
-                delegate_cache.misses += 1;
-                let (len, alpha, beta) = (corpus.data.len(), unit.alpha, unit.beta);
-                cache.lock().put_delegates(id, len, alpha, beta, pass);
-            }
+            delegate_cache.misses += 1;
+            let (len, alpha, beta) = (corpus.data.len(), unit.alpha, unit.beta);
+            cache
+                .lock()
+                .put_delegates(corpus.id, len, alpha, beta, pass);
         } else if unit.needs_delegates {
             delegate_passes_saved += delegate_users;
             delegate_cache.hits += 1;
@@ -757,10 +757,8 @@ mod tests {
                 direction,
                 mode: Mode::Exact,
                 queries: (0..ks.len()).collect(),
-                k_max: 300,
                 alpha: 8,
                 beta: base.beta,
-                tuning_cached: false,
                 planned,
                 needs_delegates: true,
                 path: ChosenPath::Delegate,

@@ -40,7 +40,7 @@
 //!   sharded queries do not yet share a delegate pass — the distributed
 //!   pipeline has no planned-query seam; that is the natural next
 //!   extension. **Row-matrix queries** ([`QueryBatch::push_rows`]) fuse by
-//!   the same `(corpus, direction, mode)` key into [`RowUnit`]s: each runs
+//!   the same `(corpus, direction, mode)` key into `RowUnit`s: each runs
 //!   on one pool device as a row-block stage graph
 //!   ([`drtopk_core::topk_rows`]) — one fused delegate pass per row-block,
 //!   never one per row — and its result carries one per-row selection
@@ -54,7 +54,7 @@
 //!   statically. Worker failures surface per device
 //!   ([`gpu_sim::GpuCluster::try_run_on_all`]) instead of poisoning the
 //!   batch.
-//! * **Plan cache** ([`PlanCache`]) — two memoizations keyed for repeat
+//! * **Plan cache** (`PlanCache`) — two memoizations keyed for repeat
 //!   traffic: `(n, k, key type, direction, device) → α` skips
 //!   `auto_alpha` re-derivation, and `(corpus id, length, α, β, key type,
 //!   direction) →` [`drtopk_core::DelegateVector`] skips delegate
@@ -104,9 +104,5 @@ pub mod report;
 
 pub use drtopk_core::{Direction, PathHint};
 pub use engine::{EngineConfig, EngineError, TopKEngine};
-pub use plan::{
-    DelegateCacheEntry, ExecutionPlan, FusedUnit, PlanCache, PlanUnit, RowUnit, ShardedUnit,
-    TuningPlan,
-};
 pub use query::{Corpus, Query, QueryBatch, RowQuery};
 pub use report::{BatchOutput, CacheReport, EngineReport, ExecPath, QueryResult, RowQueryResult};

@@ -1,7 +1,7 @@
 //! The planner and the tuning-plan / delegate caches.
 //!
 //! Planning turns a heterogeneous [`QueryBatch`] into an
-//! [`ExecutionPlan`] of independent units:
+//! `ExecutionPlan` of independent units:
 //!
 //! * **Fused units** — all same-corpus, same-direction, same-mode queries
 //!   share one delegate pass (the RTop-K-style batched row: the pass is
@@ -35,7 +35,6 @@ use gpu_sim::DeviceSpec;
 use topk_baselines::TopKKey;
 
 use crate::query::QueryBatch;
-use crate::report::CacheReport;
 
 /// Key of the tuning-plan cache: one resolved α per problem shape per
 /// device model. The mode is part of the shape: an approximate query's
@@ -52,7 +51,7 @@ pub(crate) struct PlanKey {
 
 /// A memoized tuning decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuningPlan {
+pub(crate) struct TuningPlan {
     /// Resolved subrange exponent.
     pub alpha: u32,
     /// Delegates per subrange the plan assumes. For an approximate plan
@@ -72,29 +71,6 @@ pub(crate) struct DelegateKey {
     direction: Direction,
 }
 
-/// One cached delegate vector with its own usage accounting.
-#[derive(Debug)]
-struct DelegateSlot {
-    value: Arc<dyn Any + Send + Sync>,
-    hits: u64,
-}
-
-/// Observability snapshot of one delegate-cache entry (see
-/// [`PlanCache::delegate_entries`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DelegateCacheEntry {
-    /// Corpus id the entry was built for.
-    pub corpus_id: u64,
-    /// Corpus length the entry covers.
-    pub len: usize,
-    /// Subrange exponent the entry was built with.
-    pub alpha: u32,
-    /// Delegates per subrange (or the approximate candidate budget).
-    pub beta: usize,
-    /// How many lookups this entry has answered since it was inserted.
-    pub hits: u64,
-}
-
 /// The engine's memoization state: tuning plans plus cached delegate
 /// vectors, with hit/miss counters for both.
 ///
@@ -102,12 +78,10 @@ pub struct DelegateCacheEntry {
 /// recency, so repeat-heavy traffic keeps its hottest corpora resident —
 /// the earlier FIFO policy evicted by insertion age and would drop the
 /// most-hit corpus as soon as enough one-shot corpora streamed past it.
-/// Per-entry hit counts are kept for observability
-/// ([`PlanCache::delegate_entries`]).
 #[derive(Debug, Default)]
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     plans: HashMap<PlanKey, TuningPlan>,
-    delegates: HashMap<DelegateKey, DelegateSlot>,
+    delegates: HashMap<DelegateKey, Arc<dyn Any + Send + Sync>>,
     /// Recency order: least-recently-used at the front, most-recent at the
     /// back. Capacities are small (tens), so the O(len) reorder on hit is
     /// noise next to the |V|-scan a miss costs.
@@ -122,7 +96,7 @@ pub struct PlanCache {
 impl PlanCache {
     /// A cache that keeps at most `delegate_capacity` delegate vectors
     /// (tuning plans are tiny and unbounded).
-    pub fn with_delegate_capacity(delegate_capacity: usize) -> Self {
+    pub(crate) fn with_delegate_capacity(delegate_capacity: usize) -> Self {
         PlanCache {
             delegate_capacity,
             ..PlanCache::default()
@@ -140,7 +114,7 @@ impl PlanCache {
         direction: Direction,
         device: &str,
         base: &DrTopKConfig,
-    ) -> (TuningPlan, bool) {
+    ) -> TuningPlan {
         let key = PlanKey {
             n,
             k,
@@ -151,7 +125,7 @@ impl PlanCache {
         };
         if let Some(&plan) = self.plans.get(&key) {
             self.plan_hits += 1;
-            return (plan, true);
+            return plan;
         }
         self.plan_misses += 1;
         let plan = match mode.strict_target() {
@@ -173,7 +147,7 @@ impl PlanCache {
             },
         };
         self.plans.insert(key, plan);
-        (plan, false)
+        plan
     }
 
     /// Move `key` to the most-recently-used end of the recency queue.
@@ -184,32 +158,29 @@ impl PlanCache {
         self.delegate_order.push_back(*key);
     }
 
-    /// Look up a cached delegate vector; a hit refreshes the entry's LRU
-    /// recency and bumps its hit count. Counts a hit/miss only when the
-    /// corpus is cacheable (`corpus_id` is `Some`).
+    /// Look up a cached delegate vector, counting a hit or a miss; a hit
+    /// refreshes the entry's LRU recency.
     pub(crate) fn get_delegates<K: TopKKey>(
         &mut self,
-        corpus_id: Option<u64>,
+        corpus_id: u64,
         len: usize,
         alpha: u32,
         beta: usize,
         direction: Direction,
     ) -> Option<Arc<DelegateVector<K>>> {
-        let id = corpus_id?;
         let key = DelegateKey {
-            corpus_id: id,
+            corpus_id,
             len,
             alpha,
             beta,
             key_type: TypeId::of::<K>(),
             direction,
         };
-        match self.delegates.get_mut(&key) {
-            Some(slot) => {
+        match self.delegates.get(&key) {
+            Some(entry) => {
                 self.delegate_hits += 1;
-                slot.hits += 1;
                 // The TypeId in the key makes the downcast infallible.
-                let value = Arc::clone(&slot.value)
+                let value = Arc::clone(entry)
                     .downcast::<DelegateVector<K>>()
                     .expect("delegate cache entry type is pinned by its key");
                 self.touch(&key);
@@ -244,13 +215,7 @@ impl PlanCache {
             key_type: TypeId::of::<K>(),
             direction: delegates.direction,
         };
-        self.delegates.insert(
-            key,
-            DelegateSlot {
-                value: delegates,
-                hits: 0,
-            },
-        );
+        self.delegates.insert(key, delegates);
         self.touch(&key);
         while self.delegates.len() > self.delegate_capacity {
             let Some(lru) = self.delegate_order.pop_front() else {
@@ -259,56 +224,12 @@ impl PlanCache {
             self.delegates.remove(&lru);
         }
     }
-
-    /// Snapshot of every cached delegate vector in recency order (least
-    /// recently used first), with per-entry hit counts — the engine's
-    /// observability hook for answering "which corpora are hot".
-    pub fn delegate_entries(&self) -> Vec<DelegateCacheEntry> {
-        self.delegate_order
-            .iter()
-            .filter_map(|key| {
-                self.delegates.get(key).map(|slot| DelegateCacheEntry {
-                    corpus_id: key.corpus_id,
-                    len: key.len,
-                    alpha: key.alpha,
-                    beta: key.beta,
-                    hits: slot.hits,
-                })
-            })
-            .collect()
-    }
-
-    /// Cumulative tuning-plan cache counters.
-    pub fn plan_report(&self) -> CacheReport {
-        CacheReport {
-            hits: self.plan_hits,
-            misses: self.plan_misses,
-        }
-    }
-
-    /// Cumulative delegate cache counters.
-    pub fn delegate_report(&self) -> CacheReport {
-        CacheReport {
-            hits: self.delegate_hits,
-            misses: self.delegate_misses,
-        }
-    }
-
-    /// Number of cached delegate vectors currently held.
-    pub fn cached_delegate_vectors(&self) -> usize {
-        self.delegates.len()
-    }
-
-    /// Number of memoized tuning plans.
-    pub fn cached_tuning_plans(&self) -> usize {
-        self.plans.len()
-    }
 }
 
 /// A group of same-corpus, same-direction, same-mode queries fused behind
 /// one delegate (or candidate) pass.
 #[derive(Debug, Clone)]
-pub struct FusedUnit {
+pub(crate) struct FusedUnit {
     /// Corpus index within the batch.
     pub corpus: usize,
     /// Direction shared by every query of the unit.
@@ -319,17 +240,12 @@ pub struct FusedUnit {
     pub mode: Mode,
     /// Indices (into the batch's query list) of the member queries.
     pub queries: Vec<usize>,
-    /// The largest clamped k in the group — the delegate pass is sized
-    /// for it.
-    pub k_max: usize,
     /// The group's resolved subrange exponent.
     pub alpha: u32,
     /// Delegates per subrange of the shared pass: β for an exact group,
     /// the largest member candidate budget `k'` for an approximate group
     /// (a bigger budget only raises every member's recall).
     pub beta: usize,
-    /// Whether the α came from the tuning-plan cache.
-    pub tuning_cached: bool,
     /// Per-member execution plans, parallel to `queries`.
     pub planned: Vec<PlannedQuery>,
     /// True when at least one member actually uses the delegate machinery
@@ -346,7 +262,7 @@ pub struct FusedUnit {
 /// A single over-capacity query that takes the whole cluster through the
 /// distributed path.
 #[derive(Debug, Clone, Copy)]
-pub struct ShardedUnit {
+pub(crate) struct ShardedUnit {
     /// Index (into the batch's query list) of the query.
     pub query: usize,
 }
@@ -359,20 +275,16 @@ pub struct ShardedUnit {
 /// by [`drtopk_core::topk_rows`]'s per-row machinery — the planner's job
 /// here is grouping and scheduling, not per-row tuning.
 #[derive(Debug, Clone)]
-pub struct RowUnit {
+pub(crate) struct RowUnit {
     /// Corpus index within the batch.
     pub corpus: usize,
-    /// Direction shared by every member of the unit.
-    pub direction: Direction,
-    /// Mode shared by every member of the unit.
-    pub mode: Mode,
     /// Indices (into the batch's row-query list) of the member queries.
     pub members: Vec<usize>,
 }
 
 /// One independently schedulable piece of a batch.
 #[derive(Debug, Clone)]
-pub enum PlanUnit {
+pub(crate) enum PlanUnit {
     /// Fused same-corpus group: runs on one device of the worker pool.
     Fused(FusedUnit),
     /// Over-capacity query: runs across the whole cluster.
@@ -384,7 +296,7 @@ pub enum PlanUnit {
 
 /// The planner's output for one batch.
 #[derive(Debug, Clone)]
-pub struct ExecutionPlan {
+pub(crate) struct ExecutionPlan {
     /// All units: fused first, in `(corpus index, direction)` order
     /// (deterministic, independent of query submission order), then
     /// sharded units in query order, then row-matrix units in
@@ -410,14 +322,6 @@ impl ExecutionPlan {
         self.units
             .iter()
             .filter(|u| matches!(u, PlanUnit::Sharded(_)))
-            .count()
-    }
-
-    /// Number of row-matrix units.
-    pub fn row_units(&self) -> usize {
-        self.units
-            .iter()
-            .filter(|u| matches!(u, PlanUnit::Rows(_)))
             .count()
     }
 }
@@ -473,8 +377,7 @@ pub(crate) fn plan_batch<K: TopKKey>(
             .map(|&qi| batch.queries[qi].k.min(n))
             .max()
             .unwrap_or(0);
-        let (tuning, tuning_cached) =
-            cache.resolve_tuning::<K>(n, k_max, mode, direction, &device.name, base);
+        let tuning = cache.resolve_tuning::<K>(n, k_max, mode, direction, &device.name, base);
         // Pin every member to the group's resolved path so execution cannot
         // re-resolve differently (the member seam in `dr_topk_planned`
         // honors the pin; degenerate members still take their fallbacks).
@@ -515,10 +418,8 @@ pub(crate) fn plan_batch<K: TopKKey>(
             direction,
             mode,
             queries,
-            k_max,
             alpha: tuning.alpha,
             beta,
-            tuning_cached,
             planned,
             needs_delegates,
             path,
@@ -540,14 +441,7 @@ pub(crate) fn plan_batch<K: TopKKey>(
     units.extend(
         row_groups
             .into_iter()
-            .map(|((corpus, direction, mode), members)| {
-                PlanUnit::Rows(RowUnit {
-                    corpus,
-                    direction,
-                    mode,
-                    members,
-                })
-            }),
+            .map(|((corpus, _, _), members)| PlanUnit::Rows(RowUnit { corpus, members })),
     );
 
     ExecutionPlan {
@@ -560,7 +454,7 @@ pub(crate) fn plan_batch<K: TopKKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Query;
+    use crate::query::{Query, RowQuery};
     use drtopk_core::InnerAlgorithm;
 
     fn base() -> DrTopKConfig {
@@ -591,7 +485,7 @@ mod tests {
             panic!("expected fused unit")
         };
         assert_eq!(first.queries, vec![0, 1, 2]);
-        assert_eq!(first.k_max, 256);
+        assert_eq!(first.planned.iter().map(|p| p.k).max(), Some(256));
         assert_eq!(first.planned.len(), 3);
         assert!(first.needs_delegates);
         // every member shares the group α
@@ -656,7 +550,7 @@ mod tests {
             &mut cache,
         );
         assert_eq!((p4.plan_hits, p4.plan_misses), (0, 1));
-        assert_eq!(cache.cached_tuning_plans(), 3);
+        assert_eq!(cache.plans.len(), 3);
     }
 
     #[test]
@@ -687,7 +581,7 @@ mod tests {
             panic!("expected fused unit")
         };
         assert!(!unit.needs_delegates);
-        assert_eq!(unit.k_max, 100);
+        assert_eq!(unit.planned.iter().map(|p| p.k).max(), Some(100));
     }
 
     #[test]
@@ -698,7 +592,13 @@ mod tests {
         batch.push_topk(c, 8); // vector traffic coexists
         batch.push_rows(c, 16, 256, drtopk_core::RowK::Uniform(4));
         batch.push_rows(c, 8, 512, drtopk_core::RowK::Uniform(2)); // same key, other shape
-        batch.push_rows_min(c, 16, 256, drtopk_core::RowK::Uniform(4));
+        batch.push_row_query(RowQuery::new(
+            c,
+            16,
+            256,
+            drtopk_core::RowK::Uniform(4),
+            Direction::Smallest,
+        ));
         let mut cache = PlanCache::default();
         let plan = plan_batch(
             &batch,
@@ -708,21 +608,22 @@ mod tests {
             &mut cache,
         );
         assert_eq!(plan.fused_units(), 1);
-        assert_eq!(
-            plan.row_units(),
-            2,
-            "largest pair fuses, smallest is its own unit"
-        );
+        let row_units = plan
+            .units
+            .iter()
+            .filter(|u| matches!(u, PlanUnit::Rows(_)))
+            .count();
+        assert_eq!(row_units, 2, "largest pair fuses, smallest is its own unit");
         let PlanUnit::Rows(largest) = &plan.units[1] else {
             panic!("expected the largest-direction row unit after the fused unit")
         };
         assert_eq!(largest.members, vec![0, 1]);
-        assert_eq!(largest.direction, Direction::Largest);
+        assert_eq!(batch.row_queries[1].direction, Direction::Largest);
         let PlanUnit::Rows(smallest) = &plan.units[2] else {
             panic!("expected the smallest-direction row unit last")
         };
         assert_eq!(smallest.members, vec![2]);
-        assert_eq!(smallest.direction, Direction::Smallest);
+        assert_eq!(batch.row_queries[2].direction, Direction::Smallest);
     }
 
     fn build_entry(data: &[u32]) -> Arc<drtopk_core::DelegateVector<u32>> {
@@ -744,25 +645,18 @@ mod tests {
         for id in 0..3u64 {
             cache.put_delegates(id, data.len(), 6, 2, build_entry(&data));
         }
-        assert_eq!(cache.cached_delegate_vectors(), 2);
+        assert_eq!(cache.delegates.len(), 2);
         // no hits in between: recency == insertion, so entry 0 was evicted
         assert!(cache
-            .get_delegates::<u32>(Some(0), data.len(), 6, 2, Direction::Largest)
+            .get_delegates::<u32>(0, data.len(), 6, 2, Direction::Largest)
             .is_none());
         assert!(cache
-            .get_delegates::<u32>(Some(1), data.len(), 6, 2, Direction::Largest)
+            .get_delegates::<u32>(1, data.len(), 6, 2, Direction::Largest)
             .is_some());
         assert!(cache
-            .get_delegates::<u32>(Some(2), data.len(), 6, 2, Direction::Largest)
+            .get_delegates::<u32>(2, data.len(), 6, 2, Direction::Largest)
             .is_some());
-        let rep = cache.delegate_report();
-        assert_eq!((rep.hits, rep.misses), (2, 1));
-        // uncacheable corpora never count
-        assert!(cache
-            .get_delegates::<u32>(None, data.len(), 6, 2, Direction::Largest)
-            .is_none());
-        let rep = cache.delegate_report();
-        assert_eq!((rep.hits, rep.misses), (2, 1));
+        assert_eq!((cache.delegate_hits, cache.delegate_misses), (2, 1));
     }
 
     #[test]
@@ -777,27 +671,24 @@ mod tests {
         // repeat traffic on corpus 0 refreshes its recency
         for _ in 0..3 {
             assert!(cache
-                .get_delegates::<u32>(Some(0), data.len(), 6, 2, Direction::Largest)
+                .get_delegates::<u32>(0, data.len(), 6, 2, Direction::Largest)
                 .is_some());
         }
         // a new corpus streams past: the idle corpus 1 is evicted, not 0
         cache.put_delegates(2, data.len(), 6, 2, build_entry(&data));
         assert!(cache
-            .get_delegates::<u32>(Some(0), data.len(), 6, 2, Direction::Largest)
+            .get_delegates::<u32>(0, data.len(), 6, 2, Direction::Largest)
             .is_some());
         assert!(cache
-            .get_delegates::<u32>(Some(1), data.len(), 6, 2, Direction::Largest)
+            .get_delegates::<u32>(1, data.len(), 6, 2, Direction::Largest)
             .is_none());
-        // per-entry hit counts survive and report in LRU → MRU order
-        let entries = cache.delegate_entries();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].corpus_id, 2, "coldest first");
-        assert_eq!(entries[1].corpus_id, 0, "hottest (most recent) last");
-        assert_eq!(entries[1].hits, 4);
-        assert_eq!(entries[0].hits, 0);
-        assert_eq!(entries[1].alpha, 6);
-        assert_eq!(entries[1].beta, 2);
-        assert_eq!(entries[1].len, data.len());
+        // recency order, least recently used first
+        let order: Vec<u64> = cache.delegate_order.iter().map(|k| k.corpus_id).collect();
+        assert_eq!(
+            order,
+            vec![2, 0],
+            "coldest first, hottest (most recent) last"
+        );
     }
 
     #[test]
@@ -808,15 +699,15 @@ mod tests {
         cache.put_delegates(1, data.len(), 6, 2, build_entry(&data));
         // re-inserting an existing key must not duplicate it in the order
         cache.put_delegates(0, data.len(), 6, 2, build_entry(&data));
-        assert_eq!(cache.cached_delegate_vectors(), 2);
+        assert_eq!(cache.delegates.len(), 2);
         // 0 is now most recent, so inserting a third evicts 1
         cache.put_delegates(2, data.len(), 6, 2, build_entry(&data));
         assert!(cache
-            .get_delegates::<u32>(Some(0), data.len(), 6, 2, Direction::Largest)
+            .get_delegates::<u32>(0, data.len(), 6, 2, Direction::Largest)
             .is_some());
         assert!(cache
-            .get_delegates::<u32>(Some(1), data.len(), 6, 2, Direction::Largest)
+            .get_delegates::<u32>(1, data.len(), 6, 2, Direction::Largest)
             .is_none());
-        assert_eq!(cache.delegate_entries().len(), 2);
+        assert_eq!(cache.delegate_order.len(), 2);
     }
 }

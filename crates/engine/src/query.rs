@@ -42,7 +42,7 @@ pub struct Query {
 impl Query {
     /// A query with the default flag-radix inner algorithm and the
     /// planner's automatic path.
-    fn new(corpus: usize, k: usize, direction: Direction, mode: Mode) -> Query {
+    pub(crate) fn new(corpus: usize, k: usize, direction: Direction, mode: Mode) -> Query {
         Query {
             corpus,
             k,
@@ -84,7 +84,13 @@ pub struct RowQuery {
 
 impl RowQuery {
     /// An exact row query with the default flag-radix inner algorithm.
-    fn new(corpus: usize, rows: usize, cols: usize, ks: RowK, direction: Direction) -> RowQuery {
+    pub(crate) fn new(
+        corpus: usize,
+        rows: usize,
+        cols: usize,
+        ks: RowK,
+        direction: Direction,
+    ) -> RowQuery {
         RowQuery {
             corpus,
             rows,
@@ -102,13 +108,11 @@ impl RowQuery {
 ///
 /// The `id` is the cache key for reusing work across batches: two batches
 /// presenting the same `(id, len)` are assumed to present the **same
-/// data** — bump the id whenever the underlying vector changes, or use
-/// [`QueryBatch::add_corpus_uncached`] for one-shot data.
+/// data** — bump the id whenever the underlying vector changes.
 #[derive(Debug, Clone, Copy)]
 pub struct Corpus<'a, K: TopKKey> {
-    /// Caller-assigned stable identity (`None` opts out of delegate
-    /// caching).
-    pub id: Option<u64>,
+    /// Caller-assigned stable identity: the delegate cache's key.
+    pub id: u64,
     /// The keys to select over.
     pub data: &'a [K],
 }
@@ -135,13 +139,7 @@ impl<'a, K: TopKKey> QueryBatch<'a, K> {
     /// Presenting the same `id` with the same length in a later batch lets
     /// the engine reuse the cached delegate vector instead of rebuilding it.
     pub fn add_corpus(&mut self, id: u64, data: &'a [K]) -> usize {
-        self.corpora.push(Corpus { id: Some(id), data });
-        self.corpora.len() - 1
-    }
-
-    /// Register a one-shot corpus that must never be delegate-cached.
-    pub fn add_corpus_uncached(&mut self, data: &'a [K]) -> usize {
-        self.corpora.push(Corpus { id: None, data });
+        self.corpora.push(Corpus { id, data });
         self.corpora.len() - 1
     }
 
@@ -162,16 +160,6 @@ impl<'a, K: TopKKey> QueryBatch<'a, K> {
     /// flag-radix inner algorithm.
     pub fn push_topk(&mut self, corpus: usize, k: usize) -> usize {
         self.push(Query::new(corpus, k, Direction::Largest, Mode::Exact))
-    }
-
-    /// Convenience: append a top-k-largest query pinned (or auto-routed)
-    /// to a specific execution path — the test/bench seam for forcing the
-    /// delegate or radix pipeline.
-    pub fn push_topk_path(&mut self, corpus: usize, k: usize, path: PathHint) -> usize {
-        self.push(Query {
-            path,
-            ..Query::new(corpus, k, Direction::Largest, Mode::Exact)
-        })
     }
 
     /// Convenience: append a top-k-smallest query with the default
@@ -231,13 +219,6 @@ impl<'a, K: TopKKey> QueryBatch<'a, K> {
         self.push_row_query(RowQuery::new(corpus, rows, cols, ks, Direction::Largest))
     }
 
-    /// Convenience: append a row-wise top-k-**smallest** query (each row's
-    /// k minimum elements, ascending) with the default flag-radix inner
-    /// algorithm.
-    pub fn push_rows_min(&mut self, corpus: usize, rows: usize, cols: usize, ks: RowK) -> usize {
-        self.push_row_query(RowQuery::new(corpus, rows, cols, ks, Direction::Smallest))
-    }
-
     /// The registered corpora.
     pub fn corpora(&self) -> &[Corpus<'a, K>] {
         &self.corpora
@@ -249,12 +230,12 @@ impl<'a, K: TopKKey> QueryBatch<'a, K> {
     }
 
     /// The queued row-matrix queries.
-    pub fn row_queries(&self) -> &[RowQuery] {
+    pub(crate) fn row_queries(&self) -> &[RowQuery] {
         &self.row_queries
     }
 
     /// Number of single-vector queries in the batch (row-matrix queries
-    /// are counted separately by [`QueryBatch::row_queries`]).
+    /// are not counted).
     pub fn len(&self) -> usize {
         self.queries.len()
     }
@@ -275,7 +256,7 @@ mod tests {
         let other: Vec<u32> = (0..64).collect();
         let mut batch = QueryBatch::new();
         let c0 = batch.add_corpus(1, &data);
-        let c1 = batch.add_corpus_uncached(&other);
+        let c1 = batch.add_corpus(2, &other);
         assert_eq!((c0, c1), (0, 1));
         assert_eq!(batch.push_topk(c0, 10), 0);
         assert_eq!(batch.push_topk_min(c1, 5), 1);
@@ -283,8 +264,8 @@ mod tests {
         assert!(!batch.is_empty());
         assert_eq!(batch.queries()[0].direction, Direction::Largest);
         assert_eq!(batch.queries()[1].direction, Direction::Smallest);
-        assert_eq!(batch.corpora()[0].id, Some(1));
-        assert_eq!(batch.corpora()[1].id, None);
+        assert_eq!(batch.corpora()[0].id, 1);
+        assert_eq!(batch.corpora()[1].id, 2);
     }
 
     #[test]
@@ -301,7 +282,13 @@ mod tests {
         let c = batch.add_corpus(1, &data);
         assert_eq!(batch.push_rows(c, 8, 16, RowK::Uniform(4)), 0);
         assert_eq!(
-            batch.push_rows_min(c, 4, 32, RowK::PerRow(vec![1, 2, 3, 4])),
+            batch.push_row_query(RowQuery::new(
+                c,
+                4,
+                32,
+                RowK::PerRow(vec![1, 2, 3, 4]),
+                Direction::Smallest
+            )),
             1
         );
         assert_eq!(batch.row_queries().len(), 2);

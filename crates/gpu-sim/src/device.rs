@@ -78,11 +78,6 @@ impl Device {
         self.stats.lock().reset();
     }
 
-    /// Sum of the modeled time of all kernels launched since the last reset.
-    pub fn total_time_ms(&self) -> f64 {
-        self.stats.lock().total_time_ms
-    }
-
     /// Record a non-kernel cost (e.g. a host↔device transfer) in the device
     /// log so it shows up in breakdowns and total time.
     pub fn record_external(&self, name: &str, stats: KernelStats, time_ms: f64) {

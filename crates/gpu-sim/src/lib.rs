@@ -25,11 +25,11 @@
 //! |---|---|
 //! | [`spec`] | [`DeviceSpec`]: hardware parameters and presets |
 //! | [`stats`] | [`KernelStats`] / [`DeviceStats`]: transaction counters |
-//! | [`warp`] | [`WarpCtx`]: instrumented warp-level primitives (coalesced loads, shuffles, atomics, shared memory) |
+//! | [`warp`] | [`WarpCtx`]: instrumented warp-level primitives (coalesced and random accesses, shuffle reductions, atomic and shared-memory counts) |
 //! | [`device`] | [`Device`]: kernel launcher + per-kernel log |
 //! | [`timing`] | the analytic timing model |
 //! | [`memory`] | [`AtomicBuffer`], [`AtomicCounter`]: device-global writable buffers |
-//! | [`multi`] | [`GpuCluster`]: multiple devices + MPI-like interconnect model |
+//! | [`multi`] | [`GpuCluster`]: multiple devices, the MPI-like interconnect model and the per-device [`GpuCluster::try_run_on_all`] |
 //! | [`stream`] | [`Stream`] / [`Event`]: modeled CUDA-stream overlap (transfer/compute concurrency) |
 //!
 //! ## Example
@@ -62,10 +62,10 @@ pub mod timing;
 pub mod warp;
 
 pub use device::{Device, LaunchResult};
-pub use memory::{pack_kv, unpack_kv, AtomicBuffer, AtomicBuffer64, AtomicCounter};
+pub use memory::{AtomicBuffer, AtomicCounter};
 pub use multi::{DeviceError, GpuCluster, InterconnectSpec, TransferDirection};
 pub use spec::DeviceSpec;
 pub use stats::{DeviceStats, KernelRecord, KernelStats};
 pub use stream::{Event, Stream, StreamSet};
-pub use timing::{estimate_time_ms, host_transfer_time_ms};
+pub use timing::estimate_time_ms;
 pub use warp::{chunk_range, WarpCtx, WARP_SIZE};

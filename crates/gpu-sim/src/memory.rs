@@ -10,8 +10,8 @@
 //! * [`AtomicCounter`] — a single `u64` used to hand out output positions
 //!   (the paper's concatenation step "resorts to atomic operations to
 //!   calculate the location for each eligible element").
-//! * [`AtomicBuffer`] — an array of `u32`/`u64` words written with relaxed
-//!   atomic stores (histograms, delegate vectors, concatenated vectors).
+//! * [`AtomicBuffer`] — an array of `u32` words written with relaxed atomic
+//!   stores (histograms, delegate vectors, concatenated vectors).
 //!
 //! Both types optionally take a [`WarpCtx`] so the access is charged to the
 //! kernel's counters.
@@ -79,14 +79,6 @@ impl AtomicBuffer {
         }
     }
 
-    /// Allocate a buffer initialised from a slice (host side).
-    pub fn from_slice(data: &[u32]) -> Self {
-        let words: Vec<AtomicU32> = data.iter().map(|&v| AtomicU32::new(v)).collect();
-        AtomicBuffer {
-            words: words.into_boxed_slice(),
-        }
-    }
-
     /// Number of words.
     pub fn len(&self) -> usize {
         self.words.len()
@@ -101,14 +93,6 @@ impl AtomicBuffer {
     pub fn store(&self, ctx: &mut WarpCtx<'_>, idx: usize, value: u32) {
         ctx.record_store_random::<u32>(1);
         self.words[idx].store(value, Ordering::Relaxed);
-    }
-
-    /// Store a contiguous run of words from a kernel (coalesced store).
-    pub fn store_coalesced(&self, ctx: &mut WarpCtx<'_>, start: usize, values: &[u32]) {
-        ctx.record_store_coalesced::<u32>(values.len());
-        for (i, &v) in values.iter().enumerate() {
-            self.words[start + i].store(v, Ordering::Relaxed);
-        }
     }
 
     /// Load a word from a kernel. Charged as one random (sector) load.
@@ -148,81 +132,6 @@ impl AtomicBuffer {
             w.store(0, Ordering::Relaxed);
         }
     }
-}
-
-/// A fixed-size device buffer of 64-bit words writable from any warp.
-/// Used for packed (value, payload) pairs such as the delegate vector's
-/// (delegate value, subrange id) entries.
-#[derive(Debug)]
-pub struct AtomicBuffer64 {
-    words: Box<[AtomicU64]>,
-}
-
-impl AtomicBuffer64 {
-    /// Allocate a zero-initialised buffer of `len` words.
-    pub fn zeroed(len: usize) -> Self {
-        let words: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();
-        AtomicBuffer64 {
-            words: words.into_boxed_slice(),
-        }
-    }
-
-    /// Number of words.
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// True if the buffer has zero length.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Store a word from a kernel. Charged as one random store.
-    pub fn store(&self, ctx: &mut WarpCtx<'_>, idx: usize, value: u64) {
-        ctx.record_store_random::<u64>(1);
-        self.words[idx].store(value, Ordering::Relaxed);
-    }
-
-    /// Store a contiguous run of words from a kernel (coalesced store).
-    pub fn store_coalesced(&self, ctx: &mut WarpCtx<'_>, start: usize, values: &[u64]) {
-        ctx.record_store_coalesced::<u64>(values.len());
-        for (i, &v) in values.iter().enumerate() {
-            self.words[start + i].store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Load a word from a kernel. Charged as one random load.
-    pub fn load(&self, ctx: &mut WarpCtx<'_>, idx: usize) -> u64 {
-        ctx.record_load_random::<u64>(1);
-        self.words[idx].load(Ordering::Relaxed)
-    }
-
-    /// Read the whole buffer back on the host (not charged).
-    pub fn to_vec(&self) -> Vec<u64> {
-        self.words
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Read a single word on the host (not charged).
-    pub fn get(&self, idx: usize) -> u64 {
-        self.words[idx].load(Ordering::Relaxed)
-    }
-}
-
-/// Pack a `(value, payload)` pair into a single `u64` that orders by value
-/// first (descending comparisons on the packed word match comparisons on the
-/// value). Used for the key-value delegate vector.
-#[inline]
-pub fn pack_kv(value: u32, payload: u32) -> u64 {
-    ((value as u64) << 32) | payload as u64
-}
-
-/// Inverse of [`pack_kv`].
-#[inline]
-pub fn unpack_kv(packed: u64) -> (u32, u32) {
-    ((packed >> 32) as u32, (packed & 0xFFFF_FFFF) as u32)
 }
 
 #[cfg(test)]
@@ -268,12 +177,11 @@ mod tests {
         let buf = AtomicBuffer::zeroed(8);
         let (v, stats) = with_ctx(|ctx| {
             buf.store(ctx, 3, 42);
-            buf.store_coalesced(ctx, 4, &[1, 2, 3]);
             buf.load(ctx, 3)
         });
         assert_eq!(v, 42);
-        assert_eq!(buf.to_vec(), vec![0, 0, 0, 42, 1, 2, 3, 0]);
-        assert_eq!(stats.global_store_transactions, 1 + 1); // 1 random + 1 coalesced line
+        assert_eq!(buf.to_vec(), vec![0, 0, 0, 42, 0, 0, 0, 0]);
+        assert_eq!(stats.global_store_transactions, 1);
         assert_eq!(stats.global_load_transactions, 1);
         buf.clear();
         assert_eq!(buf.get(3), 0);
@@ -293,8 +201,10 @@ mod tests {
 
     #[test]
     fn buffer_fetch_max() {
-        let buf = AtomicBuffer::from_slice(&[5, 5]);
+        let buf = AtomicBuffer::zeroed(2);
         let ((), _) = with_ctx(|ctx| {
+            buf.store(ctx, 0, 5);
+            buf.store(ctx, 1, 5);
             buf.fetch_max(ctx, 0, 9);
             buf.fetch_max(ctx, 1, 2);
         });
@@ -302,33 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn buffer64_roundtrip() {
-        let buf = AtomicBuffer64::zeroed(4);
-        let (v, _) = with_ctx(|ctx| {
-            buf.store(ctx, 0, pack_kv(7, 9));
-            buf.store_coalesced(ctx, 1, &[pack_kv(1, 2)]);
-            buf.load(ctx, 0)
-        });
-        assert_eq!(unpack_kv(v), (7, 9));
-        assert_eq!(unpack_kv(buf.get(1)), (1, 2));
-        assert_eq!(buf.len(), 4);
-        assert!(!buf.is_empty());
-    }
-
-    #[test]
-    fn pack_orders_by_value() {
-        let a = pack_kv(10, 0xFFFF_FFFF);
-        let b = pack_kv(11, 0);
-        assert!(b > a);
-        let c = pack_kv(10, 5);
-        let d = pack_kv(10, 6);
-        assert!(d > c); // ties broken by payload, still deterministic
-    }
-
-    #[test]
     fn empty_buffers() {
         assert!(AtomicBuffer::zeroed(0).is_empty());
         assert_eq!(AtomicBuffer::zeroed(0).len(), 0);
-        assert!(AtomicBuffer64::zeroed(0).is_empty());
     }
 }

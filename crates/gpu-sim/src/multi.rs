@@ -6,9 +6,9 @@
 //!
 //! * [`GpuCluster`] — a set of [`Device`]s plus an [`InterconnectSpec`]
 //!   describing intra-node (NVLink-class) and inter-node (network) links;
-//! * a parallel [`GpuCluster::run_on_all`] helper that executes one closure
-//!   per device on host threads (the "each GPU computes its local top-k"
-//!   step);
+//! * a parallel [`GpuCluster::try_run_on_all`] helper that executes one
+//!   closure per device on host threads (the "each GPU computes its local
+//!   top-k" step);
 //! * transfer-time models for device↔device messages and host→device
 //!   reloads, used to produce the Communication and Reload Overhead columns
 //!   of Table 2.
@@ -116,7 +116,7 @@ impl GpuCluster {
     }
 
     /// Number of compute nodes occupied by the cluster.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.devices
             .len()
             .div_ceil(self.interconnect.devices_per_node.max(1))
@@ -138,7 +138,7 @@ impl GpuCluster {
     }
 
     /// Which node a device lives on.
-    pub fn node_of(&self, device: usize) -> usize {
+    pub(crate) fn node_of(&self, device: usize) -> usize {
         device / self.interconnect.devices_per_node.max(1)
     }
 
@@ -193,45 +193,6 @@ impl GpuCluster {
         };
         self.devices[device].record_external(name, crate::stats::KernelStats::default(), t);
         t
-    }
-
-    /// Modeled time of an **asynchronous gather**: every secondary device
-    /// sends `bytes_per_rank` to `primary` concurrently; the result is the
-    /// slowest individual transfer plus a small per-message ingest cost at
-    /// the primary, matching the paper's observation that the asynchronous
-    /// MPI gather stays in the 0.1–1.5 ms range even at 16 GPUs.
-    pub fn async_gather_time_ms(&self, primary: usize, bytes_per_rank: u64) -> f64 {
-        let mut slowest: f64 = 0.0;
-        let mut messages = 0u32;
-        for src in 0..self.num_devices() {
-            if src == primary {
-                continue;
-            }
-            let t = self.transfer_time_ms(
-                TransferDirection::DeviceToDevice { src, dst: primary },
-                bytes_per_rank,
-            );
-            slowest = slowest.max(t);
-            messages += 1;
-        }
-        // per-message ingest/processing at the primary rank
-        slowest + messages as f64 * Self::MESSAGE_OVERHEAD_MS
-    }
-
-    /// Run `work` once per device, in parallel on host threads, and return
-    /// the per-device results in device order.
-    ///
-    /// The closure is infallible; use [`GpuCluster::try_run_on_all`] when a
-    /// worker can fail and the failing device id matters.
-    pub fn run_on_all<R, F>(&self, work: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &Device) -> R + Sync,
-    {
-        match self.try_run_on_all(|idx, dev| Ok::<R, std::convert::Infallible>(work(idx, dev))) {
-            Ok(results) => results,
-            Err(err) => match err.error {},
-        }
     }
 
     /// Run `work` once per device, in parallel on host threads. Every
@@ -366,19 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn async_gather_grows_slowly_with_devices() {
-        let small = GpuCluster::homogeneous(2, DeviceSpec::v100s());
-        let large = GpuCluster::homogeneous(16, DeviceSpec::v100s());
-        let bytes = 128 * 4; // k=128 u32 values
-        let t_small = small.async_gather_time_ms(0, bytes);
-        let t_large = large.async_gather_time_ms(0, bytes);
-        assert!(t_small > 0.0);
-        assert!(t_large > t_small);
-        // Paper Table 2 reports ≤ 1.43 ms even at 16 GPUs with k = 128.
-        assert!(t_large < 2.0, "gather time {t_large} too large");
-    }
-
-    #[test]
     fn try_run_on_all_surfaces_the_failing_device_id() {
         let cluster = GpuCluster::homogeneous(5, DeviceSpec::v100s());
         // device 3 fails; everything else succeeds — the error names device 3
@@ -437,14 +385,16 @@ mod tests {
     #[test]
     fn run_on_all_returns_in_device_order() {
         let cluster = GpuCluster::homogeneous(6, DeviceSpec::titan_xp());
-        let results = cluster.run_on_all(|idx, dev| {
-            let data = vec![idx as u32; 1024];
-            let launch = dev.launch("scan", 2, |ctx| {
-                ctx.read_coalesced(&data[ctx.chunk_of(data.len())]);
-                ctx.warp_id
-            });
-            (idx, launch.output.len())
-        });
+        let results = cluster
+            .try_run_on_all(|idx, dev| {
+                let data = vec![idx as u32; 1024];
+                let launch = dev.launch("scan", 2, |ctx| {
+                    ctx.read_coalesced(&data[ctx.chunk_of(data.len())]);
+                    ctx.warp_id
+                });
+                Ok::<_, ()>((idx, launch.output.len()))
+            })
+            .unwrap();
         assert_eq!(results.len(), 6);
         for (i, (idx, warps)) in results.iter().enumerate() {
             assert_eq!(*idx, i);

@@ -130,7 +130,7 @@ impl DeviceSpec {
 
     /// H100 SXM (Hopper) preset — the successor generation to the paper's
     /// testbed: 132 SMs × 128 cores, 80 GB HBM3 @ 3350 GB/s.
-    pub fn h100() -> Self {
+    pub(crate) fn h100() -> Self {
         DeviceSpec {
             name: "H100".to_string(),
             num_sms: 132,
@@ -155,7 +155,7 @@ impl DeviceSpec {
     /// B200-class (Blackwell) preset — 148 SMs × 128 cores, 192 GB HBM3e
     /// @ 8000 GB/s; the largest-memory, highest-bandwidth point of the
     /// catalog for forward-looking crossover sweeps.
-    pub fn b200() -> Self {
+    pub(crate) fn b200() -> Self {
         DeviceSpec {
             name: "B200".to_string(),
             num_sms: 148,
@@ -192,19 +192,13 @@ impl DeviceSpec {
     }
 
     /// Total number of CUDA cores.
-    pub fn total_cores(&self) -> u32 {
+    pub(crate) fn total_cores(&self) -> u32 {
         self.num_sms * self.cores_per_sm
-    }
-
-    /// Number of warps that can execute concurrently (compute-side
-    /// parallelism used by the timing model for instruction-bound phases).
-    pub fn concurrent_warps(&self) -> u32 {
-        (self.total_cores() / self.warp_size).max(1)
     }
 
     /// Maximum number of resident warps across the whole device
     /// (latency-hiding parallelism).
-    pub fn max_resident_warps(&self) -> u32 {
+    pub(crate) fn max_resident_warps(&self) -> u32 {
         self.num_sms * self.max_warps_per_sm
     }
 
@@ -269,8 +263,9 @@ mod tests {
     #[test]
     fn concurrent_warps_positive() {
         for spec in DeviceSpec::catalog() {
-            assert!(spec.concurrent_warps() >= 1);
-            assert!(spec.max_resident_warps() >= spec.concurrent_warps());
+            let concurrent = spec.total_cores() / spec.warp_size;
+            assert!(concurrent >= 1, "{}", spec.name);
+            assert!(spec.max_resident_warps() >= concurrent, "{}", spec.name);
         }
     }
 

@@ -79,26 +79,6 @@ impl KernelStats {
     pub fn is_empty(&self) -> bool {
         *self == KernelStats::default()
     }
-
-    /// `(field name, value)` pairs in declaration order — the one place the
-    /// field list is enumerated for exporters, so JSON snapshot emitters
-    /// cannot drift from the struct when a counter is added.
-    pub fn field_entries(&self) -> [(&'static str, u64); 12] {
-        [
-            ("global_load_transactions", self.global_load_transactions),
-            ("global_store_transactions", self.global_store_transactions),
-            ("global_loaded_bytes", self.global_loaded_bytes),
-            ("global_stored_bytes", self.global_stored_bytes),
-            ("shuffle_instructions", self.shuffle_instructions),
-            ("atomic_operations", self.atomic_operations),
-            ("atomic_serialized_ops", self.atomic_serialized_ops),
-            ("shared_ops", self.shared_ops),
-            ("bank_conflicts", self.bank_conflicts),
-            ("syncthreads", self.syncthreads),
-            ("alu_ops", self.alu_ops),
-            ("warps_launched", self.warps_launched),
-        ]
-    }
 }
 
 impl Add for KernelStats {
@@ -238,20 +218,6 @@ mod tests {
         assert_eq!(total.global_load_transactions, 6);
         let combined = sample(1, 0) + sample(0, 1);
         assert_eq!(combined.total_transactions(), 2);
-    }
-
-    #[test]
-    fn field_entries_cover_every_counter() {
-        let s = sample(10, 5);
-        let entries = s.field_entries();
-        // every entry maps back to its field, and the sum over entries
-        // equals the sum over fields (catches a swapped or dropped pair)
-        let by_name = |n: &str| entries.iter().find(|(e, _)| *e == n).unwrap().1;
-        assert_eq!(by_name("global_load_transactions"), 10);
-        assert_eq!(by_name("global_store_transactions"), 5);
-        assert_eq!(by_name("warps_launched"), 4);
-        let names: std::collections::HashSet<&str> = entries.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), entries.len(), "duplicate field name");
     }
 
     #[test]

@@ -41,10 +41,6 @@ pub struct Event {
 }
 
 impl Event {
-    /// An event that has already fired at time zero (waiting on it never
-    /// stalls).
-    pub const READY: Event = Event { ready_at_ms: 0.0 };
-
     /// The modeled time at which the event fires, in milliseconds.
     pub fn ready_at_ms(&self) -> f64 {
         self.ready_at_ms
@@ -75,12 +71,6 @@ impl Stream {
     /// introduced by [`Stream::wait_event`].
     pub fn busy_ms(&self) -> f64 {
         self.busy_ms
-    }
-
-    /// Modeled time the stream spent stalled waiting on events from other
-    /// streams: `cursor_ms() - busy_ms()`.
-    pub fn idle_ms(&self) -> f64 {
-        (self.cursor_ms - self.busy_ms).max(0.0)
     }
 
     /// Record an event at the stream's current cursor (fires once
@@ -187,7 +177,7 @@ mod tests {
         let done = compute.launch(2.0);
         assert_eq!(done.ready_at_ms(), 12.0);
         // waiting on an event from the past is free
-        let past = Event::READY;
+        let past = Stream::new().record();
         compute.wait_event(&past);
         assert_eq!(compute.cursor_ms(), 12.0);
     }
@@ -233,9 +223,8 @@ mod tests {
         compute.launch(2.0);
         assert_eq!(compute.cursor_ms(), 12.0);
         assert_eq!(compute.busy_ms(), 3.0);
-        assert_eq!(compute.idle_ms(), 9.0);
         // the copy stream never waited: fully busy
-        assert_eq!(copy.idle_ms(), 0.0);
+        assert_eq!(copy.cursor_ms(), copy.busy_ms());
     }
 
     #[test]

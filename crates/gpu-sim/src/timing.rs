@@ -83,7 +83,7 @@ pub fn estimate_time_ms(stats: &KernelStats, spec: &DeviceSpec) -> f64 {
 /// Estimate the time to move `bytes` between host and device (PCIe), in ms.
 /// Used by the distributed runner to model the "reload overhead" column of
 /// Table 2 (sub-vectors streamed from outside the GPU).
-pub fn host_transfer_time_ms(bytes: u64, spec: &DeviceSpec) -> f64 {
+pub(crate) fn host_transfer_time_ms(bytes: u64, spec: &DeviceSpec) -> f64 {
     let bw = spec.host_bandwidth_gbps * 1e9;
     let latency_s = 10e-6;
     (bytes as f64 / bw + latency_s) * 1e3

@@ -22,17 +22,14 @@ use crate::stats::KernelStats;
 pub const WARP_SIZE: usize = 32;
 
 /// Size in bytes of one coalesced global-memory transaction (a cache line).
-pub const TRANSACTION_BYTES: u64 = 128;
+pub(crate) const TRANSACTION_BYTES: u64 = 128;
 
 /// Size in bytes of one non-coalesced (sector) transaction.
-pub const SECTOR_BYTES: u64 = 32;
+pub(crate) const SECTOR_BYTES: u64 = 32;
 
 /// Number of shuffle instructions a full-warp butterfly reduction issues
 /// (`Σ_{1≤i≤5} 32/2^i = 31`, as counted in Equation 2).
 pub const SHUFFLES_PER_WARP_REDUCTION: u64 = 31;
-
-/// Number of shared-memory banks (used by the bank-conflict model).
-pub const SHARED_BANKS: usize = 32;
 
 /// Execution context handed to a kernel closure, one per simulated warp.
 ///
@@ -87,13 +84,6 @@ impl<'a> WarpCtx<'a> {
         buf
     }
 
-    /// Read one element at an arbitrary index (non-coalesced). Accounts one
-    /// 32-byte sector load transaction.
-    pub fn read_random<T: Copy>(&mut self, buf: &[T], idx: usize) -> T {
-        self.record_load_random::<T>(1);
-        buf[idx]
-    }
-
     /// Account for a coalesced load of `len` elements of type `T` without
     /// touching data (used when the data movement is done by safe Rust code
     /// outside the context, e.g. iterating a sub-slice).
@@ -127,7 +117,7 @@ impl<'a> WarpCtx<'a> {
     }
 
     /// Account for `count` random (non-coalesced) element stores.
-    pub fn record_store_random<T>(&mut self, count: usize) {
+    pub(crate) fn record_store_random<T>(&mut self, count: usize) {
         if count == 0 {
             return;
         }
@@ -154,38 +144,12 @@ impl<'a> WarpCtx<'a> {
         lane_value
     }
 
-    /// Full-warp maximum reduction over explicit lane values (≤ 32 lanes).
-    pub fn warp_reduce_max_lanes<T: Copy + Ord>(&mut self, lane_values: &[T]) -> T {
-        assert!(!lane_values.is_empty(), "warp reduction over zero lanes");
-        assert!(lane_values.len() <= WARP_SIZE);
-        self.record_shuffles(SHUFFLES_PER_WARP_REDUCTION);
-        *lane_values.iter().max().unwrap()
-    }
-
     /// Full-warp minimum reduction over explicit lane values (≤ 32 lanes).
     pub fn warp_reduce_min_lanes<T: Copy + Ord>(&mut self, lane_values: &[T]) -> T {
         assert!(!lane_values.is_empty(), "warp reduction over zero lanes");
         assert!(lane_values.len() <= WARP_SIZE);
         self.record_shuffles(SHUFFLES_PER_WARP_REDUCTION);
         *lane_values.iter().min().unwrap()
-    }
-
-    /// Full-warp sum reduction over explicit lane values (≤ 32 lanes).
-    pub fn warp_reduce_sum_lanes(&mut self, lane_values: &[u64]) -> u64 {
-        assert!(lane_values.len() <= WARP_SIZE);
-        self.record_shuffles(SHUFFLES_PER_WARP_REDUCTION);
-        lane_values.iter().sum()
-    }
-
-    /// Warp ballot: which lanes have a true predicate. Accounts one shuffle
-    /// class instruction (ballot is a single SIMT vote instruction).
-    pub fn warp_ballot(&mut self, predicates: &[bool]) -> u32 {
-        assert!(predicates.len() <= WARP_SIZE);
-        self.record_shuffles(1);
-        predicates
-            .iter()
-            .enumerate()
-            .fold(0u32, |acc, (i, &p)| if p { acc | (1 << i) } else { acc })
     }
 
     // ------------------------------------------------------------------
@@ -199,17 +163,6 @@ impl<'a> WarpCtx<'a> {
         self.stats.atomic_operations += n;
     }
 
-    /// Account for `n` global atomic operations of which at most
-    /// `max_same_address` target the same word (e.g. a histogram bucket that
-    /// receives most of a skewed distribution). Same-address atomics
-    /// serialize on real hardware, so the timing model charges at least
-    /// `max_same_address` serialized rounds for this batch.
-    pub fn record_contended_atomics(&mut self, n: u64, max_same_address: u64) {
-        debug_assert!(max_same_address <= n);
-        self.stats.atomic_operations += n;
-        self.stats.atomic_serialized_ops += max_same_address;
-    }
-
     // ------------------------------------------------------------------
     // Shared memory
     // ------------------------------------------------------------------
@@ -217,35 +170,6 @@ impl<'a> WarpCtx<'a> {
     /// Account for `n` shared-memory load/store operations (no conflicts).
     pub fn record_shared(&mut self, n: u64) {
         self.stats.shared_ops += n;
-    }
-
-    /// Account for one warp-wide shared-memory access where lane `i`
-    /// accesses the 4-byte word index `word_indices[i]`. Bank conflicts are
-    /// counted as the extra serialized passes the access requires
-    /// (`max accesses to a single bank − 1`), ignoring broadcasts of the
-    /// exact same word.
-    pub fn shared_access(&mut self, word_indices: &[usize]) {
-        assert!(word_indices.len() <= WARP_SIZE);
-        self.stats.shared_ops += 1;
-        let mut per_bank_words: [Option<usize>; SHARED_BANKS] = [None; SHARED_BANKS];
-        let mut per_bank_count = [0u32; SHARED_BANKS];
-        for &w in word_indices {
-            let bank = w % SHARED_BANKS;
-            match per_bank_words[bank] {
-                None => {
-                    per_bank_words[bank] = Some(w);
-                    per_bank_count[bank] = 1;
-                }
-                Some(prev) if prev == w => {
-                    // broadcast: same word, no extra pass
-                }
-                Some(_) => {
-                    per_bank_count[bank] += 1;
-                }
-            }
-        }
-        let max_passes = per_bank_count.iter().copied().max().unwrap_or(1).max(1);
-        self.stats.bank_conflicts += (max_passes - 1) as u64;
     }
 
     /// `__syncthreads()` — one CTA-wide barrier.
@@ -324,9 +248,7 @@ mod tests {
     fn random_access_counts_per_element() {
         let spec = DeviceSpec::v100s();
         let mut ctx = ctx_with_spec(&spec);
-        let data = vec![7u32; 100];
-        let v = ctx.read_random(&data, 99);
-        assert_eq!(v, 7);
+        ctx.record_load_random::<u32>(1);
         ctx.record_store_random::<u32>(9);
         assert_eq!(ctx.stats().global_load_transactions, 1);
         assert_eq!(ctx.stats().global_store_transactions, 9);
@@ -336,13 +258,11 @@ mod tests {
     fn warp_reduction_counts_31_shuffles() {
         let spec = DeviceSpec::v100s();
         let mut ctx = ctx_with_spec(&spec);
-        let lanes: Vec<u32> = (0..32).collect();
-        assert_eq!(ctx.warp_reduce_max_lanes(&lanes), 31);
+        assert_eq!(ctx.warp_reduce_max(31u32), 31);
         assert_eq!(ctx.stats().shuffle_instructions, 31);
+        let lanes: Vec<u32> = (0..32).collect();
         assert_eq!(ctx.warp_reduce_min_lanes(&lanes), 0);
         assert_eq!(ctx.stats().shuffle_instructions, 62);
-        assert_eq!(ctx.warp_reduce_sum_lanes(&[1, 2, 3]), 6);
-        assert_eq!(ctx.stats().shuffle_instructions, 93);
     }
 
     #[test]
@@ -350,45 +270,7 @@ mod tests {
     fn empty_reduction_panics() {
         let spec = DeviceSpec::v100s();
         let mut ctx = ctx_with_spec(&spec);
-        ctx.warp_reduce_max_lanes::<u32>(&[]);
-    }
-
-    #[test]
-    fn ballot_builds_mask() {
-        let spec = DeviceSpec::v100s();
-        let mut ctx = ctx_with_spec(&spec);
-        let preds = [true, false, true, true];
-        assert_eq!(ctx.warp_ballot(&preds), 0b1101);
-        assert_eq!(ctx.stats().shuffle_instructions, 1);
-    }
-
-    #[test]
-    fn shared_access_conflict_free_when_strided_by_one() {
-        let spec = DeviceSpec::v100s();
-        let mut ctx = ctx_with_spec(&spec);
-        let idx: Vec<usize> = (0..32).collect();
-        ctx.shared_access(&idx);
-        assert_eq!(ctx.stats().bank_conflicts, 0);
-        assert_eq!(ctx.stats().shared_ops, 1);
-    }
-
-    #[test]
-    fn shared_access_same_bank_conflicts() {
-        let spec = DeviceSpec::v100s();
-        let mut ctx = ctx_with_spec(&spec);
-        // every lane touches a different word in bank 0 -> 31 extra passes
-        let idx: Vec<usize> = (0..32).map(|i| i * 32).collect();
-        ctx.shared_access(&idx);
-        assert_eq!(ctx.stats().bank_conflicts, 31);
-    }
-
-    #[test]
-    fn shared_access_broadcast_is_free() {
-        let spec = DeviceSpec::v100s();
-        let mut ctx = ctx_with_spec(&spec);
-        let idx = [5usize; 32];
-        ctx.shared_access(&idx);
-        assert_eq!(ctx.stats().bank_conflicts, 0);
+        ctx.warp_reduce_min_lanes::<u32>(&[]);
     }
 
     #[test]

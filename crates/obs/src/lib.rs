@@ -49,7 +49,7 @@ pub mod trace;
 
 pub use json::{validate_chrome_trace, Json, Snapshot, TraceCheck, SCHEMA_VERSION};
 pub use metrics::{
-    Counter, FloatCounter, Gauge, Histogram, HistogramSummary, MetricName, MetricUnit,
-    MetricsRegistry, MetricsSnapshot, WorkerSnapshot,
+    Counter, Histogram, HistogramSummary, MetricName, MetricUnit, MetricsRegistry, MetricsSnapshot,
+    WorkerSnapshot,
 };
 pub use trace::{EventKind, ExecEvent, SpanRecord, TraceRecorder, TraceSink};

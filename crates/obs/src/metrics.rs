@@ -40,7 +40,7 @@ impl Counter {
 ///
 /// Stored as `f64` bit patterns in an atomic; `add` is a CAS loop.
 #[derive(Debug)]
-pub struct FloatCounter(AtomicU64);
+pub(crate) struct FloatCounter(AtomicU64);
 
 impl Default for FloatCounter {
     fn default() -> FloatCounter {
@@ -80,7 +80,7 @@ impl FloatCounter {
 
 /// A last-write-wins float gauge (e.g. an occupancy fraction).
 #[derive(Debug)]
-pub struct Gauge(AtomicU64);
+pub(crate) struct Gauge(AtomicU64);
 
 impl Default for Gauge {
     fn default() -> Gauge {
@@ -261,15 +261,6 @@ pub struct HistogramSummary {
 }
 
 impl HistogramSummary {
-    /// Mean sample, ms (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ms / self.count as f64
-        }
-    }
-
     /// JSON form used inside snapshots.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -684,7 +675,7 @@ mod tests {
         assert!((s.p50_ms - 500.0).abs() / 500.0 < 0.05, "p50 {}", s.p50_ms);
         assert!((s.p95_ms - 950.0).abs() / 950.0 < 0.05, "p95 {}", s.p95_ms);
         assert!((s.p99_ms - 990.0).abs() / 990.0 < 0.05, "p99 {}", s.p99_ms);
-        assert!((s.mean_ms() - 500.5).abs() < 1e-6);
+        assert!((s.sum_ms / s.count as f64 - 500.5).abs() < 1e-6);
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl TraceRecorder {
         }
     }
 
-    /// Whether this recorder is in deterministic mode.
-    pub fn is_deterministic(&self) -> bool {
-        self.deterministic
-    }
-
     /// Spans recorded so far, in ingestion order.
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.spans.lock().clone()

@@ -156,6 +156,44 @@ fn distributed_edges_match_single_device() {
     assert_eq!(full.values, reference_topk(&data, data.len()));
 }
 
+/// An α outside construction's `1..32` is public input, not a bug: every
+/// runner takes the direct (exact) run instead of panicking in
+/// construction or overflowing `1 << α`.
+#[test]
+fn out_of_range_alpha_runs_directly_on_every_runner() {
+    let dev = device();
+    let cluster = GpuCluster::homogeneous(2, DeviceSpec::v100s());
+    let data = topk_datagen::uniform(1 << 12, 31);
+    let (rows, cols, k) = (8, 1 << 9, 16);
+    for alpha in [0u32, 32, 64] {
+        let config = DrTopKConfig {
+            alpha: Some(alpha),
+            ..DrTopKConfig::default()
+        };
+        let expected = reference_topk(&data, 64);
+        assert_eq!(
+            dr_topk(&dev, &data, 64, &config).values,
+            expected,
+            "dr_topk, alpha {alpha}"
+        );
+        let distributed = distributed_dr_topk(
+            &cluster,
+            &data,
+            64,
+            &config,
+            ReloadSchedule::default(),
+            None,
+        );
+        assert_eq!(distributed.values, expected, "distributed, alpha {alpha}");
+        let matrix = RowMatrix::new(&data, rows, cols);
+        let by_row = topk_rows(&cluster, matrix, &RowK::Uniform(k), &config);
+        for (r, got) in by_row.rows.iter().enumerate() {
+            let row = &data[r * cols..(r + 1) * cols];
+            assert_eq!(got.values, reference_topk(row, k), "row {r}, alpha {alpha}");
+        }
+    }
+}
+
 // ---- selection primitives: out-of-range k is a documented panic ----
 
 #[test]

@@ -118,7 +118,9 @@ proptest! {
     /// its β best elements in either direction, bit for bit, and both
     /// construction kernels agree. α and β reach both sides of the per-lane
     /// loop's limits (256-element subranges, β = 4), and float inputs carry
-    /// NaN payloads of both signs, ±0 and subnormals.
+    /// NaN payloads of both signs, ±0 and subnormals. Every draw also runs
+    /// sorted both ways and folded onto at most 8 distinct values (see
+    /// [`orderings`]).
     #[test]
     fn delegate_construction_is_exact(
         data in proptest::collection::vec(any::<u32>(), 1..5000),
@@ -128,14 +130,25 @@ proptest! {
         beta in 1usize..7,
     ) {
         let device = device();
-        let table = [
-            ("u32", assert_delegates_exact(&device, &data, alpha, beta)),
-            ("f32", assert_delegates_exact(&device, &floats, alpha, beta)),
-            ("i64", assert_delegates_exact(&device, &wide, alpha, beta)),
-        ];
-        for (key, outcome) in table {
-            if let Err(msg) = outcome {
-                prop_assert!(false, "{} alpha={} beta={}: {}", key, alpha, beta, msg);
+        let (data, floats, wide) = (orderings(&data), orderings(&floats), orderings(&wide));
+        for (i, order) in ORDERINGS.iter().enumerate() {
+            let table = [
+                ("u32", assert_delegates_exact(&device, &data[i], alpha, beta)),
+                ("f32", assert_delegates_exact(&device, &floats[i], alpha, beta)),
+                ("i64", assert_delegates_exact(&device, &wide[i], alpha, beta)),
+            ];
+            for (key, outcome) in table {
+                if let Err(msg) = outcome {
+                    prop_assert!(
+                        false,
+                        "{} {} alpha={} beta={}: {}",
+                        key,
+                        order,
+                        alpha,
+                        beta,
+                        msg
+                    );
+                }
             }
         }
     }
@@ -195,6 +208,25 @@ use topk_baselines::{
 /// Compare key vectors through their order-preserving bit images, so NaN
 /// (which is `!=` itself as a float) still compares as a concrete multiset
 /// element.
+/// Names of the [`orderings`], in order.
+const ORDERINGS: [&str; 4] = ["as drawn", "ascending", "descending", "<= 8 distinct"];
+
+/// One draw in the orders construction must survive: as drawn; ascending,
+/// where every 32-element chunk beats the floor (chunk-skip's worst case);
+/// descending; and folded onto at most 8 of its own values, so chunk
+/// maxima tie.
+fn orderings<K: TopKKey>(draw: &[K]) -> [Vec<K>; 4] {
+    let mut ascending = draw.to_vec();
+    ascending.sort_unstable_by_key(|v| v.to_bits());
+    let descending = ascending.iter().rev().copied().collect();
+    let palette = &draw[..draw.len().min(8)];
+    let few = draw
+        .iter()
+        .map(|v| palette[(v.to_bits().to_u128() % palette.len() as u128) as usize])
+        .collect();
+    [draw.to_vec(), ascending, descending, few]
+}
+
 fn bits_of<K: TopKKey>(v: &[K]) -> Vec<K::Bits> {
     v.iter().map(|x| TopKKey::to_bits(*x)).collect()
 }
