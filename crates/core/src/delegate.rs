@@ -50,6 +50,16 @@
 //! appends its delegates to one launch-wide values vector; the subrange
 //! ids are a function of the shape alone and are built once after the
 //! launch (`delegate_subrange_ids`).
+//!
+//! ## Delegates of delegates
+//!
+//! Rule 1 holds for delegates too: a coarse subrange's top-β lies in the
+//! union of its parts' top-β′ lists for any β′ ≥ β. So
+//! [`coarsen_delegate_vector`] derives the vector at `(α, β)` from one of
+//! the same input at α′ ≤ α, β′ ≥ β by running `delegates_into` over the
+//! finer vector's values, bit-identical to a fresh build and reading
+//! `β′·|V|/2^α′` values instead of `|V|`. The serving engine uses it to
+//! answer a cached corpus at every coarser α and smaller β.
 
 use std::cell::RefCell;
 
@@ -106,14 +116,13 @@ pub struct DelegateVector<K: TopKKey = u32> {
     pub subrange_size: usize,
     /// Number of subranges (`⌈|V| / 2^α⌉`).
     pub num_subranges: usize,
-    /// Which construction kernel actually ran.
-    pub method: ConstructionMethod,
     /// The direction the delegates were extracted for; only plans of that
     /// direction may share the vector.
     pub direction: Direction,
-    /// Counters accumulated by the construction kernel.
+    /// Counters accumulated by the kernel that produced the vector (the
+    /// construction, or [`coarsen_delegate_vector`]'s coarsening).
     pub stats: KernelStats,
-    /// Modeled construction time in milliseconds.
+    /// Modeled time of that kernel in milliseconds.
     pub time_ms: f64,
 }
 
@@ -404,7 +413,6 @@ pub(crate) fn construct<K: TopKKey>(
             beta,
             subrange_size,
             num_subranges: 0,
-            method,
             direction: Direction::Largest,
             stats: KernelStats::default(),
             time_ms: 0.0,
@@ -465,7 +473,99 @@ pub(crate) fn construct<K: TopKKey>(
         beta,
         subrange_size,
         num_subranges,
-        method,
+        direction: Direction::Largest,
+        stats: launch.stats,
+        time_ms: launch.time_ms,
+    }
+}
+
+/// Derive the delegate vector at subrange size `2^alpha` and `beta`
+/// delegates per subrange from `finer`, a vector of the same `len`-element
+/// input at a finer or equal subrange size (α′ ≤ α) with at least as many
+/// delegates per subrange (β′ ≥ β), in `finer`'s direction.
+///
+/// Rule 1 applied to the delegates themselves: a coarse subrange is
+/// `2^(α−α′)` consecutive fine ones, and its top-β lies in the union of
+/// their top-β′ lists. Those lists are stored contiguously, so every full
+/// coarse subrange is one block of `2^(α−α′) · min(β′, 2^α′)` delegate
+/// values, and one launch of the construction's host loop over
+/// `finer.values` with that block size takes each block's top-β. The
+/// result is bit-identical to [`build_delegate_vector`] at `(alpha, beta)`
+/// on the input, and reads `finer.len()` values instead of `len`.
+///
+/// The launch (`drtopk_delegate_coarsen`) records one coalesced read of the
+/// finer values and the usual (value, id) store per delegate.
+///
+/// # Panics
+///
+/// When `beta` is 0, `alpha` is outside `1..32`, or `finer` is coarser
+/// than `alpha`, holds fewer than `beta` delegates per subrange, or was not
+/// built over `len` elements.
+pub fn coarsen_delegate_vector<K: TopKKey>(
+    device: &Device,
+    finer: &DelegateVector<K>,
+    len: usize,
+    alpha: u32,
+    beta: usize,
+) -> DelegateVector<K> {
+    let finer_view = finer.view();
+    match finer.direction {
+        Direction::Largest => coarsen(device, finer_view, len, alpha, beta),
+        Direction::Smallest => {
+            coarsen(device, finer_view.as_desc(), len, alpha, beta).into_native()
+        }
+    }
+}
+
+/// The coarsening kernel: the top-β of every `2^alpha`-element subrange in
+/// `K`'s order, from `finer`'s delegates (see [`coarsen_delegate_vector`]).
+fn coarsen<K: TopKKey>(
+    device: &Device,
+    finer: Delegates<'_, K>,
+    len: usize,
+    alpha: u32,
+    beta: usize,
+) -> DelegateVector<K> {
+    assert!(beta >= 1, "beta must be at least 1");
+    assert!((1..32).contains(&alpha), "alpha must be in 1..32");
+    let subrange_size = 1usize << alpha;
+    assert!(
+        finer.subrange_size <= subrange_size && finer.beta >= beta,
+        "coarsening needs a finer or equal subrange size and at least beta delegates"
+    );
+    assert_eq!(
+        finer.num_subranges,
+        len.div_ceil(finer.subrange_size),
+        "the finer vector was built over another length"
+    );
+    let num_subranges = len.div_ceil(subrange_size);
+    // The delegate values of one full coarse subrange.
+    let block = subrange_size / finer.subrange_size * finer.beta.min(finer.subrange_size);
+    let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
+
+    let values = RefCell::new(Vec::with_capacity(num_subranges * beta));
+    let launch = device.launch(
+        "drtopk_delegate_coarsen",
+        num_subranges.clamp(1, 1 << 14),
+        |ctx| {
+            let subranges = ctx.chunk_of(num_subranges);
+            let own = &finer.values
+                [subranges.start * block..(subranges.end * block).min(finer.values.len())];
+            let staged = ctx.read_coalesced(own);
+            ctx.record_alu(staged.len() as u64);
+            for subrange in staged.chunks(block) {
+                ctx.record_store_coalesced::<u32>(kv_words * beta.min(subrange.len()));
+            }
+            delegates_into(staged, block, beta, &mut values.borrow_mut());
+        },
+    );
+
+    DelegateVector {
+        values: values.into_inner(),
+        subrange_ids: delegate_subrange_ids(len, subrange_size, beta),
+        beta,
+        subrange_size,
+        num_subranges,
         direction: Direction::Largest,
         stats: launch.stats,
         time_ms: launch.time_ms,
@@ -598,6 +698,36 @@ mod tests {
     }
 
     #[test]
+    fn coarsening_reads_the_finer_delegates_once() {
+        let dev = device();
+        let data = topk_datagen::uniform((1 << 16) + 77, 9);
+        let finer = construct(&dev, &data, 4, 3, ConstructionMethod::Auto);
+        let coarse = coarsen_delegate_vector(&dev, &finer, data.len(), 9, 2);
+        let fresh = construct(&dev, &data, 9, 2, ConstructionMethod::Auto);
+        assert_eq!(coarse.values, fresh.values);
+        assert_eq!(coarse.subrange_ids, fresh.subrange_ids);
+        assert_eq!(
+            (coarse.beta, coarse.subrange_size, coarse.num_subranges),
+            (fresh.beta, fresh.subrange_size, fresh.num_subranges)
+        );
+        assert_eq!(coarse.stats.global_loaded_bytes, (finer.len() * 4) as u64);
+        assert_eq!(
+            coarse.stats.global_stored_bytes,
+            fresh.stats.global_stored_bytes
+        );
+        assert!(coarse.time_ms < fresh.time_ms);
+    }
+
+    #[test]
+    #[should_panic(expected = "finer or equal subrange size")]
+    fn coarsening_a_coarser_vector_panics() {
+        let dev = device();
+        let data = topk_datagen::uniform(1 << 12, 9);
+        let coarser = construct(&dev, &data, 8, 2, ConstructionMethod::Auto);
+        coarsen_delegate_vector(&dev, &coarser, data.len(), 6, 2);
+    }
+
+    #[test]
     fn empty_input() {
         let dev = device();
         let dv = construct::<u32>(&dev, &[], 8, 2, ConstructionMethod::Auto);
@@ -642,7 +772,8 @@ mod tests {
     /// Sweep [`top_beta_into`] and [`delegates_into`] against the reference
     /// over β ∈ 1..=8 and 64, every length 0..=300 plus lengths past 512
     /// (ragged against the 32-element chunks and the per-lane loop's lanes,
-    /// and below β), and random / ascending / descending / constant orders.
+    /// and below β), and random / ascending / descending / constant / at
+    /// most 8 distinct values (see [`few_distinct`]).
     /// `delegates_into` runs at subrange sizes on both sides of the per-lane
     /// loop's 256-element limit, with ragged final subranges. Random inputs
     /// mix uniformly random bit patterns with `specials`.
@@ -663,11 +794,13 @@ mod tests {
             let mut descending = random.clone();
             topk_baselines::sort_keys_desc(&mut descending);
             let constant = vec![random.first().copied().unwrap_or_default(); len];
+            let few = few_distinct(&random);
             for (order, input) in [
                 ("random", &random),
                 ("ascending", &ascending),
                 ("descending", &descending),
                 ("constant", &constant),
+                ("<= 8 distinct", &few),
             ] {
                 for beta in (1..=8).chain([64]) {
                     assert_appends(
@@ -694,6 +827,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `data` folded onto at most 8 of its own values, so chunk maxima and
+    /// per-lane slots tie.
+    fn few_distinct<K: TopKKey>(data: &[K]) -> Vec<K> {
+        let palette = &data[..data.len().min(8)];
+        data.iter()
+            .map(|v| palette[(v.to_bits().to_u128() % palette.len() as u128) as usize])
+            .collect()
     }
 
     #[test]
@@ -741,18 +883,26 @@ mod tests {
             // 70 subranges spill past one 32-subrange staging group, and the
             // ragged tails cover short final subranges on both sides of β
             for tail in [0, 1, size / 2, size - 1] {
-                let data = topk_datagen::uniform(70 * size + tail, u64::from(alpha) + 10);
-                for beta in [1usize, 2, 3, 5] {
-                    let warp = construct(&dev, &data, alpha, beta, ConstructionMethod::WarpShuffle);
-                    let coal = construct(
-                        &dev,
-                        &data,
-                        alpha,
-                        beta,
-                        ConstructionMethod::CoalescedShared,
-                    );
-                    let (vals, ids) = reference_delegates(&data, alpha, beta);
-                    let case = format!("alpha={alpha} tail={tail} beta={beta}");
+                let uniform = topk_datagen::uniform(70 * size + tail, u64::from(alpha) + 10);
+                let mut ascending = uniform.clone();
+                ascending.sort_unstable();
+                let descending: Vec<u32> = ascending.iter().rev().copied().collect();
+                let few = few_distinct(&uniform);
+                let orders = [
+                    ("uniform", &uniform),
+                    ("ascending", &ascending),
+                    ("descending", &descending),
+                    ("<= 8 distinct", &few),
+                ];
+                for ((order, data), beta) in orders
+                    .into_iter()
+                    .flat_map(|o| [1usize, 2, 3, 5].map(|beta| (o, beta)))
+                {
+                    let warp = construct(&dev, data, alpha, beta, ConstructionMethod::WarpShuffle);
+                    let coal =
+                        construct(&dev, data, alpha, beta, ConstructionMethod::CoalescedShared);
+                    let (vals, ids) = reference_delegates(data, alpha, beta);
+                    let case = format!("alpha={alpha} tail={tail} beta={beta} {order}");
                     assert_eq!(warp.values, vals, "{case}");
                     assert_eq!(warp.subrange_ids, ids, "{case}");
                     assert_eq!(coal.values, warp.values, "{case}");

@@ -75,7 +75,6 @@ impl<K: TopKKey> DelegateVector<Desc<K>> {
             beta: self.beta,
             subrange_size: self.subrange_size,
             num_subranges: self.num_subranges,
-            method: self.method,
             direction: Direction::Smallest,
             stats: self.stats,
             time_ms: self.time_ms,

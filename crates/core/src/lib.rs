@@ -77,7 +77,9 @@ pub mod verify;
 
 pub use approx::{expected_recall, measured_recall, Mode, RecallTarget};
 pub use concat::{concatenate, Concatenated};
-pub use delegate::{build_delegate_vector, ConstructionMethod, DelegateVector};
+pub use delegate::{
+    build_delegate_vector, coarsen_delegate_vector, ConstructionMethod, DelegateVector,
+};
 pub use direction::Direction;
 pub use distributed::{
     capacity_in_keys, distributed_dr_topk, distributed_dr_topk_explore, DistributedResult,

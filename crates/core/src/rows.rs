@@ -411,7 +411,6 @@ fn build_rows_graph<'a, K: TopKKey>(
                                     beta,
                                     subrange_size,
                                     num_subranges,
-                                    method: planned.config.construction.resolve(alpha),
                                     direction: Direction::Largest,
                                     stats: KernelStats::default(),
                                     time_ms: 0.0,

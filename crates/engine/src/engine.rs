@@ -318,6 +318,7 @@ impl TopKEngine {
             plan_cache: CacheReport {
                 hits: plan.plan_hits,
                 misses: plan.plan_misses,
+                coarsened: 0,
             },
             delegate_cache: exec.delegate_cache,
             delegate_passes_run: exec.delegate_passes_run,
@@ -432,6 +433,7 @@ mod tests {
         assert_eq!(warm.report.plan_cache.hits, 1);
         assert_eq!(warm.report.plan_cache.misses, 0);
         assert_eq!(warm.report.delegate_cache.hits, 1);
+        assert_eq!(warm.report.delegate_cache.coarsened, 0, "an exact hit");
         assert_eq!(warm.report.delegate_passes_run, 0);
         assert_eq!(warm.report.delegate_passes_saved, 1);
         assert_eq!(warm.results[0].values, cold.results[0].values);

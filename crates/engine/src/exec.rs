@@ -5,9 +5,12 @@
 //! balancing: a worker that drew a cheap unit immediately takes the next
 //! one). Each unit executes as a **stage graph** on its worker's device:
 //! pass → shared first top-k → per-member narrow / concatenate / second
-//! top-k. The shared delegate-pass stage is built, or recalled from the
-//! delegate cache by a lookup the calling thread resolves in plan order
-//! before dispatch. When two or more exact members run on it, one shared
+//! top-k. The shared delegate-pass stage is built from the corpus, or
+//! taken from the delegate cache by a lookup the calling thread resolves in
+//! plan order before dispatch: an exact entry needs no pass stage, and a
+//! finer entry of the same corpus is coarsened by a pass labeled
+//! "coarsened delegate pass" that reads its delegates instead of the
+//! corpus. When two or more exact members run on it, one shared
 //! first top-k selects at their largest k (the paper's first top-k finds
 //! every winner, so it holds each smaller k's answer). Then every member
 //! query runs its own pipeline stages — themselves scheduled by the core
@@ -18,8 +21,9 @@
 //! times, the compute/transfer split and the modeled unit cost are all
 //! derived from it instead of being hand-accumulated at three sites.
 //! Outcomes are folded in unit order after the pool, which is also when
-//! freshly built passes enter the cache, so cache counts, LRU state and
-//! every reported sum are independent of host-thread timing.
+//! passes built from the corpus enter the cache (coarsened ones do not),
+//! so cache counts, LRU state and every reported sum are independent of
+//! host-thread timing.
 //! Sharded queries run the distributed stage graph (double-buffered chunk
 //! ingestion) and report their breakdown and overlap the same way. Worker
 //! failures are surfaced per device through
@@ -30,10 +34,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use drtopk_core::{
-    build_delegate_vector, capacity_in_keys, debug_assert_verified, distributed_dr_topk,
-    dr_topk_planned, first_topk, topk_rows_on, DelegateVector, DrTopKConfig, DrTopKResult,
-    ExecutedStage, FirstTopK, PhaseBreakdown, PlannedQuery, ReloadSchedule, Resource, RowMatrix,
-    Shared, StageGraph, StageId, StageKind, StageOutcome, StageReport,
+    build_delegate_vector, capacity_in_keys, coarsen_delegate_vector, debug_assert_verified,
+    distributed_dr_topk, dr_topk_planned, first_topk, topk_rows_on, DelegateVector, DrTopKConfig,
+    DrTopKResult, ExecutedStage, FirstTopK, PhaseBreakdown, PlannedQuery, ReloadSchedule, Resource,
+    RowMatrix, Shared, StageGraph, StageId, StageKind, StageOutcome, StageReport,
 };
 use drtopk_obs::TraceSink;
 use gpu_sim::{Device, GpuCluster, KernelStats};
@@ -41,7 +45,7 @@ use parking_lot::Mutex;
 use topk_baselines::TopKKey;
 
 use crate::engine::EngineError;
-use crate::plan::{ExecutionPlan, FusedUnit, PlanCache, PlanUnit, RowUnit};
+use crate::plan::{CachedDelegates, ExecutionPlan, FusedUnit, PlanCache, PlanUnit, RowUnit};
 use crate::query::{Query, QueryBatch, RowQuery};
 use crate::report::{CacheReport, ExecPath, QueryResult, RowQueryResult};
 
@@ -54,9 +58,12 @@ struct FusedOutcome<K: TopKKey> {
     /// one was built) and the shared first top-k (when one ran), followed
     /// by every member's stages, serial on the worker's device.
     unit_stages: StageReport,
-    /// The shared pass this unit built, for the caller to cache. A unit
-    /// that needs delegates and built none took them from the cache.
+    /// The shared pass this unit built from the corpus, for the caller to
+    /// cache. A unit that needs delegates and built none took them from the
+    /// cache, as they were or coarsened.
     built: Option<Arc<DelegateVector<K>>>,
+    /// True when the unit's pass coarsened a cached finer vector.
+    coarsened: bool,
 }
 
 /// What executing one row-matrix unit produced.
@@ -170,28 +177,37 @@ fn splice_unit_stages<K: TopKKey>(
 }
 
 /// Run one fused unit as a real stage graph on its worker's device: the
-/// shared delegate pass (when `cached` holds none) is the root stage; when
-/// two or more exact members run on the shared delegates, one shared first
-/// top-k at their largest k follows it; every member query is a dependent
-/// stage on the same device, and those exact members narrow the shared
-/// first top-k instead of selecting again. The graph is single-resource,
-/// so the executor runs it inline on the calling worker thread; the member
-/// macro stages are then spliced into a unit-level report via
-/// [`splice_unit_stages`]. The outcome carries the pass it built, if any.
+/// shared delegate pass (when `cached` holds no exact vector) is the root
+/// stage, built from the corpus or coarsened from a cached finer vector;
+/// when two or more exact members run on the shared delegates, one shared
+/// first top-k at their largest k follows it; every member query is a
+/// dependent stage on the same device, and those exact members narrow the
+/// shared first top-k instead of selecting again. The graph is
+/// single-resource, so the executor runs it inline on the calling worker
+/// thread; the member macro stages are then spliced into a unit-level
+/// report via [`splice_unit_stages`]. The outcome carries the pass it
+/// built from the corpus, if any.
 fn run_fused_unit<K: TopKKey>(
     device: &Device,
     device_idx: usize,
     data: &[K],
-    cached: Option<Arc<DelegateVector<K>>>,
+    cached: Option<CachedDelegates<K>>,
     unit_idx: usize,
     unit: &FusedUnit,
     base: &DrTopKConfig,
 ) -> FusedOutcome<K> {
     let beta = unit.beta;
-    // A cache hit means the |V|-scan disappears from the batch entirely
-    // (no pass stage in the graph); a miss means the graph's first stage
-    // builds it.
-    let needs_build = unit.needs_delegates && cached.is_none();
+    // An exact cache hit means the pass disappears from the batch entirely
+    // (no pass stage in the graph). Otherwise the graph's first stage runs
+    // it: a coarsening of a cached finer vector, which reads that vector's
+    // delegates instead of |V|, or a build from the corpus.
+    let (ready, finer) = match cached {
+        Some(CachedDelegates::Exact(vector)) => (Some(vector), None),
+        Some(CachedDelegates::Finer(vector)) => (None, Some(vector)),
+        None => (None, None),
+    };
+    let runs_pass = unit.needs_delegates && ready.is_none();
+    let coarsened = runs_pass && finer.is_some();
     // A member may only run against the shared pass when the pass covers
     // its plan: equal β for exact members, a budget at least the member's
     // own for approximate ones (more candidates only raise recall). The
@@ -222,7 +238,7 @@ fn run_fused_unit<K: TopKKey>(
         members: Vec<Mutex<Option<DrTopKResult<K>>>>,
     }
     let ctx = UnitCtx::<K> {
-        delegates: Mutex::new(cached),
+        delegates: Mutex::new(ready),
         first: OnceLock::new(),
         members: unit.planned.iter().map(|_| Mutex::new(None)).collect(),
     };
@@ -239,22 +255,31 @@ fn run_fused_unit<K: TopKKey>(
         StageKind::DelegateConstruction
     };
     let mut pass_deps: Vec<StageId> = Vec::new();
-    if needs_build {
+    if runs_pass {
         shared_kinds.push(pass_kind);
         pass_deps.push(graph.add_labeled(
             pass_kind,
-            "shared delegate pass",
+            if coarsened {
+                COARSENED_PASS
+            } else {
+                "shared delegate pass"
+            },
             Resource::Compute(device_idx),
             &[],
             move |ctx: &UnitCtx<K>| {
-                let built = Arc::new(build_delegate_vector(
-                    device,
-                    data,
-                    unit.alpha,
-                    beta,
-                    base.construction,
-                    unit.direction,
-                ));
+                let built = Arc::new(match finer {
+                    Some(finer) => {
+                        coarsen_delegate_vector(device, &finer, data.len(), unit.alpha, beta)
+                    }
+                    None => build_delegate_vector(
+                        device,
+                        data,
+                        unit.alpha,
+                        beta,
+                        base.construction,
+                        unit.direction,
+                    ),
+                });
                 let outcome = StageOutcome {
                     stats: built.stats,
                     time_ms: built.time_ms,
@@ -329,7 +354,8 @@ fn run_fused_unit<K: TopKKey>(
         .map(|slot| slot.into_inner().expect("member stage ran"))
         .collect();
     let unit_stages = splice_unit_stages(&macro_report, &shared_kinds, device_idx, &results);
-    let built = if needs_build {
+    // A coarsened vector stays out of the cache: its source serves it.
+    let built = if runs_pass && !coarsened {
         delegates.into_inner()
     } else {
         None
@@ -345,11 +371,15 @@ fn run_fused_unit<K: TopKKey>(
             .collect(),
         unit_stages,
         built,
+        coarsened,
     }
 }
 
 /// Label of a fused unit's shared first top-k stage.
 const SHARED_FIRST_TOPK: &str = "shared first top-k";
+
+/// Label of a fused unit's pass when it coarsens a cached finer vector.
+const COARSENED_PASS: &str = "coarsened delegate pass";
 
 /// Compose a row unit's stage report: the members' row-block schedules
 /// run back-to-back on the worker's device, so each member's stages are
@@ -463,7 +493,7 @@ pub(crate) fn execute_plan<K: TopKKey>(
     // calling thread in plan order, and the passes built on a miss are
     // inserted in unit order after the pool: hits, misses and LRU recency
     // never depend on which worker reaches the cache first.
-    let cached: Vec<Option<Arc<DelegateVector<K>>>> = {
+    let cached: Vec<Option<CachedDelegates<K>>> = {
         let mut cache = cache.lock();
         pool_indices
             .iter()
@@ -603,6 +633,7 @@ pub(crate) fn execute_plan<K: TopKKey>(
         } else if unit.needs_delegates {
             delegate_passes_saved += delegate_users;
             delegate_cache.hits += 1;
+            delegate_cache.coarsened += u64::from(outcome.coarsened);
         }
         for (query_idx, predicted_recall, r) in outcome.results {
             results[query_idx] = Some(QueryResult {

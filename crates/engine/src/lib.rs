@@ -60,7 +60,10 @@
 //!   direction) →` [`drtopk_core::DelegateVector`] skips delegate
 //!   reconstruction for
 //!   unchanged corpora entirely, so a warm engine answers a repeated query
-//!   without ever re-reading the corpus at full length.
+//!   without ever re-reading the corpus at full length. A request at a
+//!   coarser α or smaller β than a cached vector of its corpus is derived
+//!   from that vector's delegates
+//!   ([`drtopk_core::coarsen_delegate_vector`]).
 //!
 //! Correctness is anchored by construction: a query's direction is one
 //! more field of the core request ([`drtopk_core::DrTopKConfig::direction`]),

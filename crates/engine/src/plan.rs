@@ -20,8 +20,14 @@
 //!   device)` to the resolved Rule-4 α (exact) or recall-model `(α, k')`
 //!   (approximate), so a repeated query shape skips the derivation;
 //! * the **delegate cache** maps `(corpus id, length, α, β, key type,
-//!   direction)` to the built [`DelegateVector`], so an unchanged corpus
-//!   skips delegate reconstruction altogether.
+//!   direction)` to the built [`DelegateVector`]. An exact entry spares an
+//!   unchanged corpus its delegate pass altogether; failing that, an entry
+//!   of the same corpus at a finer α′ ≤ α with β′ ≥ β is coarsened to the
+//!   requested `(α, β)`
+//!   ([`coarsen_delegate_vector`](drtopk_core::coarsen_delegate_vector)),
+//!   which reads its delegates instead of the corpus. Rule 4 gives each k
+//!   its own α, so one cached fine pass serves a corpus's coarser
+//!   requests.
 
 use std::any::{Any, TypeId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -71,8 +77,23 @@ pub(crate) struct DelegateKey {
     direction: Direction,
 }
 
+/// A delegate-cache hit: the vector a unit asked for, or a finer vector of
+/// the same corpus that the unit coarsens
+/// ([`coarsen_delegate_vector`](drtopk_core::coarsen_delegate_vector)).
+#[derive(Debug, Clone)]
+pub(crate) enum CachedDelegates<K: TopKKey> {
+    /// The exact `(α, β)` entry: the unit runs no pass.
+    Exact(Arc<DelegateVector<K>>),
+    /// An entry at α′ ≤ α with β′ ≥ β: the unit's pass coarsens it.
+    Finer(Arc<DelegateVector<K>>),
+}
+
 /// The engine's memoization state: tuning plans plus cached delegate
 /// vectors, with hit/miss counters for both.
+///
+/// A delegate lookup is served by the exact `(α, β)` entry or, failing
+/// that, by the finer entry of the same corpus with the fewest delegates
+/// ([`CachedDelegates`]); only vectors built from the corpus are inserted.
 ///
 /// The delegate cache is an **LRU**: every hit refreshes the entry's
 /// recency, so repeat-heavy traffic keeps its hottest corpora resident —
@@ -158,8 +179,12 @@ impl PlanCache {
         self.delegate_order.push_back(*key);
     }
 
-    /// Look up a cached delegate vector, counting a hit or a miss; a hit
-    /// refreshes the entry's LRU recency.
+    /// Look up the delegate vector of `(corpus_id, len, alpha, beta)` in
+    /// `direction`, counting a hit or a miss. The exact entry wins; failing
+    /// that, any entry of the same corpus, length, key type and direction
+    /// at α′ ≤ α with β′ ≥ β serves as a coarsening source, and the one
+    /// with the fewest delegates is taken. Either hit refreshes the served
+    /// entry's LRU recency.
     pub(crate) fn get_delegates<K: TopKKey>(
         &mut self,
         corpus_id: u64,
@@ -167,7 +192,7 @@ impl PlanCache {
         alpha: u32,
         beta: usize,
         direction: Direction,
-    ) -> Option<Arc<DelegateVector<K>>> {
+    ) -> Option<CachedDelegates<K>> {
         let key = DelegateKey {
             corpus_id,
             len,
@@ -176,21 +201,42 @@ impl PlanCache {
             key_type: TypeId::of::<K>(),
             direction,
         };
-        match self.delegates.get(&key) {
-            Some(entry) => {
-                self.delegate_hits += 1;
-                // The TypeId in the key makes the downcast infallible.
-                let value = Arc::clone(entry)
-                    .downcast::<DelegateVector<K>>()
-                    .expect("delegate cache entry type is pinned by its key");
-                self.touch(&key);
-                Some(value)
-            }
-            None => {
-                self.delegate_misses += 1;
-                None
-            }
-        }
+        let served = if self.delegates.contains_key(&key) {
+            Some(key)
+        } else {
+            // same corpus, length, key type and direction; finer α′, β′
+            self.delegates
+                .keys()
+                .filter(|k| {
+                    **k == DelegateKey {
+                        alpha: k.alpha,
+                        beta: k.beta,
+                        ..key
+                    } && k.alpha <= alpha
+                        && k.beta >= beta
+                })
+                .min_by_key(|k| {
+                    let entries = self.delegates[*k]
+                        .downcast_ref::<DelegateVector<K>>()
+                        .map_or(0, DelegateVector::len);
+                    (entries, k.alpha, k.beta)
+                })
+                .copied()
+        };
+        let Some(served) = served else {
+            self.delegate_misses += 1;
+            return None;
+        };
+        self.delegate_hits += 1;
+        self.touch(&served);
+        let vector = Arc::clone(&self.delegates[&served])
+            .downcast::<DelegateVector<K>>()
+            .expect("delegate cache entry type is pinned by its key");
+        Some(if served == key {
+            CachedDelegates::Exact(vector)
+        } else {
+            CachedDelegates::Finer(vector)
+        })
     }
 
     /// Insert a freshly built delegate vector at the most-recently-used
@@ -627,15 +673,82 @@ mod tests {
     }
 
     fn build_entry(data: &[u32]) -> Arc<drtopk_core::DelegateVector<u32>> {
+        build_at(data, 6, 2)
+    }
+
+    fn build_at(data: &[u32], alpha: u32, beta: usize) -> Arc<drtopk_core::DelegateVector<u32>> {
         let dev = gpu_sim::Device::new(gpu_sim::DeviceSpec::v100s());
         Arc::new(drtopk_core::build_delegate_vector(
             &dev,
             data,
-            6,
-            2,
+            alpha,
+            beta,
             drtopk_core::ConstructionMethod::Auto,
             Direction::Largest,
         ))
+    }
+
+    /// What a largest-direction lookup of corpus 0 at `(alpha, beta)`
+    /// served: whether it was the exact entry, and the served entry's α′
+    /// and β′.
+    fn served(
+        cache: &mut PlanCache,
+        len: usize,
+        alpha: u32,
+        beta: usize,
+    ) -> Option<(bool, u32, usize)> {
+        let (exact, vector) =
+            match cache.get_delegates::<u32>(0, len, alpha, beta, Direction::Largest)? {
+                CachedDelegates::Exact(v) => (true, v),
+                CachedDelegates::Finer(v) => (false, v),
+            };
+        Some((exact, vector.subrange_size.trailing_zeros(), vector.beta))
+    }
+
+    #[test]
+    fn delegate_cache_prefers_the_exact_entry_then_the_smallest_finer_one() {
+        let data: Vec<u32> = (0..4096).collect();
+        let len = data.len();
+        let mut cache = PlanCache::with_delegate_capacity(8);
+        // 256, 512, 128 and 512 delegates
+        for (alpha, beta) in [(4, 1), (5, 4), (6, 2), (6, 8)] {
+            cache.put_delegates(0, len, alpha, beta, build_at(&data, alpha, beta));
+        }
+        // the exact key wins over every finer entry
+        assert_eq!(served(&mut cache, len, 6, 2), Some((true, 6, 2)));
+        // every entry could serve (8, 1); the smallest does
+        assert_eq!(served(&mut cache, len, 8, 1), Some((false, 6, 2)));
+        // only entries with β′ ≥ 3 and α′ ≤ 5 can serve (5, 3)
+        assert_eq!(served(&mut cache, len, 5, 3), Some((false, 5, 4)));
+        assert_eq!(served(&mut cache, len, 7, 5), Some((false, 6, 8)));
+        assert_eq!((cache.delegate_hits, cache.delegate_misses), (4, 0));
+        // a finer hit refreshes the served entry's recency
+        let newest = cache.delegate_order.back().map(|k| (k.alpha, k.beta));
+        assert_eq!(newest, Some((6, 8)));
+    }
+
+    #[test]
+    fn delegate_cache_never_serves_a_mismatched_entry() {
+        let data: Vec<u32> = (0..4096).collect();
+        let len = data.len();
+        let mut cache = PlanCache::with_delegate_capacity(8);
+        cache.put_delegates(0, len, 6, 2, build_at(&data, 6, 2));
+        // a coarser α′ or a smaller β′
+        assert_eq!(served(&mut cache, len, 5, 2), None);
+        assert_eq!(served(&mut cache, len, 7, 3), None);
+        // another direction, length, key type or corpus
+        let misses = [
+            cache.get_delegates::<u32>(0, len, 7, 2, Direction::Smallest),
+            cache.get_delegates::<u32>(0, len - 1, 7, 2, Direction::Largest),
+            cache.get_delegates::<u32>(1, len, 7, 2, Direction::Largest),
+        ];
+        assert!(misses.iter().all(Option::is_none));
+        assert!(cache
+            .get_delegates::<i32>(0, len, 7, 2, Direction::Largest)
+            .is_none());
+        assert_eq!((cache.delegate_hits, cache.delegate_misses), (0, 6));
+        // the matching request is served by coarsening
+        assert_eq!(served(&mut cache, len, 7, 2), Some((false, 6, 2)));
     }
 
     #[test]

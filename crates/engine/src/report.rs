@@ -12,6 +12,10 @@ pub struct CacheReport {
     pub hits: u64,
     /// Lookups that had to compute (and then populate the cache).
     pub misses: u64,
+    /// The hits a finer cached delegate vector served by coarsening (see
+    /// [`drtopk_core::coarsen_delegate_vector`]); always 0 for the
+    /// tuning-plan cache.
+    pub coarsened: u64,
 }
 
 impl CacheReport {
@@ -200,7 +204,11 @@ mod tests {
     #[test]
     fn hit_rate_is_safe_and_correct() {
         assert_eq!(CacheReport::default().hit_rate(), 0.0);
-        let r = CacheReport { hits: 3, misses: 1 };
+        let r = CacheReport {
+            hits: 3,
+            misses: 1,
+            coarsened: 0,
+        };
         assert!((r.hit_rate() - 0.75).abs() < 1e-12);
     }
 }

@@ -1,12 +1,15 @@
 //! Serving a batch of heterogeneous top-k queries with the engine: a hot
 //! shared corpus takes Zipf-distributed `k` traffic (mixed largest/smallest
-//! directions) on a 4-device cluster, twice — the second, warm batch shows
-//! the tuning-plan and delegate caches at work.
+//! directions) on a 4-device cluster, three times. The second, warm batch
+//! shows the tuning-plan and delegate caches at work; the third re-asks the
+//! warm corpus for a quarter of every k, so Rule 4 picks coarser subranges
+//! and the cached passes are coarsened instead of rebuilt.
 //!
 //! Run with: `cargo run --release --example serve_batch [n_exp] [queries]`
 //!
 //! The example self-verifies every result against the CPU reference and
-//! exits non-zero on any mismatch.
+//! exits non-zero on any mismatch, or when the third round coarsens no
+//! cached pass.
 
 use drtopk::core::InnerAlgorithm;
 use drtopk::engine::{Direction, Query, QueryBatch, TopKEngine};
@@ -25,13 +28,14 @@ fn main() {
     let engine = TopKEngine::new(GpuCluster::homogeneous(4, DeviceSpec::v100s()));
 
     println!("|V| = 2^{n_exp}, {num_queries} queries (Zipf k, 25% smallest-direction), 4 devices");
-    for round in ["cold", "warm"] {
+    for (round, k_divisor) in [("cold", 1), ("warm", 1), ("shifted", 4)] {
+        let k_of = |spec: &topk_datagen::QuerySpec| spec.k.div_ceil(k_divisor);
         let mut batch = QueryBatch::new();
         let c = batch.add_corpus(1, &corpus);
         for spec in &specs {
             batch.push(Query {
                 corpus: c,
-                k: spec.k,
+                k: k_of(spec),
                 direction: if spec.largest {
                     Direction::Largest
                 } else {
@@ -46,9 +50,9 @@ fn main() {
 
         for (i, spec) in specs.iter().enumerate() {
             let expect = if spec.largest {
-                topk_baselines::reference_topk(&corpus, spec.k)
+                topk_baselines::reference_topk(&corpus, k_of(spec))
             } else {
-                topk_baselines::reference_topk_min(&corpus, spec.k)
+                topk_baselines::reference_topk_min(&corpus, k_of(spec))
             };
             assert_eq!(out.results[i].values, expect, "query {i} ({spec:?})");
         }
@@ -67,9 +71,10 @@ fn main() {
             r.delegate_passes_run, r.delegate_passes_saved
         );
         println!(
-            "  caches: tuning-plan {:.0}% hit, delegate {:.0}% hit",
+            "  caches: tuning-plan {:.0}% hit, delegate {:.0}% hit ({} coarsened)",
             r.plan_cache.hit_rate() * 100.0,
-            r.delegate_cache.hit_rate() * 100.0
+            r.delegate_cache.hit_rate() * 100.0,
+            r.delegate_cache.coarsened
         );
         println!(
             "  phases (ms): delegate {:.3}, first {:.3}, concat {:.3}, second {:.3}",
@@ -82,5 +87,11 @@ fn main() {
             "  makespan {:.3} ms → {:.0} queries/s (modeled)",
             r.total_ms, r.throughput_qps
         );
+        if round == "shifted" {
+            assert!(
+                r.delegate_cache.coarsened > 0,
+                "the shifted round must coarsen a cached pass"
+            );
+        }
     }
 }

@@ -6,11 +6,12 @@
 
 mod common;
 
-use common::engine;
+use common::{bits, engine};
 use drtopk::core::{dr_topk, DrTopKConfig, PathHint};
 use drtopk::engine::{Direction, EngineConfig, Query, QueryBatch, TopKEngine};
 use drtopk::prelude::*;
 use proptest::prelude::*;
+use topk_baselines::{reference_topk, reference_topk_min};
 
 /// Run `specs` (k, largest?) through one fused batch and through N
 /// independent single-query calls, comparing bit patterns (so float NaNs
@@ -415,4 +416,42 @@ fn delegate_cache_outcomes_do_not_depend_on_thread_timing() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());
+}
+
+/// A warm corpus asked for smaller k's coarsens its cached passes instead
+/// of rescanning: the second batch, exact and approximate in both
+/// directions, runs no delegate pass, its exact values equal the reference,
+/// and every value is bit-identical to a fresh engine's.
+#[test]
+fn a_warm_corpus_serves_smaller_ks_by_coarsening_its_cached_passes() {
+    let data = topk_datagen::uniform(1 << 16, 23);
+    let batch_of = |ks: &[usize]| {
+        let mut batch = QueryBatch::new();
+        let c = batch.add_corpus(5, &data);
+        for &k in ks {
+            batch.push_topk(c, k);
+            batch.push_topk_min(c, k);
+            batch.push_topk_approx(c, k, 0.9);
+            batch.push_topk_min_approx(c, k, 0.9);
+        }
+        batch
+    };
+    let eng = engine(2);
+    eng.run_batch(&batch_of(&[256, 300])).unwrap();
+    let smaller = [8, 40];
+    let warm = eng.run_batch(&batch_of(&smaller)).unwrap();
+    let cache = warm.report.delegate_cache;
+    assert_eq!(warm.report.delegate_passes_run, 0);
+    // one hit per unit: exact and approximate, in both directions
+    assert_eq!((cache.hits, cache.misses, cache.coarsened), (4, 0, 4));
+
+    let fresh = engine(2).run_batch(&batch_of(&smaller)).unwrap();
+    assert!(fresh.report.delegate_passes_run > 0);
+    for (i, (w, f)) in warm.results.iter().zip(&fresh.results).enumerate() {
+        assert_eq!(bits(&w.values), bits(&f.values), "query {i}");
+    }
+    for (j, &k) in smaller.iter().enumerate() {
+        assert_eq!(warm.results[4 * j].values, reference_topk(&data, k));
+        assert_eq!(warm.results[4 * j + 1].values, reference_topk_min(&data, k));
+    }
 }

@@ -2,8 +2,8 @@
 //! structures' invariants.
 
 use drtopk::core::{
-    build_delegate_vector, dr_topk, first_topk, flag_radix_select_kth, flag_radix_topk,
-    rule4_alpha, ConstructionMethod, DrTopKConfig,
+    build_delegate_vector, coarsen_delegate_vector, dr_topk, first_topk, flag_radix_select_kth,
+    flag_radix_topk, rule4_alpha, ConstructionMethod, DrTopKConfig,
 };
 use drtopk::prelude::*;
 use proptest::prelude::*;
@@ -47,6 +47,42 @@ fn assert_delegates_exact<K: TopKKey>(
             if dv.subrange_ids != expected_ids {
                 return Err(format!("{direction:?} {method:?}: subrange ids differ"));
             }
+        }
+    }
+    Ok(())
+}
+
+/// Coarsening a vector built at `(fine_alpha, fine_beta)` to `(alpha,
+/// beta)` gives, in both directions, exactly the vector a fresh build at
+/// `(alpha, beta)` gives: the same value bits, subrange ids and shape.
+fn assert_coarsening_exact<K: TopKKey>(
+    device: &Device,
+    data: &[K],
+    (fine_alpha, fine_beta): (u32, usize),
+    (alpha, beta): (u32, usize),
+) -> Result<(), String> {
+    let shape = |dv: &drtopk::core::DelegateVector<K>| {
+        (dv.beta, dv.subrange_size, dv.num_subranges, dv.direction)
+    };
+    for direction in [Direction::Largest, Direction::Smallest] {
+        let build = |alpha, beta| {
+            build_delegate_vector(
+                device,
+                data,
+                alpha,
+                beta,
+                ConstructionMethod::Auto,
+                direction,
+            )
+        };
+        let finer = build(fine_alpha, fine_beta);
+        let got = coarsen_delegate_vector(device, &finer, data.len(), alpha, beta);
+        let want = build(alpha, beta);
+        if bits_of(&got.values) != bits_of(&want.values) {
+            return Err(format!("{direction:?}: values differ"));
+        }
+        if got.subrange_ids != want.subrange_ids || shape(&got) != shape(&want) {
+            return Err(format!("{direction:?}: subrange ids or shape differ"));
         }
     }
     Ok(())
@@ -148,6 +184,50 @@ proptest! {
                         beta,
                         msg
                     );
+                }
+            }
+        }
+    }
+
+    /// Delegates of delegates (Rule 1 one level up): a vector at α′ ≤ α
+    /// with β′ ≥ β coarsens to exactly the vector a fresh build at (α, β)
+    /// gives, bit for bit, in both directions, over ragged lengths, u32,
+    /// f32 with NaN payloads and ±0, and i64, in all four [`orderings`].
+    /// Every draw also coarsens from α′ = 1 with β′ = β + 2, where the fine
+    /// subranges hold fewer elements than β′.
+    #[test]
+    fn coarsening_equals_a_fresh_build(
+        data in proptest::collection::vec(any::<u32>(), 1..5000),
+        floats in proptest::collection::vec(f32_with_specials(), 1..5000),
+        wide in proptest::collection::vec(any::<i64>(), 1..5000),
+        fine_alpha in 1u32..9,
+        alpha_step in 0u32..4,
+        beta in 1usize..6,
+        beta_step in 0usize..4,
+    ) {
+        let device = device();
+        let alpha = fine_alpha + alpha_step;
+        let (data, floats, wide) = (orderings(&data), orderings(&floats), orderings(&wide));
+        for fine in [(fine_alpha, beta + beta_step), (1, beta + 2)] {
+            for (i, order) in ORDERINGS.iter().enumerate() {
+                let table = [
+                    ("u32", assert_coarsening_exact(&device, &data[i], fine, (alpha, beta))),
+                    ("f32", assert_coarsening_exact(&device, &floats[i], fine, (alpha, beta))),
+                    ("i64", assert_coarsening_exact(&device, &wide[i], fine, (alpha, beta))),
+                ];
+                for (key, outcome) in table {
+                    if let Err(msg) = outcome {
+                        prop_assert!(
+                            false,
+                            "{} {} {:?} -> ({}, {}): {}",
+                            key,
+                            order,
+                            fine,
+                            alpha,
+                            beta,
+                            msg
+                        );
+                    }
                 }
             }
         }
