@@ -1,7 +1,8 @@
 //! Large-k scalability: delegate pipeline vs multi-pass radix select vs the
-//! planner's modeled crossover ([`drtopk_core::choose_path`]), swept over
-//! k ∈ 2⁶ … 2¹⁷ at fixed `|V|` on the uniform dataset and the low-entropy
-//! adversarial dataset (few distinct values — the radix worst case).
+//! planner's modeled crossover ([`drtopk_core::choose_path_sampled`]),
+//! swept over k ∈ 2⁶ … 2¹⁷ at fixed `|V|` on the uniform dataset and the
+//! low-entropy adversarial dataset (few distinct values — the radix worst
+//! case).
 //!
 //! Every cell runs all three paths ([`PathHint::Delegate`],
 //! [`PathHint::Radix`], [`PathHint::Auto`]) on the same data and

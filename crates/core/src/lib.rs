@@ -20,8 +20,8 @@
 //! * **Distributed Dr. Top-k** — multi-device execution with asynchronous
 //!   gathering and reload-overhead modeling ([`distributed`], Section 5.4).
 //! * **Large-k path crossover** — a staged multi-pass radix-select
-//!   pipeline as a second execution path, chosen per `(n, k, key_bits,
-//!   device)` by a modeled crossover ([`choose_path`], [`PathHint`];
+//!   pipeline as a second execution path, chosen per input, k and
+//!   device by a modeled crossover ([`choose_path_sampled`], [`PathHint`];
 //!   going beyond the paper, following RadiK's large-k observation).
 //! * **Generic keys and both directions** — every entry point is generic
 //!   over [`TopKKey`] (`u32`/`u64`/`i32`/`i64`/`f32`/`f64`), and
@@ -99,7 +99,7 @@ pub use stages::{
 };
 pub use topk_baselines::{KeyBits, TopKKey};
 pub use tuning::{
-    auto_alpha, choose_path, choose_path_sampled, is_convex_in_alpha, model_optimal_alpha,
+    auto_alpha, choose_path_sampled, is_convex_in_alpha, model_optimal_alpha,
     optimal_approx_tuning, predicted_approx_cost, predicted_cost, rule4_alpha, ApproxTuning,
     ChosenPath, PathHint, PredictedCost, PAPER_RULE4_CONST,
 };

@@ -87,7 +87,7 @@ impl std::fmt::Display for InnerAlgorithm {
 #[derive(Debug, Clone)]
 pub struct DrTopKConfig {
     /// Subrange exponent α (subrange size `2^α`). `None` applies Rule 4 with
-    /// [`rule4_const`](DrTopKConfig::rule4_const).
+    /// the paper's tuned constant, [`PAPER_RULE4_CONST`].
     pub alpha: Option<u32>,
     /// Number of delegates per subrange (β). The paper's sweep (Figure 9)
     /// finds β = 2 the best overall configuration.
@@ -108,14 +108,12 @@ pub struct DrTopKConfig {
     /// subranges. The result stays exact either way: the relaxed threshold
     /// only admits more subranges into the second top-k.
     pub skip_last_first_pass: bool,
-    /// Rule 4 constant used when `alpha` is `None`.
-    pub rule4_const: f64,
     /// Which execution path to run: the delegate pipeline, the multi-pass
     /// radix-select pipeline, or (the default) whichever
-    /// [`choose_path`](crate::tuning::choose_path) predicts cheaper for
-    /// the query's `(n, k, key_bits)` on the executing device. Exact mode
-    /// only: approximate plans and shared-delegate callers always use the
-    /// delegate machinery.
+    /// [`choose_path_sampled`](crate::tuning::choose_path_sampled)
+    /// predicts cheaper for the query's input and k on the executing
+    /// device. Exact mode only: approximate plans and shared-delegate
+    /// callers always use the delegate machinery.
     pub path: PathHint,
     /// Exact selection (the paper's pipeline, default) or recall-targeted
     /// approximate selection (see [`crate::approx`]). In the approximate
@@ -154,7 +152,6 @@ impl Default for DrTopKConfig {
             construction: ConstructionMethod::Auto,
             inner: InnerAlgorithm::FlagRadix,
             skip_last_first_pass: false,
-            rule4_const: PAPER_RULE4_CONST,
             path: PathHint::Auto,
             mode: Mode::Exact,
             direction: Direction::Largest,
@@ -250,7 +247,7 @@ impl DrTopKConfig {
     pub fn resolve_alpha(&self, n: usize, k: usize) -> u32 {
         match self.alpha {
             Some(a) => a,
-            None => auto_alpha(n.max(2), k.max(1), self.beta, self.rule4_const),
+            None => auto_alpha(n.max(2), k.max(1), self.beta, PAPER_RULE4_CONST),
         }
     }
 }

@@ -1,11 +1,11 @@
 //! The multi-pass radix-select execution path, as a verified stage graph.
 //!
 //! This is the planner's large-k escape hatch (see
-//! [`choose_path`](crate::tuning::choose_path)): where the delegate
-//! pipeline's concatenation and second top-k grow like `√(n·k)` at the
-//! Rule 4 subrange size, hierarchical radix select costs one input scan
-//! plus `O(k)` — so it keeps scaling as k grows into the 10⁴–10⁵ range
-//! where delegate/bucket approaches degrade (RadiK's observation).
+//! [`choose_path_sampled`](crate::tuning::choose_path_sampled)): where the
+//! delegate pipeline's concatenation and second top-k grow like `√(n·k)`
+//! at the Rule 4 subrange size, hierarchical radix select costs one input
+//! scan plus `O(k)` — so it keeps scaling as k grows into the 10⁴–10⁵
+//! range where delegate/bucket approaches degrade (RadiK's observation).
 //!
 //! The pipeline promotes the out-of-place radix baseline
 //! ([`topk_baselines::radix_topk`]) into first-class stages so the

@@ -255,16 +255,16 @@ pub fn is_convex_in_alpha(k: usize, n: usize, spec: &DeviceSpec, alphas: &[f64])
 /// hierarchical multi-pass radix select keeps scaling as k grows into the
 /// 10⁴–10⁵ range where delegate/bucket approaches degrade (RadiK's
 /// observation — see PAPER_MAP.md). `Auto` defers the decision to
-/// [`choose_path`] at execution time, where the key width and the device
-/// profile are known; the pinned variants exist so tests and benches can
-/// force either path.
+/// [`choose_path_sampled`] at execution time, where the input, the key
+/// width and the device profile are known; the pinned variants exist so
+/// tests and benches can force either path.
 ///
 /// Approximate-mode plans ignore the hint: the recall-targeted bucket
 /// machinery has no radix twin. A shared delegate vector also pins the
 /// delegate path — the caller already paid for construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PathHint {
-    /// Let [`choose_path`] pick per `(n, k, key_bits, device)`.
+    /// Let [`choose_path_sampled`] pick per input, k and device.
     #[default]
     Auto,
     /// Always run the delegate pipeline (Figure 3b).
@@ -283,17 +283,6 @@ impl PathHint {
             PathHint::Auto => "auto",
             PathHint::Delegate => "delegate",
             PathHint::Radix => "radix",
-        }
-    }
-
-    /// Resolve the hint into a concrete path: pins map to themselves,
-    /// `Auto` defers to the data-blind [`choose_path`]. Seams that hold
-    /// the input use [`PathHint::resolve_for`] instead.
-    pub fn resolve(&self, n: usize, k: usize, key_bits: u32, spec: &DeviceSpec) -> ChosenPath {
-        match self {
-            PathHint::Auto => choose_path(n, k, key_bits, spec),
-            PathHint::Delegate => ChosenPath::Delegate,
-            PathHint::Radix => ChosenPath::Radix,
         }
     }
 
@@ -316,7 +305,7 @@ impl std::fmt::Display for PathHint {
     }
 }
 
-/// The execution path [`choose_path`] resolved a query to.
+/// The execution path [`choose_path_sampled`] resolved a query to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ChosenPath {
     /// The delegate pipeline.
@@ -366,16 +355,6 @@ impl RadixPredictedCost {
     }
 }
 
-/// Per-pass candidate survival fraction the *data-blind* radix cost model
-/// assumes: [`BITS_PER_PASS`]-bit digits split the candidates into
-/// `2^BITS_PER_PASS` buckets, and on well-distributed keys only the bucket
-/// holding the k-th value survives.
-/// When the input is at hand, [`estimate_radix_survival`] measures the
-/// actual survival from a sample instead — adversarially low-entropy keys
-/// shrink much slower (up to not at all), which is exactly what routes
-/// them back to the delegate path.
-pub(crate) const RADIX_DIGIT_SURVIVAL: f64 = 1.0 / (1u64 << BITS_PER_PASS) as f64;
-
 /// Kernel launches the delegate pipeline issues, as charged by the modeled
 /// crossover: delegate-vector construction, the five-pass in-place first
 /// top-k, subrange concatenation, the five-pass second top-k, and the
@@ -401,8 +380,9 @@ fn modeled_path_us(cycles: f64, launches: f64, key_bytes: f64, spec: &DeviceSpec
 
 /// Evaluate the radix-path cost model for an `n`-element input of
 /// `key_bits`-wide keys and the device constants of `spec`, under a
-/// per-pass candidate `survival` fraction (the data-blind
-/// [`RADIX_DIGIT_SURVIVAL`], or as sampled by [`estimate_radix_survival`]).
+/// per-pass candidate `survival` fraction (as sampled by
+/// [`estimate_radix_survival`]; `2^-BITS_PER_PASS` on well-distributed
+/// keys).
 ///
 /// The model mirrors the staged pipeline stage by stage: pass 0 reads the
 /// input once and writes the fused sampled-filter output (sized
@@ -467,7 +447,7 @@ fn radix_predicted_cost(
 /// deterministic strided sample's top-digit histogram, reduced to the
 /// largest single-bucket share.
 ///
-/// Uniform keys land near [`RADIX_DIGIT_SURVIVAL`] (every bucket holds a
+/// Uniform keys land near `2^-BITS_PER_PASS` (every bucket holds a
 /// sample-noise-sized share); low-entropy keys that concentrate in one top
 /// digit return close to 1.0, which prices every radix pass at a full
 /// re-scan and disables the modeled filter — the planner then keeps such
@@ -534,14 +514,6 @@ fn choose_path_with_survival(
     }
 }
 
-/// Data-blind crossover: `choose_path_with_survival` at the survival of
-/// well-distributed keys (one digit bucket in 2^8 per pass). Used where
-/// only the query shape is known; resolution seams that hold the input prefer
-/// [`choose_path_sampled`].
-pub fn choose_path(n: usize, k: usize, key_bits: u32, spec: &DeviceSpec) -> ChosenPath {
-    choose_path_with_survival(n, k, key_bits, spec, RADIX_DIGIT_SURVIVAL)
-}
-
 /// Data-aware crossover: measure the per-pass survival from the input via
 /// `estimate_radix_survival`, then resolve through
 /// `choose_path_with_survival`. This is what the pipeline's `Auto` seam
@@ -561,6 +533,13 @@ pub fn choose_path_sampled<K: TopKKey>(data: &[K], k: usize, spec: &DeviceSpec) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Per-pass candidate survival on well-distributed keys:
+    /// [`BITS_PER_PASS`]-bit digits split the candidates into
+    /// `2^BITS_PER_PASS` buckets, and only the bucket holding the k-th value
+    /// survives. Adversarially low-entropy keys shrink much slower (up to
+    /// not at all), which is what routes them back to the delegate path.
+    const RADIX_DIGIT_SURVIVAL: f64 = 1.0 / (1u64 << BITS_PER_PASS) as f64;
 
     #[test]
     fn rule4_matches_hand_computation() {
@@ -828,15 +807,19 @@ mod tests {
     fn path_hint_defaults_to_auto_and_pins_resolve_to_themselves() {
         assert_eq!(PathHint::default(), PathHint::Auto);
         let spec = DeviceSpec::v100s();
-        for (n, k) in [(1usize << 20, 64usize), (1 << 20, 1 << 17)] {
+        let data = topk_datagen::uniform(1 << 20, 3);
+        for k in [64usize, 1 << 17] {
             assert_eq!(
-                PathHint::Delegate.resolve(n, k, 32, &spec),
+                PathHint::Delegate.resolve_for(&data, k, &spec),
                 ChosenPath::Delegate
             );
-            assert_eq!(PathHint::Radix.resolve(n, k, 32, &spec), ChosenPath::Radix);
             assert_eq!(
-                PathHint::Auto.resolve(n, k, 32, &spec),
-                choose_path(n, k, 32, &spec)
+                PathHint::Radix.resolve_for(&data, k, &spec),
+                ChosenPath::Radix
+            );
+            assert_eq!(
+                PathHint::Auto.resolve_for(&data, k, &spec),
+                choose_path_sampled(&data, k, &spec)
             );
         }
         assert_eq!(PathHint::ALL.len(), 3);
@@ -919,6 +902,11 @@ mod tests {
         );
     }
 
+    /// The crossover at the survival of well-distributed keys.
+    fn uniform_crossover(n: usize, k: usize, key_bits: u32, spec: &DeviceSpec) -> ChosenPath {
+        choose_path_with_survival(n, k, key_bits, spec, RADIX_DIGIT_SURVIVAL)
+    }
+
     #[test]
     fn choose_path_crosses_over_once_per_device() {
         // Small k → delegate, huge k → radix, and the decision flips exactly
@@ -926,7 +914,7 @@ mod tests {
         for spec in DeviceSpec::catalog() {
             let n = 1usize << 22;
             let choices: Vec<ChosenPath> = (4..=20)
-                .map(|kexp| choose_path(n, 1usize << kexp, 32, &spec))
+                .map(|kexp| uniform_crossover(n, 1usize << kexp, 32, &spec))
                 .collect();
             assert_eq!(
                 choices.first(),
@@ -948,10 +936,13 @@ mod tests {
     #[test]
     fn choose_path_degenerates_to_delegate() {
         let spec = DeviceSpec::v100s();
-        assert_eq!(choose_path(1 << 20, 0, 32, &spec), ChosenPath::Delegate);
-        assert_eq!(choose_path(2, 1, 32, &spec), ChosenPath::Delegate);
+        assert_eq!(
+            uniform_crossover(1 << 20, 0, 32, &spec),
+            ChosenPath::Delegate
+        );
+        assert_eq!(uniform_crossover(2, 1, 32, &spec), ChosenPath::Delegate);
         let n = 1 << 20;
-        assert_eq!(choose_path(n, n, 32, &spec), ChosenPath::Delegate);
-        assert_eq!(choose_path(n, n + 5, 32, &spec), ChosenPath::Delegate);
+        assert_eq!(uniform_crossover(n, n, 32, &spec), ChosenPath::Delegate);
+        assert_eq!(uniform_crossover(n, n + 5, 32, &spec), ChosenPath::Delegate);
     }
 }

@@ -219,23 +219,24 @@ pub struct VerifyOptions {
 
 /// Which stage kinds a stage of `kind` may legally depend on — the
 /// dependency-side encoding of the paper's phase order (`V011`). The rules
-/// admit every graph the planners and the engine build, including the
-/// engine's spliced unit graphs where a member's own delegate pass chains
-/// behind the unit's shared pass.
+/// admit every graph the planners and the engine build, including a
+/// composed engine unit where a member's own delegate pass chains behind
+/// the unit's shared pass.
 fn allowed_dep_kinds(kind: StageKind) -> &'static [StageKind] {
     use StageKind::*;
     match kind {
-        // A rebuild pass may chain behind a shared pass (engine splicing).
+        // A rebuild pass may chain behind a shared pass (a composed engine
+        // unit).
         DelegateConstruction | BucketTopKPrime => &[DelegateConstruction, BucketTopKPrime],
-        // Normally fed by the β-delegate pass; in a spliced engine unit an
+        // Normally fed by the β-delegate pass; in a composed engine unit an
         // exact-fallback member's first top-k can chain behind the unit's
         // shared k′ candidate pass instead, and a member that narrows the
         // unit's shared first top-k chains behind that selection.
         FirstTopK => &[DelegateConstruction, BucketTopKPrime, FirstTopK],
         Concatenate => &[FirstTopK],
         // Fed by the concatenation (exact), the candidate pass (approx), or
-        // a shared delegate pass (engine macro stage); no deps on the
-        // fallback path.
+        // the shared delegate pass of a composed engine unit (a fallback
+        // member's root); no deps on a lone fallback run.
         SecondTopK => &[Concatenate, BucketTopKPrime, DelegateConstruction],
         // A load waits (at most) for the compute that frees its staging
         // buffer.
@@ -315,7 +316,7 @@ fn reaches(adj: &[Vec<usize>], from: usize, to: usize) -> bool {
     false
 }
 
-/// The debug-build verification gate every built or spliced stage graph
+/// The debug-build verification gate every built or composed stage graph
 /// goes through: panic naming `what` and listing every diagnostic `verify`
 /// returns. Release builds skip the check without calling `verify`.
 #[track_caller]
@@ -502,7 +503,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
 
     // V012 — radix-chain integrity: every narrowing stage must reach a
     // radix select through dependent edges. Reachability (not exactly-one)
-    // keeps spliced/merged schedules legal.
+    // keeps composed/merged schedules legal.
     let selects: Vec<usize> = specs
         .iter()
         .enumerate()

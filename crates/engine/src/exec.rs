@@ -3,41 +3,41 @@
 //!
 //! Fused units are pulled from a shared atomic queue (dynamic load
 //! balancing: a worker that drew a cheap unit immediately takes the next
-//! one). Each unit executes as a **stage graph** on its worker's device:
-//! pass → shared first top-k → per-member narrow / concatenate / second
-//! top-k. The shared delegate-pass stage is built from the corpus, or
-//! taken from the delegate cache by a lookup the calling thread resolves in
-//! plan order before dispatch: an exact entry needs no pass stage, and a
-//! finer entry of the same corpus is coarsened by a pass labeled
+//! one). A unit is strictly serial on its worker's device, so it runs as
+//! plain calls: the shared delegate pass, then the shared first top-k,
+//! then every member's [`dr_topk_planned`]. The pass is built from the
+//! corpus, or taken from the delegate cache by a lookup the calling thread
+//! resolves in plan order before dispatch: an exact entry needs no pass,
+//! and a finer entry of the same corpus is coarsened by a pass labeled
 //! "coarsened delegate pass" that reads its delegates instead of the
-//! corpus. When two or more exact members run on it, one shared
-//! first top-k selects at their largest k (the paper's first top-k finds
-//! every winner, so it holds each smaller k's answer). Then every member
-//! query runs its own pipeline stages — themselves scheduled by the core
-//! stage executor inside [`dr_topk_planned`] — and those exact members
-//! narrow the shared first top-k to their k in one pass instead of
-//! selecting again. The unit's
-//! [`StageReport`] is the engine's single instrumentation point: per-phase
-//! times, the compute/transfer split and the modeled unit cost are all
-//! derived from it instead of being hand-accumulated at three sites.
-//! Outcomes are folded in unit order after the pool, which is also when
-//! passes built from the corpus enter the cache (coarsened ones do not),
-//! so cache counts, LRU state and every reported sum are independent of
-//! host-thread timing.
+//! corpus. When two or more exact members run on it, one shared first
+//! top-k selects at their largest k (the paper's first top-k finds every
+//! winner, so it holds each smaller k's answer), and those members narrow
+//! it to their k in one pass instead of selecting again. Each step is a
+//! `Part`; one `compose` lays a unit's parts back to back into its
+//! [`StageReport`], for fused and row units alike. That report is the
+//! engine's single instrumentation point: per-phase times, the
+//! compute/transfer split and the modeled unit cost are all derived from
+//! it. Outcomes are folded in unit order after the pool, which is also
+//! when passes built from the corpus enter the cache (coarsened ones do
+//! not), so cache counts, LRU state and every reported sum are independent
+//! of host-thread timing.
 //! Sharded queries run the distributed stage graph (double-buffered chunk
 //! ingestion) and report their breakdown and overlap the same way. Worker
 //! failures are surfaced per device through
 //! [`GpuCluster::try_run_on_all`] instead of poisoning the batch.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
+use std::time::Instant;
 
 use drtopk_core::{
     build_delegate_vector, capacity_in_keys, coarsen_delegate_vector, debug_assert_verified,
     distributed_dr_topk, dr_topk_planned, first_topk, topk_rows_on, DelegateVector, DrTopKConfig,
-    DrTopKResult, ExecutedStage, FirstTopK, PhaseBreakdown, PlannedQuery, ReloadSchedule, Resource,
-    RowMatrix, Shared, StageGraph, StageId, StageKind, StageOutcome, StageReport,
+    DrTopKResult, ExecutedStage, PhaseBreakdown, PlannedQuery, ReloadSchedule, Resource, RowMatrix,
+    Shared, StageKind, StageReport,
 };
 use drtopk_obs::TraceSink;
 use gpu_sim::{Device, GpuCluster, KernelStats};
@@ -113,80 +113,105 @@ pub(crate) struct ExecOutput<K: TopKKey> {
     pub worker_units: Vec<usize>,
 }
 
-/// Compose the unit-level stage report from the macro graph's schedule.
-///
-/// The macro graph's first stages are the unit's shared work, one per
-/// entry of `shared` (the delegate pass when one ran, then the shared first
-/// top-k when one ran). They keep their place and take the kind `shared`
-/// gives them: in the macro graph every shared stage is tagged as the
-/// unit's pass, the one kind a member macro stage may wait on. Every later
-/// macro stage is one member, and is replaced here by that member's own
-/// executed pipeline stages, shifted onto the unit's serial timeline and
-/// re-tagged with the worker's device. Dependencies are remapped into the
-/// composed index space: a member's root stages wait on whatever its macro
-/// stage waited on.
-fn splice_unit_stages<K: TopKKey>(
-    macro_report: &StageReport,
-    shared: &[StageKind],
-    device: usize,
-    results: &[DrTopKResult<K>],
-) -> StageReport {
-    let mut stages: Vec<ExecutedStage> = Vec::new();
-    let (shared_stages, member_stages) = macro_report.stages.split_at(shared.len());
-    for (macro_stage, &kind) in shared_stages.iter().zip(shared) {
-        // The shared stages lead the composed list, so their indices and
-        // dependencies carry over unchanged.
-        stages.push(ExecutedStage {
-            kind,
-            resource: Resource::Compute(device),
-            ..macro_stage.clone()
-        });
+/// One step of a pool unit, as the worker ran it: the step's own stage
+/// report, the composed indices its root stages wait on, and its host
+/// wall-clock start in ms since the unit started.
+struct Part {
+    report: StageReport,
+    deps: Vec<usize>,
+    measured_start_ms: f64,
+}
+
+impl Part {
+    /// A step the engine ran itself (the shared pass or the shared first
+    /// top-k) as a one-stage part: its `(stats, modeled ms)` and its
+    /// measured interval on the unit's clock.
+    fn one_stage(
+        kind: StageKind,
+        label: &str,
+        (stats, time_ms): (KernelStats, f64),
+        deps: Vec<usize>,
+        measured: Range<f64>,
+    ) -> Self {
+        let measured_ms = measured.end - measured.start;
+        Part {
+            report: StageReport {
+                stages: vec![ExecutedStage {
+                    kind,
+                    label: label.to_owned(),
+                    resource: Resource::Compute(0),
+                    deps: Vec::new(),
+                    start_ms: 0.0,
+                    end_ms: time_ms,
+                    measured_start_ms: 0.0,
+                    measured_end_ms: measured_ms,
+                    stats,
+                }],
+                makespan_ms: time_ms,
+                measured_makespan_ms: measured_ms,
+            },
+            deps,
+            measured_start_ms: measured.start,
+        }
     }
-    for (macro_stage, member) in member_stages.iter().zip(results) {
+}
+
+/// Compose a pool unit's stage report from its parts, which ran back to
+/// back on the worker's device: each part's stages are shifted onto the
+/// unit's serial timeline, re-tagged with the worker's device and
+/// re-indexed into the composed stage list; a part's root stages wait on
+/// the part's `deps`. Each modeled start is a running sum of durations, as
+/// the executor's stream replay computes it, so the composed times equal a
+/// single serial schedule's bit for bit.
+fn compose(parts: Vec<Part>, device: usize) -> StageReport {
+    let mut stages: Vec<ExecutedStage> =
+        Vec::with_capacity(parts.iter().map(|p| p.report.stages.len()).sum());
+    let mut offset_ms = 0.0f64;
+    let mut measured_makespan_ms = 0.0f64;
+    for part in parts {
         let base_idx = stages.len();
-        for inner in &member.stages.stages {
+        for inner in part.report.stages {
             let deps = if inner.deps.is_empty() {
-                macro_stage.deps.clone()
+                part.deps.clone()
             } else {
                 inner.deps.iter().map(|d| d + base_idx).collect()
             };
+            let measured_end_ms = inner.measured_end_ms + part.measured_start_ms;
+            measured_makespan_ms = measured_makespan_ms.max(measured_end_ms);
             stages.push(ExecutedStage {
-                kind: inner.kind,
-                label: inner.label.clone(),
                 resource: Resource::Compute(device),
                 deps,
-                start_ms: inner.start_ms + macro_stage.start_ms,
-                end_ms: inner.end_ms + macro_stage.start_ms,
-                measured_start_ms: inner.measured_start_ms + macro_stage.measured_start_ms,
-                measured_end_ms: inner.measured_end_ms + macro_stage.measured_start_ms,
-                stats: inner.stats,
+                start_ms: inner.start_ms + offset_ms,
+                end_ms: inner.end_ms + offset_ms,
+                measured_start_ms: inner.measured_start_ms + part.measured_start_ms,
+                measured_end_ms,
+                ..inner
             });
         }
+        offset_ms += part.report.makespan_ms;
     }
     let report = StageReport {
         stages,
-        makespan_ms: macro_report.makespan_ms,
-        measured_makespan_ms: macro_report.measured_makespan_ms,
+        makespan_ms: offset_ms,
+        measured_makespan_ms,
     };
-    // The macro graph was verified when it executed; splicing re-wires
-    // kinds, resources and dependencies, so debug builds re-check the
-    // composed schedule too (the index remapping is exactly the kind of
-    // arithmetic the verifier exists to catch).
-    debug_assert_verified("spliced unit stage report", || report.verify());
+    // Composition re-wires resources and dependencies, so debug builds
+    // check the composed schedule (the index arithmetic is exactly what the
+    // verifier exists to catch).
+    debug_assert_verified("composed unit stage report", || report.verify());
     report
 }
 
-/// Run one fused unit as a real stage graph on its worker's device: the
-/// shared delegate pass (when `cached` holds no exact vector) is the root
-/// stage, built from the corpus or coarsened from a cached finer vector;
-/// when two or more exact members run on the shared delegates, one shared
-/// first top-k at their largest k follows it; every member query is a
-/// dependent stage on the same device, and those exact members narrow the
-/// shared first top-k instead of selecting again. The graph is
-/// single-resource, so the executor runs it inline on the calling worker
-/// thread; the member macro stages are then spliced into a unit-level
-/// report via [`splice_unit_stages`]. The outcome carries the pass it
-/// built from the corpus, if any.
+/// Run one fused unit on its worker's device as a sequence of calls: the
+/// shared delegate pass (when `cached` holds no exact vector), built from
+/// the corpus or coarsened from a cached finer vector; then, when two or
+/// more exact members run on the shared delegates, one shared first top-k
+/// at their largest k; then every member's [`dr_topk_planned`], those exact
+/// members narrowing the shared first top-k instead of selecting again.
+/// Each step is one [`Part`] of the unit's [`compose`]d report: members
+/// wait on the shared first top-k when they narrow it, otherwise on the
+/// pass. The outcome carries the pass the unit built from the corpus, if
+/// any.
 fn run_fused_unit<K: TopKKey>(
     device: &Device,
     device_idx: usize,
@@ -196,11 +221,12 @@ fn run_fused_unit<K: TopKKey>(
     unit: &FusedUnit,
     base: &DrTopKConfig,
 ) -> FusedOutcome<K> {
+    let epoch = Instant::now();
     let beta = unit.beta;
     // An exact cache hit means the pass disappears from the batch entirely
-    // (no pass stage in the graph). Otherwise the graph's first stage runs
-    // it: a coarsening of a cached finer vector, which reads that vector's
-    // delegates instead of |V|, or a build from the corpus.
+    // (no pass part). Otherwise the unit's first part runs it: a coarsening
+    // of a cached finer vector, which reads that vector's delegates instead
+    // of |V|, or a build from the corpus.
     let (ready, finer) = match cached {
         Some(CachedDelegates::Exact(vector)) => (Some(vector), None),
         Some(CachedDelegates::Finer(vector)) => (None, Some(vector)),
@@ -232,148 +258,96 @@ fn run_fused_unit<K: TopKKey>(
     let selecting: Vec<&PlannedQuery> = unit.planned.iter().filter(|p| selects(p)).collect();
     let shares_first = selecting.len() >= 2;
 
-    struct UnitCtx<K: TopKKey> {
-        delegates: Mutex<Option<Arc<DelegateVector<K>>>>,
-        first: OnceLock<FirstTopK<K>>,
-        members: Vec<Mutex<Option<DrTopKResult<K>>>>,
-    }
-    let ctx = UnitCtx::<K> {
-        delegates: Mutex::new(ready),
-        first: OnceLock::new(),
-        members: unit.planned.iter().map(|_| Mutex::new(None)).collect(),
-    };
-
-    let mut graph: StageGraph<'_, UnitCtx<K>> = StageGraph::new();
-    // The kinds of the shared stages, in graph order, for the splice.
-    let mut shared_kinds: Vec<StageKind> = Vec::new();
-    // The one shared pass is the unit's first stage; its kind mirrors what
-    // the pass is (candidate generation for approximate groups, delegate
-    // construction otherwise).
-    let pass_kind = if unit.mode.strict_target().is_some() {
-        StageKind::BucketTopKPrime
-    } else {
-        StageKind::DelegateConstruction
-    };
-    let mut pass_deps: Vec<StageId> = Vec::new();
-    if runs_pass {
-        shared_kinds.push(pass_kind);
-        pass_deps.push(graph.add_labeled(
+    let mut parts: Vec<Part> = Vec::with_capacity(unit.planned.len() + 2);
+    let mut pass_deps: Vec<usize> = Vec::new();
+    let delegates = if runs_pass {
+        // The pass's kind mirrors what it is: candidate generation for
+        // approximate groups, delegate construction otherwise.
+        let pass_kind = if unit.mode.strict_target().is_some() {
+            StageKind::BucketTopKPrime
+        } else {
+            StageKind::DelegateConstruction
+        };
+        let start_ms = ms_since(epoch);
+        let built = match &finer {
+            Some(finer) => coarsen_delegate_vector(device, finer, data.len(), unit.alpha, beta),
+            None => {
+                let (alpha, direction) = (unit.alpha, unit.direction);
+                build_delegate_vector(device, data, alpha, beta, base.construction, direction)
+            }
+        };
+        let label = if coarsened {
+            COARSENED_PASS
+        } else {
+            SHARED_PASS
+        };
+        parts.push(Part::one_stage(
             pass_kind,
-            if coarsened {
-                COARSENED_PASS
-            } else {
-                "shared delegate pass"
-            },
-            Resource::Compute(device_idx),
-            &[],
-            move |ctx: &UnitCtx<K>| {
-                let built = Arc::new(match finer {
-                    Some(finer) => {
-                        coarsen_delegate_vector(device, &finer, data.len(), unit.alpha, beta)
-                    }
-                    None => build_delegate_vector(
-                        device,
-                        data,
-                        unit.alpha,
-                        beta,
-                        base.construction,
-                        unit.direction,
-                    ),
-                });
-                let outcome = StageOutcome {
-                    stats: built.stats,
-                    time_ms: built.time_ms,
-                };
-                *ctx.delegates.lock() = Some(built);
-                outcome
-            },
+            label,
+            (built.stats, built.time_ms),
+            Vec::new(),
+            start_ms..ms_since(epoch),
         ));
-    }
+        pass_deps.push(0);
+        Some(Arc::new(built))
+    } else {
+        ready
+    };
     let mut select_deps = pass_deps.clone();
-    if shares_first {
+    let first = if shares_first {
         let k_max = selecting.iter().map(|p| p.k).max().unwrap_or(0);
         let skip_last_pass = selecting[0].config.skip_last_first_pass;
-        shared_kinds.push(StageKind::FirstTopK);
-        // Tagged as the pass here: a member macro stage (a second top-k to
-        // the verifier) may wait on a pass but not on a first top-k. The
-        // splice restores `FirstTopK`.
-        select_deps = vec![graph.add_labeled(
-            pass_kind,
+        let shared = delegates.as_deref().expect("the unit has delegates");
+        let start_ms = ms_since(epoch);
+        let first = first_topk(device, shared, k_max, skip_last_pass);
+        select_deps = vec![parts.len()];
+        parts.push(Part::one_stage(
+            StageKind::FirstTopK,
             SHARED_FIRST_TOPK,
-            Resource::Compute(device_idx),
-            &pass_deps,
-            move |ctx: &UnitCtx<K>| {
-                let delegates = ctx
-                    .delegates
-                    .lock()
-                    .clone()
-                    .expect("the unit has delegates");
-                let first = first_topk(device, &delegates, k_max, skip_last_pass);
-                let outcome = StageOutcome {
-                    stats: first.stats,
-                    time_ms: first.time_ms,
-                };
-                ctx.first
-                    .set(first)
-                    .expect("one shared first top-k per unit");
-                outcome
-            },
-        )];
-    }
-    for (m, planned) in unit.planned.iter().enumerate() {
-        let narrows = shares_first && selects(planned);
-        graph.add_labeled(
-            StageKind::SecondTopK,
-            format!("member {m}"),
-            Resource::Compute(device_idx),
-            if narrows { &select_deps } else { &pass_deps },
-            move |ctx: &UnitCtx<K>| {
-                let delegates = ctx.delegates.lock().clone();
-                let shared = delegates.as_deref().filter(|_| covered(planned)).map(|d| {
-                    match ctx.first.get().filter(|_| narrows) {
-                        Some(first) => Shared::Selected(d, first),
-                        None => Shared::Delegates(d),
-                    }
-                });
-                let r = dr_topk_planned(device, data, shared, planned);
-                let outcome = StageOutcome {
-                    stats: r.stats,
-                    time_ms: r.time_ms,
-                };
-                *ctx.members[m].lock() = Some(r);
-                outcome
-            },
-        );
-    }
-    let macro_report = graph.execute(&ctx);
-    let UnitCtx {
-        delegates, members, ..
-    } = ctx;
-    let results: Vec<DrTopKResult<K>> = members
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("member stage ran"))
-        .collect();
-    let unit_stages = splice_unit_stages(&macro_report, &shared_kinds, device_idx, &results);
-    // A coarsened vector stays out of the cache: its source serves it.
-    let built = if runs_pass && !coarsened {
-        delegates.into_inner()
+            (first.stats, first.time_ms),
+            pass_deps.clone(),
+            start_ms..ms_since(epoch),
+        ));
+        Some(first)
     } else {
         None
     };
+    let mut results = Vec::with_capacity(unit.planned.len());
+    for (&qi, planned) in unit.queries.iter().zip(&unit.planned) {
+        let narrows = first.is_some() && selects(planned);
+        let shared = delegates.as_deref().filter(|_| covered(planned)).map(|d| {
+            match first.as_ref().filter(|_| narrows) {
+                Some(first) => Shared::Selected(d, first),
+                None => Shared::Delegates(d),
+            }
+        });
+        let measured_start_ms = ms_since(epoch);
+        let mut r = dr_topk_planned(device, data, shared, planned);
+        let deps = if narrows { &select_deps } else { &pass_deps };
+        parts.push(Part {
+            report: std::mem::take(&mut r.stages),
+            deps: deps.clone(),
+            measured_start_ms,
+        });
+        results.push((qi, planned.predicted_recall, r));
+    }
     FusedOutcome {
         unit: unit_idx,
-        results: unit
-            .queries
-            .iter()
-            .zip(&unit.planned)
-            .zip(results)
-            .map(|((&qi, planned), r)| (qi, planned.predicted_recall, r))
-            .collect(),
-        unit_stages,
-        built,
+        results,
+        unit_stages: compose(parts, device_idx),
+        // A coarsened vector stays out of the cache: its source serves it.
+        built: delegates.filter(|_| runs_pass && !coarsened),
         coarsened,
     }
 }
+
+/// Host wall-clock milliseconds since `epoch`.
+fn ms_since(epoch: Instant) -> f64 {
+    epoch.elapsed().as_secs_f64() * 1e3
+}
+
+/// Label of a fused unit's pass when it builds from the corpus.
+const SHARED_PASS: &str = "shared delegate pass";
 
 /// Label of a fused unit's shared first top-k stage.
 const SHARED_FIRST_TOPK: &str = "shared first top-k";
@@ -381,45 +355,11 @@ const SHARED_FIRST_TOPK: &str = "shared first top-k";
 /// Label of a fused unit's pass when it coarsens a cached finer vector.
 const COARSENED_PASS: &str = "coarsened delegate pass";
 
-/// Compose a row unit's stage report: the members' row-block schedules
-/// run back-to-back on the worker's device, so each member's stages are
-/// shifted onto the unit's serial timeline and re-tagged with the worker.
-/// Dependencies stay within each member (row-block graphs are
-/// self-contained), only re-indexed into the composed stage list.
-fn splice_row_stages(members: &[StageReport], device: usize) -> StageReport {
-    let mut stages: Vec<ExecutedStage> = Vec::new();
-    let mut offset_ms = 0.0f64;
-    let mut measured_offset_ms = 0.0f64;
-    for member in members {
-        let base_idx = stages.len();
-        for inner in &member.stages {
-            stages.push(ExecutedStage {
-                kind: inner.kind,
-                label: inner.label.clone(),
-                resource: Resource::Compute(device),
-                deps: inner.deps.iter().map(|d| d + base_idx).collect(),
-                start_ms: inner.start_ms + offset_ms,
-                end_ms: inner.end_ms + offset_ms,
-                measured_start_ms: inner.measured_start_ms + measured_offset_ms,
-                measured_end_ms: inner.measured_end_ms + measured_offset_ms,
-                stats: inner.stats,
-            });
-        }
-        offset_ms += member.makespan_ms;
-        measured_offset_ms += member.measured_makespan_ms;
-    }
-    let report = StageReport {
-        stages,
-        makespan_ms: offset_ms,
-        measured_makespan_ms: measured_offset_ms,
-    };
-    debug_assert_verified("spliced row unit stage report", || report.verify());
-    report
-}
-
 /// Run one row-matrix unit on its assigned worker device: each member
 /// reinterprets the corpus as its own `rows × cols` matrix and runs the
 /// row-block stage graph through [`topk_rows_on`] in its own direction.
+/// The members run back to back, each one self-contained [`Part`] of the
+/// unit's [`compose`]d report.
 fn run_rows_unit<K: TopKKey>(
     device: &Device,
     device_idx: usize,
@@ -429,20 +369,26 @@ fn run_rows_unit<K: TopKKey>(
     row_queries: &[RowQuery],
     base: &DrTopKConfig,
 ) -> RowsOutcome<K> {
-    let mut member_reports: Vec<StageReport> = Vec::with_capacity(unit.members.len());
+    let epoch = Instant::now();
+    let mut parts: Vec<Part> = Vec::with_capacity(unit.members.len());
     let mut results: Vec<(usize, RowQueryResult<K>)> = Vec::with_capacity(unit.members.len());
     let mut delegate_passes = 0usize;
     for &qi in &unit.members {
         let q = &row_queries[qi];
         let cfg = DrTopKConfig {
-            inner: q.inner,
             mode: q.mode,
             direction: q.direction,
             ..base.clone()
         };
         let matrix = RowMatrix::new(data, q.rows, q.cols);
+        let measured_start_ms = ms_since(epoch);
         let r = topk_rows_on(&[device], matrix, &q.ks, &cfg, None);
         delegate_passes += r.delegate_passes;
+        parts.push(Part {
+            report: r.stages,
+            deps: Vec::new(),
+            measured_start_ms,
+        });
         results.push((
             qi,
             RowQueryResult {
@@ -456,12 +402,11 @@ fn run_rows_unit<K: TopKKey>(
                 unit: unit_idx,
             },
         ));
-        member_reports.push(r.stages);
     }
     RowsOutcome {
         unit: unit_idx,
         results,
-        unit_stages: splice_row_stages(&member_reports, device_idx),
+        unit_stages: compose(parts, device_idx),
         delegate_passes,
     }
 }
@@ -765,15 +710,20 @@ mod tests {
     use gpu_sim::DeviceSpec;
     use topk_baselines::{reference_topk, reference_topk_min};
 
+    /// Runs the same four exact members on a cold corpus, on an exact
+    /// cached vector (no pass part) and on a finer cached vector (a
+    /// coarsening pass part), in both directions, and pins the composed
+    /// report: labels, kinds, dependency wiring, and every modeled start and
+    /// the makespan as the in-order sum of the parts' times.
     #[test]
     fn a_four_member_exact_unit_runs_one_shared_first_topk() {
         let device = Device::new(DeviceSpec::v100s());
         let data = topk_datagen::uniform(1 << 16, 5);
         let base = DrTopKConfig::default();
-        let ks = [1, 40, 40, 300];
+        let (ks, alpha, beta) = ([1, 40, 40, 300], 8, base.beta);
         for direction in [Direction::Largest, Direction::Smallest] {
             let config = DrTopKConfig {
-                alpha: Some(8),
+                alpha: Some(alpha),
                 path: PathHint::Delegate,
                 direction,
                 ..base.clone()
@@ -788,47 +738,103 @@ mod tests {
                 direction,
                 mode: Mode::Exact,
                 queries: (0..ks.len()).collect(),
-                alpha: 8,
-                beta: base.beta,
+                alpha,
+                beta,
                 planned,
                 needs_delegates: true,
                 path: ChosenPath::Delegate,
             };
-            let out = run_fused_unit(&device, 0, &data, None, 0, &unit, &base);
-
-            let report = &out.unit_stages;
-            let diags = report.verify();
-            assert!(
-                diags.is_empty(),
-                "{direction:?}: spliced unit report: {diags:?}"
-            );
-            let shared: Vec<&ExecutedStage> = report
-                .stages
-                .iter()
-                .filter(|s| s.label == SHARED_FIRST_TOPK)
-                .collect();
-            assert_eq!(shared.len(), 1, "{direction:?}: one shared selection");
-            assert_eq!(shared[0].kind, StageKind::FirstTopK);
-            assert_eq!(shared[0].deps, vec![0], "it follows the shared pass");
-            let first_topk_stages = report
-                .stages
-                .iter()
-                .filter(|s| s.kind == StageKind::FirstTopK)
-                .count();
-            assert_eq!(first_topk_stages, 1 + ks.len(), "one narrowing per member");
-
-            for ((_, _, r), &k) in out.results.iter().zip(&ks) {
-                let diags = r.stages.verify();
-                assert!(
-                    diags.is_empty(),
-                    "{direction:?} k={k}: member report: {diags:?}"
+            let build = |alpha| {
+                let built = build_delegate_vector(
+                    &device,
+                    &data,
+                    alpha,
+                    beta,
+                    base.construction,
+                    direction,
                 );
-                assert!(r.time_ms > 0.0);
-                let want = match direction {
-                    Direction::Largest => reference_topk(&data, k),
-                    Direction::Smallest => reference_topk_min(&data, k),
-                };
-                assert_eq!(r.values, want, "{direction:?} k={k}");
+                Arc::new(built)
+            };
+            let (fresh, finer) = (build(alpha), build(alpha - 2));
+            let coarse_ms =
+                coarsen_delegate_vector(&device, &finer, data.len(), alpha, beta).time_ms;
+            // A coarsened vector equals a fresh build, so one selection time
+            // serves every case.
+            let first_ms = first_topk(&device, &fresh, 300, config.skip_last_first_pass).time_ms;
+            let cases = [
+                ("cold", None, Some((SHARED_PASS, fresh.time_ms))),
+                ("exact", Some(CachedDelegates::Exact(fresh.clone())), None),
+                (
+                    "finer",
+                    Some(CachedDelegates::Finer(finer)),
+                    Some((COARSENED_PASS, coarse_ms)),
+                ),
+            ];
+            for (case, cached, pass) in cases {
+                let out = run_fused_unit(&device, 0, &data, cached, 0, &unit, &base);
+                let ctx = format!("{direction:?} {case}");
+                assert_eq!(out.built.is_some(), case == "cold", "{ctx}");
+                assert_eq!(out.coarsened, case == "finer", "{ctx}");
+                let report = &out.unit_stages;
+                let diags = report.verify();
+                assert!(diags.is_empty(), "{ctx}: composed unit report: {diags:?}");
+
+                // The pass (when one runs), then the shared first top-k.
+                let mut sum_ms = 0.0f64;
+                let passes = usize::from(pass.is_some());
+                if let Some((label, pass_ms)) = pass {
+                    let stage = &report.stages[0];
+                    assert_eq!(
+                        (stage.label.as_str(), stage.kind),
+                        (label, StageKind::DelegateConstruction)
+                    );
+                    assert!(stage.deps.is_empty(), "{ctx}");
+                    sum_ms += pass_ms;
+                }
+                let shared = &report.stages[passes];
+                assert_eq!(
+                    (shared.label.as_str(), shared.kind),
+                    (SHARED_FIRST_TOPK, StageKind::FirstTopK)
+                );
+                assert_eq!(shared.deps, (0..passes).collect::<Vec<_>>(), "{ctx}");
+                assert_eq!(shared.start_ms.to_bits(), sum_ms.to_bits(), "{ctx}");
+                sum_ms += first_ms;
+
+                // Each member narrows the shared selection, concatenates and
+                // runs its second top-k, starting where the last part ended.
+                let members = report.stages[passes + 1..].chunks(3);
+                assert_eq!(members.len(), ks.len(), "{ctx}");
+                for (m, (member, ((_, _, r), &k))) in
+                    members.zip(out.results.iter().zip(&ks)).enumerate()
+                {
+                    let kinds = member.iter().map(|s| s.kind).collect::<Vec<_>>();
+                    let root = passes + 1 + 3 * m;
+                    assert_eq!(
+                        kinds,
+                        [
+                            StageKind::FirstTopK,
+                            StageKind::Concatenate,
+                            StageKind::SecondTopK
+                        ]
+                    );
+                    assert_eq!(member[0].deps, vec![passes], "{ctx} member {m}");
+                    assert_eq!(
+                        (&member[1].deps, &member[2].deps),
+                        (&vec![root], &vec![root + 1])
+                    );
+                    assert_eq!(
+                        member[0].start_ms.to_bits(),
+                        sum_ms.to_bits(),
+                        "{ctx} member {m}"
+                    );
+                    sum_ms += r.time_ms;
+                    let want = match direction {
+                        Direction::Largest => reference_topk(&data, k),
+                        Direction::Smallest => reference_topk_min(&data, k),
+                    };
+                    assert_eq!(r.values, want, "{ctx} k={k}");
+                }
+                assert_eq!(report.makespan_ms.to_bits(), sum_ms.to_bits(), "{ctx}");
             }
         }
     }

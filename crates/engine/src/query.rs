@@ -76,14 +76,12 @@ pub struct RowQuery {
     pub ks: RowK,
     /// Largest or smallest, applied to every row.
     pub direction: Direction,
-    /// The algorithm that runs each row's second top-k.
-    pub inner: InnerAlgorithm,
     /// Exact selection or a recall target, applied to every row.
     pub mode: Mode,
 }
 
 impl RowQuery {
-    /// An exact row query with the default flag-radix inner algorithm.
+    /// An exact row query.
     pub(crate) fn new(
         corpus: usize,
         rows: usize,
@@ -97,7 +95,6 @@ impl RowQuery {
             cols,
             ks,
             direction,
-            inner: InnerAlgorithm::FlagRadix,
             mode: Mode::Exact,
         }
     }
@@ -213,8 +210,7 @@ impl<'a, K: TopKKey> QueryBatch<'a, K> {
     }
 
     /// Convenience: append a row-wise top-k-**largest** query over the
-    /// corpus viewed as a row-major `rows × cols` matrix, with the default
-    /// flag-radix inner algorithm.
+    /// corpus viewed as a row-major `rows × cols` matrix.
     pub fn push_rows(&mut self, corpus: usize, rows: usize, cols: usize, ks: RowK) -> usize {
         self.push_row_query(RowQuery::new(corpus, rows, cols, ks, Direction::Largest))
     }
