@@ -47,19 +47,12 @@
 //! model's prediction. Shuffle or hash-partition such inputs first, or use
 //! the exact mode.
 
-// Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
-// the approximate pipeline's stage-graph context keeps its candidate
-// buffers in mutex slots, as the executor's `&C` sharing rule requires.
-#![allow(clippy::disallowed_types)]
-
-use std::sync::Mutex;
-
 use gpu_sim::Device;
 
-use crate::delegate::{construct, DelegateVector, Delegates};
+use crate::delegate::{construct, Delegates};
 use crate::pipeline::{DrTopKResult, PlannedQuery, WorkloadStats};
-use crate::stages::{Resource, StageGraph, StageKind, StageOutcome};
-use topk_baselines::{TopKKey, TopKResult};
+use crate::stages::{Serial, StageKind, StageOutcome};
+use topk_baselines::TopKKey;
 
 /// A recall target in `(0, 1]`, stored in basis points (1/100th of a
 /// percent) so targets stay `Eq`/`Ord`/`Hash` — the engine fuses approximate
@@ -277,62 +270,30 @@ pub(crate) fn dr_topk_approx_planned<K: TopKKey>(
     let alpha = planned.alpha;
     let budget = config.beta;
 
-    // The approximate pipeline as a two-stage graph: the bucket-top-k′
-    // candidate pass (absent when a shared, already-built vector is
-    // supplied — its cost belongs to the provider), then the inner top-k
-    // straight over the candidates. No first top-k, no concatenation, no
-    // refill — the input is never touched again after the first stage.
-    struct ApproxCtx<K: TopKKey> {
-        built: Option<DelegateVector<K>>,
-        inner: Option<TopKResult<K>>,
-    }
-    let mut graph: StageGraph<'_, Mutex<ApproxCtx<K>>> = StageGraph::new();
-    let mut deps = Vec::new();
-    if shared_delegates.is_none() {
-        let built_id = graph.add(
-            StageKind::BucketTopKPrime,
-            Resource::Compute(0),
-            &[],
-            move |ctx: &Mutex<ApproxCtx<K>>| {
+    // The approximate pipeline as two stages: the bucket-top-k′ candidate
+    // pass (absent when a shared, already-built vector is supplied — its
+    // cost belongs to the provider), then the inner top-k straight over
+    // the candidates. No first top-k, no concatenation, no refill — the
+    // input is never touched again after the first stage.
+    let mut serial = Serial::new(0);
+    let built;
+    let candidates = match shared_delegates {
+        Some(shared) => shared,
+        None => {
+            let kind = StageKind::BucketTopKPrime;
+            built = serial.stage(kind, kind.name(), || {
                 let built = construct(device, data, alpha, budget, config.construction);
-                let outcome = StageOutcome {
-                    stats: built.stats,
-                    time_ms: built.time_ms,
-                };
-                ctx.lock().unwrap().built = Some(built);
-                outcome
-            },
-        );
-        deps.push(built_id);
-    }
-    graph.add(
-        StageKind::SecondTopK,
-        Resource::Compute(0),
-        &deps,
-        move |ctx: &Mutex<ApproxCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let candidates = shared_delegates
-                .or_else(|| guard.built.as_ref().map(DelegateVector::view))
-                .expect("candidate vector available once stage 1 ran");
-            let inner = config.inner.run(device, candidates.values, k);
-            let outcome = StageOutcome {
-                stats: inner.stats,
-                time_ms: inner.time_ms,
-            };
-            guard.inner = Some(inner);
-            outcome
-        },
-    );
-
-    let ctx = Mutex::new(ApproxCtx {
-        built: None,
-        inner: None,
+                let outcome = StageOutcome::new(built.stats, built.time_ms);
+                (built, outcome)
+            });
+            built.view()
+        }
+    };
+    let inner = serial.stage(StageKind::SecondTopK, StageKind::SecondTopK.name(), || {
+        let inner = config.inner.run(device, candidates.values, k);
+        let outcome = StageOutcome::new(inner.stats, inner.time_ms);
+        (inner, outcome)
     });
-    let report = graph.execute(&ctx);
-    let mut ctx = ctx.into_inner().unwrap();
-    let candidates = shared_delegates
-        .or_else(|| ctx.built.as_ref().map(DelegateVector::view))
-        .expect("candidate vector available");
     let workload = WorkloadStats {
         input_len: data.len(),
         delegate_vector_len: candidates.len(),
@@ -342,18 +303,9 @@ pub(crate) fn dr_topk_approx_planned<K: TopKKey>(
         second_topk_skipped: false,
         fell_back: false,
     };
-    let inner = ctx.inner.take().expect("the candidate top-k ran");
 
-    DrTopKResult {
-        values: inner.values,
-        kth_value: inner.kth_value,
-        alpha,
-        time_ms: report.makespan_ms,
-        breakdown: report.phase_breakdown(),
-        workload,
-        stats: report.stats(),
-        stages: report,
-    }
+    let selected = (inner.values, inner.kth_value);
+    DrTopKResult::from_report(selected, alpha, workload, serial.finish())
 }
 
 #[cfg(test)]

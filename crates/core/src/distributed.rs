@@ -507,10 +507,7 @@ fn build_distributed_graph<'a, K: TopKKey>(
                     format!("chunk {i} load"),
                     Resource::Transfer(TransferLane::HostToDevice(d)),
                     &deps,
-                    move |_: &DistCtx<K>| StageOutcome {
-                        stats: KernelStats::default(),
-                        time_ms: t,
-                    },
+                    move |_: &DistCtx<K>| StageOutcome::new(KernelStats::default(), t),
                 )
             });
             let deps: Vec<StageId> = load.into_iter().collect();
@@ -524,10 +521,7 @@ fn build_distributed_graph<'a, K: TopKKey>(
                     let chunk = &data[range];
                     let planned = PlannedQuery::plan(chunk.len(), k, config);
                     let r = run_planned(device, chunk, None, None, &planned);
-                    let outcome = StageOutcome {
-                        stats: r.stats,
-                        time_ms: r.time_ms,
-                    };
+                    let outcome = StageOutcome::new(r.stats, r.time_ms);
                     let mut slot = ctx.slots[d].lock().unwrap();
                     slot.local.extend_from_slice(&r.values);
                     slot.breakdowns.push(r.breakdown);
@@ -552,10 +546,7 @@ fn build_distributed_graph<'a, K: TopKKey>(
                     move |ctx: &DistCtx<K>| {
                         let mut slot = ctx.slots[d].lock().unwrap();
                         let merged = flag_radix_topk(device, &slot.local, k);
-                        let outcome = StageOutcome {
-                            stats: merged.stats,
-                            time_ms: merged.time_ms,
-                        };
+                        let outcome = StageOutcome::new(merged.stats, merged.time_ms);
                         slot.local = merged.values;
                         outcome
                     },
@@ -587,10 +578,7 @@ fn build_distributed_graph<'a, K: TopKKey>(
                 format!("gather from device {d}"),
                 Resource::Transfer(TransferLane::Interconnect(d)),
                 &[tail],
-                move |_: &DistCtx<K>| StageOutcome {
-                    stats: KernelStats::default(),
-                    time_ms: t,
-                },
+                move |_: &DistCtx<K>| StageOutcome::new(KernelStats::default(), t),
             ));
         }
     } else {

@@ -94,7 +94,7 @@ pub use pipeline::{
 pub use radix_flags::{flag_radix_select_kth, flag_radix_topk};
 pub use rows::{topk_rows, topk_rows_explore, topk_rows_on, RowK, RowMatrix, RowTopKResult};
 pub use stages::{
-    ExecutedStage, Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport,
+    ExecutedStage, Resource, Serial, StageGraph, StageId, StageKind, StageOutcome, StageReport,
     TransferLane,
 };
 pub use topk_baselines::{KeyBits, TopKKey};
@@ -103,6 +103,4 @@ pub use tuning::{
     optimal_approx_tuning, predicted_approx_cost, predicted_cost, rule4_alpha, ApproxTuning,
     ChosenPath, PathHint, PredictedCost, PAPER_RULE4_CONST,
 };
-pub use verify::{
-    debug_assert_verified, verify_specs, Diagnostic, DiagnosticCode, StageSpec, VerifyOptions,
-};
+pub use verify::{verify_specs, Diagnostic, DiagnosticCode, StageSpec, VerifyOptions};

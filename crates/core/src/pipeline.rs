@@ -10,27 +10,21 @@
 //! runs over a zero-copy order-reversing view of the input (see
 //! [`crate::direction`]).
 
-// Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
-// the exact pipeline's stage-graph context keeps its phase buffers in
-// mutex slots, as the executor's `&C` sharing rule requires.
-#![allow(clippy::disallowed_types)]
-
 use gpu_sim::{Device, KernelStats};
 use std::cmp::Reverse;
-use std::sync::Mutex;
 use topk_baselines::{
     bitonic_topk, bucket_topk, radix_topk, BitonicConfig, BucketConfig, RadixVariant, TopKKey,
     TopKResult,
 };
 
 use crate::approx::{dr_topk_approx_planned, expected_recall, required_budget, Mode, RecallTarget};
-use crate::concat::{concatenate, Concatenated};
+use crate::concat::concatenate;
 use crate::delegate::{construct, ConstructionMethod, DelegateVector, Delegates};
 use crate::direction::{as_desc, Direction};
 use crate::first_topk::{narrow_first_topk, select_first_topk, FirstTopK};
 use crate::radix_flags::flag_radix_topk;
 use crate::radix_path::radix_dr_topk;
-use crate::stages::{Resource, StageGraph, StageKind, StageOutcome, StageReport};
+use crate::stages::{Serial, StageKind, StageOutcome, StageReport};
 use crate::tuning::{auto_alpha, optimal_approx_tuning, ChosenPath, PathHint, PAPER_RULE4_CONST};
 
 /// Which algorithm runs the second top-k (and, for the baselines-assisted
@@ -380,6 +374,28 @@ pub struct DrTopKResult<K: TopKKey = u32> {
     pub stages: StageReport,
 }
 
+impl<K: TopKKey> DrTopKResult<K> {
+    /// A run's result, with its time, phase breakdown and counters read off
+    /// the stage report it recorded.
+    pub(crate) fn from_report(
+        (values, kth_value): (Vec<K>, K),
+        alpha: u32,
+        workload: WorkloadStats,
+        stages: StageReport,
+    ) -> Self {
+        DrTopKResult {
+            values,
+            kth_value,
+            alpha,
+            breakdown: stages.phase_breakdown(),
+            workload,
+            stats: stages.stats(),
+            time_ms: stages.makespan_ms,
+            stages,
+        }
+    }
+}
+
 /// A query bound to a fully resolved execution plan: `k` clamped to the
 /// input length, α pinned, and the delegate-vs-fallback decision already
 /// made.
@@ -652,16 +668,13 @@ pub(crate) fn run_planned<K: TopKKey>(
     let config = &planned.config;
     let k = planned.k.min(data.len());
     if k == 0 || data.is_empty() {
-        return DrTopKResult {
-            values: Vec::new(),
-            kth_value: K::default(),
-            alpha: 0,
-            breakdown: PhaseBreakdown::default(),
-            workload: WorkloadStats::default(),
-            stats: KernelStats::default(),
-            time_ms: 0.0,
-            stages: StageReport::default(),
-        };
+        let nothing = (Vec::new(), K::default());
+        return DrTopKResult::from_report(
+            nothing,
+            0,
+            WorkloadStats::default(),
+            StageReport::default(),
+        );
     }
     assert!(config.beta >= 1, "beta must be at least 1");
     let alpha = planned.alpha;
@@ -691,205 +704,106 @@ pub(crate) fn run_planned<K: TopKKey>(
     }
 
     if !planned.use_delegates {
-        // Fallback: the inner algorithm runs directly on the input (a
-        // one-stage graph). The workload statistics report the fallback
-        // honestly: no delegate vector, no concatenation, one effective
-        // subrange.
-        let mut graph: StageGraph<'_, Mutex<Option<TopKResult<K>>>> = StageGraph::new();
-        graph.add(StageKind::SecondTopK, Resource::Compute(0), &[], |slot| {
+        // Fallback: the inner algorithm runs directly on the input (one
+        // stage). The workload statistics report the fallback honestly: no
+        // delegate vector, no concatenation, one effective subrange.
+        let mut serial = Serial::new(0);
+        let inner = serial.stage(StageKind::SecondTopK, StageKind::SecondTopK.name(), || {
             let inner = config.inner.run(device, data, k);
-            let outcome = StageOutcome {
-                stats: inner.stats,
-                time_ms: inner.time_ms,
-            };
-            *slot.lock().unwrap() = Some(inner);
-            outcome
+            let outcome = StageOutcome::new(inner.stats, inner.time_ms);
+            (inner, outcome)
         });
-        let slot = Mutex::new(None);
-        let report = graph.execute(&slot);
-        let inner = slot.into_inner().unwrap().expect("the fallback stage ran");
-        return DrTopKResult {
-            kth_value: inner.kth_value,
-            alpha,
-            breakdown: report.phase_breakdown(),
-            workload: WorkloadStats {
-                input_len: data.len(),
-                delegate_vector_len: 0,
-                concatenated_len: 0,
-                num_subranges: 1,
-                fully_taken_subranges: 0,
-                second_topk_skipped: false,
-                fell_back: true,
-            },
-            stats: report.stats(),
-            time_ms: report.makespan_ms,
-            values: inner.values,
-            stages: report,
+        let workload = WorkloadStats {
+            input_len: data.len(),
+            delegate_vector_len: 0,
+            concatenated_len: 0,
+            num_subranges: 1,
+            fully_taken_subranges: 0,
+            second_topk_skipped: false,
+            fell_back: true,
         };
+        let selected = (inner.values, inner.kth_value);
+        return DrTopKResult::from_report(selected, alpha, workload, serial.finish());
     }
 
-    // The exact pipeline as a stage graph: one stage per paper phase, all
-    // on this device's compute queue, chained by their buffer dependencies.
-    // Buffers travel through the context (a single mutex: every stage lives
-    // on one compute queue, so the lock is never contended); the executor
-    // owns all timing.
-    struct ExactCtx<K: TopKKey> {
-        built: Option<DelegateVector<K>>,
-        first: Option<FirstTopK<K>>,
-        concatenated: Option<Concatenated<K>>,
-        second_skipped: bool,
-        values: Vec<K>,
-        kth_value: K,
-    }
-    fn delegates_of<'c, K: TopKKey>(
-        ctx: &'c ExactCtx<K>,
-        shared: Option<Delegates<'c, K>>,
-    ) -> Delegates<'c, K> {
-        shared
-            .or_else(|| ctx.built.as_ref().map(DelegateVector::view))
-            .expect("delegate vector available once phase 1 ran")
-    }
-
-    let mut graph: StageGraph<'_, Mutex<ExactCtx<K>>> = StageGraph::new();
-    let mut deps = Vec::new();
+    // The exact pipeline: one stage per paper phase, run back to back on
+    // this device's compute queue, each waiting on the one before.
+    let mut serial = Serial::new(0);
     // Phase 1: delegate vector construction — the stage exists only when
     // the caller did not supply a shared vector (a shared pass's one-time
     // construction cost is accounted by its provider, not per query).
-    if shared_delegates.is_none() {
-        let built_id = graph.add(
-            StageKind::DelegateConstruction,
-            Resource::Compute(0),
-            &[],
-            move |ctx: &Mutex<ExactCtx<K>>| {
+    let built;
+    let delegates = match shared_delegates {
+        Some(shared) => shared,
+        None => {
+            let kind = StageKind::DelegateConstruction;
+            built = serial.stage(kind, kind.name(), || {
                 let built = construct(device, data, alpha, config.beta, config.construction);
-                let outcome = StageOutcome {
-                    stats: built.stats,
-                    time_ms: built.time_ms,
-                };
-                ctx.lock().unwrap().built = Some(built);
-                outcome
-            },
-        );
-        deps.push(built_id);
-    }
+                let outcome = StageOutcome::new(built.stats, built.time_ms);
+                (built, outcome)
+            });
+            built.view()
+        }
+    };
 
     // Phase 2: first top-k on the delegate vector, or the narrowing of a
     // shared one.
-    let first_id = graph.add(
-        StageKind::FirstTopK,
-        Resource::Compute(0),
-        &deps,
-        move |ctx: &Mutex<ExactCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let delegates = delegates_of(&guard, shared_delegates);
-            let first = match shared_first {
-                Some(unit) => narrow_first_topk(device, delegates, unit, k),
-                None => select_first_topk(device, delegates, k, config.skip_last_first_pass),
-            };
-            let outcome = StageOutcome {
-                stats: first.stats,
-                time_ms: first.time_ms,
-            };
-            guard.first = Some(first);
-            outcome
-        },
-    );
+    let first = serial.stage(StageKind::FirstTopK, StageKind::FirstTopK.name(), || {
+        let first = match shared_first {
+            Some(unit) => narrow_first_topk(device, delegates, unit, k),
+            None => select_first_topk(device, delegates, k, config.skip_last_first_pass),
+        };
+        let outcome = StageOutcome::new(first.stats, first.time_ms);
+        (first, outcome)
+    });
 
     // Phase 3: concatenation (Rule 1/3 subrange selection + Rule 2 filter).
-    let concat_id = graph.add(
+    let concatenated = serial.stage(
         StageKind::Concatenate,
-        Resource::Compute(0),
-        &[first_id],
-        move |ctx: &Mutex<ExactCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let subrange_size = delegates_of(&guard, shared_delegates).subrange_size;
-            let first = guard.first.as_ref().expect("first top-k ran");
+        StageKind::Concatenate.name(),
+        || {
             let concatenated = concatenate(
                 device,
                 data,
-                subrange_size,
+                delegates.subrange_size,
                 &first.fully_taken_subranges,
                 &first.partial_delegate_values,
                 first.threshold,
                 config.filtering,
             );
-            let outcome = StageOutcome {
-                stats: concatenated.stats,
-                time_ms: concatenated.time_ms,
-            };
-            guard.concatenated = Some(concatenated);
-            outcome
+            let outcome = StageOutcome::new(concatenated.stats, concatenated.time_ms);
+            (concatenated, outcome)
         },
     );
 
     // Phase 4: second top-k on the concatenated vector — a zero-cost
     // stage when no subrange was fully taken and the taken delegates alone
     // already answer the query exactly (Figure 8b).
-    graph.add(
-        StageKind::SecondTopK,
-        Resource::Compute(0),
-        &[concat_id],
-        move |ctx: &Mutex<ExactCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let ctx = &mut *guard;
-            let first = ctx.first.as_ref().expect("first top-k ran");
-            let concatenated = ctx.concatenated.as_ref().expect("concatenation ran");
-            ctx.second_skipped = first.fully_taken_subranges.is_empty()
-                && first.exact_threshold
-                && concatenated.elements.len() == k;
-            if ctx.second_skipped {
-                let mut vals = concatenated.elements.clone();
-                vals.sort_unstable_by_key(|v| Reverse(v.to_bits()));
-                ctx.kth_value = vals.last().copied().unwrap_or_default();
-                ctx.values = vals;
-                StageOutcome::default()
-            } else {
-                let inner = config.inner.run(device, &concatenated.elements, k);
-                let outcome = StageOutcome {
-                    stats: inner.stats,
-                    time_ms: inner.time_ms,
-                };
-                ctx.values = inner.values;
-                ctx.kth_value = inner.kth_value;
-                outcome
-            }
-        },
-    );
-
-    let ctx = Mutex::new(ExactCtx {
-        built: None,
-        first: None,
-        concatenated: None,
-        second_skipped: false,
-        values: Vec::new(),
-        kth_value: K::default(),
+    let second_skipped = first.fully_taken_subranges.is_empty()
+        && first.exact_threshold
+        && concatenated.elements.len() == k;
+    let selected = serial.stage(StageKind::SecondTopK, StageKind::SecondTopK.name(), || {
+        if second_skipped {
+            let mut vals = concatenated.elements.clone();
+            vals.sort_unstable_by_key(|v| Reverse(v.to_bits()));
+            let kth_value = vals.last().copied().unwrap_or_default();
+            ((vals, kth_value), StageOutcome::default())
+        } else {
+            let inner = config.inner.run(device, &concatenated.elements, k);
+            let outcome = StageOutcome::new(inner.stats, inner.time_ms);
+            ((inner.values, inner.kth_value), outcome)
+        }
     });
-    let report = graph.execute(&ctx);
-    let mut ctx = ctx.into_inner().unwrap();
-
-    let delegates = delegates_of(&ctx, shared_delegates);
-    let first = ctx.first.as_ref().expect("first top-k ran");
-    let concatenated = ctx.concatenated.as_ref().expect("concatenation ran");
     let workload = WorkloadStats {
         input_len: data.len(),
         delegate_vector_len: delegates.len(),
         concatenated_len: concatenated.elements.len(),
         num_subranges: delegates.num_subranges,
         fully_taken_subranges: first.fully_taken_subranges.len(),
-        second_topk_skipped: ctx.second_skipped,
+        second_topk_skipped: second_skipped,
         fell_back: false,
     };
-
-    DrTopKResult {
-        values: std::mem::take(&mut ctx.values),
-        kth_value: ctx.kth_value,
-        alpha,
-        time_ms: report.makespan_ms,
-        breakdown: report.phase_breakdown(),
-        workload,
-        stats: report.stats(),
-        stages: report,
-    }
+    DrTopKResult::from_report(selected, alpha, workload, serial.finish())
 }
 
 #[cfg(test)]

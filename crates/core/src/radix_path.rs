@@ -1,4 +1,5 @@
-//! The multi-pass radix-select execution path, as a verified stage graph.
+//! The multi-pass radix-select execution path, as a chain of recorded
+//! stages.
 //!
 //! This is the planner's large-k escape hatch (see
 //! [`choose_path_sampled`](crate::tuning::choose_path_sampled)): where the
@@ -8,9 +9,9 @@
 //! range where delegate/bucket approaches degrade (RadiK's observation).
 //!
 //! The pipeline promotes the out-of-place radix baseline
-//! ([`topk_baselines::radix_topk`]) into first-class stages so the
-//! executor, verifier, schedule explorer and observability layers see it
-//! like any other schedule. It runs the baseline's digit pass: every
+//! ([`topk_baselines::radix_topk`]) into first-class stages, run back to
+//! back through [`Serial`], so the verifier and observability layers see
+//! it like any other schedule. It runs the baseline's digit pass: every
 //! histogram stage is one [`digit_histogram`] launch, every refine stage
 //! picks its digit with [`choose_digit`], and the filter's probe reads the
 //! same strided sample as the planner ([`sample_top_digits`]). The stages:
@@ -40,7 +41,7 @@
 //!
 //! The stage *structure* is fixed by the key width alone
 //! (`key_bits / 8` histogram/refine pairs, then gather and select), so
-//! same-shaped runs produce byte-identical schedules in every dispatch order.
+//! same-shaped runs produce byte-identical schedules.
 //! When the k-th value is pinned down early (a compaction leaves a single
 //! candidate), the remaining histogram/refine stages still exist but
 //! execute as zero-cost no-ops — determinism costs nothing because a no-op
@@ -52,13 +53,7 @@
 //! bit-identical to the delegate pipeline and to
 //! [`topk_baselines::reference_topk`].
 
-// Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
-// like the exact pipeline, the radix path's stage-graph context keeps its
-// pass state in a mutex slot, as the executor's `&C` sharing rule requires.
-#![allow(clippy::disallowed_types)]
-
 use std::cmp::Reverse;
-use std::sync::Mutex;
 
 use gpu_sim::{AtomicCounter, Device};
 use topk_baselines::radix::{
@@ -67,8 +62,8 @@ use topk_baselines::radix::{
 };
 use topk_baselines::{KeyBits, TopKKey};
 
-use crate::pipeline::{DrTopKConfig, DrTopKResult, PhaseBreakdown, WorkloadStats};
-use crate::stages::{Resource, StageGraph, StageKind, StageOutcome};
+use crate::pipeline::{DrTopKConfig, DrTopKResult, WorkloadStats};
+use crate::stages::{Serial, StageKind, StageOutcome};
 
 /// The filter keeps, in expectation, at least this multiple of `k`
 /// elements above the cutoff — headroom that makes a speculation miss
@@ -86,50 +81,6 @@ pub(crate) const MIN_SAMPLE_TARGET: usize = 8;
 /// input out-of-place costs more than the re-read it saves (the
 /// duplicate-heavy adversarial case).
 pub(crate) const FILTER_BAILOUT_DIV: usize = 4;
-
-/// Per-run selection state threaded through the stage closures.
-struct RadixCtx<K: TopKKey> {
-    /// Surviving candidates (starts as the full input).
-    candidates: Vec<K>,
-    /// The first pass's speculative filter output: every element whose top
-    /// digit is at or above [`RadixCtx::filter_cutoff`]. `None` when the
-    /// filter was disabled (sample predicted poor selectivity) or already
-    /// consumed.
-    filtered: Option<Vec<K>>,
-    /// Top-digit cutoff of the speculative filter (meaningful only while
-    /// `filtered` is `Some`).
-    filter_cutoff: usize,
-    /// Histogram of the current pass (filled by the histogram stage, read
-    /// by the refine stage).
-    histogram: Vec<u32>,
-    /// Digits of the k-th value fixed so far.
-    prefix: DigitPrefix<K::Bits>,
-    /// How many of the k largest still lie inside the candidate set.
-    k_remaining: usize,
-    /// Set once a compaction pins the k-th value down to a single
-    /// candidate; the remaining passes become no-ops.
-    pinned: bool,
-    /// Elements strictly above the k-th value, collected by the refine
-    /// passes (digit above the chosen one ⇒ in the top-k for certain).
-    above: Vec<K>,
-    /// The final k candidates assembled by the gather stage.
-    assembled: Vec<K>,
-    /// The selected values, descending.
-    values: Vec<K>,
-    /// The k-th value (the selection threshold).
-    kth_value: K,
-}
-
-impl<K: TopKKey> RadixCtx<K> {
-    /// The k-th value once every pass ran: all survivors share the full
-    /// prefix, so any of them (or the prefix itself) is the threshold.
-    fn threshold(&self) -> K {
-        match self.candidates.first() {
-            Some(&x) => x,
-            None => K::from_bits(self.prefix.value()),
-        }
-    }
-}
 
 /// Run the staged radix-select pipeline: the exact top-k of `data`, with
 /// the same result shape as the delegate pipeline.
@@ -153,254 +104,201 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
     );
 
     let passes = K::Bits::BITS.div_ceil(BITS_PER_PASS);
-
-    let mut graph: StageGraph<'_, Mutex<RadixCtx<K>>> = StageGraph::new();
-    let mut prev_refine = None;
+    let mut serial = Serial::new(0);
+    // Surviving candidates (starts as the full input).
+    let mut candidates: Vec<K> = data.to_vec();
+    // The first pass's speculative filter: its top-digit cutoff and every
+    // element whose top digit is at or above it. `None` when the filter
+    // was disabled (sample predicted poor selectivity) or already consumed.
+    let mut filtered: Option<(usize, Vec<K>)> = None;
+    // Digits of the k-th value fixed so far.
+    let mut prefix = DigitPrefix::<K::Bits>::default();
+    // How many of the k largest still lie inside the candidate set.
+    let mut k_remaining = k;
+    // Set once a compaction pins the k-th value down to a single candidate.
+    let mut pinned = false;
+    // Elements strictly above the k-th value, collected by the refine
+    // passes (digit above the chosen one ⇒ in the top-k for certain).
+    let mut above: Vec<K> = Vec::new();
     for pass in 0..passes {
-        let deps: Vec<_> = prev_refine.into_iter().collect();
-        let hist_id = graph.add_labeled(
-            StageKind::RadixHistogram,
-            format!("radix_histogram_pass{pass}"),
-            Resource::Compute(0),
-            &deps,
-            move |ctx: &Mutex<RadixCtx<K>>| {
-                let mut guard = ctx.lock().unwrap();
-                if guard.pinned {
-                    return StageOutcome::default();
+        let hist_label = format!("radix_histogram_pass{pass}");
+        let refine_label = format!("radix_refine_pass{pass}");
+        if pinned {
+            // The remaining passes have nothing left to narrow: they record
+            // zero-cost stages, so the schedule's shape stays fixed by the
+            // key width.
+            let no_op = || ((), StageOutcome::default());
+            serial.stage(StageKind::RadixHistogram, hist_label, no_op);
+            serial.stage(StageKind::RadixRefine, refine_label, no_op);
+            continue;
+        }
+        let histogram = serial.stage(StageKind::RadixHistogram, hist_label, || {
+            // First pass only: a deterministic strided sample picks the
+            // speculative filter cutoff that the main scan fuses in.
+            let mut probe = StageOutcome::default();
+            let mut cutoff: Option<usize> = None;
+            // The filter needs a sample big enough for the cutoff target
+            // to be meaningful; tiny inputs skip it outright.
+            if pass == 0 && candidates.len() >= 2 * MIN_SAMPLE_TARGET {
+                let sample_n = candidates.len().min(SAMPLE_SIZE);
+                let sample_hist = sample_top_digits(&candidates);
+                let launch = device.launch("radix_sample_probe", 1, |kctx| {
+                    kctx.record_load_random::<K>(sample_n);
+                    kctx.record_alu(2 * sample_n as u64);
+                });
+                probe = StageOutcome::new(launch.stats, launch.time_ms);
+                // Smallest digit whose above-or-equal sample mass covers
+                // the target: `FILTER_HEADROOM ×` the sample's expected
+                // share of the top k, floored for tiny k.
+                let target = (FILTER_HEADROOM * sample_n * k / candidates.len())
+                    .clamp(MIN_SAMPLE_TARGET, sample_n / 2);
+                let (cut, above) = choose_digit(&sample_hist, target);
+                // Predicted kept fraction; bail out when the filter would
+                // keep most of the input (duplicate-heavy data).
+                let kept = above + sample_hist[cut] as usize;
+                if candidates.len() * kept / sample_n <= candidates.len() / FILTER_BAILOUT_DIV {
+                    cutoff = Some(cut);
                 }
-                let scan = std::mem::take(&mut guard.candidates);
-                let prefix = guard.prefix;
-                drop(guard);
+            }
 
-                // First pass only: a deterministic strided sample picks the
-                // speculative filter cutoff that the main scan fuses in.
-                let mut probe = StageOutcome::default();
-                let mut cutoff: Option<usize> = None;
-                // The filter needs a sample big enough for the cutoff
-                // target to be meaningful; tiny inputs skip it outright.
-                if pass == 0 && scan.len() >= 2 * MIN_SAMPLE_TARGET {
-                    let sample_n = scan.len().min(SAMPLE_SIZE);
-                    let sample_hist = sample_top_digits(&scan);
-                    let launch = device.launch("radix_sample_probe", 1, |kctx| {
-                        kctx.record_load_random::<K>(sample_n);
-                        kctx.record_alu(2 * sample_n as u64);
-                    });
-                    probe = StageOutcome {
-                        stats: launch.stats,
-                        time_ms: launch.time_ms,
-                    };
-                    // Smallest digit whose above-or-equal sample mass covers
-                    // the target: `FILTER_HEADROOM ×` the sample's expected
-                    // share of the top k, floored for tiny k.
-                    let target = (FILTER_HEADROOM * sample_n * k / scan.len())
-                        .clamp(MIN_SAMPLE_TARGET, sample_n / 2);
-                    let (cut, above) = choose_digit(&sample_hist, target);
-                    // Predicted kept fraction; bail out when the filter
-                    // would keep most of the input (duplicate-heavy data).
-                    let kept = above + sample_hist[cut] as usize;
-                    if scan.len() * kept / sample_n <= scan.len() / FILTER_BAILOUT_DIV {
-                        cutoff = Some(cut);
-                    }
+            let keep = cutoff.map_or(Keep::Nothing, Keep::Stored);
+            let (histogram, launch) = digit_histogram(
+                device,
+                "radix_histogram",
+                &candidates,
+                None,
+                prefix,
+                pass,
+                keep,
+            );
+            if let Some(cut) = cutoff {
+                filtered = Some((cut, launch.output.into_iter().flatten().collect()));
+            }
+            let outcome = StageOutcome {
+                stats: probe.stats + launch.stats,
+                time_ms: probe.time_ms + launch.time_ms,
+            };
+            (histogram, outcome)
+        });
+        serial.stage(StageKind::RadixRefine, refine_label, || {
+            // locate the digit that holds the k-th largest
+            let (chosen, above_count) = choose_digit(&histogram, k_remaining);
+            k_remaining -= above_count;
+            // The digit prefix *before* this pass: the kernel keys off the
+            // raw digit, so elements above the chosen one can be collected
+            // (they are in the final top-k for certain).
+            let prev = prefix;
+            prefix.push(pass, chosen);
+            // Scan the speculative filter output when it provably kept the
+            // chosen digit (cutoff ≤ chosen); otherwise fall back to the
+            // full candidate set.
+            let scan = match filtered.take() {
+                Some((cutoff, kept)) if cutoff <= chosen => {
+                    candidates = Vec::new();
+                    kept
                 }
-
-                let keep = cutoff.map_or(Keep::Nothing, Keep::Stored);
-                let (histogram, launch) =
-                    digit_histogram(device, "radix_histogram", &scan, None, prefix, pass, keep);
-                let mut guard = ctx.lock().unwrap();
-                guard.candidates = scan;
-                guard.histogram = histogram;
-                if let Some(cut) = cutoff {
-                    guard.filter_cutoff = cut;
-                    guard.filtered = Some(launch.output.into_iter().flatten().collect());
-                }
-                StageOutcome {
-                    stats: probe.stats + launch.stats,
-                    time_ms: probe.time_ms + launch.time_ms,
-                }
-            },
-        );
-        let refine_id = graph.add_labeled(
-            StageKind::RadixRefine,
-            format!("radix_refine_pass{pass}"),
-            Resource::Compute(0),
-            &[hist_id],
-            move |ctx: &Mutex<RadixCtx<K>>| {
-                let mut guard = ctx.lock().unwrap();
-                if guard.pinned {
-                    return StageOutcome::default();
-                }
-                // locate the digit that holds the k-th largest
-                let (chosen, above_count) = choose_digit(&guard.histogram, guard.k_remaining);
-                guard.k_remaining -= above_count;
-                // The digit prefix *before* this pass: the kernel keys off
-                // the raw digit, so elements above the chosen one can be
-                // collected (they are in the final top-k for certain).
-                let prev = guard.prefix;
-                guard.prefix.push(pass, chosen);
-                // Scan the speculative filter output when it provably kept
-                // the chosen digit (cutoff ≤ chosen); otherwise fall back
-                // to the full candidate set.
-                let scan = match guard.filtered.take() {
-                    Some(f) if guard.filter_cutoff <= chosen => {
-                        guard.candidates = Vec::new();
-                        f
-                    }
-                    _ => std::mem::take(&mut guard.candidates),
-                };
-                drop(guard);
-                let num_warps = scan.len().div_ceil(ELEMS_PER_WARP);
-                let cursor = AtomicCounter::new(0);
-                let launch = device.launch("radix_refine", num_warps, |kctx| {
-                    let chunk = kctx.chunk_of(scan.len());
-                    let slice = kctx.read_coalesced(&scan[chunk]);
-                    let mut survivors: Vec<K> = Vec::new();
-                    let mut above: Vec<K> = Vec::new();
-                    for &x in slice {
-                        let bits = x.to_bits();
-                        if prev.matches(bits) {
-                            let d = digit_of(bits, pass);
-                            if d > chosen {
-                                above.push(x);
-                            } else if d == chosen {
-                                survivors.push(x);
-                            }
+                _ => std::mem::take(&mut candidates),
+            };
+            let num_warps = scan.len().div_ceil(ELEMS_PER_WARP);
+            let cursor = AtomicCounter::new(0);
+            let launch = device.launch("radix_refine", num_warps, |kctx| {
+                let chunk = kctx.chunk_of(scan.len());
+                let slice = kctx.read_coalesced(&scan[chunk]);
+                let mut survivors: Vec<K> = Vec::new();
+                let mut above: Vec<K> = Vec::new();
+                for &x in slice {
+                    let bits = x.to_bits();
+                    if prev.matches(bits) {
+                        let d = digit_of(bits, pass);
+                        if d > chosen {
+                            above.push(x);
+                        } else if d == chosen {
+                            survivors.push(x);
                         }
                     }
-                    kctx.record_alu(2 * slice.len() as u64);
-                    let stored = survivors.len() + above.len();
-                    if stored > 0 {
-                        // warp-aggregated position allocation followed by a
-                        // coalesced store of both partitions
-                        cursor.fetch_add(kctx, stored as u64);
-                        kctx.record_store_coalesced::<K>(stored);
-                    }
-                    (survivors, above)
-                });
-                let mut guard = ctx.lock().unwrap();
-                let mut collected_above = 0usize;
-                let mut survivors = Vec::new();
-                for (s, a) in launch.output {
-                    collected_above += a.len();
-                    guard.above.extend(a);
-                    survivors.extend(s);
                 }
-                debug_assert_eq!(
-                    collected_above, above_count,
-                    "refine pass {pass}: collected above-set disagrees with \
-                     the exact histogram"
-                );
-                guard.candidates = survivors;
-                if guard.candidates.len() <= 1 {
-                    // the k-th value is pinned down early: the remaining
-                    // passes have nothing left to narrow
-                    guard.pinned = true;
+                kctx.record_alu(2 * slice.len() as u64);
+                let stored = survivors.len() + above.len();
+                if stored > 0 {
+                    // warp-aggregated position allocation followed by a
+                    // coalesced store of both partitions
+                    cursor.fetch_add(kctx, stored as u64);
+                    kctx.record_store_coalesced::<K>(stored);
                 }
-                StageOutcome {
-                    stats: launch.stats,
-                    time_ms: launch.time_ms,
-                }
-            },
-        );
-        prev_refine = Some(refine_id);
+                (survivors, above)
+            });
+            let mut collected_above = 0usize;
+            for (s, a) in launch.output {
+                collected_above += a.len();
+                above.extend(a);
+                candidates.extend(s);
+            }
+            debug_assert_eq!(
+                collected_above, above_count,
+                "refine pass {pass}: collected above-set disagrees with \
+                 the exact histogram"
+            );
+            // the k-th value is pinned down early: the remaining passes
+            // have nothing left to narrow
+            pinned = candidates.len() <= 1;
+            let outcome = StageOutcome::new(launch.stats, launch.time_ms);
+            ((), outcome)
+        });
     }
+    // The k-th value once every pass ran: all survivors share the full
+    // prefix, so any of them (or the prefix itself) is the threshold.
+    let threshold = match candidates.first() {
+        Some(&x) => x,
+        None => K::from_bits(prefix.value()),
+    };
 
     // Candidate assembly: the refine passes already collected every
     // element above the k-th value, so the final candidate set is that
     // above-set refilled with copies of the k-th value for its ties —
     // `O(k)` data movement, no input re-scan.
-    let gather_id = graph.add(
-        StageKind::CandidateGather,
-        Resource::Compute(0),
-        &[prev_refine.expect("at least one digit pass")],
-        move |ctx: &Mutex<RadixCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let threshold = guard.threshold();
-            let above = std::mem::take(&mut guard.above);
-            drop(guard);
-            debug_assert!(above.len() <= k.saturating_sub(1) || above.is_empty());
-            let num_warps = k.div_ceil(ELEMS_PER_WARP).max(1);
-            let launch = device.launch("candidate_gather", num_warps, |kctx| {
-                let chunk = kctx.chunk_of(k);
-                let reads = chunk.start.min(above.len())..chunk.end.min(above.len());
-                kctx.record_load_coalesced::<K>(reads.len());
-                let mut out: Vec<K> = Vec::with_capacity(chunk.len());
-                for i in chunk.clone() {
-                    out.push(if i < above.len() { above[i] } else { threshold });
-                    kctx.record_alu(1);
-                }
-                kctx.record_store_coalesced::<K>(out.len());
-                out
-            });
-            let mut guard = ctx.lock().unwrap();
-            guard.assembled = launch.output.into_iter().flatten().collect();
-            debug_assert_eq!(guard.assembled.len(), k);
-            StageOutcome {
-                stats: launch.stats,
-                time_ms: launch.time_ms,
+    let kind = StageKind::CandidateGather;
+    let assembled = serial.stage(kind, kind.name(), || {
+        debug_assert!(above.len() <= k.saturating_sub(1) || above.is_empty());
+        let num_warps = k.div_ceil(ELEMS_PER_WARP).max(1);
+        let launch = device.launch("candidate_gather", num_warps, |kctx| {
+            let chunk = kctx.chunk_of(k);
+            let reads = chunk.start.min(above.len())..chunk.end.min(above.len());
+            kctx.record_load_coalesced::<K>(reads.len());
+            let mut out: Vec<K> = Vec::with_capacity(chunk.len());
+            for i in chunk.clone() {
+                out.push(if i < above.len() { above[i] } else { threshold });
+                kctx.record_alu(1);
             }
-        },
-    );
+            kctx.record_store_coalesced::<K>(out.len());
+            out
+        });
+        let assembled: Vec<K> = launch.output.into_iter().flatten().collect();
+        debug_assert_eq!(assembled.len(), k);
+        let outcome = StageOutcome::new(launch.stats, launch.time_ms);
+        (assembled, outcome)
+    });
 
     // Final ordering: let the configured inner algorithm order the
     // assembled candidates (a small top-k over exactly k elements).
-    graph.add(
-        StageKind::RadixSelect,
-        Resource::Compute(0),
-        &[gather_id],
-        move |ctx: &Mutex<RadixCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let threshold = guard.threshold();
-            let candidates = std::mem::take(&mut guard.assembled);
-            drop(guard);
-            let inner = config.inner.run(device, &candidates, k);
-            let outcome = StageOutcome {
-                stats: inner.stats,
-                time_ms: inner.time_ms,
-            };
-            let mut guard = ctx.lock().unwrap();
-            let mut values = inner.values;
-            values.sort_unstable_by_key(|v| Reverse(v.to_bits()));
-            guard.kth_value = values.last().copied().unwrap_or(threshold);
-            guard.values = values;
-            outcome
-        },
-    );
-
-    let ctx = Mutex::new(RadixCtx::<K> {
-        candidates: data.to_vec(),
-        filtered: None,
-        filter_cutoff: 0,
-        histogram: Vec::new(),
-        prefix: DigitPrefix::default(),
-        k_remaining: k,
-        pinned: false,
-        above: Vec::new(),
-        assembled: Vec::new(),
-        values: Vec::new(),
-        kth_value: K::default(),
+    let kind = StageKind::RadixSelect;
+    let selected = serial.stage(kind, kind.name(), || {
+        let inner = config.inner.run(device, &assembled, k);
+        let outcome = StageOutcome::new(inner.stats, inner.time_ms);
+        let mut values = inner.values;
+        values.sort_unstable_by_key(|v| Reverse(v.to_bits()));
+        let kth_value = values.last().copied().unwrap_or(threshold);
+        ((values, kth_value), outcome)
     });
-    let report = graph.execute(&ctx);
-    let ctx = ctx.into_inner().unwrap();
-
-    let breakdown: PhaseBreakdown = report.phase_breakdown();
-    DrTopKResult {
-        values: ctx.values,
-        kth_value: ctx.kth_value,
-        alpha: 0,
-        breakdown,
-        workload: WorkloadStats {
-            input_len: data.len(),
-            delegate_vector_len: 0,
-            concatenated_len: k,
-            num_subranges: 1,
-            fully_taken_subranges: 0,
-            second_topk_skipped: false,
-            fell_back: false,
-        },
-        stats: report.stats(),
-        time_ms: report.makespan_ms,
-        stages: report,
-    }
+    let workload = WorkloadStats {
+        input_len: data.len(),
+        delegate_vector_len: 0,
+        concatenated_len: k,
+        num_subranges: 1,
+        fully_taken_subranges: 0,
+        second_topk_skipped: false,
+        fell_back: false,
+    };
+    DrTopKResult::from_report(selected, 0, workload, serial.finish())
 }
 
 #[cfg(test)]

@@ -302,10 +302,7 @@ fn launch_rows<R>(
     for (l, out) in launch.output.into_iter().flatten() {
         slots[l] = Some(out);
     }
-    StageOutcome {
-        stats: launch.stats,
-        time_ms: launch.time_ms,
-    }
+    StageOutcome::new(launch.stats, launch.time_ms)
 }
 
 /// Build the matrix's stage graph: per block with any work, a fused pass
@@ -430,10 +427,7 @@ fn build_rows_graph<'a, K: TopKKey>(
                         block.out[l] = Some(out);
                     }
                 }
-                StageOutcome {
-                    stats: launch.stats,
-                    time_ms: launch.time_ms,
-                }
+                StageOutcome::new(launch.stats, launch.time_ms)
             },
         );
 

@@ -1,20 +1,22 @@
-//! The stage-graph IR and executor — the single execution spine behind
-//! every Dr. Top-k entry point.
+//! The stage IR, the stage-graph executor, and the serial recorder that
+//! every single-device pipeline uses.
 //!
-//! Historically the paper's pipeline (delegate construction → first top-k →
-//! concatenation → second top-k) was hardwired as a sequence of calls inside
-//! the pipeline module, the approximate mode forked its own two-stage
-//! variant, and the distributed runner interleaved modeled host→device
-//! reloads with compute *serially*. This module replaces all three with one
-//! explicit representation:
+//! Every Dr. Top-k run reports its work as stages:
 //!
-//! * a stage ([`StageKind`] + [`Resource`] + a work closure) is one
-//!   schedulable piece of work — a paper phase
-//!   ([`StageKind::DelegateConstruction`], [`StageKind::FirstTopK`], …), the
-//!   approximate mode's bucket-top-k′ candidate pass, or an out-of-core
-//!   chunk load — bound to a [`Resource`] (a device's compute queue or a
-//!   transfer lane) and to the stages it depends on;
-//! * a [`StageGraph`] collects stages plus a caller-owned context the stage
+//! * a stage ([`StageKind`] + [`Resource`] + its work) is one schedulable
+//!   piece of work — a paper phase ([`StageKind::DelegateConstruction`],
+//!   [`StageKind::FirstTopK`], …), the approximate mode's bucket-top-k′
+//!   candidate pass, or an out-of-core chunk load — bound to a
+//!   [`Resource`] (a device's compute queue or a transfer lane) and to the
+//!   stages it depends on;
+//! * a single-device pipeline (the exact pipeline and its fallback, the
+//!   approximate mode, the radix path, an engine pool unit) is a chain of
+//!   dependent phases on one compute queue, so it runs them as plain calls
+//!   and records each through [`Serial`], which builds the same
+//!   [`StageReport`] the executor would;
+//! * a [`StageGraph`] collects stages that can overlap — the distributed
+//!   runner's chunk loads and per-device compute, the row-matrix blocks
+//!   spread over several devices — plus a caller-owned context the stage
 //!   closures read and write their buffers through;
 //! * [`StageGraph::execute`] dispatches ready stages onto one host worker
 //!   thread per modeled resource, with dependency events gating
@@ -42,16 +44,16 @@
 //! ([`ExecutedStage::measured_start_ms`] / [`ExecutedStage::measured_end_ms`],
 //! [`StageReport::measured_makespan_ms`]) and vary run to run.
 //!
-//! Because stage closures run concurrently, they take `&C` (not `&mut C`)
-//! and must be `Send`; the caller partitions or synchronizes the context —
-//! per-device buffer slots behind `std::sync::Mutex`, say — so that
-//! independent stages never contend for the same slot.
+//! Because graph stage closures run concurrently, they take `&C` (not
+//! `&mut C`) and must be `Send`; the caller partitions or synchronizes the
+//! context — per-device buffer slots behind `std::sync::Mutex`, say — so
+//! that independent stages never contend for the same slot.
 //!
-//! The executor is also the one instrumentation point: the returned
-//! [`StageReport`] carries every executed stage's interval, the modeled
-//! makespan, the compute/transfer split, the overlap efficiency, and a
-//! [`PhaseBreakdown`] derived from the stage kinds — the pipeline,
-//! approximate, distributed and engine reports are all views of it.
+//! The [`StageReport`] is the one instrumentation point: it carries every
+//! executed stage's interval, the modeled makespan, the compute/transfer
+//! split, the overlap efficiency, and a [`PhaseBreakdown`] derived from the
+//! stage kinds — the pipeline, approximate, distributed and engine reports
+//! are all views of it.
 
 // Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
 // the executor's slot table is the synchronization primitive everything
@@ -224,6 +226,13 @@ pub struct StageOutcome {
     pub stats: KernelStats,
     /// Modeled duration of the stage in milliseconds.
     pub time_ms: f64,
+}
+
+impl StageOutcome {
+    /// The outcome of a phase that took `time_ms` and counted `stats`.
+    pub(crate) fn new(stats: KernelStats, time_ms: f64) -> Self {
+        StageOutcome { stats, time_ms }
+    }
 }
 
 /// Handle to a stage within its graph, used to declare dependencies.
@@ -455,11 +464,13 @@ impl<'g, C> StageGraph<'g, C> {
 
     /// The single-resource path of [`StageGraph::execute`]: every closure
     /// on the calling thread, in insertion order, with no thread machinery
-    /// (so closure panics propagate unchanged). Kept apart from
+    /// (so closure panics propagate unchanged). Row graphs on one device
+    /// (`topk_rows_on` with a single device) take it. Kept apart from
     /// `execute_in_order`'s replay loop on purpose: sharing that loop with
-    /// an identity order measured about 50% slower CPU time per call on
-    /// `perfbench`'s `single_query` workload (2-core host), all of it
-    /// inside the kernel bodies; the cause was not isolated.
+    /// an identity order once measured about 50% slower CPU time per call
+    /// on `perfbench`'s `single_query` workload (2-core host), back when
+    /// the exact pipeline still ran as a graph; all of it was inside the
+    /// kernel bodies, and the cause was not isolated.
     fn run_serial(self, ctx: &C) -> StageReport {
         let sink = self.sink;
         let (metas, runs) = self.into_parts();
@@ -979,15 +990,196 @@ impl StageReport {
     }
 }
 
+/// The stage recorder of a single-device pipeline: each stage's work runs
+/// as a plain call, in order, and is recorded on one device's compute
+/// queue.
+///
+/// On one in-order queue the executor's modeled replay reduces to
+/// `cursor += duration`, so a running sum of durations gives every modeled
+/// start, end and the makespan bit for bit as [`StageGraph::execute`]
+/// would. The exact, fallback, approximate and radix pipelines record their
+/// phases with [`Serial::stage`]; the engine records a pool unit's shared
+/// steps the same way and splices each member's own report in with
+/// [`Serial::append`]. Measured times are host wall-clock since
+/// [`Serial::new`].
+pub struct Serial {
+    resource: Resource,
+    epoch: Instant,
+    report: StageReport,
+}
+
+impl Serial {
+    /// An empty schedule on `device`'s compute queue.
+    pub fn new(device: usize) -> Self {
+        Serial {
+            resource: Resource::Compute(device),
+            epoch: Instant::now(),
+            report: StageReport::default(),
+        }
+    }
+
+    /// Run `work` as the next stage, which waits on the previous one (a
+    /// first stage waits on nothing), and return what the work produced
+    /// besides its outcome.
+    pub fn stage<T>(
+        &mut self,
+        kind: StageKind,
+        label: impl Into<String>,
+        work: impl FnOnce() -> (T, StageOutcome),
+    ) -> T {
+        let measured_start_ms = ms_since(self.epoch);
+        let (value, outcome) = work();
+        let measured_end_ms = ms_since(self.epoch);
+        debug_assert!(
+            outcome.time_ms >= 0.0 && outcome.time_ms.is_finite(),
+            "stage durations must be finite and non-negative, got {}",
+            outcome.time_ms
+        );
+        let report = &mut self.report;
+        let start_ms = report.makespan_ms;
+        report.makespan_ms += outcome.time_ms;
+        report.measured_makespan_ms = report.measured_makespan_ms.max(measured_end_ms);
+        let deps = report.stages.len().checked_sub(1).into_iter().collect();
+        report.stages.push(ExecutedStage {
+            kind,
+            label: label.into(),
+            resource: self.resource,
+            deps,
+            start_ms,
+            end_ms: report.makespan_ms,
+            measured_start_ms,
+            measured_end_ms,
+            stats: outcome.stats,
+        });
+        value
+    }
+
+    /// Run `work`, which returns a report of its own (a whole pipeline run
+    /// on the same device), and append that report's stages: shifted to
+    /// start where the schedule ends, re-tagged with this device, and
+    /// re-indexed into this schedule. Its root stages wait on `deps`
+    /// (indices into this schedule); its internal dependencies are kept.
+    pub fn append<T>(&mut self, deps: &[usize], work: impl FnOnce() -> (T, StageReport)) -> T {
+        let measured_offset_ms = ms_since(self.epoch);
+        let (value, inner) = work();
+        let report = &mut self.report;
+        let (base, offset_ms) = (report.stages.len(), report.makespan_ms);
+        for stage in inner.stages {
+            let deps = if stage.deps.is_empty() {
+                deps.to_vec()
+            } else {
+                stage.deps.iter().map(|d| d + base).collect()
+            };
+            let measured_end_ms = stage.measured_end_ms + measured_offset_ms;
+            report.measured_makespan_ms = report.measured_makespan_ms.max(measured_end_ms);
+            report.stages.push(ExecutedStage {
+                resource: self.resource,
+                deps,
+                start_ms: stage.start_ms + offset_ms,
+                end_ms: stage.end_ms + offset_ms,
+                measured_start_ms: stage.measured_start_ms + measured_offset_ms,
+                measured_end_ms,
+                ..stage
+            });
+        }
+        report.makespan_ms = offset_ms + inner.makespan_ms;
+        value
+    }
+
+    /// The recorded report. Debug builds verify it first: [`Serial::append`]
+    /// re-wires dependencies, and index arithmetic is what the verifier
+    /// exists to catch.
+    pub fn finish(self) -> StageReport {
+        debug_assert_verified("serial stage report", || self.report.verify());
+        self.report
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn outcome(ms: f64) -> StageOutcome {
-        StageOutcome {
-            stats: KernelStats::default(),
-            time_ms: ms,
+        StageOutcome::new(KernelStats::default(), ms)
+    }
+
+    /// A radix-shaped chain (a shape the verifier accepts at any length)
+    /// with zero durations and sums that depend on their order:
+    /// `(0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)`, and each `1e-17` vanishes
+    /// into the running sum.
+    const CHAIN: [(StageKind, f64); 8] = [
+        (StageKind::RadixHistogram, 0.1),
+        (StageKind::RadixRefine, 0.2),
+        (StageKind::RadixHistogram, 0.3),
+        (StageKind::RadixRefine, 1e-17),
+        (StageKind::RadixHistogram, 0.0),
+        (StageKind::RadixRefine, 0.0),
+        (StageKind::CandidateGather, 0.1),
+        (StageKind::RadixSelect, 1e-17),
+    ];
+
+    #[test]
+    fn serial_stages_replay_exactly_like_the_executor() {
+        let mut g: StageGraph<'_, ()> = StageGraph::new();
+        let mut serial = Serial::new(0);
+        let mut prev: Vec<StageId> = Vec::new();
+        for (i, (kind, ms)) in CHAIN.into_iter().enumerate() {
+            let alu_ops = i as u64;
+            let done = StageOutcome::new(
+                KernelStats {
+                    alu_ops,
+                    ..KernelStats::default()
+                },
+                ms,
+            );
+            let label = format!("stage {i}");
+            prev = vec![g.add_labeled(kind, &label, Resource::Compute(0), &prev, move |_| done)];
+            serial.stage(kind, label, || ((), done));
         }
+        let recorded = serial.finish();
+        let executed = g.execute(&());
+        assert_eq!(
+            executed.deterministic_summary(),
+            recorded.deterministic_summary()
+        );
+        let sum = CHAIN.iter().fold(0.0f64, |acc, (_, ms)| acc + ms);
+        assert_eq!(recorded.makespan_ms.to_bits(), sum.to_bits());
+    }
+
+    /// An appended report keeps its internal dependencies (re-indexed), its
+    /// roots wait on the given stages, every interval is `inner + offset`,
+    /// and every stage moves to the recorder's device.
+    #[test]
+    fn serial_append_shifts_and_rewires_a_nested_report() {
+        let mut member = Serial::new(0);
+        for (kind, ms) in [
+            (StageKind::FirstTopK, 0.2),
+            (StageKind::Concatenate, 0.3),
+            (StageKind::SecondTopK, 1e-17),
+        ] {
+            member.stage(kind, kind.name(), || ((), outcome(ms)));
+        }
+        let nested = member.finish();
+        let mut serial = Serial::new(3);
+        serial.stage(StageKind::DelegateConstruction, "pass", || {
+            ((), outcome(0.1))
+        });
+        assert_eq!(serial.append(&[0], || ("member", nested.clone())), "member");
+        let report = serial.finish();
+        let deps: Vec<&[usize]> = report.stages.iter().map(|s| &s.deps[..]).collect();
+        assert_eq!(deps, [&[][..], &[0], &[1], &[2]]);
+        assert!(report
+            .stages
+            .iter()
+            .all(|s| s.resource == Resource::Compute(3)));
+        for (outer, inner) in report.stages[1..].iter().zip(&nested.stages) {
+            assert_eq!(outer.label, inner.label);
+            assert_eq!(outer.start_ms.to_bits(), (inner.start_ms + 0.1).to_bits());
+            assert_eq!(outer.end_ms.to_bits(), (inner.end_ms + 0.1).to_bits());
+        }
+        let makespan_ms = 0.1 + nested.makespan_ms;
+        assert_eq!(report.makespan_ms.to_bits(), makespan_ms.to_bits());
+        assert!(report.verify().is_empty());
     }
 
     #[test]

@@ -316,11 +316,12 @@ fn reaches(adj: &[Vec<usize>], from: usize, to: usize) -> bool {
     false
 }
 
-/// The debug-build verification gate every built or composed stage graph
-/// goes through: panic naming `what` and listing every diagnostic `verify`
-/// returns. Release builds skip the check without calling `verify`.
+/// The debug-build verification gate every built stage graph and every
+/// [`Serial`](crate::stages::Serial) report goes through: panic naming
+/// `what` and listing every diagnostic `verify` returns. Release builds
+/// skip the check without calling `verify`.
 #[track_caller]
-pub fn debug_assert_verified(what: &str, verify: impl FnOnce() -> Vec<Diagnostic>) {
+pub(crate) fn debug_assert_verified(what: &str, verify: impl FnOnce() -> Vec<Diagnostic>) {
     if cfg!(debug_assertions) {
         let diags = verify();
         assert!(

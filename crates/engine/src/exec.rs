@@ -13,9 +13,9 @@
 //! corpus. When two or more exact members run on it, one shared first
 //! top-k selects at their largest k (the paper's first top-k finds every
 //! winner, so it holds each smaller k's answer), and those members narrow
-//! it to their k in one pass instead of selecting again. Each step is a
-//! `Part`; one `compose` lays a unit's parts back to back into its
-//! [`StageReport`], for fused and row units alike. That report is the
+//! it to their k in one pass instead of selecting again. One [`Serial`]
+//! records a unit's steps back to back into its [`StageReport`], for fused
+//! and row units alike. That report is the
 //! engine's single instrumentation point: per-phase times, the
 //! compute/transfer split and the modeled unit cost are all derived from
 //! it. Outcomes are folded in unit order after the pool, which is also
@@ -28,16 +28,14 @@
 //! [`GpuCluster::try_run_on_all`] instead of poisoning the batch.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use drtopk_core::{
-    build_delegate_vector, capacity_in_keys, coarsen_delegate_vector, debug_assert_verified,
-    distributed_dr_topk, dr_topk_planned, first_topk, topk_rows_on, DelegateVector, DrTopKConfig,
-    DrTopKResult, ExecutedStage, PhaseBreakdown, PlannedQuery, ReloadSchedule, Resource, RowMatrix,
-    Shared, StageKind, StageReport,
+    build_delegate_vector, capacity_in_keys, coarsen_delegate_vector, distributed_dr_topk,
+    dr_topk_planned, first_topk, topk_rows_on, DelegateVector, DrTopKConfig, DrTopKResult,
+    PhaseBreakdown, PlannedQuery, ReloadSchedule, Resource, RowMatrix, Serial, Shared, StageKind,
+    StageOutcome, StageReport,
 };
 use drtopk_obs::TraceSink;
 use gpu_sim::{Device, GpuCluster, KernelStats};
@@ -113,105 +111,16 @@ pub(crate) struct ExecOutput<K: TopKKey> {
     pub worker_units: Vec<usize>,
 }
 
-/// One step of a pool unit, as the worker ran it: the step's own stage
-/// report, the composed indices its root stages wait on, and its host
-/// wall-clock start in ms since the unit started.
-struct Part {
-    report: StageReport,
-    deps: Vec<usize>,
-    measured_start_ms: f64,
-}
-
-impl Part {
-    /// A step the engine ran itself (the shared pass or the shared first
-    /// top-k) as a one-stage part: its `(stats, modeled ms)` and its
-    /// measured interval on the unit's clock.
-    fn one_stage(
-        kind: StageKind,
-        label: &str,
-        (stats, time_ms): (KernelStats, f64),
-        deps: Vec<usize>,
-        measured: Range<f64>,
-    ) -> Self {
-        let measured_ms = measured.end - measured.start;
-        Part {
-            report: StageReport {
-                stages: vec![ExecutedStage {
-                    kind,
-                    label: label.to_owned(),
-                    resource: Resource::Compute(0),
-                    deps: Vec::new(),
-                    start_ms: 0.0,
-                    end_ms: time_ms,
-                    measured_start_ms: 0.0,
-                    measured_end_ms: measured_ms,
-                    stats,
-                }],
-                makespan_ms: time_ms,
-                measured_makespan_ms: measured_ms,
-            },
-            deps,
-            measured_start_ms: measured.start,
-        }
-    }
-}
-
-/// Compose a pool unit's stage report from its parts, which ran back to
-/// back on the worker's device: each part's stages are shifted onto the
-/// unit's serial timeline, re-tagged with the worker's device and
-/// re-indexed into the composed stage list; a part's root stages wait on
-/// the part's `deps`. Each modeled start is a running sum of durations, as
-/// the executor's stream replay computes it, so the composed times equal a
-/// single serial schedule's bit for bit.
-fn compose(parts: Vec<Part>, device: usize) -> StageReport {
-    let mut stages: Vec<ExecutedStage> =
-        Vec::with_capacity(parts.iter().map(|p| p.report.stages.len()).sum());
-    let mut offset_ms = 0.0f64;
-    let mut measured_makespan_ms = 0.0f64;
-    for part in parts {
-        let base_idx = stages.len();
-        for inner in part.report.stages {
-            let deps = if inner.deps.is_empty() {
-                part.deps.clone()
-            } else {
-                inner.deps.iter().map(|d| d + base_idx).collect()
-            };
-            let measured_end_ms = inner.measured_end_ms + part.measured_start_ms;
-            measured_makespan_ms = measured_makespan_ms.max(measured_end_ms);
-            stages.push(ExecutedStage {
-                resource: Resource::Compute(device),
-                deps,
-                start_ms: inner.start_ms + offset_ms,
-                end_ms: inner.end_ms + offset_ms,
-                measured_start_ms: inner.measured_start_ms + part.measured_start_ms,
-                measured_end_ms,
-                ..inner
-            });
-        }
-        offset_ms += part.report.makespan_ms;
-    }
-    let report = StageReport {
-        stages,
-        makespan_ms: offset_ms,
-        measured_makespan_ms,
-    };
-    // Composition re-wires resources and dependencies, so debug builds
-    // check the composed schedule (the index arithmetic is exactly what the
-    // verifier exists to catch).
-    debug_assert_verified("composed unit stage report", || report.verify());
-    report
-}
-
 /// Run one fused unit on its worker's device as a sequence of calls: the
 /// shared delegate pass (when `cached` holds no exact vector), built from
 /// the corpus or coarsened from a cached finer vector; then, when two or
 /// more exact members run on the shared delegates, one shared first top-k
 /// at their largest k; then every member's [`dr_topk_planned`], those exact
 /// members narrowing the shared first top-k instead of selecting again.
-/// Each step is one [`Part`] of the unit's [`compose`]d report: members
-/// wait on the shared first top-k when they narrow it, otherwise on the
-/// pass. The outcome carries the pass the unit built from the corpus, if
-/// any.
+/// One [`Serial`] records the unit's report: the pass and the shared first
+/// top-k as stages, every member's own report appended, waiting on the
+/// shared first top-k when the member narrows it, otherwise on the pass.
+/// The outcome carries the pass the unit built from the corpus, if any.
 fn run_fused_unit<K: TopKKey>(
     device: &Device,
     device_idx: usize,
@@ -221,10 +130,9 @@ fn run_fused_unit<K: TopKKey>(
     unit: &FusedUnit,
     base: &DrTopKConfig,
 ) -> FusedOutcome<K> {
-    let epoch = Instant::now();
     let beta = unit.beta;
     // An exact cache hit means the pass disappears from the batch entirely
-    // (no pass part). Otherwise the unit's first part runs it: a coarsening
+    // (no pass stage). Otherwise the unit's first stage runs it: a coarsening
     // of a cached finer vector, which reads that vector's delegates instead
     // of |V|, or a build from the corpus.
     let (ready, finer) = match cached {
@@ -256,10 +164,10 @@ fn run_fused_unit<K: TopKKey>(
             && covered(planned)
     };
     let selecting: Vec<&PlannedQuery> = unit.planned.iter().filter(|p| selects(p)).collect();
-    let shares_first = selecting.len() >= 2;
 
-    let mut parts: Vec<Part> = Vec::with_capacity(unit.planned.len() + 2);
-    let mut pass_deps: Vec<usize> = Vec::new();
+    let mut serial = Serial::new(device_idx);
+    // Members that do not narrow a shared first top-k wait on the pass.
+    let pass_deps: &[usize] = if runs_pass { &[0] } else { &[] };
     let delegates = if runs_pass {
         // The pass's kind mirrors what it is: candidate generation for
         // approximate groups, delegate construction otherwise.
@@ -268,50 +176,47 @@ fn run_fused_unit<K: TopKKey>(
         } else {
             StageKind::DelegateConstruction
         };
-        let start_ms = ms_since(epoch);
-        let built = match &finer {
-            Some(finer) => coarsen_delegate_vector(device, finer, data.len(), unit.alpha, beta),
-            None => {
-                let (alpha, direction) = (unit.alpha, unit.direction);
-                build_delegate_vector(device, data, alpha, beta, base.construction, direction)
-            }
-        };
         let label = if coarsened {
             COARSENED_PASS
         } else {
             SHARED_PASS
         };
-        parts.push(Part::one_stage(
-            pass_kind,
-            label,
-            (built.stats, built.time_ms),
-            Vec::new(),
-            start_ms..ms_since(epoch),
-        ));
-        pass_deps.push(0);
+        let built = serial.stage(pass_kind, label, || {
+            let built = match &finer {
+                Some(finer) => coarsen_delegate_vector(device, finer, data.len(), unit.alpha, beta),
+                None => {
+                    let (alpha, direction) = (unit.alpha, unit.direction);
+                    build_delegate_vector(device, data, alpha, beta, base.construction, direction)
+                }
+            };
+            let outcome = StageOutcome {
+                stats: built.stats,
+                time_ms: built.time_ms,
+            };
+            (built, outcome)
+        });
         Some(Arc::new(built))
     } else {
         ready
     };
-    let mut select_deps = pass_deps.clone();
-    let first = if shares_first {
-        let k_max = selecting.iter().map(|p| p.k).max().unwrap_or(0);
-        let skip_last_pass = selecting[0].config.skip_last_first_pass;
-        let shared = delegates.as_deref().expect("the unit has delegates");
-        let start_ms = ms_since(epoch);
-        let first = first_topk(device, shared, k_max, skip_last_pass);
-        select_deps = vec![parts.len()];
-        parts.push(Part::one_stage(
-            StageKind::FirstTopK,
-            SHARED_FIRST_TOPK,
-            (first.stats, first.time_ms),
-            pass_deps.clone(),
-            start_ms..ms_since(epoch),
-        ));
-        Some(first)
-    } else {
-        None
+    // The shared selection reads the shared delegates: the pass's, or an
+    // exact cache entry's.
+    let first = match delegates.as_deref() {
+        Some(shared) if selecting.len() >= 2 => {
+            let k_max = selecting.iter().map(|p| p.k).max().unwrap_or(0);
+            let skip_last_pass = selecting[0].config.skip_last_first_pass;
+            Some(serial.stage(StageKind::FirstTopK, SHARED_FIRST_TOPK, || {
+                let first = first_topk(device, shared, k_max, skip_last_pass);
+                let outcome = StageOutcome {
+                    stats: first.stats,
+                    time_ms: first.time_ms,
+                };
+                (first, outcome)
+            }))
+        }
+        _ => None,
     };
+    let select_deps = [pass_deps.len()];
     let mut results = Vec::with_capacity(unit.planned.len());
     for (&qi, planned) in unit.queries.iter().zip(&unit.planned) {
         let narrows = first.is_some() && selects(planned);
@@ -321,29 +226,22 @@ fn run_fused_unit<K: TopKKey>(
                 None => Shared::Delegates(d),
             }
         });
-        let measured_start_ms = ms_since(epoch);
-        let mut r = dr_topk_planned(device, data, shared, planned);
-        let deps = if narrows { &select_deps } else { &pass_deps };
-        parts.push(Part {
-            report: std::mem::take(&mut r.stages),
-            deps: deps.clone(),
-            measured_start_ms,
+        let deps = if narrows { &select_deps[..] } else { pass_deps };
+        let r = serial.append(deps, || {
+            let mut r = dr_topk_planned(device, data, shared, planned);
+            let stages = std::mem::take(&mut r.stages);
+            (r, stages)
         });
         results.push((qi, planned.predicted_recall, r));
     }
     FusedOutcome {
         unit: unit_idx,
         results,
-        unit_stages: compose(parts, device_idx),
+        unit_stages: serial.finish(),
         // A coarsened vector stays out of the cache: its source serves it.
         built: delegates.filter(|_| runs_pass && !coarsened),
         coarsened,
     }
-}
-
-/// Host wall-clock milliseconds since `epoch`.
-fn ms_since(epoch: Instant) -> f64 {
-    epoch.elapsed().as_secs_f64() * 1e3
 }
 
 /// Label of a fused unit's pass when it builds from the corpus.
@@ -358,8 +256,8 @@ const COARSENED_PASS: &str = "coarsened delegate pass";
 /// Run one row-matrix unit on its assigned worker device: each member
 /// reinterprets the corpus as its own `rows × cols` matrix and runs the
 /// row-block stage graph through [`topk_rows_on`] in its own direction.
-/// The members run back to back, each one self-contained [`Part`] of the
-/// unit's [`compose`]d report.
+/// The members run back to back; each member's report is appended, whole,
+/// to the unit's [`Serial`] report.
 fn run_rows_unit<K: TopKKey>(
     device: &Device,
     device_idx: usize,
@@ -369,8 +267,7 @@ fn run_rows_unit<K: TopKKey>(
     row_queries: &[RowQuery],
     base: &DrTopKConfig,
 ) -> RowsOutcome<K> {
-    let epoch = Instant::now();
-    let mut parts: Vec<Part> = Vec::with_capacity(unit.members.len());
+    let mut serial = Serial::new(device_idx);
     let mut results: Vec<(usize, RowQueryResult<K>)> = Vec::with_capacity(unit.members.len());
     let mut delegate_passes = 0usize;
     for &qi in &unit.members {
@@ -381,14 +278,12 @@ fn run_rows_unit<K: TopKKey>(
             ..base.clone()
         };
         let matrix = RowMatrix::new(data, q.rows, q.cols);
-        let measured_start_ms = ms_since(epoch);
-        let r = topk_rows_on(&[device], matrix, &q.ks, &cfg, None);
-        delegate_passes += r.delegate_passes;
-        parts.push(Part {
-            report: r.stages,
-            deps: Vec::new(),
-            measured_start_ms,
+        let r = serial.append(&[], || {
+            let mut r = topk_rows_on(&[device], matrix, &q.ks, &cfg, None);
+            let stages = std::mem::take(&mut r.stages);
+            (r, stages)
         });
+        delegate_passes += r.delegate_passes;
         results.push((
             qi,
             RowQueryResult {
@@ -406,19 +301,19 @@ fn run_rows_unit<K: TopKKey>(
     RowsOutcome {
         unit: unit_idx,
         results,
-        unit_stages: compose(parts, device_idx),
+        unit_stages: serial.finish(),
         delegate_passes,
     }
 }
 
 /// Execute a plan over the cluster.
 ///
-/// When `sink` is present, every unit's composed stage schedule is
+/// When `sink` is present, every unit's recorded stage schedule is
 /// re-emitted as trace spans on the *modeled* batch timeline: fused units
 /// at their deterministic list-schedule offsets (re-tagged with the modeled
 /// worker's device so trace tracks match the schedule the report
-/// describes), sharded runs after the pool phase. Tracing clones the unit
-/// reports; with no sink attached nothing extra is allocated.
+/// describes), sharded runs after the pool phase. Tracing moves each unit's
+/// report out of its outcome; with no sink attached nothing is kept.
 pub(crate) fn execute_plan<K: TopKKey>(
     cluster: &GpuCluster,
     batch: &QueryBatch<'_, K>,
@@ -528,9 +423,9 @@ pub(crate) fn execute_plan<K: TopKKey>(
     let mut delegate_passes_run = 0usize;
     let mut delegate_passes_saved = 0usize;
     let mut delegate_cache = CacheReport::default();
-    // Modeled cost of each fused unit, in unit order, for the deterministic
-    // makespan computation below; the stage schedule rides along (cloned)
-    // only when a trace sink wants spans.
+    // Modeled cost of each pool unit, in unit order, for the deterministic
+    // makespan computation below; the stage schedule rides along (moved
+    // out of its outcome) only when a trace sink wants spans.
     let mut unit_costs: Vec<(f64, Option<StageReport>)> = Vec::new();
 
     // Fold the outcomes in unit order, whichever worker ran them, so the
@@ -540,18 +435,19 @@ pub(crate) fn execute_plan<K: TopKKey>(
         PoolOutcome::Fused(outcome) => outcome.unit,
         PoolOutcome::Rows(outcome) => outcome.unit,
     });
-    for pool_outcome in outcomes {
+    for mut pool_outcome in outcomes {
         // One instrumentation point for both unit kinds: the unit's
-        // composed stage schedule carries the shared pass, every member
+        // recorded stage schedule carries the shared pass, every member
         // phase (and any member-level pass rebuild), so phases, counters
         // and the unit's modeled cost are all read off it.
-        let unit_stages = match &pool_outcome {
-            PoolOutcome::Fused(outcome) => &outcome.unit_stages,
-            PoolOutcome::Rows(outcome) => &outcome.unit_stages,
+        let unit_stages = match &mut pool_outcome {
+            PoolOutcome::Fused(outcome) => &mut outcome.unit_stages,
+            PoolOutcome::Rows(outcome) => &mut outcome.unit_stages,
         };
         phase_ms += unit_stages.phase_breakdown();
         stats += unit_stages.stats();
-        unit_costs.push((unit_stages.makespan_ms, sink.map(|_| unit_stages.clone())));
+        let cost = unit_stages.makespan_ms;
+        unit_costs.push((cost, sink.map(|_| std::mem::take(unit_stages))));
         let outcome = match pool_outcome {
             PoolOutcome::Fused(outcome) => outcome,
             PoolOutcome::Rows(outcome) => {
@@ -599,22 +495,21 @@ pub(crate) fn execute_plan<K: TopKKey>(
     // queue does in modeled time, but independent of host-thread timing.
     let mut worker_loads = vec![0.0f64; cluster.num_devices()];
     let mut worker_units = vec![0usize; cluster.num_devices()];
-    for (cost, traced) in &unit_costs {
+    for (cost, traced) in unit_costs {
         let earliest = worker_loads
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))
             .map(|(i, _)| i)
             .expect("cluster has devices");
-        if let (Some(sink), Some(report)) = (sink, traced) {
+        if let (Some(sink), Some(mut report)) = (sink, traced) {
             // Replay the unit's stages on the modeled timeline: shifted to
             // this worker's start offset and re-tagged with the *modeled*
             // worker (the wall-clock queue may have used a different one).
-            let mut replay = report.clone();
-            for s in &mut replay.stages {
+            for s in &mut report.stages {
                 s.resource = Resource::Compute(earliest);
             }
-            replay.record_shifted(sink, worker_loads[earliest]);
+            report.record_shifted(sink, worker_loads[earliest]);
         }
         worker_loads[earliest] += cost;
         worker_units[earliest] += 1;
@@ -711,10 +606,10 @@ mod tests {
     use topk_baselines::{reference_topk, reference_topk_min};
 
     /// Runs the same four exact members on a cold corpus, on an exact
-    /// cached vector (no pass part) and on a finer cached vector (a
-    /// coarsening pass part), in both directions, and pins the composed
+    /// cached vector (no pass stage) and on a finer cached vector (a
+    /// coarsening pass stage), in both directions, and pins the recorded
     /// report: labels, kinds, dependency wiring, and every modeled start and
-    /// the makespan as the in-order sum of the parts' times.
+    /// the makespan as the in-order sum of the steps' times.
     #[test]
     fn a_four_member_exact_unit_runs_one_shared_first_topk() {
         let device = Device::new(DeviceSpec::v100s());
@@ -801,7 +696,7 @@ mod tests {
                 sum_ms += first_ms;
 
                 // Each member narrows the shared selection, concatenates and
-                // runs its second top-k, starting where the last part ended.
+                // runs its second top-k, starting where the last step ended.
                 let members = report.stages[passes + 1..].chunks(3);
                 assert_eq!(members.len(), ks.len(), "{ctx}");
                 for (m, (member, ((_, _, r), &k))) in

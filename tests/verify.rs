@@ -312,10 +312,10 @@ fn debug_execution_refuses_graphs_that_fail_verification() {
     let _ = g.execute(&());
 }
 
-/// Engine-composed unit reports — shared pass, shared first top-k and every
-/// member's pipeline stages — are verified by debug assertions inside the
-/// engine; this exercises exact fusion, approximate fusion and a plan-cache
-/// hit end to end.
+/// Engine unit reports — shared pass, shared first top-k and every member's
+/// pipeline stages, recorded by one `Serial` — are verified by its debug
+/// assertion in `Serial::finish`; this exercises exact fusion, approximate
+/// fusion and a plan-cache hit end to end.
 #[test]
 fn engine_fused_and_spliced_graphs_verify_clean_in_debug() {
     use drtopk::engine::{Direction, Query, QueryBatch, TopKEngine};
