@@ -244,6 +244,15 @@ pub(crate) fn mark<K: TopKKey>(
 /// taken (a true top-k); with a skipped pass the threshold is a lower bound
 /// and every marked entry is taken. The result keeps `marked`; counters are
 /// left empty for the caller.
+///
+/// The grouping is one linear merge. The delegate vector is subrange-major
+/// and [`mark`] appends entries in delegate-index order, so the subrange
+/// ids of `marked.above` and of `marked.ties` never decrease (narrowing
+/// keeps each list a subsequence of one of the unit's lists). Walking both
+/// lists one subrange at a time counts each subrange's taken entries, and
+/// the values of a subrange that is not fully taken go out in list order:
+/// the above entries, then the capped ties, exactly the prefix of the
+/// concatenated vector that per-warp store counters are charged for.
 pub(crate) fn take_marked<K: TopKKey>(
     delegates: Delegates<'_, K>,
     marked: Marked<K>,
@@ -256,7 +265,13 @@ pub(crate) fn take_marked<K: TopKKey>(
     } else {
         marked.ties.len()
     };
-    let taken = || marked.above.iter().chain(marked.ties.iter().take(need));
+    let above = &marked.above[..];
+    let ties = &marked.ties[..need.min(marked.ties.len())];
+    let ascending = |list: &[(K, u32)]| list.windows(2).all(|w| w[0].1 <= w[1].1);
+    debug_assert!(
+        ascending(above) && ascending(ties),
+        "marked subrange ids must never decrease"
+    );
 
     // A short final subrange (or a subrange smaller than β) holds fewer than
     // β delegate entries; it counts as fully taken once all the delegates it
@@ -276,24 +291,36 @@ pub(crate) fn take_marked<K: TopKKey>(
 
     // Count the taken entries per subrange (Rule 3), then keep the values
     // of the subranges that are not fully taken.
-    let mut taken_ids: Vec<u32> = taken().map(|&(_, id)| id).collect();
-    taken_ids.sort_unstable();
-    let fully_taken_subranges: Vec<u32> = taken_ids
-        .chunk_by(|a, b| a == b)
-        .filter(|run| run.len() >= entries_of(run[0]))
-        .map(|run| run[0])
-        .collect();
-    let partial_delegate_values: Vec<K> = taken()
-        .filter(|(_, id)| fully_taken_subranges.binary_search(id).is_err())
-        .map(|&(v, _)| v)
-        .collect();
+    let mut fully_taken_subranges = Vec::new();
+    let mut partial_delegate_values = Vec::new();
+    let mut partial_ties = Vec::new();
+    let (mut a, mut t) = (0, 0);
+    while let Some(id) = [above.get(a), ties.get(t)]
+        .into_iter()
+        .flatten()
+        .map(|&(_, id)| id)
+        .min()
+    {
+        let run = |list: &[(K, u32)], from: usize| {
+            from + list[from..].iter().take_while(|e| e.1 == id).count()
+        };
+        let (a_end, t_end) = (run(above, a), run(ties, t));
+        if a_end - a + t_end - t >= entries_of(id) {
+            fully_taken_subranges.push(id);
+        } else {
+            partial_delegate_values.extend(above[a..a_end].iter().map(|&(v, _)| v));
+            partial_ties.extend(ties[t..t_end].iter().map(|&(v, _)| v));
+        }
+        (a, t) = (a_end, t_end);
+    }
+    partial_delegate_values.append(&mut partial_ties);
 
     FirstTopK {
         threshold,
         exact_threshold: exact,
         fully_taken_subranges,
         partial_delegate_values,
-        taken_entries: taken_ids.len(),
+        taken_entries: above.len() + ties.len(),
         stats: KernelStats::default(),
         time_ms: 0.0,
         k,
@@ -413,18 +440,142 @@ mod tests {
         )
     }
 
+    /// Rule 3 by sorting, the oracle for [`take_marked`]'s linear merge:
+    /// sort the taken subrange ids, count each run, and filter the taken
+    /// entries against the fully taken set by binary search.
+    fn take_marked_by_sort<K: TopKKey>(
+        delegates: Delegates<'_, K>,
+        marked: Marked<K>,
+        k: usize,
+        threshold: K,
+        exact: bool,
+    ) -> FirstTopK<K> {
+        let need = if exact {
+            k.saturating_sub(marked.above.len())
+        } else {
+            marked.ties.len()
+        };
+        let taken = || marked.above.iter().chain(marked.ties.iter().take(need));
+        let regular_entries = delegates.beta.min(delegates.subrange_size);
+        let tail_entries = delegates
+            .len()
+            .saturating_sub((delegates.num_subranges - 1) * regular_entries)
+            .max(1);
+        let entries_of = |id: u32| -> usize {
+            if id as usize + 1 == delegates.num_subranges {
+                tail_entries
+            } else {
+                regular_entries
+            }
+        };
+        let mut taken_ids: Vec<u32> = taken().map(|&(_, id)| id).collect();
+        taken_ids.sort_unstable();
+        let fully_taken_subranges: Vec<u32> = taken_ids
+            .chunk_by(|a, b| a == b)
+            .filter(|run| run.len() >= entries_of(run[0]))
+            .map(|run| run[0])
+            .collect();
+        let partial_delegate_values: Vec<K> = taken()
+            .filter(|(_, id)| fully_taken_subranges.binary_search(id).is_err())
+            .map(|&(v, _)| v)
+            .collect();
+        FirstTopK {
+            threshold,
+            exact_threshold: exact,
+            fully_taken_subranges,
+            partial_delegate_values,
+            taken_entries: taken_ids.len(),
+            stats: KernelStats::default(),
+            time_ms: 0.0,
+            k,
+            marked,
+        }
+    }
+
+    /// `got`'s Rule 3 grouping equals the sorting oracle's over the same
+    /// marked entries, field for field and in order.
+    fn assert_grouping_matches_oracle<K: TopKKey>(
+        delegates: Delegates<'_, K>,
+        got: &FirstTopK<K>,
+        what: &str,
+    ) {
+        let oracle = take_marked_by_sort(
+            delegates,
+            got.marked.clone(),
+            got.k,
+            got.threshold,
+            got.exact_threshold,
+        );
+        assert_eq!(fields(got), fields(&oracle), "{what}");
+    }
+
+    #[test]
+    fn linear_rule3_grouping_equals_the_sorting_oracle() {
+        let dev = device();
+        let n = 1 << 12;
+        let ascending: Vec<u32> = (0..n as u32).collect();
+        let descending: Vec<u32> = (0..n as u32).rev().collect();
+        let few_distinct: Vec<u32> = topk_datagen::uniform(n, 29)
+            .into_iter()
+            .map(|x| x % 8)
+            .collect();
+        // 64 full subranges of 2^6 and a final one of 3 elements
+        let short_tail = topk_datagen::uniform(n + 3, 31);
+        for (name, data) in [
+            ("ascending", &ascending),
+            ("descending", &descending),
+            ("8 distinct values", &few_distinct),
+            ("short final subrange", &short_tail),
+        ] {
+            for beta in 1..=4 {
+                for skip_last_pass in [false, true] {
+                    for direction in [Direction::Largest, Direction::Smallest] {
+                        let dv = crate::delegate::build_delegate_vector(
+                            &dev,
+                            data,
+                            6,
+                            beta,
+                            ConstructionMethod::Auto,
+                            direction,
+                        );
+                        for k in [1, 2, 7, 64, 100, 150, dv.len()] {
+                            let what = format!(
+                                "{name}, β = {beta}, skip {skip_last_pass}, {direction:?}, k = {k}"
+                            );
+                            match direction {
+                                Direction::Largest => {
+                                    let view = dv.view();
+                                    let got = select_first_topk(&dev, view, k, skip_last_pass);
+                                    assert_grouping_matches_oracle(view, &got, &what);
+                                }
+                                Direction::Smallest => {
+                                    let view = dv.view().as_desc();
+                                    let got = select_first_topk(&dev, view, k, skip_last_pass);
+                                    assert_grouping_matches_oracle(view, &got, &what);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Narrow one selection at `k_max` to every smaller k and compare with
-    /// an exact selection at that k.
+    /// an exact selection at that k, and both groupings with the sorting
+    /// oracle.
     fn assert_narrowing_matches<K: TopKKey>(
         dev: &Device,
         delegates: Delegates<'_, K>,
         unit: &FirstTopK<K>,
         what: &str,
     ) {
+        assert_grouping_matches_oracle(delegates, unit, what);
         for k in 1..=unit.k {
             let narrowed = narrow_first_topk(dev, delegates, unit, k);
             let selected = select_first_topk(dev, delegates, k, false);
             assert_eq!(fields(&narrowed), fields(&selected), "{what}, k = {k}");
+            assert_grouping_matches_oracle(delegates, &narrowed, &format!("{what}, k = {k}"));
             assert!(
                 narrowed.time_ms > 0.0,
                 "{what}, k = {k}: the narrowing pass is charged"

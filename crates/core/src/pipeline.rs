@@ -698,7 +698,7 @@ pub(crate) fn run_planned<K: TopKKey>(
     // paid for, so escaping to radix would only waste it.
     if shared_delegates.is_none()
         && (config.path == PathHint::Radix
-            || config.path.resolve_for(data, k, device.spec()) == ChosenPath::Radix)
+            || config.path.resolve_for(data, k, device.spec(), &mut None) == ChosenPath::Radix)
     {
         return radix_dr_topk(device, data, k, config);
     }

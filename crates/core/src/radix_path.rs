@@ -53,6 +53,7 @@
 //! bit-identical to the delegate pipeline and to
 //! [`topk_baselines::reference_topk`].
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 
 use gpu_sim::{AtomicCounter, Device};
@@ -105,8 +106,9 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
 
     let passes = K::Bits::BITS.div_ceil(BITS_PER_PASS);
     let mut serial = Serial::new(0);
-    // Surviving candidates (starts as the full input).
-    let mut candidates: Vec<K> = data.to_vec();
+    // Surviving candidates: the input itself, read in place, until a
+    // refine pass produces survivors.
+    let mut candidates: Cow<'_, [K]> = Cow::Borrowed(data);
     // The first pass's speculative filter: its top-digit cutoff and every
     // element whose top digit is at or above it. `None` when the filter
     // was disabled (sample predicted poor selectivity) or already consumed.
@@ -194,8 +196,8 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
             // full candidate set.
             let scan = match filtered.take() {
                 Some((cutoff, kept)) if cutoff <= chosen => {
-                    candidates = Vec::new();
-                    kept
+                    candidates = Cow::Owned(Vec::new());
+                    Cow::Owned(kept)
                 }
                 _ => std::mem::take(&mut candidates),
             };
@@ -231,7 +233,7 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
             for (s, a) in launch.output {
                 collected_above += a.len();
                 above.extend(a);
-                candidates.extend(s);
+                candidates.to_mut().extend(s);
             }
             debug_assert_eq!(
                 collected_above, above_count,

@@ -337,16 +337,6 @@ impl<'g, C> StageGraph<'g, C> {
         self.sink = Some(sink);
     }
 
-    /// Number of stages added so far.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// True when no stage has been added.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
     /// Add a stage with an explicit display label. `deps` are the stages
     /// whose completion this stage must wait for *across* resources;
     /// same-resource ordering is implicit (a resource is an in-order
@@ -1276,7 +1266,6 @@ mod tests {
     #[test]
     fn empty_graph_reports_zeroes() {
         let g: StageGraph<'_, ()> = StageGraph::new();
-        assert!(g.is_empty());
         let report = g.execute(&());
         assert!(report.stages.is_empty());
         assert_eq!(report.makespan_ms, 0.0);

@@ -290,9 +290,26 @@ impl PathHint {
     /// [`choose_path_sampled`] over the actual input — so a duplicate-heavy
     /// corpus stays on the delegate path even at k far past the
     /// well-distributed crossover.
-    pub fn resolve_for<K: TopKKey>(&self, data: &[K], k: usize, spec: &DeviceSpec) -> ChosenPath {
+    ///
+    /// `survival` holds the input's sampled survival: an `Auto` resolution
+    /// that needs it and finds `None` reads the strided sample of `data`
+    /// and stores the estimate, and one that finds `Some` reuses it. The
+    /// estimate depends on `data` alone, so a caller resolving many queries
+    /// over one input keeps one slot for it and samples it at most once;
+    /// `&mut None` samples on every call.
+    pub fn resolve_for<K: TopKKey>(
+        &self,
+        data: &[K],
+        k: usize,
+        spec: &DeviceSpec,
+        survival: &mut Option<f64>,
+    ) -> ChosenPath {
         match self {
-            PathHint::Auto => choose_path_sampled(data, k, spec),
+            PathHint::Auto => {
+                choose_path_with_survival(data.len(), k, <K::Bits as KeyBits>::BITS, spec, || {
+                    *survival.get_or_insert_with(|| estimate_radix_survival(data))
+                })
+            }
             PathHint::Delegate => ChosenPath::Delegate,
             PathHint::Radix => ChosenPath::Radix,
         }
@@ -465,7 +482,8 @@ pub(crate) fn estimate_radix_survival<K: TopKKey>(data: &[K]) -> f64 {
 
 /// The planner crossover: pick the cheaper execution path for a top-k query
 /// of `k` over `n` keys of `key_bits` bits on the device described by
-/// `spec`, under an explicit sampled `survival` fraction.
+/// `spec`, under the sampled `survival` fraction, which is asked for only
+/// when the shape is not degenerate.
 ///
 /// Compares the Equations 2–5 delegate model at the Rule 4 α (the α the
 /// pipeline itself would resolve) against
@@ -488,7 +506,7 @@ fn choose_path_with_survival(
     k: usize,
     key_bits: u32,
     spec: &DeviceSpec,
-    survival: f64,
+    survival: impl FnOnce() -> f64,
 ) -> ChosenPath {
     if k == 0 || n < 4 || k >= n {
         return ChosenPath::Delegate;
@@ -502,7 +520,7 @@ fn choose_path_with_survival(
         spec,
     );
     let radix = modeled_path_us(
-        radix_predicted_cost(n, k, key_bits, spec, survival).total(),
+        radix_predicted_cost(n, k, key_bits, spec, survival()).total(),
         radix_model_launches(key_bits.div_ceil(BITS_PER_PASS)),
         key_bytes,
         spec,
@@ -516,18 +534,13 @@ fn choose_path_with_survival(
 
 /// Data-aware crossover: measure the per-pass survival from the input via
 /// `estimate_radix_survival`, then resolve through
-/// `choose_path_with_survival`. This is what the pipeline's `Auto` seam
-/// and the engine planner call — it keeps duplicate-heavy inputs on the
+/// `choose_path_with_survival`. This is what `PathHint::Auto` resolves
+/// to, sampling on every call ([`PathHint::resolve_for`] takes a slot
+/// that keeps the sample) — it keeps duplicate-heavy inputs on the
 /// delegate path at every k while letting well-distributed inputs escape
 /// to radix past the crossover.
 pub fn choose_path_sampled<K: TopKKey>(data: &[K], k: usize, spec: &DeviceSpec) -> ChosenPath {
-    choose_path_with_survival(
-        data.len(),
-        k,
-        <K::Bits as KeyBits>::BITS,
-        spec,
-        estimate_radix_survival(data),
-    )
+    PathHint::Auto.resolve_for(data, k, spec, &mut None)
 }
 
 #[cfg(test)]
@@ -810,18 +823,36 @@ mod tests {
         let data = topk_datagen::uniform(1 << 20, 3);
         for k in [64usize, 1 << 17] {
             assert_eq!(
-                PathHint::Delegate.resolve_for(&data, k, &spec),
+                PathHint::Delegate.resolve_for(&data, k, &spec, &mut None),
                 ChosenPath::Delegate
             );
             assert_eq!(
-                PathHint::Radix.resolve_for(&data, k, &spec),
+                PathHint::Radix.resolve_for(&data, k, &spec, &mut None),
                 ChosenPath::Radix
             );
             assert_eq!(
-                PathHint::Auto.resolve_for(&data, k, &spec),
+                PathHint::Auto.resolve_for(&data, k, &spec, &mut None),
                 choose_path_sampled(&data, k, &spec)
             );
         }
+        // The slot memoizes the sample: pins and degenerate shapes leave it
+        // empty, the first `Auto` resolution that prices radix fills it,
+        // and a filled slot decides in place of the data.
+        let mut survival = None;
+        PathHint::Radix.resolve_for(&data, 64, &spec, &mut survival);
+        PathHint::Auto.resolve_for(&data, 0, &spec, &mut survival);
+        assert_eq!(survival, None);
+        PathHint::Auto.resolve_for(&data, 64, &spec, &mut survival);
+        assert_eq!(survival, Some(estimate_radix_survival(&data)));
+        assert_eq!(
+            PathHint::Auto.resolve_for(&data, 1 << 17, &spec, &mut survival),
+            ChosenPath::Radix
+        );
+        assert_eq!(
+            PathHint::Auto.resolve_for(&data, 1 << 17, &spec, &mut Some(1.0)),
+            ChosenPath::Delegate,
+            "a stored survival of 1.0 prices radix out at any k"
+        );
         assert_eq!(PathHint::ALL.len(), 3);
         assert_eq!(PathHint::Auto.name(), "auto");
         assert_eq!(ChosenPath::Radix.name(), "radix");
@@ -882,7 +913,7 @@ mod tests {
                 "duplicate-heavy keys must never escape to radix (k={k})"
             );
             assert_eq!(
-                PathHint::Auto.resolve_for(&low, k, &spec),
+                PathHint::Auto.resolve_for(&low, k, &spec, &mut None),
                 ChosenPath::Delegate
             );
         }
@@ -892,19 +923,19 @@ mod tests {
             ChosenPath::Radix
         );
         assert_eq!(
-            PathHint::Radix.resolve_for(&uniform, 64, &spec),
+            PathHint::Radix.resolve_for(&uniform, 64, &spec, &mut None),
             ChosenPath::Radix,
             "pins ignore the data"
         );
         assert_eq!(
-            PathHint::Delegate.resolve_for(&uniform, 1 << 17, &spec),
+            PathHint::Delegate.resolve_for(&uniform, 1 << 17, &spec, &mut None),
             ChosenPath::Delegate
         );
     }
 
     /// The crossover at the survival of well-distributed keys.
     fn uniform_crossover(n: usize, k: usize, key_bits: u32, spec: &DeviceSpec) -> ChosenPath {
-        choose_path_with_survival(n, k, key_bits, spec, RADIX_DIGIT_SURVIVAL)
+        choose_path_with_survival(n, k, key_bits, spec, || RADIX_DIGIT_SURVIVAL)
     }
 
     #[test]

@@ -4,15 +4,24 @@
 //! `ExecutionPlan` of independent units:
 //!
 //! * **Fused units** — all same-corpus, same-direction, same-mode queries
-//!   share one delegate pass (the RTop-K-style batched row: the pass is
-//!   sized by the group's `k_max`, then each exact query runs its own
-//!   first top-k / concatenation / second top-k against the shared
+//!   that resolve to the same execution path share one unit. A delegate
+//!   unit shares one delegate pass (the RTop-K-style batched row: the
+//!   pass is sized by the group's `k_max`, then each exact query runs its
+//!   own first top-k / concatenation / second top-k against the shared
 //!   delegate vector, while each approximate query selects straight from
-//!   the shared candidate vector).
+//!   the shared candidate vector); a radix unit runs each member's
+//!   multi-pass radix select and has no pass.
 //! * **Sharded units** — queries whose corpus exceeds a device's memory
 //!   capacity run over the *whole* cluster through the distributed
 //!   machinery instead (RadiK-style: many independent selections are
 //!   scheduled, but an over-capacity one takes every device).
+//!
+//! An exact query's path is its [`PathHint`] resolved at the query's own
+//! k. `Auto` prices the modeled crossover at the corpus's sampled radix
+//! survival, a pure function of the corpus, so the planner samples each
+//! corpus at most once per batch: one survival slot per corpus index,
+//! filled by the first query that needs it and read by the rest
+//! ([`PathHint::resolve_for`]).
 //!
 //! Two memoizations make repeat traffic cheap:
 //!
@@ -392,8 +401,12 @@ pub(crate) fn plan_batch<K: TopKKey>(
     // delegate member in a radix unit would have no pass to share).
     let mut groups: BTreeMap<(usize, Direction, Mode, ChosenPath), Vec<usize>> = BTreeMap::new();
     let mut sharded: Vec<ShardedUnit> = Vec::new();
+    // Each corpus's sampled survival, by corpus index: read on the first
+    // query that needs it and reused by the rest of the batch.
+    let mut survival: Vec<Option<f64>> = vec![None; batch.corpora.len()];
     for (idx, q) in batch.queries.iter().enumerate() {
-        let n = batch.corpora[q.corpus].data.len();
+        let data = batch.corpora[q.corpus].data;
+        let n = data.len();
         if n > shard_capacity {
             sharded.push(ShardedUnit { query: idx });
         } else {
@@ -406,7 +419,7 @@ pub(crate) fn plan_batch<K: TopKKey>(
                 ChosenPath::Delegate
             } else {
                 q.path
-                    .resolve_for(batch.corpora[q.corpus].data, q.k.min(n), device)
+                    .resolve_for(data, q.k.min(n), device, &mut survival[q.corpus])
             };
             groups
                 .entry((q.corpus, q.direction, q.mode, path))
@@ -628,6 +641,77 @@ mod tests {
         };
         assert!(!unit.needs_delegates);
         assert_eq!(unit.planned.iter().map(|p| p.k).max(), Some(100));
+    }
+
+    #[test]
+    fn each_query_resolves_as_the_sampled_crossover_on_its_own_corpus_and_k() {
+        let spec = DeviceSpec::v100s();
+        let n = 1 << 18;
+        let uniform = topk_datagen::uniform(n, 41);
+        // 64 distinct well-spread values, each repeated n / 64 times
+        let duplicates: Vec<u32> = (0..n).map(|i| uniform[i % 64]).collect();
+        let few_distinct: Vec<u32> = uniform.iter().map(|x| x % 8).collect();
+        let mut batch = QueryBatch::new();
+        let corpora = [
+            batch.add_corpus(1, &uniform),
+            batch.add_corpus(2, &duplicates),
+            batch.add_corpus(3, &few_distinct),
+        ];
+        for k in [1usize, 100, 1 << 12, 1 << 15, 1 << 17] {
+            for corpus in corpora {
+                for path in PathHint::ALL {
+                    batch.push(Query {
+                        corpus,
+                        k,
+                        direction: Direction::Largest,
+                        inner: InnerAlgorithm::FlagRadix,
+                        mode: Mode::Exact,
+                        path,
+                    });
+                }
+            }
+        }
+        let expected: Vec<ChosenPath> = batch
+            .queries
+            .iter()
+            .map(|q| match q.path {
+                PathHint::Auto => {
+                    drtopk_core::choose_path_sampled(batch.corpora[q.corpus].data, q.k, &spec)
+                }
+                PathHint::Delegate => ChosenPath::Delegate,
+                PathHint::Radix => ChosenPath::Radix,
+            })
+            .collect();
+        let auto_on = |corpus: usize, path: ChosenPath| {
+            batch
+                .queries
+                .iter()
+                .zip(&expected)
+                .any(|(q, &p)| q.corpus == corpus && q.path == PathHint::Auto && p == path)
+        };
+        assert!(
+            auto_on(corpora[0], ChosenPath::Delegate) && auto_on(corpora[0], ChosenPath::Radix),
+            "the ks straddle the uniform corpus's crossover"
+        );
+        assert!(!auto_on(corpora[2], ChosenPath::Radix));
+
+        let mut cache = PlanCache::default();
+        let plan = plan_batch(&batch, &base(), usize::MAX, &spec, &mut cache);
+        // one unit per (corpus, expected path), holding exactly its queries
+        let mut want: BTreeMap<(usize, ChosenPath), Vec<usize>> = BTreeMap::new();
+        for (qi, q) in batch.queries.iter().enumerate() {
+            want.entry((q.corpus, expected[qi])).or_default().push(qi);
+        }
+        let got: BTreeMap<(usize, ChosenPath), Vec<usize>> = plan
+            .units
+            .iter()
+            .map(|u| match u {
+                PlanUnit::Fused(f) => ((f.corpus, f.path), f.queries.clone()),
+                _ => panic!("every query is fused"),
+            })
+            .collect();
+        assert_eq!(plan.units.len(), got.len(), "no (corpus, path) is split");
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub struct EngineReport {
     /// new [`drtopk_obs::MetricName`] variant is needed.
     pub delegate_path_units: usize,
     /// Fused units whose members resolved to the large-k multi-pass
-    /// radix-select pipeline (see [`drtopk_core::choose_path_sampled`]).
+    /// radix-select pipeline (see [`drtopk_core::PathHint`]).
     pub radix_path_units: usize,
     /// Average queries per unit — how much fusion the batch admitted
     /// (a 32-query shared-corpus batch scores 32.0; fully disjoint
