@@ -35,11 +35,17 @@
 //! The host loop is `delegates_into`, which picks one of two loops from the
 //! shape it is given:
 //!
-//! * **per-lane** — subranges of at most 256 elements with β ≤ 4 (the
-//!   measured crossover, stated on `delegates_into`): a branch-free running
-//!   top-β in each of 8 lanes, each element passing through β max/min
-//!   pairs in radix space, then a pairwise fold of the lanes. This is the
-//!   host analogue of RTop-K's per-lane selection (`PAPERS.md`).
+//! * **per-lane** — β ≤ 4 and subranges of at most 2^10 elements for
+//!   32-bit keys with β ≤ 3, 2^9 for 32-bit keys with β = 4 and for 64-bit
+//!   keys with β = 1, and 2^8 otherwise (the measured crossover, stated on
+//!   `delegates_into`): a branch-free running top-β in each of 8 lanes,
+//!   each element passing through β compare-exchanges in radix space, then
+//!   a pairwise fold of the lanes. This is the host analogue of RTop-K's
+//!   per-lane selection (`PAPERS.md`). For 32-bit keys the compare-exchange
+//!   is mask arithmetic, because the baseline x86-64 target (SSE2) has no
+//!   unsigned 32-bit vector max or min: written with `Ord::max`/`Ord::min`
+//!   the loop stays scalar, written with masks it vectorizes and runs up to
+//!   twice as fast, which moves the crossover past 256 elements.
 //! * **chunk-skip** (`top_beta_into`) — everything else. It applies the
 //!   paper's maximum-delegate filtering one level down: after seeding the β
 //!   slots it scans each subrange in warp-wide chunks of 32 elements, takes
@@ -177,22 +183,43 @@ impl<K> Delegates<'_, K> {
 /// delegate construction and of the row-block fused pass ([`crate::rows`]).
 ///
 /// The loop is chosen from the shape: subranges of β to
-/// [`PER_LANE_MAX_SUBRANGE`] elements with β ≤ 4 run the branch-free
+/// [`per_lane_max_subrange`] elements with β ≤ 4 run the branch-free
 /// per-lane loop ([`per_lane_top`]), everything else the chunk-skip loop.
 /// In a small subrange most 32-element chunks beat the running β-th best,
 /// so chunk-skip walks them element by element on unpredictable branches;
 /// in a large one it mostly skips, and its one max per element beats the
-/// per-lane loop's β max/min pairs. Measured on a 2-core x86-64 host
-/// (release build, whole `construct` call on 2^18 keys, ns per element,
-/// u32 / f32, medians of seven interleaved runs): at α = 8 the per-lane
-/// loop costs 0.5 / 0.6 against chunk-skip's 1.5 / 1.2 at β = 1, 1.1 / 0.8
-/// against 1.5 / 1.9 at β = 2, 1.7 / 2.0 against 1.9 / 2.4 at β = 3 and
-/// 2.4 / 2.8 against 2.3 / 2.8 at β = 4 (a tie); at α = 9 chunk-skip wins
-/// for β = 3 (1.3 / 1.6 against 1.6 / 1.9) and β = 4 (1.6 / 2.0 against
-/// 2.3 / 2.7) and ties at β = 2 on u32 (1.0 against 1.0). At α = 5 and
-/// β = 2 the per-lane loop costs 3.2 / 2.7 against 5.7 / 6.5. β = 1, a
-/// plain max scan, stays faster per-lane past α = 8; the rule keeps one
-/// crossover for every β.
+/// per-lane loop's β compare-exchanges. The limit is the largest
+/// power-of-two subrange at which the per-lane loop beats chunk-skip by at
+/// least 10% on uniform input for every key type of that width, in both
+/// directions. Measured with the `construction` bench
+/// (`crates/bench/benches/construction.rs`: whole `build_delegate_vector`
+/// call on 2^18 uniform keys, ns per element, medians of five interleaved
+/// runs of 15 rounds, 2-core x86-64 host), per-lane against chunk-skip in
+/// the largest direction:
+///
+/// | keys | β | α = 9 | α = 10 | α = 11 | limit |
+/// |---|---|---|---|---|---|
+/// | u32 | 1 | 0.68 / 1.83 | 0.63 / 1.63 | 0.62 / 1.53 | 2^10 |
+/// | f32 | 1 | 0.85 / 1.33 | 0.73 / 0.99 | 0.70 / 0.78 | 2^10 |
+/// | u32 | 2 | 0.77 / 1.42 | 0.70 / 0.94 | 0.66 / 0.68 | 2^10 |
+/// | f32 | 2 | 0.97 / 1.90 | 0.89 / 1.33 | 0.87 / 1.00 | 2^10 |
+/// | u32 | 3 | 1.14 / 1.80 | 1.04 / 1.17 | 0.98 / 0.79 | 2^10 |
+/// | f32 | 3 | 1.36 / 2.45 | 1.23 / 1.68 | 1.19 / 1.17 | 2^10 |
+/// | u32 | 4 | 1.48 / 2.14 | 1.36 / 1.38 | 1.32 / 0.95 | 2^9 |
+/// | f32 | 4 | 1.89 / 2.92 | 1.82 / 1.94 | 1.77 / 1.38 | 2^9 |
+/// | u64 | 1 | 0.76 / 1.82 | 0.72 / 1.67 | 0.69 / 1.54 | 2^9 |
+/// | f64 | 1 | 1.96 / 2.54 | 1.90 / 2.21 | 1.83 / 2.07 | 2^9 |
+///
+/// The smallest direction decides two limits: f32 at β = 1 and α = 11
+/// (0.78 against 0.82) and u64 at β = 1 and α = 10 (0.89 against 0.84).
+/// Below the limits the mask compare-exchange made the per-lane loop
+/// faster still: at α = 8 and β = 2 it costs 0.88 on u32, where the
+/// scalar loop cost 1.94. 64-bit keys with β ≥ 2 keep the old 256-element
+/// limit: their compare-exchange stays scalar ([`order_pair`]), and at
+/// α = 9 chunk-skip costs 1.85 on u64 against the per-lane loop's 2.02 at
+/// α = 8. The per-lane loop costs the same on any input; chunk-skip's cost
+/// follows the data, and on input sorted best first, where it skips every
+/// chunk, it stays about twice as fast as the per-lane loop at α 9–10.
 #[inline]
 pub(crate) fn delegates_into<K: TopKKey>(
     data: &[K],
@@ -201,7 +228,7 @@ pub(crate) fn delegates_into<K: TopKKey>(
     out: &mut Vec<K>,
 ) {
     out.reserve(data.len().div_ceil(subrange_size) * beta);
-    if (beta..=PER_LANE_MAX_SUBRANGE).contains(&subrange_size) {
+    if (beta..=per_lane_max_subrange(beta, K::Bits::BITS)).contains(&subrange_size) {
         match beta {
             1 => return per_lane_into::<K, 1>(data, subrange_size, out),
             2 => return per_lane_into::<K, 2>(data, subrange_size, out),
@@ -215,9 +242,15 @@ pub(crate) fn delegates_into<K: TopKKey>(
     }
 }
 
-/// Largest subrange the per-lane loop takes (the measured crossover, see
-/// [`delegates_into`]).
-const PER_LANE_MAX_SUBRANGE: usize = 256;
+/// Largest subrange the per-lane loop takes for `beta` ≤ 4 delegates of
+/// `bits`-bit keys (the measured crossover, see [`delegates_into`]).
+const fn per_lane_max_subrange(beta: usize, bits: u32) -> usize {
+    match (bits, beta) {
+        (32, 1..=3) => 1 << 10,
+        (32, _) | (_, 1) => 1 << 9,
+        _ => 1 << 8,
+    }
+}
 
 /// Running selections of the per-lane loop.
 const LANES: usize = 8;
@@ -277,8 +310,12 @@ fn per_lane_top<K: TopKKey, const B: usize>(slice: &[K]) -> [K::Bits; B] {
 /// pair `a[i]`, `b[B-1-i]` is exactly the top `B` of both (the first step
 /// of a bitonic merge), and a compare-exchange network sorts them.
 #[inline(always)]
-fn merge_top<T: Ord + Copy, const B: usize>(a: [T; B], b: [T; B]) -> [T; B] {
-    let mut c: [T; B] = std::array::from_fn(|i| Ord::max(a[i], b[B - 1 - i]));
+fn merge_top<T: KeyBits, const B: usize>(a: [T; B], b: [T; B]) -> [T; B] {
+    let mut c = a;
+    for (slot, &other) in c.iter_mut().zip(b.iter().rev()) {
+        let mut other = other;
+        order_pair(slot, &mut other);
+    }
     for pass in 1..B {
         for i in 0..B - pass {
             let (left, right) = c.split_at_mut(i + 1);
@@ -288,13 +325,26 @@ fn merge_top<T: Ord + Copy, const B: usize>(a: [T; B], b: [T; B]) -> [T; B] {
     c
 }
 
-/// Branch-free compare-exchange: the larger key to `hi`, the smaller to
-/// `lo`.
+/// Branch-free compare-exchange in radix space: the larger key to `hi`, the
+/// smaller to `lo`. Keys of at most 32 bits use mask arithmetic — `m` is
+/// all ones when `lo > hi`, and xoring both with `d = (hi ^ lo) & m` swaps
+/// them — rather than `Ord::max`/`Ord::min`: the baseline x86-64 target
+/// (SSE2) has no unsigned 32-bit vector max or min, so the `Ord` form
+/// lowers to scalar `cmp`/`cmov` while the mask form vectorizes (a biased
+/// signed compare, an `and` and `xor`s). SSE2 has no 64-bit compare at
+/// all, so wider keys stay scalar either way, and there the two `cmov`s of
+/// the `Ord` form beat the mask's longer chain (measured on the
+/// construction bench, `crates/bench/benches/construction.rs`).
 #[inline(always)]
-fn order_pair<T: Ord + Copy>(hi: &mut T, lo: &mut T) {
+fn order_pair<T: KeyBits>(hi: &mut T, lo: &mut T) {
     let (a, b) = (*hi, *lo);
-    *hi = Ord::max(a, b);
-    *lo = Ord::min(a, b);
+    if T::BITS > 32 {
+        (*hi, *lo) = (Ord::max(a, b), Ord::min(a, b));
+    } else {
+        let m = if b > a { T::MAX } else { T::ZERO };
+        let d = (a ^ b) & m;
+        (*hi, *lo) = (a ^ d, b ^ d);
+    }
 }
 
 /// Append the top `beta` values of `slice` (β ≥ 1) to `out`, in descending
@@ -774,8 +824,9 @@ mod tests {
     /// (ragged against the 32-element chunks and the per-lane loop's lanes,
     /// and below β), and random / ascending / descending / constant / at
     /// most 8 distinct values (see [`few_distinct`]).
-    /// `delegates_into` runs at subrange sizes on both sides of the per-lane
-    /// loop's 256-element limit, with ragged final subranges. Random inputs
+    /// `delegates_into` runs at subrange sizes on both sides of the 64-bit
+    /// per-lane limit for β ≥ 2 (256 elements), with ragged final
+    /// subranges; [`per_lane_at_limits`] covers every limit. Random inputs
     /// mix uniformly random bit patterns with `specials`.
     fn sweep_top_beta<K: TopKKey>(specials: &[K], seed: u64) {
         let mut rng = topk_datagen::rng::Xoshiro256StarStar::seed_from_u64(seed);
@@ -875,6 +926,73 @@ mod tests {
         sweep_top_beta::<Desc<i64>>(&[Desc(i64::MIN), Desc(0), Desc(i64::MAX)], 8);
     }
 
+    /// [`per_lane_top`] at run-time `beta`.
+    fn per_lane_bits<K: TopKKey>(slice: &[K], beta: usize) -> Vec<K::Bits> {
+        match beta {
+            1 => per_lane_top::<K, 1>(slice).to_vec(),
+            2 => per_lane_top::<K, 2>(slice).to_vec(),
+            3 => per_lane_top::<K, 3>(slice).to_vec(),
+            4 => per_lane_top::<K, 4>(slice).to_vec(),
+            _ => unreachable!("the per-lane loop takes β ≤ 4"),
+        }
+    }
+
+    /// At the subrange sizes one below, at and one above each per-lane limit
+    /// (β 1–4), [`per_lane_top`] gives the bits of [`top_beta_into`], on
+    /// random, sorted, ≤ 8-distinct and all-equal inputs (all zero bits —
+    /// the slots' starting value — all one bits, and one repeated key).
+    /// `delegates_into` at the same sizes, over two full subranges and a
+    /// short final one, matches the per-subrange reference.
+    fn per_lane_at_limits<K: TopKKey>(seed: u64) {
+        let mut rng = topk_datagen::rng::Xoshiro256StarStar::seed_from_u64(seed);
+        let ty = std::any::type_name::<K>();
+        for beta in 1..=4 {
+            let limit = per_lane_max_subrange(beta, K::Bits::BITS);
+            for size in [limit - 1, limit, limit + 1] {
+                let random: Vec<K> = (0..size)
+                    .map(|_| K::from_bits(K::Bits::from_u64(rng.next_u64())))
+                    .collect();
+                let mut ascending = random.clone();
+                topk_baselines::sort_keys_asc(&mut ascending);
+                let descending: Vec<K> = ascending.iter().rev().copied().collect();
+                let inputs = [
+                    ("random", random.clone()),
+                    ("ascending", ascending),
+                    ("descending", descending),
+                    ("<= 8 distinct", few_distinct(&random)),
+                    ("zero bits", vec![K::from_bits(K::Bits::ZERO); size]),
+                    ("one bits", vec![K::from_bits(K::Bits::MAX); size]),
+                    ("one key", vec![random[0]; size]),
+                ];
+                for (order, input) in inputs {
+                    let case = format!("{ty} size={size} beta={beta} {order}");
+                    let mut want = Vec::new();
+                    top_beta_into(&input, beta, &mut want);
+                    let want: Vec<K::Bits> = want.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(per_lane_bits(&input, beta), want, "{case}");
+                    let data: Vec<K> = [&input[..], &input[..], &input[..size / 2]].concat();
+                    let expected = data
+                        .chunks(size)
+                        .flat_map(|s| reference_top_beta(s, beta))
+                        .collect();
+                    assert_appends(
+                        |out| delegates_into(&data, size, beta, out),
+                        expected,
+                        &case,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn per_lane_loop_equals_chunk_skip_around_every_limit() {
+        per_lane_at_limits::<u32>(11);
+        per_lane_at_limits::<f32>(12);
+        per_lane_at_limits::<u64>(13);
+        per_lane_at_limits::<Desc<i64>>(14);
+    }
+
     #[test]
     fn both_methods_agree_for_every_small_alpha_with_ragged_tails() {
         let dev = device();
@@ -949,8 +1067,9 @@ mod tests {
     /// The modeled cost of delegate construction is what the kernel records
     /// on its `WarpCtx`, not how the host computes the delegates. These
     /// counters and times were captured before the host extraction loop was
-    /// rewritten (twice: the chunk-skip loop, then the per-lane loop for
-    /// small subranges); a host-side change must leave them bit-identical.
+    /// rewritten (three times: the chunk-skip loop, the per-lane loop for
+    /// small subranges, then its mask compare-exchange and raised
+    /// crossover); a host-side change must leave them bit-identical.
     #[test]
     fn construction_model_is_pinned() {
         use ConstructionMethod::{CoalescedShared, WarpShuffle};

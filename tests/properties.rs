@@ -52,6 +52,16 @@ fn assert_delegates_exact<K: TopKKey>(
     Ok(())
 }
 
+/// Longest input [`ragged_len`] returns for α ≤ 12.
+const MAX_RAGGED: usize = 4 << 12;
+
+/// `full` full subranges of `2^alpha` elements plus a short final one of
+/// `1 + ⌊tail · (2^alpha − 1)⌋` elements (`tail` in `[0, 1)`).
+fn ragged_len(alpha: u32, full: usize, tail: f64) -> usize {
+    let size = 1usize << alpha;
+    full * size + 1 + (tail * (size - 1) as f64) as usize
+}
+
 /// Coarsening a vector built at `(fine_alpha, fine_beta)` to `(alpha,
 /// beta)` gives, in both directions, exactly the vector a fresh build at
 /// `(alpha, beta)` gives: the same value bits, subrange ids and shape.
@@ -152,21 +162,27 @@ proptest! {
 
     /// Delegate construction is exact: the β delegates of every subrange are
     /// its β best elements in either direction, bit for bit, and both
-    /// construction kernels agree. α and β reach both sides of the per-lane
-    /// loop's limits (256-element subranges, β = 4), and float inputs carry
-    /// NaN payloads of both signs, ±0 and subnormals. Every draw also runs
-    /// sorted both ways and folded onto at most 8 distinct values (see
-    /// [`orderings`]).
+    /// construction kernels agree. Subranges reach 2^12 elements and β
+    /// reaches 6, so every per-lane limit (2^8 to 2^10 elements with β ≤ 4,
+    /// by β and key width) is drawn from both sides, and every input holds
+    /// two or three full subranges plus a short final one ([`ragged_len`]).
+    /// Float inputs carry NaN payloads of both signs, ±0 and subnormals.
+    /// Every draw also runs sorted both ways and folded onto at most 8
+    /// distinct values (see [`orderings`]).
     #[test]
     fn delegate_construction_is_exact(
-        data in proptest::collection::vec(any::<u32>(), 1..5000),
-        floats in proptest::collection::vec(f32_with_specials(), 1..5000),
-        wide in proptest::collection::vec(any::<i64>(), 1..5000),
-        alpha in 1u32..11,
+        data in proptest::collection::vec(any::<u32>(), MAX_RAGGED),
+        floats in proptest::collection::vec(f32_with_specials(), MAX_RAGGED),
+        wide in proptest::collection::vec(any::<i64>(), MAX_RAGGED),
+        alpha in 1u32..13,
         beta in 1usize..7,
+        full in 2usize..4,
+        tail in 0.0f64..1.0,
     ) {
         let device = device();
-        let (data, floats, wide) = (orderings(&data), orderings(&floats), orderings(&wide));
+        let len = ragged_len(alpha, full, tail);
+        let (data, floats, wide) =
+            (orderings(&data[..len]), orderings(&floats[..len]), orderings(&wide[..len]));
         for (i, order) in ORDERINGS.iter().enumerate() {
             let table = [
                 ("u32", assert_delegates_exact(&device, &data[i], alpha, beta)),
@@ -177,9 +193,10 @@ proptest! {
                 if let Err(msg) = outcome {
                     prop_assert!(
                         false,
-                        "{} {} alpha={} beta={}: {}",
+                        "{} {} len={} alpha={} beta={}: {}",
                         key,
                         order,
+                        len,
                         alpha,
                         beta,
                         msg
@@ -191,23 +208,31 @@ proptest! {
 
     /// Delegates of delegates (Rule 1 one level up): a vector at α′ ≤ α
     /// with β′ ≥ β coarsens to exactly the vector a fresh build at (α, β)
-    /// gives, bit for bit, in both directions, over ragged lengths, u32,
-    /// f32 with NaN payloads and ±0, and i64, in all four [`orderings`].
+    /// gives, bit for bit, in both directions, over u32, f32 with NaN
+    /// payloads and ±0, and i64, in all four [`orderings`]. Subranges reach
+    /// 2^12 elements and every input holds two or three full coarse
+    /// subranges plus a short final one ([`ragged_len`]), so both the fresh
+    /// build and the coarsening's blocks fall on both sides of every
+    /// per-lane limit.
     /// Every draw also coarsens from α′ = 1 with β′ = β + 2, where the fine
     /// subranges hold fewer elements than β′.
     #[test]
     fn coarsening_equals_a_fresh_build(
-        data in proptest::collection::vec(any::<u32>(), 1..5000),
-        floats in proptest::collection::vec(f32_with_specials(), 1..5000),
-        wide in proptest::collection::vec(any::<i64>(), 1..5000),
-        fine_alpha in 1u32..9,
+        data in proptest::collection::vec(any::<u32>(), MAX_RAGGED),
+        floats in proptest::collection::vec(f32_with_specials(), MAX_RAGGED),
+        wide in proptest::collection::vec(any::<i64>(), MAX_RAGGED),
+        alpha in 1u32..13,
         alpha_step in 0u32..4,
         beta in 1usize..6,
         beta_step in 0usize..4,
+        full in 2usize..4,
+        tail in 0.0f64..1.0,
     ) {
         let device = device();
-        let alpha = fine_alpha + alpha_step;
-        let (data, floats, wide) = (orderings(&data), orderings(&floats), orderings(&wide));
+        let fine_alpha = alpha.saturating_sub(alpha_step).max(1);
+        let len = ragged_len(alpha, full, tail);
+        let (data, floats, wide) =
+            (orderings(&data[..len]), orderings(&floats[..len]), orderings(&wide[..len]));
         for fine in [(fine_alpha, beta + beta_step), (1, beta + 2)] {
             for (i, order) in ORDERINGS.iter().enumerate() {
                 let table = [
@@ -219,9 +244,10 @@ proptest! {
                     if let Err(msg) = outcome {
                         prop_assert!(
                             false,
-                            "{} {} {:?} -> ({}, {}): {}",
+                            "{} {} len={} {:?} -> ({}, {}): {}",
                             key,
                             order,
+                            len,
                             fine,
                             alpha,
                             beta,
@@ -285,9 +311,6 @@ use topk_baselines::{
     BucketConfig, RadixVariant, TopKKey,
 };
 
-/// Compare key vectors through their order-preserving bit images, so NaN
-/// (which is `!=` itself as a float) still compares as a concrete multiset
-/// element.
 /// Names of the [`orderings`], in order.
 const ORDERINGS: [&str; 4] = ["as drawn", "ascending", "descending", "<= 8 distinct"];
 
@@ -307,6 +330,9 @@ fn orderings<K: TopKKey>(draw: &[K]) -> [Vec<K>; 4] {
     [draw.to_vec(), ascending, descending, few]
 }
 
+/// Compare key vectors through their order-preserving bit images, so NaN
+/// (which is `!=` itself as a float) still compares as a concrete multiset
+/// element.
 fn bits_of<K: TopKKey>(v: &[K]) -> Vec<K::Bits> {
     v.iter().map(|x| TopKKey::to_bits(*x)).collect()
 }

@@ -13,7 +13,7 @@
 
 use drtopk::core::{
     distributed_dr_topk, verify_specs, DiagnosticCode, DrTopKConfig, ReloadSchedule, Resource,
-    StageGraph, StageKind, StageOutcome, StageSpec, TransferLane, VerifyOptions,
+    StageKind, StageSpec, TransferLane, VerifyOptions,
 };
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
@@ -298,6 +298,7 @@ fn planner_built_radix_graphs_verify_clean() {
 #[test]
 #[should_panic(expected = "stage graph failed verification")]
 fn debug_execution_refuses_graphs_that_fail_verification() {
+    use drtopk::core::{StageGraph, StageOutcome};
     let mut g: StageGraph<()> = StageGraph::new();
     // An orphan delegate pass: its output feeds nothing (V003).
     g.add(
