@@ -11,6 +11,13 @@
 //! reports measured time only and has no committed baseline; its numbers
 //! belong to the host that printed them.
 //!
+//! A second table, `construction_coarsen`, times `coarsen_delegate_vector`
+//! on u32 in both directions from the uniform input's vector at α′ = 6,
+//! β′ = 2 to α 7–11 and β 1–2, in nanoseconds per finer delegate value it
+//! reads. Each coarse subrange is one block of `2^(α−6) · 2` values, 4 at
+//! α = 7, so these cells show the host loop on small blocks, which the
+//! engine runs whenever a cached fine pass serves a coarser request.
+//!
 //! Every cell is the median of `ROUNDS` timed calls (default 7; pass a
 //! number to change it). Each round times every cell once, so a drift of
 //! the host's speed spreads over all cells instead of landing on a few.
@@ -24,20 +31,29 @@
 use std::time::Instant;
 
 use drtopk_bench_harness::{device, emit, seed};
-use drtopk_core::{build_delegate_vector, ConstructionMethod, Direction, TopKKey};
+use drtopk_core::{
+    build_delegate_vector, coarsen_delegate_vector, ConstructionMethod, DelegateVector, Direction,
+    TopKKey,
+};
 use gpu_sim::Device;
 
 const N: usize = 1 << 18;
 const ALPHAS: std::ops::RangeInclusive<u32> = 5..=13;
 const BETAS: std::ops::RangeInclusive<usize> = 1..=4;
+/// The finer vector the coarsening cells start from, and their targets.
+const COARSEN_FROM: (u32, usize) = (6, 2);
+const COARSEN_ALPHAS: std::ops::RangeInclusive<u32> = 7..=11;
+const COARSEN_BETAS: std::ops::RangeInclusive<usize> = 1..=2;
 
-/// One input: its labels and a closure that builds its delegates once.
+/// One input: its labels, the values one call reads and a closure that
+/// builds its delegates once.
 struct Cell {
     key: &'static str,
     order: &'static str,
     direction: Direction,
     beta: usize,
     alpha: u32,
+    reads: usize,
     run: Box<dyn Fn(&Device)>,
 }
 
@@ -54,6 +70,7 @@ fn cells<K: TopKKey>(key: &'static str, order: &'static str, data: Vec<K>) -> Ve
                     direction,
                     beta,
                     alpha,
+                    reads: N,
                     run: Box::new(move |device| {
                         let dv = build_delegate_vector(
                             device,
@@ -81,6 +98,72 @@ fn both_orders<K: TopKKey>(key: &'static str, data: Vec<K>) -> Vec<Cell> {
     all
 }
 
+/// Every coarsening cell: `data`'s vector at [`COARSEN_FROM`] in each
+/// direction, coarsened to every α of [`COARSEN_ALPHAS`] and β of
+/// [`COARSEN_BETAS`].
+fn coarsen_cells(device: &Device, data: &'static [u32]) -> Vec<Cell> {
+    let (from_alpha, from_beta) = COARSEN_FROM;
+    let mut cells = Vec::new();
+    for direction in [Direction::Largest, Direction::Smallest] {
+        let finer: &'static DelegateVector<u32> = Box::leak(Box::new(build_delegate_vector(
+            device,
+            data,
+            from_alpha,
+            from_beta,
+            ConstructionMethod::Auto,
+            direction,
+        )));
+        for beta in COARSEN_BETAS {
+            for alpha in COARSEN_ALPHAS {
+                cells.push(Cell {
+                    key: "u32",
+                    order: "uniform",
+                    direction,
+                    beta,
+                    alpha,
+                    reads: finer.len(),
+                    run: Box::new(move |device| {
+                        let dv = coarsen_delegate_vector(device, finer, N, alpha, beta);
+                        std::hint::black_box(dv.values);
+                    }),
+                });
+            }
+        }
+    }
+    cells
+}
+
+/// Emit table `name`: one row per `alphas.count()` consecutive cells, the
+/// row's labels and then each cell's median in ns per value read.
+fn emit_table(
+    name: &str,
+    cells: &[Cell],
+    ns: &mut [Vec<f64>],
+    alphas: std::ops::RangeInclusive<u32>,
+) {
+    let per_row = alphas.clone().count();
+    let alpha_names: Vec<String> = alphas.clone().map(|a| format!("alpha{a}")).collect();
+    let mut header = vec!["key", "order", "direction", "beta"];
+    header.extend(alpha_names.iter().map(String::as_str));
+    let rows: Vec<Vec<String>> = cells
+        .chunks(per_row)
+        .zip(ns.chunks_mut(per_row))
+        .map(|(row, times)| {
+            let first = &row[0];
+            let mut line = vec![
+                first.key.to_string(),
+                first.order.to_string(),
+                format!("{:?}", first.direction),
+                first.beta.to_string(),
+            ];
+            assert!(row.iter().map(|c| c.alpha).eq(alphas.clone()));
+            line.extend(times.iter_mut().map(|t| format!("{:.3}", median(t))));
+            line
+        })
+        .collect();
+    emit(name, &header, &rows);
+}
+
 fn median(xs: &mut [f64]) -> f64 {
     xs.sort_unstable_by(f64::total_cmp);
     xs[xs.len() / 2]
@@ -101,12 +184,16 @@ fn main() {
         .iter()
         .map(|&x| (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64))
         .collect();
-    let mut cells = both_orders("u32", topk_datagen::uniform(N, seed));
+    let uniform = topk_datagen::uniform(N, seed);
+    let device = device();
+    let coarsen = coarsen_cells(&device, Vec::leak(uniform.clone()));
+    let mut cells = both_orders("u32", uniform);
     cells.extend(both_orders("f32", topk_datagen::uniform_f32(N, seed + 1)));
     cells.extend(both_orders("u64", wide));
     cells.extend(both_orders("f64", doubles));
+    let built = cells.len();
+    cells.extend(coarsen);
 
-    let device = device();
     for cell in &cells {
         (cell.run)(&device); // warm-up: page in the input and the output
     }
@@ -116,29 +203,16 @@ fn main() {
             device.reset_stats();
             let start = Instant::now();
             (cell.run)(&device);
-            times.push(start.elapsed().as_secs_f64() * 1e9 / N as f64);
+            times.push(start.elapsed().as_secs_f64() * 1e9 / cell.reads as f64);
         }
     }
 
-    let per_row = ALPHAS.count();
-    let mut header = vec!["key", "order", "direction", "beta"];
-    let alpha_names: Vec<String> = ALPHAS.map(|a| format!("alpha{a}")).collect();
-    header.extend(alpha_names.iter().map(String::as_str));
-    let rows: Vec<Vec<String>> = cells
-        .chunks(per_row)
-        .zip(ns.chunks_mut(per_row))
-        .map(|(row, times)| {
-            let first = &row[0];
-            let mut line = vec![
-                first.key.to_string(),
-                first.order.to_string(),
-                format!("{:?}", first.direction),
-                first.beta.to_string(),
-            ];
-            assert!(row.iter().map(|c| c.alpha).eq(ALPHAS));
-            line.extend(times.iter_mut().map(|t| format!("{:.3}", median(t))));
-            line
-        })
-        .collect();
-    emit("construction", &header, &rows);
+    let (built_ns, coarsen_ns) = ns.split_at_mut(built);
+    emit_table("construction", &cells[..built], built_ns, ALPHAS);
+    emit_table(
+        "construction_coarsen",
+        &cells[built..],
+        coarsen_ns,
+        COARSEN_ALPHAS,
+    );
 }

@@ -36,8 +36,8 @@
 //! shape it is given:
 //!
 //! * **per-lane** — β ≤ 4 and subranges of at most 2^10 elements for
-//!   32-bit keys with β ≤ 3, 2^9 for 32-bit keys with β = 4 and for 64-bit
-//!   keys with β = 1, and 2^8 otherwise (the measured crossover, stated on
+//!   32-bit keys with β = 2, 2^9 for other 32-bit keys, 2^8 for 64-bit
+//!   keys with β = 1, and 2^7 otherwise (the measured crossover, stated on
 //!   `delegates_into`): a branch-free running top-β in each of 8 lanes,
 //!   each element passing through β compare-exchanges in radix space, then
 //!   a pairwise fold of the lanes. This is the host analogue of RTop-K's
@@ -45,12 +45,12 @@
 //!   is mask arithmetic, because the baseline x86-64 target (SSE2) has no
 //!   unsigned 32-bit vector max or min: written with `Ord::max`/`Ord::min`
 //!   the loop stays scalar, written with masks it vectorizes and runs up to
-//!   twice as fast, which moves the crossover past 256 elements.
+//!   twice as fast, which keeps the crossover past 256 elements.
 //! * **chunk-skip** (`top_beta_into`) — everything else. It applies the
 //!   paper's maximum-delegate filtering one level down: after seeding the β
-//!   slots it scans each subrange in warp-wide chunks of 32 elements, takes
-//!   a branch-free maximum of each chunk, and looks at the individual
-//!   elements only when that maximum beats the current β-th best.
+//!   slots it scans each subrange in warp-wide chunks of 32 elements, tests
+//!   each chunk branch-free for a key that beats the current β-th best, and
+//!   looks at the individual elements only of a chunk that holds one.
 //!
 //! The warps of one launch run in order on the calling thread, and each
 //! appends its delegates to one launch-wide values vector; the subrange
@@ -187,39 +187,43 @@ impl<K> Delegates<'_, K> {
 /// per-lane loop ([`per_lane_top`]), everything else the chunk-skip loop.
 /// In a small subrange most 32-element chunks beat the running β-th best,
 /// so chunk-skip walks them element by element on unpredictable branches;
-/// in a large one it mostly skips, and its one max per element beats the
-/// per-lane loop's β compare-exchanges. The limit is the largest
-/// power-of-two subrange at which the per-lane loop beats chunk-skip by at
-/// least 10% on uniform input for every key type of that width, in both
-/// directions. Measured with the `construction` bench
+/// in a large one it mostly skips, and its one vectorized test per chunk
+/// beats the per-lane loop's β compare-exchanges per element. The limit is
+/// the largest power-of-two subrange at which the per-lane loop beats
+/// chunk-skip by at least 10% on uniform input for every key type of that
+/// width, in both directions. Measured with the `construction` bench
 /// (`crates/bench/benches/construction.rs`: whole `build_delegate_vector`
-/// call on 2^18 uniform keys, ns per element, medians of five interleaved
+/// call on 2^18 uniform keys, ns per element, medians of ten interleaved
 /// runs of 15 rounds, 2-core x86-64 host), per-lane against chunk-skip in
 /// the largest direction:
 ///
 /// | keys | β | α = 9 | α = 10 | α = 11 | limit |
 /// |---|---|---|---|---|---|
-/// | u32 | 1 | 0.68 / 1.83 | 0.63 / 1.63 | 0.62 / 1.53 | 2^10 |
-/// | f32 | 1 | 0.85 / 1.33 | 0.73 / 0.99 | 0.70 / 0.78 | 2^10 |
-/// | u32 | 2 | 0.77 / 1.42 | 0.70 / 0.94 | 0.66 / 0.68 | 2^10 |
-/// | f32 | 2 | 0.97 / 1.90 | 0.89 / 1.33 | 0.87 / 1.00 | 2^10 |
-/// | u32 | 3 | 1.14 / 1.80 | 1.04 / 1.17 | 0.98 / 0.79 | 2^10 |
-/// | f32 | 3 | 1.36 / 2.45 | 1.23 / 1.68 | 1.19 / 1.17 | 2^10 |
-/// | u32 | 4 | 1.48 / 2.14 | 1.36 / 1.38 | 1.32 / 0.95 | 2^9 |
-/// | f32 | 4 | 1.89 / 2.92 | 1.82 / 1.94 | 1.77 / 1.38 | 2^9 |
-/// | u64 | 1 | 0.76 / 1.82 | 0.72 / 1.67 | 0.69 / 1.54 | 2^9 |
-/// | f64 | 1 | 1.96 / 2.54 | 1.90 / 2.21 | 1.83 / 2.07 | 2^9 |
+/// | u32 | 1 | 0.44 / 0.50 | 0.45 / 0.31 | 0.42 / 0.23 | 2^9 |
+/// | f32 | 1 | 0.52 / 0.79 | 0.48 / 0.57 | 0.45 / 0.44 | 2^9 |
+/// | u32 | 2 | 0.51 / 0.96 | 0.51 / 0.60 | 0.47 / 0.40 | 2^10 |
+/// | f32 | 2 | 0.64 / 1.24 | 0.63 / 0.84 | 0.62 / 0.60 | 2^10 |
+/// | u32 | 3 | 0.79 / 1.38 | 0.71 / 0.90 | 0.69 / 0.55 | 2^9 |
+/// | f32 | 3 | 0.91 / 1.77 | 0.86 / 1.14 | 0.85 / 0.78 | 2^9 |
+/// | u32 | 4 | 1.02 / 1.56 | 0.98 / 0.97 | 0.93 / 0.61 | 2^9 |
+/// | f32 | 4 | 1.32 / 1.98 | 1.25 / 1.29 | 1.21 / 0.95 | 2^9 |
+/// | u64 | 1 | 0.49 / 0.74 | 0.52 / 0.57 | 0.51 / 0.52 | 2^8 |
+/// | f64 | 1 | 1.53 / 1.45 | 1.48 / 1.27 | 1.41 / 1.17 | 2^8 |
 ///
-/// The smallest direction decides two limits: f32 at β = 1 and α = 11
-/// (0.78 against 0.82) and u64 at β = 1 and α = 10 (0.89 against 0.84).
-/// Below the limits the mask compare-exchange made the per-lane loop
-/// faster still: at α = 8 and β = 2 it costs 0.88 on u32, where the
-/// scalar loop cost 1.94. 64-bit keys with β ≥ 2 keep the old 256-element
-/// limit: their compare-exchange stays scalar ([`order_pair`]), and at
-/// α = 9 chunk-skip costs 1.85 on u64 against the per-lane loop's 2.02 at
-/// α = 8. The per-lane loop costs the same on any input; chunk-skip's cost
-/// follows the data, and on input sorted best first, where it skips every
-/// chunk, it stays about twice as fast as the per-lane loop at α 9–10.
+/// Chunk-skip's chunk test is an or of compares, which vectorizes for
+/// every 32-bit key type; the earlier chunk maximum stayed scalar for
+/// plain u32 and cost it 1.83 ns per element at β = 1 and α = 9, so the
+/// limits of 32-bit β = 1 and 64-bit β = 1 fell from 2^10 and 2^9. The
+/// smallest direction decides u32 at β = 3 and α = 10 (0.75 against 0.82)
+/// and u64 at β = 1 and α = 9 (0.65 against 0.66), and u32 at β = 1 and
+/// α = 9 passes by a hair (0.44 against 0.50): single runs put it on
+/// either side. 64-bit keys with β ≥ 2 fell from 256 to 128 elements:
+/// their compare-exchange stays scalar ([`order_pair`]), and at α = 8
+/// chunk-skip costs 1.41 on u64 at β = 2 against the per-lane loop's 1.36,
+/// while at α = 7 the per-lane loop wins every 64-bit cell by at least
+/// 10%. The per-lane loop costs the same on any input; chunk-skip's cost
+/// follows the data, and on ascending input, where every chunk holds a new
+/// candidate, the per-lane loop is 1.3–4.9 times faster at α 9–11.
 #[inline]
 pub(crate) fn delegates_into<K: TopKKey>(
     data: &[K],
@@ -246,9 +250,10 @@ pub(crate) fn delegates_into<K: TopKKey>(
 /// `bits`-bit keys (the measured crossover, see [`delegates_into`]).
 const fn per_lane_max_subrange(beta: usize, bits: u32) -> usize {
     match (bits, beta) {
-        (32, 1..=3) => 1 << 10,
-        (32, _) | (_, 1) => 1 << 9,
-        _ => 1 << 8,
+        (32, 2) => 1 << 10,
+        (32, _) => 1 << 9,
+        (_, 1) => 1 << 8,
+        _ => 1 << 7,
     }
 }
 
@@ -353,9 +358,9 @@ fn order_pair<T: KeyBits>(hi: &mut T, lo: &mut T) {
 /// one already kept lands after it.
 ///
 /// The first β elements seed a β-slot tail of `out`; the rest are scanned in
-/// [`WARP_SIZE`]-element chunks whose branch-free maximum is compared against
-/// the tail's last (β-th best) key, so only chunks holding a new candidate
-/// take the per-element insertion path. The chunk-skip loop of
+/// [`WARP_SIZE`]-element chunks, each tested branch-free for a key above the
+/// tail's last (β-th best) key, so only chunks holding a new candidate take
+/// the per-element insertion path. The chunk-skip loop of
 /// [`delegates_into`], and its fallback for a short final subrange.
 #[inline]
 fn top_beta_into<K: TopKKey>(slice: &[K], beta: usize, out: &mut Vec<K>) {
@@ -373,10 +378,12 @@ fn top_beta_into<K: TopKKey>(slice: &[K], beta: usize, out: &mut Vec<K>) {
     let mut floor = tail[beta - 1].to_bits();
     let mut chunks = slice[beta..].chunks_exact(WARP_SIZE);
     for chunk in &mut chunks {
-        let max = chunk
+        // an or of compares, not the chunk maximum: the same test, but it
+        // vectorizes for u32 keys, whose maximum stays scalar on SSE2
+        if chunk
             .iter()
-            .fold(K::Bits::ZERO, |m, x| Ord::max(m, x.to_bits()));
-        if max > floor {
+            .fold(false, |any, x| any | (x.to_bits() > floor))
+        {
             floor = insert_above(tail, chunk, floor);
         }
     }

@@ -22,9 +22,10 @@ pub struct EngineConfig {
     /// the tuning-plan cache) unless explicitly set, in which case that α
     /// is pinned for all traffic.
     pub base: DrTopKConfig,
-    /// Maximum number of delegate vectors the cache retains
-    /// (least-recently-used eviction: a hit refreshes an entry). `0`
-    /// disables delegate caching.
+    /// Maximum number of delegate vectors the cache retains. A full cache
+    /// admits a new vector only when it is a finer pass of a cached
+    /// corpus or its corpus is looked up more often than the
+    /// least-recently-used entry's. `0` disables delegate caching.
     pub delegate_cache_capacity: usize,
     /// Corpora holding more than this many **keys** are routed through the
     /// sharded whole-cluster path. `None` uses the smallest device capacity
@@ -318,7 +319,7 @@ impl TopKEngine {
             plan_cache: CacheReport {
                 hits: plan.plan_hits,
                 misses: plan.plan_misses,
-                coarsened: 0,
+                ..CacheReport::default()
             },
             delegate_cache: exec.delegate_cache,
             delegate_passes_run: exec.delegate_passes_run,

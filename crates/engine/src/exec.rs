@@ -19,9 +19,9 @@
 //! engine's single instrumentation point: per-phase times, the
 //! compute/transfer split and the modeled unit cost are all derived from
 //! it. Outcomes are folded in unit order after the pool, which is also
-//! when passes built from the corpus enter the cache (coarsened ones do
-//! not), so cache counts, LRU state and every reported sum are independent
-//! of host-thread timing.
+//! when passes built from the corpus are offered to the cache (coarsened
+//! ones are not), so cache counts, admission decisions and every reported
+//! sum are independent of host-thread timing.
 //! Sharded queries run the distributed stage graph (double-buffered chunk
 //! ingestion) and report their breakdown and overlap the same way. Worker
 //! failures are surfaced per device through
@@ -43,7 +43,9 @@ use parking_lot::Mutex;
 use topk_baselines::TopKKey;
 
 use crate::engine::EngineError;
-use crate::plan::{CachedDelegates, ExecutionPlan, FusedUnit, PlanCache, PlanUnit, RowUnit};
+use crate::plan::{
+    Admission, CachedDelegates, ExecutionPlan, FusedUnit, PlanCache, PlanUnit, RowUnit,
+};
 use crate::query::{Query, QueryBatch, RowQuery};
 use crate::report::{CacheReport, ExecPath, QueryResult, RowQueryResult};
 
@@ -331,8 +333,9 @@ pub(crate) fn execute_plan<K: TopKKey>(
 
     // Every fused unit's delegate-cache lookup is resolved here, on the
     // calling thread in plan order, and the passes built on a miss are
-    // inserted in unit order after the pool: hits, misses and LRU recency
-    // never depend on which worker reaches the cache first.
+    // offered to the cache in unit order after the pool: hits, misses,
+    // recency, the frequency sketch and every admission never depend on
+    // which worker reaches the cache first.
     let cached: Vec<Option<CachedDelegates<K>>> = {
         let mut cache = cache.lock();
         pool_indices
@@ -468,9 +471,13 @@ pub(crate) fn execute_plan<K: TopKKey>(
             delegate_passes_saved += delegate_users.saturating_sub(1);
             delegate_cache.misses += 1;
             let (len, alpha, beta) = (corpus.data.len(), unit.alpha, unit.beta);
-            cache
+            match cache
                 .lock()
-                .put_delegates(corpus.id, len, alpha, beta, pass);
+                .put_delegates(corpus.id, len, alpha, beta, pass)
+            {
+                Admission::Inserted { evicted } => delegate_cache.evicted += evicted as u64,
+                Admission::Rejected => delegate_cache.rejected += 1,
+            }
         } else if unit.needs_delegates {
             delegate_passes_saved += delegate_users;
             delegate_cache.hits += 1;

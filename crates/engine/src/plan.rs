@@ -36,7 +36,12 @@
 //!   ([`coarsen_delegate_vector`](drtopk_core::coarsen_delegate_vector)),
 //!   which reads its delegates instead of the corpus. Rule 4 gives each k
 //!   its own α, so one cached fine pass serves a corpus's coarser
-//!   requests.
+//!   requests. A full delegate cache admits a new pass TinyLFU-style
+//!   (Einziger, Friedman and Manes, 2017): a finer pass replaces its
+//!   corpus's coarser entries, and any other pass displaces the
+//!   least-recently-used entry only when a small frequency sketch counts
+//!   its corpus as strictly hotter, so a scan of one-shot corpora cannot
+//!   flush the entries that repeat traffic hits.
 
 use std::any::{Any, TypeId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -86,6 +91,104 @@ pub(crate) struct DelegateKey {
     direction: Direction,
 }
 
+impl DelegateKey {
+    /// Same corpus, length, key type and direction: `self` and `other`
+    /// differ at most in `(α, β)`.
+    fn same_corpus(&self, other: &DelegateKey) -> bool {
+        *other
+            == DelegateKey {
+                alpha: other.alpha,
+                beta: other.beta,
+                ..*self
+            }
+    }
+}
+
+/// Rows of the [`FrequencySketch`].
+const SKETCH_ROWS: usize = 4;
+
+/// A count-min sketch of delegate-cache lookups per `(corpus id, length,
+/// direction)`: [`SKETCH_ROWS`] rows of saturating `u8` counters, each row
+/// a power of two at least 16 × the cache capacity wide, indexed by a
+/// fixed hash, so its size never depends on how many corpora it has seen
+/// and its counts do not depend on the process. A corpus's estimate is its
+/// smallest counter, an upper bound on its true count. Every counter
+/// halves after each 10 × capacity lookups, so old traffic fades.
+#[derive(Debug, Default)]
+struct FrequencySketch {
+    /// Row-major, `SKETCH_ROWS × (mask + 1)`; empty at capacity 0.
+    counters: Vec<u8>,
+    mask: usize,
+    /// Lookups since the last halving, and the lookups between halvings.
+    lookups: usize,
+    period: usize,
+}
+
+impl FrequencySketch {
+    fn for_capacity(capacity: usize) -> Self {
+        if capacity == 0 {
+            return FrequencySketch::default();
+        }
+        let width = (16 * capacity).next_power_of_two();
+        FrequencySketch {
+            counters: vec![0; SKETCH_ROWS * width],
+            mask: width - 1,
+            lookups: 0,
+            period: 10 * capacity,
+        }
+    }
+
+    /// The counter of `key`'s corpus in each row.
+    fn slots(&self, key: &DelegateKey) -> [usize; SKETCH_ROWS] {
+        let direction = u64::from(key.direction == Direction::Smallest);
+        let corpus = mix64(key.corpus_id ^ mix64(((key.len as u64) << 1) | direction));
+        std::array::from_fn(|row| {
+            let seed = (row as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            row * (self.mask + 1) + (mix64(corpus ^ seed) as usize & self.mask)
+        })
+    }
+
+    fn record(&mut self, key: &DelegateKey) {
+        if self.counters.is_empty() {
+            return;
+        }
+        for slot in self.slots(key) {
+            self.counters[slot] = self.counters[slot].saturating_add(1);
+        }
+        self.lookups += 1;
+        if self.lookups == self.period {
+            self.lookups = 0;
+            for counter in &mut self.counters {
+                *counter >>= 1;
+            }
+        }
+    }
+
+    /// `key`'s corpus count; only a cache with slots asks.
+    fn estimate(&self, key: &DelegateKey) -> u8 {
+        self.slots(key)
+            .into_iter()
+            .map(|slot| self.counters[slot])
+            .fold(u8::MAX, u8::min)
+    }
+}
+
+/// The splitmix64 finalizer: a fixed, well-mixing 64-bit hash.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// What [`PlanCache::put_delegates`] did with a pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// The pass is cached; `evicted` entries left to make room for it.
+    Inserted { evicted: usize },
+    /// The pass is not cached (it still serves the batch that built it).
+    Rejected,
+}
+
 /// A delegate-cache hit: the vector a unit asked for, or a finer vector of
 /// the same corpus that the unit coarsens
 /// ([`coarsen_delegate_vector`](drtopk_core::coarsen_delegate_vector)).
@@ -104,10 +207,15 @@ pub(crate) enum CachedDelegates<K: TopKKey> {
 /// that, by the finer entry of the same corpus with the fewest delegates
 /// ([`CachedDelegates`]); only vectors built from the corpus are inserted.
 ///
-/// The delegate cache is an **LRU**: every hit refreshes the entry's
-/// recency, so repeat-heavy traffic keeps its hottest corpora resident —
-/// the earlier FIFO policy evicted by insertion age and would drop the
-/// most-hit corpus as soon as enough one-shot corpora streamed past it.
+/// The delegate cache keeps a recency order (a hit refreshes the served
+/// entry) and a [`FrequencySketch`] of every lookup per corpus. While a
+/// slot is free every pass is inserted. A full cache places a new pass by
+/// TinyLFU-style admission ([`put_delegates`](PlanCache::put_delegates)):
+/// a finer pass replaces the coarser entries of its corpus, a pass whose
+/// corpus is strictly hotter than the least-recently-used entry's evicts
+/// that entry, and any other pass is rejected. A cyclic scan over more
+/// corpora than slots therefore keeps the corpora it first admitted, where
+/// a plain LRU would evict each entry just before its next use.
 #[derive(Debug, Default)]
 pub(crate) struct PlanCache {
     plans: HashMap<PlanKey, TuningPlan>,
@@ -117,6 +225,8 @@ pub(crate) struct PlanCache {
     /// noise next to the |V|-scan a miss costs.
     delegate_order: VecDeque<DelegateKey>,
     delegate_capacity: usize,
+    /// Lookups per corpus, for admission.
+    frequency: FrequencySketch,
     plan_hits: u64,
     plan_misses: u64,
     delegate_hits: u64,
@@ -129,6 +239,7 @@ impl PlanCache {
     pub(crate) fn with_delegate_capacity(delegate_capacity: usize) -> Self {
         PlanCache {
             delegate_capacity,
+            frequency: FrequencySketch::for_capacity(delegate_capacity),
             ..PlanCache::default()
         }
     }
@@ -189,11 +300,12 @@ impl PlanCache {
     }
 
     /// Look up the delegate vector of `(corpus_id, len, alpha, beta)` in
-    /// `direction`, counting a hit or a miss. The exact entry wins; failing
-    /// that, any entry of the same corpus, length, key type and direction
-    /// at α′ ≤ α with β′ ≥ β serves as a coarsening source, and the one
-    /// with the fewest delegates is taken. Either hit refreshes the served
-    /// entry's LRU recency.
+    /// `direction`, counting a hit or a miss, and count the lookup against
+    /// its corpus in the frequency sketch, hit or miss. The exact entry
+    /// wins; failing that, any entry of the same corpus, length, key type
+    /// and direction at α′ ≤ α with β′ ≥ β serves as a coarsening source,
+    /// and the one with the fewest delegates is taken. Either hit
+    /// refreshes the served entry's recency.
     pub(crate) fn get_delegates<K: TopKKey>(
         &mut self,
         corpus_id: u64,
@@ -210,20 +322,14 @@ impl PlanCache {
             key_type: TypeId::of::<K>(),
             direction,
         };
+        self.frequency.record(&key);
         let served = if self.delegates.contains_key(&key) {
             Some(key)
         } else {
             // same corpus, length, key type and direction; finer α′, β′
             self.delegates
                 .keys()
-                .filter(|k| {
-                    **k == DelegateKey {
-                        alpha: k.alpha,
-                        beta: k.beta,
-                        ..key
-                    } && k.alpha <= alpha
-                        && k.beta >= beta
-                })
+                .filter(|k| key.same_corpus(k) && k.alpha <= alpha && k.beta >= beta)
                 .min_by_key(|k| {
                     let entries = self.delegates[*k]
                         .downcast_ref::<DelegateVector<K>>()
@@ -248,9 +354,17 @@ impl PlanCache {
         })
     }
 
-    /// Insert a freshly built delegate vector at the most-recently-used
-    /// position, evicting the **least recently used** entries when over
-    /// capacity.
+    /// Offer a freshly built delegate vector to the cache. An admitted
+    /// vector enters at the most-recently-used position; the first rule
+    /// that applies places it:
+    /// 1. a free slot, or an entry under the same key, takes it;
+    /// 2. in a full cache, it replaces every entry of its corpus, length,
+    ///    key type and direction that it dominates (α′ ≥ α and β′ ≤ β: it
+    ///    serves all their lookups by coarsening);
+    /// 3. in a full cache, it evicts the least-recently-used entry when the
+    ///    frequency sketch counts its corpus strictly hotter than the
+    ///    victim's;
+    /// 4. otherwise it is rejected.
     pub(crate) fn put_delegates<K: TopKKey>(
         &mut self,
         corpus_id: u64,
@@ -258,9 +372,9 @@ impl PlanCache {
         alpha: u32,
         beta: usize,
         delegates: Arc<DelegateVector<K>>,
-    ) {
+    ) -> Admission {
         if self.delegate_capacity == 0 {
-            return;
+            return Admission::Rejected;
         }
         let key = DelegateKey {
             corpus_id,
@@ -270,13 +384,29 @@ impl PlanCache {
             key_type: TypeId::of::<K>(),
             direction: delegates.direction,
         };
+        let mut evicted = Vec::new();
+        if self.delegates.len() == self.delegate_capacity && !self.delegates.contains_key(&key) {
+            evicted.extend(
+                self.delegate_order
+                    .iter()
+                    .filter(|k| key.same_corpus(k) && k.alpha >= alpha && k.beta <= beta),
+            );
+            if evicted.is_empty() {
+                let victim = self.delegate_order[0];
+                if self.frequency.estimate(&key) <= self.frequency.estimate(&victim) {
+                    return Admission::Rejected;
+                }
+                evicted.push(victim);
+            }
+        }
+        for old in &evicted {
+            self.delegates.remove(old);
+        }
+        self.delegate_order.retain(|k| !evicted.contains(k));
         self.delegates.insert(key, delegates);
         self.touch(&key);
-        while self.delegates.len() > self.delegate_capacity {
-            let Some(lru) = self.delegate_order.pop_front() else {
-                break;
-            };
-            self.delegates.remove(&lru);
+        Admission::Inserted {
+            evicted: evicted.len(),
         }
     }
 }
@@ -781,8 +911,19 @@ mod tests {
         alpha: u32,
         beta: usize,
     ) -> Option<(bool, u32, usize)> {
+        served_from(cache, 0, len, alpha, beta)
+    }
+
+    /// [`served`] for corpus `id`.
+    fn served_from(
+        cache: &mut PlanCache,
+        id: u64,
+        len: usize,
+        alpha: u32,
+        beta: usize,
+    ) -> Option<(bool, u32, usize)> {
         let (exact, vector) =
-            match cache.get_delegates::<u32>(0, len, alpha, beta, Direction::Largest)? {
+            match cache.get_delegates::<u32>(id, len, alpha, beta, Direction::Largest)? {
                 CachedDelegates::Exact(v) => (true, v),
                 CachedDelegates::Finer(v) => (false, v),
             };
@@ -835,50 +976,72 @@ mod tests {
         assert_eq!(served(&mut cache, len, 7, 2), Some((false, 6, 2)));
     }
 
+    /// What `execute_plan` does for a unit whose pass is not cached: a
+    /// lookup that misses, then (after the pool) the built pass offered to
+    /// the cache. `alpha` 6, `beta` 2, the largest direction.
+    fn miss_then_put(cache: &mut PlanCache, id: u64, data: &[u32]) -> Admission {
+        let len = data.len();
+        assert!(cache
+            .get_delegates::<u32>(id, len, 6, 2, Direction::Largest)
+            .is_none());
+        cache.put_delegates(id, len, 6, 2, build_entry(data))
+    }
+
+    fn cached(cache: &mut PlanCache, id: u64, len: usize) -> bool {
+        cache
+            .get_delegates::<u32>(id, len, 6, 2, Direction::Largest)
+            .is_some()
+    }
+
     #[test]
     fn delegate_cache_evicts_least_recently_used() {
         let data: Vec<u32> = (0..4096).collect();
+        let len = data.len();
         let mut cache = PlanCache::with_delegate_capacity(2);
-        for id in 0..3u64 {
-            cache.put_delegates(id, data.len(), 6, 2, build_entry(&data));
+        for id in 0..2u64 {
+            assert_eq!(
+                miss_then_put(&mut cache, id, &data),
+                Admission::Inserted { evicted: 0 }
+            );
         }
+        // corpus 2 is looked up twice, the residents once each: it is
+        // hotter than the victim, and with no hits in between the victim is
+        // the least recently used (= first inserted) entry, corpus 0
+        assert!(!cached(&mut cache, 2, len));
+        assert_eq!(
+            miss_then_put(&mut cache, 2, &data),
+            Admission::Inserted { evicted: 1 }
+        );
         assert_eq!(cache.delegates.len(), 2);
-        // no hits in between: recency == insertion, so entry 0 was evicted
-        assert!(cache
-            .get_delegates::<u32>(0, data.len(), 6, 2, Direction::Largest)
-            .is_none());
-        assert!(cache
-            .get_delegates::<u32>(1, data.len(), 6, 2, Direction::Largest)
-            .is_some());
-        assert!(cache
-            .get_delegates::<u32>(2, data.len(), 6, 2, Direction::Largest)
-            .is_some());
-        assert_eq!((cache.delegate_hits, cache.delegate_misses), (2, 1));
+        assert!(!cached(&mut cache, 0, len));
+        assert!(cached(&mut cache, 1, len));
+        assert!(cached(&mut cache, 2, len));
+        assert_eq!((cache.delegate_hits, cache.delegate_misses), (2, 5));
     }
 
     #[test]
     fn delegate_cache_keeps_the_hot_entry_under_pressure() {
-        // Regression for the FIFO policy: corpus 0 is the hottest entry of
-        // repeat-heavy traffic, yet FIFO would evict it first because it is
-        // the *oldest*. LRU must keep it and evict the idle corpus 1.
+        // Corpus 0 is the hottest entry of repeat-heavy traffic and the
+        // oldest. Neither a one-shot corpus nor a returning one may evict
+        // it: the first is rejected, the second evicts the idle corpus 1.
         let data: Vec<u32> = (0..4096).collect();
+        let len = data.len();
         let mut cache = PlanCache::with_delegate_capacity(2);
-        cache.put_delegates(0, data.len(), 6, 2, build_entry(&data));
-        cache.put_delegates(1, data.len(), 6, 2, build_entry(&data));
+        miss_then_put(&mut cache, 0, &data);
+        miss_then_put(&mut cache, 1, &data);
         // repeat traffic on corpus 0 refreshes its recency
         for _ in 0..3 {
-            assert!(cache
-                .get_delegates::<u32>(0, data.len(), 6, 2, Direction::Largest)
-                .is_some());
+            assert!(cached(&mut cache, 0, len));
         }
-        // a new corpus streams past: the idle corpus 1 is evicted, not 0
-        cache.put_delegates(2, data.len(), 6, 2, build_entry(&data));
-        assert!(cache
-            .get_delegates::<u32>(0, data.len(), 6, 2, Direction::Largest)
-            .is_some());
-        assert!(cache
-            .get_delegates::<u32>(1, data.len(), 6, 2, Direction::Largest)
-            .is_none());
+        // corpus 2 streams past once: no hotter than the victim, corpus 1
+        assert_eq!(miss_then_put(&mut cache, 2, &data), Admission::Rejected);
+        // and returns: now it is, and corpus 1 is evicted, not 0
+        assert_eq!(
+            miss_then_put(&mut cache, 2, &data),
+            Admission::Inserted { evicted: 1 }
+        );
+        assert!(cached(&mut cache, 0, len));
+        assert!(!cached(&mut cache, 1, len));
         // recency order, least recently used first
         let order: Vec<u64> = cache.delegate_order.iter().map(|k| k.corpus_id).collect();
         assert_eq!(
@@ -890,21 +1053,154 @@ mod tests {
 
     #[test]
     fn delegate_cache_reinsert_refreshes_recency_without_growth() {
+        // Two units of one batch that need the same pass both miss and
+        // both offer it: the second offer replaces the first in place.
         let data: Vec<u32> = (0..4096).collect();
+        let len = data.len();
         let mut cache = PlanCache::with_delegate_capacity(2);
-        cache.put_delegates(0, data.len(), 6, 2, build_entry(&data));
-        cache.put_delegates(1, data.len(), 6, 2, build_entry(&data));
-        // re-inserting an existing key must not duplicate it in the order
-        cache.put_delegates(0, data.len(), 6, 2, build_entry(&data));
+        for id in [1, 0, 0] {
+            assert!(!cached(&mut cache, id, len));
+        }
+        for id in [1, 0, 0] {
+            let admitted = cache.put_delegates(id, len, 6, 2, build_entry(&data));
+            assert_eq!(admitted, Admission::Inserted { evicted: 0 });
+        }
         assert_eq!(cache.delegates.len(), 2);
-        // 0 is now most recent, so inserting a third evicts 1
-        cache.put_delegates(2, data.len(), 6, 2, build_entry(&data));
-        assert!(cache
-            .get_delegates::<u32>(0, data.len(), 6, 2, Direction::Largest)
-            .is_some());
-        assert!(cache
-            .get_delegates::<u32>(1, data.len(), 6, 2, Direction::Largest)
-            .is_none());
         assert_eq!(cache.delegate_order.len(), 2);
+        // 0 is the most recent, so a hotter third corpus evicts 1
+        for _ in 0..2 {
+            assert!(!cached(&mut cache, 2, len));
+        }
+        assert_eq!(
+            miss_then_put(&mut cache, 2, &data),
+            Admission::Inserted { evicted: 1 }
+        );
+        assert!(cached(&mut cache, 0, len));
+        assert!(!cached(&mut cache, 1, len));
+        assert_eq!(cache.delegate_order.len(), 2);
+    }
+
+    #[test]
+    fn a_finer_pass_replaces_its_corpus_coarser_entries_only_in_a_full_cache() {
+        let data: Vec<u32> = (0..4096).collect();
+        let len = data.len();
+        let mut cache = PlanCache::with_delegate_capacity(3);
+        let offer = |cache: &mut PlanCache, id: u64, alpha: u32, beta: usize| {
+            assert_eq!(served_from(cache, id, len, alpha, beta), None);
+            cache.put_delegates(id, len, alpha, beta, build_at(&data, alpha, beta))
+        };
+        // with a free slot a finer pass is inserted beside the coarser one
+        for (id, alpha, beta) in [(0, 8, 1), (1, 8, 1), (0, 7, 2)] {
+            assert_eq!(
+                offer(&mut cache, id, alpha, beta),
+                Admission::Inserted { evicted: 0 }
+            );
+        }
+        // full: (6, 2) dominates both of corpus 0's entries (α′ ≥ 6 and
+        // β′ ≤ 2) and takes their place; corpus 1 stays
+        assert_eq!(
+            offer(&mut cache, 0, 6, 2),
+            Admission::Inserted { evicted: 2 }
+        );
+        assert_eq!(cache.delegates.len(), 2);
+        assert_eq!(served_from(&mut cache, 1, len, 8, 1), Some((true, 8, 1)));
+        // the finer entry serves what the replaced ones served
+        assert_eq!(served(&mut cache, len, 8, 1), Some((false, 6, 2)));
+        assert_eq!(served(&mut cache, len, 7, 2), Some((false, 6, 2)));
+        assert_eq!(
+            offer(&mut cache, 2, 6, 2),
+            Admission::Inserted { evicted: 0 }
+        );
+        // full again: (5, 1) dominates nothing (β′ = 2 > 1), so the sketch
+        // decides, and corpus 0 (6 lookups) is hotter than the
+        // least-recently-used entry's corpus 1 (2 lookups)
+        assert_eq!(
+            offer(&mut cache, 0, 5, 1),
+            Admission::Inserted { evicted: 1 }
+        );
+        assert_eq!(served_from(&mut cache, 1, len, 8, 1), None);
+        // a first-seen corpus is no hotter than the victim: rejected
+        assert_eq!(offer(&mut cache, 3, 6, 2), Admission::Rejected);
+        assert_eq!(cache.delegates.len(), 3);
+    }
+
+    #[test]
+    fn the_frequency_sketch_counts_per_corpus_saturates_and_halves() {
+        let data: Vec<u32> = (0..64).collect();
+        let mut cache = PlanCache::with_delegate_capacity(32);
+        let len = data.len();
+        let key = |id: u64, len: usize, direction| DelegateKey {
+            corpus_id: id,
+            len,
+            alpha: 6,
+            beta: 2,
+            key_type: TypeId::of::<u32>(),
+            direction,
+        };
+        // one count per lookup, whatever the (α, β) and key type
+        for (alpha, beta) in [(6, 2), (9, 1), (4, 3)] {
+            cache.get_delegates::<u32>(7, len, alpha, beta, Direction::Largest);
+        }
+        cache.get_delegates::<f32>(7, len, 6, 2, Direction::Largest);
+        let estimate = |cache: &PlanCache, id, len, direction| {
+            cache.frequency.estimate(&key(id, len, direction))
+        };
+        assert_eq!(estimate(&cache, 7, len, Direction::Largest), 4);
+        // a corpus is counted per length and direction
+        assert_eq!(estimate(&cache, 7, len, Direction::Smallest), 0);
+        assert_eq!(estimate(&cache, 7, len + 1, Direction::Largest), 0);
+        assert_eq!(estimate(&cache, 8, len, Direction::Largest), 0);
+        // saturating at 255; every counter halves at the 320th lookup
+        for _ in 4..300 {
+            cache.get_delegates::<u32>(7, len, 6, 2, Direction::Largest);
+        }
+        assert_eq!(estimate(&cache, 7, len, Direction::Largest), u8::MAX);
+        for _ in 300..320 {
+            cache.get_delegates::<u32>(8, len, 6, 2, Direction::Largest);
+        }
+        assert_eq!(estimate(&cache, 7, len, Direction::Largest), u8::MAX / 2);
+        assert_eq!(estimate(&cache, 8, len, Direction::Largest), 10);
+    }
+
+    #[test]
+    fn memory_stays_bounded_over_many_distinct_corpora() {
+        let data: Vec<u32> = (0..64).collect();
+        let entry = build_entry(&data);
+        let capacity = 4;
+        let mut cache = PlanCache::with_delegate_capacity(capacity);
+        let sketch_len = cache.frequency.counters.len();
+        assert_eq!(sketch_len, 4 * 64);
+        let (mut evicted, mut rejected) = (0, 0);
+        for id in 0..100_000u64 {
+            // corpus id / 4 comes back four times, so some passes evict
+            for id in [id, id / 4] {
+                if cache
+                    .get_delegates::<u32>(id, data.len(), 6, 2, Direction::Largest)
+                    .is_none()
+                {
+                    match cache.put_delegates(id, data.len(), 6, 2, Arc::clone(&entry)) {
+                        Admission::Inserted { evicted: n } => evicted += n,
+                        Admission::Rejected => rejected += 1,
+                    }
+                }
+                assert!(cache.delegates.len() <= capacity);
+                assert_eq!(cache.delegate_order.len(), cache.delegates.len());
+            }
+        }
+        assert!(evicted > 0 && rejected > 0);
+        assert_eq!(cache.frequency.counters.len(), sketch_len);
+        assert_eq!(cache.frequency.counters.capacity(), sketch_len);
+    }
+
+    #[test]
+    fn a_zero_capacity_cache_stores_nothing() {
+        let data: Vec<u32> = (0..4096).collect();
+        let mut cache = PlanCache::with_delegate_capacity(0);
+        for _ in 0..3 {
+            assert_eq!(miss_then_put(&mut cache, 0, &data), Admission::Rejected);
+        }
+        assert!(cache.delegates.is_empty() && cache.delegate_order.is_empty());
+        assert!(cache.frequency.counters.is_empty());
+        assert_eq!((cache.delegate_hits, cache.delegate_misses), (0, 3));
     }
 }

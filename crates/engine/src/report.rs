@@ -16,6 +16,16 @@ pub struct CacheReport {
     /// [`drtopk_core::coarsen_delegate_vector`]); always 0 for the
     /// tuning-plan cache.
     pub coarsened: u64,
+    /// Entries removed to make room for a new delegate vector: the
+    /// least-recently-used entry a hotter corpus displaced, or the coarser
+    /// entries of its own corpus a finer vector replaced. Always 0 for the
+    /// tuning-plan cache.
+    pub evicted: u64,
+    /// Delegate vectors built on a miss that the cache did not keep (its
+    /// admission policy judged the corpus no hotter than the entry it
+    /// would displace, or the capacity is 0). Always 0 for the tuning-plan
+    /// cache.
+    pub rejected: u64,
 }
 
 impl CacheReport {
@@ -207,7 +217,7 @@ mod tests {
         let r = CacheReport {
             hits: 3,
             misses: 1,
-            coarsened: 0,
+            ..CacheReport::default()
         };
         assert!((r.hit_rate() - 0.75).abs() < 1e-12);
     }

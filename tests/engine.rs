@@ -360,12 +360,99 @@ fn engine_delegate_cache_capacity_zero_disables_caching() {
     let again = eng.run_batch(&batch).unwrap();
     assert_eq!(again.report.delegate_cache.hits, 0);
     assert_eq!(again.report.delegate_passes_run, 1);
+    // every built pass is turned away, and nothing is ever evicted
+    assert_eq!(again.report.delegate_cache.rejected, 1);
+    assert_eq!(again.report.delegate_cache.evicted, 0);
     // tuning plans still memoize — they are shape-keyed, not data-keyed
     assert_eq!(again.report.plan_cache.hits, 1);
 }
 
+/// A cyclic scan over twice as many corpora as the delegate cache holds:
+/// batches of 8 single-corpus queries walk 64 corpora in order, against
+/// the default 32 entries. An LRU evicts every corpus just before it comes
+/// back and hits nothing; admission keeps the 32 corpora it admitted
+/// first, so every lap after the first hits half its lookups.
+#[test]
+fn a_cyclic_scan_larger_than_the_delegate_cache_still_hits() {
+    let corpora: Vec<Vec<u32>> = (0..64u64)
+        .map(|i| topk_datagen::uniform(1 << 12, 500 + i))
+        .collect();
+    let eng = engine(2);
+    assert_eq!(eng.config().delegate_cache_capacity, 32);
+    let reports: Vec<_> = (0..3 * 8)
+        .map(|b| {
+            let mut batch = QueryBatch::new();
+            for (c, data) in corpora.iter().enumerate().skip(8 * (b % 8)).take(8) {
+                let id = batch.add_corpus(c as u64, data);
+                batch.push_topk(id, 16);
+            }
+            eng.run_batch(&batch).unwrap().report.delegate_cache
+        })
+        .collect();
+    let (first_lap, later) = reports.split_at(8);
+    assert!(first_lap.iter().all(|r| r.hits == 0));
+    let rejected: u64 = first_lap.iter().map(|r| r.rejected).sum();
+    assert_eq!(
+        rejected, 32,
+        "the second half of the first lap is turned away"
+    );
+    let hits: u64 = later.iter().map(|r| r.hits).sum();
+    let lookups: u64 = later.iter().map(|r| r.hits + r.misses).sum();
+    let hit_rate = hits as f64 / lookups as f64;
+    assert!(hit_rate >= 0.4, "hit rate {hit_rate} after the first lap");
+    assert!(later.iter().all(|r| r.evicted == 0));
+}
+
+/// Admission is decided on the calling thread in plan order, so two fresh
+/// engines given the same stream make the same decisions: a few hot
+/// corpora at shifting k's (finer passes replace coarser ones), plus a
+/// scan of one-shot corpora (rejected, or evicting a colder entry) through
+/// an 8-entry cache on 2 devices, give equal cache reports batch by batch
+/// and byte-identical deterministic traces.
+#[test]
+fn delegate_cache_admission_is_deterministic() {
+    use std::sync::Arc;
+    let corpora: Vec<Vec<u32>> = (0..36u64)
+        .map(|i| topk_datagen::uniform(1 << 12, 700 + i))
+        .collect();
+    let run = || {
+        let eng = TopKEngine::with_config(
+            drtopk::sim::GpuCluster::homogeneous(2, DeviceSpec::v100s()),
+            EngineConfig {
+                delegate_cache_capacity: 8,
+                ..EngineConfig::default()
+            },
+        );
+        let recorder = Arc::new(TraceRecorder::deterministic());
+        eng.attach_recorder(recorder.clone());
+        let reports: Vec<_> = (0..32usize)
+            .map(|b| {
+                let mut batch = QueryBatch::new();
+                for (hot, data) in corpora.iter().enumerate().take(4) {
+                    let id = batch.add_corpus(hot as u64, data);
+                    batch.push_topk(id, 1 + (b * 37 + hot * 11) % 200);
+                    batch.push_topk_min(id, 1 + (b * 13 + hot) % 50);
+                }
+                for scan in [4 + b % 32, 4 + (b + 16) % 32] {
+                    let id = batch.add_corpus(scan as u64, &corpora[scan]);
+                    batch.push_topk(id, 32);
+                }
+                eng.run_batch(&batch).unwrap().report.delegate_cache
+            })
+            .collect();
+        (reports, recorder.chrome_trace_json())
+    };
+    let (reports, trace) = run();
+    assert!(reports.iter().any(|r| r.evicted > 0));
+    assert!(reports.iter().any(|r| r.rejected > 0));
+    assert!(reports.iter().any(|r| r.coarsened > 0));
+    let (again, again_trace) = run();
+    assert_eq!(reports, again);
+    assert!(trace == again_trace, "deterministic traces differ");
+}
+
 /// Delegate-cache outcomes must not depend on which pool worker reaches the
-/// shared LRU first: the same 40-batch clustered stream (exact and
+/// shared cache first: the same 40-batch clustered stream (exact and
 /// approximate traffic in both directions, 2 devices) on two fresh engines
 /// reports equal cache counts and delegate passes, and bit-equal totals.
 #[test]

@@ -163,7 +163,7 @@ proptest! {
     /// Delegate construction is exact: the β delegates of every subrange are
     /// its β best elements in either direction, bit for bit, and both
     /// construction kernels agree. Subranges reach 2^12 elements and β
-    /// reaches 6, so every per-lane limit (2^8 to 2^10 elements with β ≤ 4,
+    /// reaches 6, so every per-lane limit (2^7 to 2^10 elements with β ≤ 4,
     /// by β and key width) is drawn from both sides, and every input holds
     /// two or three full subranges plus a short final one ([`ragged_len`]).
     /// Float inputs carry NaN payloads of both signs, ±0 and subnormals.
