@@ -363,53 +363,131 @@ fn a_block_past_the_warp_cap_answers_every_row() {
     }
 }
 
+/// Every row-block kernel's counters and `time_ms` bits after one
+/// `topk_rows` call on a fresh one-device pool; a kernel that did not run
+/// must not appear.
+fn assert_row_kernels_pinned<K: TopKKey>(
+    matrix: RowMatrix<'_, K>,
+    ks: &RowK,
+    cfg: &DrTopKConfig,
+    cases: &[(&str, KernelStats, u64)],
+) {
+    const KERNELS: [&str; 4] = [
+        "drtopk_rows_fused_pass",
+        "drtopk_rows_first_topk",
+        "drtopk_rows_concat",
+        "drtopk_rows_second_topk",
+    ];
+    let c = pool(1);
+    topk_rows(&c, matrix, ks, cfg);
+    let log = c.device(0).stats();
+    for name in KERNELS {
+        let Some((_, stats, time_bits)) = cases.iter().find(|(n, ..)| *n == name) else {
+            assert_eq!(log.stats_for(name), KernelStats::default(), "{name} ran");
+            continue;
+        };
+        assert_eq!(log.stats_for(name), *stats, "{name}");
+        let time_ms = log.time_ms_for(name);
+        assert_eq!(time_ms.to_bits(), *time_bits, "{name}: {time_ms} ms");
+    }
+}
+
 /// The modeled cost of the row-block kernels is what they record on their
 /// `WarpCtx`, not how the host computes each row's selection: every counter
-/// and the `time_ms` bits of the first top-k, concatenation and second
-/// top-k kernels are pinned on a fixed mixed-path matrix (exact, skipped and
-/// fallback rows in one block).
+/// and the `time_ms` bits of the fused pass, first top-k, concatenation and
+/// second top-k kernels are pinned on three fixed matrices: a mixed-path
+/// exact block (exact, skipped and fallback rows), an approximate block
+/// (approximate, skipped and fallback rows) and a smallest-direction f32
+/// block.
 #[test]
 fn row_kernel_model_is_pinned() {
-    let rows = 6;
     let cols = 1 << 12;
-    let c = pool(1);
-    let data = topk_datagen::uniform(rows * cols, 2021);
-    let matrix = RowMatrix::new(&data, rows, cols);
-    let ks = RowK::PerRow(vec![16, 0, cols / 2, 16, 100, cols]);
-    topk_rows(&c, matrix, &ks, &DrTopKConfig::default());
-    let pinned = |load_tx, store_tx, loaded, stored, shuffles, atomics, shared, alu| KernelStats {
-        global_load_transactions: load_tx,
-        global_store_transactions: store_tx,
-        global_loaded_bytes: loaded,
-        global_stored_bytes: stored,
-        shuffle_instructions: shuffles,
-        atomic_operations: atomics,
-        shared_ops: shared,
-        alu_ops: alu,
-        warps_launched: 3,
-        ..KernelStats::default()
+    let pinned =
+        |warps, load_tx, store_tx, loaded, stored, shuffles, atomics, shared, alu| KernelStats {
+            global_load_transactions: load_tx,
+            global_store_transactions: store_tx,
+            global_loaded_bytes: loaded,
+            global_stored_bytes: stored,
+            shuffle_instructions: shuffles,
+            atomic_operations: atomics,
+            shared_ops: shared,
+            alu_ops: alu,
+            warps_launched: warps,
+            ..KernelStats::default()
+        };
+    let mixed = RowK::PerRow(vec![16, 0, cols / 2, 16, 100, cols]);
+    let fused_pass = (
+        "drtopk_rows_fused_pass",
+        pinned(6, 640, 432, 81920, 55296, 0, 0, 0, 20480),
+        0x3f61_95fd_9566_469e_u64,
+    );
+    let first_topk = (
+        "drtopk_rows_first_topk",
+        pinned(3, 24, 9, 3072, 1056, 372, 0, 6144, 768),
+        0x3f60_7575_6158_deda,
+    );
+    let second_topk = (
+        "drtopk_rows_second_topk",
+        pinned(3, 6, 6, 532, 528, 372, 0, 3604, 0),
+        0x3f60_6d1b_6caf_c29c,
+    );
+
+    let data = topk_datagen::uniform(6 * cols, 2021);
+    assert_row_kernels_pinned(
+        RowMatrix::new(&data, 6, cols),
+        &mixed,
+        &DrTopKConfig::default(),
+        &[
+            fused_pass,
+            first_topk,
+            (
+                "drtopk_rows_concat",
+                pinned(3, 30, 22, 2456, 180, 0, 22, 0, 592),
+                0x3f60_6a31_02ef_dfe9,
+            ),
+            second_topk,
+        ],
+    );
+
+    // Two approximate rows, a skipped row and a fallback row: the block
+    // runs the candidate pass and the second top-k only.
+    let data = topk_datagen::uniform(4 * cols, 2022);
+    assert_row_kernels_pinned(
+        RowMatrix::new(&data, 4, cols),
+        &RowK::PerRow(vec![16, 0, cols / 2, 64]),
+        &DrTopKConfig::approx(0.9),
+        &[
+            (
+                "drtopk_rows_fused_pass",
+                pinned(4, 384, 158, 49152, 20224, 0, 0, 0, 12288),
+                0x3f60_fe65_b87f_c906,
+            ),
+            (
+                "drtopk_rows_second_topk",
+                pinned(2, 15, 3, 1920, 320, 248, 0, 3968, 0),
+                0x3f60_6dbc_9b5b_881d,
+            ),
+        ],
+    );
+
+    let data = topk_datagen::uniform_f32(6 * cols, 2023);
+    let smallest = DrTopKConfig {
+        direction: Direction::Smallest,
+        ..DrTopKConfig::default()
     };
-    let cases = [
-        (
-            "drtopk_rows_first_topk",
-            pinned(24, 9, 3072, 1056, 372, 0, 6144, 768),
-            0x3f60_7575_6158_deda_u64,
-        ),
-        (
-            "drtopk_rows_concat",
-            pinned(30, 22, 2456, 180, 0, 22, 0, 592),
-            0x3f60_6a31_02ef_dfe9,
-        ),
-        (
-            "drtopk_rows_second_topk",
-            pinned(6, 6, 532, 528, 372, 0, 3604, 0),
-            0x3f60_6d1b_6caf_c29c,
-        ),
-    ];
-    let log = c.device(0).stats();
-    for (name, stats, time_bits) in cases {
-        assert_eq!(log.stats_for(name), stats, "{name}");
-        let time_ms = log.time_ms_for(name);
-        assert_eq!(time_ms.to_bits(), time_bits, "{name}: {time_ms} ms");
-    }
+    assert_row_kernels_pinned(
+        RowMatrix::new(&data, 6, cols),
+        &mixed,
+        &smallest,
+        &[
+            fused_pass,
+            first_topk,
+            (
+                "drtopk_rows_concat",
+                pinned(3, 24, 17, 1924, 140, 0, 17, 0, 464),
+                0x3f60_6875_d4da_4c1f,
+            ),
+            second_topk,
+        ],
+    );
 }
