@@ -58,6 +58,7 @@ use std::ops::{BitAnd, BitOr, BitOrAssign, BitXor, Not, Shl, Shr};
 /// conversions for exact range arithmetic.
 pub trait KeyBits:
     Copy
+    + Default
     + Ord
     + Eq
     + Hash

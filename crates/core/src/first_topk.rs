@@ -201,6 +201,12 @@ pub(crate) struct Marked<K> {
 }
 
 impl<K: TopKKey> Marked<K> {
+    /// Empty both lists, keeping their buffers.
+    pub(crate) fn clear(&mut self) {
+        self.above.clear();
+        self.ties.clear();
+    }
+
     fn len(&self) -> usize {
         self.above.len() + self.ties.len()
     }
@@ -238,12 +244,83 @@ pub(crate) fn mark<K: TopKKey>(
     }
 }
 
-/// Take the top-k entries of a marked delegate vector and apply Rule 3.
+/// Take the top-k entries of a marked delegate vector and apply Rule 3
+/// ([`take_marked_into`]). The result keeps `marked`; counters are left
+/// empty for the caller.
+pub(crate) fn take_marked<K: TopKKey>(
+    delegates: Delegates<'_, K>,
+    marked: Marked<K>,
+    k: usize,
+    threshold: K,
+    exact: bool,
+) -> FirstTopK<K> {
+    let mut fully_taken_subranges = Vec::new();
+    let mut partial_delegate_values = Vec::new();
+    let taken_entries = take_marked_into(
+        delegates.entries(),
+        &marked,
+        k,
+        exact,
+        &mut fully_taken_subranges,
+        &mut partial_delegate_values,
+    );
+    FirstTopK {
+        threshold,
+        exact_threshold: exact,
+        fully_taken_subranges,
+        partial_delegate_values,
+        taken_entries,
+        stats: KernelStats::default(),
+        time_ms: 0.0,
+        k,
+        marked,
+    }
+}
+
+/// How many delegate entries each subrange of a delegate vector holds:
+/// `min(β, 2^α)`, except a short final subrange (or a subrange smaller than
+/// β), which holds the entries it has.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SubrangeEntries {
+    regular: usize,
+    tail: usize,
+    num_subranges: usize,
+}
+
+impl SubrangeEntries {
+    /// The layout of `len` delegate entries, β = `beta` per subrange of
+    /// `subrange_size` elements, over `num_subranges ≥ 1` subranges.
+    pub(crate) fn new(len: usize, beta: usize, subrange_size: usize, num_subranges: usize) -> Self {
+        let regular = beta.min(subrange_size);
+        SubrangeEntries {
+            regular,
+            tail: len.saturating_sub((num_subranges - 1) * regular).max(1),
+            num_subranges,
+        }
+    }
+
+    /// The subrange of delegate entry `i`: the vector is subrange-major.
+    pub(crate) fn subrange_of(self, i: usize) -> u32 {
+        (i / self.regular) as u32
+    }
+
+    /// The number of delegate entries subrange `id` holds.
+    fn of(self, id: u32) -> usize {
+        if id as usize + 1 == self.num_subranges {
+            self.tail
+        } else {
+            self.regular
+        }
+    }
+}
+
+/// Take the top-k entries of `marked` and apply Rule 3: append every fully
+/// taken subrange's id to `fully_taken` and the taken values of the other
+/// subranges to `partial`, and return the number of taken entries.
 ///
 /// When the threshold is exact the ties are capped so exactly k entries are
 /// taken (a true top-k); with a skipped pass the threshold is a lower bound
-/// and every marked entry is taken. The result keeps `marked`; counters are
-/// left empty for the caller.
+/// and every marked entry is taken.
 ///
 /// The grouping is one linear merge. The delegate vector is subrange-major
 /// and [`mark`] appends entries in delegate-index order, so the subrange
@@ -253,13 +330,14 @@ pub(crate) fn mark<K: TopKKey>(
 /// the values of a subrange that is not fully taken go out in list order:
 /// the above entries, then the capped ties, exactly the prefix of the
 /// concatenated vector that per-warp store counters are charged for.
-pub(crate) fn take_marked<K: TopKKey>(
-    delegates: Delegates<'_, K>,
-    marked: Marked<K>,
+pub(crate) fn take_marked_into<K: TopKKey>(
+    entries: SubrangeEntries,
+    marked: &Marked<K>,
     k: usize,
-    threshold: K,
     exact: bool,
-) -> FirstTopK<K> {
+    fully_taken: &mut Vec<u32>,
+    partial: &mut Vec<K>,
+) -> usize {
     let need = if exact {
         k.saturating_sub(marked.above.len())
     } else {
@@ -273,27 +351,9 @@ pub(crate) fn take_marked<K: TopKKey>(
         "marked subrange ids must never decrease"
     );
 
-    // A short final subrange (or a subrange smaller than β) holds fewer than
-    // β delegate entries; it counts as fully taken once all the delegates it
-    // *has* are taken.
-    let regular_entries = delegates.beta.min(delegates.subrange_size);
-    let tail_entries = delegates
-        .len()
-        .saturating_sub((delegates.num_subranges - 1) * regular_entries)
-        .max(1);
-    let entries_of = |id: u32| -> usize {
-        if id as usize + 1 == delegates.num_subranges {
-            tail_entries
-        } else {
-            regular_entries
-        }
-    };
-
-    // Count the taken entries per subrange (Rule 3), then keep the values
-    // of the subranges that are not fully taken.
-    let mut fully_taken_subranges = Vec::new();
-    let mut partial_delegate_values = Vec::new();
-    let mut partial_ties = Vec::new();
+    // Count the taken entries per subrange (Rule 3), keeping the above
+    // values of the subranges that are not fully taken.
+    let first_full = fully_taken.len();
     let (mut a, mut t) = (0, 0);
     while let Some(id) = [above.get(a), ties.get(t)]
         .into_iter()
@@ -305,27 +365,25 @@ pub(crate) fn take_marked<K: TopKKey>(
             from + list[from..].iter().take_while(|e| e.1 == id).count()
         };
         let (a_end, t_end) = (run(above, a), run(ties, t));
-        if a_end - a + t_end - t >= entries_of(id) {
-            fully_taken_subranges.push(id);
+        if a_end - a + t_end - t >= entries.of(id) {
+            fully_taken.push(id);
         } else {
-            partial_delegate_values.extend(above[a..a_end].iter().map(|&(v, _)| v));
-            partial_ties.extend(ties[t..t_end].iter().map(|&(v, _)| v));
+            partial.extend(above[a..a_end].iter().map(|&(v, _)| v));
         }
         (a, t) = (a_end, t_end);
     }
-    partial_delegate_values.append(&mut partial_ties);
-
-    FirstTopK {
-        threshold,
-        exact_threshold: exact,
-        fully_taken_subranges,
-        partial_delegate_values,
-        taken_entries: above.len() + ties.len(),
-        stats: KernelStats::default(),
-        time_ms: 0.0,
-        k,
-        marked,
+    // Then the ties of those subranges: both id lists ascend.
+    let full = &fully_taken[first_full..];
+    let mut f = 0;
+    for &(v, id) in ties {
+        while full.get(f).is_some_and(|&s| s < id) {
+            f += 1;
+        }
+        if full.get(f) != Some(&id) {
+            partial.push(v);
+        }
     }
+    above.len() + ties.len()
 }
 
 #[cfg(test)]

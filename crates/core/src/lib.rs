@@ -39,8 +39,8 @@
 //! One runner per target, each taking the request as a [`DrTopKConfig`]:
 //! [`dr_topk`] and [`dr_topk_planned`] on one device, [`distributed_dr_topk`]
 //! on a cluster, [`topk_rows`] and [`topk_rows_on`] on a row matrix, plus
-//! the schedule-exploring twins [`distributed_dr_topk_explore`] and
-//! [`topk_rows_explore`].
+//! the distributed runner's schedule-exploring twin
+//! [`distributed_dr_topk_explore`].
 //!
 //! ## Quickstart
 //!
@@ -92,7 +92,7 @@ pub use pipeline::{
     PlannedQuery, Shared, WorkloadStats,
 };
 pub use radix_flags::{flag_radix_select_kth, flag_radix_topk};
-pub use rows::{topk_rows, topk_rows_explore, topk_rows_on, RowK, RowMatrix, RowTopKResult};
+pub use rows::{topk_rows, topk_rows_on, RowK, RowMatrix, RowTopKResult};
 pub use stages::{
     ExecutedStage, Resource, Serial, StageGraph, StageId, StageKind, StageOutcome, StageReport,
     TransferLane,

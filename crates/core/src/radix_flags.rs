@@ -110,13 +110,20 @@ pub fn flag_radix_select_kth<K: TopKKey>(
 
 /// The threshold [`flag_radix_select_kth`] returns for `keys` and `k`,
 /// computed at host speed: the k-th largest key, found with one
-/// `select_nth_unstable` over the radix bits, with the final pass's digit
-/// cleared when `skip_last_pass` is set (the lower edge of the k-th key's
-/// last radix bucket). Records no cost: a kernel that calls it records the
+/// `select_nth_unstable` over the radix bits (copied into `bits`, a
+/// scratch buffer the caller reuses), with the final pass's digit cleared
+/// when `skip_last_pass` is set (the lower edge of the k-th key's last
+/// radix bucket). Records no cost: a kernel that calls it records the
 /// passes it models.
-pub fn radix_select_threshold<K: TopKKey>(keys: &[K], k: usize, skip_last_pass: bool) -> K {
+pub fn radix_select_threshold<K: TopKKey>(
+    keys: &[K],
+    k: usize,
+    skip_last_pass: bool,
+    bits: &mut Vec<K::Bits>,
+) -> K {
     assert!(k >= 1 && k <= keys.len(), "k must be in 1..=|V|");
-    let mut bits: Vec<K::Bits> = keys.iter().map(|v| v.to_bits()).collect();
+    bits.clear();
+    bits.extend(keys.iter().map(|v| v.to_bits()));
     let (_, &mut kth, _) = bits.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
     let last_digit = K::Bits::from_u64((1 << BITS_PER_PASS) - 1);
     K::from_bits(if skip_last_pass {

@@ -1,6 +1,6 @@
-//! Row-wise matrix top-k: the whole `rows × cols` matrix planned as **one
-//! stage graph** (going beyond the paper; see RTop-K / RadiK in
-//! `PAPERS.md`).
+//! Row-wise matrix top-k: the whole `rows × cols` matrix split into
+//! row-blocks, each device running its blocks as **plain calls** (going
+//! beyond the paper; see RTop-K / RadiK in `PAPERS.md`).
 //!
 //! The paper's pipeline answers top-k over one vector. The dominant
 //! consumers of GPU top-k in 2026 — MoE gating, beam search, sparse
@@ -14,6 +14,15 @@
 //! The first top-k, concatenation and second top-k kernels then each take
 //! every row that needs them, so an `R`-row matrix on `D` devices runs at
 //! most four launches and one delegate pass per block instead of per row.
+//!
+//! Blocks share no state. Block `b` runs on device `b % D`; each device
+//! runs its blocks in order on its own host thread (a one-device run
+//! spawns none) and records them through one [`Serial`], and the
+//! per-device reports are spliced into one [`StageReport`] in block order.
+//! Every phase reads and writes flat buffers that a device reuses block
+//! after block: the rows' delegates, Rule 3 groups and candidates each go
+//! into one vector with a span per row, so a row allocates only its k
+//! winners.
 //!
 //! Per-row results are **bit-identical** to running [`dr_topk`] with the
 //! same configuration, direction included, on each row independently: the
@@ -29,26 +38,23 @@
 //!
 //! [`dr_topk`]: crate::pipeline::dr_topk
 
-// Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
-// the row-block stage-graph context keeps its per-block phase buffers in
-// mutex slots, as the executor's `&C` sharing rule requires.
-#![allow(clippy::disallowed_types)]
-
 use gpu_sim::warp::SHUFFLES_PER_WARP_REDUCTION;
-use gpu_sim::{Device, GpuCluster, KernelStats, WarpCtx};
-use std::cmp::Reverse;
-use std::sync::Mutex;
+use gpu_sim::{try_run_on_each, Device, GpuCluster, KernelStats, WarpCtx};
+use std::cell::RefCell;
+use std::convert::Infallible;
+use std::ops::Range;
+use std::time::Instant;
 use topk_baselines::radix::BITS_PER_PASS;
 use topk_baselines::{KeyBits, TopKKey, TopKResult};
 
 use crate::concat::gather_subrange;
-use crate::delegate::{delegate_subrange_ids, delegates_into, DelegateVector};
+use crate::delegate::delegates_into;
 use crate::direction::{as_desc, Direction};
-use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
-use crate::first_topk::{mark, take_marked, FirstTopK, Marked};
+use crate::first_topk::{mark, take_marked_into, Marked, SubrangeEntries};
 use crate::pipeline::{DrTopKConfig, PhaseBreakdown, PlannedQuery};
 use crate::radix_flags::radix_select_threshold;
-use crate::stages::{Resource, StageGraph, StageKind, StageOutcome, StageReport};
+use crate::stages::{ExecutedStage, Serial, StageKind, StageOutcome, StageReport};
+use crate::verify::debug_assert_verified;
 
 /// A borrowed row-major `rows × cols` matrix.
 ///
@@ -169,14 +175,14 @@ enum RowPath {
     Approx,
 }
 
-/// The planned layout of a matrix run: per-row plans and paths plus the
-/// block geometry. Computed once; borrowed by every stage closure (and
-/// rebuilt-from by the schedule explorer).
+/// The planned layout of a matrix run: one plan per distinct k, each row's
+/// plan, and the block geometry. Computed once; every device reads it.
 struct RowLayout {
-    /// Per-row resolved plan (k clamped, α pinned, mode normalised).
-    plans: Vec<PlannedQuery>,
-    /// Per-row execution path derived from the plan.
-    paths: Vec<RowPath>,
+    /// One resolved plan per distinct k (k clamped, α pinned, mode
+    /// normalised) with the path it resolves to.
+    plans: Vec<(PlannedQuery, RowPath)>,
+    /// Row `r`'s plan is `plans[plan_of[r]]`.
+    plan_of: Vec<usize>,
     /// Rows per block.
     rows_per_block: usize,
     /// Total blocks (`⌈rows / rows_per_block⌉`).
@@ -186,10 +192,16 @@ struct RowLayout {
 }
 
 impl RowLayout {
-    fn block_span(&self, b: usize, rows: usize) -> (usize, usize) {
-        let start = b * self.rows_per_block;
-        let end = ((b + 1) * self.rows_per_block).min(rows);
-        (start, end)
+    fn block_span(&self, b: usize, rows: usize) -> Range<usize> {
+        b * self.rows_per_block..((b + 1) * self.rows_per_block).min(rows)
+    }
+
+    fn plan(&self, row: usize) -> &PlannedQuery {
+        &self.plans[self.plan_of[row]].0
+    }
+
+    fn path(&self, row: usize) -> RowPath {
+        self.plans[self.plan_of[row]].1
     }
 }
 
@@ -201,37 +213,35 @@ fn layout_rows<K: TopKKey>(
 ) -> RowLayout {
     ks.validate(matrix.rows);
     let rows_per_block = rows_per_block.max(1);
-    // Plans depend only on (cols, k, config); memoise by k so a uniform-k
-    // matrix plans once, not once per row.
-    let mut memo: std::collections::BTreeMap<usize, PlannedQuery> =
-        std::collections::BTreeMap::new();
-    let mut plans = Vec::with_capacity(matrix.rows);
-    let mut paths = Vec::with_capacity(matrix.rows);
-    let mut predicted_recall = 1.0f64;
-    for r in 0..matrix.rows {
-        let k = ks.get(r);
-        let planned = memo
-            .entry(k)
-            .or_insert_with(|| PlannedQuery::plan(matrix.cols, k, config))
-            .clone();
-        let path = if planned.k == 0 || matrix.cols == 0 {
-            RowPath::Skip
-        } else if !planned.use_delegates {
-            RowPath::Direct
-        } else if planned.config.mode.strict_target().is_some() {
-            RowPath::Approx
-        } else {
-            RowPath::Exact
-        };
-        if path != RowPath::Skip {
-            predicted_recall = predicted_recall.min(planned.predicted_recall);
-        }
-        plans.push(planned);
-        paths.push(path);
-    }
+    // Plans depend only on (cols, k, config): plan each distinct k once.
+    let mut index_of: std::collections::BTreeMap<usize, usize> = Default::default();
+    let mut plans = Vec::new();
+    let plan_of = (0..matrix.rows)
+        .map(|r| {
+            *index_of.entry(ks.get(r)).or_insert_with_key(|&k| {
+                let planned = PlannedQuery::plan(matrix.cols, k, config);
+                let path = if planned.k == 0 || matrix.cols == 0 {
+                    RowPath::Skip
+                } else if !planned.use_delegates {
+                    RowPath::Direct
+                } else if planned.config.mode.strict_target().is_some() {
+                    RowPath::Approx
+                } else {
+                    RowPath::Exact
+                };
+                plans.push((planned, path));
+                plans.len() - 1
+            })
+        })
+        .collect();
+    let predicted_recall = plans
+        .iter()
+        .filter(|(_, path)| *path != RowPath::Skip)
+        .map(|(planned, _)| planned.predicted_recall)
+        .fold(1.0f64, f64::min);
     RowLayout {
         plans,
-        paths,
+        plan_of,
         rows_per_block,
         num_blocks: matrix.rows.div_ceil(rows_per_block),
         predicted_recall,
@@ -242,29 +252,100 @@ fn layout_rows<K: TopKKey>(
 /// chunk of rows.
 const MAX_ROW_WARPS: usize = 1 << 14;
 
-/// Per-block phase buffers, one slot per local row. A fallback row's
-/// winners go from the fused pass straight to `out`.
-struct BlockState<K: TopKKey> {
-    delegates: Vec<Option<DelegateVector<K>>>,
-    first: Vec<Option<FirstTopK<K>>>,
-    concat: Vec<Option<Vec<K>>>,
-    out: Vec<Option<(Vec<K>, K)>>,
+/// One row's share of the block buffers; a phase the row skips leaves its
+/// span empty.
+#[derive(Debug, Clone, Default)]
+struct RowSlots<K> {
+    /// The row's delegates (exact rows) or candidates (approximate rows).
+    delegates: Range<usize>,
+    /// The first top-k's threshold (exact rows).
+    threshold: K,
+    /// The row's fully taken subranges (Rule 3).
+    fully_taken: Range<usize>,
+    /// The taken delegates of the row's other subranges.
+    partial: Range<usize>,
+    /// The row's concatenation.
+    candidates: Range<usize>,
 }
 
-/// The row-block stage-graph context: one mutex per block, so blocks on
-/// different devices never contend.
-struct RowsCtx<K: TopKKey> {
-    blocks: Vec<Mutex<BlockState<K>>>,
+/// One device's phase buffers, reused block after block: each phase
+/// appends every row's output to one flat vector and notes the row's span.
+#[derive(Default)]
+struct BlockBuffers<K: TopKKey> {
+    slots: Vec<RowSlots<K>>,
+    delegates: Vec<K>,
+    fully_taken: Vec<u32>,
+    partial: Vec<K>,
+    candidates: Vec<K>,
+    marked: Marked<K>,
+    /// Radix-space scratch of every host-speed selection.
+    bits: Vec<K::Bits>,
+    /// Local indices of the block's exact rows.
+    exact: Vec<usize>,
+    /// Local indices of the rows the second top-k settles: exact and
+    /// approximate.
+    selected: Vec<usize>,
+}
+
+/// One row-block: where its rows are and what every kernel reads.
+#[derive(Clone, Copy)]
+struct Block<'a, K: TopKKey> {
+    device: &'a Device,
+    matrix: RowMatrix<'a, K>,
+    layout: &'a RowLayout,
+    /// Global index of the block's first row.
+    start: usize,
+    /// Number of rows.
+    len: usize,
+}
+
+impl<K: TopKKey> Block<'_, K> {
+    fn plan(&self, l: usize) -> &PlannedQuery {
+        self.layout.plan(self.start + l)
+    }
+
+    fn path(&self, l: usize) -> RowPath {
+        self.layout.path(self.start + l)
+    }
+}
+
+/// A (key, subrange id) pair in u32-sized words, so the charged bytes stay
+/// exact for 8-byte keys.
+fn kv_words<K>() -> usize {
+    1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>()
+}
+
+/// A row's selection: per-row counters stay zero (see [`RowTopKResult`]).
+fn row_result<K: TopKKey>(values: Vec<K>, kth_value: K) -> TopKResult<K> {
+    TopKResult {
+        values,
+        kth_value,
+        stats: KernelStats::default(),
+        time_ms: 0.0,
+    }
 }
 
 /// The top-k of `values` sorted descending in radix space, and its k-th
-/// value: exactly what every (exact) inner algorithm returns for them.
-fn sorted_topk<K: TopKKey>(values: &[K], k: usize) -> (Vec<K>, K) {
-    let mut top = values.to_vec();
-    top.sort_unstable_by_key(|v| Reverse(v.to_bits()));
-    top.truncate(k);
-    let kth = top.last().copied().unwrap_or_default();
-    (top, kth)
+/// value: exactly what every (exact) inner algorithm returns for them. The
+/// selection runs in `bits`, a reused scratch buffer; only the k winners
+/// are allocated.
+fn sorted_topk<K: TopKKey>(values: &[K], k: usize, bits: &mut Vec<K::Bits>) -> (Vec<K>, K) {
+    bits.clear();
+    bits.extend(values.iter().map(|v| v.to_bits()));
+    let k = k.min(bits.len());
+    if k == 0 {
+        return (Vec::new(), K::default());
+    }
+    let descending = |a: &K::Bits, b: &K::Bits| b.cmp(a);
+    if k < bits.len() {
+        bits.select_nth_unstable_by(k - 1, descending);
+    }
+    let top = &mut bits[..k];
+    top.sort_unstable_by(descending);
+    (
+        top.iter().map(|&b| K::from_bits(b)).collect(),
+        K::from_bits(top[k - 1]),
+    )
 }
 
 /// RTop-K's cost of one warp's radix select over `n` keys (a row, or a
@@ -276,308 +357,354 @@ pub(crate) fn record_warp_select(kctx: &mut WarpCtx<'_>, n: usize, passes: u32) 
     kctx.record_shuffles(passes * SHUFFLES_PER_WARP_REDUCTION);
 }
 
-/// One launch over the block's rows whose path is in `want`, one warp per
-/// row up to [`MAX_ROW_WARPS`]; local row `l`'s output lands in `slots[l]`.
-/// No such rows, no launch.
-fn launch_rows<R>(
+/// One launch over the block's local `rows`, one warp per row up to
+/// [`MAX_ROW_WARPS`]. No rows, no launch. Warps run in order on the calling
+/// thread, so `row_kernel` writes each row's output straight into the
+/// block buffers.
+fn launch_per_row(
     device: &Device,
-    name: &str,
-    (paths, want): (&[RowPath], &[RowPath]),
-    slots: &mut [Option<R>],
-    row_kernel: impl Fn(&mut WarpCtx<'_>, usize) -> R,
+    name: &'static str,
+    rows: &[usize],
+    row_kernel: impl FnMut(&mut WarpCtx<'_>, usize),
 ) -> StageOutcome {
-    let rows: Vec<usize> = (0..paths.len())
-        .filter(|&l| want.contains(&paths[l]))
-        .collect();
     if rows.is_empty() {
         return StageOutcome::default();
     }
+    let row_kernel = RefCell::new(row_kernel);
     let launch = device.launch(name, rows.len().min(MAX_ROW_WARPS), |kctx| {
-        let chunk = kctx.chunk_of(rows.len());
-        rows[chunk]
-            .iter()
-            .map(|&l| (l, row_kernel(kctx, l)))
-            .collect::<Vec<_>>()
+        let row_kernel = &mut *row_kernel.borrow_mut();
+        for &l in &rows[kctx.chunk_of(rows.len())] {
+            row_kernel(kctx, l);
+        }
     });
-    for (l, out) in launch.output.into_iter().flatten() {
-        slots[l] = Some(out);
-    }
     StageOutcome::new(launch.stats, launch.time_ms)
 }
 
-/// Build the matrix's stage graph: per block with any work, a fused pass
-/// stage, then (when the block has exact-path rows) first-top-k and
-/// concatenation stages, then always a terminal second-top-k stage. Each
-/// stage is at most one kernel launch. Returns the graph, its context and
-/// the number of fused pass stages.
-fn build_rows_graph<'a, K: TopKKey>(
-    devices: &'a [&'a Device],
-    matrix: RowMatrix<'a, K>,
-    layout: &'a RowLayout,
-) -> (StageGraph<'a, RowsCtx<K>>, RowsCtx<K>, usize) {
-    let mut graph: StageGraph<'a, RowsCtx<K>> = StageGraph::new();
-    let mut blocks = Vec::with_capacity(layout.num_blocks);
-    let mut passes = 0usize;
-    let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
-
-    for b in 0..layout.num_blocks {
-        let (start, end) = layout.block_span(b, matrix.rows);
-        let block_len = end - start;
-        blocks.push(Mutex::new(BlockState {
-            delegates: (0..block_len).map(|_| None).collect(),
-            first: (0..block_len).map(|_| None).collect(),
-            concat: (0..block_len).map(|_| None).collect(),
-            out: (0..block_len).map(|_| None).collect(),
-        }));
-
-        let paths = &layout.paths[start..end];
-        if paths.iter().all(|p| *p == RowPath::Skip) {
-            continue; // nothing to compute; the gather fills defaults
-        }
-        let has_exact = paths.contains(&RowPath::Exact);
-        let has_approx = paths.contains(&RowPath::Approx);
-        let device_idx = b % devices.len();
-        let device = devices[device_idx];
-        let resource = Resource::Compute(device_idx);
-
-        // Phase 1: the fused pass — one kernel launch for the whole block.
-        // Kind mirrors the single-vector pipeline's phase-1 stage: a
-        // delegate construction when any row runs the exact pipeline, the
-        // approximate candidate pass when the block is purely approximate
-        // (pure-fallback blocks keep the construction kind: the pass still
-        // *is* the block's one slab-reading pass).
-        let pass_kind = if !has_exact && has_approx {
-            StageKind::BucketTopKPrime
-        } else {
-            StageKind::DelegateConstruction
-        };
-        passes += 1;
-        let pass_id = graph.add_labeled(
-            pass_kind,
-            format!("rows {start}..{end} fused pass"),
-            resource,
-            &[],
-            move |ctx: &RowsCtx<K>| {
-                let num_warps = block_len.clamp(1, MAX_ROW_WARPS);
-                let launch = device.launch("drtopk_rows_fused_pass", num_warps, |kctx| {
-                    let local = kctx.chunk_of(block_len);
-                    let (mut built, mut sorted) = (Vec::new(), Vec::new());
-                    let mut i = local.start;
-                    while i < local.end {
-                        if paths[i] == RowPath::Skip {
-                            i += 1;
-                            continue;
-                        }
-                        // Extend to the contiguous run of active rows: the
-                        // warp reads the whole slab with ONE coalesced
-                        // access — this is the fused pass's transaction
-                        // saving over per-row pipeline runs.
-                        let mut j = i + 1;
-                        while j < local.end && paths[j] != RowPath::Skip {
-                            j += 1;
-                        }
-                        let slab_start = (start + i) * matrix.cols;
-                        let slab_end = (start + j) * matrix.cols;
-                        let slab = kctx.read_coalesced(&matrix.data[slab_start..slab_end]);
-                        kctx.record_alu(slab.len() as u64);
-                        for l in i..j {
-                            let row = &slab[(l - i) * matrix.cols..(l - i + 1) * matrix.cols];
-                            let planned = &layout.plans[start + l];
-                            if paths[l] == RowPath::Direct {
-                                let (vals, kth) = sorted_topk(row, planned.k);
-                                kctx.record_store_coalesced::<u32>(kv_words * vals.len());
-                                sorted.push((l, (vals, kth)));
-                                continue;
-                            }
-                            let alpha = planned.alpha;
-                            let subrange_size = 1usize << alpha;
-                            let beta = planned.config.beta;
-                            let num_subranges = matrix.cols.div_ceil(subrange_size);
-                            let mut values = Vec::new();
-                            delegates_into(row, subrange_size, beta, &mut values);
-                            kctx.record_store_coalesced::<u32>(kv_words * values.len());
-                            built.push((
-                                l,
-                                DelegateVector {
-                                    values,
-                                    subrange_ids: delegate_subrange_ids(
-                                        matrix.cols,
-                                        subrange_size,
-                                        beta,
-                                    ),
-                                    beta,
-                                    subrange_size,
-                                    num_subranges,
-                                    direction: Direction::Largest,
-                                    stats: KernelStats::default(),
-                                    time_ms: 0.0,
-                                },
-                            ));
-                        }
-                        i = j;
-                    }
-                    (built, sorted)
-                });
-                let mut block = ctx.blocks[b].lock().unwrap();
-                for (built, sorted) in launch.output {
-                    for (l, dv) in built {
-                        block.delegates[l] = Some(dv);
-                    }
-                    for (l, out) in sorted {
-                        block.out[l] = Some(out);
-                    }
+/// Phase 1, the fused pass: one launch over the whole block. Each warp
+/// reads every contiguous run of active rows with ONE coalesced access —
+/// the fused pass's transaction saving over per-row pipeline runs — then
+/// extracts each delegate-path row's delegates and answers each fallback
+/// row's selection from the slab.
+fn fused_pass<K: TopKKey>(
+    block: Block<'_, K>,
+    bufs: &mut BlockBuffers<K>,
+    out: &mut [TopKResult<K>],
+) -> StageOutcome {
+    let cols = block.matrix.cols;
+    let state = RefCell::new((bufs, out));
+    let launch = block.device.launch(
+        "drtopk_rows_fused_pass",
+        block.len.clamp(1, MAX_ROW_WARPS),
+        |kctx| {
+            let (bufs, out) = &mut *state.borrow_mut();
+            let local = kctx.chunk_of(block.len);
+            let mut i = local.start;
+            while i < local.end {
+                if block.path(i) == RowPath::Skip {
+                    i += 1;
+                    continue;
                 }
-                StageOutcome::new(launch.stats, launch.time_ms)
-            },
-        );
-
-        // Phases 2 and 3 exist only when the block has exact-path rows.
-        let mut second_dep = pass_id;
-        if has_exact {
-            let first_id = graph.add_labeled(
-                StageKind::FirstTopK,
-                format!("rows {start}..{end} first top-k"),
-                resource,
-                &[pass_id],
-                move |ctx: &RowsCtx<K>| {
-                    let block = &mut *ctx.blocks[b].lock().unwrap();
-                    let rows = (paths, &[RowPath::Exact][..]);
-                    launch_rows(
-                        device,
-                        "drtopk_rows_first_topk",
-                        rows,
-                        &mut block.first,
-                        |kctx, l| {
-                            let dv = block.delegates[l].as_ref().expect("fused pass ran");
-                            let planned = &layout.plans[start + l];
-                            let k = planned.k.min(dv.len());
-                            let skip_last = planned.config.skip_last_first_pass;
-                            let values = kctx.read_coalesced(&dv.values);
-                            let passes = K::Bits::BITS / BITS_PER_PASS - u32::from(skip_last);
-                            record_warp_select(kctx, values.len(), passes);
-                            let threshold = radix_select_threshold(values, k, skip_last);
-                            let mut marked = Marked::default();
-                            let entries =
-                                values.iter().copied().zip(dv.subrange_ids.iter().copied());
-                            mark(entries, threshold.to_bits(), &mut marked);
-                            kctx.record_alu(values.len() as u64);
-                            let first = take_marked(dv.view(), marked, k, threshold, !skip_last);
-                            kctx.record_store_coalesced::<u32>(kv_words * first.taken_entries);
-                            first
-                        },
-                    )
-                },
-            );
-            let concat_id = graph.add_labeled(
-                StageKind::Concatenate,
-                format!("rows {start}..{end} concatenate"),
-                resource,
-                &[first_id],
-                move |ctx: &RowsCtx<K>| {
-                    let block = &mut *ctx.blocks[b].lock().unwrap();
-                    let rows = (paths, &[RowPath::Exact][..]);
-                    launch_rows(
-                        device,
-                        "drtopk_rows_concat",
-                        rows,
-                        &mut block.concat,
-                        |kctx, l| {
-                            let r = start + l;
-                            let first = block.first[l].as_ref().expect("first top-k ran");
-                            let filter = layout.plans[r]
-                                .config
-                                .filtering
-                                .then(|| first.threshold.to_bits());
-                            let dv = block.delegates[l].as_ref().expect("fused pass ran");
-                            let mut elements = first.partial_delegate_values.clone();
-                            for &id in kctx.read_coalesced(&first.fully_taken_subranges) {
-                                let row = matrix.row(r);
-                                let size = dv.subrange_size;
-                                gather_subrange(kctx, row, size, id, filter, &mut elements);
-                            }
-                            elements
-                        },
-                    )
-                },
-            );
-            second_dep = concat_id;
-        }
-
-        // Phase 4: the terminal second top-k settles every delegate-path
-        // row of the block.
-        graph.add_labeled(
-            StageKind::SecondTopK,
-            format!("rows {start}..{end} second top-k"),
-            resource,
-            &[second_dep],
-            move |ctx: &RowsCtx<K>| {
-                let block = &mut *ctx.blocks[b].lock().unwrap();
-                let rows = (paths, &[RowPath::Exact, RowPath::Approx][..]);
-                launch_rows(
-                    device,
-                    "drtopk_rows_second_topk",
-                    rows,
-                    &mut block.out,
-                    |kctx, l| {
-                        let k = layout.plans[start + l].k;
-                        // Exact rows select from their concatenation,
-                        // approximate rows from their candidates.
-                        let (candidates, skipped) = match &block.first[l] {
-                            // Same skip rule as the single-vector pipeline
-                            // (Figure 8b): the taken delegates alone answer
-                            // the query exactly.
-                            Some(first) => {
-                                let c = block.concat[l].as_ref().expect("concatenation ran");
-                                let skipped = first.fully_taken_subranges.is_empty()
-                                    && first.exact_threshold
-                                    && c.len() == k;
-                                (c.as_slice(), skipped)
-                            }
-                            None => {
-                                let dv = block.delegates[l].as_ref().expect("fused pass ran");
-                                (dv.values.as_slice(), false)
-                            }
-                        };
-                        let candidates = kctx.read_coalesced(candidates);
-                        if !skipped {
-                            let passes = K::Bits::BITS / BITS_PER_PASS;
-                            record_warp_select(kctx, candidates.len(), passes);
-                        }
-                        let (top, kth) = sorted_topk(candidates, k);
-                        kctx.record_store_coalesced::<K>(top.len());
-                        (top, kth)
-                    },
-                )
-            },
-        );
-    }
-
-    (graph, RowsCtx { blocks }, passes)
+                let mut j = i + 1;
+                while j < local.end && block.path(j) != RowPath::Skip {
+                    j += 1;
+                }
+                let slab = (block.start + i) * cols..(block.start + j) * cols;
+                let slab = kctx.read_coalesced(&block.matrix.data[slab]);
+                kctx.record_alu(slab.len() as u64);
+                for (l, row) in (i..j).zip(slab.chunks_exact(cols)) {
+                    let planned = block.plan(l);
+                    if block.path(l) == RowPath::Direct {
+                        let (values, kth) = sorted_topk(row, planned.k, &mut bufs.bits);
+                        kctx.record_store_coalesced::<u32>(kv_words::<K>() * values.len());
+                        out[l] = row_result(values, kth);
+                        continue;
+                    }
+                    let from = bufs.delegates.len();
+                    let subrange_size = 1usize << planned.alpha;
+                    delegates_into(row, subrange_size, planned.config.beta, &mut bufs.delegates);
+                    let len = bufs.delegates.len() - from;
+                    kctx.record_store_coalesced::<u32>(kv_words::<K>() * len);
+                    bufs.slots[l].delegates = from..from + len;
+                }
+                i = j;
+            }
+        },
+    );
+    StageOutcome::new(launch.stats, launch.time_ms)
 }
 
-/// Assemble the per-row results and schedule-derived aggregates.
+/// Phase 2, the first top-k of every exact row: the flag radix threshold,
+/// the mark pass and Rule 3's grouping, into the block buffers.
+fn first_topk_rows<K: TopKKey>(block: Block<'_, K>, bufs: &mut BlockBuffers<K>) -> StageOutcome {
+    let BlockBuffers {
+        slots,
+        delegates,
+        fully_taken,
+        partial,
+        marked,
+        bits,
+        exact,
+        ..
+    } = bufs;
+    launch_per_row(block.device, "drtopk_rows_first_topk", exact, |kctx, l| {
+        let planned = block.plan(l);
+        let values = kctx.read_coalesced(&delegates[slots[l].delegates.clone()]);
+        let k = planned.k.min(values.len());
+        let skip_last = planned.config.skip_last_first_pass;
+        let passes = K::Bits::BITS / BITS_PER_PASS - u32::from(skip_last);
+        record_warp_select(kctx, values.len(), passes);
+        let threshold = radix_select_threshold(values, k, skip_last, bits);
+        let subrange_size = 1usize << planned.alpha;
+        let entries = SubrangeEntries::new(
+            values.len(),
+            planned.config.beta,
+            subrange_size,
+            block.matrix.cols.div_ceil(subrange_size),
+        );
+        marked.clear();
+        let ids = (0..values.len()).map(|i| entries.subrange_of(i));
+        mark(values.iter().copied().zip(ids), threshold.to_bits(), marked);
+        kctx.record_alu(values.len() as u64);
+        let (full_from, partial_from) = (fully_taken.len(), partial.len());
+        let taken = take_marked_into(entries, marked, k, !skip_last, fully_taken, partial);
+        kctx.record_store_coalesced::<u32>(kv_words::<K>() * taken);
+        let slot = &mut slots[l];
+        slot.threshold = threshold;
+        slot.fully_taken = full_from..fully_taken.len();
+        slot.partial = partial_from..partial.len();
+    })
+}
+
+/// Phase 3, the concatenation of every exact row: its partial delegates,
+/// then each fully taken subrange, filtered by the threshold (Rule 2).
+fn concatenate_rows<K: TopKKey>(block: Block<'_, K>, bufs: &mut BlockBuffers<K>) -> StageOutcome {
+    let BlockBuffers {
+        slots,
+        fully_taken,
+        partial,
+        candidates,
+        exact,
+        ..
+    } = bufs;
+    launch_per_row(block.device, "drtopk_rows_concat", exact, |kctx, l| {
+        let planned = block.plan(l);
+        let slot = &mut slots[l];
+        let filter = planned.config.filtering.then(|| slot.threshold.to_bits());
+        let from = candidates.len();
+        candidates.extend_from_slice(&partial[slot.partial.clone()]);
+        let row = block.matrix.row(block.start + l);
+        let size = 1usize << planned.alpha;
+        for &id in kctx.read_coalesced(&fully_taken[slot.fully_taken.clone()]) {
+            gather_subrange(kctx, row, size, id, filter, candidates);
+        }
+        slot.candidates = from..candidates.len();
+    })
+}
+
+/// Phase 4, the second top-k: exact rows select from their concatenation,
+/// approximate rows from their candidates.
+fn second_topk_rows<K: TopKKey>(
+    block: Block<'_, K>,
+    bufs: &mut BlockBuffers<K>,
+    out: &mut [TopKResult<K>],
+) -> StageOutcome {
+    let BlockBuffers {
+        slots,
+        delegates,
+        candidates,
+        bits,
+        selected,
+        ..
+    } = bufs;
+    launch_per_row(
+        block.device,
+        "drtopk_rows_second_topk",
+        selected,
+        |kctx, l| {
+            let planned = block.plan(l);
+            let k = planned.k;
+            let slot = &slots[l];
+            let (values, skipped) = if block.path(l) == RowPath::Exact {
+                // Same skip rule as the single-vector pipeline (Figure 8b): the
+                // taken delegates alone answer the query exactly.
+                let c = &candidates[slot.candidates.clone()];
+                let exact_threshold = !planned.config.skip_last_first_pass;
+                let skipped = slot.fully_taken.is_empty() && exact_threshold && c.len() == k;
+                (c, skipped)
+            } else {
+                (&delegates[slot.delegates.clone()], false)
+            };
+            let values = kctx.read_coalesced(values);
+            if !skipped {
+                record_warp_select(kctx, values.len(), K::Bits::BITS / BITS_PER_PASS);
+            }
+            let (top, kth) = sorted_topk(values, k, bits);
+            kctx.record_store_coalesced::<K>(top.len());
+            out[l] = row_result(top, kth);
+        },
+    )
+}
+
+/// Run one block on `block.device` as plain calls recorded by `serial`, as
+/// a chain of its own: the fused pass, then (when the block has exact
+/// rows) the first top-k and the concatenation, then the second top-k.
+/// Each phase is at most one launch. Writes every row's selection to
+/// `out` and returns the number of stages recorded: none when no row needs
+/// work.
+fn run_block<K: TopKKey>(
+    block: Block<'_, K>,
+    serial: &mut Serial,
+    bufs: &mut BlockBuffers<K>,
+    out: &mut [TopKResult<K>],
+) -> usize {
+    bufs.slots.clear();
+    bufs.slots.resize_with(block.len, RowSlots::default);
+    bufs.delegates.clear();
+    bufs.fully_taken.clear();
+    bufs.partial.clear();
+    bufs.candidates.clear();
+    bufs.exact.clear();
+    bufs.selected.clear();
+    let mut active = false;
+    for l in 0..block.len {
+        let path = block.path(l);
+        active |= path != RowPath::Skip;
+        if path == RowPath::Exact {
+            bufs.exact.push(l);
+        }
+        if matches!(path, RowPath::Exact | RowPath::Approx) {
+            bufs.selected.push(l);
+        }
+    }
+    if !active {
+        return 0;
+    }
+    let has_exact = !bufs.exact.is_empty();
+    // The pass's kind mirrors the single-vector pipeline's phase-1 stage: a
+    // delegate construction when any row runs the exact pipeline, the
+    // approximate candidate pass when the block is purely approximate
+    // (pure-fallback blocks keep the construction kind: the pass still
+    // *is* the block's one slab-reading pass).
+    let pass_kind = if !has_exact && !bufs.selected.is_empty() {
+        StageKind::BucketTopKPrime
+    } else {
+        StageKind::DelegateConstruction
+    };
+    let (start, end) = (block.start, block.start + block.len);
+    let label = |phase: &str| format!("rows {start}..{end} {phase}");
+    serial.begin_chain();
+    serial.stage(pass_kind, label("fused pass"), || {
+        ((), fused_pass(block, bufs, out))
+    });
+    if has_exact {
+        serial.stage(StageKind::FirstTopK, label("first top-k"), || {
+            ((), first_topk_rows(block, bufs))
+        });
+        serial.stage(StageKind::Concatenate, label("concatenate"), || {
+            ((), concatenate_rows(block, bufs))
+        });
+    }
+    serial.stage(StageKind::SecondTopK, label("second top-k"), || {
+        ((), second_topk_rows(block, bufs, out))
+    });
+    if has_exact {
+        4
+    } else {
+        2
+    }
+}
+
+/// What one device produced: its blocks' rows, block after block, the
+/// number of stages each block recorded, and its schedule.
+struct DeviceRun<K: TopKKey> {
+    rows: Vec<TopKResult<K>>,
+    block_stages: Vec<usize>,
+    report: StageReport,
+}
+
+/// Run device `d`'s blocks `d, d + D, …` in order, reusing one set of
+/// buffers.
+fn run_device<K: TopKKey>(
+    device: &Device,
+    d: usize,
+    num_devices: usize,
+    matrix: RowMatrix<'_, K>,
+    layout: &RowLayout,
+    epoch: Instant,
+) -> DeviceRun<K> {
+    let mut serial = Serial::since(d, epoch);
+    let mut bufs = BlockBuffers::default();
+    let mut rows = Vec::new();
+    let mut block_stages = Vec::new();
+    for b in (d..layout.num_blocks).step_by(num_devices) {
+        let span = layout.block_span(b, matrix.rows);
+        let block = Block {
+            device,
+            matrix,
+            layout,
+            start: span.start,
+            len: span.len(),
+        };
+        let base = rows.len();
+        rows.resize_with(base + block.len, || row_result(Vec::new(), K::default()));
+        block_stages.push(run_block(block, &mut serial, &mut bufs, &mut rows[base..]));
+    }
+    DeviceRun {
+        rows,
+        block_stages,
+        report: serial.finish(),
+    }
+}
+
+/// Splice the per-device runs into one result in block order: the rows,
+/// and a report whose stages are listed block by block, each block's
+/// dependencies re-indexed. Each device's modeled times are its own queue's
+/// running sum, which is exactly what a replay of the whole schedule gives
+/// blocks that share no state.
 fn gather_result<K: TopKKey>(
     layout: &RowLayout,
     rows: usize,
-    ctx: RowsCtx<K>,
-    report: StageReport,
-    passes: usize,
+    runs: Vec<DeviceRun<K>>,
 ) -> RowTopKResult<K> {
+    let max = |ms: fn(&StageReport) -> f64| runs.iter().map(|r| ms(&r.report)).fold(0.0, f64::max);
+    let mut report = StageReport {
+        stages: Vec::new(),
+        makespan_ms: max(|r| r.makespan_ms),
+        measured_makespan_ms: max(|r| r.measured_makespan_ms),
+    };
+    let num_devices = runs.len();
+    let mut devices: Vec<_> = runs
+        .into_iter()
+        .map(|run| {
+            let stages = run.report.stages.into_iter();
+            (
+                run.rows.into_iter(),
+                run.block_stages.into_iter(),
+                stages,
+                0,
+            )
+        })
+        .collect();
     let mut out_rows = Vec::with_capacity(rows);
-    for (b, block) in ctx.blocks.into_iter().enumerate() {
-        let block = block.into_inner().unwrap();
-        let (start, end) = layout.block_span(b, rows);
-        debug_assert_eq!(block.out.len(), end - start);
-        for slot in block.out {
-            let (values, kth_value) = slot.unwrap_or_else(|| (Vec::new(), K::default()));
-            out_rows.push(TopKResult {
-                values,
-                kth_value,
-                stats: KernelStats::default(),
-                time_ms: 0.0,
-            });
+    let mut passes = 0usize;
+    for b in 0..layout.num_blocks {
+        let (block_rows, block_stages, stages, consumed) = &mut devices[b % num_devices];
+        out_rows.extend(block_rows.take(layout.block_span(b, rows).len()));
+        let n = block_stages.next().expect("every block ran");
+        passes += usize::from(n > 0);
+        let base = report.stages.len();
+        for stage in stages.take(n) {
+            // A block's stages depend only on the block's earlier stages.
+            let deps = stage
+                .deps
+                .iter()
+                .map(|dep| dep - *consumed + base)
+                .collect();
+            report.stages.push(ExecutedStage { deps, ..stage });
         }
+        *consumed += n;
     }
+    debug_assert_verified("row-block stage report", || report.verify());
     RowTopKResult {
         rows: out_rows,
         num_blocks: layout.num_blocks,
@@ -592,8 +719,8 @@ fn gather_result<K: TopKKey>(
 }
 
 /// Row-wise top-k over every row of `matrix` (largest or smallest per
-/// [`DrTopKConfig::direction`]), planned as one stage graph with
-/// `⌈rows / num_devices⌉` rows per block (one block per device).
+/// [`DrTopKConfig::direction`]), with `⌈rows / num_devices⌉` rows per block
+/// (one block per device, the devices running in parallel).
 ///
 /// Each row's values are bit-identical to
 /// [`dr_topk`](crate::pipeline::dr_topk) on that row with the same
@@ -662,94 +789,15 @@ fn run_rows<K: TopKKey>(
     assert!(!devices.is_empty(), "need at least one device");
     let rpb = rows_per_block.unwrap_or_else(|| matrix.rows.div_ceil(devices.len()).max(1));
     let layout = layout_rows(&matrix, ks, config, rpb);
-    let (graph, ctx, passes) = build_rows_graph(devices, matrix, &layout);
-    let report = graph.execute(&ctx);
-    gather_result(&layout, matrix.rows, ctx, report, passes)
-}
-
-/// Model-check a row-matrix graph's schedule space, then run it.
-///
-/// Enumerate (or sample, per `budget`) the dispatch orders the per-resource
-/// workers could take for this matrix's stage graph and require byte-equal
-/// [`deterministic_summary`](StageReport::deterministic_summary) strings
-/// and bit-equal per-row winners across all of them (see [`crate::explore`]).
-/// On success the run's result and the coverage summary are returned; the
-/// first diverging interleaving aborts with a [`Divergence`].
-pub fn topk_rows_explore<K: TopKKey>(
-    devices: &[&Device],
-    matrix: RowMatrix<'_, K>,
-    ks: &RowK,
-    config: &DrTopKConfig,
-    rows_per_block: Option<usize>,
-    budget: ExploreBudget,
-) -> Result<(RowTopKResult<K>, ExploreOutcome), Box<Divergence>> {
-    match config.direction {
-        Direction::Largest => explore_rows(devices, matrix, ks, config, rows_per_block, budget),
-        Direction::Smallest => explore_rows(
-            devices,
-            RowMatrix::new(as_desc(matrix.data), matrix.rows, matrix.cols),
-            ks,
-            config,
-            rows_per_block,
-            budget,
-        )
-        .map(|(result, outcome)| (result.into_native(), outcome)),
-    }
-}
-
-/// [`topk_rows_explore`] below the direction boundary.
-fn explore_rows<K: TopKKey>(
-    devices: &[&Device],
-    matrix: RowMatrix<'_, K>,
-    ks: &RowK,
-    config: &DrTopKConfig,
-    rows_per_block: Option<usize>,
-    budget: ExploreBudget,
-) -> Result<(RowTopKResult<K>, ExploreOutcome), Box<Divergence>> {
-    assert!(!devices.is_empty(), "need at least one device");
-    let rpb = rows_per_block.unwrap_or_else(|| matrix.rows.div_ceil(devices.len()).max(1));
-    let layout = layout_rows(&matrix, ks, config, rpb);
-    if layout.paths.iter().all(|p| *p == RowPath::Skip) {
-        let outcome = ExploreOutcome {
-            schedules_run: 0,
-            exhaustive: true,
-            stages: 0,
-            reference: StageReport::default(),
-        };
-        let result = run_rows(devices, matrix, ks, config, Some(rpb));
-        return Ok((result, outcome));
-    }
-    let outcome = explore_schedules(
-        || {
-            let (graph, ctx, _) = build_rows_graph(devices, matrix, &layout);
-            (graph, ctx)
-        },
-        |ctx: &RowsCtx<K>, _| {
-            // Bit patterns of every row's winners + threshold: the
-            // schedule-invariance witness.
-            ctx.blocks
-                .iter()
-                .map(|block| {
-                    let block = block.lock().unwrap();
-                    block
-                        .out
-                        .iter()
-                        .map(|slot| {
-                            slot.as_ref().map(|(vals, kth)| {
-                                (
-                                    vals.iter().map(|v| v.to_bits()).collect::<Vec<K::Bits>>(),
-                                    kth.to_bits(),
-                                )
-                            })
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        },
-        budget,
-    )?;
-    let result = run_rows(devices, matrix, ks, config, Some(rpb));
-    Ok((result, outcome))
+    let epoch = Instant::now();
+    // Only devices that own a block run; one such device runs inline.
+    let devices = &devices[..devices.len().min(layout.num_blocks)];
+    let runs = try_run_on_each(devices, |d, device| {
+        let run = run_device(device, d, devices.len(), matrix, &layout, epoch);
+        Ok::<_, Infallible>(run)
+    })
+    .unwrap_or_else(|failure| match failure.error {});
+    gather_result(&layout, matrix.rows, runs)
 }
 
 #[cfg(test)]
@@ -757,7 +805,7 @@ mod tests {
     use super::*;
     use crate::pipeline::dr_topk;
     use gpu_sim::DeviceSpec;
-    use topk_baselines::{reference_topk, reference_topk_min};
+    use topk_baselines::reference_topk_min;
 
     fn cluster(n: usize) -> GpuCluster {
         GpuCluster::homogeneous(n, DeviceSpec::v100s())
@@ -844,23 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_passes_static_verification() {
-        let c = cluster(2);
-        let cols = 1 << 10;
-        let rows = 7;
-        let data = topk_datagen::uniform(rows * cols, 23);
-        let matrix = RowMatrix::new(&data, rows, cols);
-        // mixed paths in one graph: approx rows and fallback rows together
-        let ks = RowK::PerRow(vec![8, 0, cols / 2, 8, 8, cols, 8]);
-        let layout = layout_rows(&matrix, &ks, &DrTopKConfig::default(), 2);
-        let devices: Vec<&Device> = c.devices().iter().collect();
-        let (graph, _ctx, passes) = build_rows_graph(&devices, matrix, &layout);
-        let diags = crate::verify::verify_specs(&graph.specs(), &Default::default());
-        assert!(diags.is_empty(), "row-block graph must verify: {diags:?}");
-        assert!(passes <= 4, "4 blocks of 2 rows; {passes} passes");
-    }
-
-    #[test]
     fn empty_and_degenerate_matrices() {
         let c = cluster(1);
         let got = topk_rows::<u32>(
@@ -892,27 +923,70 @@ mod tests {
         assert_eq!(got.delegate_passes, 0);
     }
 
+    /// Devices share no state, so the order their block chains run in
+    /// cannot matter: running the per-device chains one after another, in
+    /// every device order, gives the parallel run's rows, thresholds,
+    /// counters, breakdown and modeled schedule bit for bit.
     #[test]
-    fn explore_validates_a_small_row_graph() {
-        let c = cluster(2);
+    fn device_chains_run_in_any_order_give_the_parallel_result() {
         let cols = 1 << 10;
-        let rows = 4;
-        let data = topk_datagen::uniform(rows * cols, 31);
+        let rows = 12;
+        let data = topk_datagen::normal(rows * cols, 13);
         let matrix = RowMatrix::new(&data, rows, cols);
-        let devices: Vec<&Device> = c.devices().iter().collect();
-        let (result, outcome) = topk_rows_explore(
-            &devices,
-            matrix,
-            &RowK::Uniform(16),
-            &DrTopKConfig::default(),
-            Some(2),
-            ExploreBudget::default(),
-        )
-        .expect("row graphs are schedule-invariant");
-        assert!(outcome.exhaustive);
-        assert!(outcome.schedules_run >= 2, "two blocks must interleave");
-        for r in 0..rows {
-            assert_eq!(result.rows[r].values, reference_topk(matrix.row(r), 16));
+        // Skip, delegate, fallback and clamped rows; the approximate
+        // config turns the delegate rows approximate.
+        let mixed = [0, 16, cols / 2, cols, cols + 9, 16];
+        let ks = RowK::PerRow((0..rows).map(|r| mixed[r % mixed.len()]).collect());
+        let orders: [&[&[usize]]; 3] = [
+            &[&[0]],
+            &[&[0, 1], &[1, 0]],
+            &[
+                &[0, 1, 2],
+                &[0, 2, 1],
+                &[1, 0, 2],
+                &[1, 2, 0],
+                &[2, 0, 1],
+                &[2, 1, 0],
+            ],
+        ];
+        let bits = |r: &RowTopKResult| -> Vec<(Vec<u32>, u32)> {
+            r.rows
+                .iter()
+                .map(|row| (row.values.clone(), row.kth_value))
+                .collect()
+        };
+        for cfg in [DrTopKConfig::default(), DrTopKConfig::approx(0.9)] {
+            for (num_devices, orders) in (1..=3).zip(orders) {
+                let c = cluster(num_devices);
+                let devices: Vec<&Device> = c.devices().iter().collect();
+                let rpb = rows.div_ceil(2 * num_devices); // two blocks each
+                let parallel = topk_rows_on(&devices, matrix, &ks, &cfg, Some(rpb));
+                assert_eq!(parallel.num_blocks, 2 * num_devices);
+                assert!(parallel.stages.verify().is_empty());
+                let layout = layout_rows(&matrix, &ks, &cfg, rpb);
+                for order in orders {
+                    let epoch = Instant::now();
+                    let mut runs: Vec<Option<DeviceRun<u32>>> =
+                        (0..num_devices).map(|_| None).collect();
+                    for &d in *order {
+                        let run = run_device(devices[d], d, num_devices, matrix, &layout, epoch);
+                        runs[d] = Some(run);
+                    }
+                    let runs = runs.into_iter().map(Option::unwrap).collect();
+                    let serial = gather_result(&layout, rows, runs);
+                    let what = format!("{num_devices} devices in order {order:?}");
+                    assert_eq!(bits(&serial), bits(&parallel), "{what}");
+                    assert_eq!(serial.stats, parallel.stats, "{what}");
+                    assert_eq!(serial.breakdown, parallel.breakdown, "{what}");
+                    assert_eq!(serial.time_ms.to_bits(), parallel.time_ms.to_bits());
+                    assert_eq!(serial.delegate_passes, parallel.delegate_passes);
+                    assert_eq!(
+                        serial.stages.deterministic_summary(),
+                        parallel.stages.deterministic_summary(),
+                        "{what}"
+                    );
+                }
+            }
         }
     }
 

@@ -996,21 +996,37 @@ pub struct Serial {
     resource: Resource,
     epoch: Instant,
     report: StageReport,
+    /// The first stage of the current chain; it waits on nothing.
+    chain_start: usize,
 }
 
 impl Serial {
     /// An empty schedule on `device`'s compute queue.
     pub fn new(device: usize) -> Self {
+        Self::since(device, Instant::now())
+    }
+
+    /// [`Serial::new`] with measured times taken since `epoch`, so the
+    /// schedules of several devices share one clock.
+    pub(crate) fn since(device: usize, epoch: Instant) -> Self {
         Serial {
             resource: Resource::Compute(device),
-            epoch: Instant::now(),
+            epoch,
             report: StageReport::default(),
+            chain_start: 0,
         }
     }
 
-    /// Run `work` as the next stage, which waits on the previous one (a
-    /// first stage waits on nothing), and return what the work produced
-    /// besides its outcome.
+    /// Start a new chain: the next stage waits on nothing, as a first stage
+    /// does. Independent work that shares the queue (one row block after
+    /// another) still starts where the previous work ends.
+    pub(crate) fn begin_chain(&mut self) {
+        self.chain_start = self.report.stages.len();
+    }
+
+    /// Run `work` as the next stage, which waits on the previous one (the
+    /// first stage of a chain waits on nothing), and return what the work
+    /// produced besides its outcome.
     pub fn stage<T>(
         &mut self,
         kind: StageKind,
@@ -1029,7 +1045,11 @@ impl Serial {
         let start_ms = report.makespan_ms;
         report.makespan_ms += outcome.time_ms;
         report.measured_makespan_ms = report.measured_makespan_ms.max(measured_end_ms);
-        let deps = report.stages.len().checked_sub(1).into_iter().collect();
+        let len = report.stages.len();
+        let deps = (len > self.chain_start)
+            .then(|| len - 1)
+            .into_iter()
+            .collect();
         report.stages.push(ExecutedStage {
             kind,
             label: label.into(),

@@ -63,7 +63,7 @@ pub mod warp;
 
 pub use device::{Device, LaunchResult};
 pub use memory::{AtomicBuffer, AtomicCounter};
-pub use multi::{DeviceError, GpuCluster, InterconnectSpec, TransferDirection};
+pub use multi::{try_run_on_each, DeviceError, GpuCluster, InterconnectSpec, TransferDirection};
 pub use spec::DeviceSpec;
 pub use stats::{DeviceStats, KernelRecord, KernelStats};
 pub use stream::{Event, Stream, StreamSet};

@@ -6,9 +6,9 @@
 //!
 //! * [`GpuCluster`] — a set of [`Device`]s plus an [`InterconnectSpec`]
 //!   describing intra-node (NVLink-class) and inter-node (network) links;
-//! * a parallel [`GpuCluster::try_run_on_all`] helper that executes one
-//!   closure per device on host threads (the "each GPU computes its local
-//!   top-k" step);
+//! * a parallel [`try_run_on_each`] helper (and [`GpuCluster::try_run_on_all`]
+//!   over a whole cluster) that executes one closure per device on host
+//!   threads (the "each GPU computes its local top-k" step);
 //! * transfer-time models for device↔device messages and host→device
 //!   reloads, used to produce the Communication and Reload Overhead columns
 //!   of Table 2.
@@ -195,58 +195,70 @@ impl GpuCluster {
         t
     }
 
-    /// Run `work` once per device, in parallel on host threads. Every
-    /// worker runs to completion even when another device's worker fails;
-    /// the results are returned in device order, or the error of the
-    /// lowest-indexed failing device is surfaced as a [`DeviceError`] so the
-    /// caller knows *which* device to blame (and can retry elsewhere)
-    /// instead of the whole run being poisoned.
-    #[allow(clippy::disallowed_methods)] // the per-device run is one of the two host-parallel layers
+    /// Run `work` once per device, in parallel on host threads; see
+    /// [`try_run_on_each`].
     pub fn try_run_on_all<R, E, F>(&self, work: F) -> Result<Vec<R>, DeviceError<E>>
     where
         R: Send,
         E: Send,
         F: Fn(usize, &Device) -> Result<R, E> + Sync,
     {
-        let n = self.num_devices();
-        let mut results: Vec<Option<Result<R, E>>> = if n == 1 {
-            vec![Some(work(0, &self.devices[0]))]
-        } else {
-            let mut slots: Vec<Option<Result<R, E>>> = (0..n).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let work = &work;
-                let handles: Vec<_> = self
-                    .devices
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, dev)| (idx, scope.spawn(move || work(idx, dev))))
-                    .collect();
-                for (idx, h) in handles {
-                    let r = h
-                        .join()
-                        .unwrap_or_else(|_| panic!("worker of device {idx} panicked"));
-                    slots[idx] = Some(r);
-                }
-            });
-            slots
-        };
-        // Surface the lowest-indexed failure deterministically.
-        for (device, slot) in results.iter_mut().enumerate() {
-            if let Some(Err(_)) = slot {
-                let Some(Err(error)) = slot.take() else {
-                    unreachable!()
-                };
-                return Err(DeviceError { device, error });
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| {
-                r.expect("every device produced a result")
-                    .unwrap_or_else(|_| unreachable!())
-            })
-            .collect())
+        let devices: Vec<&Device> = self.devices.iter().collect();
+        try_run_on_each(&devices, work)
     }
+}
+
+/// Run `work` once per device of `devices`, in parallel on host threads (a
+/// single device runs inline, on the calling thread). Every worker runs to
+/// completion even when another device's worker fails; the results are
+/// returned in device order, or the error of the lowest-indexed failing
+/// device is surfaced as a [`DeviceError`] so the caller knows *which*
+/// device to blame (and can retry elsewhere) instead of the whole run being
+/// poisoned.
+#[allow(clippy::disallowed_methods)] // the per-device run is one of the two host-parallel layers
+pub fn try_run_on_each<R, E, F>(devices: &[&Device], work: F) -> Result<Vec<R>, DeviceError<E>>
+where
+    R: Send,
+    E: Send,
+    F: Fn(usize, &Device) -> Result<R, E> + Sync,
+{
+    let n = devices.len();
+    let mut results: Vec<Option<Result<R, E>>> = if n == 1 {
+        vec![Some(work(0, devices[0]))]
+    } else {
+        let mut slots: Vec<Option<Result<R, E>>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = devices
+                .iter()
+                .enumerate()
+                .map(|(idx, &dev)| (idx, scope.spawn(move || work(idx, dev))))
+                .collect();
+            for (idx, h) in handles {
+                let r = h
+                    .join()
+                    .unwrap_or_else(|_| panic!("worker of device {idx} panicked"));
+                slots[idx] = Some(r);
+            }
+        });
+        slots
+    };
+    // Surface the lowest-indexed failure deterministically.
+    for (device, slot) in results.iter_mut().enumerate() {
+        if let Some(Err(_)) = slot {
+            let Some(Err(error)) = slot.take() else {
+                unreachable!()
+            };
+            return Err(DeviceError { device, error });
+        }
+    }
+    Ok(results
+        .into_iter()
+        .map(|r| {
+            r.expect("every device produced a result")
+                .unwrap_or_else(|_| unreachable!())
+        })
+        .collect())
 }
 
 impl std::fmt::Debug for GpuCluster {

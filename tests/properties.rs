@@ -775,9 +775,11 @@ fn assert_threshold_agrees<K: TopKKey>(
     data: &[K],
     k: usize,
 ) -> Result<(), String> {
+    // One scratch buffer for both calls: the second reuses a filled one.
+    let mut bits = Vec::new();
     for skip_last_pass in [false, true] {
         let flag = flag_radix_select_kth(device, data, k, skip_last_pass);
-        let host = radix_select_threshold(data, k, skip_last_pass);
+        let host = radix_select_threshold(data, k, skip_last_pass, &mut bits);
         if host.to_bits() != flag.threshold.to_bits() {
             return Err(format!(
                 "k={k} skip_last_pass={skip_last_pass}: host {:?} vs flag {:?}",

@@ -10,16 +10,11 @@
 //! transactions than independent per-row runs. Each block issues at most
 //! one launch per phase (also past the 2^14-warp cap), and the row-block
 //! kernels' modeled counters are pinned.
-//!
-//! A threaded run is also pinned against an insertion-order serial replay
-//! of the same row graph: byte-equal
-//! [`deterministic_summary`](drtopk::core::StageReport::deterministic_summary)
-//! strings.
 
 mod common;
 
 use common::{bits, device};
-use drtopk::core::{dr_topk, topk_rows_explore, topk_rows_on, DrTopKConfig, ExploreBudget};
+use drtopk::core::{dr_topk, topk_rows_on, DrTopKConfig};
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 use proptest::prelude::*;
@@ -219,80 +214,6 @@ fn fused_rows_move_fewer_transactions_than_independent_runs() {
         fused_txn < independent,
         "fused {fused_txn} transactions must undercut {independent} independent"
     );
-}
-
-/// Serial against threaded, pinned in-process: a one-schedule exhaustive
-/// budget replays exactly the insertion order on the calling thread, and
-/// its modeled schedule must be byte-identical to a threaded run's; the
-/// explorer's own threaded run must return the same winners.
-#[test]
-fn serial_and_threaded_row_graphs_are_byte_identical() {
-    let rows = 6;
-    let cols = 1 << 11;
-    let c = pool(2);
-    let devices: Vec<&Device> = c.devices().iter().collect();
-    let data = topk_datagen::normal(rows * cols, 13);
-    let matrix = RowMatrix::new(&data, rows, cols);
-    // Mixed paths in one graph: skip, delegate, fallback, clamped.
-    let ks = RowK::PerRow(vec![0, 16, cols / 2, cols, cols + 9, 16]);
-    let cfg = DrTopKConfig::default();
-    let threaded = topk_rows_on(&devices, matrix, &ks, &cfg, Some(2));
-    let (again, serial) = topk_rows_explore(
-        &devices,
-        matrix,
-        &ks,
-        &cfg,
-        Some(2),
-        ExploreBudget::Exhaustive { max_schedules: 1 },
-    )
-    .expect("one schedule cannot diverge from itself");
-    assert_eq!(serial.schedules_run, 1);
-    assert_eq!(
-        serial.reference.deterministic_summary(),
-        threaded.stages.deterministic_summary(),
-        "modeled schedule must not depend on the dispatch order"
-    );
-    for r in 0..rows {
-        assert_eq!(
-            bits(&again.rows[r].values),
-            bits(&threaded.rows[r].values),
-            "row {r}"
-        );
-    }
-    assert_eq!(serial.reference.phase_breakdown(), threaded.breakdown);
-    assert_eq!(serial.reference.stats(), threaded.stats);
-}
-
-/// Small exhaustive interleaving check: every dispatch order the
-/// per-resource workers could take for a two-block row graph produces the
-/// same deterministic summary and the same per-row winners.
-#[test]
-fn explore_exhausts_row_graph_interleavings() {
-    let rows = 4;
-    let cols = 1 << 10;
-    let c = pool(2);
-    let devices: Vec<&Device> = c.devices().iter().collect();
-    let data = topk_datagen::uniform(rows * cols, 37);
-    let matrix = RowMatrix::new(&data, rows, cols);
-    let (result, outcome) = topk_rows_explore(
-        &devices,
-        matrix,
-        &RowK::PerRow(vec![8, 0, cols / 2, 8]),
-        &DrTopKConfig::default(),
-        Some(2),
-        ExploreBudget::default(),
-    )
-    .expect("row graphs must be schedule-invariant");
-    assert!(outcome.exhaustive, "two blocks must enumerate exhaustively");
-    assert!(outcome.schedules_run >= 2);
-    for r in 0..rows {
-        let k = [8, 0, cols / 2, 8][r];
-        assert_eq!(
-            result.rows[r].values,
-            topk_baselines::reference_topk(matrix.row(r), k),
-            "row {r}"
-        );
-    }
 }
 
 /// Total kernel launches across a cluster's devices since the last reset.
