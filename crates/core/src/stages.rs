@@ -10,14 +10,14 @@
 //!   [`Resource`] (a device's compute queue or a transfer lane) and to the
 //!   stages it depends on;
 //! * a single-device pipeline (the exact pipeline and its fallback, the
-//!   approximate mode, the radix path, an engine pool unit) is a chain of
-//!   dependent phases on one compute queue, so it runs them as plain calls
-//!   and records each through [`Serial`], which builds the same
-//!   [`StageReport`] the executor would;
+//!   approximate mode, the radix path, an engine pool unit, one device's
+//!   share of a row matrix) is a chain of dependent phases on one compute
+//!   queue, so it runs them as plain calls and records each through
+//!   [`Serial`], which builds the same [`StageReport`] the executor would;
 //! * a [`StageGraph`] collects stages that can overlap — the distributed
-//!   runner's chunk loads and per-device compute, the row-matrix blocks
-//!   spread over several devices — plus a caller-owned context the stage
-//!   closures read and write their buffers through;
+//!   runner's chunk loads, per-device compute and gathers — plus a
+//!   caller-owned context the stage closures read and write their buffers
+//!   through;
 //! * [`StageGraph::execute`] dispatches ready stages onto one host worker
 //!   thread per modeled resource, with dependency events gating
 //!   cross-resource handoff — so real wall-clock tracks the modeled
@@ -454,8 +454,8 @@ impl<'g, C> StageGraph<'g, C> {
 
     /// The single-resource path of [`StageGraph::execute`]: every closure
     /// on the calling thread, in insertion order, with no thread machinery
-    /// (so closure panics propagate unchanged). Row graphs on one device
-    /// (`topk_rows_on` with a single device) take it. Kept apart from
+    /// (so closure panics propagate unchanged). A one-device distributed
+    /// run without reloads takes it. Kept apart from
     /// `execute_in_order`'s replay loop on purpose: sharing that loop with
     /// an identity order once measured about 50% slower CPU time per call
     /// on `perfbench`'s `single_query` workload (2-core host), back when

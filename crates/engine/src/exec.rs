@@ -257,7 +257,7 @@ const COARSENED_PASS: &str = "coarsened delegate pass";
 
 /// Run one row-matrix unit on its assigned worker device: each member
 /// reinterprets the corpus as its own `rows × cols` matrix and runs the
-/// row-block stage graph through [`topk_rows_on`] in its own direction.
+/// row blocks through [`topk_rows_on`] in its own direction.
 /// The members run back to back; each member's report is appended, whole,
 /// to the unit's [`Serial`] report.
 fn run_rows_unit<K: TopKKey>(

@@ -41,7 +41,7 @@
 //!   pipeline has no planned-query seam; that is the natural next
 //!   extension. **Row-matrix queries** ([`QueryBatch::push_rows`]) fuse by
 //!   the same `(corpus, direction, mode)` key into `RowUnit`s: each runs
-//!   on one pool device as a row-block stage graph
+//!   on one pool device as row blocks run by plain calls
 //!   ([`drtopk_core::topk_rows`]) — one fused delegate pass per row-block,
 //!   never one per row — and its result carries one per-row selection
 //!   ([`RowQueryResult`]). Rows count as queries in the metrics and

@@ -455,7 +455,7 @@ pub(crate) struct ShardedUnit {
 /// A group of same-corpus, same-direction, same-mode **row-matrix**
 /// queries scheduled together on one pool device.
 ///
-/// Each member runs as its own row-block stage graph (members may reshape
+/// Each member runs as its own row-block run (members may reshape
 /// the corpus differently, e.g. `8×1024` vs `4×2048`), planned internally
 /// by [`drtopk_core::topk_rows`]'s per-row machinery — the planner's job
 /// here is grouping and scheduling, not per-row tuning.
@@ -475,7 +475,7 @@ pub(crate) enum PlanUnit {
     /// Over-capacity query: runs across the whole cluster.
     Sharded(ShardedUnit),
     /// Row-matrix group: runs on one device of the worker pool as
-    /// row-block stage graphs.
+    /// row-block runs.
     Rows(RowUnit),
 }
 

@@ -91,7 +91,7 @@ pub struct RowQueryResult<K: TopKKey> {
     /// zero; kernel counters are accounted at block granularity in
     /// [`stats`](RowQueryResult::stats)).
     pub rows: Vec<TopKResult<K>>,
-    /// Modeled time of this query's row-block stage graph.
+    /// Modeled time of this query's row blocks.
     pub time_ms: f64,
     /// Kernel counters accumulated across the query's stages.
     pub stats: KernelStats,

@@ -27,7 +27,7 @@ fn main() {
     let cluster = GpuCluster::homogeneous(2, DeviceSpec::v100s());
     println!("{rows} tokens x {experts} experts, top-{k} routing, 2 devices");
 
-    // Core path: the whole matrix as one fused row-block stage graph.
+    // Core path: the whole matrix as fused row blocks, one per device.
     let config = drtopk::core::DrTopKConfig::default();
     let routed = topk_rows(&cluster, matrix, &RowK::Uniform(k), &config);
     for r in 0..rows {

@@ -14,7 +14,7 @@
 mod common;
 
 use common::{bits, device};
-use drtopk::core::{dr_topk, topk_rows_on, DrTopKConfig};
+use drtopk::core::{dr_topk, topk_rows_on, DrTopKConfig, PlannedQuery};
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 use proptest::prelude::*;
@@ -23,14 +23,14 @@ fn pool(devices: usize) -> GpuCluster {
     GpuCluster::homogeneous(devices, DeviceSpec::v100s())
 }
 
-/// The differential oracle: `topk_rows` over a 2-device pool against one
+/// The differential oracle: `topk_rows` over a 2-device pool, in blocks of
+/// `rows_per_block` rows (one block per device when `None`), against one
 /// independent `dr_topk` call per row in the same direction, compared
 /// through order-preserving bit images so NaNs are concrete multiset
 /// elements.
 fn assert_rows_match_per_row<K: TopKKey>(
     data: &[K],
-    rows: usize,
-    cols: usize,
+    (rows, cols, rows_per_block): (usize, usize, Option<usize>),
     ks: &RowK,
     largest: bool,
     cfg: &DrTopKConfig,
@@ -46,7 +46,7 @@ fn assert_rows_match_per_row<K: TopKKey>(
         },
         ..cfg.clone()
     };
-    let got = topk_rows_on(&devices, matrix, ks, cfg, None);
+    let got = topk_rows_on(&devices, matrix, ks, cfg, rows_per_block);
     assert_eq!(got.rows.len(), rows);
     // One fused pass per block per path kind at most — never one per row.
     assert!(
@@ -88,39 +88,92 @@ fn degenerate_ks(rows: usize, cols: usize, ordinary: usize) -> RowK {
     )
 }
 
+/// Rows `0, 1, 2, 3` (cycling) take the four row paths under
+/// `DrTopKConfig::approx(0.9)`: `k = 0` is skipped, `k = cols` falls back
+/// to the inner algorithm, `k = 4` runs approximate, and `k = cols / 6` is
+/// too close to the row length for the approximate machinery, so its plan
+/// falls back to the exact delegate pipeline.
+fn mixed_path_ks(rows: usize, cols: usize) -> RowK {
+    RowK::PerRow(
+        (0..rows)
+            .map(|r| [0, cols, 4, cols / 6][r % 4].min(cols))
+            .collect(),
+    )
+}
+
+/// The row path a plan resolves to, as `topk_rows` routes it.
+fn path_of(cols: usize, k: usize, cfg: &DrTopKConfig) -> &'static str {
+    let planned = PlannedQuery::plan(cols, k, cfg);
+    if planned.k == 0 {
+        "skip"
+    } else if !planned.use_delegates {
+        "direct"
+    } else if planned.config.mode.strict_target().is_some() {
+        "approx"
+    } else {
+        "exact"
+    }
+}
+
+/// Reshape every row of `raw`: `1` sorts it ascending, `2` descending, `3`
+/// keeps at most 8 distinct values, anything else leaves it random. Sorted
+/// and tie-heavy rows move Rule 3's tie cap and its partial subranges.
+fn shape_rows(raw: &[u32], cols: usize, shape: u8) -> Vec<u32> {
+    let mut data = raw.to_vec();
+    for row in data.chunks_mut(cols) {
+        match shape {
+            1 => row.sort_unstable(),
+            2 => row.sort_unstable_by(|a, b| b.cmp(a)),
+            3 => row.iter_mut().for_each(|x| *x %= 8),
+            _ => {}
+        }
+    }
+    data
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `topk_rows` is bit-identical to per-row `dr_topk` in either direction
-    /// for all six key types, both directions, uniform and degenerate
-    /// per-row k, in both the exact and the approximate mode. The float
-    /// matrices are salted with NaNs of both signs.
+    /// for all six key types, both directions, random, ascending,
+    /// descending and ≤ 8-distinct rows, uniform, degenerate and
+    /// mixed-path per-row k, in both the exact and the approximate mode. A
+    /// mixed-path matrix runs as one block, so under the approximate mode
+    /// a single block holds skipped, fallback, exact and approximate rows.
+    /// The float matrices are salted with NaNs of both signs.
     #[test]
     fn rows_are_bit_identical_to_per_row_runs(
         raw in proptest::collection::vec(any::<u32>(), 512..2048),
         rows in 2usize..6,
+        shape in 0u8..4,
         k_frac in 0.0f64..1.0,
         largest in any::<bool>(),
-        per_row_k in any::<bool>(),
+        ks_kind in 0u8..3,
         approx in any::<bool>(),
     ) {
         let cols = raw.len() / rows;
-        let data = &raw[..rows * cols];
+        let data = &shape_rows(&raw[..rows * cols], cols, shape);
         let k = ((cols as f64 * k_frac) as usize).min(cols);
-        let ks = if per_row_k {
-            degenerate_ks(rows, cols, k)
-        } else {
-            RowK::Uniform(k)
-        };
         let cfg = if approx { DrTopKConfig::approx(0.9) } else { DrTopKConfig::default() };
+        let (ks, rows_per_block) = match ks_kind {
+            0 => (RowK::Uniform(k), None),
+            1 => (degenerate_ks(rows, cols, k), None),
+            _ => (mixed_path_ks(rows, cols), Some(rows)),
+        };
+        if ks_kind == 2 && approx && rows >= 4 {
+            let mut paths: Vec<_> = (0..4).map(|r| path_of(cols, ks.get(r), &cfg)).collect();
+            paths.sort_unstable();
+            prop_assert_eq!(paths, ["approx", "direct", "exact", "skip"]);
+        }
+        let shape = (rows, cols, rows_per_block);
 
-        assert_rows_match_per_row::<u32>(data, rows, cols, &ks, largest, &cfg);
+        assert_rows_match_per_row::<u32>(data, shape, &ks, largest, &cfg);
         let as_u64: Vec<u64> = data.iter().map(|&x| (x as u64) << 17 | 0x9).collect();
-        assert_rows_match_per_row::<u64>(&as_u64, rows, cols, &ks, largest, &cfg);
+        assert_rows_match_per_row::<u64>(&as_u64, shape, &ks, largest, &cfg);
         let as_i32: Vec<i32> = data.iter().map(|&x| x as i32).collect();
-        assert_rows_match_per_row::<i32>(&as_i32, rows, cols, &ks, largest, &cfg);
+        assert_rows_match_per_row::<i32>(&as_i32, shape, &ks, largest, &cfg);
         let as_i64: Vec<i64> = data.iter().map(|&x| x as i64 - (1 << 35)).collect();
-        assert_rows_match_per_row::<i64>(&as_i64, rows, cols, &ks, largest, &cfg);
+        assert_rows_match_per_row::<i64>(&as_i64, shape, &ks, largest, &cfg);
         // Raw bit reinterpretation already injects NaN/∞/subnormal keys;
         // salt every row with explicit NaNs of both signs on top.
         let mut as_f32: Vec<f32> = data.iter().map(|&x| f32::from_bits(x)).collect();
@@ -128,7 +181,7 @@ proptest! {
             as_f32[r * cols] = f32::NAN;
             as_f32[r * cols + cols / 2] = -f32::NAN;
         }
-        assert_rows_match_per_row::<f32>(&as_f32, rows, cols, &ks, largest, &cfg);
+        assert_rows_match_per_row::<f32>(&as_f32, shape, &ks, largest, &cfg);
         let mut as_f64: Vec<f64> = data
             .iter()
             .map(|&x| f64::from_bits((x as u64) << 32 | 0x7FF5))
@@ -137,7 +190,28 @@ proptest! {
             as_f64[r * cols + 1] = f64::NAN;
             as_f64[r * cols + cols - 1] = -f64::NAN;
         }
-        assert_rows_match_per_row::<f64>(&as_f64, rows, cols, &ks, largest, &cfg);
+        assert_rows_match_per_row::<f64>(&as_f64, shape, &ks, largest, &cfg);
+    }
+}
+
+/// One block holding skipped, fallback, exact and approximate rows, on
+/// random, ascending, descending and ≤ 8-distinct rows in both directions.
+#[test]
+fn one_block_mixes_every_row_path() {
+    let (rows, cols) = (8, 300);
+    let cfg = DrTopKConfig::approx(0.9);
+    let ks = mixed_path_ks(rows, cols);
+    let mut paths: Vec<_> = (0..4).map(|r| path_of(cols, ks.get(r), &cfg)).collect();
+    paths.sort_unstable();
+    assert_eq!(paths, ["approx", "direct", "exact", "skip"]);
+    let raw = topk_datagen::uniform(rows * cols, 77);
+    for shape in 0..4 {
+        let data = shape_rows(&raw, cols, shape);
+        let as_f32: Vec<f32> = data.iter().map(|&x| f32::from_bits(x)).collect();
+        for largest in [true, false] {
+            assert_rows_match_per_row::<u32>(&data, (rows, cols, Some(rows)), &ks, largest, &cfg);
+            assert_rows_match_per_row::<f32>(&as_f32, (rows, cols, Some(rows)), &ks, largest, &cfg);
+        }
     }
 }
 
