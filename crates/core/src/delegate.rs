@@ -74,7 +74,6 @@ use gpu_sim::{Device, KernelStats, WARP_SIZE};
 use topk_baselines::{KeyBits, TopKKey};
 
 use crate::direction::{as_desc, Direction};
-use crate::first_topk::SubrangeEntries;
 
 /// How the delegate vector is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,16 +174,6 @@ impl<K> Delegates<'_, K> {
     /// Total number of delegate entries.
     pub(crate) fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// How many entries each subrange holds.
-    pub(crate) fn entries(&self) -> SubrangeEntries {
-        SubrangeEntries::new(
-            self.len(),
-            self.beta,
-            self.subrange_size,
-            self.num_subranges,
-        )
     }
 }
 

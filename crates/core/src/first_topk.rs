@@ -188,7 +188,7 @@ pub(crate) fn narrow_first_topk<K: TopKKey>(
 
 /// One (key, subrange id) pair in u32-sized words, so the charged bytes
 /// stay exact for 8-byte keys.
-fn kv_words<K>() -> usize {
+pub(crate) fn kv_words<K>() -> usize {
     1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>()
 }
 
@@ -254,10 +254,9 @@ pub(crate) fn take_marked<K: TopKKey>(
     threshold: K,
     exact: bool,
 ) -> FirstTopK<K> {
-    let mut fully_taken_subranges = Vec::new();
-    let mut partial_delegate_values = Vec::new();
+    let (mut fully_taken_subranges, mut partial_delegate_values) = (Vec::new(), Vec::new());
     let taken_entries = take_marked_into(
-        delegates.entries(),
+        delegates,
         &marked,
         k,
         exact,
@@ -277,46 +276,9 @@ pub(crate) fn take_marked<K: TopKKey>(
     }
 }
 
-/// How many delegate entries each subrange of a delegate vector holds:
-/// `min(β, 2^α)`, except a short final subrange (or a subrange smaller than
-/// β), which holds the entries it has.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SubrangeEntries {
-    regular: usize,
-    tail: usize,
-    num_subranges: usize,
-}
-
-impl SubrangeEntries {
-    /// The layout of `len` delegate entries, β = `beta` per subrange of
-    /// `subrange_size` elements, over `num_subranges ≥ 1` subranges.
-    pub(crate) fn new(len: usize, beta: usize, subrange_size: usize, num_subranges: usize) -> Self {
-        let regular = beta.min(subrange_size);
-        SubrangeEntries {
-            regular,
-            tail: len.saturating_sub((num_subranges - 1) * regular).max(1),
-            num_subranges,
-        }
-    }
-
-    /// The subrange of delegate entry `i`: the vector is subrange-major.
-    pub(crate) fn subrange_of(self, i: usize) -> u32 {
-        (i / self.regular) as u32
-    }
-
-    /// The number of delegate entries subrange `id` holds.
-    fn of(self, id: u32) -> usize {
-        if id as usize + 1 == self.num_subranges {
-            self.tail
-        } else {
-            self.regular
-        }
-    }
-}
-
 /// Take the top-k entries of `marked` and apply Rule 3: append every fully
 /// taken subrange's id to `fully_taken` and the taken values of the other
-/// subranges to `partial`, and return the number of taken entries.
+/// subranges to `partial`, and return the number of entries taken.
 ///
 /// When the threshold is exact the ties are capped so exactly k entries are
 /// taken (a true top-k); with a skipped pass the threshold is a lower bound
@@ -331,7 +293,7 @@ impl SubrangeEntries {
 /// the above entries, then the capped ties, exactly the prefix of the
 /// concatenated vector that per-warp store counters are charged for.
 pub(crate) fn take_marked_into<K: TopKKey>(
-    entries: SubrangeEntries,
+    delegates: Delegates<'_, K>,
     marked: &Marked<K>,
     k: usize,
     exact: bool,
@@ -351,6 +313,22 @@ pub(crate) fn take_marked_into<K: TopKKey>(
         "marked subrange ids must never decrease"
     );
 
+    // A short final subrange (or a subrange smaller than β) holds fewer than
+    // β delegate entries; it counts as fully taken once all the delegates it
+    // *has* are taken.
+    let regular_entries = delegates.beta.min(delegates.subrange_size);
+    let tail_entries = delegates
+        .len()
+        .saturating_sub((delegates.num_subranges - 1) * regular_entries)
+        .max(1);
+    let entries_of = |id: u32| -> usize {
+        if id as usize + 1 == delegates.num_subranges {
+            tail_entries
+        } else {
+            regular_entries
+        }
+    };
+
     // Count the taken entries per subrange (Rule 3), keeping the above
     // values of the subranges that are not fully taken.
     let first_full = fully_taken.len();
@@ -365,14 +343,14 @@ pub(crate) fn take_marked_into<K: TopKKey>(
             from + list[from..].iter().take_while(|e| e.1 == id).count()
         };
         let (a_end, t_end) = (run(above, a), run(ties, t));
-        if a_end - a + t_end - t >= entries.of(id) {
+        if a_end - a + t_end - t >= entries_of(id) {
             fully_taken.push(id);
         } else {
             partial.extend(above[a..a_end].iter().map(|&(v, _)| v));
         }
         (a, t) = (a_end, t_end);
     }
-    // Then the ties of those subranges: both id lists ascend.
+    // Then their ties: both id lists ascend.
     let full = &fully_taken[first_full..];
     let mut f = 0;
     for &(v, id) in ties {

@@ -48,9 +48,9 @@ use topk_baselines::radix::BITS_PER_PASS;
 use topk_baselines::{KeyBits, TopKKey, TopKResult};
 
 use crate::concat::gather_subrange;
-use crate::delegate::delegates_into;
+use crate::delegate::{delegate_subrange_ids, delegates_into, Delegates};
 use crate::direction::{as_desc, Direction};
-use crate::first_topk::{mark, take_marked_into, Marked, SubrangeEntries};
+use crate::first_topk::{kv_words, mark, take_marked_into, Marked};
 use crate::pipeline::{DrTopKConfig, PhaseBreakdown, PlannedQuery};
 use crate::radix_flags::radix_select_threshold;
 use crate::stages::{ExecutedStage, Serial, StageKind, StageOutcome, StageReport};
@@ -175,15 +175,22 @@ enum RowPath {
     Approx,
 }
 
+/// One distinct k's resolved plan (k clamped, α pinned, mode normalised)
+/// and the path it resolves to. An exact plan also keeps the subrange id
+/// of each of a row's delegate entries: they depend on the plan alone, so
+/// its rows share them.
+struct RowPlan {
+    planned: PlannedQuery,
+    path: RowPath,
+    subrange_ids: Vec<u32>,
+}
+
 /// The planned layout of a matrix run: one plan per distinct k, each row's
 /// plan, and the block geometry. Computed once; every device reads it.
 struct RowLayout {
-    /// One resolved plan per distinct k (k clamped, α pinned, mode
-    /// normalised) with the path it resolves to.
-    plans: Vec<(PlannedQuery, RowPath)>,
+    plans: Vec<RowPlan>,
     /// Row `r`'s plan is `plans[plan_of[r]]`.
     plan_of: Vec<usize>,
-    /// Rows per block.
     rows_per_block: usize,
     /// Total blocks (`⌈rows / rows_per_block⌉`).
     num_blocks: usize,
@@ -194,14 +201,6 @@ struct RowLayout {
 impl RowLayout {
     fn block_span(&self, b: usize, rows: usize) -> Range<usize> {
         b * self.rows_per_block..((b + 1) * self.rows_per_block).min(rows)
-    }
-
-    fn plan(&self, row: usize) -> &PlannedQuery {
-        &self.plans[self.plan_of[row]].0
-    }
-
-    fn path(&self, row: usize) -> RowPath {
-        self.plans[self.plan_of[row]].1
     }
 }
 
@@ -215,7 +214,7 @@ fn layout_rows<K: TopKKey>(
     let rows_per_block = rows_per_block.max(1);
     // Plans depend only on (cols, k, config): plan each distinct k once.
     let mut index_of: std::collections::BTreeMap<usize, usize> = Default::default();
-    let mut plans = Vec::new();
+    let mut plans: Vec<RowPlan> = Vec::new();
     let plan_of = (0..matrix.rows)
         .map(|r| {
             *index_of.entry(ks.get(r)).or_insert_with_key(|&k| {
@@ -229,15 +228,25 @@ fn layout_rows<K: TopKKey>(
                 } else {
                     RowPath::Exact
                 };
-                plans.push((planned, path));
+                let subrange_ids = if path == RowPath::Exact {
+                    let size = 1usize << planned.alpha;
+                    delegate_subrange_ids(matrix.cols, size, planned.config.beta)
+                } else {
+                    Vec::new()
+                };
+                plans.push(RowPlan {
+                    planned,
+                    path,
+                    subrange_ids,
+                });
                 plans.len() - 1
             })
         })
         .collect();
     let predicted_recall = plans
         .iter()
-        .filter(|(_, path)| *path != RowPath::Skip)
-        .map(|(planned, _)| planned.predicted_recall)
+        .filter(|plan| plan.path != RowPath::Skip)
+        .map(|plan| plan.planned.predicted_recall)
         .fold(1.0f64, f64::min);
     RowLayout {
         plans,
@@ -252,24 +261,42 @@ fn layout_rows<K: TopKKey>(
 /// chunk of rows.
 const MAX_ROW_WARPS: usize = 1 << 14;
 
-/// One row's share of the block buffers; a phase the row skips leaves its
-/// span empty.
+/// One row-block on its device: what every kernel of the block reads.
+#[derive(Clone, Copy)]
+struct Block<'a, K: TopKKey> {
+    device: &'a Device,
+    matrix: RowMatrix<'a, K>,
+    layout: &'a RowLayout,
+    /// Index of the block's first row.
+    start: usize,
+    len: usize,
+}
+
+impl<'a, K: TopKKey> Block<'a, K> {
+    /// Local row `l`'s plan.
+    fn plan(&self, l: usize) -> &'a RowPlan {
+        let layout = self.layout;
+        &layout.plans[layout.plan_of[self.start + l]]
+    }
+}
+
+/// One row's spans in its device's block buffers; a phase the row skips
+/// leaves its span empty.
 #[derive(Debug, Clone, Default)]
 struct RowSlots<K> {
-    /// The row's delegates (exact rows) or candidates (approximate rows).
+    /// Its delegates (exact rows) or candidates (approximate rows).
     delegates: Range<usize>,
-    /// The first top-k's threshold (exact rows).
+    /// Its first top-k threshold.
     threshold: K,
-    /// The row's fully taken subranges (Rule 3).
     fully_taken: Range<usize>,
-    /// The taken delegates of the row's other subranges.
     partial: Range<usize>,
-    /// The row's concatenation.
+    /// Its concatenation.
     candidates: Range<usize>,
 }
 
 /// One device's phase buffers, reused block after block: each phase
-/// appends every row's output to one flat vector and notes the row's span.
+/// appends every row's output to one flat vector and records the row's
+/// span.
 #[derive(Default)]
 struct BlockBuffers<K: TopKKey> {
     slots: Vec<RowSlots<K>>,
@@ -278,74 +305,27 @@ struct BlockBuffers<K: TopKKey> {
     partial: Vec<K>,
     candidates: Vec<K>,
     marked: Marked<K>,
-    /// Radix-space scratch of every host-speed selection.
+    /// Radix-space scratch of the host-speed selections.
     bits: Vec<K::Bits>,
-    /// Local indices of the block's exact rows.
+    /// The block's exact rows, and the rows its second top-k settles
+    /// (exact and approximate), as local indices.
     exact: Vec<usize>,
-    /// Local indices of the rows the second top-k settles: exact and
-    /// approximate.
     selected: Vec<usize>,
 }
 
-/// One row-block: where its rows are and what every kernel reads.
-#[derive(Clone, Copy)]
-struct Block<'a, K: TopKKey> {
-    device: &'a Device,
-    matrix: RowMatrix<'a, K>,
-    layout: &'a RowLayout,
-    /// Global index of the block's first row.
-    start: usize,
-    /// Number of rows.
-    len: usize,
-}
-
-impl<K: TopKKey> Block<'_, K> {
-    fn plan(&self, l: usize) -> &PlannedQuery {
-        self.layout.plan(self.start + l)
-    }
-
-    fn path(&self, l: usize) -> RowPath {
-        self.layout.path(self.start + l)
-    }
-}
-
-/// A (key, subrange id) pair in u32-sized words, so the charged bytes stay
-/// exact for 8-byte keys.
-fn kv_words<K>() -> usize {
-    1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>()
-}
-
-/// A row's selection: per-row counters stay zero (see [`RowTopKResult`]).
-fn row_result<K: TopKKey>(values: Vec<K>, kth_value: K) -> TopKResult<K> {
-    TopKResult {
-        values,
-        kth_value,
-        stats: KernelStats::default(),
-        time_ms: 0.0,
-    }
-}
-
-/// The top-k of `values` sorted descending in radix space, and its k-th
-/// value: exactly what every (exact) inner algorithm returns for them. The
-/// selection runs in `bits`, a reused scratch buffer; only the k winners
-/// are allocated.
-fn sorted_topk<K: TopKKey>(values: &[K], k: usize, bits: &mut Vec<K::Bits>) -> (Vec<K>, K) {
+/// A row's selection of the top-k of `values`, sorted descending in radix
+/// space: exactly what every (exact) inner algorithm returns for them. The
+/// selection runs in the reused scratch `bits`, so only the k winners are
+/// allocated. Per-row counters stay zero (see [`RowTopKResult`]).
+fn row_topk<K: TopKKey>(values: &[K], k: usize, bits: &mut Vec<K::Bits>) -> TopKResult<K> {
     bits.clear();
     bits.extend(values.iter().map(|v| v.to_bits()));
     let k = k.min(bits.len());
-    if k == 0 {
-        return (Vec::new(), K::default());
+    if 0 < k && k < bits.len() {
+        bits.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
     }
-    let descending = |a: &K::Bits, b: &K::Bits| b.cmp(a);
-    if k < bits.len() {
-        bits.select_nth_unstable_by(k - 1, descending);
-    }
-    let top = &mut bits[..k];
-    top.sort_unstable_by(descending);
-    (
-        top.iter().map(|&b| K::from_bits(b)).collect(),
-        K::from_bits(top[k - 1]),
-    )
+    let top = bits[..k].iter().map(|&b| K::from_bits(b)).collect();
+    TopKResult::from_values(top, KernelStats::default(), 0.0)
 }
 
 /// RTop-K's cost of one warp's radix select over `n` keys (a row, or a
@@ -357,147 +337,133 @@ pub(crate) fn record_warp_select(kctx: &mut WarpCtx<'_>, n: usize, passes: u32) 
     kctx.record_shuffles(passes * SHUFFLES_PER_WARP_REDUCTION);
 }
 
-/// One launch over the block's local `rows`, one warp per row up to
-/// [`MAX_ROW_WARPS`]. No rows, no launch. Warps run in order on the calling
-/// thread, so `row_kernel` writes each row's output straight into the
-/// block buffers.
-fn launch_per_row(
+/// One launch over `n` of the block's rows, one warp per row up to
+/// [`MAX_ROW_WARPS`]: `kernel` gets each warp's chunk of `0..n`. No rows,
+/// no launch. Warps run in order on the calling thread, so the kernel
+/// writes its rows' output straight into the block buffers.
+fn launch_block(
     device: &Device,
     name: &'static str,
-    rows: &[usize],
-    row_kernel: impl FnMut(&mut WarpCtx<'_>, usize),
+    n: usize,
+    kernel: impl FnMut(&mut WarpCtx<'_>, Range<usize>),
 ) -> StageOutcome {
-    if rows.is_empty() {
+    if n == 0 {
         return StageOutcome::default();
     }
-    let row_kernel = RefCell::new(row_kernel);
-    let launch = device.launch(name, rows.len().min(MAX_ROW_WARPS), |kctx| {
-        let row_kernel = &mut *row_kernel.borrow_mut();
-        for &l in &rows[kctx.chunk_of(rows.len())] {
-            row_kernel(kctx, l);
-        }
+    let kernel = RefCell::new(kernel);
+    let launch = device.launch(name, n.min(MAX_ROW_WARPS), |kctx| {
+        let chunk = kctx.chunk_of(n);
+        (kernel.borrow_mut())(kctx, chunk)
     });
     StageOutcome::new(launch.stats, launch.time_ms)
 }
 
 /// Phase 1, the fused pass: one launch over the whole block. Each warp
-/// reads every contiguous run of active rows with ONE coalesced access —
-/// the fused pass's transaction saving over per-row pipeline runs — then
-/// extracts each delegate-path row's delegates and answers each fallback
-/// row's selection from the slab.
+/// reads every contiguous run of its active rows with ONE coalesced
+/// access — the fused pass's transaction saving over per-row pipeline
+/// runs — then extracts each delegate-path row's delegates and answers
+/// each fallback row from the slab.
 fn fused_pass<K: TopKKey>(
     block: Block<'_, K>,
     bufs: &mut BlockBuffers<K>,
     out: &mut [TopKResult<K>],
 ) -> StageOutcome {
     let cols = block.matrix.cols;
-    let state = RefCell::new((bufs, out));
-    let launch = block.device.launch(
-        "drtopk_rows_fused_pass",
-        block.len.clamp(1, MAX_ROW_WARPS),
-        |kctx| {
-            let (bufs, out) = &mut *state.borrow_mut();
-            let local = kctx.chunk_of(block.len);
-            let mut i = local.start;
-            while i < local.end {
-                if block.path(i) == RowPath::Skip {
-                    i += 1;
-                    continue;
-                }
-                let mut j = i + 1;
-                while j < local.end && block.path(j) != RowPath::Skip {
-                    j += 1;
-                }
-                let slab = (block.start + i) * cols..(block.start + j) * cols;
+    let active = |l: usize| block.plan(l).path != RowPath::Skip;
+    let pass = |kctx: &mut WarpCtx<'_>, local: Range<usize>| {
+        let mut i = local.start;
+        while i < local.end {
+            let j = (i..local.end).find(|&j| !active(j)).unwrap_or(local.end);
+            let slab = (block.start + i) * cols..(block.start + j) * cols;
+            if i < j {
                 let slab = kctx.read_coalesced(&block.matrix.data[slab]);
                 kctx.record_alu(slab.len() as u64);
                 for (l, row) in (i..j).zip(slab.chunks_exact(cols)) {
-                    let planned = block.plan(l);
-                    if block.path(l) == RowPath::Direct {
-                        let (values, kth) = sorted_topk(row, planned.k, &mut bufs.bits);
-                        kctx.record_store_coalesced::<u32>(kv_words::<K>() * values.len());
-                        out[l] = row_result(values, kth);
+                    let RowPlan { planned, path, .. } = block.plan(l);
+                    if *path == RowPath::Direct {
+                        out[l] = row_topk(row, planned.k, &mut bufs.bits);
+                        let stored = kv_words::<K>() * out[l].values.len();
+                        kctx.record_store_coalesced::<u32>(stored);
                         continue;
                     }
                     let from = bufs.delegates.len();
                     let subrange_size = 1usize << planned.alpha;
                     delegates_into(row, subrange_size, planned.config.beta, &mut bufs.delegates);
-                    let len = bufs.delegates.len() - from;
-                    kctx.record_store_coalesced::<u32>(kv_words::<K>() * len);
-                    bufs.slots[l].delegates = from..from + len;
+                    let to = bufs.delegates.len();
+                    kctx.record_store_coalesced::<u32>(kv_words::<K>() * (to - from));
+                    bufs.slots[l].delegates = from..to;
                 }
-                i = j;
             }
-        },
-    );
-    StageOutcome::new(launch.stats, launch.time_ms)
+            i = j + 1;
+        }
+    };
+    launch_block(block.device, "drtopk_rows_fused_pass", block.len, pass)
 }
 
 /// Phase 2, the first top-k of every exact row: the flag radix threshold,
 /// the mark pass and Rule 3's grouping, into the block buffers.
 fn first_topk_rows<K: TopKKey>(block: Block<'_, K>, bufs: &mut BlockBuffers<K>) -> StageOutcome {
-    let BlockBuffers {
-        slots,
-        delegates,
-        fully_taken,
-        partial,
-        marked,
-        bits,
-        exact,
-        ..
-    } = bufs;
-    launch_per_row(block.device, "drtopk_rows_first_topk", exact, |kctx, l| {
-        let planned = block.plan(l);
-        let values = kctx.read_coalesced(&delegates[slots[l].delegates.clone()]);
-        let k = planned.k.min(values.len());
-        let skip_last = planned.config.skip_last_first_pass;
-        let passes = K::Bits::BITS / BITS_PER_PASS - u32::from(skip_last);
-        record_warp_select(kctx, values.len(), passes);
-        let threshold = radix_select_threshold(values, k, skip_last, bits);
-        let subrange_size = 1usize << planned.alpha;
-        let entries = SubrangeEntries::new(
-            values.len(),
-            planned.config.beta,
-            subrange_size,
-            block.matrix.cols.div_ceil(subrange_size),
-        );
-        marked.clear();
-        let ids = (0..values.len()).map(|i| entries.subrange_of(i));
-        mark(values.iter().copied().zip(ids), threshold.to_bits(), marked);
-        kctx.record_alu(values.len() as u64);
-        let (full_from, partial_from) = (fully_taken.len(), partial.len());
-        let taken = take_marked_into(entries, marked, k, !skip_last, fully_taken, partial);
-        kctx.record_store_coalesced::<u32>(kv_words::<K>() * taken);
-        let slot = &mut slots[l];
-        slot.threshold = threshold;
-        slot.fully_taken = full_from..fully_taken.len();
-        slot.partial = partial_from..partial.len();
+    let n = bufs.exact.len();
+    launch_block(block.device, "drtopk_rows_first_topk", n, |kctx, chunk| {
+        for &l in &bufs.exact[chunk] {
+            let plan = block.plan(l);
+            let slot = &mut bufs.slots[l];
+            let values = kctx.read_coalesced(&bufs.delegates[slot.delegates.clone()]);
+            let subrange_size = 1usize << plan.planned.alpha;
+            let delegates = Delegates {
+                values,
+                subrange_ids: &plan.subrange_ids,
+                beta: plan.planned.config.beta,
+                subrange_size,
+                num_subranges: block.matrix.cols.div_ceil(subrange_size),
+            };
+            let k = plan.planned.k.min(values.len());
+            let skip_last = plan.planned.config.skip_last_first_pass;
+            let passes = K::Bits::BITS / BITS_PER_PASS - u32::from(skip_last);
+            record_warp_select(kctx, values.len(), passes);
+            slot.threshold = radix_select_threshold(values, k, skip_last, &mut bufs.bits);
+            bufs.marked.clear();
+            let entries = values
+                .iter()
+                .copied()
+                .zip(plan.subrange_ids.iter().copied());
+            mark(entries, slot.threshold.to_bits(), &mut bufs.marked);
+            kctx.record_alu(values.len() as u64);
+            let (full, partial) = (bufs.fully_taken.len(), bufs.partial.len());
+            let taken = take_marked_into(
+                delegates,
+                &bufs.marked,
+                k,
+                !skip_last,
+                &mut bufs.fully_taken,
+                &mut bufs.partial,
+            );
+            kctx.record_store_coalesced::<u32>(kv_words::<K>() * taken);
+            slot.fully_taken = full..bufs.fully_taken.len();
+            slot.partial = partial..bufs.partial.len();
+        }
     })
 }
 
 /// Phase 3, the concatenation of every exact row: its partial delegates,
 /// then each fully taken subrange, filtered by the threshold (Rule 2).
 fn concatenate_rows<K: TopKKey>(block: Block<'_, K>, bufs: &mut BlockBuffers<K>) -> StageOutcome {
-    let BlockBuffers {
-        slots,
-        fully_taken,
-        partial,
-        candidates,
-        exact,
-        ..
-    } = bufs;
-    launch_per_row(block.device, "drtopk_rows_concat", exact, |kctx, l| {
-        let planned = block.plan(l);
-        let slot = &mut slots[l];
-        let filter = planned.config.filtering.then(|| slot.threshold.to_bits());
-        let from = candidates.len();
-        candidates.extend_from_slice(&partial[slot.partial.clone()]);
-        let row = block.matrix.row(block.start + l);
-        let size = 1usize << planned.alpha;
-        for &id in kctx.read_coalesced(&fully_taken[slot.fully_taken.clone()]) {
-            gather_subrange(kctx, row, size, id, filter, candidates);
+    let n = bufs.exact.len();
+    launch_block(block.device, "drtopk_rows_concat", n, |kctx, chunk| {
+        for &l in &bufs.exact[chunk] {
+            let planned = &block.plan(l).planned;
+            let slot = &mut bufs.slots[l];
+            let filter = planned.config.filtering.then(|| slot.threshold.to_bits());
+            let from = bufs.candidates.len();
+            bufs.candidates
+                .extend_from_slice(&bufs.partial[slot.partial.clone()]);
+            let row = block.matrix.row(block.start + l);
+            let size = 1usize << planned.alpha;
+            for &id in kctx.read_coalesced(&bufs.fully_taken[slot.fully_taken.clone()]) {
+                gather_subrange(kctx, row, size, id, filter, &mut bufs.candidates);
+            }
+            slot.candidates = from..bufs.candidates.len();
         }
-        slot.candidates = from..candidates.len();
     })
 }
 
@@ -508,49 +474,36 @@ fn second_topk_rows<K: TopKKey>(
     bufs: &mut BlockBuffers<K>,
     out: &mut [TopKResult<K>],
 ) -> StageOutcome {
-    let BlockBuffers {
-        slots,
-        delegates,
-        candidates,
-        bits,
-        selected,
-        ..
-    } = bufs;
-    launch_per_row(
-        block.device,
-        "drtopk_rows_second_topk",
-        selected,
-        |kctx, l| {
-            let planned = block.plan(l);
-            let k = planned.k;
-            let slot = &slots[l];
-            let (values, skipped) = if block.path(l) == RowPath::Exact {
-                // Same skip rule as the single-vector pipeline (Figure 8b): the
-                // taken delegates alone answer the query exactly.
-                let c = &candidates[slot.candidates.clone()];
+    let n = bufs.selected.len();
+    launch_block(block.device, "drtopk_rows_second_topk", n, |kctx, chunk| {
+        for &l in &bufs.selected[chunk] {
+            let RowPlan { planned, path, .. } = block.plan(l);
+            let slot = &bufs.slots[l];
+            let (values, skipped) = if *path == RowPath::Exact {
+                // Same skip rule as the single-vector pipeline (Figure 8b):
+                // the taken delegates alone answer the query exactly.
+                let c = &bufs.candidates[slot.candidates.clone()];
                 let exact_threshold = !planned.config.skip_last_first_pass;
-                let skipped = slot.fully_taken.is_empty() && exact_threshold && c.len() == k;
-                (c, skipped)
+                let taken_only = slot.fully_taken.is_empty() && c.len() == planned.k;
+                (c, exact_threshold && taken_only)
             } else {
-                (&delegates[slot.delegates.clone()], false)
+                (&bufs.delegates[slot.delegates.clone()], false)
             };
             let values = kctx.read_coalesced(values);
             if !skipped {
                 record_warp_select(kctx, values.len(), K::Bits::BITS / BITS_PER_PASS);
             }
-            let (top, kth) = sorted_topk(values, k, bits);
-            kctx.record_store_coalesced::<K>(top.len());
-            out[l] = row_result(top, kth);
-        },
-    )
+            out[l] = row_topk(values, planned.k, &mut bufs.bits);
+            kctx.record_store_coalesced::<K>(out[l].values.len());
+        }
+    })
 }
 
-/// Run one block on `block.device` as plain calls recorded by `serial`, as
-/// a chain of its own: the fused pass, then (when the block has exact
-/// rows) the first top-k and the concatenation, then the second top-k.
-/// Each phase is at most one launch. Writes every row's selection to
-/// `out` and returns the number of stages recorded: none when no row needs
-/// work.
+/// Run `block` as plain calls recorded by `serial`, as a chain of its own:
+/// the fused pass, then (when the block has exact rows) the first top-k
+/// and the concatenation, then the second top-k, each at most one launch.
+/// Writes every row's selection to `out` and returns the number of stages
+/// recorded, none when no row needs work.
 fn run_block<K: TopKKey>(
     block: Block<'_, K>,
     serial: &mut Serial,
@@ -565,18 +518,16 @@ fn run_block<K: TopKKey>(
     bufs.candidates.clear();
     bufs.exact.clear();
     bufs.selected.clear();
-    let mut active = false;
-    for l in 0..block.len {
-        let path = block.path(l);
-        active |= path != RowPath::Skip;
-        if path == RowPath::Exact {
-            bufs.exact.push(l);
-        }
-        if matches!(path, RowPath::Exact | RowPath::Approx) {
-            bufs.selected.push(l);
-        }
-    }
-    if !active {
+    let rows_on = move |paths: &'static [RowPath]| {
+        (0..block.len).filter(move |&l| paths.contains(&block.plan(l).path))
+    };
+    bufs.exact.extend(rows_on(&[RowPath::Exact]));
+    bufs.selected
+        .extend(rows_on(&[RowPath::Exact, RowPath::Approx]));
+    if rows_on(&[RowPath::Direct, RowPath::Exact, RowPath::Approx])
+        .next()
+        .is_none()
+    {
         return 0;
     }
     let has_exact = !bufs.exact.is_empty();
@@ -646,7 +597,7 @@ fn run_device<K: TopKKey>(
             len: span.len(),
         };
         let base = rows.len();
-        rows.resize_with(base + block.len, || row_result(Vec::new(), K::default()));
+        rows.resize_with(base + block.len, || row_topk(&[], 0, &mut bufs.bits));
         block_stages.push(run_block(block, &mut serial, &mut bufs, &mut rows[base..]));
     }
     DeviceRun {
@@ -657,10 +608,10 @@ fn run_device<K: TopKKey>(
 }
 
 /// Splice the per-device runs into one result in block order: the rows,
-/// and a report whose stages are listed block by block, each block's
-/// dependencies re-indexed. Each device's modeled times are its own queue's
-/// running sum, which is exactly what a replay of the whole schedule gives
-/// blocks that share no state.
+/// and a report listing the stages block by block, each block's
+/// dependencies re-indexed. A device's modeled times are its queue's
+/// running sum, which is what replaying the whole schedule gives blocks
+/// that share no state.
 fn gather_result<K: TopKKey>(
     layout: &RowLayout,
     rows: usize,
