@@ -321,11 +321,18 @@ fn row_topk<K: TopKKey>(values: &[K], k: usize, bits: &mut Vec<K::Bits>) -> TopK
     bits.clear();
     bits.extend(values.iter().map(|v| v.to_bits()));
     let k = k.min(bits.len());
+    let descending = |a: &K::Bits, b: &K::Bits| b.cmp(a);
     if 0 < k && k < bits.len() {
-        bits.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+        bits.select_nth_unstable_by(k - 1, descending);
     }
-    let top = bits[..k].iter().map(|&b| K::from_bits(b)).collect();
-    TopKResult::from_values(top, KernelStats::default(), 0.0)
+    bits[..k].sort_unstable_by(descending);
+    let values: Vec<K> = bits[..k].iter().map(|&b| K::from_bits(b)).collect();
+    TopKResult {
+        kth_value: values.last().copied().unwrap_or_default(),
+        values,
+        stats: KernelStats::default(),
+        time_ms: 0.0,
+    }
 }
 
 /// RTop-K's cost of one warp's radix select over `n` keys (a row, or a
@@ -597,7 +604,8 @@ fn run_device<K: TopKKey>(
             len: span.len(),
         };
         let base = rows.len();
-        rows.resize_with(base + block.len, || row_topk(&[], 0, &mut bufs.bits));
+        let empty = || TopKResult::from_values(Vec::new(), KernelStats::default(), 0.0);
+        rows.resize_with(base + block.len, empty);
         block_stages.push(run_block(block, &mut serial, &mut bufs, &mut rows[base..]));
     }
     DeviceRun {
