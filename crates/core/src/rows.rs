@@ -763,6 +763,7 @@ fn run_rows<K: TopKKey>(
 mod tests {
     use super::*;
     use crate::pipeline::dr_topk;
+    use crate::stages::Resource;
     use gpu_sim::DeviceSpec;
     use topk_baselines::reference_topk_min;
 
@@ -922,6 +923,30 @@ mod tests {
                 let parallel = topk_rows_on(&devices, matrix, &ks, &cfg, Some(rpb));
                 assert_eq!(parallel.num_blocks, 2 * num_devices);
                 assert!(parallel.stages.verify().is_empty());
+                // Spliced in block order: a block's stages are contiguous,
+                // its pass waits on nothing and every later stage on the
+                // one before, and each stage starts where its device's
+                // previous stage ended.
+                let stages = &parallel.stages.stages;
+                let first_row = |s: &ExecutedStage| {
+                    s.label
+                        .split([' ', '.'])
+                        .find_map(|w| w.parse::<usize>().ok())
+                };
+                assert!(stages
+                    .windows(2)
+                    .all(|w| first_row(&w[0]) <= first_row(&w[1])));
+                let mut ends = vec![0.0f64; num_devices];
+                for (i, stage) in stages.iter().enumerate() {
+                    let Resource::Compute(d) = stage.resource else {
+                        panic!("row stages run on compute queues");
+                    };
+                    assert_eq!(stage.start_ms.to_bits(), ends[d].to_bits(), "stage {i}");
+                    ends[d] = stage.end_ms;
+                    let root = stage.label.ends_with("fused pass");
+                    let deps = if root { vec![] } else { vec![i - 1] };
+                    assert_eq!(stage.deps, deps, "stage {i}");
+                }
                 let layout = layout_rows(&matrix, &ks, &cfg, rpb);
                 for order in orders {
                     let epoch = Instant::now();
