@@ -430,11 +430,8 @@ fn first_topk_rows<K: TopKKey>(block: Block<'_, K>, bufs: &mut BlockBuffers<K>) 
             record_warp_select(kctx, values.len(), passes);
             slot.threshold = radix_select_threshold(values, k, skip_last, &mut bufs.bits);
             bufs.marked.clear();
-            let entries = values
-                .iter()
-                .copied()
-                .zip(plan.subrange_ids.iter().copied());
-            mark(entries, slot.threshold.to_bits(), &mut bufs.marked);
+            let (ids, threshold) = (plan.subrange_ids.iter().copied(), slot.threshold.to_bits());
+            mark(values.iter().copied().zip(ids), threshold, &mut bufs.marked);
             kctx.record_alu(values.len() as u64);
             let (full, partial) = (bufs.fully_taken.len(), bufs.partial.len());
             let taken = take_marked_into(
@@ -462,8 +459,8 @@ fn concatenate_rows<K: TopKKey>(block: Block<'_, K>, bufs: &mut BlockBuffers<K>)
             let slot = &mut bufs.slots[l];
             let filter = planned.config.filtering.then(|| slot.threshold.to_bits());
             let from = bufs.candidates.len();
-            bufs.candidates
-                .extend_from_slice(&bufs.partial[slot.partial.clone()]);
+            let partial = &bufs.partial[slot.partial.clone()];
+            bufs.candidates.extend_from_slice(partial);
             let row = block.matrix.row(block.start + l);
             let size = 1usize << planned.alpha;
             for &id in kctx.read_coalesced(&bufs.fully_taken[slot.fully_taken.clone()]) {
@@ -525,18 +522,14 @@ fn run_block<K: TopKKey>(
     bufs.candidates.clear();
     bufs.exact.clear();
     bufs.selected.clear();
-    let rows_on = move |paths: &'static [RowPath]| {
-        (0..block.len).filter(move |&l| paths.contains(&block.plan(l).path))
-    };
-    bufs.exact.extend(rows_on(&[RowPath::Exact]));
-    bufs.selected
-        .extend(rows_on(&[RowPath::Exact, RowPath::Approx]));
-    if rows_on(&[RowPath::Direct, RowPath::Exact, RowPath::Approx])
-        .next()
-        .is_none()
-    {
+    if (0..block.len).all(|l| block.plan(l).path == RowPath::Skip) {
         return 0;
     }
+    let on = move |paths: &'static [RowPath]| {
+        (0..block.len).filter(move |&l| paths.contains(&block.plan(l).path))
+    };
+    bufs.exact.extend(on(&[RowPath::Exact]));
+    bufs.selected.extend(on(&[RowPath::Exact, RowPath::Approx]));
     let has_exact = !bufs.exact.is_empty();
     // The pass's kind mirrors the single-vector pipeline's phase-1 stage: a
     // delegate construction when any row runs the exact pipeline, the
@@ -654,11 +647,7 @@ fn gather_result<K: TopKKey>(
         let base = report.stages.len();
         for stage in stages.take(n) {
             // A block's stages depend only on the block's earlier stages.
-            let deps = stage
-                .deps
-                .iter()
-                .map(|dep| dep - *consumed + base)
-                .collect();
+            let deps = stage.deps.iter().map(|d| d - *consumed + base).collect();
             report.stages.push(ExecutedStage { deps, ..stage });
         }
         *consumed += n;
