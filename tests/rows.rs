@@ -2,9 +2,10 @@
 //! ([`drtopk::core::topk_rows`]): every row of a `rows × cols` matrix must
 //! be **bit-identical** to an independent per-row `dr_topk` call in the
 //! same direction — across all six key types, both directions,
-//! NaN-laden float rows, uniform and per-row `k` (with `k = 0`, `k = cols`
-//! and `k > cols` mixed into one matrix), and both the exact and the
-//! recall-targeted approximate modes. The fused row-block plan is pinned
+//! NaN-laden float rows, random, sorted and tie-heavy rows, uniform and
+//! per-row `k` (with `k = 0`, `k = cols` and `k > cols` mixed into one
+//! matrix, and one block holding all four row paths), and both the exact
+//! and the recall-targeted approximate modes. The fused row-block plan is pinned
 //! structurally too: delegate passes scale with blocks, never with rows,
 //! and the fused plan moves measurably fewer modeled global-memory
 //! transactions than independent per-row runs. Each block issues at most
