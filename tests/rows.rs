@@ -11,11 +11,17 @@
 //! transactions than independent per-row runs. Each block issues at most
 //! one launch per phase (also past the 2^14-warp cap), and the row-block
 //! kernels' modeled counters are pinned.
+//!
+//! A threaded run is also pinned against a serial one (a one-device pool
+//! runs its blocks inline on the calling thread), and every assignment of
+//! the per-device block chains to a pool's devices gives the same
+//! [`deterministic_summary`](drtopk::core::StageReport::deterministic_summary)
+//! string.
 
 mod common;
 
 use common::{bits, device};
-use drtopk::core::{dr_topk, topk_rows_on, DrTopKConfig, PlannedQuery};
+use drtopk::core::{dr_topk, topk_rows_on, DrTopKConfig, PlannedQuery, Resource};
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 use proptest::prelude::*;
@@ -289,6 +295,122 @@ fn fused_rows_move_fewer_transactions_than_independent_runs() {
         fused_txn < independent,
         "fused {fused_txn} transactions must undercut {independent} independent"
     );
+}
+
+/// Serial against threaded: a one-device pool runs both row blocks inline
+/// on the calling thread, a two-device pool runs them on one thread per
+/// device. The rows are byte-identical, the spliced schedules list the
+/// same stages (kind, label, dependencies, counters) in the same order,
+/// the block device 0 runs in both has bit-identical modeled times, and a
+/// second threaded run repeats the first one's schedule byte for byte.
+#[test]
+fn serial_and_threaded_row_graphs_are_byte_identical() {
+    let rows = 6;
+    let cols = 1 << 11;
+    let data = topk_datagen::normal(rows * cols, 13);
+    let matrix = RowMatrix::new(&data, rows, cols);
+    // Mixed paths in one matrix: skip, delegate, fallback, clamped.
+    let ks = RowK::PerRow(vec![0, 16, cols / 2, cols, cols + 9, 16]);
+    let cfg = DrTopKConfig::default();
+    let one = pool(1);
+    let two = pool(2);
+    let run = |c: &GpuCluster| {
+        let devices: Vec<&Device> = c.devices().iter().collect();
+        topk_rows_on(&devices, matrix, &ks, &cfg, Some(3))
+    };
+    let serial = run(&one);
+    let threaded = run(&two);
+    assert_eq!(serial.num_blocks, 2);
+    assert_eq!(threaded.num_blocks, 2);
+    for r in 0..rows {
+        assert_eq!(
+            bits(&serial.rows[r].values),
+            bits(&threaded.rows[r].values),
+            "row {r}"
+        );
+        assert_eq!(
+            serial.rows[r].kth_value.to_bits(),
+            threaded.rows[r].kth_value.to_bits(),
+            "row {r} threshold"
+        );
+    }
+    assert_eq!(serial.stats, threaded.stats);
+    assert_eq!(serial.delegate_passes, threaded.delegate_passes);
+    let (s, t) = (&serial.stages.stages, &threaded.stages.stages);
+    assert_eq!(s.len(), t.len());
+    for (i, (s, t)) in s.iter().zip(t).enumerate() {
+        assert_eq!(
+            (s.kind, &s.label, &s.deps),
+            (t.kind, &t.label, &t.deps),
+            "stage {i}"
+        );
+        assert_eq!(s.stats, t.stats, "stage {i}");
+        if t.resource == Resource::Compute(0) {
+            assert_eq!(s.start_ms.to_bits(), t.start_ms.to_bits(), "stage {i}");
+            assert_eq!(s.end_ms.to_bits(), t.end_ms.to_bits(), "stage {i}");
+        }
+    }
+    assert!(
+        serial.time_ms > threaded.time_ms,
+        "two devices overlap the blocks"
+    );
+    assert_eq!(
+        run(&two).stages.deterministic_summary(),
+        threaded.stages.deterministic_summary(),
+        "modeled schedule must not depend on the threads' timing"
+    );
+}
+
+/// Every assignment of the row blocks' device chains to a three-device
+/// pool — all six orders of the device slice — gives the reference
+/// winners and the same modeled schedule byte for byte, and each physical
+/// device records exactly the launches of the chain it was given.
+#[test]
+fn explore_exhausts_row_graph_interleavings() {
+    let rows = 6;
+    let cols = 1 << 10;
+    let c = pool(3);
+    let data = topk_datagen::uniform(rows * cols, 37);
+    let matrix = RowMatrix::new(&data, rows, cols);
+    let per_row = [8, 0, cols / 2, 8, cols, 8];
+    let ks = RowK::PerRow(per_row.to_vec());
+    let cfg = DrTopKConfig::default();
+    let orders = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    let runs: Vec<_> = orders
+        .iter()
+        .map(|order| {
+            c.reset_stats();
+            let devices: Vec<&Device> = order.iter().map(|&d| c.device(d)).collect();
+            let got = topk_rows_on(&devices, matrix, &ks, &cfg, Some(1));
+            assert_eq!(got.num_blocks, rows);
+            for (r, &k) in per_row.iter().enumerate() {
+                assert_eq!(
+                    got.rows[r].values,
+                    topk_baselines::reference_topk(matrix.row(r), k),
+                    "row {r} in order {order:?}"
+                );
+            }
+            // Chain p ran on the device at slice position p.
+            let chains: Vec<_> = devices
+                .iter()
+                .map(|d| {
+                    let s = d.stats();
+                    (s.kernels.len(), s.total, s.total_time_ms.to_bits())
+                })
+                .collect();
+            (got.stages.deterministic_summary(), chains)
+        })
+        .collect();
+    for (order, run) in orders.iter().zip(&runs) {
+        assert_eq!(run, &runs[0], "order {order:?}");
+    }
 }
 
 /// Total kernel launches across a cluster's devices since the last reset.
