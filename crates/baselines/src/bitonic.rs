@@ -77,10 +77,10 @@ pub fn bitonic_topk<K: TopKKey>(
         let num_warps = num_chunks.clamp(1, 4096);
         let input = &survivors;
         let merge_depth = (usize::BITS - (chunk - 1).leading_zeros()) as u64; // log2(2k)
+        let mut kept: Vec<K> = Vec::new();
         let launch = device.launch("baseline_bitonic_merge", num_warps, |ctx| {
             // each simulated warp handles its share of the 2k chunks
             let chunk_range = ctx.chunk_of(num_chunks);
-            let mut kept: Vec<K> = Vec::new();
             for c in chunk_range {
                 let start = c * chunk;
                 let end = ((c + 1) * chunk).min(input.len());
@@ -105,11 +105,10 @@ pub fn bitonic_topk<K: TopKKey>(
                 ctx.record_store_coalesced::<K>(local.len());
                 kept.extend(local);
             }
-            kept
         });
         stats += launch.stats;
         time_ms += launch.time_ms;
-        survivors = launch.output.into_iter().flatten().collect();
+        survivors = kept;
         iteration += 1;
         // Defensive: guarantee progress even for degenerate k / |V| combos.
         if survivors.len() <= k {

@@ -19,7 +19,7 @@
 //! majority of the candidates at every iteration, which is the instability
 //! Figure 4 demonstrates and Dr. Top-k removes.
 
-use gpu_sim::{AtomicBuffer, AtomicCounter, Device, KernelStats};
+use gpu_sim::{Device, KernelStats};
 
 use crate::key::{KeyBits, TopKKey};
 use crate::radix::gather_topk;
@@ -67,26 +67,21 @@ fn min_max<B: KeyBits>(
     elems_per_warp: usize,
 ) -> (B, B, KernelStats, f64) {
     let num_warps = data.len().div_ceil(elems_per_warp).max(1);
+    let mut lo = B::MAX;
+    let mut hi = B::ZERO;
     let launch = device.launch("baseline_bucket_minmax", num_warps, |ctx| {
         let chunk = ctx.chunk_of(data.len());
         let slice = ctx.read_coalesced(&data[chunk]);
-        let mut lo = B::MAX;
-        let mut hi = B::ZERO;
+        let mut warp_lo = B::MAX;
+        let mut warp_hi = B::ZERO;
         for &x in slice {
-            lo = lo.min(x);
-            hi = hi.max(x);
+            warp_lo = warp_lo.min(x);
+            warp_hi = warp_hi.max(x);
             ctx.record_alu(2);
         }
-        let hi = ctx.warp_reduce_max(hi);
-        let lo = ctx.warp_reduce_min_lanes(&[lo]);
-        (lo, hi)
+        hi = hi.max(ctx.warp_reduce_max(warp_hi));
+        lo = lo.min(ctx.warp_reduce_min_lanes(&[warp_lo]));
     });
-    let mut lo = B::MAX;
-    let mut hi = B::ZERO;
-    for (l, h) in &launch.output {
-        lo = lo.min(*l);
-        hi = hi.max(*h);
-    }
     (lo, hi, launch.stats, launch.time_ms)
 }
 
@@ -129,16 +124,15 @@ pub fn bucket_select_kth<K: TopKKey>(
             // every remaining candidate is part of the top-k: the threshold
             // is their minimum, found with one more reduction over them.
             let num_warps = candidates.len().div_ceil(config.elems_per_warp).max(1);
-            let cand = &candidates;
+            let mut threshold = K::Bits::MAX;
             let launch = device.launch("baseline_bucket_min_of_rest", num_warps, |ctx| {
-                let chunk = ctx.chunk_of(cand.len());
-                let slice = ctx.read_coalesced(&cand[chunk]);
+                let chunk = ctx.chunk_of(candidates.len());
+                let slice = ctx.read_coalesced(&candidates[chunk]);
                 let m = slice.iter().copied().min().unwrap_or(K::Bits::MAX);
-                ctx.warp_reduce_min_lanes(&[m])
+                threshold = threshold.min(ctx.warp_reduce_min_lanes(&[m]));
             });
             stats += launch.stats;
             time_ms += launch.time_ms;
-            let threshold = launch.output.into_iter().min().unwrap_or(lo);
             return BucketSelectOutcome {
                 threshold: K::from_bits(threshold),
                 iterations,
@@ -156,25 +150,25 @@ pub fn bucket_select_kth<K: TopKKey>(
 
         // --- histogram over the current candidates ---------------------------
         let num_warps = candidates.len().div_ceil(config.elems_per_warp).max(1);
-        let hist_buf = AtomicBuffer::zeroed(nb);
-        let cand = &candidates;
+        let mut histogram = vec![0u32; nb];
         let launch = device.launch("baseline_bucket_hist", num_warps, |ctx| {
-            let chunk = ctx.chunk_of(cand.len());
-            let slice = ctx.read_coalesced(&cand[chunk]);
+            let chunk = ctx.chunk_of(candidates.len());
+            let slice = ctx.read_coalesced(&candidates[chunk]);
             let mut local = vec![0u32; nb];
             for &x in slice {
                 local[bucket_of(x)] += 1;
                 ctx.record_alu(3);
             }
-            for (b, &c) in local.iter().enumerate() {
+            // the flush: one atomicAdd per non-empty bucket
+            for (sum, &c) in histogram.iter_mut().zip(&local) {
                 if c > 0 {
-                    hist_buf.fetch_add(ctx, b, c);
+                    ctx.record_atomics(1);
+                    *sum += c;
                 }
             }
         });
         stats += launch.stats;
         time_ms += launch.time_ms;
-        let histogram = hist_buf.to_vec();
 
         // --- locate the bucket containing the k-th largest -------------------
         let mut chosen = 0usize;
@@ -197,26 +191,26 @@ pub fn bucket_select_kth<K: TopKKey>(
         );
 
         // --- compact the candidates into the chosen bucket -------------------
-        let cursor = AtomicCounter::new(0);
+        let mut compacted: Vec<K::Bits> = Vec::new();
         let launch = device.launch("baseline_bucket_compact", num_warps, |ctx| {
-            let chunk = ctx.chunk_of(cand.len());
-            let slice = ctx.read_coalesced(&cand[chunk]);
-            let mut kept: Vec<K::Bits> = Vec::new();
+            let chunk = ctx.chunk_of(candidates.len());
+            let slice = ctx.read_coalesced(&candidates[chunk]);
+            let before = compacted.len();
             for &x in slice {
                 if x >= new_lo && x <= new_hi {
-                    kept.push(x);
+                    compacted.push(x);
                 }
                 ctx.record_alu(2);
             }
-            if !kept.is_empty() {
-                cursor.fetch_add(ctx, kept.len() as u64);
-                ctx.record_store_coalesced::<K::Bits>(kept.len());
+            let kept = compacted.len() - before;
+            if kept > 0 {
+                ctx.record_atomics(1);
+                ctx.record_store_coalesced::<K::Bits>(kept);
             }
-            kept
         });
         stats += launch.stats;
         time_ms += launch.time_ms;
-        candidates = launch.output.into_iter().flatten().collect();
+        candidates = compacted;
         lo = new_lo;
         hi = new_hi;
 

@@ -13,7 +13,8 @@
 //! last pass the prefix *is* the k-th value. Each warp counts into a local
 //! histogram and flushes it into the pass histogram with one atomicAdd per
 //! non-empty digit, as the GGKS code does. What a pass keeps besides the
-//! counts is its [`Keep`]. Three selects run this pass:
+//! counts, and where it writes it, is its [`Keep`]. Three selects run this
+//! pass:
 //!
 //! * the GGKS baseline of this module ([`radix_select_kth`],
 //!   [`radix_topk`]), which keeps nothing;
@@ -46,9 +47,7 @@
 //!   which is exactly the overhead the paper's flag-based optimization
 //!   (Section 5.1, Figure 12) removes.
 
-use std::cell::RefCell;
-
-use gpu_sim::{AtomicCounter, Device, KernelStats, LaunchResult};
+use gpu_sim::{Device, KernelStats, LaunchResult};
 
 use crate::key::{KeyBits, TopKKey};
 use crate::result::TopKResult;
@@ -112,25 +111,26 @@ pub fn digit_of<B: KeyBits>(x: B, pass: u32) -> usize {
     ((x >> shift) & B::from_u64(DIGITS as u64 - 1)).as_digit()
 }
 
-/// What a digit pass keeps besides its histogram.
-#[derive(Debug, Clone, Copy)]
-pub enum Keep {
+/// What a digit pass keeps besides its histogram, and where it puts it.
+#[derive(Debug)]
+pub enum Keep<'a, K> {
     /// Nothing: the pass only counts.
     Nothing,
     /// Every matching element whose digit is at least the given one,
     /// stored by the kernel: each warp allocates its slots with one atomic
-    /// and stores them coalesced.
-    Stored(usize),
+    /// and stores them coalesced, appended to the vector in warp order.
+    Stored(usize, &'a mut Vec<K>),
     /// Every matching element, as host bookkeeping that records no cost:
-    /// the survivor lists a later pass scans in place of the input.
-    Survivors,
+    /// one list per warp, pushed in warp order. These are the survivor
+    /// lists a later pass scans in place of the input.
+    Survivors(&'a mut Vec<Vec<K>>),
 }
 
 /// The digit-histogram kernel of pass `pass`, launched as `name`: one warp
 /// per [`ELEMS_PER_WARP`] elements of `data` counts every element matching
 /// `prefix` by its digit, then flushes its counts into the pass histogram
 /// with one atomicAdd per non-empty digit. Returns the pass histogram and
-/// the launch, whose per-warp outputs are what `keep` asked for.
+/// the launch's cost; what `keep` asked for is in the vector it names.
 ///
 /// With `survivors`, warp `w` scans the host-side list `survivors[w]` (an
 /// earlier pass's [`Keep::Survivors`]) in place of its chunk. A list holds
@@ -145,33 +145,40 @@ pub fn digit_histogram<K: TopKKey>(
     survivors: Option<&[Vec<K>]>,
     prefix: DigitPrefix<K::Bits>,
     pass: u32,
-    keep: Keep,
-) -> (Vec<u32>, LaunchResult<Vec<K>>) {
-    let keep_from = match keep {
-        Keep::Nothing => None,
-        Keep::Stored(cutoff) => Some(cutoff),
-        Keep::Survivors => Some(0),
-    };
-    let total = RefCell::new([0u32; DIGITS]);
+    mut keep: Keep<'_, K>,
+) -> (Vec<u32>, LaunchResult) {
+    let mut total = [0u32; DIGITS];
     let launch = device.launch(name, data.len().div_ceil(ELEMS_PER_WARP), |ctx| {
         let chunk = ctx.chunk_of(data.len());
         let slice = ctx.read_coalesced(&data[chunk]);
         ctx.record_alu(2 * slice.len() as u64);
         let scan = survivors.map_or(slice, |lists| &lists[ctx.warp_id]);
-        let mut kept = Vec::new();
-        let histogram = count_digits(scan, prefix, pass, keep_from, &mut kept);
+        let histogram = match &mut keep {
+            Keep::Nothing => count_digits(scan, prefix, pass, None, &mut Vec::new()),
+            Keep::Stored(cutoff, stored) => {
+                let before = stored.len();
+                let histogram = count_digits(scan, prefix, pass, Some(*cutoff), stored);
+                let kept = stored.len() - before;
+                if kept > 0 {
+                    ctx.record_atomics(1);
+                    ctx.record_store_coalesced::<K>(kept);
+                }
+                histogram
+            }
+            Keep::Survivors(lists) => {
+                let mut kept = Vec::new();
+                let histogram = count_digits(scan, prefix, pass, Some(0), &mut kept);
+                lists.push(kept);
+                histogram
+            }
+        };
         // the flush: one atomicAdd per non-empty digit
         ctx.record_atomics(histogram.iter().filter(|&&c| c > 0).count() as u64);
-        for (sum, &count) in total.borrow_mut().iter_mut().zip(&histogram) {
+        for (sum, &count) in total.iter_mut().zip(&histogram) {
             *sum += count;
         }
-        if matches!(keep, Keep::Stored(_)) && !kept.is_empty() {
-            ctx.record_atomics(1);
-            ctx.record_store_coalesced::<K>(kept.len());
-        }
-        kept
     });
-    (total.into_inner().to_vec(), launch)
+    (total.to_vec(), launch)
 }
 
 /// The elements of `scan` matching `prefix`, counted by their digit of pass
@@ -291,27 +298,24 @@ pub fn radix_select_kth<K: TopKKey>(
 
         match variant {
             RadixVariant::OutOfPlace => {
-                let cursor = AtomicCounter::new(0);
+                let mut compacted = Vec::new();
                 let num_warps = candidates.len().div_ceil(ELEMS_PER_WARP);
                 let launch = device.launch("baseline_radix_compact", num_warps, |ctx| {
                     let chunk = ctx.chunk_of(candidates.len());
                     let slice = ctx.read_coalesced(&candidates[chunk]);
-                    let kept: Vec<K> = slice
-                        .iter()
-                        .copied()
-                        .filter(|x| prefix.matches(x.to_bits()))
-                        .collect();
+                    let before = compacted.len();
+                    compacted.extend(slice.iter().filter(|x| prefix.matches(x.to_bits())));
                     ctx.record_alu(slice.len() as u64);
-                    if !kept.is_empty() {
+                    let kept = compacted.len() - before;
+                    if kept > 0 {
                         // warp-aggregated position allocation + coalesced store
-                        cursor.fetch_add(ctx, kept.len() as u64);
-                        ctx.record_store_coalesced::<K>(kept.len());
+                        ctx.record_atomics(1);
+                        ctx.record_store_coalesced::<K>(kept);
                     }
-                    kept
                 });
                 stats += launch.stats;
                 time_ms += launch.time_ms;
-                candidates = launch.output.into_iter().flatten().collect();
+                candidates = compacted;
                 if candidates.len() == 1 {
                     // the k-th value is pinned down early
                     return SelectOutcome {
@@ -371,37 +375,31 @@ pub fn gather_topk<K: TopKKey>(
 ) -> TopKResult<K> {
     let tb = threshold.to_bits();
     let num_warps = data.len().div_ceil(elems_per_warp).max(1);
-    let cursor = AtomicCounter::new(0);
+    let mut above: Vec<K> = Vec::new();
+    let mut ties = 0usize;
     let launch = device.launch("baseline_topk_gather", num_warps, |ctx| {
         let chunk = ctx.chunk_of(data.len());
         let slice = ctx.read_coalesced(&data[chunk]);
-        let mut kept: Vec<K> = Vec::new();
-        let mut ties = 0u32;
+        let before = above.len();
         for &x in slice {
             let xb = x.to_bits();
             if xb > tb {
-                kept.push(x);
+                above.push(x);
             } else if xb == tb {
                 ties += 1;
             }
             ctx.record_alu(1);
         }
-        if !kept.is_empty() {
-            cursor.fetch_add(ctx, kept.len() as u64);
-            ctx.record_store_coalesced::<K>(kept.len());
+        let kept = above.len() - before;
+        if kept > 0 {
+            ctx.record_atomics(1);
+            ctx.record_store_coalesced::<K>(kept);
         }
-        (kept, ties)
     });
     stats += launch.stats;
     time_ms += launch.time_ms;
 
-    let mut above: Vec<K> = Vec::new();
-    let mut total_ties = 0usize;
-    for (kept, ties) in launch.output {
-        above.extend(kept);
-        total_ties += ties as usize;
-    }
-    debug_assert!(above.len() <= k && above.len() + total_ties >= k);
+    debug_assert!(above.len() <= k && above.len() + ties >= k);
     let need = k - above.len().min(k);
     above.truncate(k);
     above.extend(std::iter::repeat_n(threshold, need));

@@ -8,11 +8,11 @@
 //! per subrange is unknown in advance, each warp claims output positions
 //! with an atomic counter, exactly as the paper describes.
 //!
-//! The host-side gather allocates exactly the surviving elements: each
-//! simulated warp returns the elements it kept and they are appended to the
-//! output directly, instead of materializing the full
-//! `fully_taken × subrange_size` upper-bound buffer and copying a prefix of
-//! it (which doubled the allocation on the hot path).
+//! The host-side gather allocates only for the surviving elements: the
+//! warps run one after another, and each appends the elements it keeps to
+//! the output after the partial delegates, instead of materializing the
+//! full `fully_taken × subrange_size` upper-bound buffer and copying a
+//! prefix of it (which doubled the allocation on the hot path).
 
 use gpu_sim::{Device, KernelStats, WarpCtx};
 use topk_baselines::TopKKey;
@@ -62,25 +62,17 @@ pub fn concatenate<K: TopKKey>(
 
     // One simulated warp per group of qualified subranges.
     let num_warps = fully_taken_subranges.len().clamp(1, 1 << 14);
+    let mut elements = partial_delegate_values.to_vec();
     let launch = device.launch("drtopk_concatenation", num_warps, |ctx| {
         let share = ctx.chunk_of(fully_taken_subranges.len());
         // reading the qualified subrange ids produced by the first top-k
         let ids = ctx.read_coalesced(&fully_taken_subranges[share]);
-        let mut gathered: Vec<K> = Vec::new();
         for &id in ids {
-            gather_subrange(ctx, data, subrange_size, id, filter, &mut gathered);
+            gather_subrange(ctx, data, subrange_size, id, filter, &mut elements);
         }
-        gathered
     });
     stats += launch.stats;
     time_ms += launch.time_ms;
-
-    let gathered_len: usize = launch.output.iter().map(Vec::len).sum();
-    let mut elements: Vec<K> = Vec::with_capacity(partial_delegate_values.len() + gathered_len);
-    elements.extend_from_slice(partial_delegate_values);
-    for warp_kept in launch.output {
-        elements.extend(warp_kept);
-    }
 
     Concatenated {
         elements,

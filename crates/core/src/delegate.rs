@@ -52,10 +52,11 @@
 //!   each chunk branch-free for a key that beats the current β-th best, and
 //!   looks at the individual elements only of a chunk that holds one.
 //!
-//! The warps of one launch run in order on the calling thread, and each
-//! appends its delegates to one launch-wide values vector; the subrange
-//! ids are a function of the shape alone and are built once after the
-//! launch (`delegate_subrange_ids`).
+//! Each warp appends its delegates to one values vector the launch
+//! captures: `Device::launch` runs the warps one after another, in warp
+//! order, so the vector comes out in subrange order. The subrange ids are
+//! a function of the shape alone and are built once after the launch
+//! (`delegate_subrange_ids`).
 //!
 //! ## Delegates of delegates
 //!
@@ -66,8 +67,6 @@
 //! finer vector's values, bit-identical to a fresh build and reading
 //! `β′·|V|/2^α′` values instead of `|V|`. The serving engine uses it to
 //! answer a cached corpus at every coarser α and smaller β.
-
-use std::cell::RefCell;
 
 use gpu_sim::warp::SHUFFLES_PER_WARP_REDUCTION;
 use gpu_sim::{Device, KernelStats, WARP_SIZE};
@@ -493,10 +492,7 @@ pub(crate) fn construct<K: TopKKey>(
     // words so the charged store bytes stay exact for 8-byte keys.
     let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
 
-    // Warps run in order on the calling thread, so appending into one
-    // launch-wide vector keeps subrange order. The `RefCell` makes the
-    // closure `!Sync`: a launch that ran warps in parallel would not compile.
-    let values = RefCell::new(Vec::with_capacity(num_subranges * beta));
+    let mut values = Vec::with_capacity(num_subranges * beta);
     let launch = device.launch(kernel_name, num_warps, |ctx| {
         let subranges = ctx.chunk_of(num_subranges);
         let own =
@@ -521,11 +517,11 @@ pub(crate) fn construct<K: TopKKey>(
                 ctx.record_store_coalesced::<u32>(kv_words * kept);
             }
         }
-        delegates_into(own, subrange_size, beta, &mut values.borrow_mut());
+        delegates_into(own, subrange_size, beta, &mut values);
     });
 
     DelegateVector {
-        values: values.into_inner(),
+        values,
         subrange_ids: delegate_subrange_ids(data.len(), subrange_size, beta),
         beta,
         subrange_size,
@@ -600,7 +596,7 @@ fn coarsen<K: TopKKey>(
     let block = subrange_size / finer.subrange_size * finer.beta.min(finer.subrange_size);
     let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
 
-    let values = RefCell::new(Vec::with_capacity(num_subranges * beta));
+    let mut values = Vec::with_capacity(num_subranges * beta);
     let launch = device.launch(
         "drtopk_delegate_coarsen",
         num_subranges.clamp(1, 1 << 14),
@@ -613,12 +609,12 @@ fn coarsen<K: TopKKey>(
             for subrange in staged.chunks(block) {
                 ctx.record_store_coalesced::<u32>(kv_words * beta.min(subrange.len()));
             }
-            delegates_into(staged, block, beta, &mut values.borrow_mut());
+            delegates_into(staged, block, beta, &mut values);
         },
     );
 
     DelegateVector {
-        values: values.into_inner(),
+        values,
         subrange_ids: delegate_subrange_ids(len, subrange_size, beta),
         beta,
         subrange_size,

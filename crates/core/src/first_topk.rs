@@ -112,23 +112,20 @@ pub(crate) fn select_first_topk<K: TopKKey>(
     let values = delegates.values;
     let ids = delegates.subrange_ids;
     let num_warps = values.len().div_ceil(ELEMS_PER_WARP).max(1);
+    let mut marked = Marked::default();
     let launch = device.launch("drtopk_first_topk_mark", num_warps, |ctx| {
         let chunk = ctx.chunk_of(values.len());
         let vals = ctx.read_coalesced(&values[chunk.clone()]);
-        let mut marked = Marked::default();
         let entries = vals.iter().copied().zip(ids[chunk].iter().copied());
-        mark(entries, threshold_bits, &mut marked);
-        let hits = marked.len();
+        let hits = mark(entries, threshold_bits, &mut marked);
         // each qualifying entry fetches its subrange id
         ctx.record_load_random::<u32>(hits);
         ctx.record_alu(vals.len() as u64);
         ctx.record_store_coalesced::<u32>(kv_words::<K>() * hits);
-        marked
     });
     stats += launch.stats;
     time_ms += launch.time_ms;
 
-    let marked = Marked::merge(launch.output);
     FirstTopK {
         stats,
         time_ms,
@@ -167,18 +164,16 @@ pub(crate) fn narrow_first_topk<K: TopKKey>(
 
     let passes = K::Bits::BITS / BITS_PER_PASS;
     let num_warps = winners.len().div_ceil(ELEMS_PER_WARP).max(1);
+    let mut marked = Marked::default();
     let launch = device.launch("drtopk_first_topk_narrow", num_warps, |ctx| {
         let chunk = ctx.chunk_of(winners.len());
         ctx.record_load_coalesced::<u32>(kv_words::<K>() * chunk.len());
         record_warp_select(ctx, chunk.len(), passes);
-        let mut marked = Marked::default();
         let entries = winners.entries().skip(chunk.start).take(chunk.len());
-        mark(entries, kth, &mut marked);
+        let hits = mark(entries, kth, &mut marked);
         ctx.record_alu(chunk.len() as u64);
-        ctx.record_store_coalesced::<u32>(kv_words::<K>() * marked.len());
-        marked
+        ctx.record_store_coalesced::<u32>(kv_words::<K>() * hits);
     });
-    let marked = Marked::merge(launch.output);
     FirstTopK {
         stats: launch.stats,
         time_ms: launch.time_ms,
@@ -215,25 +210,17 @@ impl<K: TopKKey> Marked<K> {
     fn entries(&self) -> impl Iterator<Item = (K, u32)> + '_ {
         self.above.iter().chain(&self.ties).copied()
     }
-
-    /// Concatenate per-warp marks, keeping index order within each list.
-    fn merge(parts: Vec<Marked<K>>) -> Marked<K> {
-        let mut merged = Marked::default();
-        for m in parts {
-            merged.above.extend(m.above);
-            merged.ties.extend(m.ties);
-        }
-        merged
-    }
 }
 
 /// The mark pass over a run of (key, subrange id) delegate entries:
-/// append every entry `≥ threshold_bits` to `marked`.
+/// append every entry `≥ threshold_bits` to `marked`, and return how many
+/// were appended.
 pub(crate) fn mark<K: TopKKey>(
     entries: impl IntoIterator<Item = (K, u32)>,
     threshold_bits: K::Bits,
     marked: &mut Marked<K>,
-) {
+) -> usize {
+    let before = marked.len();
     for (v, id) in entries {
         let vb = v.to_bits();
         if vb > threshold_bits {
@@ -242,6 +229,7 @@ pub(crate) fn mark<K: TopKKey>(
             marked.ties.push((v, id));
         }
     }
+    marked.len() - before
 }
 
 /// Take the top-k entries of a marked delegate vector and apply Rule 3

@@ -76,8 +76,9 @@ pub fn flag_radix_select_kth<K: TopKKey>(
         // Keeping survivors costs a copy of every one of them; it pays only
         // when at most half of the scan still shares the flag.
         let narrow = pass + 1 < passes && 2 * sharing <= scanned;
+        let mut kept = Vec::new();
         let keep = if narrow {
-            Keep::Survivors
+            Keep::Survivors(&mut kept)
         } else {
             Keep::Nothing
         };
@@ -96,7 +97,7 @@ pub fn flag_radix_select_kth<K: TopKKey>(
         k_remaining -= above;
         flag.push(pass, digit);
         if narrow {
-            survivors = Some(launch.output);
+            survivors = Some(kept);
             scanned = sharing;
         }
         sharing = histogram[digit] as usize;

@@ -56,7 +56,7 @@
 use std::borrow::Cow;
 use std::cmp::Reverse;
 
-use gpu_sim::{AtomicCounter, Device};
+use gpu_sim::Device;
 use topk_baselines::radix::{
     choose_digit, digit_histogram, digit_of, sample_top_digits, DigitPrefix, Keep, BITS_PER_PASS,
     ELEMS_PER_WARP, SAMPLE_SIZE,
@@ -163,7 +163,11 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
                 }
             }
 
-            let keep = cutoff.map_or(Keep::Nothing, Keep::Stored);
+            let mut kept = Vec::new();
+            let keep = match cutoff {
+                Some(cut) => Keep::Stored(cut, &mut kept),
+                None => Keep::Nothing,
+            };
             let (histogram, launch) = digit_histogram(
                 device,
                 "radix_histogram",
@@ -174,7 +178,7 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
                 keep,
             );
             if let Some(cut) = cutoff {
-                filtered = Some((cut, launch.output.into_iter().flatten().collect()));
+                filtered = Some((cut, kept));
             }
             let outcome = StageOutcome {
                 stats: probe.stats + launch.stats,
@@ -195,19 +199,16 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
             // chosen digit (cutoff ≤ chosen); otherwise fall back to the
             // full candidate set.
             let scan = match filtered.take() {
-                Some((cutoff, kept)) if cutoff <= chosen => {
-                    candidates = Cow::Owned(Vec::new());
-                    Cow::Owned(kept)
-                }
+                Some((cutoff, kept)) if cutoff <= chosen => Cow::Owned(kept),
                 _ => std::mem::take(&mut candidates),
             };
             let num_warps = scan.len().div_ceil(ELEMS_PER_WARP);
-            let cursor = AtomicCounter::new(0);
+            let above_before = above.len();
+            let mut survivors: Vec<K> = Vec::new();
             let launch = device.launch("radix_refine", num_warps, |kctx| {
                 let chunk = kctx.chunk_of(scan.len());
                 let slice = kctx.read_coalesced(&scan[chunk]);
-                let mut survivors: Vec<K> = Vec::new();
-                let mut above: Vec<K> = Vec::new();
+                let before = survivors.len() + above.len();
                 for &x in slice {
                     let bits = x.to_bits();
                     if prev.matches(bits) {
@@ -220,23 +221,18 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
                     }
                 }
                 kctx.record_alu(2 * slice.len() as u64);
-                let stored = survivors.len() + above.len();
+                let stored = survivors.len() + above.len() - before;
                 if stored > 0 {
                     // warp-aggregated position allocation followed by a
                     // coalesced store of both partitions
-                    cursor.fetch_add(kctx, stored as u64);
+                    kctx.record_atomics(1);
                     kctx.record_store_coalesced::<K>(stored);
                 }
-                (survivors, above)
             });
-            let mut collected_above = 0usize;
-            for (s, a) in launch.output {
-                collected_above += a.len();
-                above.extend(a);
-                candidates.to_mut().extend(s);
-            }
+            candidates = Cow::Owned(survivors);
             debug_assert_eq!(
-                collected_above, above_count,
+                above.len() - above_before,
+                above_count,
                 "refine pass {pass}: collected above-set disagrees with \
                  the exact histogram"
             );
@@ -262,19 +258,17 @@ pub(crate) fn radix_dr_topk<K: TopKKey>(
     let assembled = serial.stage(kind, kind.name(), || {
         debug_assert!(above.len() <= k.saturating_sub(1) || above.is_empty());
         let num_warps = k.div_ceil(ELEMS_PER_WARP).max(1);
+        let mut assembled: Vec<K> = Vec::with_capacity(k);
         let launch = device.launch("candidate_gather", num_warps, |kctx| {
             let chunk = kctx.chunk_of(k);
             let reads = chunk.start.min(above.len())..chunk.end.min(above.len());
             kctx.record_load_coalesced::<K>(reads.len());
-            let mut out: Vec<K> = Vec::with_capacity(chunk.len());
             for i in chunk.clone() {
-                out.push(if i < above.len() { above[i] } else { threshold });
+                assembled.push(if i < above.len() { above[i] } else { threshold });
                 kctx.record_alu(1);
             }
-            kctx.record_store_coalesced::<K>(out.len());
-            out
+            kctx.record_store_coalesced::<K>(chunk.len());
         });
-        let assembled: Vec<K> = launch.output.into_iter().flatten().collect();
         debug_assert_eq!(assembled.len(), k);
         let outcome = StageOutcome::new(launch.stats, launch.time_ms);
         (assembled, outcome)

@@ -40,7 +40,6 @@
 
 use gpu_sim::warp::SHUFFLES_PER_WARP_REDUCTION;
 use gpu_sim::{try_run_on_each, Device, GpuCluster, KernelStats, WarpCtx};
-use std::cell::RefCell;
 use std::convert::Infallible;
 use std::ops::Range;
 use std::time::Instant;
@@ -346,21 +345,20 @@ pub(crate) fn record_warp_select(kctx: &mut WarpCtx<'_>, n: usize, passes: u32) 
 
 /// One launch over `n` of the block's rows, one warp per row up to
 /// [`MAX_ROW_WARPS`]: `kernel` gets each warp's chunk of `0..n`. No rows,
-/// no launch. Warps run in order on the calling thread, so the kernel
-/// writes its rows' output straight into the block buffers.
+/// no launch. The kernel writes its rows' output straight into the block
+/// buffers.
 fn launch_block(
     device: &Device,
     name: &'static str,
     n: usize,
-    kernel: impl FnMut(&mut WarpCtx<'_>, Range<usize>),
+    mut kernel: impl FnMut(&mut WarpCtx<'_>, Range<usize>),
 ) -> StageOutcome {
     if n == 0 {
         return StageOutcome::default();
     }
-    let kernel = RefCell::new(kernel);
     let launch = device.launch(name, n.min(MAX_ROW_WARPS), |kctx| {
         let chunk = kctx.chunk_of(n);
-        (kernel.borrow_mut())(kctx, chunk)
+        kernel(kctx, chunk)
     });
     StageOutcome::new(launch.stats, launch.time_ms)
 }

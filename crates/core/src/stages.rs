@@ -27,7 +27,8 @@
 //!   different resources overlap as far as their dependencies allow —
 //!   which is exactly how double-buffered chunked ingestion hides
 //!   host→device transfers behind compute. A graph that touches a single
-//!   resource runs inline on the calling thread instead.
+//!   resource runs inline on the calling thread instead, through
+//!   `StageGraph::execute_in_order` in insertion order.
 //! * `StageGraph::execute_in_order` runs the closures on the calling
 //!   thread in one explicit dispatch order — the replay primitive of the
 //!   schedule model checker ([`crate::explore`]).
@@ -452,41 +453,6 @@ impl<'g, C> StageGraph<'g, C> {
         (metas, runs)
     }
 
-    /// The single-resource path of [`StageGraph::execute`]: every closure
-    /// on the calling thread, in insertion order, with no thread machinery
-    /// (so closure panics propagate unchanged). A one-device distributed
-    /// run without reloads takes it. Kept apart from
-    /// `execute_in_order`'s replay loop on purpose: sharing that loop with
-    /// an identity order once measured about 50% slower CPU time per call
-    /// on `perfbench`'s `single_query` workload (2-core host), back when
-    /// the exact pipeline still ran as a graph; all of it was inside the
-    /// kernel bodies, and the cause was not isolated.
-    fn run_serial(self, ctx: &C) -> StageReport {
-        let sink = self.sink;
-        let (metas, runs) = self.into_parts();
-        let epoch = Instant::now();
-        let records = runs
-            .into_iter()
-            .enumerate()
-            .map(|(i, run)| {
-                let measured_start_ms = ms_since(epoch);
-                emit_event(
-                    sink,
-                    EventKind::Dispatch,
-                    &metas[i].label,
-                    measured_start_ms,
-                );
-                let outcome = run(ctx);
-                RunRecord {
-                    outcome,
-                    measured_start_ms,
-                    measured_end_ms: ms_since(epoch),
-                }
-            })
-            .collect();
-        finish_report(metas, records, sink)
-    }
-
     /// Execute the graph.
     ///
     /// Host-side, ready stages dispatch onto one worker thread per modeled
@@ -494,7 +460,9 @@ impl<'g, C> StageGraph<'g, C> {
     /// like kernels launched on CUDA streams after `cudaStreamWaitEvent`s —
     /// so real wall-clock tracks the modeled makespan. A graph that touches
     /// a single resource (or none) runs inline on the calling thread, in
-    /// insertion order: a lone worker could only replay that order anyway.
+    /// insertion order, through `execute_in_order`: a lone worker could
+    /// only replay that order anyway, and a closure's panic propagates
+    /// unchanged.
     /// Afterwards the graph is replayed in insertion order on modeled
     /// per-resource streams, so every modeled field of the report is
     /// deterministic regardless of how the host threads interleaved.
@@ -510,7 +478,6 @@ impl<'g, C> StageGraph<'g, C> {
     where
         C: Sync,
     {
-        self.debug_verify();
         let mut resources: Vec<Resource> = Vec::new();
         for node in &self.stages {
             if !resources.contains(&node.resource) {
@@ -518,8 +485,10 @@ impl<'g, C> StageGraph<'g, C> {
             }
         }
         if resources.len() <= 1 {
-            return self.run_serial(ctx);
+            let order: Vec<usize> = (0..self.stages.len()).collect();
+            return self.execute_in_order(ctx, &order);
         }
+        self.debug_verify();
         let sink = self.sink;
         let (metas, runs) = self.into_parts();
         let n = metas.len();

@@ -3,9 +3,10 @@
 //! A [`Device`] owns a [`DeviceSpec`] and a log of every kernel launched on
 //! it ([`DeviceStats`]). Kernels are warp-centric closures executed once per
 //! warp; a launch runs its warps in warp order on the calling thread and
-//! merges each warp's instrumentation counters as it goes. Host parallelism
-//! lives one level up, in the stage executor and the cluster's per-device
-//! run, never inside a launch.
+//! merges each warp's instrumentation counters as it goes. A kernel writes
+//! its output into what it captures, and a launch returns only its cost.
+//! Host parallelism lives one level up, in the stage executor and the
+//! cluster's per-device run, never inside a launch.
 
 use std::time::Instant;
 
@@ -16,11 +17,9 @@ use crate::stats::{DeviceStats, KernelRecord, KernelStats};
 use crate::timing::estimate_time_ms;
 use crate::warp::WarpCtx;
 
-/// Result of one kernel launch.
-#[derive(Debug, Clone)]
-pub struct LaunchResult<R> {
-    /// Per-warp outputs, in warp-id order.
-    pub output: Vec<R>,
+/// The cost of one kernel launch.
+#[derive(Debug, Clone, Copy)]
+pub struct LaunchResult {
     /// Counters accumulated across all warps of the launch.
     pub stats: KernelStats,
     /// Modeled execution time of the kernel in milliseconds.
@@ -90,18 +89,22 @@ impl Device {
     }
 
     /// Launch a warp-centric kernel: `kernel` is called once per warp with a
-    /// [`WarpCtx`], in warp order on the calling thread. Returns the per-warp
-    /// outputs in warp order plus the merged counters and the modeled time.
-    pub fn launch<R, F>(&self, name: &str, num_warps: usize, kernel: F) -> LaunchResult<R>
+    /// [`WarpCtx`], for warps `0..num_warps` in order on the calling thread.
+    /// The `FnMut` bound is that contract: one warp's call returns before
+    /// the next begins, so a kernel writes its output straight into what
+    /// it captures (a `Vec` it appends to, a histogram it adds to) and
+    /// charges the modeled atomics that claim those positions with
+    /// [`WarpCtx::record_atomics`]. Returns the merged counters and the
+    /// modeled time, and logs them as one [`KernelRecord`].
+    pub fn launch<F>(&self, name: &str, num_warps: usize, mut kernel: F) -> LaunchResult
     where
-        F: Fn(&mut WarpCtx<'_>) -> R,
+        F: FnMut(&mut WarpCtx<'_>),
     {
         let started = Instant::now();
         let mut stats = KernelStats::default();
-        let mut output: Vec<R> = Vec::with_capacity(num_warps);
         for warp_id in 0..num_warps {
             let mut ctx = WarpCtx::new(warp_id, num_warps, &self.spec);
-            output.push(kernel(&mut ctx));
+            kernel(&mut ctx);
             stats.merge(&ctx.into_stats());
         }
 
@@ -114,7 +117,6 @@ impl Device {
             wall_ms,
         });
         LaunchResult {
-            output,
             stats,
             time_ms,
             wall_ms,
@@ -134,22 +136,47 @@ impl std::fmt::Debug for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{AtomicBuffer, AtomicCounter};
 
     #[test]
     fn launch_collects_outputs_in_warp_order() {
         let device = Device::new(DeviceSpec::v100s());
-        let result = device.launch("identity", 100, |ctx| ctx.warp_id);
-        assert_eq!(result.output, (0..100).collect::<Vec<_>>());
+        let mut ids = Vec::new();
+        let result = device.launch("identity", 100, |ctx| ids.push(ctx.warp_id));
+        assert_eq!(ids, (0..100).collect::<Vec<_>>());
         assert_eq!(result.stats.warps_launched, 100);
     }
 
     #[test]
     fn launch_zero_warps_is_ok() {
         let device = Device::new(DeviceSpec::v100s());
-        let result: LaunchResult<()> = device.launch("empty", 0, |_| ());
-        assert!(result.output.is_empty());
-        assert!(result.stats.is_empty() || result.stats.warps_launched == 0);
+        let mut calls = 0;
+        let result = device.launch("empty", 0, |_| calls += 1);
+        assert_eq!(calls, 0);
+        assert!(result.stats.is_empty());
+    }
+
+    #[test]
+    fn one_launch_logs_one_record_with_the_merged_counters() {
+        let device = Device::new(DeviceSpec::v100s());
+        let data = vec![1u32; 1024];
+        let launch = device.launch("scan", 4, |ctx| {
+            ctx.read_coalesced(&data[ctx.chunk_of(data.len())]);
+            ctx.record_atomics(ctx.warp_id as u64);
+        });
+        let want = KernelStats {
+            global_load_transactions: 4 * 8,
+            global_loaded_bytes: 4096,
+            atomic_operations: 6,
+            warps_launched: 4,
+            ..KernelStats::default()
+        };
+        assert_eq!(launch.stats, want);
+        let log = device.stats();
+        assert_eq!(log.kernels.len(), 1);
+        assert_eq!(log.kernels[0].name, "scan");
+        assert_eq!(log.kernels[0].stats, want);
+        assert_eq!(log.kernels[0].time_ms.to_bits(), launch.time_ms.to_bits());
+        assert_eq!(log.total, want);
     }
 
     #[test]
@@ -174,25 +201,61 @@ mod tests {
     fn warps_run_in_order_on_the_calling_thread() {
         let device = Device::new(DeviceSpec::v100s());
         let caller = std::thread::current().id();
-        let threads = device.launch("whoami", 64, |_| std::thread::current().id());
-        assert!(threads.output.iter().all(|&id| id == caller));
+        let mut threads = Vec::new();
+        device.launch("whoami", 64, |_| threads.push(std::thread::current().id()));
+        assert_eq!(threads.len(), 64);
+        assert!(threads.iter().all(|&id| id == caller));
+    }
 
+    /// The concatenation's pattern: each warp claims its output positions
+    /// from a captured cursor, charged as one atomic, and stores there.
+    #[test]
+    fn captured_cursor_hands_out_positions_in_warp_order() {
+        let device = Device::new(DeviceSpec::v100s());
         for run in 0..3 {
-            let counter = AtomicCounter::new(0);
-            let out = AtomicBuffer::zeroed(256);
-            device.launch("concat", 64, |ctx| {
-                // each warp writes 4 entries at atomically allocated positions
+            let mut cursor = 0usize;
+            let mut out = vec![0u32; 256];
+            let launch = device.launch("concat", 64, |ctx| {
+                ctx.record_atomics(1);
+                let pos = cursor;
+                cursor += 4;
                 for i in 0..4u32 {
-                    let pos = counter.fetch_add(ctx, 1) as usize;
-                    out.store(ctx, pos, ctx.warp_id as u32 * 10 + i);
+                    out[pos + i as usize] = ctx.warp_id as u32 * 10 + i;
                 }
+                ctx.record_store_coalesced::<u32>(4);
             });
-            assert_eq!(counter.load(), 256);
+            assert_eq!(cursor, 256);
+            assert_eq!(launch.stats.atomic_operations, 64);
             let expected: Vec<u32> = (0..64u32)
                 .flat_map(|w| (0..4u32).map(move |i| w * 10 + i))
                 .collect();
-            assert_eq!(out.to_vec(), expected, "positions in warp order, run {run}");
+            assert_eq!(out, expected, "positions in warp order, run {run}");
         }
+    }
+
+    /// The bucket histogram's pattern: each warp counts into a local
+    /// histogram, then adds every non-empty bin into a captured one,
+    /// charged as one atomic per add.
+    #[test]
+    fn captured_histogram_charges_one_atomic_per_add() {
+        let device = Device::new(DeviceSpec::v100s());
+        let data = [0usize, 1, 1, 3, 3, 3, 1, 3];
+        let mut histogram = [0u32; 4];
+        let launch = device.launch("hist", 2, |ctx| {
+            let mut local = [0u32; 4];
+            for &b in &data[ctx.chunk_of(data.len())] {
+                local[b] += 1;
+            }
+            for (sum, &count) in histogram.iter_mut().zip(&local) {
+                if count > 0 {
+                    ctx.record_atomics(1);
+                    *sum += count;
+                }
+            }
+        });
+        assert_eq!(histogram, [1, 3, 0, 4]);
+        // warp 0 saw bins 0, 1 and 3; warp 1 saw bins 1 and 3
+        assert_eq!(launch.stats.atomic_operations, 5);
     }
 
     #[test]

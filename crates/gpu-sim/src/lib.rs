@@ -6,7 +6,7 @@
 //!
 //! * executes **warp-centric kernels** (a kernel is a function of a warp id,
 //!   run for every warp of a launch grid, in warp order on the launching
-//!   host thread),
+//!   host thread, writing its output into what it captures),
 //! * **instruments** every global-memory transaction, shared-memory access,
 //!   shuffle instruction and atomic operation exactly the way the paper's own
 //!   cost model (Section 5.2) accounts for them, and
@@ -28,7 +28,6 @@
 //! | [`warp`] | [`WarpCtx`]: instrumented warp-level primitives (coalesced and random accesses, shuffle reductions, atomic and shared-memory counts) |
 //! | [`device`] | [`Device`]: kernel launcher + per-kernel log |
 //! | [`timing`] | the analytic timing model |
-//! | [`memory`] | [`AtomicBuffer`], [`AtomicCounter`]: device-global writable buffers |
 //! | [`multi`] | [`GpuCluster`]: multiple devices, the MPI-like interconnect model and the per-device [`GpuCluster::try_run_on_all`] |
 //! | [`stream`] | [`Stream`] / [`Event`]: modeled CUDA-stream overlap (transfer/compute concurrency) |
 //!
@@ -40,20 +39,20 @@
 //! let device = Device::new(DeviceSpec::v100s());
 //! let data: Vec<u32> = (0..4096u32).collect();
 //!
-//! // One warp per 128-element subrange; each warp returns the subrange max.
+//! // One warp per 128-element subrange; each warp writes the subrange max.
+//! let mut maxima = Vec::new();
 //! let launch = device.launch("subrange_max", data.len() / 128, |ctx| {
 //!     let sub = ctx.read_coalesced(&data[ctx.warp_id * 128..(ctx.warp_id + 1) * 128]);
 //!     let lane_max = sub.iter().copied().max().unwrap();
-//!     ctx.warp_reduce_max(lane_max)
+//!     maxima.push(ctx.warp_reduce_max(lane_max));
 //! });
-//! assert_eq!(launch.output.len(), 32);
-//! assert_eq!(launch.output[0], 127);
+//! assert_eq!(maxima.len(), 32);
+//! assert_eq!(maxima[0], 127);
 //! assert!(launch.stats.global_load_transactions > 0);
 //! assert!(launch.time_ms > 0.0);
 //! ```
 
 pub mod device;
-pub mod memory;
 pub mod multi;
 pub mod spec;
 pub mod stats;
@@ -62,7 +61,6 @@ pub mod timing;
 pub mod warp;
 
 pub use device::{Device, LaunchResult};
-pub use memory::{AtomicBuffer, AtomicCounter};
 pub use multi::{try_run_on_each, DeviceError, GpuCluster, InterconnectSpec, TransferDirection};
 pub use spec::DeviceSpec;
 pub use stats::{DeviceStats, KernelRecord, KernelStats};

@@ -402,9 +402,8 @@ mod tests {
                 let data = vec![idx as u32; 1024];
                 let launch = dev.launch("scan", 2, |ctx| {
                     ctx.read_coalesced(&data[ctx.chunk_of(data.len())]);
-                    ctx.warp_id
                 });
-                Ok::<_, ()>((idx, launch.output.len()))
+                Ok::<_, ()>((idx, launch.stats.warps_launched))
             })
             .unwrap();
         assert_eq!(results.len(), 6);
