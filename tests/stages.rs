@@ -361,3 +361,94 @@ fn repeated_threaded_runs_are_bit_identical() {
         );
     }
 }
+
+/// One distributed run rendered for pinning: its modeled makespan and
+/// winners as bit patterns, then its whole deterministic summary.
+fn pin_line<K: TopKKey>(name: &str, got: &drtopk::core::DistributedResult<K>) -> String {
+    format!(
+        "== {name}\ntotal_ms_bits={:016x}\nvalues_bits={:?}\n{}",
+        got.total_ms.to_bits(),
+        bits(&got.values),
+        got.stages.deterministic_summary()
+    )
+}
+
+/// Pins the modeled schedule of the distributed runner bit for bit: every
+/// stage's kind, label, resource, dependencies, modeled interval and
+/// counters, the makespan and the winners, over both reload schedules, a
+/// heterogeneous cluster, 8-byte keys, the smallest direction, the
+/// approximate mode and a run with no gathers. The expected text was
+/// recorded before the runner's host execution was last rewritten, so any
+/// change to the modeled schedule shows up here as a diff.
+#[test]
+fn distributed_schedule_is_pinned() {
+    use drtopk::sim::{Device, GpuCluster, InterconnectSpec};
+    let run = |c: &GpuCluster, data: &[u32], k: usize, cfg: &DrTopKConfig, s: ReloadSchedule| {
+        distributed_dr_topk(c, data, k, cfg, s, None)
+    };
+    let exact = DrTopKConfig::default();
+    let mut out = String::new();
+
+    // 2 devices × 2 chunks each, under both reload schedules.
+    let two = cluster(2, 1 << 12);
+    let data = topk_datagen::uniform(1 << 14, 0x51);
+    for schedule in [ReloadSchedule::Serial, ReloadSchedule::DoubleBuffered] {
+        let got = run(&two, &data, 32, &exact, schedule);
+        out += &pin_line(&format!("two devices, {schedule}"), &got);
+    }
+
+    // A V100S + A100 cluster: the A100 owns more sub-vectors.
+    let mixed = GpuCluster::new(
+        vec![
+            Device::new(DeviceSpec::v100s()),
+            Device::new(DeviceSpec::a100()),
+        ],
+        InterconnectSpec::default(),
+    );
+    for d in mixed.devices() {
+        d.set_capacity_elems(1 << 12);
+    }
+    let data = topk_datagen::uniform(1 << 15, 0x52);
+    let got = run(&mixed, &data, 64, &exact, ReloadSchedule::DoubleBuffered);
+    out += &pin_line("v100s + a100", &got);
+
+    // u64 keys at a u32 capacity: half as many keys fit per device.
+    let wide: Vec<u64> = topk_datagen::uniform(1 << 13, 0x53)
+        .iter()
+        .map(|&x| (x as u64) << 9 | 0x3)
+        .collect();
+    let got = distributed_dr_topk(&two, &wide, 48, &exact, ReloadSchedule::default(), None);
+    out += &pin_line("u64 keys", &got);
+
+    // The smallest direction on f32 keys.
+    let floats: Vec<f32> = topk_datagen::uniform(1 << 14, 0x54)
+        .iter()
+        .map(|&x| x as f32 / 65536.0 - 3.0e4)
+        .collect();
+    let smallest = DrTopKConfig {
+        direction: Direction::Smallest,
+        ..DrTopKConfig::default()
+    };
+    let got = distributed_dr_topk(&two, &floats, 40, &smallest, ReloadSchedule::Serial, None);
+    out += &pin_line("smallest f32", &got);
+
+    // The approximate mode.
+    let data = topk_datagen::uniform(1 << 15, 0x55);
+    let got = run(
+        &two,
+        &data,
+        64,
+        &DrTopKConfig::approx(0.9),
+        ReloadSchedule::DoubleBuffered,
+    );
+    out += &pin_line("approx 0.9", &got);
+
+    // 4 devices whose input fits the primary: no gathers.
+    let wide_four = cluster(4, 1 << 20);
+    let data = topk_datagen::uniform(1 << 12, 0x56);
+    let got = run(&wide_four, &data, 32, &exact, ReloadSchedule::default());
+    assert_eq!(got.communication_ms, 0.0);
+    out += &pin_line("four devices, fits the primary", &got);
+
+    assert_eq!(out, include_str!("pins/distributed_schedule.txt"));
+}
