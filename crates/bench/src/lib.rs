@@ -71,7 +71,11 @@ pub fn device() -> Device {
     Device::new(DeviceSpec::v100s())
 }
 
-/// Where CSV outputs are written (`<workspace>/bench_results`).
+/// Where CSV outputs are written: `DRTOPK_RESULTS_DIR` when set, else
+/// `<workspace>/bench_results`. That default is fixed at compile time from
+/// `CARGO_MANIFEST_DIR`, so a bench built from a copied tree (its warm
+/// `target/` included) writes into the original checkout unless
+/// `DRTOPK_RESULTS_DIR` is set.
 pub fn results_dir() -> PathBuf {
     let dir = std::env::var("DRTOPK_RESULTS_DIR")
         .map(PathBuf::from)

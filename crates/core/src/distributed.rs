@@ -17,20 +17,23 @@
 //! asynchronous messages, and the primary computes the final top-k over the
 //! `#devices × k` candidates.
 //!
-//! The whole run is one [`StageGraph`] whose closures do the *real* work:
-//! per-chunk [`ChunkLoad`](crate::stages::StageKind::ChunkLoad) transfer
-//! stages on each device's host→device lane,
-//! [`LocalTopK`](crate::stages::StageKind::LocalTopK) compute stages (each
-//! runs the full local pipeline on its device) on its compute queue,
-//! per-device merges, one per-source
-//! [`Gather`](crate::stages::StageKind::Gather) per secondary device on its
-//! own interconnect lane, and the primary's final selection. The threaded
-//! executor dispatches one host worker per resource, so each device's chunk
-//! pipelines run concurrently for real — host wall-clock tracks the modeled
-//! makespan — while the deterministic modeled replay keeps every report
-//! bit-identical run to run. The context is partitioned per device: each
-//! device's candidate buffer and per-chunk breakdowns live in their own
-//! mutex slot, written only by that device's stages.
+//! The run has three steps. **Per device**, on its own host thread
+//! ([`gpu_sim::try_run_on_each`]; a run whose sub-vectors all land on one
+//! device spawns none), a device records its reloads, runs each owned
+//! chunk's local pipeline and merges the chunks' winners, as plain calls
+//! over its own buffers.
+//! **Then the primary** runs the final selection over the candidates,
+//! taken in device order. **Then the replay**: every recorded stage —
+//! per device its [`ChunkLoad`](crate::stages::StageKind::ChunkLoad)s on
+//! its host→device lane, its
+//! [`LocalTopK`](crate::stages::StageKind::LocalTopK)s and merge on its
+//! compute queue, then one per-source
+//! [`Gather`](crate::stages::StageKind::Gather) per secondary device on
+//! its own interconnect lane, then the final selection — is listed in that
+//! order and replayed in modeled time on per-resource streams. Loads and
+//! gathers do no host work; they carry their modeled transfer time. The
+//! modeled report depends only on that list, so it is bit-identical run to
+//! run whatever order the host threads ran in; debug builds verify it.
 //!
 //! Under the default [`ReloadSchedule::DoubleBuffered`] schedule chunk
 //! *i + 1* transfers while chunk *i* computes (two staging buffers: chunk
@@ -43,23 +46,19 @@
 //! Everything here is generic over [`TopKKey`], like the rest of the
 //! pipeline; the `u32` monomorphization is the historical behaviour.
 
-// Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
-// the distributed context partitions per-device state into mutex slots, as
-// the executor's `&C` sharing rule requires.
-#![allow(clippy::disallowed_types)]
+use std::convert::Infallible;
+use std::ops::Range;
+use std::time::Instant;
 
-use std::sync::Mutex;
-
-use drtopk_obs::TraceSink;
-use gpu_sim::{GpuCluster, KernelStats, TransferDirection};
+use drtopk_obs::{EventKind, ExecEvent, TraceSink};
+use gpu_sim::{try_run_on_each, Device, GpuCluster, KernelStats, TransferDirection};
 use topk_baselines::{reference_topk, TopKKey};
 
 use crate::direction::{as_desc, Direction};
-use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 use crate::pipeline::{run_planned, DrTopKConfig, PhaseBreakdown, PlannedQuery};
 use crate::radix_flags::flag_radix_topk;
 use crate::stages::{
-    Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport, TransferLane,
+    ms_since, replay, ExecutedStage, Resource, StageKind, StageOutcome, StageReport, TransferLane,
 };
 use crate::verify::{debug_assert_verified, VerifyOptions};
 
@@ -229,23 +228,23 @@ pub(crate) fn place_shards(lens: &[usize], capabilities: &[f64]) -> Vec<usize> {
 /// k largest keys (or the k smallest, per [`DrTopKConfig::direction`])
 /// under an explicit [`ReloadSchedule`].
 ///
-/// Both schedules execute the identical stage graph and return bit-identical
-/// values; only the modeled timeline differs (the bench target
-/// `streamed_oversize` and the pinned out-of-core tests compare the two).
+/// Both schedules run the identical work and return bit-identical values;
+/// only the modeled timeline differs (the bench target `streamed_oversize`
+/// and the pinned out-of-core tests compare the two).
 ///
-/// With a `sink`, the run's stages stream into it as spans whose modeled
+/// With a `sink`, the run's stages go into it as spans whose modeled
 /// intervals match the returned report's `stages` **bit-for-bit**, plus
-/// live executor events (dispatches, dependency-gate wakes, debug-build
-/// verifier passes). A deterministic
+/// one dispatch event per stage at its measured start and, in debug
+/// builds, a verifier pass. A deterministic
 /// [`TraceRecorder`](drtopk_obs::TraceRecorder) fed from this runner
 /// exports byte-identical Chrome traces across runs.
-pub fn distributed_dr_topk<'a, K: TopKKey>(
-    cluster: &'a GpuCluster,
-    data: &'a [K],
+pub fn distributed_dr_topk<K: TopKKey>(
+    cluster: &GpuCluster,
+    data: &[K],
     k: usize,
-    config: &'a DrTopKConfig,
+    config: &DrTopKConfig,
     schedule: ReloadSchedule,
-    sink: Option<&'a dyn TraceSink>,
+    sink: Option<&dyn TraceSink>,
 ) -> DistributedResult<K> {
     match config.direction {
         Direction::Largest => run_distributed(cluster, data, k, config, schedule, sink),
@@ -255,124 +254,36 @@ pub fn distributed_dr_topk<'a, K: TopKKey>(
     }
 }
 
-/// The mutable state one device's stages write: its local candidate buffer
-/// and the per-chunk phase breakdowns, in chunk order. Only stages of that
-/// device touch the slot, and they are chained on its compute queue, so the
-/// mutex is uncontended — it exists to satisfy the `&C` sharing rule.
-struct DeviceSlot<K> {
-    local: Vec<K>,
-    breakdowns: Vec<PhaseBreakdown>,
-}
-
-/// Context of the distributed stage graph: one slot per device plus the
-/// final winners, written once by the `FinalTopK` stage.
-struct DistCtx<K> {
-    slots: Vec<Mutex<DeviceSlot<K>>>,
-    winners: Mutex<Option<Vec<K>>>,
-}
-
 /// [`distributed_dr_topk`] below the direction boundary: the largest keys
 /// of `data` in `K`'s order.
-fn run_distributed<'a, K: TopKKey>(
-    cluster: &'a GpuCluster,
-    data: &'a [K],
+fn run_distributed<K: TopKKey>(
+    cluster: &GpuCluster,
+    data: &[K],
     k: usize,
-    config: &'a DrTopKConfig,
+    config: &DrTopKConfig,
     schedule: ReloadSchedule,
-    sink: Option<&'a dyn TraceSink>,
+    sink: Option<&dyn TraceSink>,
 ) -> DistributedResult<K> {
     let k = k.min(data.len());
-    let num_devices = cluster.num_devices();
     if k == 0 || data.is_empty() {
-        return empty_result(num_devices, schedule);
+        return empty_result(cluster.num_devices(), schedule);
     }
-    let mut plan = build_distributed_graph(cluster, data, k, config, schedule);
-    if let Some(sink) = sink {
-        plan.graph.set_trace_sink(sink);
-    }
-    // The generic execute-time check runs with default options; the
-    // planner knows its staging-buffer count, so it additionally arms the
-    // V010 double-buffer hazard analysis.
-    debug_assert_verified("distributed stage graph", || {
-        plan.graph.verify_with(&VerifyOptions {
-            staging_buffers: Some(schedule.staging_buffers()),
-        })
-    });
-    let DistPlan {
-        graph,
-        ctx,
-        predicted_recall,
-    } = plan;
-    let report = graph.execute(&ctx);
-    finish_distributed_run(ctx, report, num_devices, predicted_recall, schedule)
+    let plan = DistPlan::new(cluster, data, k, config, schedule);
+    let epoch = Instant::now();
+    // Only devices that own a sub-vector run; one such device runs inline.
+    let active: Vec<usize> = (0..cluster.num_devices())
+        .filter(|&d| !plan.owned[d].is_empty())
+        .collect();
+    let devices: Vec<&Device> = active.iter().map(|&d| cluster.device(d)).collect();
+    let runs = try_run_on_each(&devices, |i, _| {
+        let d = active[i];
+        Ok::<_, Infallible>((d, plan.run_device(d, epoch)))
+    })
+    .unwrap_or_else(|failure| match failure.error {});
+    plan.finish(runs, sink, epoch)
 }
 
-/// Model-check the schedule space of one distributed run, then execute it.
-///
-/// Enumerates (or samples, per `budget`) the dispatch orders the threaded
-/// executor's per-resource FIFO workers could take for this exact run's
-/// stage graph, runs every order for real on a freshly built graph, and
-/// requires byte-identical deterministic summaries plus bit-identical
-/// winners across all of them (see [`crate::explore`]). On success the run
-/// executes once more through [`StageGraph::execute`] and its result is
-/// returned alongside the coverage summary; the first disagreement (or a
-/// deadlocked interleaving) returns the [`Divergence`] instead.
-pub fn distributed_dr_topk_explore<K: TopKKey>(
-    cluster: &GpuCluster,
-    data: &[K],
-    k: usize,
-    config: &DrTopKConfig,
-    schedule: ReloadSchedule,
-    budget: ExploreBudget,
-) -> Result<(DistributedResult<K>, ExploreOutcome), Box<Divergence>> {
-    match config.direction {
-        Direction::Largest => explore_distributed(cluster, data, k, config, schedule, budget),
-        Direction::Smallest => {
-            explore_distributed(cluster, as_desc(data), k, config, schedule, budget)
-                .map(|(result, outcome)| (result.into_native(), outcome))
-        }
-    }
-}
-
-/// [`distributed_dr_topk_explore`] below the direction boundary.
-fn explore_distributed<K: TopKKey>(
-    cluster: &GpuCluster,
-    data: &[K],
-    k: usize,
-    config: &DrTopKConfig,
-    schedule: ReloadSchedule,
-    budget: ExploreBudget,
-) -> Result<(DistributedResult<K>, ExploreOutcome), Box<Divergence>> {
-    let k = k.min(data.len());
-    if k == 0 || data.is_empty() {
-        let outcome = ExploreOutcome {
-            schedules_run: 0,
-            exhaustive: true,
-            stages: 0,
-            reference: StageReport::default(),
-        };
-        return Ok((empty_result(cluster.num_devices(), schedule), outcome));
-    }
-    let outcome = explore_schedules(
-        || {
-            let plan = build_distributed_graph(cluster, data, k, config, schedule);
-            (plan.graph, plan.ctx)
-        },
-        |ctx: &DistCtx<K>, _| {
-            ctx.winners
-                .lock()
-                .unwrap()
-                .as_ref()
-                .map(|vs| vs.iter().map(|v| v.to_bits()).collect::<Vec<K::Bits>>())
-        },
-        budget,
-    )?;
-    let result = run_distributed(cluster, data, k, config, schedule, None);
-    Ok((result, outcome))
-}
-
-/// The zero-work result for empty inputs or `k == 0`, shared by every
-/// entry point.
+/// The zero-work result for empty inputs or `k == 0`.
 fn empty_result<K: TopKKey>(num_devices: usize, schedule: ReloadSchedule) -> DistributedResult<K> {
     DistributedResult {
         values: Vec::new(),
@@ -391,297 +302,330 @@ fn empty_result<K: TopKKey>(num_devices: usize, schedule: ReloadSchedule) -> Dis
     }
 }
 
-/// A built-but-unexecuted distributed run: the stage graph, the context its
-/// closures write through, and the plan-time recall bound. Splitting the
-/// build from the execute is what lets [`distributed_dr_topk_explore`]
-/// rebuild the identical graph once per enumerated schedule.
-struct DistPlan<'a, K: TopKKey> {
-    graph: StageGraph<'a, DistCtx<K>>,
-    ctx: DistCtx<K>,
-    predicted_recall: f64,
-}
-
-/// Build the distributed stage graph for a non-trivial run (callers have
-/// already handled `k == 0` / empty data). Building is deterministic given
-/// the same inputs — rebuilding yields a graph of identical shape, which
-/// the schedule explorer relies on. (Reload transfers are logged on the
-/// cluster's transfer log at build time, as the historical runner did, so
-/// rebuilding grows that log; the modeled times it returns are
-/// deterministic, so results are unaffected.)
-fn build_distributed_graph<'a, K: TopKKey>(
+/// One non-trivial distributed request (callers have already handled
+/// `k == 0` and empty data), planned: which sub-vectors each device owns,
+/// and the plan-time recall bound.
+struct DistPlan<'a, K> {
     cluster: &'a GpuCluster,
     data: &'a [K],
     k: usize,
     config: &'a DrTopKConfig,
     schedule: ReloadSchedule,
-) -> DistPlan<'a, K> {
-    let num_devices = cluster.num_devices();
-    // Partition into sub-vectors that fit device memory, then deal them
-    // over devices by capability (see `place_shards`): on a homogeneous
-    // cluster this is the paper's round-robin dealing, on a heterogeneous
-    // one faster devices own proportionally more elements.
-    // `capacity_elems` is expressed in u32 elements; 8-byte keys fit half
-    // as many per device.
-    let capacity = capacity_in_keys::<K>(
-        cluster
+    /// Per device, the index and range of every sub-vector it owns, in
+    /// index order.
+    owned: Vec<Vec<(usize, Range<usize>)>>,
+    predicted_recall: f64,
+}
+
+/// What one device's chain produced: its local winners, each chunk's
+/// phase breakdown in chunk order, and its recorded stages, whose
+/// dependencies index this list. The last stage is the device's tail: its
+/// merge, or its only chunk top-k.
+struct DeviceRun<K> {
+    candidates: Vec<K>,
+    breakdowns: Vec<PhaseBreakdown>,
+    stages: Vec<ExecutedStage>,
+}
+
+impl<'a, K: TopKKey> DistPlan<'a, K> {
+    fn new(
+        cluster: &'a GpuCluster,
+        data: &'a [K],
+        k: usize,
+        config: &'a DrTopKConfig,
+        schedule: ReloadSchedule,
+    ) -> Self {
+        // Partition into sub-vectors that fit device memory, then deal them
+        // over devices by capability (see `place_shards`): on a homogeneous
+        // cluster this is the paper's round-robin dealing, on a
+        // heterogeneous one faster devices own proportionally more
+        // elements. `capacity_elems` is expressed in u32 elements; 8-byte
+        // keys fit half as many per device.
+        let capacity = capacity_in_keys::<K>(
+            cluster
+                .devices()
+                .iter()
+                .map(|d| d.capacity_elems())
+                .min()
+                .expect("cluster has devices"),
+        )
+        .max(1);
+        let subvectors = partition_subvectors(data.len(), capacity);
+        // Each sub-vector runs the whole (exact or approximate) pipeline
+        // locally, so the run's predicted recall is bounded below by the
+        // worst sub-vector plan (1.0 throughout for exact configs).
+        let predicted_recall = subvectors
+            .iter()
+            .map(|r| PlannedQuery::plan(r.len(), k, config).predicted_recall)
+            .fold(1.0f64, f64::min);
+        let capabilities: Vec<f64> = cluster
             .devices()
             .iter()
-            .map(|d| d.capacity_elems())
-            .min()
-            .expect("cluster has devices"),
-    )
-    .max(1);
-    let subvectors = partition_subvectors(data.len(), capacity);
-
-    // Each sub-vector runs the whole (exact or approximate) pipeline
-    // locally, so the run's predicted recall is bounded below by the worst
-    // sub-vector plan (1.0 throughout for exact configs).
-    let predicted_recall = subvectors
-        .iter()
-        .map(|r| crate::pipeline::PlannedQuery::plan(r.len(), k, config).predicted_recall)
-        .fold(1.0f64, f64::min);
-
-    // Build the stage graph whose closures do the real work. Per device: a
-    // chain of chunk loads on its host→device lane interleaved with
-    // per-chunk local top-k's on its compute queue, then the local merge;
-    // per-source gathers and the final selection close the graph. The
-    // threaded executor runs one host worker per resource, so the devices'
-    // chunk pipelines execute concurrently for real.
-    let ctx: DistCtx<K> = DistCtx {
-        slots: (0..num_devices)
-            .map(|_| {
-                Mutex::new(DeviceSlot {
-                    local: Vec::new(),
-                    breakdowns: Vec::new(),
-                })
-            })
-            .collect(),
-        winners: Mutex::new(None),
-    };
-    let mut graph: StageGraph<'_, DistCtx<K>> = StageGraph::new();
-    let mut device_tails: Vec<(usize, StageId)> = Vec::new();
-    let capabilities: Vec<f64> = cluster
-        .devices()
-        .iter()
-        .map(|dev| dev.spec().effective_bandwidth_bytes_per_s())
-        .collect();
-    let lens: Vec<usize> = subvectors.iter().map(std::ops::Range::len).collect();
-    let owners = place_shards(&lens, &capabilities);
-    for d in 0..num_devices {
-        let device = cluster.device(d);
-        let owned: Vec<(usize, std::ops::Range<usize>)> = subvectors
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| owners[*i] == d)
-            .map(|(i, r)| (i, r.clone()))
+            .map(|dev| dev.spec().effective_bandwidth_bytes_per_s())
             .collect();
-        let mut computes: Vec<StageId> = Vec::new();
-        for (j, (i, range)) in owned.iter().enumerate() {
-            // Sub-vectors beyond the first resident one stream in from the
-            // host: that is the reload overhead of Table 2. The transfer is
-            // recorded on the device's log here at build time (as the
-            // historical runner did); the stage closure only reports it.
-            let load = (j > 0).then(|| {
+        let lens: Vec<usize> = subvectors.iter().map(Range::len).collect();
+        let owners = place_shards(&lens, &capabilities);
+        let mut owned = vec![Vec::new(); cluster.num_devices()];
+        for (i, (range, d)) in subvectors.into_iter().zip(owners).enumerate() {
+            owned[d].push((i, range));
+        }
+        DistPlan {
+            cluster,
+            data,
+            k,
+            config,
+            schedule,
+            owned,
+            predicted_recall,
+        }
+    }
+
+    /// Device `d`'s chain, as plain calls on the calling thread: record
+    /// the reloads, run every owned chunk's local pipeline, and merge the
+    /// chunks' winners into one local top-k when there are several.
+    /// Measured times are taken since `epoch`.
+    fn run_device(&self, d: usize, epoch: Instant) -> DeviceRun<K> {
+        let device = self.cluster.device(d);
+        let owned = &self.owned[d];
+        // Sub-vectors beyond the first resident one stream in from the
+        // host: that is the reload overhead of Table 2. The transfers go on
+        // the device's log before its launches.
+        let loads: Vec<f64> = owned[1..]
+            .iter()
+            .map(|(_, range)| {
                 let bytes = (range.len() * std::mem::size_of::<K>()) as u64;
-                let t = cluster.record_transfer(
-                    "reload_subvector",
-                    TransferDirection::HostToDevice { dst: d },
-                    bytes,
-                );
+                let dst = TransferDirection::HostToDevice { dst: d };
+                self.cluster.record_transfer("reload_subvector", dst, bytes)
+            })
+            .collect();
+        let mut run = DeviceRun {
+            candidates: Vec::new(),
+            breakdowns: Vec::with_capacity(owned.len()),
+            stages: Vec::new(),
+        };
+        let mut computes: Vec<usize> = Vec::with_capacity(owned.len());
+        for (j, (i, range)) in owned.iter().enumerate() {
+            let mut deps = Vec::new();
+            if j > 0 {
                 // Serial: the load waits for the previous chunk's compute.
                 // Double-buffered: the load only waits for the chunk whose
                 // staging buffer it reuses (two buffers → chunk j − 2), so
                 // it overlaps chunk j − 1's compute.
-                let deps: Vec<StageId> = match schedule {
+                let load_deps = match self.schedule {
                     ReloadSchedule::Serial => vec![computes[j - 1]],
                     ReloadSchedule::DoubleBuffered => {
-                        if j >= 2 {
-                            vec![computes[j - 2]]
-                        } else {
-                            Vec::new()
-                        }
+                        j.checked_sub(2).map(|p| computes[p]).into_iter().collect()
                     }
                 };
-                graph.add_labeled(
+                let at = ms_since(epoch);
+                deps.push(run.stages.len());
+                run.stages.push(ExecutedStage::recorded(
                     StageKind::ChunkLoad,
                     format!("chunk {i} load"),
                     Resource::Transfer(TransferLane::HostToDevice(d)),
-                    &deps,
-                    move |_: &DistCtx<K>| StageOutcome::new(KernelStats::default(), t),
-                )
-            });
-            let deps: Vec<StageId> = load.into_iter().collect();
-            let range = range.clone();
-            computes.push(graph.add_labeled(
+                    load_deps,
+                    StageOutcome::new(KernelStats::default(), loads[j - 1]),
+                    at,
+                    at,
+                ));
+            }
+            let start = ms_since(epoch);
+            let chunk = &self.data[range.clone()];
+            let planned = PlannedQuery::plan(chunk.len(), self.k, self.config);
+            let r = run_planned(device, chunk, None, None, &planned);
+            computes.push(run.stages.len());
+            run.stages.push(ExecutedStage::recorded(
                 StageKind::LocalTopK,
                 format!("chunk {i} top-k"),
                 Resource::Compute(d),
-                &deps,
-                move |ctx: &DistCtx<K>| {
-                    let chunk = &data[range];
-                    let planned = PlannedQuery::plan(chunk.len(), k, config);
-                    let r = run_planned(device, chunk, None, None, &planned);
-                    let outcome = StageOutcome::new(r.stats, r.time_ms);
-                    let mut slot = ctx.slots[d].lock().unwrap();
-                    slot.local.extend_from_slice(&r.values);
-                    slot.breakdowns.push(r.breakdown);
-                    outcome
-                },
+                deps,
+                StageOutcome::new(r.stats, r.time_ms),
+                start,
+                ms_since(epoch),
             ));
+            run.candidates.extend_from_slice(&r.values);
+            run.breakdowns.push(r.breakdown);
         }
         // A device that owns several sub-vectors merges their top-k's into
-        // a single local top-k before communicating (tiny, done on-device).
+        // a single local top-k before communicating (tiny, done
+        // on-device). The merge reads every chunk's winners, so it depends
+        // on all of the chunk top-k's (the verifier's V003 would otherwise
+        // see all but the last as discarded).
         if owned.len() > 1 {
-            // The merge reads every chunk's winners from the device slot,
-            // so it depends on *all* of the chunk top-k's — the same-queue
-            // FIFO order already guarantees they ran, but the declared
-            // edges must match the real data flow (the verifier's V003
-            // would otherwise see all but the last chunk as discarded).
-            device_tails.push((
-                d,
-                graph.add(
-                    StageKind::LocalMerge,
-                    Resource::Compute(d),
-                    &computes,
-                    move |ctx: &DistCtx<K>| {
-                        let mut slot = ctx.slots[d].lock().unwrap();
-                        let merged = flag_radix_topk(device, &slot.local, k);
-                        let outcome = StageOutcome::new(merged.stats, merged.time_ms);
-                        slot.local = merged.values;
-                        outcome
-                    },
-                ),
+            let start = ms_since(epoch);
+            let merged = flag_radix_topk(device, &run.candidates, self.k);
+            run.stages.push(ExecutedStage::recorded(
+                StageKind::LocalMerge,
+                StageKind::LocalMerge.name(),
+                Resource::Compute(d),
+                computes,
+                StageOutcome::new(merged.stats, merged.time_ms),
+                start,
+                ms_since(epoch),
             ));
-        } else if let Some(&only) = computes.last() {
-            device_tails.push((d, only));
+            run.candidates = merged.values;
         }
+        run
     }
 
-    // Asynchronous gather: each secondary device pushes its k winners to
-    // the primary on its *own* interconnect lane (one stage per source), so
-    // per-device gathers overlap instead of serializing on a shared queue;
-    // each message pays the per-message launch overhead. The final
-    // selection waits for every gather (and the primary's own tail).
-    let mut final_deps: Vec<StageId> = Vec::new();
-    if num_devices > 1 {
-        let bytes = (k * std::mem::size_of::<K>()) as u64;
-        for &(d, tail) in &device_tails {
+    /// List the device chains' stages in device order, add the gathers,
+    /// run the final selection on the primary over the candidates in
+    /// device order, replay the list, and derive every reported quantity
+    /// from the replayed schedule. `runs` holds each active device's index
+    /// and chain, in device order.
+    fn finish(
+        &self,
+        runs: Vec<(usize, DeviceRun<K>)>,
+        sink: Option<&dyn TraceSink>,
+        epoch: Instant,
+    ) -> DistributedResult<K> {
+        let num_devices = self.cluster.num_devices();
+        let mut stages: Vec<ExecutedStage> = Vec::new();
+        let mut tails: Vec<(usize, usize)> = Vec::with_capacity(runs.len());
+        let mut candidates: Vec<K> = Vec::new();
+        let mut chunk_phases = PhaseBreakdown::default();
+        for (d, run) in runs {
+            let base = stages.len();
+            for stage in run.stages {
+                let deps = stage.deps.iter().map(|dep| dep + base).collect();
+                stages.push(ExecutedStage { deps, ..stage });
+            }
+            tails.push((d, stages.len() - 1));
+            candidates.extend(run.candidates);
+            for b in run.breakdowns {
+                chunk_phases += b;
+            }
+        }
+
+        // Asynchronous gather: each secondary device pushes its k winners
+        // to the primary on its *own* interconnect lane (one stage per
+        // source), so per-device gathers overlap instead of serializing on
+        // a shared queue; each message pays the per-message launch
+        // overhead. The final selection waits for every gather (and the
+        // primary's own tail).
+        let mut final_deps: Vec<usize> = Vec::with_capacity(tails.len());
+        let bytes = (self.k * std::mem::size_of::<K>()) as u64;
+        for &(d, tail) in &tails {
             if d == 0 {
                 final_deps.push(tail);
                 continue;
             }
-            let t = cluster
+            let t = self
+                .cluster
                 .transfer_time_ms(TransferDirection::DeviceToDevice { src: d, dst: 0 }, bytes)
                 + GpuCluster::MESSAGE_OVERHEAD_MS;
-            final_deps.push(graph.add_labeled(
+            let ready = stages[tail].measured_end_ms;
+            final_deps.push(stages.len());
+            stages.push(ExecutedStage::recorded(
                 StageKind::Gather,
                 format!("gather from device {d}"),
                 Resource::Transfer(TransferLane::Interconnect(d)),
-                &[tail],
-                move |_: &DistCtx<K>| StageOutcome::new(KernelStats::default(), t),
+                vec![tail],
+                StageOutcome::new(KernelStats::default(), t),
+                ready,
+                ready,
             ));
         }
-    } else {
-        final_deps = device_tails.iter().map(|&(_, id)| id).collect();
-    }
-    graph.add(
-        StageKind::FinalTopK,
-        Resource::Compute(0),
-        &final_deps,
-        move |ctx: &DistCtx<K>| {
-            // Candidates in device order — deterministic regardless of how
-            // the host workers interleaved.
-            let mut candidates: Vec<K> = Vec::new();
-            for slot in &ctx.slots {
-                candidates.extend_from_slice(&slot.lock().unwrap().local);
-            }
-            let (values, time_ms, stats) = if candidates.len() > k && num_devices > 1 {
-                let final_topk = flag_radix_topk(cluster.device(0), &candidates, k);
-                (final_topk.values, final_topk.time_ms, final_topk.stats)
-            } else {
-                (reference_topk(&candidates, k), 0.0, KernelStats::default())
-            };
-            *ctx.winners.lock().unwrap() = Some(values);
-            StageOutcome { stats, time_ms }
-        },
-    );
+        let start = ms_since(epoch);
+        let (values, outcome) = if candidates.len() > self.k && num_devices > 1 {
+            let r = flag_radix_topk(self.cluster.device(0), &candidates, self.k);
+            (r.values, StageOutcome::new(r.stats, r.time_ms))
+        } else {
+            (reference_topk(&candidates, self.k), StageOutcome::default())
+        };
+        stages.push(ExecutedStage::recorded(
+            StageKind::FinalTopK,
+            StageKind::FinalTopK.name(),
+            Resource::Compute(0),
+            final_deps,
+            outcome,
+            start,
+            ms_since(epoch),
+        ));
 
-    DistPlan {
-        graph,
-        ctx,
-        predicted_recall,
+        let report = replay(stages);
+        // The planner knows its staging-buffer count, so the check also
+        // arms the V010 double-buffer hazard analysis.
+        debug_assert_verified("distributed stage schedule", || {
+            report.verify_with(&VerifyOptions {
+                staging_buffers: Some(self.schedule.staging_buffers()),
+            })
+        });
+        if let Some(sink) = sink {
+            trace_into(sink, &report);
+        }
+
+        let mut per_device_compute_ms = vec![0.0f64; num_devices];
+        let mut per_device_reload_ms = vec![0.0f64; num_devices];
+        let mut communication_ms = 0.0;
+        let mut final_topk_ms = 0.0;
+        let mut selection_overhead_ms = 0.0;
+        for stage in &report.stages {
+            match (stage.kind, stage.resource) {
+                (StageKind::ChunkLoad, Resource::Transfer(TransferLane::HostToDevice(d))) => {
+                    per_device_reload_ms[d] += stage.duration_ms();
+                }
+                (StageKind::LocalTopK | StageKind::LocalMerge, Resource::Compute(d)) => {
+                    per_device_compute_ms[d] += stage.duration_ms();
+                    if stage.kind == StageKind::LocalMerge {
+                        selection_overhead_ms += stage.duration_ms();
+                    }
+                }
+                (StageKind::Gather, _) => communication_ms += stage.duration_ms(),
+                (StageKind::FinalTopK, _) => {
+                    final_topk_ms += stage.duration_ms();
+                    selection_overhead_ms += stage.duration_ms();
+                }
+                _ => {}
+            }
+        }
+        let reload_overhead_ms: f64 = per_device_reload_ms.iter().sum();
+        let breakdown = PhaseBreakdown {
+            second_topk_ms: chunk_phases.second_topk_ms + selection_overhead_ms,
+            transfer_ms: report.transfer_ms(),
+            ..chunk_phases
+        };
+        let kth_value = values.last().copied().unwrap_or_default();
+
+        DistributedResult {
+            kth_value,
+            total_ms: report.makespan_ms,
+            per_device_compute_ms,
+            per_device_reload_ms,
+            communication_ms,
+            final_topk_ms,
+            reload_overhead_ms,
+            stats: report.stats(),
+            values,
+            predicted_recall: self.predicted_recall,
+            breakdown,
+            stages: report,
+            schedule: self.schedule,
+        }
     }
 }
 
-/// Derive every reported quantity of a [`DistributedResult`] from the one
-/// executed stage schedule and the context its stages wrote.
-fn finish_distributed_run<K: TopKKey>(
-    ctx: DistCtx<K>,
-    report: StageReport,
-    num_devices: usize,
-    predicted_recall: f64,
-    schedule: ReloadSchedule,
-) -> DistributedResult<K> {
-    let DistCtx { slots, winners } = ctx;
-    let values = winners
-        .into_inner()
-        .unwrap()
-        .expect("the final selection stage always runs");
-    let mut chunk_phases = PhaseBreakdown::default();
-    for slot in &slots {
-        for &b in &slot.lock().unwrap().breakdowns {
-            chunk_phases += b;
+/// Send a finished run to `sink`: in debug builds the verifier's pass,
+/// then one dispatch event per stage at its measured start (sinks that
+/// want no events skip both), then every stage as a span.
+fn trace_into(sink: &dyn TraceSink, report: &StageReport) {
+    if sink.wants_events() {
+        if cfg!(debug_assertions) {
+            sink.event(ExecEvent {
+                kind: EventKind::VerifierPass,
+                label: format!("{} stage(s) verified", report.stages.len()),
+                at_ms: 0.0,
+            });
+        }
+        for stage in &report.stages {
+            sink.event(ExecEvent {
+                kind: EventKind::Dispatch,
+                label: stage.label.clone(),
+                at_ms: stage.measured_start_ms,
+            });
         }
     }
-
-    // Derive every reported quantity from the one stage schedule.
-    let mut per_device_compute_ms = vec![0.0f64; num_devices];
-    let mut per_device_reload_ms = vec![0.0f64; num_devices];
-    let mut communication_ms = 0.0;
-    let mut final_topk_ms = 0.0;
-    let mut selection_overhead_ms = 0.0;
-    for stage in &report.stages {
-        match (stage.kind, stage.resource) {
-            (StageKind::ChunkLoad, Resource::Transfer(TransferLane::HostToDevice(d))) => {
-                per_device_reload_ms[d] += stage.duration_ms();
-            }
-            (StageKind::LocalTopK | StageKind::LocalMerge, Resource::Compute(d)) => {
-                per_device_compute_ms[d] += stage.duration_ms();
-                if stage.kind == StageKind::LocalMerge {
-                    selection_overhead_ms += stage.duration_ms();
-                }
-            }
-            (StageKind::Gather, _) => communication_ms += stage.duration_ms(),
-            (StageKind::FinalTopK, _) => {
-                final_topk_ms += stage.duration_ms();
-                selection_overhead_ms += stage.duration_ms();
-            }
-            _ => {}
-        }
-    }
-    let reload_overhead_ms: f64 = per_device_reload_ms.iter().sum();
-    let breakdown = PhaseBreakdown {
-        second_topk_ms: chunk_phases.second_topk_ms + selection_overhead_ms,
-        transfer_ms: report.transfer_ms(),
-        ..chunk_phases
-    };
-    let kth_value = values.last().copied().unwrap_or_default();
-
-    DistributedResult {
-        kth_value,
-        total_ms: report.makespan_ms,
-        per_device_compute_ms,
-        per_device_reload_ms,
-        communication_ms,
-        final_topk_ms,
-        reload_overhead_ms,
-        stats: report.stats(),
-        values,
-        predicted_recall,
-        breakdown,
-        stages: report,
-        schedule,
-    }
+    report.record_into(sink);
 }
 
 #[cfg(test)]
@@ -775,34 +719,38 @@ mod tests {
         // charge is the slowest single gather, not the serialized sum.
         // Pin it at the unit level: four gathers of 4 ms each, one per
         // source lane, each gated only on its own device's tail.
-        let mut g: StageGraph<'_, ()> = StageGraph::new();
+        let stage = |kind, label: String, resource, deps, ms| {
+            let outcome = StageOutcome::new(KernelStats::default(), ms);
+            ExecutedStage::recorded(kind, label, resource, deps, outcome, 0.0, 0.0)
+        };
+        let mut stages = Vec::new();
         let mut gathers = Vec::new();
         for d in 1..=4usize {
-            let tail = g.add_labeled(
+            let tail = stages.len();
+            stages.push(stage(
                 StageKind::LocalTopK,
                 format!("device {d} tail"),
                 Resource::Compute(d),
-                &[],
-                |_| StageOutcome {
-                    stats: KernelStats::default(),
-                    time_ms: 2.0,
-                },
-            );
-            gathers.push(g.add_labeled(
+                vec![],
+                2.0,
+            ));
+            gathers.push(stages.len());
+            stages.push(stage(
                 StageKind::Gather,
                 format!("gather from device {d}"),
                 Resource::Transfer(TransferLane::Interconnect(d)),
-                &[tail],
-                |_| StageOutcome {
-                    stats: KernelStats::default(),
-                    time_ms: 4.0,
-                },
+                vec![tail],
+                4.0,
             ));
         }
-        g.add(StageKind::FinalTopK, Resource::Compute(0), &gathers, |_| {
-            StageOutcome::default()
-        });
-        let report = g.execute(&());
+        stages.push(stage(
+            StageKind::FinalTopK,
+            "final_topk".to_string(),
+            Resource::Compute(0),
+            gathers,
+            0.0,
+        ));
+        let report = replay(stages);
         let serialized_gather_sum = 4.0 * 4.0;
         // tails overlap (2 ms), gathers overlap (4 ms): makespan 6 ms —
         // far below the 16 ms a single shared gather lane would charge.
@@ -810,36 +758,62 @@ mod tests {
         assert!(report.makespan_ms < serialized_gather_sum);
     }
 
+    /// The per-device chains run one after another on this thread, in
+    /// `order` (devices that own no sub-vector skipped), then finished as
+    /// the parallel run finishes them.
+    fn run_in_order<K: TopKKey>(
+        c: &GpuCluster,
+        data: &[K],
+        k: usize,
+        config: &DrTopKConfig,
+        schedule: ReloadSchedule,
+        order: &[usize],
+    ) -> DistributedResult<K> {
+        let plan = DistPlan::new(c, data, k, config, schedule);
+        let epoch = Instant::now();
+        let mut runs: Vec<Option<DeviceRun<K>>> = (0..c.num_devices()).map(|_| None).collect();
+        for &d in order {
+            if !plan.owned[d].is_empty() {
+                runs[d] = Some(plan.run_device(d, epoch));
+            }
+        }
+        let runs = (0..c.num_devices())
+            .zip(runs)
+            .filter_map(|(d, run)| Some((d, run?)))
+            .collect();
+        plan.finish(runs, None, epoch)
+    }
+
+    /// Everything deterministic about two runs agrees bit for bit.
+    fn assert_same_run<K: TopKKey>(a: &DistributedResult<K>, b: &DistributedResult<K>, what: &str) {
+        let bits = |r: &DistributedResult<K>| -> Vec<K::Bits> {
+            r.values.iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(a), bits(b), "{what}");
+        assert_eq!(a.total_ms.to_bits(), b.total_ms.to_bits(), "{what}");
+        assert_eq!(
+            a.stages.deterministic_summary(),
+            b.stages.deterministic_summary(),
+            "{what}"
+        );
+        assert_eq!(a.stats, b.stats, "{what}");
+        assert_eq!(a.breakdown, b.breakdown, "{what}");
+    }
+
     #[test]
     fn serial_and_threaded_executors_are_bit_identical() {
-        // A one-schedule exhaustive budget replays exactly schedule 0, the
-        // insertion order, serially on this thread; the returned result
-        // comes from the threaded executor.
+        // The chains run one after another in device order on this thread
+        // against each device on its own thread.
         let data = topk_datagen::uniform(1 << 16, 21);
         let k = 96;
         let c = cluster(4, 1 << 13); // 8 sub-vectors, 2 per device
-        let (threaded, serial) = distributed_dr_topk_explore(
-            &c,
-            &data,
-            k,
-            &DrTopKConfig::default(),
-            ReloadSchedule::DoubleBuffered,
-            ExploreBudget::Exhaustive { max_schedules: 1 },
-        )
-        .expect("one schedule cannot diverge from itself");
-        assert_eq!(serial.schedules_run, 1);
+        let config = DrTopKConfig::default();
+        let schedule = ReloadSchedule::DoubleBuffered;
+        let threaded = distributed_dr_topk(&c, &data, k, &config, schedule, None);
+        let serial = run_in_order(&c, &data, k, &config, schedule, &[0, 1, 2, 3]);
         assert_eq!(threaded.values, reference_topk(&data, k));
-        assert_eq!(
-            threaded.total_ms.to_bits(),
-            serial.reference.makespan_ms.to_bits()
-        );
-        assert_eq!(
-            threaded.stages.deterministic_summary(),
-            serial.reference.deterministic_summary()
-        );
-        assert_eq!(threaded.stats, serial.reference.stats());
+        assert_same_run(&serial, &threaded, "serial vs threaded");
     }
-
     #[test]
     fn absent_sources_emit_no_gather_stages() {
         // A 4-device cluster whose whole input fits one sub-vector: every
@@ -860,27 +834,38 @@ mod tests {
         assert!(got.stages.verify().is_empty());
     }
 
+    /// Devices share no state, so the order their chains run in cannot
+    /// matter: on 3 devices with reloads, every device order, under both
+    /// schedules and in the exact and approximate modes, gives the
+    /// parallel run's winners, schedule, makespan, counters and breakdown
+    /// bit for bit, and exact winners are the reference top-k.
     #[test]
     fn explore_validates_a_small_out_of_core_run() {
-        // 2 devices × 2 chunks each (double-buffered) is a ~9-stage graph
-        // whose full schedule space is small enough to enumerate: every
-        // dispatch order must agree bit-for-bit.
-        let data = topk_datagen::uniform(1 << 10, 11);
+        let data = topk_datagen::uniform(1 << 12, 11);
         let k = 16;
-        let c = cluster(2, 1 << 8);
-        let (result, outcome) = distributed_dr_topk_explore(
-            &c,
-            &data,
-            k,
-            &DrTopKConfig::default(),
-            ReloadSchedule::DoubleBuffered,
-            ExploreBudget::default(),
-        )
-        .expect("the distributed graph is schedule-invariant");
-        assert_eq!(result.values, reference_topk(&data, k));
-        assert!(outcome.exhaustive, "budget covers the whole space");
-        assert!(outcome.schedules_run > 1, "multiple interleavings exist");
-        assert_eq!(outcome.stages, outcome.reference.stages.len());
+        let c = cluster(3, 1 << 9); // 8 sub-vectors: 3, 3 and 2 per device
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for config in [DrTopKConfig::default(), DrTopKConfig::approx(0.9)] {
+            for schedule in [ReloadSchedule::Serial, ReloadSchedule::DoubleBuffered] {
+                let parallel = distributed_dr_topk(&c, &data, k, &config, schedule, None);
+                assert!(parallel.reload_overhead_ms > 0.0);
+                if config.mode.strict_target().is_none() {
+                    assert_eq!(parallel.values, reference_topk(&data, k));
+                }
+                for order in &orders {
+                    let serial = run_in_order(&c, &data, k, &config, schedule, order);
+                    let what = format!("{schedule}, devices in order {order:?}");
+                    assert_same_run(&serial, &parallel, &what);
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,9 +38,7 @@
 //!
 //! One runner per target, each taking the request as a [`DrTopKConfig`]:
 //! [`dr_topk`] and [`dr_topk_planned`] on one device, [`distributed_dr_topk`]
-//! on a cluster, [`topk_rows`] and [`topk_rows_on`] on a row matrix, plus
-//! the distributed runner's schedule-exploring twin
-//! [`distributed_dr_topk_explore`].
+//! on a cluster, and [`topk_rows`] and [`topk_rows_on`] on a row matrix.
 //!
 //! ## Quickstart
 //!
@@ -65,7 +63,6 @@ pub mod concat;
 pub mod delegate;
 pub mod direction;
 pub mod distributed;
-pub mod explore;
 pub mod first_topk;
 pub mod pipeline;
 pub mod radix_flags;
@@ -81,11 +78,7 @@ pub use delegate::{
     build_delegate_vector, coarsen_delegate_vector, ConstructionMethod, DelegateVector,
 };
 pub use direction::Direction;
-pub use distributed::{
-    capacity_in_keys, distributed_dr_topk, distributed_dr_topk_explore, DistributedResult,
-    ReloadSchedule,
-};
-pub use explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
+pub use distributed::{capacity_in_keys, distributed_dr_topk, DistributedResult, ReloadSchedule};
 pub use first_topk::{first_topk, FirstTopK};
 pub use pipeline::{
     dr_topk, dr_topk_planned, DrTopKConfig, DrTopKResult, InnerAlgorithm, PhaseBreakdown,
@@ -94,8 +87,7 @@ pub use pipeline::{
 pub use radix_flags::{flag_radix_select_kth, flag_radix_topk};
 pub use rows::{topk_rows, topk_rows_on, RowK, RowMatrix, RowTopKResult};
 pub use stages::{
-    ExecutedStage, Resource, Serial, StageGraph, StageId, StageKind, StageOutcome, StageReport,
-    TransferLane,
+    ExecutedStage, Resource, Serial, StageKind, StageOutcome, StageReport, TransferLane,
 };
 pub use topk_baselines::{KeyBits, TopKKey};
 pub use tuning::{

@@ -1,54 +1,40 @@
-//! The stage IR, the stage-graph executor, and the serial recorder that
-//! every single-device pipeline uses.
+//! The stage IR, the modeled replay, and the serial recorder that every
+//! single-device pipeline uses.
 //!
 //! Every Dr. Top-k run reports its work as stages:
 //!
-//! * a stage ([`StageKind`] + [`Resource`] + its work) is one schedulable
-//!   piece of work — a paper phase ([`StageKind::DelegateConstruction`],
-//!   [`StageKind::FirstTopK`], …), the approximate mode's bucket-top-k′
-//!   candidate pass, or an out-of-core chunk load — bound to a
-//!   [`Resource`] (a device's compute queue or a transfer lane) and to the
-//!   stages it depends on;
+//! * a stage ([`StageKind`] + [`Resource`] + its dependencies) is one
+//!   schedulable piece of work — a paper phase
+//!   ([`StageKind::DelegateConstruction`], [`StageKind::FirstTopK`], …),
+//!   the approximate mode's bucket-top-k′ candidate pass, or an out-of-core
+//!   chunk load — bound to a [`Resource`] (a device's compute queue or a
+//!   transfer lane) and to the stages it depends on;
 //! * a single-device pipeline (the exact pipeline and its fallback, the
 //!   approximate mode, the radix path, an engine pool unit, one device's
 //!   share of a row matrix) is a chain of dependent phases on one compute
 //!   queue, so it runs them as plain calls and records each through
-//!   [`Serial`], which builds the same [`StageReport`] the executor would;
-//! * a [`StageGraph`] collects stages that can overlap — the distributed
-//!   runner's chunk loads, per-device compute and gathers — plus a
-//!   caller-owned context the stage closures read and write their buffers
-//!   through;
-//! * [`StageGraph::execute`] dispatches ready stages onto one host worker
-//!   thread per modeled resource, with dependency events gating
-//!   cross-resource handoff — so real wall-clock tracks the modeled
-//!   makespan instead of the sum of all stages — and then *replays* the
-//!   graph deterministically in modeled time on per-resource
-//!   [`gpu_sim::Stream`]s: stages on the same resource serialize, stages on
+//!   [`Serial`];
+//! * the distributed runner's stages can overlap — chunk loads on
+//!   host→device lanes, per-device compute, per-source gathers — so it
+//!   records each device's chain as plain calls and then *replays* the
+//!   whole list in modeled time on per-resource [`gpu_sim::Stream`]s
+//!   (`replay`): stages on the same resource serialize, stages on
 //!   different resources overlap as far as their dependencies allow —
 //!   which is exactly how double-buffered chunked ingestion hides
-//!   host→device transfers behind compute. A graph that touches a single
-//!   resource runs inline on the calling thread instead, through
-//!   `StageGraph::execute_in_order` in insertion order.
-//! * `StageGraph::execute_in_order` runs the closures on the calling
-//!   thread in one explicit dispatch order — the replay primitive of the
-//!   schedule model checker ([`crate::explore`]).
+//!   host→device transfers behind compute.
 //!
 //! # Modeled vs measured time
 //!
 //! Every stage interval exists in two clocks. *Modeled* milliseconds come
-//! from the simulator's analytic timing model and are **deterministic**: the
-//! replay runs in insertion order regardless of how the host threads
-//! interleaved, so `makespan_ms`, per-stage `start_ms`/`end_ms`, phase
-//! breakdowns and kernel counters are bit-identical run to run (see
-//! [`StageReport::deterministic_summary`]). *Measured* milliseconds are host
-//! wall-clock timestamps taken around each closure
+//! from the simulator's analytic timing model and are **deterministic**:
+//! they depend only on the recorded stages, in list order, never on how the
+//! host threads interleaved, so `makespan_ms`, per-stage
+//! `start_ms`/`end_ms`, phase breakdowns and kernel counters are
+//! bit-identical run to run (see [`StageReport::deterministic_summary`]).
+//! *Measured* milliseconds are host wall-clock timestamps taken around each
+//! stage's work
 //! ([`ExecutedStage::measured_start_ms`] / [`ExecutedStage::measured_end_ms`],
 //! [`StageReport::measured_makespan_ms`]) and vary run to run.
-//!
-//! Because graph stage closures run concurrently, they take `&C` (not
-//! `&mut C`) and must be `Send`; the caller partitions or synchronizes the
-//! context — per-device buffer slots behind `std::sync::Mutex`, say — so
-//! that independent stages never contend for the same slot.
 //!
 //! The [`StageReport`] is the one instrumentation point: it carries every
 //! executed stage's interval, the modeled makespan, the compute/transfer
@@ -56,17 +42,9 @@
 //! stage kinds — the pipeline, approximate, distributed and engine reports
 //! are all views of it.
 
-// Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
-// the executor's slot table is the synchronization primitive everything
-// else builds on.
-#![allow(clippy::disallowed_types)]
-
-use std::any::Any;
-use std::panic::AssertUnwindSafe;
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use drtopk_obs::{EventKind, ExecEvent, SpanRecord, TraceSink};
+use drtopk_obs::{SpanRecord, TraceSink};
 use gpu_sim::{KernelStats, StreamSet};
 
 use crate::pipeline::PhaseBreakdown;
@@ -218,8 +196,8 @@ impl Resource {
 }
 
 /// What executing one stage produced: the kernel counters it accumulated
-/// and its modeled duration. Buffers travel through the graph's context,
-/// not through the outcome.
+/// and its modeled duration. Buffers travel through the caller's own
+/// variables, not through the outcome.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageOutcome {
     /// Counters accumulated by the stage's kernels (empty for pure
@@ -236,489 +214,47 @@ impl StageOutcome {
     }
 }
 
-/// Handle to a stage within its graph, used to declare dependencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageId(usize);
-
-type BoxedStage<'g, C> = Box<dyn FnOnce(&C) -> StageOutcome + Send + 'g>;
-type PanicPayload = Box<dyn Any + Send>;
-
-struct StageNode<'g, C> {
-    kind: StageKind,
-    label: String,
-    resource: Resource,
-    deps: Vec<usize>,
-    run: BoxedStage<'g, C>,
-}
-
-/// The scheduling-relevant part of a stage, split from its closure so the
-/// worker threads can consult dependencies while closures are moved into
-/// per-resource worklists.
-struct StageMeta {
-    kind: StageKind,
-    label: String,
-    resource: Resource,
-    deps: Vec<usize>,
-}
-
-/// What one closure invocation produced, plus its host wall-clock interval
-/// relative to the executor's epoch.
-struct RunRecord {
-    outcome: StageOutcome,
-    measured_start_ms: f64,
-    measured_end_ms: f64,
-}
-
-/// Completion state of one stage slot under the threaded executor.
-enum Slot {
-    /// Not run yet.
-    Pending,
-    /// Ran to completion.
-    Done(RunRecord),
-    /// Panicked, or depends (transitively) on a stage that panicked.
-    Poisoned,
-}
-
-fn ms_since(epoch: Instant) -> f64 {
+pub(crate) fn ms_since(epoch: Instant) -> f64 {
     epoch.elapsed().as_secs_f64() * 1e3
 }
 
-/// Emit a live executor event iff a sink is attached *and* wants events
-/// (deterministic recorders do not — event timing is wall-clock). The
-/// label is only cloned on the enabled path.
-fn emit_event(sink: Option<&dyn TraceSink>, kind: EventKind, label: &str, at_ms: f64) {
-    if let Some(s) = sink {
-        if s.wants_events() {
-            s.event(ExecEvent {
-                kind,
-                label: label.to_string(),
-                at_ms,
-            });
-        }
-    }
-}
-
-/// A DAG of [`Stage`](StageKind)s over a caller-owned context `C`.
-///
-/// Stages must be added in a topological order (every dependency's
-/// [`StageId`] comes from an earlier `add` call on *this* graph — validated
-/// at `add` time). Stage closures receive `&C` and communicate buffers
-/// through it; because the threaded executor runs independent stages
-/// concurrently, closures must be `Send` and any mutable state inside `C`
-/// must be partitioned (per-device slots) or synchronized (`Mutex`). The
-/// closure's return value is only the stage's instrumentation.
-pub struct StageGraph<'g, C> {
-    stages: Vec<StageNode<'g, C>>,
-    /// Optional telemetry receiver; `None` (the default) costs one branch
-    /// per emission site and nothing else.
-    sink: Option<&'g dyn TraceSink>,
-}
-
-impl<'g, C> Default for StageGraph<'g, C> {
-    fn default() -> Self {
-        StageGraph::new()
-    }
-}
-
-impl<'g, C> StageGraph<'g, C> {
-    /// An empty graph.
-    pub fn new() -> Self {
-        StageGraph {
-            stages: Vec::new(),
-            sink: None,
-        }
-    }
-
-    /// Attach a [`TraceSink`]: every `execute*` entry point will then
-    /// record one span per executed stage (via
-    /// [`StageReport::record_shifted`]) and live executor events —
-    /// dispatches, dependency-gate wakes, and debug-build verifier passes.
-    /// Detached graphs skip all of it.
-    pub fn set_trace_sink(&mut self, sink: &'g dyn TraceSink) {
-        self.sink = Some(sink);
-    }
-
-    /// Add a stage with an explicit display label. `deps` are the stages
-    /// whose completion this stage must wait for *across* resources;
-    /// same-resource ordering is implicit (a resource is an in-order
-    /// queue).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a dependency does not name an earlier stage of this
-    /// graph — e.g. a [`StageId`] minted by a *different* graph. Catching
-    /// this at `add` time turns what used to be a bare out-of-bounds index
-    /// deep inside `execute` into an immediate, attributable error.
-    pub fn add_labeled(
-        &mut self,
-        kind: StageKind,
-        label: impl Into<String>,
-        resource: Resource,
-        deps: &[StageId],
-        run: impl FnOnce(&C) -> StageOutcome + Send + 'g,
-    ) -> StageId {
-        for dep in deps {
-            assert!(
-                dep.0 < self.stages.len(),
-                "stage dependency StageId({}) does not name an earlier stage of this graph \
-                 (the graph has {} stage(s)); StageIds are only valid within the graph whose \
-                 `add` call minted them",
-                dep.0,
-                self.stages.len()
-            );
-        }
-        let id = self.stages.len();
-        self.stages.push(StageNode {
-            kind,
-            label: label.into(),
-            resource,
-            deps: deps.iter().map(|d| d.0).collect(),
-            run: Box::new(run),
-        });
-        StageId(id)
-    }
-
-    /// Add a stage labeled by its kind.
-    pub fn add(
-        &mut self,
-        kind: StageKind,
-        resource: Resource,
-        deps: &[StageId],
-        run: impl FnOnce(&C) -> StageOutcome + Send + 'g,
-    ) -> StageId {
-        self.add_labeled(kind, kind.name(), resource, deps, run)
-    }
-
-    /// The scheduling-relevant description of every stage — kinds, labels,
-    /// resources, dependencies — with the work closures stripped. This is
-    /// the input shape of [`crate::verify::verify_specs`] and the
-    /// schedule-enumeration substrate of [`crate::explore`].
-    pub fn specs(&self) -> Vec<StageSpec> {
-        self.stages
-            .iter()
-            .map(|node| StageSpec {
-                kind: node.kind,
-                label: node.label.clone(),
-                resource: node.resource,
-                deps: node.deps.clone(),
-            })
-            .collect()
-    }
-
-    /// Statically verify the graph with default [`VerifyOptions`],
-    /// returning every [`Diagnostic`] (empty = clean). See
-    /// [`crate::verify`] for the checks and their stable codes. In debug
-    /// builds every `execute*` entry point runs this automatically and
-    /// panics on findings.
-    pub fn verify(&self) -> Vec<Diagnostic> {
-        self.verify_with(&VerifyOptions::default())
-    }
-
-    /// Statically verify the graph with explicit [`VerifyOptions`] (e.g. a
-    /// staging-buffer count enabling the `V010` double-buffer hazard
-    /// analysis).
-    pub fn verify_with(&self, opts: &VerifyOptions) -> Vec<Diagnostic> {
-        verify_specs(&self.specs(), opts)
-    }
-
-    /// Debug-build gate: panic before running any closure when the graph
-    /// fails verification. Release builds skip the check entirely. A clean
-    /// pass is reported to an attached sink as a
-    /// [`EventKind::VerifierPass`] event (at `t = 0`: verification precedes
-    /// the executor epoch).
-    fn debug_verify(&self) {
-        debug_assert_verified("stage graph", || self.verify());
-        if cfg!(debug_assertions) && self.sink.is_some() {
-            emit_event(
-                self.sink,
-                EventKind::VerifierPass,
-                &format!("{} stage(s) verified", self.stages.len()),
-                0.0,
-            );
-        }
-    }
-
-    fn into_parts(self) -> (Vec<StageMeta>, Vec<BoxedStage<'g, C>>) {
-        let mut metas = Vec::with_capacity(self.stages.len());
-        let mut runs = Vec::with_capacity(self.stages.len());
-        for node in self.stages {
-            metas.push(StageMeta {
-                kind: node.kind,
-                label: node.label,
-                resource: node.resource,
-                deps: node.deps,
-            });
-            runs.push(node.run);
-        }
-        (metas, runs)
-    }
-
-    /// Execute the graph.
-    ///
-    /// Host-side, ready stages dispatch onto one worker thread per modeled
-    /// resource — dependency events gate cross-resource handoff, exactly
-    /// like kernels launched on CUDA streams after `cudaStreamWaitEvent`s —
-    /// so real wall-clock tracks the modeled makespan. A graph that touches
-    /// a single resource (or none) runs inline on the calling thread, in
-    /// insertion order, through `execute_in_order`: a lone worker could
-    /// only replay that order anyway, and a closure's panic propagates
-    /// unchanged.
-    /// Afterwards the graph is replayed in insertion order on modeled
-    /// per-resource streams, so every modeled field of the report is
-    /// deterministic regardless of how the host threads interleaved.
-    ///
-    /// The workers gate dependencies through a slot table + condvar. This
-    /// is deadlock-free because `add_labeled`
-    /// guarantees every dependency index is smaller than the stage's own
-    /// index and each worker walks its list in insertion order: the
-    /// globally smallest unfinished stage always has every dependency
-    /// finished, so its worker can run it.
-    #[allow(clippy::disallowed_methods)] // the stage executor is one of the two host-parallel layers
-    pub fn execute(self, ctx: &C) -> StageReport
-    where
-        C: Sync,
-    {
-        let mut resources: Vec<Resource> = Vec::new();
-        for node in &self.stages {
-            if !resources.contains(&node.resource) {
-                resources.push(node.resource);
-            }
-        }
-        if resources.len() <= 1 {
-            let order: Vec<usize> = (0..self.stages.len()).collect();
-            return self.execute_in_order(ctx, &order);
-        }
-        self.debug_verify();
-        let sink = self.sink;
-        let (metas, runs) = self.into_parts();
-        let n = metas.len();
-        type Worklist<'g, C> = Vec<(usize, BoxedStage<'g, C>)>;
-        let mut worklists: Vec<(Resource, Worklist<'g, C>)> =
-            resources.into_iter().map(|r| (r, Vec::new())).collect();
-        for (i, run) in runs.into_iter().enumerate() {
-            let resource = metas[i].resource;
-            worklists
-                .iter_mut()
-                .find(|(r, _)| *r == resource)
-                .expect("every stage's resource was collected above")
-                .1
-                .push((i, run));
-        }
-        let slots: Mutex<Vec<Slot>> = Mutex::new((0..n).map(|_| Slot::Pending).collect());
-        let progressed = Condvar::new();
-        let panics: Mutex<Vec<(usize, PanicPayload)>> = Mutex::new(Vec::new());
-        let epoch = Instant::now();
-        std::thread::scope(|scope| {
-            for (_, work) in worklists {
-                let metas = &metas;
-                let slots = &slots;
-                let progressed = &progressed;
-                let panics = &panics;
-                scope.spawn(move || {
-                    for (i, run) in work {
-                        let mut dep_poisoned;
-                        let mut gated = false;
-                        {
-                            let mut guard = slots.lock().unwrap();
-                            'scan: loop {
-                                dep_poisoned = false;
-                                for &dep in &metas[i].deps {
-                                    match guard[dep] {
-                                        Slot::Pending => {
-                                            gated = true;
-                                            guard = progressed.wait(guard).unwrap();
-                                            continue 'scan;
-                                        }
-                                        Slot::Poisoned => dep_poisoned = true,
-                                        Slot::Done(_) => {}
-                                    }
-                                }
-                                break;
-                            }
-                        }
-                        if gated {
-                            emit_event(
-                                sink,
-                                EventKind::DepGateWake,
-                                &metas[i].label,
-                                ms_since(epoch),
-                            );
-                        }
-                        let slot = if dep_poisoned {
-                            Slot::Poisoned
-                        } else {
-                            let measured_start_ms = ms_since(epoch);
-                            emit_event(
-                                sink,
-                                EventKind::Dispatch,
-                                &metas[i].label,
-                                measured_start_ms,
-                            );
-                            match std::panic::catch_unwind(AssertUnwindSafe(|| run(ctx))) {
-                                Ok(outcome) => Slot::Done(RunRecord {
-                                    outcome,
-                                    measured_start_ms,
-                                    measured_end_ms: ms_since(epoch),
-                                }),
-                                Err(payload) => {
-                                    panics.lock().unwrap().push((i, payload));
-                                    Slot::Poisoned
-                                }
-                            }
-                        };
-                        slots.lock().unwrap()[i] = slot;
-                        progressed.notify_all();
-                    }
-                });
-            }
-        });
-        let mut panics = panics.into_inner().unwrap();
-        if !panics.is_empty() {
-            // Re-raise the earliest stage's panic — the one an
-            // insertion-order run would have hit first.
-            panics.sort_by_key(|(i, _)| *i);
-            std::panic::resume_unwind(panics.remove(0).1);
-        }
-        let records = slots
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Done(record) => record,
-                Slot::Pending | Slot::Poisoned => {
-                    unreachable!("non-panicking graphs complete every stage")
-                }
-            })
-            .collect();
-        finish_report(metas, records, sink)
-    }
-
-    /// Execute the stage closures on the calling thread in an explicit
-    /// dispatch `order` — the schedule-replay primitive behind
-    /// [`crate::explore::explore_schedules`]. The report is byte-identical
-    /// (modeled fields) to [`StageGraph::execute`]'s: the modeled replay
-    /// always runs in insertion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `order` is not a dispatch order the threaded workers
-    /// could take: it must be a permutation of `0..len()` in which every
-    /// stage appears after all of its dependencies *and* after every
-    /// earlier-inserted stage on its own resource (workers drain their
-    /// worklists in FIFO order). Does not require `C: Sync` — everything
-    /// runs on the calling thread.
-    pub(crate) fn execute_in_order(self, ctx: &C, order: &[usize]) -> StageReport {
-        self.debug_verify();
-        let sink = self.sink;
-        let (metas, runs) = self.into_parts();
-        let n = metas.len();
-        assert_eq!(
-            order.len(),
-            n,
-            "dispatch order names {} stage(s) but the graph has {n}",
-            order.len()
-        );
-        let mut done = vec![false; n];
-        for &i in order {
-            assert!(i < n, "dispatch order names stage {i} of a {n}-stage graph");
-            assert!(!done[i], "dispatch order runs stage {i} twice");
-            for &dep in &metas[i].deps {
-                assert!(
-                    done[dep],
-                    "dispatch order runs stage {i} ('{}') before its dependency {dep}",
-                    metas[i].label
-                );
-            }
-            for (j, meta) in metas.iter().enumerate().take(i) {
-                assert!(
-                    meta.resource != metas[i].resource || done[j],
-                    "dispatch order runs stage {i} ('{}') before stage {j} on the same \
-                     resource; per-resource dispatch is FIFO in insertion order",
-                    metas[i].label
-                );
-            }
-            done[i] = true;
-        }
-        let mut runs: Vec<Option<BoxedStage<'g, C>>> = runs.into_iter().map(Some).collect();
-        let mut records: Vec<Option<RunRecord>> = (0..n).map(|_| None).collect();
-        let epoch = Instant::now();
-        for &i in order {
-            let run = runs[i].take().expect("order is a permutation");
-            let measured_start_ms = ms_since(epoch);
-            emit_event(
-                sink,
-                EventKind::Dispatch,
-                &metas[i].label,
-                measured_start_ms,
-            );
-            let outcome = run(ctx);
-            records[i] = Some(RunRecord {
-                outcome,
-                measured_start_ms,
-                measured_end_ms: ms_since(epoch),
-            });
-        }
-        let records = records
-            .into_iter()
-            .map(|r| r.expect("every stage was dispatched"))
-            .collect();
-        finish_report(metas, records, sink)
-    }
-}
-
-/// [`build_report`] plus span emission: both entry points funnel through
-/// here, so an attached sink sees exactly the report's stages, in insertion
-/// order — which is what makes deterministic traces byte-identical across
-/// runs and dispatch orders.
-fn finish_report(
-    metas: Vec<StageMeta>,
-    records: Vec<RunRecord>,
-    sink: Option<&dyn TraceSink>,
-) -> StageReport {
-    let report = build_report(metas, records);
-    if let Some(sink) = sink {
-        report.record_into(sink);
-    }
-    report
-}
-
-/// Deterministic modeled replay: schedule every stage in insertion order on
-/// its resource's stream, independent of how the host threads interleaved.
-fn build_report(metas: Vec<StageMeta>, records: Vec<RunRecord>) -> StageReport {
+/// The deterministic modeled replay of recorded stages: each stage, in list
+/// order, starts on its resource's [`gpu_sim::Stream`] once its
+/// dependencies have finished and runs for the duration it recorded
+/// (`end_ms − start_ms`). Stages on one resource serialize; stages on
+/// different resources overlap as far as their dependencies allow, which is
+/// how double-buffered chunk loads hide behind compute. Dependencies must
+/// name earlier stages. Measured fields pass through unchanged, so the
+/// modeled report does not depend on how the host ran the work.
+pub(crate) fn replay(recorded: Vec<ExecutedStage>) -> StageReport {
     let mut streams: StreamSet<Resource> = StreamSet::new();
-    let mut finished: Vec<gpu_sim::Event> = Vec::with_capacity(metas.len());
-    let mut executed: Vec<ExecutedStage> = Vec::with_capacity(metas.len());
+    let mut finished: Vec<gpu_sim::Event> = Vec::with_capacity(recorded.len());
+    let mut stages: Vec<ExecutedStage> = Vec::with_capacity(recorded.len());
     let mut measured_makespan_ms: f64 = 0.0;
-    for (meta, record) in metas.into_iter().zip(records) {
-        let stream = streams.stream_mut(meta.resource);
-        for &dep in &meta.deps {
+    for stage in recorded {
+        let stream = streams.stream_mut(stage.resource);
+        for &dep in &stage.deps {
             stream.wait_event(&finished[dep]);
         }
         let start_ms = stream.cursor_ms();
-        let done = stream.launch(record.outcome.time_ms);
-        measured_makespan_ms = measured_makespan_ms.max(record.measured_end_ms);
-        executed.push(ExecutedStage {
-            kind: meta.kind,
-            label: meta.label,
-            resource: meta.resource,
-            deps: meta.deps,
+        let done = stream.launch(stage.duration_ms());
+        measured_makespan_ms = measured_makespan_ms.max(stage.measured_end_ms);
+        stages.push(ExecutedStage {
             start_ms,
             end_ms: done.ready_at_ms(),
-            measured_start_ms: record.measured_start_ms,
-            measured_end_ms: record.measured_end_ms,
-            stats: record.outcome.stats,
+            ..stage
         });
         finished.push(done);
     }
     let makespan_ms = streams.makespan_ms();
-    let serial_ms: f64 = executed.iter().map(ExecutedStage::duration_ms).sum();
+    let serial_ms: f64 = stages.iter().map(ExecutedStage::duration_ms).sum();
     debug_assert!(
         makespan_ms <= serial_ms + 1e-9 * serial_ms.max(1.0),
         "modeled makespan ({makespan_ms} ms) must never exceed the serialized cost \
          ({serial_ms} ms); overlap can only hide time"
     );
     StageReport {
-        stages: executed,
+        stages,
         makespan_ms,
         measured_makespan_ms,
     }
@@ -741,11 +277,11 @@ pub struct ExecutedStage {
     pub start_ms: f64,
     /// Modeled completion time, ms (deterministic).
     pub end_ms: f64,
-    /// Host wall-clock at which the stage closure started, in ms since the
-    /// executor's epoch. **Not deterministic** — varies run to run.
+    /// Host wall-clock at which the stage's work started, in ms since the
+    /// run's epoch. **Not deterministic** — varies run to run.
     pub measured_start_ms: f64,
-    /// Host wall-clock at which the stage closure returned, in ms since
-    /// the executor's epoch. **Not deterministic** — varies run to run.
+    /// Host wall-clock at which the stage's work returned, in ms since the
+    /// run's epoch. **Not deterministic** — varies run to run.
     pub measured_end_ms: f64,
     /// Kernel counters the stage accumulated.
     pub stats: KernelStats,
@@ -761,9 +297,33 @@ impl ExecutedStage {
     pub fn measured_ms(&self) -> f64 {
         self.measured_end_ms - self.measured_start_ms
     }
+
+    /// A stage as its work recorded it, before `replay` places it: its
+    /// modeled interval is `[0, outcome.time_ms)`.
+    pub(crate) fn recorded(
+        kind: StageKind,
+        label: impl Into<String>,
+        resource: Resource,
+        deps: Vec<usize>,
+        outcome: StageOutcome,
+        measured_start_ms: f64,
+        measured_end_ms: f64,
+    ) -> Self {
+        ExecutedStage {
+            kind,
+            label: label.into(),
+            resource,
+            deps,
+            start_ms: 0.0,
+            end_ms: outcome.time_ms,
+            measured_start_ms,
+            measured_end_ms,
+            stats: outcome.stats,
+        }
+    }
 }
 
-/// The executor's instrumentation: every scheduled stage plus the modeled
+/// A run's instrumentation: every scheduled stage plus the modeled
 /// makespan. All per-phase, compute-vs-transfer and overlap reporting in
 /// the crate (and the engine) derives from this one structure.
 ///
@@ -778,11 +338,11 @@ pub struct StageReport {
     /// resources. Deterministic.
     pub makespan_ms: f64,
     /// Measured end-to-end host wall-clock: the latest measured stage
-    /// completion. When [`StageGraph::execute`] runs stages of different
-    /// resources on their own workers, they overlap in wall-clock and this
-    /// falls below the sum of the stages' measured durations; for
-    /// single-resource graphs and `StageGraph::execute_in_order` it is the
-    /// serialized sum. **Not deterministic.**
+    /// completion. When devices run their stages on their own host threads
+    /// (the distributed runner, row blocks on several devices), they
+    /// overlap in wall-clock and this falls below the sum of the stages'
+    /// measured durations; for a one-device schedule it is the serialized
+    /// sum. **Not deterministic.**
     pub measured_makespan_ms: f64,
 }
 
@@ -844,9 +404,9 @@ impl StageReport {
     /// A byte-stable rendering of every *deterministic* field of the
     /// report: stage kinds, labels, resources, dependencies, modeled
     /// intervals (as exact bit patterns) and kernel counters, plus the
-    /// modeled makespan. Two runs of the same graph — in any dispatch
-    /// order, any thread count — must produce identical strings; the
-    /// determinism CI step and the executor stress test diff exactly this.
+    /// modeled makespan. Two runs of the same request — whatever order the
+    /// host ran its devices in — must produce identical strings; the
+    /// determinism CI step and the repeated-run test diff exactly this.
     /// Measured wall-clock fields are deliberately excluded.
     pub fn deterministic_summary(&self) -> String {
         use std::fmt::Write as _;
@@ -953,10 +513,9 @@ impl StageReport {
 /// as a plain call, in order, and is recorded on one device's compute
 /// queue.
 ///
-/// On one in-order queue the executor's modeled replay reduces to
+/// On one in-order queue the modeled replay reduces to
 /// `cursor += duration`, so a running sum of durations gives every modeled
-/// start, end and the makespan bit for bit as [`StageGraph::execute`]
-/// would. The exact, fallback, approximate and radix pipelines record their
+/// start, end and the makespan bit for bit as the replay would. The exact, fallback, approximate and radix pipelines record their
 /// phases with [`Serial::stage`]; the engine records a pool unit's shared
 /// steps the same way and splices each member's own report in with
 /// [`Serial::append`]. Measured times are host wall-clock since
@@ -1077,9 +636,25 @@ impl Serial {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::{distributed_dr_topk, ReloadSchedule};
+    use crate::pipeline::DrTopKConfig;
+    use gpu_sim::{DeviceSpec, GpuCluster};
 
     fn outcome(ms: f64) -> StageOutcome {
         StageOutcome::new(KernelStats::default(), ms)
+    }
+
+    /// A stage of `ms` modeled milliseconds, recorded at measured time 0.
+    fn rec(kind: StageKind, resource: Resource, deps: &[usize], ms: f64) -> ExecutedStage {
+        ExecutedStage::recorded(
+            kind,
+            kind.name(),
+            resource,
+            deps.to_vec(),
+            outcome(ms),
+            0.0,
+            0.0,
+        )
     }
 
     /// A radix-shaped chain (a shape the verifier accepts at any length)
@@ -1099,30 +674,30 @@ mod tests {
 
     #[test]
     fn serial_stages_replay_exactly_like_the_executor() {
-        let mut g: StageGraph<'_, ()> = StageGraph::new();
+        let mut recorded = Vec::new();
         let mut serial = Serial::new(0);
-        let mut prev: Vec<StageId> = Vec::new();
         for (i, (kind, ms)) in CHAIN.into_iter().enumerate() {
-            let alu_ops = i as u64;
-            let done = StageOutcome::new(
-                KernelStats {
-                    alu_ops,
-                    ..KernelStats::default()
-                },
-                ms,
-            );
+            let stats = KernelStats {
+                alu_ops: i as u64,
+                ..KernelStats::default()
+            };
             let label = format!("stage {i}");
-            prev = vec![g.add_labeled(kind, &label, Resource::Compute(0), &prev, move |_| done)];
-            serial.stage(kind, label, || ((), done));
+            let deps: Vec<usize> = i.checked_sub(1).into_iter().collect();
+            recorded.push(ExecutedStage {
+                label: label.clone(),
+                stats,
+                ..rec(kind, Resource::Compute(0), &deps, ms)
+            });
+            serial.stage(kind, label, || ((), StageOutcome::new(stats, ms)));
         }
-        let recorded = serial.finish();
-        let executed = g.execute(&());
+        let serial = serial.finish();
+        let replayed = replay(recorded);
         assert_eq!(
-            executed.deterministic_summary(),
-            recorded.deterministic_summary()
+            replayed.deterministic_summary(),
+            serial.deterministic_summary()
         );
         let sum = CHAIN.iter().fold(0.0f64, |acc, (_, ms)| acc + ms);
-        assert_eq!(recorded.makespan_ms.to_bits(), sum.to_bits());
+        assert_eq!(serial.makespan_ms.to_bits(), sum.to_bits());
     }
 
     /// An appended report keeps its internal dependencies (re-indexed), its
@@ -1163,34 +738,21 @@ mod tests {
 
     #[test]
     fn serial_chain_on_one_resource_sums() {
-        let mut g: StageGraph<'_, Mutex<Vec<&'static str>>> = StageGraph::new();
-        let a = g.add(
-            StageKind::DelegateConstruction,
-            Resource::Compute(0),
-            &[],
-            |log| {
-                log.lock().unwrap().push("delegate");
-                outcome(2.0)
-            },
-        );
-        let b = g.add(StageKind::FirstTopK, Resource::Compute(0), &[a], |log| {
-            log.lock().unwrap().push("first");
-            outcome(1.0)
-        });
-        let c = g.add(StageKind::Concatenate, Resource::Compute(0), &[b], |log| {
-            log.lock().unwrap().push("concat");
-            outcome(0.0)
-        });
-        g.add(StageKind::SecondTopK, Resource::Compute(0), &[c], |log| {
-            log.lock().unwrap().push("second");
-            outcome(0.5)
-        });
-        let log = Mutex::new(Vec::new());
-        let report = g.execute(&log);
-        assert_eq!(
-            log.into_inner().unwrap(),
-            vec!["delegate", "first", "concat", "second"]
-        );
+        let mut log = Vec::new();
+        let mut serial = Serial::new(0);
+        for (kind, name, ms) in [
+            (StageKind::DelegateConstruction, "delegate", 2.0),
+            (StageKind::FirstTopK, "first", 1.0),
+            (StageKind::Concatenate, "concat", 0.0),
+            (StageKind::SecondTopK, "second", 0.5),
+        ] {
+            serial.stage(kind, kind.name(), || {
+                log.push(name);
+                ((), outcome(ms))
+            });
+        }
+        let report = serial.finish();
+        assert_eq!(log, vec!["delegate", "first", "concat", "second"]);
         assert_eq!(report.makespan_ms, 3.5);
         assert_eq!(report.serial_ms(), 3.5);
         assert_eq!(report.overlap_efficiency(), 0.0);
@@ -1206,23 +768,7 @@ mod tests {
     fn transfers_overlap_compute_across_resources() {
         // load0 [0,3) ∥ nothing; compute0 [3,7); load1 [3,6) overlaps
         // compute0; compute1 [7,11). Makespan 11 vs serial 14.
-        let mut g: StageGraph<'_, ()> = StageGraph::new();
-        let lane = Resource::Transfer(TransferLane::HostToDevice(0));
-        let l0 = g.add(StageKind::ChunkLoad, lane, &[], |_| outcome(3.0));
-        let c0 = g.add(StageKind::LocalTopK, Resource::Compute(0), &[l0], |_| {
-            outcome(4.0)
-        });
-        let l1 = g.add(StageKind::ChunkLoad, lane, &[], |_| outcome(3.0));
-        let c1 = g.add(StageKind::LocalTopK, Resource::Compute(0), &[l1], |_| {
-            outcome(4.0)
-        });
-        g.add(
-            StageKind::FinalTopK,
-            Resource::Compute(0),
-            &[c0, c1],
-            |_| outcome(0.0),
-        );
-        let report = g.execute(&());
+        let report = replay(two_resource_schedule(&[0.0; 5]));
         assert_eq!(report.makespan_ms, 11.0);
         assert_eq!(report.serial_ms(), 14.0);
         assert!((report.overlap_efficiency() - 3.0 / 14.0).abs() < 1e-12);
@@ -1234,28 +780,20 @@ mod tests {
 
     #[test]
     fn same_resource_stages_serialize_without_explicit_deps() {
-        let mut g: StageGraph<'_, ()> = StageGraph::new();
         let lane = Resource::Transfer(TransferLane::HostToDevice(0));
-        let l0 = g.add(StageKind::ChunkLoad, lane, &[], |_| outcome(2.0));
-        let l1 = g.add(StageKind::ChunkLoad, lane, &[], |_| outcome(2.0));
-        let c = g.add(
-            StageKind::LocalTopK,
-            Resource::Compute(0),
-            &[l0, l1],
-            |_| outcome(0.0),
-        );
-        g.add(StageKind::FinalTopK, Resource::Compute(0), &[c], |_| {
-            outcome(0.0)
-        });
-        let report = g.execute(&());
+        let report = replay(vec![
+            rec(StageKind::ChunkLoad, lane, &[], 2.0),
+            rec(StageKind::ChunkLoad, lane, &[], 2.0),
+            rec(StageKind::LocalTopK, Resource::Compute(0), &[0, 1], 0.0),
+            rec(StageKind::FinalTopK, Resource::Compute(0), &[2], 0.0),
+        ]);
         assert_eq!(report.stages[1].start_ms, 2.0);
         assert_eq!(report.makespan_ms, 4.0);
     }
 
     #[test]
     fn empty_graph_reports_zeroes() {
-        let g: StageGraph<'_, ()> = StageGraph::new();
-        let report = g.execute(&());
+        let report = replay(Vec::new());
         assert!(report.stages.is_empty());
         assert_eq!(report.makespan_ms, 0.0);
         assert_eq!(report.measured_makespan_ms, 0.0);
@@ -1266,128 +804,95 @@ mod tests {
 
     #[test]
     fn labels_and_kinds_are_reported() {
-        let mut g: StageGraph<'_, ()> = StageGraph::new();
-        let load = g.add_labeled(
-            StageKind::ChunkLoad,
-            "chunk 3 load",
-            Resource::Transfer(TransferLane::HostToDevice(1)),
-            &[],
-            |_| outcome(1.0),
-        );
-        let local = g.add(StageKind::LocalTopK, Resource::Compute(1), &[load], |_| {
-            outcome(1.0)
-        });
-        g.add(StageKind::FinalTopK, Resource::Compute(1), &[local], |_| {
-            outcome(0.5)
-        });
-        let report = g.execute(&());
+        let load = ExecutedStage {
+            label: "chunk 3 load".to_string(),
+            ..rec(
+                StageKind::ChunkLoad,
+                Resource::Transfer(TransferLane::HostToDevice(1)),
+                &[],
+                1.0,
+            )
+        };
+        let report = replay(vec![
+            load,
+            rec(StageKind::LocalTopK, Resource::Compute(1), &[0], 1.0),
+            rec(StageKind::FinalTopK, Resource::Compute(1), &[1], 0.5),
+        ]);
         assert_eq!(report.stages[0].label, "chunk 3 load");
         assert_eq!(report.stages[0].kind, StageKind::ChunkLoad);
         assert!(report.stages[0].kind.is_transfer());
+        assert_eq!(report.stages[2].label, "final_topk");
         assert_eq!(
             format!("{}", StageKind::BucketTopKPrime),
             "bucket_topk_prime"
         );
     }
 
-    /// The same two-resource graph, buildable repeatedly for
-    /// dispatch-order equivalence tests.
-    fn two_resource_graph(g: &mut StageGraph<'_, Mutex<Vec<u32>>>) {
+    /// Two chunk loads on one host→device lane, each feeding a compute
+    /// stage, and a final selection over both; `measured[i]` is when the
+    /// host ran stage `i` (a one-millisecond stage).
+    fn two_resource_schedule(measured: &[f64; 5]) -> Vec<ExecutedStage> {
         let lane = Resource::Transfer(TransferLane::HostToDevice(0));
-        let l0 = g.add(StageKind::ChunkLoad, lane, &[], |_| outcome(3.0));
-        let c0 = g.add(StageKind::LocalTopK, Resource::Compute(0), &[l0], |log| {
-            log.lock().unwrap().push(10);
-            outcome(4.0)
-        });
-        let l1 = g.add(StageKind::ChunkLoad, lane, &[], |_| outcome(3.0));
-        let c1 = g.add(StageKind::LocalTopK, Resource::Compute(0), &[l1], |log| {
-            log.lock().unwrap().push(20);
-            outcome(4.0)
-        });
-        g.add(
-            StageKind::FinalTopK,
-            Resource::Compute(0),
-            &[c0, c1],
-            |log| {
-                let sum = log.lock().unwrap().iter().sum();
-                log.lock().unwrap().push(sum);
-                outcome(1.0)
-            },
-        );
+        let c0 = Resource::Compute(0);
+        [
+            rec(StageKind::ChunkLoad, lane, &[], 3.0),
+            rec(StageKind::LocalTopK, c0, &[0], 4.0),
+            rec(StageKind::ChunkLoad, lane, &[], 3.0),
+            rec(StageKind::LocalTopK, c0, &[2], 4.0),
+            rec(StageKind::FinalTopK, c0, &[1, 3], 0.0),
+        ]
+        .into_iter()
+        .zip(measured)
+        .map(|(stage, &at)| ExecutedStage {
+            measured_start_ms: at,
+            measured_end_ms: at + 1.0,
+            ..stage
+        })
+        .collect()
     }
 
-    /// The serial side is `execute_in_order` in insertion order: every
-    /// closure on the calling thread, one after another.
+    /// Host timings of the two-resource schedule: every stage one after
+    /// another in list order, the loads run ahead of the computes, and the
+    /// second load overtaking the first compute.
+    const HOST_ORDERS: [[f64; 5]; 3] = [
+        [0.0, 1.0, 2.0, 3.0, 4.0],
+        [0.0, 0.5, 0.2, 1.5, 2.5],
+        [0.0, 2.0, 1.0, 3.0, 4.0],
+    ];
+
+    /// The modeled replay depends only on the recorded list: whether the
+    /// host ran the stages one after another or overlapped them, every
+    /// deterministic field is the same, and the measured fields pass
+    /// through as recorded.
     #[test]
     fn threaded_and_serial_executors_agree_on_everything_deterministic() {
-        let mut serial_graph = StageGraph::new();
-        two_resource_graph(&mut serial_graph);
-        let serial_log = Mutex::new(Vec::new());
-        let serial = serial_graph.execute_in_order(&serial_log, &[0, 1, 2, 3, 4]);
-
-        let mut threaded_graph = StageGraph::new();
-        two_resource_graph(&mut threaded_graph);
-        let threaded_log = Mutex::new(Vec::new());
-        let threaded = threaded_graph.execute(&threaded_log);
-
-        // Same context bits: the compute stages are chained on one
-        // resource, so their side effects land in the same order.
-        assert_eq!(
-            serial_log.into_inner().unwrap(),
-            threaded_log.into_inner().unwrap()
-        );
-        // Byte-identical modeled report.
-        assert_eq!(
-            serial.deterministic_summary(),
-            threaded.deterministic_summary()
-        );
-        assert_eq!(serial.makespan_ms, threaded.makespan_ms);
-        // Measured fields exist and are sane either way.
-        for report in [&serial, &threaded] {
-            for s in &report.stages {
-                assert!(s.measured_end_ms >= s.measured_start_ms);
+        let serial = replay(two_resource_schedule(&HOST_ORDERS[0]));
+        for measured in &HOST_ORDERS[1..] {
+            let overlapped = replay(two_resource_schedule(measured));
+            assert_eq!(
+                serial.deterministic_summary(),
+                overlapped.deterministic_summary()
+            );
+            assert_eq!(
+                serial.makespan_ms.to_bits(),
+                overlapped.makespan_ms.to_bits()
+            );
+            for (stage, &at) in overlapped.stages.iter().zip(measured) {
+                assert_eq!(stage.measured_start_ms, at);
+                assert_eq!(stage.measured_ms(), 1.0);
             }
-            assert!(report.measured_makespan_ms >= 0.0);
+            let last = measured.iter().fold(0.0f64, |a, &b| a.max(b + 1.0));
+            assert_eq!(overlapped.measured_makespan_ms, last);
         }
-    }
-
-    /// Every dispatch order the model checker can replay agrees with the
-    /// threaded run, whose log is the chained compute stages' output.
-    #[test]
-    fn explore_executor_matches_threaded_results_and_summary() {
-        let mut threaded_graph = StageGraph::new();
-        two_resource_graph(&mut threaded_graph);
-        let threaded_log = Mutex::new(Vec::new());
-        let threaded = threaded_graph.execute(&threaded_log);
-        assert_eq!(threaded_log.into_inner().unwrap(), vec![10, 20, 30]);
-
-        let outcome = crate::explore::explore_schedules(
-            || {
-                let mut g = StageGraph::new();
-                two_resource_graph(&mut g);
-                (g, Mutex::new(Vec::new()))
-            },
-            |log: &Mutex<Vec<u32>>, _| log.lock().unwrap().clone(),
-            crate::explore::ExploreBudget::default(),
-        )
-        .expect("the two-resource graph is schedule-invariant");
-        // The second load may overtake the first compute stage or not.
-        assert_eq!(outcome.schedules_run, 2);
-        assert!(outcome.exhaustive);
-        assert_eq!(
-            threaded.deterministic_summary(),
-            outcome.reference.deterministic_summary()
-        );
+        assert_eq!(serial.measured_makespan_ms, 5.0);
+        assert_eq!(serial.serial_ms(), 14.0);
     }
 
     #[test]
     fn attached_recorder_sees_the_report_bit_for_bit() {
         let rec = drtopk_obs::TraceRecorder::deterministic();
-        let mut g = StageGraph::new();
-        two_resource_graph(&mut g);
-        g.set_trace_sink(&rec);
-        let log = Mutex::new(Vec::new());
-        let report = g.execute(&log);
+        let report = replay(two_resource_schedule(&HOST_ORDERS[1]));
+        report.record_into(&rec);
         let spans = rec.spans();
         assert_eq!(spans.len(), report.stages.len());
         for (span, stage) in spans.iter().zip(&report.stages) {
@@ -1404,43 +909,54 @@ mod tests {
         assert!(spans.iter().all(|s| s.measured_end_ms == 0.0));
     }
 
-    /// The threaded run and both legal single-thread dispatch orders
-    /// (insertion order, and the second load overtaking the first compute
-    /// stage) export the same deterministic trace.
+    /// Every host timing of the two-resource schedule exports the same
+    /// deterministic trace.
     #[test]
     fn deterministic_traces_are_byte_identical_across_executors() {
-        let trace_of = |order: Option<&[usize]>| {
+        let trace_of = |measured: &[f64; 5]| {
             let rec = drtopk_obs::TraceRecorder::deterministic();
-            let mut g = StageGraph::new();
-            two_resource_graph(&mut g);
-            g.set_trace_sink(&rec);
-            let log = Mutex::new(Vec::new());
-            match order {
-                Some(order) => g.execute_in_order(&log, order),
-                None => g.execute(&log),
-            };
+            replay(two_resource_schedule(measured)).record_into(&rec);
             rec.chrome_trace_json()
         };
-        let serial = trace_of(Some(&[0, 1, 2, 3, 4]));
-        assert_eq!(serial, trace_of(None));
-        assert_eq!(serial, trace_of(Some(&[0, 2, 1, 3, 4])));
+        let serial = trace_of(&HOST_ORDERS[0]);
+        for measured in &HOST_ORDERS[1..] {
+            assert_eq!(serial, trace_of(measured));
+        }
         drtopk_obs::validate_chrome_trace(&serial).unwrap();
     }
 
+    fn cluster(devices: usize, capacity: usize) -> GpuCluster {
+        let c = GpuCluster::homogeneous(devices, DeviceSpec::v100s());
+        for d in c.devices() {
+            d.set_capacity_elems(capacity);
+        }
+        c
+    }
+
+    /// A live distributed run reports one dispatch event per stage, at the
+    /// stage's measured start.
     #[test]
     fn full_recorder_collects_dispatch_events() {
         let rec = drtopk_obs::TraceRecorder::new();
-        let mut g = StageGraph::new();
-        two_resource_graph(&mut g);
-        g.set_trace_sink(&rec);
-        let log = Mutex::new(Vec::new());
-        g.execute(&log);
-        let dispatches = rec
+        let data = topk_datagen::uniform(1 << 12, 5);
+        let got = distributed_dr_topk(
+            &cluster(2, 1 << 10),
+            &data,
+            16,
+            &DrTopKConfig::default(),
+            ReloadSchedule::DoubleBuffered,
+            Some(&rec),
+        );
+        let dispatches: Vec<_> = rec
             .events()
-            .iter()
+            .into_iter()
             .filter(|e| e.kind == drtopk_obs::EventKind::Dispatch)
-            .count();
-        assert_eq!(dispatches, 5, "one dispatch per stage");
+            .collect();
+        assert_eq!(dispatches.len(), got.stages.stages.len(), "one per stage");
+        for (event, stage) in dispatches.iter().zip(&got.stages.stages) {
+            assert_eq!(event.label, stage.label);
+            assert_eq!(event.at_ms, stage.measured_start_ms);
+        }
         // In debug builds the verifier gate reports its pass too.
         #[cfg(debug_assertions)]
         assert!(rec
@@ -1449,61 +965,26 @@ mod tests {
             .any(|e| e.kind == drtopk_obs::EventKind::VerifierPass));
     }
 
+    /// Two devices run their chunk chains on their own host threads, so
+    /// their measured intervals overlap and the measured makespan lands
+    /// below the sum of the stages' measured durations. Retried to shrug
+    /// off scheduler jitter on loaded hosts.
     #[test]
-    #[should_panic(expected = "per-resource dispatch is FIFO")]
-    fn execute_in_order_rejects_fifo_violations() {
-        let mut g: StageGraph<'_, ()> = StageGraph::new();
-        let lane = Resource::Transfer(TransferLane::HostToDevice(0));
-        let l0 = g.add(StageKind::ChunkLoad, lane, &[], |_| outcome(1.0));
-        let l1 = g.add(StageKind::ChunkLoad, lane, &[], |_| outcome(1.0));
-        let c = g.add(
-            StageKind::LocalTopK,
-            Resource::Compute(0),
-            &[l0, l1],
-            |_| outcome(1.0),
-        );
-        g.add(StageKind::FinalTopK, Resource::Compute(0), &[c], |_| {
-            outcome(1.0)
-        });
-        // Stage 1 before stage 0 on the shared host→device lane: no worker
-        // could dispatch that.
-        g.execute_in_order(&(), &[1, 0, 2, 3]);
-    }
-
-    #[test]
-    #[allow(clippy::disallowed_methods)] // sleeps *are* the workload here
     fn threaded_executor_overlaps_real_wall_clock() {
-        // Two independent 25 ms sleeps on different resources (a chunk
-        // load feeding device 1, and device 0's own compute): the threaded
-        // executor runs them concurrently, so the measured makespan lands
-        // below the ~50 ms serialized sum. Retried to shrug off scheduler
-        // jitter on loaded CI hosts.
-        let sleepy = |ms: u64| {
-            move |_: &()| {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                outcome(ms as f64)
-            }
-        };
+        let capacity = 1 << 16;
+        let data = topk_datagen::uniform(capacity * 4, 23);
+        let c = cluster(2, capacity);
         let mut attempts = Vec::new();
         for _ in 0..3 {
-            let mut g: StageGraph<'_, ()> = StageGraph::new();
-            let load = g.add(
-                StageKind::ChunkLoad,
-                Resource::Transfer(TransferLane::HostToDevice(1)),
-                &[],
-                sleepy(25),
+            let got = distributed_dr_topk(
+                &c,
+                &data,
+                64,
+                &DrTopKConfig::default(),
+                ReloadSchedule::DoubleBuffered,
+                None,
             );
-            let c0 = g.add(StageKind::LocalTopK, Resource::Compute(0), &[], sleepy(25));
-            let c1 = g.add(StageKind::LocalTopK, Resource::Compute(1), &[load], |_| {
-                outcome(0.0)
-            });
-            g.add(
-                StageKind::FinalTopK,
-                Resource::Compute(0),
-                &[c0, c1],
-                |_| outcome(0.0),
-            );
-            let report = g.execute(&());
+            let report = got.stages;
             let serial: f64 = report.stages.iter().map(ExecutedStage::measured_ms).sum();
             attempts.push((report.measured_makespan_ms, serial));
             if report.measured_makespan_ms < serial {
@@ -1514,60 +995,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not name an earlier stage")]
-    fn cross_graph_stage_ids_are_rejected_at_add_time() {
-        let mut other: StageGraph<'_, ()> = StageGraph::new();
-        other.add(StageKind::FirstTopK, Resource::Compute(0), &[], |_| {
-            outcome(1.0)
-        });
-        let foreign = other.add(StageKind::SecondTopK, Resource::Compute(0), &[], |_| {
-            outcome(1.0)
-        });
-        let mut g: StageGraph<'_, ()> = StageGraph::new();
-        // `foreign` indexes stage 1 of `other`; `g` has no stages yet.
-        g.add(
-            StageKind::FirstTopK,
-            Resource::Compute(0),
-            &[foreign],
-            |_| outcome(1.0),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "boom in stage closure")]
-    fn threaded_executor_propagates_closure_panics() {
-        let mut g: StageGraph<'_, ()> = StageGraph::new();
-        let bad = g.add(
-            StageKind::ChunkLoad,
-            Resource::Transfer(TransferLane::HostToDevice(0)),
-            &[],
-            |_| panic!("boom in stage closure"),
-        );
-        // A dependent on another resource must not deadlock waiting for
-        // the poisoned stage.
-        let local = g.add(StageKind::LocalTopK, Resource::Compute(0), &[bad], |_| {
-            outcome(1.0)
-        });
-        g.add(StageKind::FinalTopK, Resource::Compute(0), &[local], |_| {
-            outcome(1.0)
-        });
-        g.execute(&());
-    }
-
-    #[test]
     #[allow(clippy::disallowed_methods)] // the sleep is the wall-clock noise under test
     fn deterministic_summary_excludes_measured_fields() {
-        let mut g: StageGraph<'_, ()> = StageGraph::new();
-        g.add(StageKind::SecondTopK, Resource::Compute(0), &[], |_| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            outcome(1.5)
-        });
-        let a = g.execute(&()).deterministic_summary();
-        let mut g: StageGraph<'_, ()> = StageGraph::new();
-        g.add(StageKind::SecondTopK, Resource::Compute(0), &[], |_| {
-            outcome(1.5)
-        });
-        let b = g.execute(&()).deterministic_summary();
+        let summary = |sleep_ms: u64| {
+            let mut serial = Serial::new(0);
+            serial.stage(StageKind::SecondTopK, "second_topk", || {
+                std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
+                ((), outcome(1.5))
+            });
+            serial.finish().deterministic_summary()
+        };
+        let a = summary(2);
+        let b = summary(0);
         assert_eq!(
             a, b,
             "wall-clock differences must not leak into the summary"

@@ -2,13 +2,13 @@
 //! invariants with stable diagnostic codes.
 //!
 //! Every execution path in this workspace (exact, approximate, distributed,
-//! engine-fused units) *generates* a [`StageGraph`](crate::stages::StageGraph)
+//! row blocks, engine-fused units) *generates* its stage schedule
 //! programmatically, so a planner bug no longer looks like "wrong stages" —
-//! it looks like a silent deadlock, a phantom transfer on the wrong lane, or
-//! a write-after-read on a staging buffer. This module checks a graph
-//! *before* it runs and reports every violation as a [`Diagnostic`] with a
-//! stable [`DiagnosticCode`] (`V001`, `V002`, …) so tests can pin the exact
-//! failure class:
+//! it looks like a queue that could never start, a phantom transfer on the
+//! wrong lane, or a write-after-read on a staging buffer. This module
+//! checks a schedule and reports every violation as a [`Diagnostic`] with
+//! a stable [`DiagnosticCode`] (`V001`, `V002`, …) so tests can pin the
+//! exact failure class:
 //!
 //! * **Shape** — dependency indices in range (`V001`), no dependency cycle
 //!   (`V002`), no orphan stage whose output nothing consumes (`V003`).
@@ -18,10 +18,10 @@
 //! * **Gather wiring** — a gather must have a source (`V007`, the PR-6
 //!   "absent source" semantics) and its interconnect lane must match the
 //!   device that produced its input (`V008`).
-//! * **Deadlock freedom** — the per-resource FIFO worker model adds implicit
-//!   insertion-order edges within every resource; a cycle through those
-//!   queue edges (with an acyclic dependency graph) is a real executor
-//!   deadlock (`V009`).
+//! * **Deadlock freedom** — every resource is an in-order queue, which adds
+//!   implicit insertion-order edges within every resource; a cycle through
+//!   those queue edges (with an acyclic dependency graph) is a schedule no
+//!   in-order device queue could run (`V009`).
 //! * **Double-buffer hazards** — under a bounded staging-buffer count, a
 //!   chunk load that reuses a buffer must be ordered after every consumer
 //!   of the load it evicts (`V010`).
@@ -33,23 +33,20 @@
 //!   (`V012`): narrowing work whose result never reaches a final selection
 //!   is a broken large-k pipeline.
 //!
-//! [`StageGraph::verify`](crate::stages::StageGraph::verify) and
-//! [`StageReport::verify`](crate::stages::StageReport::verify) adapt their
-//! stage lists into [`StageSpec`]s and call [`verify_specs`]; in debug
-//! builds every `execute*` entry point runs the verifier first and panics
-//! on any diagnostic, so the whole test suite doubles as a verification
-//! corpus. `docs/DIAGNOSTICS.md` tabulates every code; the companion
-//! dynamic checker lives in [`crate::explore`].
+//! [`StageReport::verify`](crate::stages::StageReport::verify) adapts its
+//! stage list into [`StageSpec`]s and calls [`verify_specs`]; in debug
+//! builds every runner verifies the schedule it recorded (the distributed
+//! runner with its staging-buffer count) and panics on any diagnostic, so
+//! the whole test suite doubles as a verification corpus.
+//! `docs/DIAGNOSTICS.md` tabulates every code.
 
 use crate::stages::{Resource, StageKind, TransferLane};
 
 /// The scheduling-relevant description of one stage: everything the
-/// verifier (and the schedule explorer) needs, with the work closure
-/// stripped. Obtainable from a built graph via
-/// [`StageGraph::specs`](crate::stages::StageGraph::specs), or constructed
-/// by hand to verify raw (possibly deliberately broken) graph shapes that
-/// [`StageGraph::add`](crate::stages::StageGraph::add) would reject at
-/// build time.
+/// verifier needs, without its modeled interval or counters.
+/// [`StageReport::verify`](crate::stages::StageReport::verify) builds one
+/// per recorded stage; tests construct them by hand to verify raw
+/// (possibly deliberately broken) schedule shapes.
 #[derive(Debug, Clone)]
 pub struct StageSpec {
     /// Which paper phase (or infrastructure step) the stage implements.
@@ -96,9 +93,9 @@ pub enum DiagnosticCode {
     /// a device other than `s`: the modeled lane does not match the real
     /// data flow.
     GatherSourceMismatch,
-    /// `V009` — the dependency edges are acyclic, but combined with the
-    /// per-resource FIFO dispatch order they form a cycle: the threaded
-    /// executor's workers would block forever.
+    /// `V009` — the dependency edges are acyclic, but combined with each
+    /// resource's in-order queue they form a cycle: no queue could start
+    /// its next stage, as an in-order device queue would wait forever.
     QueueDeadlock,
     /// `V010` — under the declared staging-buffer count, a chunk load
     /// reuses a buffer before every consumer of the evicted load is
@@ -316,9 +313,9 @@ fn reaches(adj: &[Vec<usize>], from: usize, to: usize) -> bool {
     false
 }
 
-/// The debug-build verification gate every built stage graph and every
-/// [`Serial`](crate::stages::Serial) report goes through: panic naming
-/// `what` and listing every diagnostic `verify` returns. Release builds
+/// The debug-build verification gate every replayed distributed schedule
+/// and every [`Serial`](crate::stages::Serial) report goes through: panic
+/// naming `what` and listing every diagnostic `verify` returns. Release builds
 /// skip the check without calling `verify`.
 #[track_caller]
 pub(crate) fn debug_assert_verified(what: &str, verify: impl FnOnce() -> Vec<Diagnostic>) {
@@ -561,8 +558,8 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
         return diags;
     }
 
-    // V009 — deps ∪ per-resource FIFO order must stay acyclic: each worker
-    // runs its resource's stages in insertion order, so insertion order
+    // V009 — deps ∪ per-resource FIFO order must stay acyclic: each
+    // resource runs its stages in insertion order, so insertion order
     // within a resource is an implicit edge.
     let mut combined = dep_adj;
     let mut last_on_resource: Vec<(Resource, usize)> = Vec::new();

@@ -22,7 +22,7 @@
 //! when passes built from the corpus are offered to the cache (coarsened
 //! ones are not), so cache counts, admission decisions and every reported
 //! sum are independent of host-thread timing.
-//! Sharded queries run the distributed stage graph (double-buffered chunk
+//! Sharded queries run the distributed runner (double-buffered chunk
 //! ingestion) and report their breakdown and overlap the same way. Worker
 //! failures are surfaced per device through
 //! [`GpuCluster::try_run_on_all`] instead of poisoning the batch.
@@ -524,7 +524,7 @@ pub(crate) fn execute_plan<K: TopKKey>(
     let pool_ms = worker_loads.iter().fold(0.0f64, |a, &b| a.max(b));
 
     // Sharded queries: each takes the whole cluster, so they run after the
-    // pool phase, serially, through the distributed stage graph
+    // pool phase, serially, through the distributed runner
     // (double-buffered chunked ingestion). Sharded execution cannot yet
     // share a delegate pass between *different* queries (the distributed
     // pipeline has no planned-query seam — see the crate docs), but

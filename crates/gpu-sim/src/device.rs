@@ -5,8 +5,8 @@
 //! warp; a launch runs its warps in warp order on the calling thread and
 //! merges each warp's instrumentation counters as it goes. A kernel writes
 //! its output into what it captures, and a launch returns only its cost.
-//! Host parallelism lives one level up, in the stage executor and the
-//! cluster's per-device run, never inside a launch.
+//! Host parallelism lives one level up, in the cluster's per-device run,
+//! never inside a launch.
 
 use std::time::Instant;
 

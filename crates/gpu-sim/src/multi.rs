@@ -215,7 +215,7 @@ impl GpuCluster {
 /// device is surfaced as a [`DeviceError`] so the caller knows *which*
 /// device to blame (and can retry elsewhere) instead of the whole run being
 /// poisoned.
-#[allow(clippy::disallowed_methods)] // the per-device run is one of the two host-parallel layers
+#[allow(clippy::disallowed_methods)] // the per-device run is the one host-parallel layer
 pub fn try_run_on_each<R, E, F>(devices: &[&Device], work: F) -> Result<Vec<R>, DeviceError<E>>
 where
     R: Send,

@@ -9,10 +9,10 @@
 //! cursor as an [`Event`], and [`Stream::wait_event`] stalls a stream until
 //! another stream's event has fired.
 //!
-//! The stage-graph executor of the core crate drives one stream per
-//! *resource* (a device's compute queue, a host→device copy lane, the
-//! inter-device interconnect) so that stages on different resources overlap
-//! — e.g. chunk *i + 1* of an out-of-core corpus transfers while chunk *i*
+//! The core crate's modeled replay drives one stream per *resource* (a
+//! device's compute queue, a host→device copy lane, the inter-device
+//! interconnect) so that stages on different resources overlap — e.g.
+//! chunk *i + 1* of an out-of-core corpus transfers while chunk *i*
 //! computes — while stages on the same resource serialize, just like
 //! hardware queues.
 //!

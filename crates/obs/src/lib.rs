@@ -2,8 +2,8 @@
 //!
 //! Three pillars, re-exported at the crate root:
 //!
-//! * **Tracing** ([`trace`]): a [`TraceSink`] trait the stage-graph
-//!   executor emits into, and a [`TraceRecorder`] that exports Chrome Trace
+//! * **Tracing** ([`trace`]): a [`TraceSink`] trait the stage runners emit
+//!   into, and a [`TraceRecorder`] that exports Chrome Trace
 //!   Event Format JSON — one track per modeled resource, a parallel track
 //!   group for measured wall-clock, and a deterministic mode CI can
 //!   byte-diff.

@@ -4,8 +4,8 @@
 //! Every metric the engine exposes is declared in the [`MetricName`]
 //! catalog; `tests/docs_drift.rs` matches the catalog exhaustively against
 //! `docs/OBSERVABILITY.md`, so a metric cannot ship undocumented. All hot
-//! paths are single atomic RMW operations — no locks, safe to call from the
-//! per-resource executor workers.
+//! paths are single atomic RMW operations — no locks, safe to call from
+//! every host thread at once.
 
 use crate::json::{Json, Snapshot};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,7 +1,6 @@
-//! Stage-graph tracing: a [`TraceSink`] trait the stage executor emits
-//! into, and a [`TraceRecorder`] that collects spans/events and exports
-//! Chrome Trace Event Format JSON (loads directly in Perfetto or
-//! `chrome://tracing`).
+//! Stage tracing: a [`TraceSink`] trait the stage runners emit into, and a
+//! [`TraceRecorder`] that collects spans/events and exports Chrome Trace
+//! Event Format JSON (loads directly in Perfetto or `chrome://tracing`).
 //!
 //! The sink is deliberately string-typed (stage kinds and resource tracks
 //! arrive as names) so this crate stays a leaf: core, engine and benches all
@@ -11,16 +10,15 @@
 //!
 //! * **Full** ([`TraceRecorder::new`]): every span carries both the modeled
 //!   timeline (deterministic stream-schedule milliseconds) and the measured
-//!   wall-clock timeline; executor events (dispatch, dependency-gate wakes,
-//!   cache hits/misses, verifier passes) are kept. The Chrome export places
-//!   modeled spans under process 1 and measured spans under process 2, one
-//!   thread track per resource, so modeled-vs-measured skew is visible per
-//!   stage.
+//!   wall-clock timeline; executor events (dispatches, cache hits/misses,
+//!   verifier passes) are kept. The Chrome export places modeled spans
+//!   under process 1 and measured spans under process 2, one thread track
+//!   per resource, so modeled-vs-measured skew is visible per stage.
 //! * **Deterministic** ([`TraceRecorder::deterministic`]): measured fields
 //!   are zeroed at ingest and events are dropped, leaving only the modeled
 //!   timeline in stable (schedule) order. Two runs of the same workload —
-//!   under *any* executor — serialize to byte-identical JSON, so CI diffs
-//!   traces the same way it diffs `deterministic_summary()`.
+//!   whatever their host interleaving — serialize to byte-identical JSON,
+//!   so CI diffs traces the same way it diffs `deterministic_summary()`.
 
 use crate::json::Json;
 use parking_lot::Mutex;
@@ -58,15 +56,13 @@ pub struct SpanRecord {
 /// What happened, for an [`ExecEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// An executor handed a stage to a worker (or ran it inline).
+    /// A runner started a stage's work (reported at its measured start).
     Dispatch,
-    /// A threaded worker woke after blocking on an unfinished dependency.
-    DepGateWake,
     /// A cache lookup hit (label names the cache).
     CacheHit,
     /// A cache lookup missed (label names the cache).
     CacheMiss,
-    /// A stage graph passed `core::verify` before execution.
+    /// A recorded stage schedule passed `core::verify`.
     VerifierPass,
 }
 
@@ -75,7 +71,6 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         match self {
             EventKind::Dispatch => "dispatch",
-            EventKind::DepGateWake => "dep_gate_wake",
             EventKind::CacheHit => "cache_hit",
             EventKind::CacheMiss => "cache_miss",
             EventKind::VerifierPass => "verifier_pass",
@@ -97,8 +92,8 @@ pub struct ExecEvent {
 
 /// Receiver for executor telemetry.
 ///
-/// Implementations must be thread-safe: the threaded executor emits from
-/// one worker per resource concurrently. Emission sites hold an
+/// Implementations must be thread-safe: one sink is shared by reference
+/// and may be called from several host threads. Emission sites hold an
 /// `Option<&dyn TraceSink>` and skip all work (including argument
 /// construction) when it is `None`, so an unattached graph pays one branch.
 pub trait TraceSink: Send + Sync {

@@ -1,5 +1,5 @@
 //! Out-of-core top-k over a host-resident corpus larger than the cluster's
-//! aggregate device memory, end to end: the distributed stage graph chunks
+//! aggregate device memory, end to end: the distributed runner chunks
 //! the corpus, streams each chunk over the host→device lane, and — under the
 //! default double-buffered schedule — transfers chunk *i + 1* while chunk *i*
 //! computes. Prints the stage schedule of both reload schedules and the

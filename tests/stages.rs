@@ -3,8 +3,9 @@
 //! chunked/out-of-core distributed under both reload schedules, approximate
 //! mode) for all six key types and both directions — including NaN floats —
 //! and the double-buffered schedule must actually hide reload time behind
-//! compute (the pinned out-of-core makespan test). Repeated threaded runs
-//! must also agree bit for bit, whatever the host thread interleaving.
+//! compute (the pinned out-of-core makespan test). Repeated runs must also
+//! agree bit for bit, whatever the host thread interleaving, and the
+//! distributed runner's modeled schedule is pinned outright.
 
 mod common;
 
@@ -317,9 +318,10 @@ fn engine_reports_overlap_and_transfer_for_sharded_batches() {
 }
 
 /// Determinism stress test: the same exact, approximate and distributed
-/// graphs run repeatedly under the threaded executor must return
-/// bit-identical values and byte-identical **modeled** stage reports on
-/// every run — thread interleaving may only move the measured fields.
+/// runs repeated (the distributed one with a host thread per device) must
+/// return bit-identical values and byte-identical **modeled** stage
+/// reports on every run — thread interleaving may only move the measured
+/// fields.
 #[test]
 fn repeated_threaded_runs_are_bit_identical() {
     let dev = device();

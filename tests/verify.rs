@@ -7,7 +7,7 @@
 //! * **Positive**: every graph the real planners build — exact,
 //!   approximate, distributed out-of-core under both reload schedules,
 //!   engine-fused batches — verifies clean, across key types, shard
-//!   counts and modes. In debug builds the executor asserts this on every
+//!   counts and modes. In debug builds every runner asserts this on every
 //!   run, so the whole suite doubles as a verification corpus; these
 //!   tests additionally pin it through the public `verify()` API.
 
@@ -291,26 +291,27 @@ fn planner_built_radix_graphs_verify_clean() {
     assert!(got.stages.verify().is_empty());
 }
 
-/// In debug builds every executor refuses to run a graph that fails
-/// verification (release builds skip the gate, so this test only exists
-/// under `debug_assertions`).
+/// In debug builds a recorded schedule that fails verification panics
+/// before it is returned (release builds skip the gate, so this test only
+/// exists under `debug_assertions`).
 #[cfg(debug_assertions)]
 #[test]
-#[should_panic(expected = "stage graph failed verification")]
+#[should_panic(expected = "stage report failed verification")]
 fn debug_execution_refuses_graphs_that_fail_verification() {
-    use drtopk::core::{StageGraph, StageOutcome};
-    let mut g: StageGraph<()> = StageGraph::new();
-    // An orphan delegate pass: its output feeds nothing (V003).
-    g.add(
-        StageKind::DelegateConstruction,
-        Resource::Compute(0),
-        &[],
-        |_| StageOutcome::default(),
-    );
-    g.add(StageKind::SecondTopK, Resource::Compute(0), &[], |_| {
-        StageOutcome::default()
+    use drtopk::core::{Serial, StageOutcome};
+    let mut member = Serial::new(0);
+    member.stage(StageKind::SecondTopK, "second_topk", || {
+        ((), StageOutcome::default())
     });
-    let _ = g.execute(&());
+    let member = member.finish();
+    let mut serial = Serial::new(0);
+    serial.stage(StageKind::DelegateConstruction, "delegate", || {
+        ((), StageOutcome::default())
+    });
+    // An orphan delegate pass: the appended selection waits on nothing,
+    // so the pass's output feeds nothing (V003).
+    serial.append(&[], || ((), member));
+    let _ = serial.finish();
 }
 
 /// Engine unit reports — shared pass, shared first top-k and every member's
