@@ -1138,4 +1138,107 @@ mod tests {
             0x3f66_a07c_8ac7_cc75,
         );
     }
+
+    /// Coarsen `data`'s vector at `from` = (α′, β′) to `to` = (α, β) in
+    /// both directions and compare every `KernelStats` field (ordered as in
+    /// [`assert_pinned`]) and the bits of the modeled time with pinned
+    /// values; the model does not depend on the direction.
+    fn assert_coarsen_pinned<K: TopKKey>(
+        data: &[K],
+        from: (u32, usize),
+        to: (u32, usize),
+        counters: [u64; 9],
+        time_bits: u64,
+    ) {
+        let [load_tx, store_tx, loaded, stored, shuffles, shared, syncs, alu, warps] = counters;
+        let stats = KernelStats {
+            global_load_transactions: load_tx,
+            global_store_transactions: store_tx,
+            global_loaded_bytes: loaded,
+            global_stored_bytes: stored,
+            shuffle_instructions: shuffles,
+            shared_ops: shared,
+            syncthreads: syncs,
+            alu_ops: alu,
+            warps_launched: warps,
+            ..KernelStats::default()
+        };
+        let dev = device();
+        for direction in [Direction::Largest, Direction::Smallest] {
+            let finer = build_delegate_vector(
+                &dev,
+                data,
+                from.0,
+                from.1,
+                ConstructionMethod::Auto,
+                direction,
+            );
+            let coarse = coarsen_delegate_vector(&dev, &finer, data.len(), to.0, to.1);
+            let case = format!(
+                "{} n={} {from:?} -> {to:?} {direction:?}",
+                std::any::type_name::<K>(),
+                data.len()
+            );
+            assert_eq!(coarse.stats, stats, "{case}");
+            assert_eq!(
+                coarse.time_ms.to_bits(),
+                time_bits,
+                "{case}: {} ms",
+                coarse.time_ms
+            );
+        }
+    }
+
+    /// The modeled cost of `drtopk_delegate_coarsen` is what the kernel
+    /// records, not how the host takes each coarse block's top-β. These
+    /// counters and times were captured while the host still ran
+    /// `delegates_into` over the finer values; a host-side change must
+    /// leave them bit-identical. The sources cover the shapes the serving
+    /// engine coarsens most, a β′ above 2^α′ (α′ = 1, so each fine list
+    /// holds 2 values), and ragged final subranges, coarse and fine.
+    #[test]
+    fn coarsen_model_is_pinned() {
+        // 2^18 + 67: the final coarse subrange is ragged at every α here
+        let u = topk_datagen::uniform((1 << 18) + 67, 2021);
+        #[rustfmt::skip]
+        let cases = [
+            ((6, 2), (7, 2), [2_049, 2_049, 32_784, 32_784, 0, 0, 0, 8_196, 2_049], 0x3f62_2427_26b5_766f_u64),
+            ((7, 3), (7, 2), [2_049, 2_049, 24_588, 32_784, 0, 0, 0, 6_147, 2_049], 0x3f62_2397_ea6c_f0c4),
+            ((7, 4), (12, 3), [257, 65, 32_784, 1_560, 0, 0, 0, 8_196, 65], 0x3f60_b027_5612_b5df),
+            ((1, 3), (4, 2), [16_384, 16_389, 1_048_844, 262_224, 0, 0, 0, 262_211, 16_384], 0x3f6e_a597_338d_cc05),
+        ];
+        for (from, to, counters, time_bits) in cases {
+            assert_coarsen_pinned(&u, from, to, counters, time_bits);
+        }
+        // f32 whose final fine subrange at α′ = 7 holds 3 values, fewer
+        // than β′ = 4, and whose final α′ = 1 subrange holds one
+        let f: Vec<f32> = topk_datagen::uniform(128 * 700 + 3, 7)
+            .into_iter()
+            .map(f32::from_bits)
+            .collect();
+        #[rustfmt::skip]
+        let cases = [
+            ((7, 3), (7, 2), [701, 701, 8_412, 11_216, 0, 0, 0, 2_103, 701], 0x3f60_fc03_9882_89fa_u64),
+            ((7, 4), (12, 3), [88, 22, 11_212, 528, 0, 0, 0, 2_803, 22], 0x3f60_7cea_881c_5825),
+            ((1, 4), (3, 3), [11_201, 11_201, 358_412, 268_824, 0, 0, 0, 89_603, 11_201], 0x3f6a_09aa_d95c_fe08),
+        ];
+        for (from, to, counters, time_bits) in cases {
+            assert_coarsen_pinned(&f, from, to, counters, time_bits);
+        }
+        // u64 keys: two store words per delegate, 8-byte loads
+        let w: Vec<u64> = topk_datagen::uniform(2 * (4096 * 20 + 130), 11)
+            .chunks(2)
+            .map(|p| (u64::from(p[0]) << 32) | u64::from(p[1]))
+            .collect();
+        #[rustfmt::skip]
+        let cases = [
+            ((6, 2), (7, 2), [642, 642, 20_528, 15_408, 0, 0, 0, 2_566, 642], 0x3f60_ef40_7150_ecc9_u64),
+            ((7, 3), (7, 2), [642, 642, 15_400, 15_408, 0, 0, 0, 1_925, 642], 0x3f60_ef13_a22c_9e7c),
+            ((7, 4), (12, 3), [161, 21, 20_528, 756, 0, 0, 0, 2_566, 21], 0x3f60_91dd_0b2f_cc36),
+            ((1, 3), (5, 1), [5_129, 2_565, 656_400, 30_780, 0, 0, 0, 82_050, 2_565], 0x3f66_619a_05f0_8c7f),
+        ];
+        for (from, to, counters, time_bits) in cases {
+            assert_coarsen_pinned(&w, from, to, counters, time_bits);
+        }
+    }
 }
