@@ -12,16 +12,20 @@
 //! belong to the host that printed them.
 //!
 //! A second table, `construction_coarsen`, times `coarsen_delegate_vector`
-//! on u32 in both directions from the uniform input's vector at α′ = 6,
-//! β′ = 2 to α 7–11 and β 1–2, in nanoseconds per finer delegate value it
-//! reads. Each coarse subrange is one block of `2^(α−6) · 2` values, 4 at
-//! α = 7, so these cells show the host loop on small blocks, which the
-//! engine runs whenever a cached fine pass serves a coarser request.
+//! on u32 in both directions, in nanoseconds per finer delegate value it
+//! reads, from the uniform input's vectors at (α′, β′) = (6, 2), (7, 3)
+//! and (8, 4) to every α′ ≤ α ≤ 11 (α ≥ 7) and β ≤ min(β′, 3); its
+//! `from` column names the source. Each coarse subrange merges
+//! `2^(α−α′)` fine lists of β′ values, two lists of 2 at (6, 2) → α = 7
+//! and one list at α = α′, so these cells show the host loop on the small
+//! blocks the engine runs whenever a cached fine pass serves a coarser
+//! request; the same-α and β′ = 3–4 sources are about a third of the
+//! serving engine's coarsening time.
 //!
 //! Every cell is the median of `ROUNDS` timed calls (default 7; pass a
 //! number to change it). Each round times every cell once, so a drift of
 //! the host's speed spreads over all cells instead of landing on a few.
-//! One row per key, order, direction and β, one column per α:
+//! One row per key, order (or source), direction and β, one column per α:
 //!
 //! ```sh
 //! cargo bench -p drtopk-bench --bench construction
@@ -40,13 +44,16 @@ use gpu_sim::Device;
 const N: usize = 1 << 18;
 const ALPHAS: std::ops::RangeInclusive<u32> = 5..=13;
 const BETAS: std::ops::RangeInclusive<usize> = 1..=4;
-/// The finer vector the coarsening cells start from, and their targets.
-const COARSEN_FROM: (u32, usize) = (6, 2);
+/// The finer vectors the coarsening cells start from, as (α′, β′, label),
+/// and their targets: every α of `COARSEN_ALPHAS` from α′ on and every β up
+/// to `min(β′, COARSEN_MAX_BETA)`.
+const COARSEN_FROM: [(u32, usize, &str); 3] = [(6, 2, "a6b2"), (7, 3, "a7b3"), (8, 4, "a8b4")];
 const COARSEN_ALPHAS: std::ops::RangeInclusive<u32> = 7..=11;
-const COARSEN_BETAS: std::ops::RangeInclusive<usize> = 1..=2;
+const COARSEN_MAX_BETA: usize = 3;
 
-/// One input: its labels, the values one call reads and a closure that
-/// builds its delegates once.
+/// One input: its labels (`order` is the coarsening source in the
+/// coarsening table), the values one call reads and a closure that builds
+/// its delegates once.
 struct Cell {
     key: &'static str,
     order: &'static str,
@@ -98,69 +105,71 @@ fn both_orders<K: TopKKey>(key: &'static str, data: Vec<K>) -> Vec<Cell> {
     all
 }
 
-/// Every coarsening cell: `data`'s vector at [`COARSEN_FROM`] in each
-/// direction, coarsened to every α of [`COARSEN_ALPHAS`] and β of
-/// [`COARSEN_BETAS`].
+/// Every coarsening cell: `data`'s vector at each source of
+/// [`COARSEN_FROM`] in each direction, coarsened to its targets.
 fn coarsen_cells(device: &Device, data: &'static [u32]) -> Vec<Cell> {
-    let (from_alpha, from_beta) = COARSEN_FROM;
     let mut cells = Vec::new();
-    for direction in [Direction::Largest, Direction::Smallest] {
-        let finer: &'static DelegateVector<u32> = Box::leak(Box::new(build_delegate_vector(
-            device,
-            data,
-            from_alpha,
-            from_beta,
-            ConstructionMethod::Auto,
-            direction,
-        )));
-        for beta in COARSEN_BETAS {
-            for alpha in COARSEN_ALPHAS {
-                cells.push(Cell {
-                    key: "u32",
-                    order: "uniform",
-                    direction,
-                    beta,
-                    alpha,
-                    reads: finer.len(),
-                    run: Box::new(move |device| {
-                        let dv = coarsen_delegate_vector(device, finer, N, alpha, beta);
-                        std::hint::black_box(dv.values);
-                    }),
-                });
+    for (from_alpha, from_beta, from) in COARSEN_FROM {
+        for direction in [Direction::Largest, Direction::Smallest] {
+            let finer: &'static DelegateVector<u32> = Box::leak(Box::new(build_delegate_vector(
+                device,
+                data,
+                from_alpha,
+                from_beta,
+                ConstructionMethod::Auto,
+                direction,
+            )));
+            for beta in 1..=from_beta.min(COARSEN_MAX_BETA) {
+                for alpha in from_alpha.max(*COARSEN_ALPHAS.start())..=*COARSEN_ALPHAS.end() {
+                    cells.push(Cell {
+                        key: "u32",
+                        order: from,
+                        direction,
+                        beta,
+                        alpha,
+                        reads: finer.len(),
+                        run: Box::new(move |device| {
+                            let dv = coarsen_delegate_vector(device, finer, N, alpha, beta);
+                            std::hint::black_box(dv.values);
+                        }),
+                    });
+                }
             }
         }
     }
     cells
 }
 
-/// Emit table `name`: one row per `alphas.count()` consecutive cells, the
-/// row's labels and then each cell's median in ns per value read.
+/// Emit table `name`, whose second column is called `order`: one row per
+/// run of consecutive cells with the same labels, then each cell's median
+/// in ns per value read under its α's column, and `-` where a row has no
+/// cell for that α.
 fn emit_table(
     name: &str,
+    order: &str,
     cells: &[Cell],
     ns: &mut [Vec<f64>],
     alphas: std::ops::RangeInclusive<u32>,
 ) {
-    let per_row = alphas.clone().count();
     let alpha_names: Vec<String> = alphas.clone().map(|a| format!("alpha{a}")).collect();
-    let mut header = vec!["key", "order", "direction", "beta"];
+    let mut header = vec!["key", order, "direction", "beta"];
     header.extend(alpha_names.iter().map(String::as_str));
-    let rows: Vec<Vec<String>> = cells
-        .chunks(per_row)
-        .zip(ns.chunks_mut(per_row))
-        .map(|(row, times)| {
-            let first = &row[0];
-            let mut line = vec![
-                first.key.to_string(),
-                first.order.to_string(),
-                format!("{:?}", first.direction),
-                first.beta.to_string(),
-            ];
-            assert!(row.iter().map(|c| c.alpha).eq(alphas.clone()));
-            line.extend(times.iter_mut().map(|t| format!("{:.3}", median(t))));
-            line
-        })
-        .collect();
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    for (cell, times) in cells.iter().zip(ns) {
+        let labels = [
+            cell.key.to_string(),
+            cell.order.to_string(),
+            format!("{:?}", cell.direction),
+            cell.beta.to_string(),
+        ];
+        if rows.last().is_none_or(|row| row[..4] != labels) {
+            let mut row = labels.to_vec();
+            row.resize(4 + alpha_names.len(), "-".to_string());
+            rows.push(row);
+        }
+        let row = rows.last_mut().expect("pushed above");
+        row[4 + (cell.alpha - alphas.start()) as usize] = format!("{:.3}", median(times));
+    }
     emit(name, &header, &rows);
 }
 
@@ -208,9 +217,10 @@ fn main() {
     }
 
     let (built_ns, coarsen_ns) = ns.split_at_mut(built);
-    emit_table("construction", &cells[..built], built_ns, ALPHAS);
+    emit_table("construction", "order", &cells[..built], built_ns, ALPHAS);
     emit_table(
         "construction_coarsen",
+        "from",
         &cells[built..],
         coarsen_ns,
         COARSEN_ALPHAS,

@@ -22,15 +22,16 @@
 //!
 //! ## Model versus host work
 //!
-//! A kernel closure may compute its outputs any way the host likes: the
-//! model is only what it records on its [`WarpCtx`](gpu_sim::WarpCtx) —
-//! loads, stores, shuffles, shared-memory traffic, barriers and ALU work.
-//! Both methods therefore run the same host extraction loop, record the
-//! same per-subrange counts (`min(β, len)` delegates: β 31-shuffle
-//! reductions for `WarpShuffle`, one coalesced store), and differ only in
-//! the rest of their accounting. A faster host loop changes wall-clock time
-//! without moving a counter or a modeled millisecond (the pinned
-//! `KernelStats` unit test guards this).
+//! The host may compute a kernel's outputs any way it likes, inside the
+//! launch or after it: the model is only what the kernel records on its
+//! [`WarpCtx`](gpu_sim::WarpCtx) — loads, stores, shuffles, shared-memory
+//! traffic, barriers and ALU work. Both methods therefore share one host
+//! extraction loop, record the same per-subrange counts (`min(β, len)`
+//! delegates: β 31-shuffle reductions for `WarpShuffle`, one coalesced
+//! store), and differ only in the rest of their accounting. A faster host
+//! loop changes wall-clock time without moving a counter or a modeled
+//! millisecond (the pinned `KernelStats` unit tests of construction and
+//! coarsening guard this).
 //!
 //! The host loop is `delegates_into`, which picks one of two loops from the
 //! shape it is given:
@@ -52,21 +53,34 @@
 //!   each chunk branch-free for a key that beats the current β-th best, and
 //!   looks at the individual elements only of a chunk that holds one.
 //!
-//! Each warp appends its delegates to one values vector the launch
-//! captures: `Device::launch` runs the warps one after another, in warp
-//! order, so the vector comes out in subrange order. The subrange ids are
-//! a function of the shape alone and are built once after the launch
-//! (`delegate_subrange_ids`).
+//! The launch only records: each warp charges its run of subranges, and
+//! the host loop runs once, after the launch, over the whole input. Warps
+//! take contiguous runs of whole subranges in warp order, so that one call
+//! returns exactly what the per-warp calls would have concatenated, and it
+//! saves a call, a `Vec` growth check and a loop choice per warp (up to
+//! 2^14 of them). The subrange ids are a function of the shape alone and
+//! are built once too (`delegate_subrange_ids`).
 //!
 //! ## Delegates of delegates
 //!
 //! Rule 1 holds for delegates too: a coarse subrange's top-β lies in the
 //! union of its parts' top-β′ lists for any β′ ≥ β. So
 //! [`coarsen_delegate_vector`] derives the vector at `(α, β)` from one of
-//! the same input at α′ ≤ α, β′ ≥ β by running `delegates_into` over the
-//! finer vector's values, bit-identical to a fresh build and reading
-//! `β′·|V|/2^α′` values instead of `|V|`. The serving engine uses it to
-//! answer a cached corpus at every coarser α and smaller β.
+//! the same input at α′ ≤ α, β′ ≥ β, bit-identical to a fresh build and
+//! reading `β′·|V|/2^α′` values instead of `|V|`. The serving engine uses
+//! it to answer a cached corpus at every coarser α and smaller β.
+//!
+//! The finer vector stores each fine subrange's list best first, so the
+//! host does not select a coarse block again element by element: it
+//! merges the block's lists, as the second stage of Key et al.'s
+//! approximate top-k merges sorted per-bucket lists (`PAPERS.md`). For
+//! β ≤ 4, lists of at least β values and at most two lists per block (any
+//! number at β = 1), it folds each list's β-prefix into the running top-β
+//! with the per-lane loop's `merge_top` network, skipping a list whose
+//! head does not beat the running β-th best; at α = α′ that is a prefix
+//! copy. Longer blocks, larger β and a ragged final block go through
+//! `delegates_into`, whose eight-lane loop wins once a block holds four or
+//! more lists of two or more delegates (`merge_lists_into`).
 
 use gpu_sim::warp::SHUFFLES_PER_WARP_REDUCTION;
 use gpu_sim::{Device, KernelStats, WARP_SIZE};
@@ -421,11 +435,11 @@ fn sift_up<K: TopKKey>(tail: &mut [K], from: usize, x: K) {
 /// subrange `s` contributes `min(β, len_s)` entries, and only the last
 /// subrange can be shorter than `subrange_size`.
 pub(crate) fn delegate_subrange_ids(len: usize, subrange_size: usize, beta: usize) -> Vec<u32> {
-    let num_subranges = len.div_ceil(subrange_size);
-    let mut ids = Vec::with_capacity(num_subranges * beta);
-    for s in 0..num_subranges {
-        let len_s = subrange_size.min(len - s * subrange_size);
-        ids.extend(std::iter::repeat_n(s as u32, beta.min(len_s)));
+    let per = beta.min(subrange_size);
+    let last = beta.min(len % subrange_size);
+    let mut ids = vec![0; len / subrange_size * per + last];
+    for (s, run) in ids.chunks_mut(per).enumerate() {
+        run.fill(s as u32);
     }
     ids
 }
@@ -492,7 +506,6 @@ pub(crate) fn construct<K: TopKKey>(
     // words so the charged store bytes stay exact for 8-byte keys.
     let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
 
-    let mut values = Vec::with_capacity(num_subranges * beta);
     let launch = device.launch(kernel_name, num_warps, |ctx| {
         let subranges = ctx.chunk_of(num_subranges);
         let own =
@@ -517,8 +530,11 @@ pub(crate) fn construct<K: TopKKey>(
                 ctx.record_store_coalesced::<u32>(kv_words * kept);
             }
         }
-        delegates_into(own, subrange_size, beta, &mut values);
     });
+    // Warps take contiguous runs of whole subranges in warp order, so one
+    // call over the input is the concatenation of the per-warp calls.
+    let mut values = Vec::with_capacity(num_subranges * beta);
+    delegates_into(data, subrange_size, beta, &mut values);
 
     DelegateVector {
         values,
@@ -539,15 +555,18 @@ pub(crate) fn construct<K: TopKKey>(
 ///
 /// Rule 1 applied to the delegates themselves: a coarse subrange is
 /// `2^(α−α′)` consecutive fine ones, and its top-β lies in the union of
-/// their top-β′ lists. Those lists are stored contiguously, so every full
-/// coarse subrange is one block of `2^(α−α′) · min(β′, 2^α′)` delegate
-/// values, and one launch of the construction's host loop over
-/// `finer.values` with that block size takes each block's top-β. The
-/// result is bit-identical to [`build_delegate_vector`] at `(alpha, beta)`
-/// on the input, and reads `finer.len()` values instead of `len`.
+/// their top-β′ lists. Those lists are stored contiguously and best first,
+/// so every full coarse subrange is one block of `2^(α−α′)` lists of
+/// `min(β′, 2^α′)` values, and its top-β is a merge of the lists'
+/// β-prefixes: for β ≤ 4 and blocks of at most two lists (any number at
+/// β = 1) a fold of the prefixes with a branch-free merge network, and
+/// otherwise the construction's host loop over the block. The result is
+/// bit-identical to [`build_delegate_vector`] at `(alpha, beta)` on the
+/// input, and reads `finer.len()` values instead of `len`.
 ///
 /// The launch (`drtopk_delegate_coarsen`) records one coalesced read of the
-/// finer values and the usual (value, id) store per delegate.
+/// finer values per warp and the usual (value, id) store per delegate; the
+/// host merge runs once, after it.
 ///
 /// # Panics
 ///
@@ -592,26 +611,31 @@ fn coarsen<K: TopKKey>(
         "the finer vector was built over another length"
     );
     let num_subranges = len.div_ceil(subrange_size);
-    // The delegate values of one full coarse subrange.
-    let block = subrange_size / finer.subrange_size * finer.beta.min(finer.subrange_size);
+    // Each fine subrange's list, and the delegate values of one full
+    // coarse subrange.
+    let list = finer.beta.min(finer.subrange_size);
+    let block = subrange_size / finer.subrange_size * list;
     let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
 
+    // The launch only charges, so its cost is per warp: each warp takes
+    // `ctx.chunk_of`'s run of coarse subranges, counted on from the
+    // previous warp's (warps run in order) rather than by a division.
+    let num_warps = num_subranges.clamp(1, 1 << 14);
+    let (base, rem) = (num_subranges / num_warps, num_subranges % num_warps);
+    let mut next = 0;
+    let launch = device.launch("drtopk_delegate_coarsen", num_warps, |ctx| {
+        let subranges = next..next + base + usize::from(ctx.warp_id < rem);
+        next = subranges.end;
+        let own =
+            &finer.values[subranges.start * block..(subranges.end * block).min(finer.values.len())];
+        let staged = ctx.read_coalesced(own);
+        ctx.record_alu(staged.len() as u64);
+        for subrange in staged.chunks(block) {
+            ctx.record_store_coalesced::<u32>(kv_words * beta.min(subrange.len()));
+        }
+    });
     let mut values = Vec::with_capacity(num_subranges * beta);
-    let launch = device.launch(
-        "drtopk_delegate_coarsen",
-        num_subranges.clamp(1, 1 << 14),
-        |ctx| {
-            let subranges = ctx.chunk_of(num_subranges);
-            let own = &finer.values
-                [subranges.start * block..(subranges.end * block).min(finer.values.len())];
-            let staged = ctx.read_coalesced(own);
-            ctx.record_alu(staged.len() as u64);
-            for subrange in staged.chunks(block) {
-                ctx.record_store_coalesced::<u32>(kv_words * beta.min(subrange.len()));
-            }
-            delegates_into(staged, block, beta, &mut values);
-        },
-    );
+    merge_lists_into(finer.values, list, block, beta, &mut values);
 
     DelegateVector {
         values,
@@ -622,6 +646,76 @@ fn coarsen<K: TopKKey>(
         direction: Direction::Largest,
         stats: launch.stats,
         time_ms: launch.time_ms,
+    }
+}
+
+/// Append the top-β of every `block`-value run of `values` to `out`, best
+/// first, where each run is a sequence of descending lists of `list`
+/// values (only the very last list may be shorter): the host loop of
+/// [`coarsen_delegate_vector`], whose fine lists are stored best first.
+///
+/// For β ≤ 4, lists of at least β values and runs of at most two lists
+/// (any number at β = 1), each full run folds its lists' β-prefixes
+/// ([`fold_prefixes_into`]); a run of one list is its β-prefix. Everything
+/// else, and a ragged final run, goes through [`delegates_into`] with
+/// subranges of `block` values. A fold pays a scalar merge network per
+/// list; the per-lane loop pays a fixed fold of its eight lanes per run and
+/// then β vector compare-exchanges per value, so it wins on longer runs
+/// unless β = 1, where a merge is one compare. Measured on the
+/// `construction` bench's coarsening table (u32, 2^18 keys, six
+/// alternating runs of 15 rounds, as a share of the time of a coarsening
+/// that ran `delegates_into` on each run inside the launch): one or two
+/// lists per run folded in 0.20–0.51; at four lists and β ≥ 2, folding
+/// took 0.82–1.14 and `delegates_into` after the launch 0.74–0.87; at
+/// β = 1 folding took 0.34–0.93 at every run length up to 32 lists.
+fn merge_lists_into<K: TopKKey>(
+    values: &[K],
+    list: usize,
+    block: usize,
+    beta: usize,
+    out: &mut Vec<K>,
+) {
+    let folds = beta <= 4 && list >= beta && (beta == 1 || block <= 2 * list);
+    let (runs, rest) = values.split_at(if folds {
+        values.len() - values.len() % block
+    } else {
+        0
+    });
+    match beta {
+        1 => fold_prefixes_into::<K, 1>(runs, list, block, out),
+        2 => fold_prefixes_into::<K, 2>(runs, list, block, out),
+        3 => fold_prefixes_into::<K, 3>(runs, list, block, out),
+        4 => fold_prefixes_into::<K, 4>(runs, list, block, out),
+        _ => {}
+    }
+    delegates_into(rest, block, beta, out);
+}
+
+/// The top-`B` of every `block`-value run of `runs`, each made of
+/// descending lists of `list` ≥ `B` values: the first list's `B`-prefix,
+/// then each later list's folded in with [`merge_top`] when its head beats
+/// the running `B`-th best (otherwise no key of the list can enter).
+fn fold_prefixes_into<K: TopKKey, const B: usize>(
+    runs: &[K],
+    list: usize,
+    block: usize,
+    out: &mut Vec<K>,
+) {
+    let prefix = |list: &[K]| -> [K::Bits; B] {
+        let head = &list[..B];
+        std::array::from_fn(|i| head[i].to_bits())
+    };
+    for run in runs.chunks_exact(block) {
+        let mut lists = run.chunks_exact(list);
+        let first = prefix(lists.next().expect("a run holds at least one list"));
+        let top = lists.fold(first, |top, list| {
+            if list[0].to_bits() > top[B - 1] {
+                merge_top(top, prefix(list))
+            } else {
+                top
+            }
+        });
+        out.extend(top.map(K::from_bits));
     }
 }
 
@@ -769,6 +863,51 @@ mod tests {
             fresh.stats.global_stored_bytes
         );
         assert!(coarse.time_ms < fresh.time_ms);
+    }
+
+    /// Coarsening equals a fresh build on both sides of every choice its
+    /// host merge makes: one to eight lists per block, β from 1 to 6 (the
+    /// fold takes β ≤ 4), lists shorter than β (α′ = 1), ragged final
+    /// blocks whose last list is short, tied keys and sorted input, in
+    /// both directions.
+    #[test]
+    fn coarsening_matches_a_fresh_build_on_every_merge_path() {
+        let dev = device();
+        for (fine_alpha, fine_beta) in [(1u32, 3usize), (2, 2), (3, 4), (4, 6)] {
+            for alpha in fine_alpha..=fine_alpha + 3 {
+                let size = 1usize << alpha;
+                for tail in [0, 1, size / 2 + 1] {
+                    let uniform = topk_datagen::uniform(24 * size + tail, u64::from(alpha) + 40);
+                    let few = few_distinct(&uniform);
+                    let mut ascending = uniform.clone();
+                    ascending.sort_unstable();
+                    for (order, data) in [
+                        ("uniform", &uniform),
+                        ("<= 8 distinct", &few),
+                        ("ascending", &ascending),
+                    ] {
+                        for direction in [Direction::Largest, Direction::Smallest] {
+                            let build = |alpha, beta| {
+                                let method = ConstructionMethod::Auto;
+                                build_delegate_vector(&dev, data, alpha, beta, method, direction)
+                            };
+                            let finer = build(fine_alpha, fine_beta);
+                            for beta in 1..=fine_beta {
+                                let coarse =
+                                    coarsen_delegate_vector(&dev, &finer, data.len(), alpha, beta);
+                                let fresh = build(alpha, beta);
+                                let case = format!(
+                                    "({fine_alpha}, {fine_beta}) -> ({alpha}, {beta}) \
+                                     tail={tail} {order} {direction:?}"
+                                );
+                                assert_eq!(coarse.values, fresh.values, "{case}");
+                                assert_eq!(coarse.subrange_ids, fresh.subrange_ids, "{case}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -304,16 +304,18 @@ fn empty_result<K: TopKKey>(num_devices: usize, schedule: ReloadSchedule) -> Dis
 
 /// One non-trivial distributed request (callers have already handled
 /// `k == 0` and empty data), planned: which sub-vectors each device owns,
-/// and the plan-time recall bound.
+/// each sub-vector length's local plan, and the plan-time recall bound.
 struct DistPlan<'a, K> {
     cluster: &'a GpuCluster,
     data: &'a [K],
     k: usize,
-    config: &'a DrTopKConfig,
     schedule: ReloadSchedule,
     /// Per device, the index and range of every sub-vector it owns, in
     /// index order.
     owned: Vec<Vec<(usize, Range<usize>)>>,
+    /// The local plan of each distinct sub-vector length: the sub-vectors
+    /// are equal to within one element, so there are at most two.
+    plans: Vec<(usize, PlannedQuery)>,
     predicted_recall: f64,
 }
 
@@ -332,7 +334,7 @@ impl<'a, K: TopKKey> DistPlan<'a, K> {
         cluster: &'a GpuCluster,
         data: &'a [K],
         k: usize,
-        config: &'a DrTopKConfig,
+        config: &DrTopKConfig,
         schedule: ReloadSchedule,
     ) -> Self {
         // Partition into sub-vectors that fit device memory, then deal them
@@ -351,12 +353,18 @@ impl<'a, K: TopKKey> DistPlan<'a, K> {
         )
         .max(1);
         let subvectors = partition_subvectors(data.len(), capacity);
+        let mut plans: Vec<(usize, PlannedQuery)> = Vec::with_capacity(2);
+        for range in &subvectors {
+            if plans.iter().all(|&(len, _)| len != range.len()) {
+                plans.push((range.len(), PlannedQuery::plan(range.len(), k, config)));
+            }
+        }
         // Each sub-vector runs the whole (exact or approximate) pipeline
         // locally, so the run's predicted recall is bounded below by the
         // worst sub-vector plan (1.0 throughout for exact configs).
-        let predicted_recall = subvectors
+        let predicted_recall = plans
             .iter()
-            .map(|r| PlannedQuery::plan(r.len(), k, config).predicted_recall)
+            .map(|(_, planned)| planned.predicted_recall)
             .fold(1.0f64, f64::min);
         let capabilities: Vec<f64> = cluster
             .devices()
@@ -373,9 +381,9 @@ impl<'a, K: TopKKey> DistPlan<'a, K> {
             cluster,
             data,
             k,
-            config,
             schedule,
             owned,
+            plans,
             predicted_recall,
         }
     }
@@ -431,8 +439,12 @@ impl<'a, K: TopKKey> DistPlan<'a, K> {
             }
             let start = ms_since(epoch);
             let chunk = &self.data[range.clone()];
-            let planned = PlannedQuery::plan(chunk.len(), self.k, self.config);
-            let r = run_planned(device, chunk, None, None, &planned);
+            let (_, planned) = self
+                .plans
+                .iter()
+                .find(|&&(len, _)| len == chunk.len())
+                .expect("every sub-vector length is planned");
+            let r = run_planned(device, chunk, None, None, planned);
             computes.push(run.stages.len());
             run.stages.push(ExecutedStage::recorded(
                 StageKind::LocalTopK,
