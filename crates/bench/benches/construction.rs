@@ -19,8 +19,7 @@
 //! `2^(α−α′)` fine lists of β′ values, two lists of 2 at (6, 2) → α = 7
 //! and one list at α = α′, so these cells show the host loop on the small
 //! blocks the engine runs whenever a cached fine pass serves a coarser
-//! request; the same-α and β′ = 3–4 sources are about a third of the
-//! serving engine's coarsening time.
+//! request, from the same α and from β′ up to 4 as well.
 //!
 //! Every cell is the median of `ROUNDS` timed calls (default 7; pass a
 //! number to change it). Each round times every cell once, so a drift of
