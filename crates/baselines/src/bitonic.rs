@@ -121,22 +121,22 @@ pub fn bitonic_topk<K: TopKKey>(
     TopKResult::from_values(survivors, stats, time_ms)
 }
 
-/// Convenience: the number of merge iterations bitonic top-k needs for a
-/// vector of `n` elements, ⌈log2(n / k)⌉.
-pub fn bitonic_iterations(n: usize, k: usize) -> usize {
-    if n <= k || k == 0 {
-        return 0;
-    }
-    let ratio = n.div_ceil(k);
-    (usize::BITS - (ratio - 1).leading_zeros()) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::result::reference_topk;
     use gpu_sim::DeviceSpec;
     use topk_datagen::Distribution;
+
+    /// Convenience: the number of merge iterations bitonic top-k needs for a
+    /// vector of `n` elements, ⌈log2(n / k)⌉.
+    fn bitonic_iterations(n: usize, k: usize) -> usize {
+        if n <= k || k == 0 {
+            return 0;
+        }
+        let ratio = n.div_ceil(k);
+        (usize::BITS - (ratio - 1).leading_zeros()) as usize
+    }
 
     fn device() -> Device {
         Device::new(DeviceSpec::v100s())

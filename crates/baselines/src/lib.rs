@@ -37,14 +37,12 @@ pub mod radix;
 pub mod result;
 pub mod sort_and_choose;
 
-pub use bitonic::{bitonic_iterations, bitonic_topk, BitonicConfig};
+pub use bitonic::{bitonic_topk, BitonicConfig};
 pub use bucket::{bucket_select_kth, bucket_topk, BucketConfig, BucketSelectOutcome};
 pub use key::{sort_keys_asc, sort_keys_desc, Desc, KeyBits, TopKKey};
 pub use priority_queue::{parallel_priority_queue_topk, priority_queue_topk};
 pub use radix::{gather_topk, radix_select_kth, radix_topk, RadixVariant, SelectOutcome};
-pub use result::{
-    collect_topk_by_threshold, reference_kth, reference_topk, reference_topk_min, TopKResult,
-};
+pub use result::{reference_kth, reference_topk, reference_topk_min, TopKResult};
 pub use sort_and_choose::sort_and_choose_topk;
 
 /// The inner top-k algorithms Dr. Top-k can assist (Figures 17–19 evaluate

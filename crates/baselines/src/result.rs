@@ -91,37 +91,37 @@ pub fn reference_kth<K: TopKKey>(data: &[K], k: usize) -> K {
     *kth
 }
 
-/// Given a threshold (the k-th largest value), collect exactly `k` values:
-/// everything strictly greater than the threshold plus enough copies of the
-/// threshold itself to reach `k`. Panics if the threshold is not consistent
-/// with `k` (fewer than `k` elements ≥ threshold).
-pub fn collect_topk_by_threshold<K: TopKKey>(data: &[K], k: usize, threshold: K) -> Vec<K> {
-    let tb = threshold.to_bits();
-    let mut out: Vec<K> = Vec::with_capacity(k);
-    let mut ties = 0usize;
-    for &v in data {
-        let vb = v.to_bits();
-        if vb > tb {
-            out.push(v);
-        } else if vb == tb {
-            ties += 1;
-        }
-    }
-    assert!(
-        out.len() <= k && out.len() + ties >= k,
-        "inconsistent threshold: {} above, {} ties, k={}",
-        out.len(),
-        ties,
-        k
-    );
-    let need = k - out.len();
-    out.extend(std::iter::repeat_n(threshold, need));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Given a threshold (the k-th largest value), collect exactly `k` values:
+    /// everything strictly greater than the threshold plus enough copies of the
+    /// threshold itself to reach `k`. Panics if the threshold is not consistent
+    /// with `k` (fewer than `k` elements ≥ threshold).
+    fn collect_topk_by_threshold<K: TopKKey>(data: &[K], k: usize, threshold: K) -> Vec<K> {
+        let tb = threshold.to_bits();
+        let mut out: Vec<K> = Vec::with_capacity(k);
+        let mut ties = 0usize;
+        for &v in data {
+            let vb = v.to_bits();
+            if vb > tb {
+                out.push(v);
+            } else if vb == tb {
+                ties += 1;
+            }
+        }
+        assert!(
+            out.len() <= k && out.len() + ties >= k,
+            "inconsistent threshold: {} above, {} ties, k={}",
+            out.len(),
+            ties,
+            k
+        );
+        let need = k - out.len();
+        out.extend(std::iter::repeat_n(threshold, need));
+        out
+    }
 
     #[test]
     fn reference_topk_simple() {

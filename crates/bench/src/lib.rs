@@ -72,14 +72,18 @@ pub fn device() -> Device {
 }
 
 /// Where CSV outputs are written: `DRTOPK_RESULTS_DIR` when set, else
-/// `<workspace>/bench_results`. That default is fixed at compile time from
-/// `CARGO_MANIFEST_DIR`, so a bench built from a copied tree (its warm
-/// `target/` included) writes into the original checkout unless
-/// `DRTOPK_RESULTS_DIR` is set.
+/// `<workspace>/bench_results`, found from the `CARGO_MANIFEST_DIR` that
+/// `cargo bench`, `cargo test` and `cargo run` set at run time (so a bench
+/// built from a copied tree writes into that tree), else `bench_results`
+/// under the working directory.
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("DRTOPK_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results"));
+    let dir = if let Some(dir) = std::env::var_os("DRTOPK_RESULTS_DIR") {
+        PathBuf::from(dir)
+    } else if let Some(manifest) = std::env::var_os("CARGO_MANIFEST_DIR") {
+        PathBuf::from(manifest).join("../../bench_results")
+    } else {
+        PathBuf::from("bench_results")
+    };
     std::fs::create_dir_all(&dir).expect("cannot create bench_results directory");
     dir
 }

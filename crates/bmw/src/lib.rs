@@ -20,4 +20,4 @@ pub mod index;
 pub mod wand;
 
 pub use index::{BmwIndex, Posting};
-pub use wand::{bmw_topk, wand_topk, BmwResult, BmwStats};
+pub use wand::{bmw_topk, BmwResult, BmwStats};

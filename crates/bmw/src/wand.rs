@@ -7,7 +7,8 @@
 //! possibly updated) only if its upper bound beats λ:
 //!
 //! * plain WAND uses the list-wide maximum as the upper bound, so it fully
-//!   evaluates almost every document until λ rises;
+//!   evaluates almost every document until λ rises (it lives in this
+//!   module's tests, as the reference BMW's pruning is checked against);
 //! * BMW uses the block maximum, allowing it to skip to the next block when
 //!   the current block's maximum cannot beat λ — but within a promising
 //!   block it still proceeds document by document.
@@ -108,25 +109,6 @@ fn heap_topk<S: TopKKey>(
     BmwResult { top, stats }
 }
 
-/// Plain WAND: the upper bound of every document is the list-wide maximum.
-pub fn wand_topk<S: TopKKey>(index: &BmwIndex<S>, k: usize) -> BmwResult<S> {
-    let list_max = index
-        .postings()
-        .iter()
-        .map(|p| p.score)
-        .max_by_key(|s| s.to_bits())
-        .unwrap_or_default();
-    heap_topk(
-        index,
-        k,
-        |_pos, stats| {
-            stats.block_checks += 1;
-            list_max
-        },
-        false,
-    )
-}
-
 /// Block-Max WAND: the upper bound of a document is its block's maximum and
 /// failing blocks are skipped wholesale.
 pub fn bmw_topk<S: TopKKey>(index: &BmwIndex<S>, k: usize) -> BmwResult<S> {
@@ -144,6 +126,25 @@ pub fn bmw_topk<S: TopKKey>(index: &BmwIndex<S>, k: usize) -> BmwResult<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Plain WAND: the upper bound of every document is the list-wide maximum.
+    fn wand_topk<S: TopKKey>(index: &BmwIndex<S>, k: usize) -> BmwResult<S> {
+        let list_max = index
+            .postings()
+            .iter()
+            .map(|p| p.score)
+            .max_by_key(|s| s.to_bits())
+            .unwrap_or_default();
+        heap_topk(
+            index,
+            k,
+            |_pos, stats| {
+                stats.block_checks += 1;
+                list_max
+            },
+            false,
+        )
+    }
 
     fn scores_topk(scores: &[u32], k: usize) -> Vec<u32> {
         let mut s = scores.to_vec();

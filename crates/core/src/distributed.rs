@@ -30,7 +30,7 @@
 //! compute queue, then one per-source
 //! [`Gather`](crate::stages::StageKind::Gather) per secondary device on
 //! its own interconnect lane, then the final selection — is listed in that
-//! order and replayed in modeled time on per-resource streams. Loads and
+//! order and replayed in modeled time on one cursor per resource. Loads and
 //! gathers do no host work; they carry their modeled transfer time. The
 //! modeled report depends only on that list, so it is bit-identical run to
 //! run whatever order the host threads ran in; debug builds verify it.
@@ -852,7 +852,7 @@ mod tests {
     /// parallel run's winners, schedule, makespan, counters and breakdown
     /// bit for bit, and exact winners are the reference top-k.
     #[test]
-    fn explore_validates_a_small_out_of_core_run() {
+    fn every_device_order_matches_the_parallel_out_of_core_run() {
         let data = topk_datagen::uniform(1 << 12, 11);
         let k = 16;
         let c = cluster(3, 1 << 9); // 8 sub-vectors: 3, 3 and 2 per device

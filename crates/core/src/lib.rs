@@ -91,8 +91,7 @@ pub use stages::{
 };
 pub use topk_baselines::{KeyBits, TopKKey};
 pub use tuning::{
-    auto_alpha, choose_path_sampled, is_convex_in_alpha, model_optimal_alpha,
-    optimal_approx_tuning, predicted_approx_cost, predicted_cost, rule4_alpha, ApproxTuning,
-    ChosenPath, PathHint, PredictedCost, PAPER_RULE4_CONST,
+    auto_alpha, choose_path_sampled, optimal_approx_tuning, predicted_cost, rule4_alpha,
+    ApproxTuning, ChosenPath, PathHint, PredictedCost, PAPER_RULE4_CONST,
 };
-pub use verify::{verify_specs, Diagnostic, DiagnosticCode, StageSpec, VerifyOptions};
+pub use verify::{verify_stages, Diagnostic, DiagnosticCode, VerifyOptions};

@@ -929,7 +929,7 @@ mod tests {
     /// counters, breakdown and modeled schedule bit for bit, and exact
     /// rows are the reference top-k.
     #[test]
-    fn explore_validates_a_small_row_graph() {
+    fn every_device_order_matches_the_parallel_row_run() {
         let cols = 1 << 10;
         let rows = 12;
         let data = topk_datagen::normal(rows * cols, 13);

@@ -94,19 +94,6 @@ pub fn auto_alpha(n: usize, k: usize, beta: usize, const_term: f64) -> u32 {
     (raw.round() as i64).clamp(min_alpha.max(1) as i64, max_alpha as i64) as u32
 }
 
-/// Minimize the analytic model over integer α (used to cross-check Rule 4
-/// and by the Figure 13/14 harnesses as the model-side optimum).
-pub fn model_optimal_alpha(n: usize, k: usize, spec: &DeviceSpec) -> u32 {
-    let max_alpha = ((n as f64).log2().floor() as u32).saturating_sub(1).max(1);
-    (1..=max_alpha)
-        .min_by(|&a, &b| {
-            let ca = predicted_cost(a as f64, k, n, spec).total();
-            let cb = predicted_cost(b as f64, k, n, spec).total();
-            ca.partial_cmp(&cb).unwrap()
-        })
-        .unwrap_or(1)
-}
-
 /// The resolved bucketing of one recall-targeted approximate query: the
 /// subrange exponent, the per-bucket candidate budget, and what the recall
 /// model predicts for that pair.
@@ -134,8 +121,8 @@ pub struct ApproxTuning {
 /// Unlike Rule 4, the optimum needs no device constants: every candidate
 /// costs one extra construction store plus ~5 candidate-top-k accesses
 /// regardless of the split (both terms scale with `num_buckets × budget`),
-/// so minimising the candidate count minimises every device's cost — see
-/// [`predicted_approx_cost`] for the full model. Ties prefer the larger α
+/// so minimising the candidate count minimises every device's cost (the
+/// tests check this against the full per-phase model). Ties prefer the larger α
 /// (fewer buckets ⇒ fewer warp reductions during construction).
 ///
 /// The `num_buckets ≥ 2k` floor is a variance guard, following the
@@ -196,57 +183,6 @@ pub fn optimal_approx_tuning(n: usize, k: usize, target: RecallTarget) -> Option
         };
     }
     best
-}
-
-/// Predicted per-phase cost of the approximate mode in abstract cycles,
-/// mirroring [`predicted_cost`]'s Equations 2–5 shape: the construction
-/// term generalises Equation 2 to β = `budget` delegates per bucket, the
-/// first-top-k and concatenation terms are zero (those phases are skipped),
-/// and the second top-k reads the `(|V|/2^α)·k'` candidate vector five
-/// times (4 digit passes + 1 identification pass) and writes k winners.
-pub fn predicted_approx_cost(
-    alpha: f64,
-    budget: usize,
-    k: usize,
-    n: usize,
-    spec: &DeviceSpec,
-) -> PredictedCost {
-    let c_global = spec.c_global_cycles;
-    let c_shfl = spec.c_shfl_cycles;
-    let v = n as f64;
-    let kf = k as f64;
-    let sub = 2f64.powf(alpha);
-    let candidates = (v / sub) * budget as f64;
-
-    // Equation 2 generalised: read |V|, write budget candidates per bucket,
-    // 31 shuffles per reduction × budget reductions per bucket.
-    let delegate =
-        (1.0 + budget as f64 / sub) * v * c_global + 31.0 * budget as f64 * (v / sub) * c_shfl;
-    let second_topk = 5.0 * candidates * c_global + 2.0 * kf * c_global;
-
-    PredictedCost {
-        delegate,
-        first_topk: 0.0,
-        concat: 0.0,
-        second_topk,
-    }
-}
-
-/// Numerically verify convexity of the model total around the evaluated α
-/// grid (second difference ≥ 0). Returns true when the sampled curve is
-/// convex; the property test in this module and the Figure 13 harness rely
-/// on it.
-pub fn is_convex_in_alpha(k: usize, n: usize, spec: &DeviceSpec, alphas: &[f64]) -> bool {
-    if alphas.len() < 3 {
-        return true;
-    }
-    let costs: Vec<f64> = alphas
-        .iter()
-        .map(|&a| predicted_cost(a, k, n, spec).total())
-        .collect();
-    costs
-        .windows(3)
-        .all(|w| w[0] + w[2] >= 2.0 * w[1] - 1e-6 * w[1])
 }
 
 /// Which execution path a query is pinned to.
@@ -546,6 +482,69 @@ pub fn choose_path_sampled<K: TopKKey>(data: &[K], k: usize, spec: &DeviceSpec) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Minimize the analytic model over integer α (the model-side optimum
+    /// Rule 4 is cross-checked against).
+    fn model_optimal_alpha(n: usize, k: usize, spec: &DeviceSpec) -> u32 {
+        let max_alpha = ((n as f64).log2().floor() as u32).saturating_sub(1).max(1);
+        (1..=max_alpha)
+            .min_by(|&a, &b| {
+                let ca = predicted_cost(a as f64, k, n, spec).total();
+                let cb = predicted_cost(b as f64, k, n, spec).total();
+                ca.partial_cmp(&cb).unwrap()
+            })
+            .unwrap_or(1)
+    }
+
+    /// Predicted per-phase cost of the approximate mode in abstract cycles,
+    /// mirroring [`predicted_cost`]'s Equations 2–5 shape: the construction
+    /// term generalises Equation 2 to β = `budget` delegates per bucket, the
+    /// first-top-k and concatenation terms are zero (those phases are skipped),
+    /// and the second top-k reads the `(|V|/2^α)·k'` candidate vector five
+    /// times (4 digit passes + 1 identification pass) and writes k winners.
+    fn predicted_approx_cost(
+        alpha: f64,
+        budget: usize,
+        k: usize,
+        n: usize,
+        spec: &DeviceSpec,
+    ) -> PredictedCost {
+        let c_global = spec.c_global_cycles;
+        let c_shfl = spec.c_shfl_cycles;
+        let v = n as f64;
+        let kf = k as f64;
+        let sub = 2f64.powf(alpha);
+        let candidates = (v / sub) * budget as f64;
+
+        // Equation 2 generalised: read |V|, write budget candidates per bucket,
+        // 31 shuffles per reduction × budget reductions per bucket.
+        let delegate =
+            (1.0 + budget as f64 / sub) * v * c_global + 31.0 * budget as f64 * (v / sub) * c_shfl;
+        let second_topk = 5.0 * candidates * c_global + 2.0 * kf * c_global;
+
+        PredictedCost {
+            delegate,
+            first_topk: 0.0,
+            concat: 0.0,
+            second_topk,
+        }
+    }
+
+    /// Numerically verify convexity of the model total around the evaluated α
+    /// grid (second difference ≥ 0). Returns true when the sampled curve is
+    /// convex.
+    fn is_convex_in_alpha(k: usize, n: usize, spec: &DeviceSpec, alphas: &[f64]) -> bool {
+        if alphas.len() < 3 {
+            return true;
+        }
+        let costs: Vec<f64> = alphas
+            .iter()
+            .map(|&a| predicted_cost(a, k, n, spec).total())
+            .collect();
+        costs
+            .windows(3)
+            .all(|w| w[0] + w[2] >= 2.0 * w[1] - 1e-6 * w[1])
+    }
 
     /// Per-pass candidate survival on well-distributed keys:
     /// [`BITS_PER_PASS`]-bit digits split the candidates into

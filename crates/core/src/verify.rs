@@ -33,32 +33,14 @@
 //!   (`V012`): narrowing work whose result never reaches a final selection
 //!   is a broken large-k pipeline.
 //!
-//! [`StageReport::verify`](crate::stages::StageReport::verify) adapts its
-//! stage list into [`StageSpec`]s and calls [`verify_specs`]; in debug
-//! builds every runner verifies the schedule it recorded (the distributed
-//! runner with its staging-buffer count) and panics on any diagnostic, so
-//! the whole test suite doubles as a verification corpus.
+//! [`StageReport::verify`](crate::stages::StageReport::verify) hands its
+//! own stage list to [`verify_stages`]; in debug builds every runner
+//! verifies the schedule it recorded (the distributed runner with its
+//! staging-buffer count) and panics on any diagnostic, so the whole test
+//! suite doubles as a verification corpus.
 //! `docs/DIAGNOSTICS.md` tabulates every code.
 
-use crate::stages::{Resource, StageKind, TransferLane};
-
-/// The scheduling-relevant description of one stage: everything the
-/// verifier needs, without its modeled interval or counters.
-/// [`StageReport::verify`](crate::stages::StageReport::verify) builds one
-/// per recorded stage; tests construct them by hand to verify raw
-/// (possibly deliberately broken) schedule shapes.
-#[derive(Debug, Clone)]
-pub struct StageSpec {
-    /// Which paper phase (or infrastructure step) the stage implements.
-    pub kind: StageKind,
-    /// Display label, used in diagnostic messages.
-    pub label: String,
-    /// The queue the stage occupies.
-    pub resource: Resource,
-    /// Indices (into the same spec list) of the stages this stage waits
-    /// for.
-    pub deps: Vec<usize>,
-}
+use crate::stages::{ExecutedStage, Resource, StageKind, TransferLane};
 
 /// Stable, machine-readable class of one verifier finding. The `V…` code
 /// string ([`DiagnosticCode::code`]) is part of the crate's API: tests and
@@ -333,7 +315,9 @@ pub(crate) fn debug_assert_verified(what: &str, verify: impl FnOnce() -> Vec<Dia
     }
 }
 
-/// Verify a stage list, returning every finding (empty = clean).
+/// Verify a stage list, returning every finding (empty = clean). Only each
+/// stage's kind, label, resource and dependencies are read; tests build
+/// lists by hand to verify raw (possibly deliberately broken) shapes.
 ///
 /// Checks run in dependency order: if dependency indices are out of range
 /// (`V001`) nothing else is checkable and the function returns early;
@@ -342,12 +326,12 @@ pub(crate) fn debug_assert_verified(what: &str, verify: impl FnOnce() -> Vec<Dia
 /// suppresses the staging-buffer analysis (which needs a schedulable
 /// graph). All per-stage checks (`V003`–`V008`, `V011`, `V012`) always
 /// run.
-pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic> {
-    let n = specs.len();
+pub fn verify_stages(stages: &[ExecutedStage], opts: &VerifyOptions) -> Vec<Diagnostic> {
+    let n = stages.len();
     let mut diags: Vec<Diagnostic> = Vec::new();
 
     // V001 — indices must be usable before anything else is.
-    for (i, s) in specs.iter().enumerate() {
+    for (i, s) in stages.iter().enumerate() {
         for &d in &s.deps {
             if d >= n {
                 diags.push(Diagnostic {
@@ -366,14 +350,14 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
     }
 
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, s) in specs.iter().enumerate() {
+    for (i, s) in stages.iter().enumerate() {
         for &d in &s.deps {
             dependents[d].push(i);
         }
     }
 
     // V004 / V005 — resource-tag consistency.
-    for (i, s) in specs.iter().enumerate() {
+    for (i, s) in stages.iter().enumerate() {
         match (s.kind.is_transfer(), s.resource) {
             (true, Resource::Compute(d)) => diags.push(Diagnostic {
                 code: DiagnosticCode::ResourceKindMismatch,
@@ -414,7 +398,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
     }
 
     // V006 — a chunk load must feed compute on the device its lane targets.
-    for (i, s) in specs.iter().enumerate() {
+    for (i, s) in stages.iter().enumerate() {
         let Resource::Transfer(TransferLane::HostToDevice(dst)) = s.resource else {
             continue;
         };
@@ -422,7 +406,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
             continue;
         }
         for &c in &dependents[i] {
-            if let Resource::Compute(dev) = specs[c].resource {
+            if let Resource::Compute(dev) = stages[c].resource {
                 if dev != dst {
                     diags.push(Diagnostic {
                         code: DiagnosticCode::CrossDeviceChunk,
@@ -430,7 +414,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
                         message: format!(
                             "'{}' loads onto device {dst}'s lane but is consumed by '{}' \
                              on device {dev}'s compute queue",
-                            s.label, specs[c].label
+                            s.label, stages[c].label
                         ),
                     });
                 }
@@ -439,7 +423,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
     }
 
     // V007 / V008 — gather wiring.
-    for (i, s) in specs.iter().enumerate() {
+    for (i, s) in stages.iter().enumerate() {
         if s.kind != StageKind::Gather {
             continue;
         }
@@ -456,7 +440,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
         }
         if let Resource::Transfer(TransferLane::Interconnect(src)) = s.resource {
             for &d in &s.deps {
-                if let Resource::Compute(dev) = specs[d].resource {
+                if let Resource::Compute(dev) = stages[d].resource {
                     if dev != src {
                         diags.push(Diagnostic {
                             code: DiagnosticCode::GatherSourceMismatch,
@@ -464,7 +448,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
                             message: format!(
                                 "'{}' occupies device {src}'s interconnect lane but its \
                                  input '{}' was produced on device {dev}",
-                                s.label, specs[d].label
+                                s.label, stages[d].label
                             ),
                         });
                     }
@@ -474,15 +458,15 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
     }
 
     // V011 — paper-phase ordering (dependency-side rules).
-    for (i, s) in specs.iter().enumerate() {
+    for (i, s) in stages.iter().enumerate() {
         for &d in &s.deps {
-            if !allowed_dep_kinds(s.kind).contains(&specs[d].kind) {
+            if !allowed_dep_kinds(s.kind).contains(&stages[d].kind) {
                 diags.push(Diagnostic {
                     code: DiagnosticCode::PhaseOrder,
                     stage: Some(i),
                     message: format!(
                         "{} stage '{}' may not depend on {} stage '{}'",
-                        s.kind, s.label, specs[d].kind, specs[d].label
+                        s.kind, s.label, stages[d].kind, stages[d].label
                     ),
                 });
             }
@@ -502,13 +486,13 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
     // V012 — radix-chain integrity: every narrowing stage must reach a
     // radix select through dependent edges. Reachability (not exactly-one)
     // keeps composed/merged schedules legal.
-    let selects: Vec<usize> = specs
+    let selects: Vec<usize> = stages
         .iter()
         .enumerate()
         .filter(|(_, s)| s.kind == StageKind::RadixSelect)
         .map(|(i, _)| i)
         .collect();
-    for (i, s) in specs.iter().enumerate() {
+    for (i, s) in stages.iter().enumerate() {
         if !matches!(
             s.kind,
             StageKind::RadixHistogram | StageKind::RadixRefine | StageKind::CandidateGather
@@ -528,7 +512,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
     }
 
     // V003 — orphans: non-terminal stages nothing consumes.
-    for (i, s) in specs.iter().enumerate() {
+    for (i, s) in stages.iter().enumerate() {
         if dependents[i].is_empty() && !is_terminal_kind(s.kind) {
             diags.push(Diagnostic {
                 code: DiagnosticCode::OrphanStage,
@@ -543,7 +527,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
 
     // V002 — dependency cycles make the remaining analyses meaningless.
     let mut dep_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, s) in specs.iter().enumerate() {
+    for (i, s) in stages.iter().enumerate() {
         for &d in &s.deps {
             dep_adj[d].push(i);
         }
@@ -563,7 +547,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
     // within a resource is an implicit edge.
     let mut combined = dep_adj;
     let mut last_on_resource: Vec<(Resource, usize)> = Vec::new();
-    for (i, s) in specs.iter().enumerate() {
+    for (i, s) in stages.iter().enumerate() {
         match last_on_resource.iter_mut().find(|(r, _)| *r == s.resource) {
             Some((_, prev)) => {
                 combined[*prev].push(i);
@@ -591,7 +575,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
     if let Some(buffers) = opts.staging_buffers {
         let buffers = buffers.max(1);
         let mut lanes: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, s) in specs.iter().enumerate() {
+        for (i, s) in stages.iter().enumerate() {
             if s.kind != StageKind::ChunkLoad {
                 continue;
             }
@@ -614,7 +598,9 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
                                 "'{}' reuses one of device {dev}'s {buffers} staging \
                                  buffer(s), overwriting '{}' before its consumer '{}' is \
                                  guaranteed to have read it",
-                                specs[loads[l]].label, specs[evicted].label, specs[consumer].label
+                                stages[loads[l]].label,
+                                stages[evicted].label,
+                                stages[consumer].label
                             ),
                         });
                     }
@@ -630,13 +616,19 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
 mod tests {
     use super::*;
 
-    fn spec(kind: StageKind, resource: Resource, deps: &[usize]) -> StageSpec {
-        StageSpec {
+    use crate::stages::StageOutcome;
+
+    /// A zero-duration stage labelled with its kind's name.
+    fn spec(kind: StageKind, resource: Resource, deps: &[usize]) -> ExecutedStage {
+        ExecutedStage::recorded(
             kind,
-            label: kind.name().to_string(),
+            kind.name(),
             resource,
-            deps: deps.to_vec(),
-        }
+            deps.to_vec(),
+            StageOutcome::default(),
+            0.0,
+            0.0,
+        )
     }
 
     fn codes(diags: &[Diagnostic]) -> Vec<DiagnosticCode> {
@@ -646,19 +638,19 @@ mod tests {
     #[test]
     fn the_exact_pipeline_shape_is_clean() {
         let c = Resource::Compute(0);
-        let specs = vec![
+        let stages = vec![
             spec(StageKind::DelegateConstruction, c, &[]),
             spec(StageKind::FirstTopK, c, &[0]),
             spec(StageKind::Concatenate, c, &[1]),
             spec(StageKind::SecondTopK, c, &[2]),
         ];
-        assert!(verify_specs(&specs, &VerifyOptions::default()).is_empty());
+        assert!(verify_stages(&stages, &VerifyOptions::default()).is_empty());
     }
 
     #[test]
     fn dangling_deps_short_circuit() {
-        let specs = vec![spec(StageKind::SecondTopK, Resource::Compute(0), &[7])];
-        let diags = verify_specs(&specs, &VerifyOptions::default());
+        let stages = vec![spec(StageKind::SecondTopK, Resource::Compute(0), &[7])];
+        let diags = verify_stages(&stages, &VerifyOptions::default());
         assert_eq!(codes(&diags), vec![DiagnosticCode::DanglingDep]);
         assert_eq!(diags[0].stage, Some(0));
         assert_eq!(diags[0].code.code(), "V001");
@@ -667,12 +659,12 @@ mod tests {
     #[test]
     fn dependency_cycles_are_v002() {
         let c = Resource::Compute(0);
-        let specs = vec![
+        let stages = vec![
             spec(StageKind::LocalMerge, c, &[1]),
             spec(StageKind::LocalMerge, c, &[0]),
             spec(StageKind::FinalTopK, c, &[0, 1]),
         ];
-        let diags = verify_specs(&specs, &VerifyOptions::default());
+        let diags = verify_stages(&stages, &VerifyOptions::default());
         assert!(codes(&diags).contains(&DiagnosticCode::DepCycle));
     }
 
@@ -681,12 +673,12 @@ mod tests {
         // Deps alone are acyclic (one edge 1 → 0), but stage 0 precedes
         // stage 1 in their shared queue's FIFO order: a real deadlock.
         let c = Resource::Compute(0);
-        let specs = vec![
+        let stages = vec![
             spec(StageKind::LocalMerge, c, &[1]),
             spec(StageKind::LocalTopK, c, &[]),
             spec(StageKind::FinalTopK, c, &[0]),
         ];
-        let diags = verify_specs(&specs, &VerifyOptions::default());
+        let diags = verify_stages(&stages, &VerifyOptions::default());
         assert!(codes(&diags).contains(&DiagnosticCode::QueueDeadlock));
         assert!(!codes(&diags).contains(&DiagnosticCode::DepCycle));
     }
@@ -694,19 +686,19 @@ mod tests {
     #[test]
     fn orphans_mismatches_and_lanes_each_get_their_code() {
         let h2d = Resource::Transfer(TransferLane::HostToDevice(0));
-        let diags = verify_specs(
+        let diags = verify_stages(
             &[spec(StageKind::ChunkLoad, h2d, &[])],
             &VerifyOptions::default(),
         );
         assert_eq!(codes(&diags), vec![DiagnosticCode::OrphanStage]);
 
-        let diags = verify_specs(
+        let diags = verify_stages(
             &[spec(StageKind::SecondTopK, h2d, &[])],
             &VerifyOptions::default(),
         );
         assert_eq!(codes(&diags), vec![DiagnosticCode::ResourceKindMismatch]);
 
-        let diags = verify_specs(
+        let diags = verify_stages(
             &[spec(StageKind::ChunkLoad, Resource::Compute(0), &[])],
             &VerifyOptions::default(),
         );
@@ -717,13 +709,13 @@ mod tests {
         load.label = "misplaced load".into();
         let ltk = spec(StageKind::LocalTopK, Resource::Compute(1), &[0]);
         let fin = spec(StageKind::FinalTopK, Resource::Compute(1), &[1]);
-        let diags = verify_specs(&[load, ltk, fin], &VerifyOptions::default());
+        let diags = verify_stages(&[load, ltk, fin], &VerifyOptions::default());
         assert!(codes(&diags).contains(&DiagnosticCode::WrongLane));
     }
 
     #[test]
     fn cross_device_chunk_consumption_is_v006() {
-        let specs = vec![
+        let stages = vec![
             spec(
                 StageKind::ChunkLoad,
                 Resource::Transfer(TransferLane::HostToDevice(1)),
@@ -732,13 +724,13 @@ mod tests {
             spec(StageKind::LocalTopK, Resource::Compute(0), &[0]),
             spec(StageKind::FinalTopK, Resource::Compute(0), &[1]),
         ];
-        let diags = verify_specs(&specs, &VerifyOptions::default());
+        let diags = verify_stages(&stages, &VerifyOptions::default());
         assert_eq!(codes(&diags), vec![DiagnosticCode::CrossDeviceChunk]);
     }
 
     #[test]
     fn gather_wiring_violations_are_v007_and_v008() {
-        let diags = verify_specs(
+        let diags = verify_stages(
             &[
                 spec(
                     StageKind::Gather,
@@ -751,7 +743,7 @@ mod tests {
         );
         assert_eq!(codes(&diags), vec![DiagnosticCode::GatherWithoutSource]);
 
-        let diags = verify_specs(
+        let diags = verify_stages(
             &[
                 spec(StageKind::LocalTopK, Resource::Compute(2), &[]),
                 spec(
@@ -771,27 +763,27 @@ mod tests {
         let c = Resource::Compute(0);
         // Second top-k fed directly by the first top-k: the concatenation
         // phase was skipped outright.
-        let specs = vec![
+        let stages = vec![
             spec(StageKind::DelegateConstruction, c, &[]),
             spec(StageKind::FirstTopK, c, &[0]),
             spec(StageKind::SecondTopK, c, &[1]),
         ];
-        let diags = verify_specs(&specs, &VerifyOptions::default());
+        let diags = verify_stages(&stages, &VerifyOptions::default());
         assert_eq!(codes(&diags), vec![DiagnosticCode::PhaseOrder]);
 
         // A concatenation with nothing to concatenate from.
-        let specs = vec![
+        let stages = vec![
             spec(StageKind::Concatenate, c, &[]),
             spec(StageKind::SecondTopK, c, &[0]),
         ];
-        let diags = verify_specs(&specs, &VerifyOptions::default());
+        let diags = verify_stages(&stages, &VerifyOptions::default());
         assert_eq!(codes(&diags), vec![DiagnosticCode::PhaseOrder]);
     }
 
     /// The double-buffered distributed shape on one device: resident chunk
     /// 0, streamed chunks 1–3, loads waiting on the compute that frees
     /// their staging buffer.
-    fn double_buffered_lane() -> Vec<StageSpec> {
+    fn double_buffered_lane() -> Vec<ExecutedStage> {
         let lane = Resource::Transfer(TransferLane::HostToDevice(0));
         let c = Resource::Compute(0);
         vec![
@@ -809,24 +801,24 @@ mod tests {
 
     #[test]
     fn staging_buffer_hazards_are_v010() {
-        let specs = double_buffered_lane();
+        let stages = double_buffered_lane();
         let two = VerifyOptions {
             staging_buffers: Some(2),
         };
-        assert!(verify_specs(&specs, &two).is_empty());
+        assert!(verify_stages(&stages, &two).is_empty());
 
         // The same graph declared to own a single staging buffer: chunk 2's
         // load overwrites chunk 1 while chunk 1 may still be computing.
         let one = VerifyOptions {
             staging_buffers: Some(1),
         };
-        let diags = verify_specs(&specs, &one);
+        let diags = verify_stages(&stages, &one);
         assert!(codes(&diags).contains(&DiagnosticCode::DoubleBufferHazard));
 
         // Dropping the buffer-release edge is caught even with 2 buffers.
         let mut missing = double_buffered_lane();
         missing[5].deps.clear();
-        let diags = verify_specs(&missing, &two);
+        let diags = verify_stages(&missing, &two);
         assert!(codes(&diags).contains(&DiagnosticCode::DoubleBufferHazard));
     }
 
@@ -835,7 +827,7 @@ mod tests {
         let c = Resource::Compute(0);
         // Two narrowing passes, then gather + select — the single-device
         // radix graph shape the large-k path builds.
-        let specs = vec![
+        let stages = vec![
             spec(StageKind::RadixHistogram, c, &[]),
             spec(StageKind::RadixRefine, c, &[0]),
             spec(StageKind::RadixHistogram, c, &[1]),
@@ -843,7 +835,7 @@ mod tests {
             spec(StageKind::CandidateGather, c, &[3]),
             spec(StageKind::RadixSelect, c, &[4]),
         ];
-        assert!(verify_specs(&specs, &VerifyOptions::default()).is_empty());
+        assert!(verify_stages(&stages, &VerifyOptions::default()).is_empty());
     }
 
     #[test]
@@ -851,13 +843,13 @@ mod tests {
         let c = Resource::Compute(0);
         // The gather feeds a second top-k instead of a radix select: every
         // narrowing stage upstream loses its select.
-        let specs = vec![
+        let stages = vec![
             spec(StageKind::RadixHistogram, c, &[]),
             spec(StageKind::RadixRefine, c, &[0]),
             spec(StageKind::CandidateGather, c, &[1]),
             spec(StageKind::SecondTopK, c, &[]),
         ];
-        let diags = verify_specs(&specs, &VerifyOptions::default());
+        let diags = verify_stages(&stages, &VerifyOptions::default());
         assert!(codes(&diags).contains(&DiagnosticCode::RadixChainBroken));
         assert_eq!(
             diags
@@ -878,22 +870,22 @@ mod tests {
     fn radix_select_may_be_a_sink_but_its_feeders_may_not() {
         let c = Resource::Compute(0);
         // A lone select is a legal terminal (degenerate one-stage graph)...
-        let specs = vec![spec(StageKind::RadixSelect, c, &[])];
-        assert!(verify_specs(&specs, &VerifyOptions::default()).is_empty());
+        let stages = vec![spec(StageKind::RadixSelect, c, &[])];
+        assert!(verify_stages(&stages, &VerifyOptions::default()).is_empty());
         // ...but a refine nothing consumes is both an orphan and a broken
         // chain.
-        let specs = vec![
+        let stages = vec![
             spec(StageKind::RadixHistogram, c, &[]),
             spec(StageKind::RadixRefine, c, &[0]),
         ];
-        let diags = verify_specs(&specs, &VerifyOptions::default());
+        let diags = verify_stages(&stages, &VerifyOptions::default());
         assert!(codes(&diags).contains(&DiagnosticCode::OrphanStage));
         assert!(codes(&diags).contains(&DiagnosticCode::RadixChainBroken));
     }
 
     #[test]
     fn diagnostics_render_with_their_code() {
-        let diags = verify_specs(
+        let diags = verify_stages(
             &[spec(StageKind::SecondTopK, Resource::Compute(0), &[9])],
             &VerifyOptions::default(),
         );

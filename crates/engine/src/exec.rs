@@ -25,7 +25,7 @@
 //! Sharded queries run the distributed runner (double-buffered chunk
 //! ingestion) and report their breakdown and overlap the same way. Worker
 //! failures are surfaced per device through
-//! [`GpuCluster::try_run_on_all`] instead of poisoning the batch.
+//! [`try_run_on_each`] instead of poisoning the batch.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,7 +38,7 @@ use drtopk_core::{
     StageOutcome, StageReport,
 };
 use drtopk_obs::TraceSink;
-use gpu_sim::{Device, GpuCluster, KernelStats};
+use gpu_sim::{try_run_on_each, Device, GpuCluster, KernelStats};
 use parking_lot::Mutex;
 use topk_baselines::TopKKey;
 
@@ -356,66 +356,66 @@ pub(crate) fn execute_plan<K: TopKKey>(
     // The *modeled* makespan is computed afterwards by deterministic list
     // scheduling, so reports do not vary with host-thread timing.
     let next_unit = AtomicUsize::new(0);
-    let per_device = cluster
-        .try_run_on_all(|device_idx, device| {
-            let mut outcomes: Vec<PoolOutcome<K>> = Vec::new();
-            loop {
-                let slot = next_unit.fetch_add(1, Ordering::Relaxed);
-                let Some(&unit_idx) = pool_indices.get(slot) else {
-                    break;
-                };
-                // Heterogeneous clusters (or an overridden shard
-                // threshold) can hand a worker a corpus its device cannot
-                // hold; that is a per-device error, not a batch panic.
-                // `capacity_elems` is in u32 units, the corpus in keys.
-                let check_capacity = |corpus_idx: usize, len: usize| {
-                    let device_keys = capacity_in_keys::<K>(device.capacity_elems());
-                    if len > device_keys {
-                        Err(format!(
-                            "corpus {corpus_idx} ({len} keys) exceeds this device's capacity of {device_keys} keys"
-                        ))
-                    } else {
-                        Ok(())
-                    }
-                };
-                match &plan.units[unit_idx] {
-                    PlanUnit::Fused(unit) => {
-                        let corpus = &batch.corpora()[unit.corpus];
-                        check_capacity(unit.corpus, corpus.data.len())?;
-                        outcomes.push(PoolOutcome::Fused(run_fused_unit(
-                            device,
-                            device_idx,
-                            corpus.data,
-                            cached[slot].clone(),
-                            unit_idx,
-                            unit,
-                            base,
-                        )));
-                    }
-                    PlanUnit::Rows(unit) => {
-                        let corpus = &batch.corpora()[unit.corpus];
-                        check_capacity(unit.corpus, corpus.data.len())?;
-                        outcomes.push(PoolOutcome::Rows(run_rows_unit(
-                            device,
-                            device_idx,
-                            corpus.data,
-                            unit_idx,
-                            unit,
-                            batch.row_queries(),
-                            base,
-                        )));
-                    }
-                    PlanUnit::Sharded(_) => {
-                        unreachable!("pool_indices only holds pool units")
-                    }
+    let devices: Vec<&Device> = cluster.devices().iter().collect();
+    let per_device = try_run_on_each(&devices, |device_idx, device| {
+        let mut outcomes: Vec<PoolOutcome<K>> = Vec::new();
+        loop {
+            let slot = next_unit.fetch_add(1, Ordering::Relaxed);
+            let Some(&unit_idx) = pool_indices.get(slot) else {
+                break;
+            };
+            // Heterogeneous clusters (or an overridden shard
+            // threshold) can hand a worker a corpus its device cannot
+            // hold; that is a per-device error, not a batch panic.
+            // `capacity_elems` is in u32 units, the corpus in keys.
+            let check_capacity = |corpus_idx: usize, len: usize| {
+                let device_keys = capacity_in_keys::<K>(device.capacity_elems());
+                if len > device_keys {
+                    Err(format!(
+                        "corpus {corpus_idx} ({len} keys) exceeds this device's capacity of {device_keys} keys"
+                    ))
+                } else {
+                    Ok(())
+                }
+            };
+            match &plan.units[unit_idx] {
+                PlanUnit::Fused(unit) => {
+                    let corpus = &batch.corpora()[unit.corpus];
+                    check_capacity(unit.corpus, corpus.data.len())?;
+                    outcomes.push(PoolOutcome::Fused(run_fused_unit(
+                        device,
+                        device_idx,
+                        corpus.data,
+                        cached[slot].clone(),
+                        unit_idx,
+                        unit,
+                        base,
+                    )));
+                }
+                PlanUnit::Rows(unit) => {
+                    let corpus = &batch.corpora()[unit.corpus];
+                    check_capacity(unit.corpus, corpus.data.len())?;
+                    outcomes.push(PoolOutcome::Rows(run_rows_unit(
+                        device,
+                        device_idx,
+                        corpus.data,
+                        unit_idx,
+                        unit,
+                        batch.row_queries(),
+                        base,
+                    )));
+                }
+                PlanUnit::Sharded(_) => {
+                    unreachable!("pool_indices only holds pool units")
                 }
             }
-            Ok(outcomes)
-        })
-        .map_err(|e| EngineError::Device {
-            device: e.device,
-            message: e.error,
-        })?;
+        }
+        Ok(outcomes)
+    })
+    .map_err(|e| EngineError::Device {
+        device: e.device,
+        message: e.error,
+    })?;
 
     let num_queries = batch.len();
     let mut results: Vec<Option<QueryResult<K>>> = (0..num_queries).map(|_| None).collect();

@@ -52,7 +52,7 @@
 //!   behind **RadiK**: many independent selections of wildly different
 //!   cost coexist on a device pool, so assign work greedily rather than
 //!   statically. Worker failures surface per device
-//!   ([`gpu_sim::GpuCluster::try_run_on_all`]) instead of poisoning the
+//!   ([`gpu_sim::try_run_on_each`]) instead of poisoning the
 //!   batch.
 //! * **Plan cache** (`PlanCache`) — two memoizations keyed for repeat
 //!   traffic: `(n, k, key type, direction, device) → α` skips

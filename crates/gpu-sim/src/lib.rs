@@ -28,8 +28,7 @@
 //! | [`warp`] | [`WarpCtx`]: instrumented warp-level primitives (coalesced and random accesses, shuffle reductions, atomic and shared-memory counts) |
 //! | [`device`] | [`Device`]: kernel launcher + per-kernel log |
 //! | [`timing`] | the analytic timing model |
-//! | [`multi`] | [`GpuCluster`]: multiple devices, the MPI-like interconnect model and the per-device [`GpuCluster::try_run_on_all`] |
-//! | [`stream`] | [`Stream`] / [`Event`]: modeled CUDA-stream overlap (transfer/compute concurrency) |
+//! | [`multi`] | [`GpuCluster`]: multiple devices, the MPI-like interconnect model and the per-device [`try_run_on_each`] |
 //!
 //! ## Example
 //!
@@ -56,7 +55,6 @@ pub mod device;
 pub mod multi;
 pub mod spec;
 pub mod stats;
-pub mod stream;
 pub mod timing;
 pub mod warp;
 
@@ -64,6 +62,5 @@ pub use device::{Device, LaunchResult};
 pub use multi::{try_run_on_each, DeviceError, GpuCluster, InterconnectSpec, TransferDirection};
 pub use spec::DeviceSpec;
 pub use stats::{DeviceStats, KernelRecord, KernelStats};
-pub use stream::{Event, Stream, StreamSet};
 pub use timing::estimate_time_ms;
 pub use warp::{chunk_range, WarpCtx, WARP_SIZE};

@@ -6,9 +6,8 @@
 //!
 //! * [`GpuCluster`] — a set of [`Device`]s plus an [`InterconnectSpec`]
 //!   describing intra-node (NVLink-class) and inter-node (network) links;
-//! * a parallel [`try_run_on_each`] helper (and [`GpuCluster::try_run_on_all`]
-//!   over a whole cluster) that executes one closure per device on host
-//!   threads (the "each GPU computes its local top-k" step);
+//! * a parallel [`try_run_on_each`] helper that executes one closure per
+//!   device on host threads (the "each GPU computes its local top-k" step);
 //! * transfer-time models for device↔device messages and host→device
 //!   reloads, used to produce the Communication and Reload Overhead columns
 //!   of Table 2.
@@ -18,7 +17,7 @@ use crate::spec::DeviceSpec;
 use crate::timing::host_transfer_time_ms;
 
 /// A failure reported by one device's worker during
-/// [`GpuCluster::try_run_on_all`], carrying the id of the device whose
+/// [`try_run_on_each`], carrying the id of the device whose
 /// closure failed so callers can retry, exclude or report that device
 /// without losing the whole run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,18 +193,6 @@ impl GpuCluster {
         self.devices[device].record_external(name, crate::stats::KernelStats::default(), t);
         t
     }
-
-    /// Run `work` once per device, in parallel on host threads; see
-    /// [`try_run_on_each`].
-    pub fn try_run_on_all<R, E, F>(&self, work: F) -> Result<Vec<R>, DeviceError<E>>
-    where
-        R: Send,
-        E: Send,
-        F: Fn(usize, &Device) -> Result<R, E> + Sync,
-    {
-        let devices: Vec<&Device> = self.devices.iter().collect();
-        try_run_on_each(&devices, work)
-    }
 }
 
 /// Run `work` once per device of `devices`, in parallel on host threads (a
@@ -338,11 +325,16 @@ mod tests {
         assert!((log.time_ms_for("chunk_load") - t).abs() < 1e-12);
     }
 
+    fn all_devices(cluster: &GpuCluster) -> Vec<&Device> {
+        cluster.devices().iter().collect()
+    }
+
     #[test]
-    fn try_run_on_all_surfaces_the_failing_device_id() {
+    fn try_run_on_each_surfaces_the_failing_device_id() {
         let cluster = GpuCluster::homogeneous(5, DeviceSpec::v100s());
+        let devices = all_devices(&cluster);
         // device 3 fails; everything else succeeds — the error names device 3
-        let got = cluster.try_run_on_all(|idx, _dev| {
+        let got = try_run_on_each(&devices, |idx, _dev| {
             if idx == 3 {
                 Err(format!("simulated ECC fault on {idx}"))
             } else {
@@ -355,30 +347,32 @@ mod tests {
         assert_eq!(format!("{err}"), "device 3: simulated ECC fault on 3");
 
         // several failures: the lowest device id wins deterministically
-        let got = cluster.try_run_on_all(|idx, _dev| if idx % 2 == 0 { Err(idx) } else { Ok(()) });
+        let got = try_run_on_each(
+            &devices,
+            |idx, _dev| if idx % 2 == 0 { Err(idx) } else { Ok(()) },
+        );
         assert_eq!(got.expect_err("even devices fail").device, 0);
 
         // all-success path returns device-ordered results
         let got: Result<Vec<usize>, DeviceError<String>> =
-            cluster.try_run_on_all(|idx, _dev| Ok(idx));
+            try_run_on_each(&devices, |idx, _dev| Ok(idx));
         assert_eq!(got.unwrap(), vec![0, 1, 2, 3, 4]);
 
         // single-device clusters take the inline path
         let single = GpuCluster::homogeneous(1, DeviceSpec::v100s());
-        let err = single
-            .try_run_on_all(|idx, _dev| Err::<(), _>(idx + 100))
+        let err = try_run_on_each(&all_devices(&single), |idx, _dev| Err::<(), _>(idx + 100))
             .expect_err("sole device fails");
         assert_eq!(err.device, 0);
         assert_eq!(err.error, 100);
     }
 
     #[test]
-    fn try_run_on_all_failure_does_not_lose_other_devices_work() {
+    fn try_run_on_each_failure_does_not_lose_other_devices_work() {
         // A failing worker must not prevent the other devices from running
         // to completion (their kernel logs prove they did the work).
         let cluster = GpuCluster::homogeneous(4, DeviceSpec::v100s());
         let data = vec![1u32; 1024];
-        let got = cluster.try_run_on_all(|idx, dev| {
+        let got = try_run_on_each(&all_devices(&cluster), |idx, dev| {
             dev.launch("probe", 2, |ctx| {
                 ctx.read_coalesced(&data[ctx.chunk_of(data.len())]);
             });
@@ -394,18 +388,44 @@ mod tests {
         }
     }
 
+    /// Two or more devices each run on a host thread of their own, none of
+    /// them the caller's; one device runs inline on the caller's thread.
+    #[test]
+    fn try_run_on_each_gives_every_device_its_own_thread() {
+        let caller = std::thread::current().id();
+        for n in [2, 3] {
+            let cluster = GpuCluster::homogeneous(n, DeviceSpec::v100s());
+            let ids = try_run_on_each(&all_devices(&cluster), |_, _| {
+                Ok::<_, ()>(std::thread::current().id())
+            })
+            .unwrap();
+            assert!(!ids.contains(&caller), "{n} devices: {ids:?}");
+            for (i, id) in ids.iter().enumerate() {
+                assert!(
+                    !ids[..i].contains(id),
+                    "{n} devices share a thread: {ids:?}"
+                );
+            }
+        }
+        let single = GpuCluster::homogeneous(1, DeviceSpec::v100s());
+        let ids = try_run_on_each(&all_devices(&single), |_, _| {
+            Ok::<_, ()>(std::thread::current().id())
+        })
+        .unwrap();
+        assert_eq!(ids, vec![caller]);
+    }
+
     #[test]
     fn run_on_all_returns_in_device_order() {
         let cluster = GpuCluster::homogeneous(6, DeviceSpec::titan_xp());
-        let results = cluster
-            .try_run_on_all(|idx, dev| {
-                let data = vec![idx as u32; 1024];
-                let launch = dev.launch("scan", 2, |ctx| {
-                    ctx.read_coalesced(&data[ctx.chunk_of(data.len())]);
-                });
-                Ok::<_, ()>((idx, launch.stats.warps_launched))
-            })
-            .unwrap();
+        let results = try_run_on_each(&all_devices(&cluster), |idx, dev| {
+            let data = vec![idx as u32; 1024];
+            let launch = dev.launch("scan", 2, |ctx| {
+                ctx.read_coalesced(&data[ctx.chunk_of(data.len())]);
+            });
+            Ok::<_, ()>((idx, launch.stats.warps_launched))
+        })
+        .unwrap();
         assert_eq!(results.len(), 6);
         for (i, (idx, warps)) in results.iter().enumerate() {
             assert_eq!(*idx, i);

@@ -7,7 +7,8 @@
 # line and public-item counts, then lists every public item whose name
 # appears, as a whole word, in no .rs file other than the one declaring
 # it. The search covers crates, src, examples, tests, perfbench/src and
-# perfbench/tests.
+# perfbench/tests, with every `pub use` statement left out: re-exporting
+# an item (say, from a crate's lib.rs) does not use it.
 #
 # Each listed item must be in scripts/pub_allowlist.txt with a reason:
 #     <file>::<name>  <one-line reason>
@@ -29,8 +30,21 @@ items=$(grep -rE "$pattern" crates/*/src | wc -l)
 echo "lines in crates/*/src: $lines"
 echo "public items:          $items"
 
-# Every file the search reads, once.
+# Every file the search reads, once, copied into a scratch tree without
+# its re-export statements (`pub use ...;` and `pub(...) use ...;`, which
+# may span lines).
 mapfile -t corpus < <(find "${search_dirs[@]}" -name '*.rs' -not -path '*/target/*' | sort)
+mirror=$(mktemp -d)
+trap 'rm -rf "$mirror"' EXIT
+copies=("${corpus[@]/#/$mirror/}")
+printf '%s\n' "${copies[@]%/*}" | sort -u | xargs mkdir -p
+touch "${copies[@]}" # a file of nothing but re-exports still exists
+awk -v mirror="$mirror" '
+    FNR == 1 { if (out) close(out); out = mirror "/" FILENAME; skip = 0 }
+    skip || /^[[:space:]]*pub(\([^)]*\))?[[:space:]]+use[[:space:]]/ { skip = !/;/; next }
+    { print > out }
+' "${corpus[@]}"
+corpus=("${copies[@]}")
 
 unreferenced=()
 while IFS= read -r hit; do
@@ -40,7 +54,7 @@ while IFS= read -r hit; do
     # No `-q` on the second grep: it must read all of the first one's
     # output, or the first could die of SIGPIPE and, under pipefail, fake
     # a miss.
-    if ! grep -lw -- "$name" "${corpus[@]}" | grep -vxF -- "$file" >/dev/null; then
+    if ! grep -lw -- "$name" "${corpus[@]}" | grep -vxF -- "$mirror/$file" >/dev/null; then
         unreferenced+=("$file::$name")
     fi
 done < <(grep -rHE "$pattern" crates/*/src | sort)

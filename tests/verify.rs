@@ -12,31 +12,37 @@
 //!   tests additionally pin it through the public `verify()` API.
 
 use drtopk::core::{
-    distributed_dr_topk, verify_specs, DiagnosticCode, DrTopKConfig, ReloadSchedule, Resource,
-    StageKind, StageSpec, TransferLane, VerifyOptions,
+    distributed_dr_topk, verify_stages, DiagnosticCode, DrTopKConfig, ExecutedStage,
+    ReloadSchedule, Resource, StageKind, TransferLane, VerifyOptions,
 };
 use drtopk::prelude::*;
 use drtopk::sim::GpuCluster;
 use proptest::prelude::*;
 
-fn spec(kind: StageKind, resource: Resource, deps: &[usize]) -> StageSpec {
-    StageSpec {
+/// A zero-duration stage labelled with its kind's name.
+fn spec(kind: StageKind, resource: Resource, deps: &[usize]) -> ExecutedStage {
+    ExecutedStage {
         kind,
         label: kind.name().to_string(),
         resource,
         deps: deps.to_vec(),
+        start_ms: 0.0,
+        end_ms: 0.0,
+        measured_start_ms: 0.0,
+        measured_end_ms: 0.0,
+        stats: Default::default(),
     }
 }
 
-fn codes(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<DiagnosticCode> {
-    verify_specs(specs, opts).iter().map(|d| d.code).collect()
+fn codes(stages: &[ExecutedStage], opts: &VerifyOptions) -> Vec<DiagnosticCode> {
+    verify_stages(stages, opts).iter().map(|d| d.code).collect()
 }
 
 /// The healthy single-device out-of-core shape the mutations below are
 /// seeded into: resident chunk 0, two streamed chunks whose loads wait on
 /// the compute that frees their staging buffer, a merge, and the final
 /// top-k.
-fn healthy_out_of_core() -> Vec<StageSpec> {
+fn healthy_out_of_core() -> Vec<ExecutedStage> {
     let lane = Resource::Transfer(TransferLane::HostToDevice(0));
     let c = Resource::Compute(0);
     vec![
@@ -51,7 +57,7 @@ fn healthy_out_of_core() -> Vec<StageSpec> {
 }
 
 /// The healthy exact-pipeline shape (delegate → first → concat → second).
-fn healthy_pipeline() -> Vec<StageSpec> {
+fn healthy_pipeline() -> Vec<ExecutedStage> {
     let c = Resource::Compute(0);
     vec![
         spec(StageKind::DelegateConstruction, c, &[]),
@@ -63,7 +69,7 @@ fn healthy_pipeline() -> Vec<StageSpec> {
 
 /// The healthy two-pass radix-path shape (histogram → refine per pass,
 /// then candidate assembly and the final select).
-fn healthy_radix_path() -> Vec<StageSpec> {
+fn healthy_radix_path() -> Vec<ExecutedStage> {
     let c = Resource::Compute(0);
     vec![
         spec(StageKind::RadixHistogram, c, &[]),
@@ -77,12 +83,12 @@ fn healthy_radix_path() -> Vec<StageSpec> {
 
 #[test]
 fn healthy_shapes_are_clean() {
-    assert!(verify_specs(&healthy_pipeline(), &VerifyOptions::default()).is_empty());
-    assert!(verify_specs(&healthy_radix_path(), &VerifyOptions::default()).is_empty());
+    assert!(verify_stages(&healthy_pipeline(), &VerifyOptions::default()).is_empty());
+    assert!(verify_stages(&healthy_radix_path(), &VerifyOptions::default()).is_empty());
     let double_buffered = VerifyOptions {
         staging_buffers: Some(ReloadSchedule::DoubleBuffered.staging_buffers()),
     };
-    assert!(verify_specs(&healthy_out_of_core(), &double_buffered).is_empty());
+    assert!(verify_stages(&healthy_out_of_core(), &double_buffered).is_empty());
 }
 
 /// Every diagnostic code is reachable from a minimal seeded mutation. The
@@ -99,7 +105,7 @@ fn every_diagnostic_code_is_reachable() {
     let h2d1 = Resource::Transfer(TransferLane::HostToDevice(1));
     let ic1 = Resource::Transfer(TransferLane::Interconnect(1));
     for code in DiagnosticCode::ALL {
-        let (specs, opts) = match code {
+        let (stages, opts) = match code {
             DiagnosticCode::DanglingDep => {
                 (vec![spec(SecondTopK, c0, &[3])], VerifyOptions::default())
             }
@@ -195,7 +201,7 @@ fn every_diagnostic_code_is_reachable() {
                 VerifyOptions::default(),
             ),
         };
-        let found = codes(&specs, &opts);
+        let found = codes(&stages, &opts);
         assert!(
             found.contains(&code),
             "{code} must be reachable; verifier reported {found:?}"
@@ -208,9 +214,9 @@ fn every_diagnostic_code_is_reachable() {
 
 #[test]
 fn mutation_swapped_lane_tag_is_caught_as_v005() {
-    let mut specs = healthy_out_of_core();
-    specs[1].resource = Resource::Transfer(TransferLane::Interconnect(0));
-    let found = codes(&specs, &VerifyOptions::default());
+    let mut stages = healthy_out_of_core();
+    stages[1].resource = Resource::Transfer(TransferLane::Interconnect(0));
+    let found = codes(&stages, &VerifyOptions::default());
     assert!(
         found.contains(&DiagnosticCode::WrongLane),
         "swapped lane tag must be V005, got {found:?}"
@@ -235,9 +241,9 @@ fn mutation_single_buffer_reload_is_caught_as_v010() {
 
 #[test]
 fn mutation_missing_dependency_edge_is_caught_as_v011() {
-    let mut specs = healthy_pipeline();
-    specs[2].deps.clear(); // concatenate no longer waits on the first top-k
-    let found = codes(&specs, &VerifyOptions::default());
+    let mut stages = healthy_pipeline();
+    stages[2].deps.clear(); // concatenate no longer waits on the first top-k
+    let found = codes(&stages, &VerifyOptions::default());
     assert!(
         found.contains(&DiagnosticCode::PhaseOrder),
         "dropped concat input edge must be V011, got {found:?}"
@@ -248,9 +254,9 @@ fn mutation_missing_dependency_edge_is_caught_as_v011() {
 fn mutation_dropped_radix_select_is_caught_as_v012() {
     // The planner-shaped radix chain with its final select deleted: every
     // surviving radix stage now narrows toward nothing.
-    let mut specs = healthy_radix_path();
-    specs.pop();
-    let found = codes(&specs, &VerifyOptions::default());
+    let mut stages = healthy_radix_path();
+    stages.pop();
+    let found = codes(&stages, &VerifyOptions::default());
     assert!(
         found.contains(&DiagnosticCode::RadixChainBroken),
         "dropped radix select must be V012, got {found:?}"
