@@ -128,16 +128,6 @@ mod tests {
     use gpu_sim::DeviceSpec;
     use topk_datagen::Distribution;
 
-    /// Convenience: the number of merge iterations bitonic top-k needs for a
-    /// vector of `n` elements, ⌈log2(n / k)⌉.
-    fn bitonic_iterations(n: usize, k: usize) -> usize {
-        if n <= k || k == 0 {
-            return 0;
-        }
-        let ratio = n.div_ceil(k);
-        (usize::BITS - (ratio - 1).leading_zeros()) as usize
-    }
-
     fn device() -> Device {
         Device::new(DeviceSpec::v100s())
     }
@@ -211,13 +201,5 @@ mod tests {
             large_per_elem > 2.0 * small_per_elem,
             "expected occupancy cliff: {small_per_elem} vs {large_per_elem}"
         );
-    }
-
-    #[test]
-    fn iteration_count_formula() {
-        assert_eq!(bitonic_iterations(1 << 20, 1 << 10), 10);
-        assert_eq!(bitonic_iterations(1024, 1024), 0);
-        assert_eq!(bitonic_iterations(1000, 0), 0);
-        assert_eq!(bitonic_iterations(1 << 14, 1), 14);
     }
 }

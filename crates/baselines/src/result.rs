@@ -95,34 +95,6 @@ pub fn reference_kth<K: TopKKey>(data: &[K], k: usize) -> K {
 mod tests {
     use super::*;
 
-    /// Given a threshold (the k-th largest value), collect exactly `k` values:
-    /// everything strictly greater than the threshold plus enough copies of the
-    /// threshold itself to reach `k`. Panics if the threshold is not consistent
-    /// with `k` (fewer than `k` elements ≥ threshold).
-    fn collect_topk_by_threshold<K: TopKKey>(data: &[K], k: usize, threshold: K) -> Vec<K> {
-        let tb = threshold.to_bits();
-        let mut out: Vec<K> = Vec::with_capacity(k);
-        let mut ties = 0usize;
-        for &v in data {
-            let vb = v.to_bits();
-            if vb > tb {
-                out.push(v);
-            } else if vb == tb {
-                ties += 1;
-            }
-        }
-        assert!(
-            out.len() <= k && out.len() + ties >= k,
-            "inconsistent threshold: {} above, {} ties, k={}",
-            out.len(),
-            ties,
-            k
-        );
-        let need = k - out.len();
-        out.extend(std::iter::repeat_n(threshold, need));
-        out
-    }
-
     #[test]
     fn reference_topk_simple() {
         let data = vec![5, 1, 9, 3, 9, 2];
@@ -157,23 +129,6 @@ mod tests {
     #[should_panic(expected = "k out of range")]
     fn reference_kth_rejects_zero() {
         reference_kth(&[1u32, 2, 3], 0);
-    }
-
-    #[test]
-    fn threshold_collection_handles_ties() {
-        let data = vec![7u32, 7, 7, 5, 9, 7];
-        // top-3 is {9, 7, 7}: threshold 7 with 4 ties present
-        let got = collect_topk_by_threshold(&data, 3, 7);
-        assert_eq!(got.len(), 3);
-        let mut sorted = got.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(sorted, vec![9, 7, 7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent threshold")]
-    fn threshold_collection_rejects_bad_threshold() {
-        collect_topk_by_threshold(&[1u32, 2, 3], 2, 3);
     }
 
     #[test]

@@ -24,7 +24,12 @@
 //! Every cell is the median of `ROUNDS` timed calls (default 7; pass a
 //! number to change it). Each round times every cell once, so a drift of
 //! the host's speed spreads over all cells instead of landing on a few.
-//! One row per key, order (or source), direction and β, one column per α:
+//! The host loop has two builds with different per-lane limits, and the
+//! CPU decides which one runs 32-bit keys (`avx2` when it has AVX2, else
+//! `portable`; 64-bit keys always run the portable build), so each
+//! table's first header cell names the build: tables of different builds
+//! are not comparable cell by cell. One row per key, order (or
+//! source), direction and β, one column per α:
 //!
 //! ```sh
 //! cargo bench -p drtopk-bench --bench construction
@@ -139,10 +144,20 @@ fn coarsen_cells(device: &Device, data: &'static [u32]) -> Vec<Cell> {
     cells
 }
 
+/// The build of the host loop that `delegates_into` runs 32-bit keys on
+/// this CPU: the AVX2 build whenever the CPU has AVX2.
+fn host_loop_build() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
+
 /// Emit table `name`, whose second column is called `order`: one row per
 /// run of consecutive cells with the same labels, then each cell's median
 /// in ns per value read under its α's column, and `-` where a row has no
-/// cell for that α.
+/// cell for that α. The first header cell names the host loop's build.
 fn emit_table(
     name: &str,
     order: &str,
@@ -151,7 +166,8 @@ fn emit_table(
     alphas: std::ops::RangeInclusive<u32>,
 ) {
     let alpha_names: Vec<String> = alphas.clone().map(|a| format!("alpha{a}")).collect();
-    let mut header = vec!["key", order, "direction", "beta"];
+    let key = format!("key ({} build)", host_loop_build());
+    let mut header = vec![key.as_str(), order, "direction", "beta"];
     header.extend(alpha_names.iter().map(String::as_str));
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (cell, times) in cells.iter().zip(ns) {

@@ -36,17 +36,20 @@
 //! The host loop is `delegates_into`, which picks one of two loops from the
 //! shape it is given:
 //!
-//! * **per-lane** — β ≤ 4 and subranges of at most 2^10 elements for
-//!   32-bit keys with β = 2, 2^9 for other 32-bit keys, 2^8 for 64-bit
-//!   keys with β = 1, and 2^7 otherwise (the measured crossover, stated on
+//! * **per-lane** — β ≤ 4 and subranges up to a limit that depends on the
+//!   key width, β and the build (the measured crossover, stated on
 //!   `delegates_into`): a branch-free running top-β in each of 8 lanes,
 //!   each element passing through β compare-exchanges in radix space, then
 //!   a pairwise fold of the lanes. This is the host analogue of RTop-K's
 //!   per-lane selection (`PAPERS.md`). For 32-bit keys the compare-exchange
-//!   is mask arithmetic, because the baseline x86-64 target (SSE2) has no
-//!   unsigned 32-bit vector max or min: written with `Ord::max`/`Ord::min`
-//!   the loop stays scalar, written with masks it vectorizes and runs up to
-//!   twice as fast, which keeps the crossover past 256 elements.
+//!   is mask arithmetic (`order_pair`), because the baseline x86-64 target
+//!   (SSE2) has no unsigned 32-bit vector max or min: written with
+//!   `Ord::max`/`Ord::min` the loop stays scalar, written with masks it
+//!   vectorizes. For 32-bit keys on a CPU with AVX2, `delegates_into` runs
+//!   a second build of the same loop compiled with AVX2, whose per-lane
+//!   loop runs on 8-lane registers and keeps its lead over chunk-skip up
+//!   to 2^11 elements (2^9 or 2^10 in the portable build). Both builds
+//!   return the same bits.
 //! * **chunk-skip** (`top_beta_into`) — everything else. It applies the
 //!   paper's maximum-delegate filtering one level down: after seeding the β
 //!   slots it scans each subrange in warp-wide chunks of 32 elements, tests
@@ -195,6 +198,17 @@ impl<K> Delegates<'_, K> {
 /// [`top_beta_into`] on each subrange. The one host extraction loop of
 /// delegate construction and of the row-block fused pass ([`crate::rows`]).
 ///
+/// For 32-bit keys on a CPU with AVX2 the loop runs in a second build of
+/// the same source, compiled with AVX2 ([`delegates_into_avx2`]); 64-bit
+/// keys, and every key on another CPU, run the portable build
+/// ([`host_loop`]). The builds return the same bits; only their speed, and
+/// so their per-lane limits, differ. The AVX2 build runs chunk-skip as the
+/// portable build compiles it ([`chunk_skip_into`]). 64-bit keys stay
+/// portable: SSE2 has no 64-bit compare, AVX2 only a signed one, and in a
+/// build of this loop for every key width, 64-bit keys ran up to twice as
+/// slow as the portable build on some cells (u64, smallest direction,
+/// β = 1) while others halved.
+///
 /// The loop is chosen from the shape: subranges of β to
 /// [`per_lane_max_subrange`] elements with β ≤ 4 run the branch-free
 /// per-lane loop ([`per_lane_top`]), everything else the chunk-skip loop.
@@ -204,11 +218,12 @@ impl<K> Delegates<'_, K> {
 /// beats the per-lane loop's β compare-exchanges per element. The limit is
 /// the largest power-of-two subrange at which the per-lane loop beats
 /// chunk-skip by at least 10% on uniform input for every key type of that
-/// width, in both directions. Measured with the `construction` bench
-/// (`crates/bench/benches/construction.rs`: whole `build_delegate_vector`
-/// call on 2^18 uniform keys, ns per element, medians of ten interleaved
-/// runs of 15 rounds, 2-core x86-64 host), per-lane against chunk-skip in
-/// the largest direction:
+/// width, in both directions, and each build has its own. Measured with
+/// the `construction` bench (`crates/bench/benches/construction.rs`: whole
+/// `build_delegate_vector` call on 2^18 uniform keys, ns per element,
+/// medians of ten interleaved runs of 15 rounds, 2-core x86-64 host),
+/// per-lane against chunk-skip in the largest direction. The portable
+/// build:
 ///
 /// | keys | β | α = 9 | α = 10 | α = 11 | limit |
 /// |---|---|---|---|---|---|
@@ -237,6 +252,27 @@ impl<K> Delegates<'_, K> {
 /// 10%. The per-lane loop costs the same on any input; chunk-skip's cost
 /// follows the data, and on ascending input, where every chunk holds a new
 /// candidate, the per-lane loop is 1.3–4.9 times faster at α 9–11.
+///
+/// The AVX2 build (32-bit keys only), from two builds whose AVX2 limit
+/// was 0 (always chunk-skip, as the portable build compiles it) and 2^20
+/// (always per-lane), at the limit and one power of two above it:
+///
+/// | keys | β | α = 11 | α = 12 | limit |
+/// |---|---|---|---|---|
+/// | u32 | 1 | 0.18 / 0.20 | 0.17 / 0.15 | 2^11 |
+/// | f32 | 1 | 0.27 / 0.39 | 0.28 / 0.33 | 2^11 |
+/// | u32 | 2 | 0.22 / 0.33 | 0.21 / 0.22 | 2^11 |
+/// | f32 | 2 | 0.39 / 0.54 | 0.38 / 0.41 | 2^11 |
+/// | u32 | 3 | 0.33 / 0.45 | 0.32 / 0.28 | 2^11 |
+/// | f32 | 3 | 0.33 / 0.67 | 0.32 / 0.47 | 2^11 |
+/// | u32 | 4 | 0.42 / 0.52 | 0.41 / 0.35 | 2^11 |
+/// | f32 | 4 | 0.47 / 0.83 | 0.47 / 0.55 | 2^11 |
+///
+/// u32 sets every limit; at β = 1 it passes α = 11 by a hair (0.18
+/// against 0.20), and the smallest direction moves no limit. On ascending
+/// input at α = 10–11 the AVX2 build's per-lane loop costs 0.18–0.48
+/// against chunk-skip's 0.48–4.78, so the wider limit removes that part of
+/// chunk-skip's worst case.
 #[inline]
 pub(crate) fn delegates_into<K: TopKKey>(
     data: &[K],
@@ -244,8 +280,54 @@ pub(crate) fn delegates_into<K: TopKKey>(
     beta: usize,
     out: &mut Vec<K>,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if K::Bits::BITS == 32 && std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `delegates_into_avx2` needs AVX2 only, and the running
+        // CPU has it (checked just above).
+        return unsafe { delegates_into_avx2(data, subrange_size, beta, out) };
+    }
+    host_loop(Build::Portable, data, subrange_size, beta, out);
+}
+
+/// [`host_loop`] compiled with AVX2, with the AVX2 build's limits. Outside
+/// AVX2 code a call is `unsafe`: the caller must have checked that the CPU
+/// has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn delegates_into_avx2<K: TopKKey>(
+    data: &[K],
+    subrange_size: usize,
+    beta: usize,
+    out: &mut Vec<K>,
+) {
+    host_loop(Build::Avx2, data, subrange_size, beta, out);
+}
+
+/// A compilation of the host loop; it sets the per-lane limits.
+#[derive(Clone, Copy)]
+enum Build {
+    /// Compiled for the crate's target (SSE2 on baseline x86-64).
+    Portable,
+    /// Compiled with AVX2 enabled ([`delegates_into_avx2`]); 32-bit keys
+    /// only.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    Avx2,
+}
+
+/// The body of [`delegates_into`]: inlined into each build that calls it,
+/// together with the per-lane loop, so each build compiles that loop for
+/// its own instruction set. The AVX2 build calls the portable build's
+/// chunk-skip loop ([`chunk_skip_into`]).
+#[inline(always)]
+fn host_loop<K: TopKKey>(
+    build: Build,
+    data: &[K],
+    subrange_size: usize,
+    beta: usize,
+    out: &mut Vec<K>,
+) {
     out.reserve(data.len().div_ceil(subrange_size) * beta);
-    if (beta..=per_lane_max_subrange(beta, K::Bits::BITS)).contains(&subrange_size) {
+    if (beta..=per_lane_max_subrange(build, beta, K::Bits::BITS)).contains(&subrange_size) {
         match beta {
             1 => return per_lane_into::<K, 1>(data, subrange_size, out),
             2 => return per_lane_into::<K, 2>(data, subrange_size, out),
@@ -254,18 +336,37 @@ pub(crate) fn delegates_into<K: TopKKey>(
             _ => {}
         }
     }
+    match build {
+        Build::Portable => {
+            for subrange in data.chunks(subrange_size) {
+                top_beta_into(subrange, beta, out);
+            }
+        }
+        Build::Avx2 => chunk_skip_into(data, subrange_size, beta, out),
+    }
+}
+
+/// [`top_beta_into`] on every subrange, as the portable build compiles it:
+/// never inlined, so the AVX2 build calls it. LLVM's AVX2 form of the
+/// chunk test narrows each compare mask with two shuffles (`vextracti128`,
+/// `vpackssdw`) before the or, and on the `construction` bench it was
+/// 8–19% slower than the SSE2 form on uniform u32 at α 11–13.
+#[inline(never)]
+fn chunk_skip_into<K: TopKKey>(data: &[K], subrange_size: usize, beta: usize, out: &mut Vec<K>) {
     for subrange in data.chunks(subrange_size) {
         top_beta_into(subrange, beta, out);
     }
 }
 
 /// Largest subrange the per-lane loop takes for `beta` ≤ 4 delegates of
-/// `bits`-bit keys (the measured crossover, see [`delegates_into`]).
-const fn per_lane_max_subrange(beta: usize, bits: u32) -> usize {
-    match (bits, beta) {
-        (32, 2) => 1 << 10,
-        (32, _) => 1 << 9,
-        (_, 1) => 1 << 8,
+/// `bits`-bit keys in `build` (the measured crossover, see
+/// [`delegates_into`]).
+const fn per_lane_max_subrange(build: Build, beta: usize, bits: u32) -> usize {
+    match (build, bits, beta) {
+        (Build::Avx2, 32, _) => 1 << 11,
+        (_, 32, 2) => 1 << 10,
+        (_, 32, _) => 1 << 9,
+        (_, _, 1) => 1 << 8,
         _ => 1 << 7,
     }
 }
@@ -275,6 +376,7 @@ const LANES: usize = 8;
 
 /// [`delegates_into`] on the per-lane loop: every full subrange through
 /// [`per_lane_top`], a short final one through [`top_beta_into`].
+#[inline(always)]
 fn per_lane_into<K: TopKKey, const B: usize>(data: &[K], subrange_size: usize, out: &mut Vec<K>) {
     let mut subranges = data.chunks_exact(subrange_size);
     for subrange in &mut subranges {
@@ -292,7 +394,7 @@ fn per_lane_into<K: TopKKey, const B: usize>(data: &[K], subrange_size: usize, o
 /// The slots start at `Bits::ZERO`, the minimum of the radix space. With at
 /// least `B` real elements a filler can only tie a real zero, so the
 /// result's bits are those of the slice's top-`B`.
-#[inline]
+#[inline(always)]
 fn per_lane_top<K: TopKKey, const B: usize>(slice: &[K]) -> [K::Bits; B] {
     debug_assert!(slice.len() >= B);
     // slot-major: slot j of every lane side by side
@@ -346,12 +448,14 @@ fn merge_top<T: KeyBits, const B: usize>(a: [T; B], b: [T; B]) -> [T; B] {
 /// Branch-free compare-exchange in radix space: the larger key to `hi`, the
 /// smaller to `lo`. Keys of at most 32 bits use mask arithmetic — `m` is
 /// all ones when `lo > hi`, and xoring both with `d = (hi ^ lo) & m` swaps
-/// them — rather than `Ord::max`/`Ord::min`: the baseline x86-64 target
-/// (SSE2) has no unsigned 32-bit vector max or min, so the `Ord` form
-/// lowers to scalar `cmp`/`cmov` while the mask form vectorizes (a biased
-/// signed compare, an `and` and `xor`s). SSE2 has no 64-bit compare at
-/// all, so wider keys stay scalar either way, and there the two `cmov`s of
-/// the `Ord` form beat the mask's longer chain (measured on the
+/// them — rather than `Ord::max`/`Ord::min`. The portable build needs the
+/// mask form: the baseline x86-64 target (SSE2) has no unsigned 32-bit
+/// vector max or min, so the `Ord` form lowers to scalar `cmp`/`cmov`
+/// while the mask form vectorizes (a biased signed compare, an `and` and
+/// `xor`s). In the AVX2 build LLVM recognizes the mask form as a max/min
+/// pair and lowers it to `vpmaxud`/`vpminud`. SSE2 has no 64-bit compare
+/// at all, so wider keys stay scalar either way, and there the two `cmov`s
+/// of the `Ord` form beat the mask's longer chain (measured on the
 /// construction bench, `crates/bench/benches/construction.rs`).
 #[inline(always)]
 fn order_pair<T: KeyBits>(hi: &mut T, lo: &mut T) {
@@ -1080,17 +1184,17 @@ mod tests {
     }
 
     /// At the subrange sizes one below, at and one above each per-lane limit
-    /// (β 1–4), [`per_lane_top`] gives the bits of [`top_beta_into`], on
-    /// random, sorted, ≤ 8-distinct and all-equal inputs (all zero bits —
-    /// the slots' starting value — all one bits, and one repeated key).
+    /// of both builds (β 1–4), [`per_lane_top`] gives the bits of
+    /// [`top_beta_into`], on random, sorted, ≤ 8-distinct and all-equal
+    /// inputs (all zero bits — the slots' starting value — all one bits,
+    /// and one repeated key).
     /// `delegates_into` at the same sizes, over two full subranges and a
     /// short final one, matches the per-subrange reference.
     fn per_lane_at_limits<K: TopKKey>(seed: u64) {
         let mut rng = topk_datagen::rng::Xoshiro256StarStar::seed_from_u64(seed);
         let ty = std::any::type_name::<K>();
         for beta in 1..=4 {
-            let limit = per_lane_max_subrange(beta, K::Bits::BITS);
-            for size in [limit - 1, limit, limit + 1] {
+            for size in limit_sizes(beta, K::Bits::BITS) {
                 let random: Vec<K> = (0..size)
                     .map(|_| K::from_bits(K::Bits::from_u64(rng.next_u64())))
                     .collect();
@@ -1125,6 +1229,119 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One below, at and one above the per-lane limit of `beta` delegates
+    /// of `bits`-bit keys in both builds, ascending without repeats.
+    fn limit_sizes(beta: usize, bits: u32) -> Vec<usize> {
+        let mut sizes: Vec<usize> = [Build::Portable, Build::Avx2]
+            .into_iter()
+            .flat_map(|build| {
+                let limit = per_lane_max_subrange(build, beta, bits);
+                [limit - 1, limit, limit + 1]
+            })
+            .collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        sizes
+    }
+
+    /// [`delegates_into`], on whichever build this CPU dispatches to,
+    /// appends the same bits as the portable build called directly, for β
+    /// 1–6 at subrange sizes from β to 2^13 (around both builds' limits),
+    /// with a ragged final subrange, on uniform, ascending, descending and
+    /// ≤ 8-distinct inputs. Random inputs mix uniformly random bit
+    /// patterns with `specials`.
+    fn dispatched_equals_portable<K: TopKKey>(specials: &[K], seed: u64) {
+        let mut rng = topk_datagen::rng::Xoshiro256StarStar::seed_from_u64(seed);
+        let mut draw = || {
+            if rng.next_bounded(4) == 0 {
+                specials[rng.next_bounded(specials.len() as u64) as usize]
+            } else {
+                K::from_bits(K::Bits::from_u64(rng.next_u64()))
+            }
+        };
+        let longest = 3 << 13;
+        let uniform: Vec<K> = (0..longest).map(|_| draw()).collect();
+        let mut ascending = uniform.clone();
+        topk_baselines::sort_keys_asc(&mut ascending);
+        let descending: Vec<K> = ascending.iter().rev().copied().collect();
+        let few = few_distinct(&uniform);
+        let ty = std::any::type_name::<K>();
+        for beta in 1..=6 {
+            let mut sizes = limit_sizes(beta, K::Bits::BITS);
+            sizes.extend([beta, beta + 1, 31, 33, 1 << 13]);
+            sizes.retain(|&size| size >= beta);
+            for (i, size) in sizes.into_iter().enumerate() {
+                // two full subranges, then a final one of 1, β − 1 (none at
+                // β = 1) or about half of `size` values
+                let tail = [1, beta - 1, size / 2][i % 3];
+                let len = 2 * size + tail;
+                for (order, input) in [
+                    ("uniform", &uniform[..len]),
+                    ("ascending", &ascending[ascending.len() - len..]),
+                    ("descending", &descending[..len]),
+                    ("<= 8 distinct", &few[..len]),
+                ] {
+                    let mut want = Vec::new();
+                    host_loop(Build::Portable, input, size, beta, &mut want);
+                    let want: Vec<K::Bits> = want.iter().map(|x| x.to_bits()).collect();
+                    assert_appends(
+                        |out| delegates_into(input, size, beta, out),
+                        want,
+                        &format!("{ty} size={size} len={len} beta={beta} {order}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_and_portable_host_loops_are_bit_identical() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            println!("no AVX2 on this CPU: only the portable build ran, checked against itself");
+        }
+        dispatched_equals_portable::<u32>(&[0, 1, u32::MAX - 1, u32::MAX], 21);
+        dispatched_equals_portable::<i32>(&[i32::MIN, -1, 0, 1, i32::MAX], 22);
+        dispatched_equals_portable::<u64>(&[0, 1, 1 << 32, u64::MAX], 23);
+        dispatched_equals_portable::<i64>(&[i64::MIN, -1, 0, 1, i64::MAX], 24);
+        let f32_specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0x7F80_0001),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+        ];
+        let f64_specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::from_bits(0x7FF0_0000_0000_0001),
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 4.0,
+        ];
+        dispatched_equals_portable::<f32>(&f32_specials, 25);
+        dispatched_equals_portable::<f64>(&f64_specials, 26);
+        dispatched_equals_portable::<Desc<u32>>(&[Desc(0), Desc(u32::MAX)], 27);
+        dispatched_equals_portable::<Desc<i32>>(&[Desc(i32::MIN), Desc(0), Desc(i32::MAX)], 28);
+        dispatched_equals_portable::<Desc<u64>>(&[Desc(0), Desc(u64::MAX)], 29);
+        dispatched_equals_portable::<Desc<i64>>(&[Desc(i64::MIN), Desc(0), Desc(i64::MAX)], 30);
+        dispatched_equals_portable(&f32_specials.map(Desc), 31);
+        dispatched_equals_portable(&f64_specials.map(Desc), 32);
     }
 
     #[test]

@@ -813,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_threaded_executors_are_bit_identical() {
+    fn in_order_device_chains_match_the_threaded_run() {
         // The chains run one after another in device order on this thread
         // against each device on its own thread.
         let data = topk_datagen::uniform(1 << 16, 21);

@@ -128,7 +128,7 @@ impl TopKEngine {
 
     /// Attach a trace sink: every subsequent batch re-emits its composed
     /// stage schedules as spans on the modeled batch timeline, plus
-    /// executor events (cache hits and misses). Replaces any previously
+    /// instant events (cache hits and misses). Replaces any previously
     /// attached sink. With no sink attached, tracing costs nothing.
     pub fn attach_recorder(&self, sink: Arc<dyn TraceSink>) {
         *self.recorder.lock() = Some(sink);

@@ -10,8 +10,9 @@
 //!
 //! * **Full** ([`TraceRecorder::new`]): every span carries both the modeled
 //!   timeline (deterministic stream-schedule milliseconds) and the measured
-//!   wall-clock timeline; executor events (dispatches, cache hits/misses,
-//!   verifier passes) are kept. The Chrome export places modeled spans
+//!   wall-clock timeline; instant events (the distributed runner's
+//!   dispatches and verifier passes, the engine's cache hits/misses) are
+//!   kept. The Chrome export places modeled spans
 //!   under process 1 and measured spans under process 2, one thread track
 //!   per resource, so modeled-vs-measured skew is visible per stage.
 //! * **Deterministic** ([`TraceRecorder::deterministic`]): measured fields
@@ -27,7 +28,7 @@ use parking_lot::Mutex;
 ///
 /// All times are milliseconds. The modeled interval comes from the stream
 /// simulator and is deterministic; the measured interval is host wall-clock
-/// relative to the executor's epoch and varies run to run.
+/// relative to the start of the emitting run and varies run to run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Stage index in schedule (insertion) order — stable across dispatch orders.
@@ -44,9 +45,9 @@ pub struct SpanRecord {
     pub start_ms: f64,
     /// Modeled end, ms.
     pub end_ms: f64,
-    /// Measured wall-clock start, ms since the executor epoch.
+    /// Measured wall-clock start, ms since the emitting run started.
     pub measured_start_ms: f64,
-    /// Measured wall-clock end, ms since the executor epoch.
+    /// Measured wall-clock end, ms since the emitting run started.
     pub measured_end_ms: f64,
     /// Modeled time between this stage's readiness (all dependencies done)
     /// and its start — resource-contention wait, `>= 0`.
@@ -78,19 +79,21 @@ impl EventKind {
     }
 }
 
-/// A point event on the executor timeline.
+/// A point event on the measured timeline, emitted by the distributed
+/// runner (dispatches, verifier passes) or the engine (cache lookups).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecEvent {
     /// What happened.
     pub kind: EventKind,
     /// Subject — a stage label or cache name.
     pub label: String,
-    /// Wall-clock ms since the emitting executor's epoch (0 when the event
-    /// precedes execution, e.g. a verifier pass).
+    /// Wall-clock ms since the emitting run started (0 when the event has
+    /// no measured instant, e.g. a verifier pass or a cache lookup).
     pub at_ms: f64,
 }
 
-/// Receiver for executor telemetry.
+/// Receiver for the stage spans and instant events that the distributed
+/// runner and the engine emit.
 ///
 /// Implementations must be thread-safe: one sink is shared by reference
 /// and may be called from several host threads. Emission sites hold an
@@ -99,7 +102,7 @@ pub struct ExecEvent {
 pub trait TraceSink: Send + Sync {
     /// Records one executed stage.
     fn span(&self, span: SpanRecord);
-    /// Records one executor event.
+    /// Records one instant event.
     fn event(&self, event: ExecEvent);
     /// Whether the sink wants [`event`](TraceSink::event) calls at all.
     /// Emitters may skip constructing events when this is `false`

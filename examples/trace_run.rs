@@ -103,7 +103,8 @@ fn main() {
     );
 
     // A full (non-deterministic) recorder adds the measured track group and
-    // executor instant events on top of the same modeled spans.
+    // the distributed runner's instant events on top of the same modeled
+    // spans.
     let full = TraceRecorder::new();
     let d = distributed_dr_topk(
         &cluster(capacity),
@@ -126,7 +127,7 @@ fn main() {
         })
         .count();
     println!(
-        "full trace: {} spans ({transfers} transfer), {dispatches} executor events, \
+        "full trace: {} spans ({transfers} transfer), {dispatches} instant events, \
          measured makespan {:.4} ms",
         full.spans().len(),
         d.stages.measured_makespan_ms

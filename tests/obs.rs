@@ -169,7 +169,7 @@ fn trace_spans_match_stage_report_bit_for_bit() {
 }
 
 /// A full (non-deterministic) recorder keeps the same modeled spans, adds
-/// a measured mirror process and live executor events.
+/// a measured mirror process and the distributed runner's instant events.
 #[test]
 fn full_recorder_adds_measured_tracks_and_events() {
     let capacity = 1usize << 12;
@@ -186,7 +186,7 @@ fn full_recorder_adds_measured_tracks_and_events() {
     assert_eq!(d.values, topk_baselines::reference_topk(&data, K));
     assert!(
         !rec.events().is_empty(),
-        "live run must emit executor events"
+        "live run must emit dispatch and verifier events"
     );
     let check = validate_chrome_trace(&rec.chrome_trace_json()).unwrap();
     assert_eq!(check.span_pids, 2, "modeled + measured track groups");

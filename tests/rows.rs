@@ -304,7 +304,7 @@ fn fused_rows_move_fewer_transactions_than_independent_runs() {
 /// the block device 0 runs in both has bit-identical modeled times, and a
 /// second threaded run repeats the first one's schedule byte for byte.
 #[test]
-fn serial_and_threaded_row_graphs_are_byte_identical() {
+fn inline_and_threaded_row_blocks_are_byte_identical() {
     let rows = 6;
     let cols = 1 << 11;
     let data = topk_datagen::normal(rows * cols, 13);
@@ -366,7 +366,7 @@ fn serial_and_threaded_row_graphs_are_byte_identical() {
 /// winners and the same modeled schedule byte for byte, and each physical
 /// device records exactly the launches of the chain it was given.
 #[test]
-fn explore_exhausts_row_graph_interleavings() {
+fn every_device_assignment_of_row_chains_gives_the_same_schedule() {
     let rows = 6;
     let cols = 1 << 10;
     let c = pool(3);
