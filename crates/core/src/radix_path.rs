@@ -404,12 +404,12 @@ mod tests {
     /// their `WarpCtx`. These counters and times were captured before the
     /// three selects shared one digit pass, and the flag select's
     /// duplicate-heavy and float cases before it scanned survivor lists; a
-    /// host-side change must leave them bit-identical.
+    /// host-side change must leave them bit-identical. The radix path's
+    /// cases cover the filter holding, bailing out and missing, and 32-bit,
+    /// 64-bit and float keys.
     #[test]
     fn radix_model_is_pinned() {
-        use crate::pipeline::dr_topk;
         use crate::radix_flags::flag_radix_select_kth;
-        use crate::tuning::PathHint;
         use gpu_sim::KernelStats;
         use topk_baselines::{radix_topk, RadixVariant};
 
@@ -508,47 +508,139 @@ mod tests {
             check(&format!("{variant:?}"), got.stats, got.time_ms, want, bits);
         }
 
-        // (input, k, pass-0 filter engaged, stats, time_ms bits): the
-        // duplicate-heavy input puts every sample in one top digit, so the
-        // filter bails out and every pass re-reads the candidates
+        // (input, k, pass-0 filter, stats, time_ms bits). The filter holds
+        // on the uniform input. The duplicate-heavy input puts every sample
+        // in one top digit, so the filter bails out and every pass re-reads
+        // the candidates. The planted input carries top-digit values at 64
+        // of the sample's strided positions and nowhere else: the filter
+        // engages with the top digit as its cutoff, but the k-th value lies
+        // below it, so refine pass 0 falls back to the full input.
         let dup: Vec<u32> = (0..1u32 << 16).map(|i| i % 7).collect();
+        let stride = (1 << 16) / SAMPLE_SIZE;
+        let planted: Vec<u32> = (data.iter().enumerate())
+            .map(|(i, &x)| {
+                if i % stride == 0 && i < 64 * stride {
+                    0xFF00_0000 | x
+                } else {
+                    x % 0xFF00_0000
+                }
+            })
+            .collect();
+        check_path(
+            &dev,
+            &data,
+            4096,
+            Filter::Held,
+            pinned(4093, 634, 396_868, 80_456, 2305, 190_244, 18),
+            0x3f97_370d_2ff6_865e,
+        );
+        check_path(
+            &dev,
+            &dup,
+            100,
+            Filter::Off,
+            pinned(17_428, 6444, 2_103_248, 824_280, 116, 1_051_624, 71),
+            0x3fa1_07fe_c51b_a4fc,
+        );
+        check_path(
+            &dev,
+            &planted,
+            1000,
+            Filter::Missed,
+            pinned(5328, 109, 554_404, 13_264, 2333, 275_204, 25),
+            0x3f97_531e_b420_69a2,
+        );
+        // a filtered u64 input: 8 histogram/refine pairs
+        check_path(
+            &dev,
+            &wide,
+            500,
+            Filter::Held,
+            pinned(2438, 161, 187_968, 20_184, 649, 45_994, 16),
+            0x3f9f_05fd_1751_6b06,
+        );
+        // A filtered f32 input: uniform bit patterns, about 1/256 of them
+        // NaNs, with NaNs of both signs planted as well. (Values of one
+        // magnitude share a few top digits, so the filter bails out on
+        // them.)
+        let spread: Vec<f32> = (data.iter().enumerate())
+            .map(|(i, &x)| match i % 1009 {
+                0 => f32::NAN,
+                5 => -f32::NAN,
+                _ => f32::from_bits(x),
+            })
+            .collect();
+        check_path(
+            &dev,
+            &spread,
+            1000,
+            Filter::Held,
+            pinned(3332, 159, 298_632, 19_356, 2340, 147_318, 20),
+            0x3f9b_22ba_8a3c_b6f0,
+        );
+    }
+
+    /// What pass 0's sampled filter did in a forced radix-path run.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Filter {
+        /// Bailed out: pass 0 stored nothing.
+        Off,
+        /// Stored the elements at or above its cutoff, and refine pass 0
+        /// scanned them.
+        Held,
+        /// Stored them, but the k-th value lay below the cutoff, so refine
+        /// pass 0 re-read the whole input.
+        Missed,
+    }
+
+    /// Run the forced radix path on `input` and check its result, its
+    /// stage labels, what its filter did and its pinned counters and time.
+    fn check_path<K: TopKKey>(
+        dev: &Device,
+        input: &[K],
+        k: usize,
+        filter: Filter,
+        want: gpu_sim::KernelStats,
+        bits: u64,
+    ) {
+        use crate::pipeline::dr_topk;
+        use crate::tuning::PathHint;
+
         let config = DrTopKConfig {
             path: PathHint::Radix,
             ..DrTopKConfig::default()
         };
-        let path_cases = [
-            (
-                &data,
-                4096,
-                true,
-                pinned(4093, 634, 396_868, 80_456, 2305, 190_244, 18),
-                0x3f97_370d_2ff6_865e_u64,
-            ),
-            (
-                &dup,
-                100,
-                false,
-                pinned(17_428, 6444, 2_103_248, 824_280, 116, 1_051_624, 71),
-                0x3fa1_07fe_c51b_a4fc,
-            ),
-        ];
-        for (input, k, filtered, want, bits) in path_cases {
-            let got = dr_topk(&dev, input, k, &config);
-            assert_eq!(got.values, reference_topk(input, k));
-            let labels: Vec<&str> = got.stages.stages.iter().map(|s| s.label.as_str()).collect();
-            let mut expected: Vec<String> = (0..4)
-                .flat_map(|p| {
-                    [
-                        format!("radix_histogram_pass{p}"),
-                        format!("radix_refine_pass{p}"),
-                    ]
-                })
-                .collect();
-            expected.extend(["candidate_gather".into(), "radix_select".into()]);
-            assert_eq!(labels, expected);
-            let pass0_stores = got.stages.stages[0].stats.global_store_transactions;
-            assert_eq!(pass0_stores > 0, filtered, "k={k}: filter engagement");
-            check(&format!("path k={k}"), got.stats, got.time_ms, want, bits);
-        }
+        let case = format!("path {} k={k}", std::any::type_name::<K>());
+        let got = dr_topk(dev, input, k, &config);
+        let expected = reference_topk(input, k);
+        assert!(
+            got.values
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(expected.iter().map(|v| v.to_bits())),
+            "{case}: values"
+        );
+        let labels: Vec<&str> = got.stages.stages.iter().map(|s| s.label.as_str()).collect();
+        let mut expected: Vec<String> = (0..K::Bits::BITS / BITS_PER_PASS)
+            .flat_map(|p| {
+                [
+                    format!("radix_histogram_pass{p}"),
+                    format!("radix_refine_pass{p}"),
+                ]
+            })
+            .collect();
+        expected.extend(["candidate_gather".into(), "radix_select".into()]);
+        assert_eq!(labels, expected, "{case}: stages");
+        let stored = got.stages.stages[0].stats.global_store_transactions > 0;
+        let reread =
+            got.stages.stages[1].stats.global_loaded_bytes == std::mem::size_of_val(input) as u64;
+        let seen = match (stored, reread) {
+            (false, _) => Filter::Off,
+            (true, false) => Filter::Held,
+            (true, true) => Filter::Missed,
+        };
+        assert_eq!(seen, filter, "{case}: filter");
+        assert_eq!(got.stats, want, "{case}");
+        assert_eq!(got.time_ms.to_bits(), bits, "{case}: {} ms", got.time_ms);
     }
 }
