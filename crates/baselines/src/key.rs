@@ -88,6 +88,8 @@ pub trait KeyBits:
     /// Truncating conversion from `u128` (inverse of [`Self::to_u128`] for
     /// in-range values).
     fn from_u128(x: u128) -> Self;
+    /// Subtraction modulo `2^BITS`.
+    fn wrapping_sub(self, rhs: Self) -> Self;
     /// The low bits as a digit index (callers mask before converting).
     fn as_digit(self) -> usize {
         self.to_u128() as usize
@@ -113,6 +115,11 @@ impl KeyBits for u32 {
     fn from_u128(x: u128) -> Self {
         x as u32
     }
+
+    #[inline(always)]
+    fn wrapping_sub(self, rhs: Self) -> Self {
+        u32::wrapping_sub(self, rhs)
+    }
 }
 
 impl KeyBits for u64 {
@@ -133,6 +140,11 @@ impl KeyBits for u64 {
     #[inline(always)]
     fn from_u128(x: u128) -> Self {
         x as u64
+    }
+
+    #[inline(always)]
+    fn wrapping_sub(self, rhs: Self) -> Self {
+        u64::wrapping_sub(self, rhs)
     }
 }
 

@@ -21,15 +21,27 @@
 //! blocks the engine runs whenever a cached fine pass serves a coarser
 //! request, from the same α and from β′ up to 4 as well.
 //!
+//! A third table, `radix_path`, times `dr_topk` forced onto the radix path
+//! (`PathHint::Radix`, largest direction) in nanoseconds per input
+//! element, on u32, f32 and u64 keys, uniform, ascending and folded onto
+//! at most 8 of their values, at k = 64, 1024 and 8192. Uniform u32 and
+//! u64 keys let pass 0's sampled filter hold; the f32 keys (uniform in
+//! [0, 1)) share a few top digits and the folded keys one, so there it
+//! bails out and every pass re-reads the candidates.
+//!
 //! Every cell is the median of `ROUNDS` timed calls (default 7; pass a
 //! number to change it). Each round times every cell once, so a drift of
-//! the host's speed spreads over all cells instead of landing on a few.
+//! the host's speed spreads over all cells instead of landing on a few,
+//! and odd rounds run the cells in reverse order, so no cell always runs
+//! right after the same neighbour (a cell run after the AVX2 build's
+//! per-lane cells read 7–16% slower when every round ran in one order).
 //! The host loop has two builds with different per-lane limits, and the
 //! CPU decides which one runs 32-bit keys (`avx2` when it has AVX2, else
-//! `portable`; 64-bit keys always run the portable build), so each
-//! table's first header cell names the build: tables of different builds
-//! are not comparable cell by cell. One row per key, order (or
-//! source), direction and β, one column per α:
+//! `portable`; 64-bit keys always run the portable build), so the first
+//! header cell of the two delegate tables names the build: tables of
+//! different builds are not comparable cell by cell. One row per key,
+//! order (or source), direction and β, one column per α; in
+//! `radix_path`, one row per key and order, one column per k:
 //!
 //! ```sh
 //! cargo bench -p drtopk-bench --bench construction
@@ -40,8 +52,8 @@ use std::time::Instant;
 
 use drtopk_bench_harness::{device, emit, seed};
 use drtopk_core::{
-    build_delegate_vector, coarsen_delegate_vector, ConstructionMethod, DelegateVector, Direction,
-    TopKKey,
+    build_delegate_vector, coarsen_delegate_vector, dr_topk, ConstructionMethod, DelegateVector,
+    Direction, DrTopKConfig, KeyBits, PathHint, TopKKey,
 };
 use gpu_sim::Device;
 
@@ -54,18 +66,27 @@ const BETAS: std::ops::RangeInclusive<usize> = 1..=4;
 const COARSEN_FROM: [(u32, usize, &str); 3] = [(6, 2, "a6b2"), (7, 3, "a7b3"), (8, 4, "a8b4")];
 const COARSEN_ALPHAS: std::ops::RangeInclusive<u32> = 7..=11;
 const COARSEN_MAX_BETA: usize = 3;
+/// The k of the `radix_path` table's columns.
+const RADIX_KS: [usize; 3] = [64, 1024, 8192];
 
-/// One input: its labels (`order` is the coarsening source in the
-/// coarsening table), the values one call reads and a closure that builds
-/// its delegates once.
+/// One timed call: the labels of its row, its column, the values one call
+/// reads and a closure that makes the call once.
 struct Cell {
-    key: &'static str,
-    order: &'static str,
-    direction: Direction,
-    beta: usize,
-    alpha: u32,
+    row: Vec<String>,
+    column: usize,
     reads: usize,
     run: Box<dyn Fn(&Device)>,
+}
+
+/// The row labels of a construction or coarsening cell (`order` is the
+/// coarsening source in the coarsening table).
+fn delegate_row(key: &str, order: &str, direction: Direction, beta: usize) -> Vec<String> {
+    vec![
+        key.to_string(),
+        order.to_string(),
+        format!("{direction:?}"),
+        beta.to_string(),
+    ]
 }
 
 /// Every (α, β, direction) cell of one input.
@@ -76,11 +97,8 @@ fn cells<K: TopKKey>(key: &'static str, order: &'static str, data: Vec<K>) -> Ve
         for beta in BETAS {
             for alpha in ALPHAS {
                 cells.push(Cell {
-                    key,
-                    order,
-                    direction,
-                    beta,
-                    alpha,
+                    row: delegate_row(key, order, direction, beta),
+                    column: (alpha - ALPHAS.start()) as usize,
                     reads: N,
                     run: Box::new(move |device| {
                         let dv = build_delegate_vector(
@@ -126,11 +144,8 @@ fn coarsen_cells(device: &Device, data: &'static [u32]) -> Vec<Cell> {
             for beta in 1..=from_beta.min(COARSEN_MAX_BETA) {
                 for alpha in from_alpha.max(*COARSEN_ALPHAS.start())..=*COARSEN_ALPHAS.end() {
                     cells.push(Cell {
-                        key: "u32",
-                        order: from,
-                        direction,
-                        beta,
-                        alpha,
+                        row: delegate_row("u32", from, direction, beta),
+                        column: (alpha - COARSEN_ALPHAS.start()) as usize,
                         reads: finer.len(),
                         run: Box::new(move |device| {
                             let dv = coarsen_delegate_vector(device, finer, N, alpha, beta);
@@ -139,6 +154,41 @@ fn coarsen_cells(device: &Device, data: &'static [u32]) -> Vec<Cell> {
                     });
                 }
             }
+        }
+    }
+    cells
+}
+
+/// Every `radix_path` cell of `data`: as drawn, sorted ascending in its key
+/// order and folded onto its first 8 values, at every k of [`RADIX_KS`].
+fn radix_cells<K: TopKKey>(key: &'static str, data: Vec<K>) -> Vec<Cell> {
+    let mut ascending = data.clone();
+    ascending.sort_unstable_by_key(|v| v.to_bits());
+    let palette = data[..8].to_vec();
+    let few = (data.iter())
+        .map(|v| palette[(v.to_bits().to_u128() % 8) as usize])
+        .collect();
+    let config = DrTopKConfig {
+        path: PathHint::Radix,
+        ..DrTopKConfig::default()
+    };
+    let mut cells = Vec::new();
+    for (order, input) in [
+        ("uniform", data),
+        ("ascending", ascending),
+        ("<=8 distinct", few),
+    ] {
+        let input: &'static [K] = Vec::leak(input);
+        for (column, k) in RADIX_KS.into_iter().enumerate() {
+            let config = config.clone();
+            cells.push(Cell {
+                row: vec![key.to_string(), order.to_string()],
+                column,
+                reads: N,
+                run: Box::new(move |device| {
+                    std::hint::black_box(dr_topk(device, input, k, &config).values);
+                }),
+            });
         }
     }
     cells
@@ -154,36 +204,29 @@ fn host_loop_build() -> &'static str {
     "portable"
 }
 
-/// Emit table `name`, whose second column is called `order`: one row per
-/// run of consecutive cells with the same labels, then each cell's median
-/// in ns per value read under its α's column, and `-` where a row has no
-/// cell for that α. The first header cell names the host loop's build.
+/// Emit table `name`: one row per run of consecutive cells with the same
+/// row labels, under `header`, then each cell's median in ns per value read
+/// under its column of `columns`, and `-` where a row has no cell for that
+/// column.
 fn emit_table(
     name: &str,
-    order: &str,
+    header: &[&str],
+    columns: &[String],
     cells: &[Cell],
     ns: &mut [Vec<f64>],
-    alphas: std::ops::RangeInclusive<u32>,
 ) {
-    let alpha_names: Vec<String> = alphas.clone().map(|a| format!("alpha{a}")).collect();
-    let key = format!("key ({} build)", host_loop_build());
-    let mut header = vec![key.as_str(), order, "direction", "beta"];
-    header.extend(alpha_names.iter().map(String::as_str));
+    let labels = header.len();
+    let mut header = header.to_vec();
+    header.extend(columns.iter().map(String::as_str));
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (cell, times) in cells.iter().zip(ns) {
-        let labels = [
-            cell.key.to_string(),
-            cell.order.to_string(),
-            format!("{:?}", cell.direction),
-            cell.beta.to_string(),
-        ];
-        if rows.last().is_none_or(|row| row[..4] != labels) {
-            let mut row = labels.to_vec();
-            row.resize(4 + alpha_names.len(), "-".to_string());
+        if rows.last().is_none_or(|row| row[..labels] != cell.row) {
+            let mut row = cell.row.clone();
+            row.resize(labels + columns.len(), "-".to_string());
             rows.push(row);
         }
         let row = rows.last_mut().expect("pushed above");
-        row[4 + (cell.alpha - alphas.start()) as usize] = format!("{:.3}", median(times));
+        row[labels + cell.column] = format!("{:.3}", median(times));
     }
     emit(name, &header, &rows);
 }
@@ -213,31 +256,57 @@ fn main() {
     let coarsen = coarsen_cells(&device, Vec::leak(uniform.clone()));
     let mut cells = both_orders("u32", uniform);
     cells.extend(both_orders("f32", topk_datagen::uniform_f32(N, seed + 1)));
-    cells.extend(both_orders("u64", wide));
+    cells.extend(both_orders("u64", wide.clone()));
     cells.extend(both_orders("f64", doubles));
     let built = cells.len();
     cells.extend(coarsen);
+    let coarsened = cells.len();
+    cells.extend(radix_cells("u32", topk_datagen::uniform(N, seed + 3)));
+    cells.extend(radix_cells("f32", topk_datagen::uniform_f32(N, seed + 4)));
+    cells.extend(radix_cells("u64", wide));
 
     for cell in &cells {
         (cell.run)(&device); // warm-up: page in the input and the output
     }
     let mut ns = vec![Vec::with_capacity(rounds); cells.len()];
+    let mut order: Vec<usize> = (0..cells.len()).collect();
     for _ in 0..rounds {
-        for (cell, times) in cells.iter().zip(&mut ns) {
+        for &i in &order {
             device.reset_stats();
             let start = Instant::now();
-            (cell.run)(&device);
-            times.push(start.elapsed().as_secs_f64() * 1e9 / cell.reads as f64);
+            (cells[i].run)(&device);
+            ns[i].push(start.elapsed().as_secs_f64() * 1e9 / cells[i].reads as f64);
         }
+        order.reverse();
     }
 
-    let (built_ns, coarsen_ns) = ns.split_at_mut(built);
-    emit_table("construction", "order", &cells[..built], built_ns, ALPHAS);
+    // The first header cell names the host loop build that ran 32-bit keys.
+    let key = format!("key ({} build)", host_loop_build());
+    let alphas = |range: std::ops::RangeInclusive<u32>| -> Vec<String> {
+        range.map(|a| format!("alpha{a}")).collect()
+    };
+    let (built_ns, rest) = ns.split_at_mut(built);
+    let (coarsen_ns, radix_ns) = rest.split_at_mut(coarsened - built);
+    emit_table(
+        "construction",
+        &[&key, "order", "direction", "beta"],
+        &alphas(ALPHAS),
+        &cells[..built],
+        built_ns,
+    );
     emit_table(
         "construction_coarsen",
-        "from",
-        &cells[built..],
+        &[&key, "from", "direction", "beta"],
+        &alphas(COARSEN_ALPHAS),
+        &cells[built..coarsened],
         coarsen_ns,
-        COARSEN_ALPHAS,
+    );
+    let ks: Vec<String> = RADIX_KS.iter().map(|k| format!("k{k}")).collect();
+    emit_table(
+        "radix_path",
+        &["key", "order"],
+        &ks,
+        &cells[coarsened..],
+        radix_ns,
     );
 }

@@ -502,43 +502,124 @@ fn f64_with_specials() -> impl proptest::strategy::Strategy<Value = f64> {
 
 /// Forced radix ≡ forced delegate ≡ reference, in both directions, and
 /// `Auto` ≡ its resolved twin — all compared through order-preserving bit
-/// images so NaN floats stay comparable.
+/// images so NaN floats stay comparable — over every one of the draw's
+/// [`orderings`]: sorted either way, the sampled filter's cutoff moves, and
+/// folded onto at most 8 values it bails out.
 fn assert_radix_path_agrees<K: TopKKey>(
     device: &Device,
-    data: &[K],
+    draw: &[K],
     k: usize,
 ) -> Result<(), String> {
     let force = |path: PathHint| DrTopKConfig {
         path,
         ..DrTopKConfig::default()
     };
-    let expected = bits_of(&reference_topk(data, k));
-    let del = bits_of(&dr_topk(device, data, k, &force(PathHint::Delegate)).values);
-    let rad = bits_of(&dr_topk(device, data, k, &force(PathHint::Radix)).values);
-    let auto = bits_of(&dr_topk(device, data, k, &force(PathHint::Auto)).values);
-    if del != expected {
-        return Err(format!("delegate-forced disagrees with reference at k={k}"));
-    }
-    if rad != expected {
-        return Err(format!("radix-forced disagrees with reference at k={k}"));
-    }
-    // Auto is one of the two forced paths — which one is the model's call,
-    // but bit-identity to the reference is unconditional.
-    if auto != expected {
-        return Err(format!("Auto disagrees with reference at k={k}"));
-    }
-    // Smallest direction: the reversed key order must flow through the
-    // radix stages unchanged (NaNs rank last on min-queries).
-    let expected_min = bits_of(&reference_topk_min(data, k));
     let smallest = DrTopKConfig {
         direction: Direction::Smallest,
         ..force(PathHint::Radix)
     };
-    let rad_min = bits_of(&dr_topk(device, data, k, &smallest).values);
-    if rad_min != expected_min {
-        return Err(format!("radix-forced min-query disagrees at k={k}"));
+    for (data, order) in orderings(draw).iter().zip(ORDERINGS) {
+        let expected = bits_of(&reference_topk(data, k));
+        let del = bits_of(&dr_topk(device, data, k, &force(PathHint::Delegate)).values);
+        let rad = bits_of(&dr_topk(device, data, k, &force(PathHint::Radix)).values);
+        let auto = bits_of(&dr_topk(device, data, k, &force(PathHint::Auto)).values);
+        if del != expected {
+            return Err(format!("{order}: delegate-forced disagrees at k={k}"));
+        }
+        if rad != expected {
+            return Err(format!("{order}: radix-forced disagrees at k={k}"));
+        }
+        // Auto is one of the two forced paths — which one is the model's
+        // call, but bit-identity to the reference is unconditional.
+        if auto != expected {
+            return Err(format!("{order}: Auto disagrees at k={k}"));
+        }
+        // Smallest direction: the reversed key order must flow through the
+        // radix stages unchanged (NaNs rank last on min-queries).
+        let expected_min = bits_of(&reference_topk_min(data, k));
+        let rad_min = bits_of(&dr_topk(device, data, k, &smallest).values);
+        if rad_min != expected_min {
+            return Err(format!(
+                "{order}: radix-forced min-query disagrees at k={k}"
+            ));
+        }
     }
     Ok(())
+}
+
+/// What the radix path's sampled filter did on a run: bailed out (pass 0
+/// stored nothing), held (refine pass 0 scanned the stored elements) or
+/// missed (refine pass 0 re-read the whole input).
+fn filter_outcome<K: TopKKey>(result: &drtopk::core::DrTopKResult<K>, input_bytes: u64) -> &str {
+    let stages = &result.stages.stages;
+    match (
+        stages[0].stats.global_store_transactions > 0,
+        stages[1].stats.global_loaded_bytes == input_bytes,
+    ) {
+        (false, _) => "bailed out",
+        (true, false) => "held",
+        (true, true) => "missed",
+    }
+}
+
+/// The sampled filter's three outcomes, each in both directions, on u32 and
+/// f32 keys: the forced radix path returns exactly the reference. A miss
+/// needs sampled positions whose keys lie above the k-th value's digit; the
+/// planted input puts the direction's best top digit at 64 of the 1,024
+/// strided sample positions and nowhere else.
+#[test]
+fn radix_filter_outcomes_agree_in_both_directions() {
+    let device = device();
+    let n = 1usize << 16;
+    let stride = n / topk_baselines::radix::SAMPLE_SIZE;
+    let uniform = topk_datagen::uniform(n, 23);
+    let planted: Vec<u32> = (uniform.iter().enumerate())
+        .map(|(i, &x)| {
+            if i % stride == 0 && i < 64 * stride {
+                0xFF00_0000 | x
+            } else {
+                x % 0xFF00_0000
+            }
+        })
+        .collect();
+    let few: Vec<u32> = (0..n as u32).map(|i| i % 7).collect();
+    let cases = [
+        (&uniform, 1000, "held"),
+        (&few, 100, "bailed out"),
+        (&planted, 1000, "missed"),
+    ];
+    for (input, k, outcome) in cases {
+        for direction in [Direction::Largest, Direction::Smallest] {
+            // the smallest direction sees the input's bitwise complement in
+            // the order the largest direction sees the input
+            let u32s: Vec<u32> = match direction {
+                Direction::Largest => input.clone(),
+                Direction::Smallest => input.iter().map(|&x| !x).collect(),
+            };
+            // the f32 keys whose radix bits are these words
+            let f32s: Vec<f32> = u32s
+                .iter()
+                .map(|&b| <f32 as TopKKey>::from_bits(b))
+                .collect();
+            let config = DrTopKConfig {
+                path: PathHint::Radix,
+                direction,
+                ..DrTopKConfig::default()
+            };
+            let case = format!("{outcome}, {direction:?}");
+            let got = dr_topk(&device, &u32s, k, &config);
+            let got_f = dr_topk(&device, &f32s, k, &config);
+            let (want, want_f) = match direction {
+                Direction::Largest => (reference_topk(&u32s, k), reference_topk(&f32s, k)),
+                Direction::Smallest => (reference_topk_min(&u32s, k), reference_topk_min(&f32s, k)),
+            };
+            assert_eq!(got.values, want, "u32 {case}");
+            assert_eq!(bits_of(&got_f.values), bits_of(&want_f), "f32 {case}");
+            let bytes = 4 * n as u64;
+            assert_eq!(filter_outcome(&got, bytes), outcome, "u32 {case}");
+            assert_eq!(filter_outcome(&got_f, bytes), outcome, "f32 {case}");
+        }
+    }
 }
 
 /// Every runner answers a `direction: Smallest` request with exactly
