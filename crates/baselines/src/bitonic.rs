@@ -21,36 +21,15 @@ use std::cmp::Reverse;
 use crate::key::TopKKey;
 use crate::result::TopKResult;
 
-/// Configuration of the bitonic top-k baseline.
-#[derive(Debug, Clone)]
-pub struct BitonicConfig {
-    /// Number of elements each thread block keeps resident in shared memory
-    /// per merge (the `2k` working set is padded up to this granularity).
-    pub elems_per_warp: usize,
-    /// Occupancy threshold: the largest `k` for which the merge working set
-    /// still allows full occupancy. The paper reports the original
-    /// implementation overflowing shared memory beyond `k = 256`.
-    pub full_occupancy_k: usize,
-}
-
-impl Default for BitonicConfig {
-    fn default() -> Self {
-        BitonicConfig {
-            elems_per_warp: 8192,
-            full_occupancy_k: 256,
-        }
-    }
-}
+/// Occupancy threshold: the largest `k` for which the merge working set
+/// still allows full occupancy. The paper reports the original
+/// implementation overflowing shared memory beyond `k = 256`.
+const FULL_OCCUPANCY_K: usize = 256;
 
 /// Bitonic **top-k** of `data`. The merge network is comparison-based, so
 /// genericity over [`TopKKey`] costs nothing: elements are compared in the
 /// key's order-preserving radix space.
-pub fn bitonic_topk<K: TopKKey>(
-    device: &Device,
-    data: &[K],
-    k: usize,
-    config: &BitonicConfig,
-) -> TopKResult<K> {
+pub fn bitonic_topk<K: TopKKey>(device: &Device, data: &[K], k: usize) -> TopKResult<K> {
     let k = k.min(data.len());
     if k == 0 {
         return TopKResult::from_values(Vec::new(), KernelStats::default(), 0.0);
@@ -62,7 +41,7 @@ pub fn bitonic_topk<K: TopKKey>(
     // fully-occupied SM can hold per block, the number of resident blocks
     // drops roughly in proportion to k, serializing the shared-memory
     // traffic by the same factor (the paper's k > 256 cliff).
-    let occupancy_penalty = k.div_ceil(config.full_occupancy_k.max(1)).max(1);
+    let occupancy_penalty = k.div_ceil(FULL_OCCUPANCY_K).max(1);
 
     // Iteration 0: sort every 2k chunk and keep its top k.
     // Iterations 1..: merge adjacent k-sequences (a bitonic 2k merge) and
@@ -138,7 +117,7 @@ mod tests {
         for dist in Distribution::SYNTHETIC {
             let data = topk_datagen::generate(dist, 1 << 14, 21);
             for &k in &[1usize, 8, 100, 1000] {
-                let got = bitonic_topk(&dev, &data, k, &BitonicConfig::default());
+                let got = bitonic_topk(&dev, &data, k);
                 assert_eq!(got.values, reference_topk(&data, k), "{dist} k={k}");
             }
         }
@@ -148,18 +127,12 @@ mod tests {
     fn bitonic_handles_non_power_of_two_and_edges() {
         let dev = device();
         let data = topk_datagen::uniform(10_007, 9);
-        let got = bitonic_topk(&dev, &data, 37, &BitonicConfig::default());
+        let got = bitonic_topk(&dev, &data, 37);
         assert_eq!(got.values, reference_topk(&data, 37));
-        assert!(bitonic_topk(&dev, &data, 0, &BitonicConfig::default()).is_empty());
+        assert!(bitonic_topk(&dev, &data, 0).is_empty());
         let tiny = vec![5u32, 2, 8];
-        assert_eq!(
-            bitonic_topk(&dev, &tiny, 3, &BitonicConfig::default()).values,
-            vec![8, 5, 2]
-        );
-        assert_eq!(
-            bitonic_topk(&dev, &tiny, 10, &BitonicConfig::default()).values,
-            vec![8, 5, 2]
-        );
+        assert_eq!(bitonic_topk(&dev, &tiny, 3).values, vec![8, 5, 2]);
+        assert_eq!(bitonic_topk(&dev, &tiny, 10).values, vec![8, 5, 2]);
     }
 
     #[test]
@@ -167,18 +140,8 @@ mod tests {
         let dev = device();
         let n = 1 << 14;
         let k = 64;
-        let ud = bitonic_topk(
-            &dev,
-            &topk_datagen::uniform(n, 3),
-            k,
-            &BitonicConfig::default(),
-        );
-        let cd = bitonic_topk(
-            &dev,
-            &topk_datagen::customized(n, 3),
-            k,
-            &BitonicConfig::default(),
-        );
+        let ud = bitonic_topk(&dev, &topk_datagen::uniform(n, 3), k);
+        let cd = bitonic_topk(&dev, &topk_datagen::customized(n, 3), k);
         assert_eq!(
             ud.stats.global_load_transactions,
             cd.stats.global_load_transactions
@@ -191,8 +154,8 @@ mod tests {
         let dev = device();
         let n = 1 << 15;
         let data = topk_datagen::uniform(n, 17);
-        let small = bitonic_topk(&dev, &data, 128, &BitonicConfig::default());
-        let large = bitonic_topk(&dev, &data, 2048, &BitonicConfig::default());
+        let small = bitonic_topk(&dev, &data, 128);
+        let large = bitonic_topk(&dev, &data, 2048);
         // beyond k=256 the shared-memory working set forces extra serialized
         // passes, so per-element shared traffic must grow super-linearly
         let small_per_elem = small.stats.shared_ops as f64 / n as f64;

@@ -25,26 +25,14 @@ use crate::key::{KeyBits, TopKKey};
 use crate::radix::gather_topk;
 use crate::result::TopKResult;
 
-/// Configuration of the bucket top-k baseline.
-#[derive(Debug, Clone)]
-pub struct BucketConfig {
-    /// Number of equal-width buckets per iteration.
-    pub num_buckets: usize,
-    /// Elements assigned to each warp in scan kernels.
-    pub elems_per_warp: usize,
-    /// Safety cap on refinement iterations.
-    pub max_iterations: usize,
-}
+/// Number of equal-width buckets per iteration.
+const NUM_BUCKETS: usize = 256;
 
-impl Default for BucketConfig {
-    fn default() -> Self {
-        BucketConfig {
-            num_buckets: 256,
-            elems_per_warp: 8192,
-            max_iterations: 64,
-        }
-    }
-}
+/// Elements assigned to each warp in scan kernels.
+const ELEMS_PER_WARP: usize = 8192;
+
+/// Safety cap on refinement iterations.
+const MAX_ITERATIONS: usize = 64;
 
 /// Outcome of the bucket k-selection.
 #[derive(Debug, Clone)]
@@ -61,12 +49,8 @@ pub struct BucketSelectOutcome<K: TopKKey = u32> {
 
 /// Find the global min and max of `data` (in radix space) with one
 /// warp-reduction kernel.
-fn min_max<B: KeyBits>(
-    device: &Device,
-    data: &[B],
-    elems_per_warp: usize,
-) -> (B, B, KernelStats, f64) {
-    let num_warps = data.len().div_ceil(elems_per_warp).max(1);
+fn min_max<B: KeyBits>(device: &Device, data: &[B]) -> (B, B, KernelStats, f64) {
+    let num_warps = data.len().div_ceil(ELEMS_PER_WARP).max(1);
     let mut lo = B::MAX;
     let mut hi = B::ZERO;
     let launch = device.launch("baseline_bucket_minmax", num_warps, |ctx| {
@@ -91,13 +75,11 @@ pub fn bucket_select_kth<K: TopKKey>(
     device: &Device,
     data: &[K],
     k: usize,
-    config: &BucketConfig,
 ) -> BucketSelectOutcome<K> {
     assert!(k >= 1 && k <= data.len(), "k must be in 1..=|V|");
-    assert!(config.num_buckets >= 2, "need at least two buckets");
 
     let bits: Vec<K::Bits> = data.iter().map(|x| x.to_bits()).collect();
-    let (mut lo, mut hi, mut stats, mut time_ms) = min_max(device, &bits, config.elems_per_warp);
+    let (mut lo, mut hi, mut stats, mut time_ms) = min_max(device, &bits);
     let mut k_remaining = k;
     let mut candidates: Vec<K::Bits> = bits;
     let mut iterations = 0usize;
@@ -113,17 +95,17 @@ pub fn bucket_select_kth<K: TopKKey>(
         };
     }
 
-    let nb = config.num_buckets;
+    let nb = NUM_BUCKETS;
     loop {
         iterations += 1;
-        if lo == hi || candidates.len() <= 1 || iterations > config.max_iterations {
+        if lo == hi || candidates.len() <= 1 || iterations > MAX_ITERATIONS {
             // All remaining candidates share one value (or we hit the cap).
             break;
         }
         if candidates.len() == k_remaining {
             // every remaining candidate is part of the top-k: the threshold
             // is their minimum, found with one more reduction over them.
-            let num_warps = candidates.len().div_ceil(config.elems_per_warp).max(1);
+            let num_warps = candidates.len().div_ceil(ELEMS_PER_WARP).max(1);
             let mut threshold = K::Bits::MAX;
             let launch = device.launch("baseline_bucket_min_of_rest", num_warps, |ctx| {
                 let chunk = ctx.chunk_of(candidates.len());
@@ -149,7 +131,7 @@ pub fn bucket_select_kth<K: TopKKey>(
         };
 
         // --- histogram over the current candidates ---------------------------
-        let num_warps = candidates.len().div_ceil(config.elems_per_warp).max(1);
+        let num_warps = candidates.len().div_ceil(ELEMS_PER_WARP).max(1);
         let mut histogram = vec![0u32; nb];
         let launch = device.launch("baseline_bucket_hist", num_warps, |ctx| {
             let chunk = ctx.chunk_of(candidates.len());
@@ -233,23 +215,18 @@ pub fn bucket_select_kth<K: TopKKey>(
 }
 
 /// Full bucket **top-k**: selection followed by the shared gather pass.
-pub fn bucket_topk<K: TopKKey>(
-    device: &Device,
-    data: &[K],
-    k: usize,
-    config: &BucketConfig,
-) -> TopKResult<K> {
+pub fn bucket_topk<K: TopKKey>(device: &Device, data: &[K], k: usize) -> TopKResult<K> {
     let k = k.min(data.len());
     if k == 0 {
         return TopKResult::from_values(Vec::new(), KernelStats::default(), 0.0);
     }
-    let select = bucket_select_kth(device, data, k, config);
+    let select = bucket_select_kth(device, data, k);
     gather_topk(
         device,
         data,
         k,
         select.threshold,
-        config.elems_per_warp,
+        ELEMS_PER_WARP,
         select.stats,
         select.time_ms,
     )
@@ -272,7 +249,7 @@ mod tests {
         for dist in Distribution::SYNTHETIC {
             let data = topk_datagen::generate(dist, 1 << 14, 5);
             for &k in &[1usize, 2, 100, 2048] {
-                let got = bucket_select_kth(&dev, &data, k, &BucketConfig::default());
+                let got = bucket_select_kth(&dev, &data, k);
                 assert_eq!(got.threshold, reference_kth(&data, k), "{dist} k={k}");
             }
         }
@@ -283,7 +260,7 @@ mod tests {
         let dev = device();
         let data = topk_datagen::uniform(1 << 14, 8);
         for &k in &[1usize, 17, 333, 4096] {
-            let got = bucket_topk(&dev, &data, k, &BucketConfig::default());
+            let got = bucket_topk(&dev, &data, k);
             assert_eq!(got.values, reference_topk(&data, k), "k={k}");
         }
     }
@@ -292,14 +269,11 @@ mod tests {
     fn bucket_topk_handles_duplicates_and_tiny_inputs() {
         let dev = device();
         let data = vec![42u32; 500];
-        let got = bucket_topk(&dev, &data, 5, &BucketConfig::default());
+        let got = bucket_topk(&dev, &data, 5);
         assert_eq!(got.values, vec![42u32; 5]);
         let two = vec![9u32, 3];
-        assert_eq!(
-            bucket_topk(&dev, &two, 2, &BucketConfig::default()).values,
-            vec![9, 3]
-        );
-        assert!(bucket_topk(&dev, &two, 0, &BucketConfig::default()).is_empty());
+        assert_eq!(bucket_topk(&dev, &two, 2).values, vec![9, 3]);
+        assert!(bucket_topk(&dev, &two, 0).is_empty());
     }
 
     #[test]
@@ -308,7 +282,7 @@ mod tests {
         let signed: Vec<i32> = (-2000i32..2000).map(|x| x.wrapping_mul(7919)).collect();
         for &k in &[1usize, 9, 500] {
             assert_eq!(
-                bucket_topk(&dev, &signed, k, &BucketConfig::default()).values,
+                bucket_topk(&dev, &signed, k).values,
                 reference_topk(&signed, k),
                 "i32 k={k}"
             );
@@ -317,7 +291,7 @@ mod tests {
             .map(|i| ((i * 37) % 1000) as f64 - 500.0 + 0.25)
             .collect();
         assert_eq!(
-            bucket_topk(&dev, &floats, 11, &BucketConfig::default()).values,
+            bucket_topk(&dev, &floats, 11).values,
             reference_topk(&floats, 11)
         );
     }
@@ -326,7 +300,7 @@ mod tests {
     fn k_equal_one_needs_no_refinement() {
         let dev = device();
         let data = topk_datagen::normal(1 << 14, 2);
-        let got = bucket_select_kth(&dev, &data, 1, &BucketConfig::default());
+        let got = bucket_select_kth(&dev, &data, 1);
         assert_eq!(got.iterations, 0);
         assert_eq!(got.threshold, *data.iter().max().unwrap());
     }
@@ -338,8 +312,8 @@ mod tests {
         let k = 64;
         let ud = topk_datagen::uniform(n, 3);
         let cd = topk_datagen::customized(n, 3);
-        let got_ud = bucket_select_kth(&dev, &ud, k, &BucketConfig::default());
-        let got_cd = bucket_select_kth(&dev, &cd, k, &BucketConfig::default());
+        let got_ud = bucket_select_kth(&dev, &ud, k);
+        let got_cd = bucket_select_kth(&dev, &cd, k);
         // CD keeps the majority of candidates in the bucket of interest, so
         // it must scan strictly more data overall than UD does.
         assert!(
@@ -357,7 +331,7 @@ mod tests {
         // a couple of iterations and the loop must still terminate correctly.
         let dev = device();
         let data = topk_datagen::normal(1 << 14, 13);
-        let got = bucket_select_kth(&dev, &data, 77, &BucketConfig::default());
+        let got = bucket_select_kth(&dev, &data, 77);
         assert_eq!(got.threshold, reference_kth(&data, 77));
         assert!(got.iterations <= 8);
     }

@@ -2,7 +2,7 @@
 //! the UD / ND / CD distributions as k grows.
 
 use drtopk_bench_harness::*;
-use topk_baselines::BaselineAlgorithm;
+use drtopk_core::InnerAlgorithm;
 use topk_datagen::Distribution;
 
 fn main() {
@@ -12,7 +12,7 @@ fn main() {
     for dist in Distribution::SYNTHETIC {
         let data = dataset(dist, n);
         for k in k_sweep(2) {
-            for algo in BaselineAlgorithm::TOPK {
+            for algo in InnerAlgorithm::BASELINES {
                 let r = run_baseline_checked(&device, algo, &data, k);
                 rows.push(vec![
                     dist.abbrev().to_string(),

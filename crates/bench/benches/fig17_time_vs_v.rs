@@ -3,7 +3,7 @@
 
 use drtopk_bench_harness::*;
 use drtopk_core::{DrTopKConfig, InnerAlgorithm};
-use topk_baselines::BaselineAlgorithm;
+use topk_baselines::{reference_topk, sort_and_choose_topk};
 use topk_datagen::Distribution;
 
 fn main() {
@@ -14,12 +14,15 @@ fn main() {
         let n = 1usize << exp;
         let data = dataset(Distribution::Uniform, n);
         let k = k.min(n / 4);
-        for algo in [
-            BaselineAlgorithm::SortAndChoose,
-            BaselineAlgorithm::Radix,
-            BaselineAlgorithm::Bucket,
-            BaselineAlgorithm::Bitonic,
-        ] {
+        let thrust = sort_and_choose_topk(&device, &data, k);
+        debug_assert_eq!(thrust.values, reference_topk(&data, k));
+        rows.push(vec![
+            n.to_string(),
+            k.to_string(),
+            "sort-and-choose".into(),
+            fmt(thrust.time_ms),
+        ]);
+        for algo in InnerAlgorithm::BASELINES {
             let r = run_baseline_checked(&device, algo, &data, k);
             rows.push(vec![
                 n.to_string(),
@@ -28,11 +31,7 @@ fn main() {
                 fmt(r.time_ms),
             ]);
         }
-        for inner in [
-            InnerAlgorithm::Radix,
-            InnerAlgorithm::Bucket,
-            InnerAlgorithm::Bitonic,
-        ] {
+        for inner in InnerAlgorithm::BASELINES {
             let cfg = DrTopKConfig {
                 inner,
                 ..DrTopKConfig::default()

@@ -4,17 +4,7 @@
 
 use drtopk_bench_harness::*;
 use drtopk_core::{DrTopKConfig, InnerAlgorithm};
-use topk_baselines::BaselineAlgorithm;
 use topk_datagen::Distribution;
-
-fn pair(algo: BaselineAlgorithm) -> InnerAlgorithm {
-    match algo {
-        BaselineAlgorithm::Radix => InnerAlgorithm::Radix,
-        BaselineAlgorithm::Bucket => InnerAlgorithm::Bucket,
-        BaselineAlgorithm::Bitonic => InnerAlgorithm::Bitonic,
-        BaselineAlgorithm::SortAndChoose => InnerAlgorithm::FlagRadix,
-    }
-}
 
 fn main() {
     let n = default_n();
@@ -23,10 +13,10 @@ fn main() {
     for dist in Distribution::SYNTHETIC {
         let data = dataset(dist, n);
         for k in k_sweep(2) {
-            for algo in BaselineAlgorithm::TOPK {
+            for algo in InnerAlgorithm::BASELINES {
                 let base = run_baseline_checked(&device, algo, &data, k);
                 let cfg = DrTopKConfig {
-                    inner: pair(algo),
+                    inner: algo,
                     ..DrTopKConfig::default()
                 };
                 let dr = run_drtopk_checked(&device, &data, k, &cfg);

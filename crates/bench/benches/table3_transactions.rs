@@ -3,7 +3,6 @@
 
 use drtopk_bench_harness::*;
 use drtopk_core::{DrTopKConfig, InnerAlgorithm};
-use topk_baselines::BaselineAlgorithm;
 use topk_datagen::Distribution;
 
 fn main() {
@@ -12,15 +11,10 @@ fn main() {
     let data = dataset(Distribution::Uniform, n);
     let device = device();
     let mut rows = Vec::new();
-    let pairs = [
-        (BaselineAlgorithm::Radix, InnerAlgorithm::Radix),
-        (BaselineAlgorithm::Bucket, InnerAlgorithm::Bucket),
-        (BaselineAlgorithm::Bitonic, InnerAlgorithm::Bitonic),
-    ];
-    for (algo, inner) in pairs {
+    for algo in InnerAlgorithm::BASELINES {
         let base = run_baseline_checked(&device, algo, &data, k);
         let cfg = DrTopKConfig {
-            inner,
+            inner: algo,
             ..DrTopKConfig::default()
         };
         let dr = run_drtopk_checked(&device, &data, k, &cfg);

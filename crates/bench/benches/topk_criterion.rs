@@ -7,9 +7,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use drtopk_core::{dr_topk, DrTopKConfig};
 use gpu_sim::{Device, DeviceSpec};
-use topk_baselines::{
-    bitonic_topk, bucket_topk, radix_topk, BitonicConfig, BucketConfig, RadixVariant,
-};
+use topk_baselines::{bitonic_topk, bucket_topk, radix_topk, RadixVariant};
 
 fn bench_topk(c: &mut Criterion) {
     let n = 1 << 18;
@@ -30,10 +28,10 @@ fn bench_topk(c: &mut Criterion) {
         b.iter(|| radix_topk(&device, &data, k, RadixVariant::OutOfPlace))
     });
     group.bench_function("baseline_bucket", |b| {
-        b.iter(|| bucket_topk(&device, &data, k, &BucketConfig::default()))
+        b.iter(|| bucket_topk(&device, &data, k))
     });
     group.bench_function("baseline_bitonic", |b| {
-        b.iter(|| bitonic_topk(&device, &data, k, &BitonicConfig::default()))
+        b.iter(|| bitonic_topk(&device, &data, k))
     });
     group.finish();
 

@@ -20,9 +20,9 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use drtopk_core::{dr_topk, DrTopKConfig, DrTopKResult};
+use drtopk_core::{dr_topk, DrTopKConfig, DrTopKResult, InnerAlgorithm};
 use gpu_sim::{Device, DeviceSpec};
-use topk_baselines::{BaselineAlgorithm, TopKResult};
+use topk_baselines::TopKResult;
 use topk_datagen::Distribution;
 
 /// Default dataset seed (override with `DRTOPK_SEED`).
@@ -127,10 +127,10 @@ pub fn run_drtopk_checked(
     result
 }
 
-/// Run one baseline and sanity-check the result.
+/// Run one algorithm stand-alone and sanity-check the result.
 pub fn run_baseline_checked(
     device: &Device,
-    algo: BaselineAlgorithm,
+    algo: InnerAlgorithm,
     data: &[u32],
     k: usize,
 ) -> TopKResult {
@@ -229,7 +229,7 @@ mod tests {
         let dev = device();
         let r = run_drtopk_checked(&dev, &data, 32, &DrTopKConfig::default());
         assert_eq!(r.values.len(), 32);
-        let b = run_baseline_checked(&dev, BaselineAlgorithm::Radix, &data, 32);
+        let b = run_baseline_checked(&dev, InnerAlgorithm::Radix, &data, 32);
         assert_eq!(b.values, r.values);
     }
 }

@@ -14,11 +14,11 @@ use topk_baselines::TopKKey;
 
 /// One (document id, score) posting.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Posting<S: TopKKey = u32> {
+pub(crate) struct Posting<S: TopKKey = u32> {
     /// Document identifier (monotonically increasing within a list).
-    pub doc_id: u32,
+    pub(crate) doc_id: u32,
     /// Score of the term in this document.
-    pub score: S,
+    pub(crate) score: S,
 }
 
 /// A block-max indexed posting list.
@@ -50,21 +50,6 @@ impl<S: TopKKey> BmwIndex<S> {
                 score: s,
             })
             .collect();
-        let block_max = postings.chunks(block_size).map(max_score).collect();
-        BmwIndex {
-            postings,
-            block_size,
-            block_max,
-        }
-    }
-
-    /// Build an index from explicit postings (doc ids must be increasing).
-    pub fn from_postings(postings: Vec<Posting<S>>, block_size: usize) -> Self {
-        assert!(block_size > 0, "block size must be positive");
-        assert!(
-            postings.windows(2).all(|w| w[0].doc_id < w[1].doc_id),
-            "postings must be sorted by strictly increasing doc id"
-        );
         let block_max = postings.chunks(block_size).map(max_score).collect();
         BmwIndex {
             postings,
@@ -128,46 +113,6 @@ mod tests {
         assert_eq!(idx.next_block_start(4), 6);
         assert_eq!(idx.block_size, 3);
         assert!(!idx.is_empty());
-    }
-
-    #[test]
-    fn builds_from_postings() {
-        let postings = vec![
-            Posting {
-                doc_id: 2,
-                score: 4,
-            },
-            Posting {
-                doc_id: 7,
-                score: 6,
-            },
-            Posting {
-                doc_id: 9,
-                score: 1,
-            },
-        ];
-        let idx = BmwIndex::from_postings(postings, 2);
-        assert_eq!(idx.num_blocks(), 2);
-        assert_eq!(idx.block_max(0), 6);
-        assert_eq!(idx.block_max(1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted by strictly increasing doc id")]
-    fn rejects_unsorted_postings() {
-        BmwIndex::from_postings(
-            vec![
-                Posting {
-                    doc_id: 5,
-                    score: 1,
-                },
-                Posting {
-                    doc_id: 2,
-                    score: 2,
-                },
-            ],
-            2,
-        );
     }
 
     #[test]

@@ -19,5 +19,5 @@
 pub mod index;
 pub mod wand;
 
-pub use index::{BmwIndex, Posting};
+pub use index::BmwIndex;
 pub use wand::{bmw_topk, BmwResult, BmwStats};

@@ -12,10 +12,7 @@
 
 use gpu_sim::{Device, KernelStats};
 use std::cmp::Reverse;
-use topk_baselines::{
-    bitonic_topk, bucket_topk, radix_topk, BitonicConfig, BucketConfig, RadixVariant, TopKKey,
-    TopKResult,
-};
+use topk_baselines::{bitonic_topk, bucket_topk, radix_topk, RadixVariant, TopKKey, TopKResult};
 
 use crate::approx::{dr_topk_approx_planned, expected_recall, required_budget, Mode, RecallTarget};
 use crate::concat::concatenate;
@@ -27,9 +24,22 @@ use crate::radix_path::radix_dr_topk;
 use crate::stages::{Serial, StageKind, StageOutcome, StageReport};
 use crate::tuning::{auto_alpha, optimal_approx_tuning, ChosenPath, PathHint, PAPER_RULE4_CONST};
 
-/// Which algorithm runs the second top-k (and, for the baselines-assisted
-/// variants of Figures 17–19, represents the algorithm family Dr. Top-k is
-/// assisting).
+/// The top-k algorithms Dr. Top-k assists: the one that runs the second
+/// top-k ([`DrTopKConfig::inner`]), and the same algorithm run stand-alone
+/// on the whole input ([`InnerAlgorithm::run`]) as the baseline of Figures
+/// 4 and 17–19.
+///
+/// ```
+/// use drtopk_core::{dr_topk, DrTopKConfig, InnerAlgorithm};
+/// use gpu_sim::{Device, DeviceSpec};
+///
+/// let device = Device::new(DeviceSpec::v100s());
+/// let data: Vec<u32> = (0..50_000u32).map(|x| x.wrapping_mul(2654435761)).collect();
+/// let alone = InnerAlgorithm::Bucket.run(&device, &data, 16);
+/// let config = DrTopKConfig { inner: InnerAlgorithm::Bucket, ..DrTopKConfig::default() };
+/// let assisted = dr_topk(&device, &data, 16, &config);
+/// assert_eq!(alone.values, assisted.values);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InnerAlgorithm {
     /// The paper's optimized flag-based in-place radix top-k (default).
@@ -51,6 +61,14 @@ impl InnerAlgorithm {
         InnerAlgorithm::Bitonic,
     ];
 
+    /// The three state-of-the-art algorithms the paper's §6 assists
+    /// (Figures 4 and 17–19; the paper's own flag radix is not among them).
+    pub const BASELINES: [InnerAlgorithm; 3] = [
+        InnerAlgorithm::Radix,
+        InnerAlgorithm::Bucket,
+        InnerAlgorithm::Bitonic,
+    ];
+
     /// Display name used by the harnesses.
     pub fn name(&self) -> &'static str {
         match self {
@@ -61,12 +79,13 @@ impl InnerAlgorithm {
         }
     }
 
-    pub(crate) fn run<K: TopKKey>(&self, device: &Device, data: &[K], k: usize) -> TopKResult<K> {
+    /// Run this algorithm's top-k on `data`, on any key type.
+    pub fn run<K: TopKKey>(&self, device: &Device, data: &[K], k: usize) -> TopKResult<K> {
         match self {
             InnerAlgorithm::FlagRadix => flag_radix_topk(device, data, k),
             InnerAlgorithm::Radix => radix_topk(device, data, k, RadixVariant::OutOfPlace),
-            InnerAlgorithm::Bucket => bucket_topk(device, data, k, &BucketConfig::default()),
-            InnerAlgorithm::Bitonic => bitonic_topk(device, data, k, &BitonicConfig::default()),
+            InnerAlgorithm::Bucket => bucket_topk(device, data, k),
+            InnerAlgorithm::Bitonic => bitonic_topk(device, data, k),
         }
     }
 }
@@ -888,6 +907,64 @@ mod tests {
             let got = dr_topk(&dev, &data, k, cfg);
             assert_eq!(got.values, expected, "config #{i}: {cfg:?}");
         }
+    }
+
+    /// Bit images, so float NaNs compare equal to themselves.
+    fn bits<K: TopKKey>(values: &[K]) -> Vec<K::Bits> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_inner_algorithm_matches_the_reference_alone_and_assisted() {
+        fn check<K: TopKKey>(dev: &Device, data: &[K], k: usize, keys: &str) {
+            let largest = bits(&reference_topk(data, k));
+            let smallest = bits(&reference_topk_min(data, k));
+            for inner in InnerAlgorithm::ALL {
+                let alone = inner.run(dev, data, k);
+                assert_eq!(bits(&alone.values), largest, "{inner} alone on {keys}");
+                for (direction, want) in [
+                    (Direction::Largest, &largest),
+                    (Direction::Smallest, &smallest),
+                ] {
+                    let cfg = DrTopKConfig {
+                        inner,
+                        direction,
+                        ..DrTopKConfig::default()
+                    };
+                    let assisted = dr_topk(dev, data, k, &cfg);
+                    assert_eq!(
+                        &bits(&assisted.values),
+                        want,
+                        "{inner} assisted on {keys}, {direction:?}"
+                    );
+                }
+            }
+        }
+        let dev = device();
+        let ints = topk_datagen::uniform(1 << 13, 77);
+        check(&dev, &ints, 99, "u32");
+        // Values in [-1000, 0] with ±0 planted densely enough that the
+        // top-99 boundary falls among them, and NaNs of both signs.
+        let mut floats: Vec<f32> = ints
+            .iter()
+            .map(|&x| (x % 4001) as f32 * 0.25 - 1000.0)
+            .collect();
+        for i in 0..60 {
+            floats[i * 131] = 0.0;
+            floats[i * 131 + 57] = -0.0;
+        }
+        floats[8000] = f32::NAN;
+        floats[8100] = -f32::NAN;
+        check(&dev, &floats, 99, "f32");
+        let wide: Vec<u64> = ints
+            .iter()
+            .zip(topk_datagen::uniform(1 << 13, 78))
+            .map(|(&hi, lo)| (u64::from(hi) << 32) | u64::from(lo))
+            .collect();
+        check(&dev, &wide, 99, "u64");
+
+        let names = InnerAlgorithm::ALL.map(|a| a.to_string());
+        assert_eq!(names, ["flag-radix", "radix", "bucket", "bitonic"]);
     }
 
     #[test]

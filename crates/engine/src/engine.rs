@@ -27,11 +27,6 @@ pub struct EngineConfig {
     /// corpus or its corpus is looked up more often than the
     /// least-recently-used entry's. `0` disables delegate caching.
     pub delegate_cache_capacity: usize,
-    /// Corpora holding more than this many **keys** are routed through the
-    /// sharded whole-cluster path. `None` uses the smallest device capacity
-    /// of the cluster, converted from its native `u32`-element unit to keys
-    /// of the batch's type (8-byte keys fit half as many per device).
-    pub shard_capacity: Option<usize>,
 }
 
 impl Default for EngineConfig {
@@ -39,7 +34,6 @@ impl Default for EngineConfig {
         EngineConfig {
             base: DrTopKConfig::default(),
             delegate_cache_capacity: 32,
-            shard_capacity: None,
         }
     }
 }
@@ -173,16 +167,17 @@ impl TopKEngine {
                 report: EngineReport::default(),
             });
         }
-        let shard_capacity = self.config.shard_capacity.unwrap_or_else(|| {
-            drtopk_core::capacity_in_keys::<K>(
-                self.cluster
-                    .devices()
-                    .iter()
-                    .map(|d| d.capacity_elems())
-                    .min()
-                    .expect("cluster has devices"),
-            )
-        });
+        // Corpora holding more keys than the smallest device take the
+        // sharded whole-cluster path. Capacity is in `u32` elements; 8-byte
+        // keys fit half as many per device.
+        let shard_threshold = drtopk_core::capacity_in_keys::<K>(
+            self.cluster
+                .devices()
+                .iter()
+                .map(|d| d.capacity_elems())
+                .min()
+                .expect("cluster has devices"),
+        );
         // Fused units run on pool workers; the path crossover and the
         // tuning memo both key off the pool device profile (homogeneous
         // pools — device 0 stands for all of them).
@@ -191,7 +186,7 @@ impl TopKEngine {
         let plan = plan_batch(
             batch,
             &self.config.base,
-            shard_capacity,
+            shard_threshold,
             &device_spec,
             &mut self.cache.lock(),
         );
@@ -365,7 +360,7 @@ mod tests {
     use super::*;
     use crate::query::{Query, RowQuery};
     use crate::report::ExecPath;
-    use drtopk_core::{Direction, Mode};
+    use drtopk_core::{Direction, Mode, RowK};
     use gpu_sim::DeviceSpec;
     use topk_baselines::{reference_topk, reference_topk_min};
 
@@ -555,24 +550,18 @@ mod tests {
 
     #[test]
     fn worker_capacity_violation_surfaces_the_device_id() {
-        // Overriding the shard threshold above the device capacity forces a
-        // fused unit onto a device that cannot hold the corpus: the worker
-        // reports the failure instead of poisoning the batch.
+        // Row queries are never sharded, so a matrix larger than the worker
+        // devices reaches a device that cannot hold it: the worker reports
+        // the failure instead of poisoning the batch.
         let cluster = GpuCluster::homogeneous(2, DeviceSpec::v100s());
         for d in cluster.devices() {
             d.set_capacity_elems(1 << 10);
         }
-        let eng = TopKEngine::with_config(
-            cluster,
-            EngineConfig {
-                shard_capacity: Some(usize::MAX),
-                ..EngineConfig::default()
-            },
-        );
+        let eng = TopKEngine::new(cluster);
         let data = topk_datagen::uniform(1 << 13, 3);
         let mut batch = QueryBatch::new();
         let c = batch.add_corpus(1, &data);
-        batch.push_topk(c, 16);
+        batch.push_rows(c, 64, 128, RowK::Uniform(2));
         let err = eng.run_batch(&batch).expect_err("capacity violation");
         let EngineError::Device { device, message } = err;
         assert!(device < 2);
@@ -658,7 +647,6 @@ mod tests {
 
     #[test]
     fn row_queries_run_alongside_vector_queries() {
-        use drtopk_core::RowK;
         let eng = engine(2);
         let rows = 8;
         let cols = 1 << 11;
@@ -715,7 +703,6 @@ mod tests {
 
     #[test]
     fn row_query_spans_appear_in_traces() {
-        use drtopk_core::RowK;
         use drtopk_obs::TraceRecorder;
         let eng = engine(2);
         let rows = 4;

@@ -364,9 +364,9 @@ pub(crate) fn execute_plan<K: TopKKey>(
             let Some(&unit_idx) = pool_indices.get(slot) else {
                 break;
             };
-            // Heterogeneous clusters (or an overridden shard
-            // threshold) can hand a worker a corpus its device cannot
-            // hold; that is a per-device error, not a batch panic.
+            // Heterogeneous clusters, and row queries (never sharded),
+            // can hand a worker a corpus its device cannot hold; that is
+            // a per-device error, not a batch panic.
             // `capacity_elems` is in u32 units, the corpus in keys.
             let check_capacity = |corpus_idx: usize, len: usize| {
                 let device_keys = capacity_in_keys::<K>(device.capacity_elems());

@@ -516,7 +516,7 @@ impl ExecutionPlan {
 pub(crate) fn plan_batch<K: TopKKey>(
     batch: &QueryBatch<'_, K>,
     base: &DrTopKConfig,
-    shard_capacity: usize,
+    shard_threshold: usize,
     device: &DeviceSpec,
     cache: &mut PlanCache,
 ) -> ExecutionPlan {
@@ -537,7 +537,7 @@ pub(crate) fn plan_batch<K: TopKKey>(
     for (idx, q) in batch.queries.iter().enumerate() {
         let data = batch.corpora[q.corpus].data;
         let n = data.len();
-        if n > shard_capacity {
+        if n > shard_threshold {
             sharded.push(ShardedUnit { query: idx });
         } else {
             // Resolve the hint per query against the pool device profile

@@ -42,12 +42,7 @@ fn main() {
         );
     }
 
-    let baseline = bucket_topk(
-        &device,
-        &degrees,
-        k,
-        &topk_baselines::BucketConfig::default(),
-    );
+    let baseline = InnerAlgorithm::Bucket.run(&device, &degrees, k);
     assert_eq!(baseline.values, expected);
     println!(
         "{:<28} {:>12.3} {:>14}",

@@ -11,8 +11,8 @@
 //!   beyond the paper — the recall-targeted approximate mode and the
 //!   row-wise matrix top-k (`topk_rows`) for MoE-gating-shaped workloads.
 //! * [`baselines`] — the state-of-the-art algorithms Dr. Top-k assists and
-//!   is compared with ([`topk_baselines`]): radix, bucket, bitonic,
-//!   sort-and-choose and a CPU priority-queue reference.
+//!   is compared with ([`topk_baselines`]): radix, bucket, bitonic and
+//!   sort-and-choose.
 //! * [`datagen`] — the synthetic (UD/ND/CD) and real-world-proxy datasets
 //!   used by the paper's evaluation ([`topk_datagen`]).
 //! * [`bmw`] — the Block-Max WAND information-retrieval baseline used in
@@ -67,7 +67,7 @@ pub mod prelude {
     pub use drtopk_obs::{MetricName, MetricsRegistry, TraceRecorder, TraceSink};
     pub use gpu_sim::{Device, DeviceSpec, KernelStats};
     pub use topk_baselines::{
-        bitonic_topk, bucket_topk, priority_queue_topk, radix_topk, sort_and_choose_topk, TopKKey,
+        bitonic_topk, bucket_topk, radix_topk, sort_and_choose_topk, TopKKey,
     };
     pub use topk_datagen::{self, Distribution};
 }

@@ -7,7 +7,7 @@ mod common;
 use common::device;
 use drtopk::core::{dr_topk, DrTopKConfig, InnerAlgorithm};
 use drtopk::prelude::*;
-use topk_baselines::{reference_topk, BaselineAlgorithm};
+use topk_baselines::reference_topk;
 use topk_datagen::Distribution;
 
 #[test]
@@ -21,12 +21,7 @@ fn every_algorithm_agrees_on_every_distribution() {
         let data = topk_datagen::generate(*dist, n, 11);
         for &k in &[1usize, 7, 128, 2048] {
             let expected = reference_topk(&data, k);
-            for algo in [
-                BaselineAlgorithm::Radix,
-                BaselineAlgorithm::Bucket,
-                BaselineAlgorithm::Bitonic,
-                BaselineAlgorithm::SortAndChoose,
-            ] {
+            for algo in InnerAlgorithm::ALL {
                 assert_eq!(
                     algo.run(&device, &data, k).values,
                     expected,
@@ -34,9 +29,9 @@ fn every_algorithm_agrees_on_every_distribution() {
                 );
             }
             assert_eq!(
-                priority_queue_topk(&data, k).values,
+                sort_and_choose_topk(&device, &data, k).values,
                 expected,
-                "priority queue on {dist} k={k}"
+                "sort-and-choose on {dist} k={k}"
             );
             let dr = dr_topk(&device, &data, k, &DrTopKConfig::default());
             assert_eq!(dr.values, expected, "Dr. Top-k on {dist} k={k}");
@@ -108,7 +103,7 @@ fn adversarial_inputs() {
             let expected = reference_topk(&data, k);
             let got = dr_topk(&device, &data, k, &DrTopKConfig::default());
             assert_eq!(got.values, expected, "|V|={} k={k}", data.len());
-            let got = bitonic_topk(&device, &data, k, &topk_baselines::BitonicConfig::default());
+            let got = bitonic_topk(&device, &data, k);
             assert_eq!(got.values, expected);
         }
     }

@@ -15,10 +15,7 @@
 use drtopk::prelude::*;
 use drtopk_core::{distributed_dr_topk, flag_radix_topk, ReloadSchedule};
 use gpu_sim::GpuCluster;
-use topk_baselines::{
-    parallel_priority_queue_topk, reference_kth, reference_topk, BitonicConfig, BucketConfig,
-    RadixVariant,
-};
+use topk_baselines::{reference_kth, reference_topk, RadixVariant};
 
 fn device() -> Device {
     Device::new(DeviceSpec::v100s())
@@ -35,24 +32,13 @@ fn all_topk_values(device: &Device, data: &[u32], k: usize) -> Vec<(&'static str
             "radix_topk",
             radix_topk(device, data, k, RadixVariant::OutOfPlace).values,
         ),
-        (
-            "bucket_topk",
-            bucket_topk(device, data, k, &BucketConfig::default()).values,
-        ),
-        (
-            "bitonic_topk",
-            bitonic_topk(device, data, k, &BitonicConfig::default()).values,
-        ),
+        ("bucket_topk", bucket_topk(device, data, k).values),
+        ("bitonic_topk", bitonic_topk(device, data, k).values),
         (
             "sort_and_choose_topk",
             sort_and_choose_topk(device, data, k).values,
         ),
         ("flag_radix_topk", flag_radix_topk(device, data, k).values),
-        ("priority_queue_topk", priority_queue_topk(data, k).values),
-        (
-            "parallel_priority_queue_topk",
-            parallel_priority_queue_topk(data, k, 2).values,
-        ),
     ]
 }
 
@@ -214,7 +200,7 @@ fn radix_select_kth_panics_on_k_beyond_len() {
 #[should_panic(expected = "k must be in 1..=|V|")]
 fn bucket_select_kth_panics_on_k_zero() {
     let device = device();
-    topk_baselines::bucket_select_kth(&device, &[1, 2, 3], 0, &BucketConfig::default());
+    topk_baselines::bucket_select_kth(&device, &[1, 2, 3], 0);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! without filtering, and the bucket and bitonic baselines. A host-side
 //! change must leave them bit-identical.
 
-use drtopk::baselines::{reference_topk, reference_topk_min, BitonicConfig, BucketConfig};
+use drtopk::baselines::{reference_topk, reference_topk_min};
 use drtopk::core::{
     build_delegate_vector, concatenate, dr_topk_planned, first_topk, ConstructionMethod,
     PlannedQuery, Shared, StageKind,
@@ -169,7 +169,7 @@ fn bucket_model_is_pinned() {
         (&skewed, 100, [13_712, 2777, 1_753_968, 353_312, 496, 4685, 0, 0, 0, 0, 965_158, 56], 0x3f97_1400_aab7_a0ba),
     ];
     for (data, k, want, bits) in cases {
-        let got = bucket_topk(&dev, data, k, &BucketConfig::default());
+        let got = bucket_topk(&dev, data, k);
         assert_eq!(got.values, reference_topk(data, k));
         check(&format!("k={k}"), got.stats, got.time_ms, want, bits);
     }
@@ -186,7 +186,7 @@ fn bitonic_model_is_pinned() {
         (512, [4064, 2032, 520_192, 260_096, 0, 0, 0, 19_619_840, 0, 127, 9_809_920, 127], 0x3f95_b769_2234_cd14),
     ];
     for (k, want, bits) in cases {
-        let got = bitonic_topk(&dev, &data, k, &BitonicConfig::default());
+        let got = bitonic_topk(&dev, &data, k);
         assert_eq!(got.values, reference_topk(&data, k));
         check(&format!("k={k}"), got.stats, got.time_ms, want, bits);
     }

@@ -288,8 +288,8 @@ proptest! {
         let device = device();
         let expected = reference_topk(&data, k);
         let radix = radix_topk(&device, &data, k, topk_baselines::RadixVariant::OutOfPlace);
-        let bucket = bucket_topk(&device, &data, k, &topk_baselines::BucketConfig::default());
-        let bitonic = bitonic_topk(&device, &data, k, &topk_baselines::BitonicConfig::default());
+        let bucket = bucket_topk(&device, &data, k);
+        let bitonic = bitonic_topk(&device, &data, k);
         prop_assert_eq!(radix.values, expected.clone());
         prop_assert_eq!(bucket.values, expected.clone());
         prop_assert_eq!(bitonic.values, expected);
@@ -306,9 +306,8 @@ proptest! {
 use proptest::strategy::FnStrategy;
 use proptest::test_runner::TestRng;
 use topk_baselines::{
-    bitonic_topk as generic_bitonic, bucket_topk as generic_bucket, priority_queue_topk,
-    radix_topk as generic_radix, reference_topk_min, sort_and_choose_topk, BitonicConfig,
-    BucketConfig, RadixVariant, TopKKey,
+    bitonic_topk as generic_bitonic, bucket_topk as generic_bucket, radix_topk as generic_radix,
+    reference_topk_min, sort_and_choose_topk, RadixVariant, TopKKey,
 };
 
 /// Names of the [`orderings`], in order.
@@ -355,8 +354,8 @@ fn f32_with_specials() -> impl proptest::strategy::Strategy<Value = f32> {
     })
 }
 
-/// Check one key type end to end: dr_topk, all four baselines, the CPU
-/// priority queue and the flag-radix top-k against the reference.
+/// Check one key type end to end: dr_topk, all four baselines and the
+/// flag-radix top-k against the reference.
 fn assert_all_agree<K: TopKKey>(device: &Device, data: &[K], k: usize) -> Result<(), String> {
     let expected = bits_of(&reference_topk(data, k));
     let mut got: Vec<(&str, Vec<K::Bits>)> = vec![
@@ -376,21 +375,11 @@ fn assert_all_agree<K: TopKKey>(device: &Device, data: &[K], k: usize) -> Result
             "radix_in_place",
             bits_of(&generic_radix(device, data, k, RadixVariant::InPlaceZeroing).values),
         ),
-        (
-            "bucket",
-            bits_of(&generic_bucket(device, data, k, &BucketConfig::default()).values),
-        ),
-        (
-            "bitonic",
-            bits_of(&generic_bitonic(device, data, k, &BitonicConfig::default()).values),
-        ),
+        ("bucket", bits_of(&generic_bucket(device, data, k).values)),
+        ("bitonic", bits_of(&generic_bitonic(device, data, k).values)),
         (
             "sort_and_choose",
             bits_of(&sort_and_choose_topk(device, data, k).values),
-        ),
-        (
-            "priority_queue",
-            bits_of(&priority_queue_topk(data, k).values),
         ),
     ];
     for (name, bits) in got.drain(..) {

@@ -62,7 +62,7 @@ fn drtopk_moves_fewer_bytes_than_baselines() {
     let k = 128;
     let data = topk_datagen::uniform(n, 9);
     let dr = dr_topk(&device, &data, k, &DrTopKConfig::default());
-    for algo in topk_baselines::BaselineAlgorithm::TOPK {
+    for algo in InnerAlgorithm::BASELINES {
         let base = algo.run(&device, &data, k);
         assert!(
             dr.stats.global_load_transactions < base.stats.global_load_transactions,
@@ -99,7 +99,7 @@ fn drtopk_is_faster_than_every_baseline_at_moderate_k() {
     let k = 1024;
     let data = topk_datagen::uniform(n, 21);
     let dr = dr_topk(&device, &data, k, &DrTopKConfig::default());
-    for algo in topk_baselines::BaselineAlgorithm::TOPK {
+    for algo in InnerAlgorithm::BASELINES {
         let base = algo.run(&device, &data, k);
         assert!(
             dr.time_ms < base.time_ms,
@@ -119,12 +119,12 @@ fn bitonic_baseline_is_distribution_stable_but_bucket_is_not() {
     let k = 256;
     let ud = topk_datagen::uniform(n, 4);
     let cd = topk_datagen::customized(n, 4);
-    let bit_ud = bitonic_topk(&device, &ud, k, &topk_baselines::BitonicConfig::default());
-    let bit_cd = bitonic_topk(&device, &cd, k, &topk_baselines::BitonicConfig::default());
+    let bit_ud = bitonic_topk(&device, &ud, k);
+    let bit_cd = bitonic_topk(&device, &cd, k);
     let rel = (bit_ud.time_ms - bit_cd.time_ms).abs() / bit_ud.time_ms;
     assert!(rel < 0.05, "bitonic should be stable, diff {rel}");
-    let buc_ud = bucket_topk(&device, &ud, k, &topk_baselines::BucketConfig::default());
-    let buc_cd = bucket_topk(&device, &cd, k, &topk_baselines::BucketConfig::default());
+    let buc_ud = bucket_topk(&device, &ud, k);
+    let buc_cd = bucket_topk(&device, &cd, k);
     assert!(
         buc_cd.time_ms > 1.3 * buc_ud.time_ms,
         "bucket on CD ({:.3} ms) should be clearly slower than on UD ({:.3} ms)",
