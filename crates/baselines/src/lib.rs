@@ -43,3 +43,33 @@ pub use key::{sort_keys_asc, sort_keys_desc, Desc, KeyBits, TopKKey};
 pub use radix::{gather_topk, radix_select_kth, radix_topk, RadixVariant, SelectOutcome};
 pub use result::{reference_kth, reference_topk, reference_topk_min, TopKResult};
 pub use sort_and_choose::sort_and_choose_topk;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpu_sim::{Device, DeviceSpec};
+
+    #[test]
+    fn all_baselines_agree_with_each_other() {
+        let device = Device::new(DeviceSpec::v100s());
+        let data = topk_datagen::uniform(1 << 13, 77);
+        let k = 99;
+        let expected = reference_topk(&data, k);
+        let runs = [
+            (
+                "radix",
+                radix_topk(&device, &data, k, RadixVariant::OutOfPlace),
+            ),
+            (
+                "radix in-place",
+                radix_topk(&device, &data, k, RadixVariant::InPlaceZeroing),
+            ),
+            ("bucket", bucket_topk(&device, &data, k)),
+            ("bitonic", bitonic_topk(&device, &data, k)),
+            ("sort-and-choose", sort_and_choose_topk(&device, &data, k)),
+        ];
+        for (name, result) in runs {
+            assert_eq!(result.values, expected, "{name}");
+        }
+    }
+}

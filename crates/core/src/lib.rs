@@ -95,3 +95,16 @@ pub use tuning::{
     ApproxTuning, ChosenPath, PathHint, PredictedCost, PAPER_RULE4_CONST,
 };
 pub use verify::{verify_stages, Diagnostic, DiagnosticCode, VerifyOptions};
+
+#[cfg(test)]
+mod tests {
+    use super::InnerAlgorithm;
+
+    #[test]
+    fn display_names() {
+        let names = InnerAlgorithm::ALL.map(|a| a.to_string());
+        assert_eq!(names, ["flag-radix", "radix", "bucket", "bitonic"]);
+        let baselines = InnerAlgorithm::BASELINES.map(|a| a.name());
+        assert_eq!(baselines, ["radix", "bucket", "bitonic"]);
+    }
+}
