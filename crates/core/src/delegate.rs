@@ -1428,7 +1428,9 @@ mod tests {
     /// counters and times were captured before the host extraction loop was
     /// rewritten (three times: the chunk-skip loop, the per-lane loop for
     /// small subranges, then its mask compare-exchange and raised
-    /// crossover); a host-side change must leave them bit-identical.
+    /// crossover); a host-side change must leave them bit-identical. The
+    /// last two inputs pin the edges of the warps' runs of subranges: one
+    /// ragged warp, and a whole multiple of 2^14 subranges.
     #[test]
     fn construction_model_is_pinned() {
         use ConstructionMethod::{CoalescedShared, WarpShuffle};
@@ -1493,6 +1495,26 @@ mod tests {
             [2_802, 701, 358_536, 16_824, 43_462, 0, 0, 44_817, 701],
             0x3f66_a07c_8ac7_cc75,
         );
+        // one ragged warp: the input is shorter than one subrange
+        let short = topk_datagen::uniform(200, 2021);
+        #[rustfmt::skip]
+        let cases = [
+            (8, 3, WarpShuffle, [7, 1, 800, 24, 93, 0, 0, 200, 1], 0x3f60_65cc_4b1a_862c_u64),
+            (8, 3, CoalescedShared, [7, 1, 800, 24, 0, 400, 1, 200, 1], 0x3f60_646b_220a_c26a),
+        ];
+        for (alpha, beta, method, counters, time_bits) in cases {
+            assert_pinned(&short, alpha, beta, method, counters, time_bits);
+        }
+        // exactly 2 · 2^14 subranges: every warp takes two, none a third
+        let exact = topk_datagen::uniform(1 << 16, 2021);
+        #[rustfmt::skip]
+        let cases = [
+            (1, 2, WarpShuffle, [32_768, 32_768, 262_144, 524_288, 2_031_616, 0, 0, 65_536, W], 0x3f96_e371_5400_3255_u64),
+            (1, 2, CoalescedShared, [16_384, 32_768, 262_144, 524_288, 0, 131_072, 16_384, 65_536, W], 0x3f73_b9f1_27f5_e84e),
+        ];
+        for (alpha, beta, method, counters, time_bits) in cases {
+            assert_pinned(&exact, alpha, beta, method, counters, time_bits);
+        }
     }
 
     /// Coarsen `data`'s vector at `from` = (α′, β′) to `to` = (α, β) in
@@ -1551,7 +1573,9 @@ mod tests {
     /// `delegates_into` over the finer values; a host-side change must
     /// leave them bit-identical. The sources cover the shapes the serving
     /// engine coarsens most, a β′ above 2^α′ (α′ = 1, so each fine list
-    /// holds 2 values), and ragged final subranges, coarse and fine.
+    /// holds 2 values), ragged final subranges, coarse and fine, and the
+    /// edges of the warps' runs: one ragged warp, and whole multiples of
+    /// 2^14 coarse subranges.
     #[test]
     fn coarsen_model_is_pinned() {
         // 2^18 + 67: the final coarse subrange is ragged at every α here
@@ -1595,6 +1619,27 @@ mod tests {
         ];
         for (from, to, counters, time_bits) in cases {
             assert_coarsen_pinned(&w, from, to, counters, time_bits);
+        }
+        // one ragged warp: the input is shorter than one coarse subrange
+        let short = topk_datagen::uniform(200, 2021);
+        #[rustfmt::skip]
+        let cases = [
+            ((3, 2), (8, 2), [2, 1, 200, 16, 0, 0, 0, 50, 1], 0x3f60_62cb_0f06_40bb_u64),
+            ((1, 3), (8, 1), [7, 1, 800, 8, 0, 0, 0, 200, 1], 0x3f60_6423_335f_cf42),
+        ];
+        for (from, to, counters, time_bits) in cases {
+            assert_coarsen_pinned(&short, from, to, counters, time_bits);
+        }
+        // exactly 2 · 2^14 and 2^14 coarse subranges: every warp takes
+        // two, or one
+        let exact = topk_datagen::uniform(1 << 17, 2021);
+        #[rustfmt::skip]
+        let cases = [
+            ((1, 2), (2, 1), [16_384, 32_768, 524_288, 262_144, 0, 0, 0, 131_072, 16_384], 0x3f72_bf66_fa51_b1ec_u64),
+            ((2, 3), (3, 2), [16_384, 16_384, 393_216, 262_144, 0, 0, 0, 98_304, 16_384], 0x3f6e_7849_7624_01f5),
+        ];
+        for (from, to, counters, time_bits) in cases {
+            assert_coarsen_pinned(&exact, from, to, counters, time_bits);
         }
     }
 }
