@@ -15,7 +15,7 @@ fn main() {
         let data = dataset(Distribution::Uniform, n);
         let k = k.min(n / 4);
         let thrust = sort_and_choose_topk(&device, &data, k);
-        debug_assert_eq!(thrust.values, reference_topk(&data, k));
+        assert_eq!(thrust.values, reference_topk(&data, k));
         rows.push(vec![
             n.to_string(),
             k.to_string(),

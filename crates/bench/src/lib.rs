@@ -110,8 +110,9 @@ pub fn fmt(x: f64) -> String {
     format!("{x:.4}")
 }
 
-/// Run one Dr. Top-k configuration and sanity-check the result against the
-/// CPU reference (the harness never reports numbers from a wrong answer).
+/// Run one Dr. Top-k configuration and check the result against the CPU
+/// reference, in every build: `cargo bench` builds without debug
+/// assertions, and the harness never reports numbers from a wrong answer.
 pub fn run_drtopk_checked(
     device: &Device,
     data: &[u32],
@@ -119,7 +120,7 @@ pub fn run_drtopk_checked(
     config: &DrTopKConfig,
 ) -> DrTopKResult {
     let result = dr_topk(device, data, k, config);
-    debug_assert_eq!(
+    assert_eq!(
         result.values,
         topk_baselines::reference_topk(data, k),
         "Dr. Top-k produced a wrong answer"
@@ -127,7 +128,8 @@ pub fn run_drtopk_checked(
     result
 }
 
-/// Run one algorithm stand-alone and sanity-check the result.
+/// Run one algorithm stand-alone and check the result, as
+/// [`run_drtopk_checked`] does.
 pub fn run_baseline_checked(
     device: &Device,
     algo: InnerAlgorithm,
@@ -135,7 +137,7 @@ pub fn run_baseline_checked(
     k: usize,
 ) -> TopKResult {
     let result = algo.run(device, data, k);
-    debug_assert_eq!(
+    assert_eq!(
         result.values,
         topk_baselines::reference_topk(data, k),
         "baseline {algo} produced a wrong answer"

@@ -56,13 +56,19 @@
 //!   each chunk branch-free for a key that beats the current β-th best, and
 //!   looks at the individual elements only of a chunk that holds one.
 //!
-//! The launch only records: each warp charges its run of subranges, and
-//! the host loop runs once, after the launch, over the whole input. Warps
-//! take contiguous runs of whole subranges in warp order, so that one call
-//! returns exactly what the per-warp calls would have concatenated, and it
-//! saves a call, a `Vec` growth check and a loop choice per warp (up to
-//! 2^14 of them). The subrange ids are a function of the shape alone and
-//! are built once too (`delegate_subrange_ids`).
+//! The launch only records, and the host loop runs once, after the
+//! launch, over the whole input. Each warp charges its run of subranges,
+//! and every warp with the same number of whole subranges charges the
+//! same: so the launch is charged in closed form
+//! ([`Device::launch_alike`]), running one warp for each run of alike
+//! warps (the warps with one subrange more than the rest, the rest, and
+//! the last warp, which holds the ragged subrange if any) rather than
+//! one per warp (up to 2^14 of them). Debug builds run every warp and
+//! check it. Warps take contiguous runs of whole subranges in warp order,
+//! so that one host call returns exactly what per-warp calls would have
+//! concatenated, and it saves a call, a `Vec` growth check and a loop
+//! choice per warp. The subrange ids are a function of the shape alone
+//! and are built once too (`delegate_subrange_ids`).
 //!
 //! ## Delegates of delegates
 //!
@@ -593,8 +599,10 @@ pub(crate) fn construct<K: TopKKey>(
         };
     }
 
-    // Each simulated warp handles a contiguous run of subranges; cap the
-    // warp count so tiny subranges do not explode the simulation overhead.
+    // Each simulated warp handles a contiguous run of subranges. The grid
+    // holds at most 2^14 warps, so at small α a warp takes many subranges
+    // (and stages them in groups under CoalescedShared): the cap is part
+    // of the model that `construction_model_is_pinned` pins.
     let num_warps = num_subranges.clamp(1, 1 << 14);
 
     let (kernel_name, staged_subranges) = match method {
@@ -610,7 +618,8 @@ pub(crate) fn construct<K: TopKKey>(
     // words so the charged store bytes stay exact for 8-byte keys.
     let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
 
-    let launch = device.launch(kernel_name, num_warps, |ctx| {
+    let runs = alike_runs(num_subranges, num_warps);
+    let launch = device.launch_alike(kernel_name, num_warps, &runs, |ctx| {
         let subranges = ctx.chunk_of(num_subranges);
         let own =
             &data[subranges.start * subrange_size..(subranges.end * subrange_size).min(data.len())];
@@ -652,6 +661,15 @@ pub(crate) fn construct<K: TopKKey>(
     }
 }
 
+/// The runs of alike warps when `num_warps` warps take `chunk_of`'s runs of
+/// `num_subranges` subranges: the first warps, with one more subrange each;
+/// the full warps after them; and the last warp, whose final subrange may
+/// be ragged. Only the last warp can hold the ragged subrange, so every
+/// warp of the first two runs records the same as that run's first.
+fn alike_runs(num_subranges: usize, num_warps: usize) -> [usize; 3] {
+    [0, num_subranges % num_warps, num_warps - 1]
+}
+
 /// Derive the delegate vector at subrange size `2^alpha` and `beta`
 /// delegates per subrange from `finer`, a vector of the same `len`-element
 /// input at a finer or equal subrange size (α′ ≤ α) with at least as many
@@ -669,8 +687,9 @@ pub(crate) fn construct<K: TopKKey>(
 /// input, and reads `finer.len()` values instead of `len`.
 ///
 /// The launch (`drtopk_delegate_coarsen`) records one coalesced read of the
-/// finer values per warp and the usual (value, id) store per delegate; the
-/// host merge runs once, after it.
+/// finer values per warp and the usual (value, id) store per delegate,
+/// charged one warp per run of alike warps as in construction; the host
+/// merge runs once, after it.
 ///
 /// # Panics
 ///
@@ -721,15 +740,12 @@ fn coarsen<K: TopKKey>(
     let block = subrange_size / finer.subrange_size * list;
     let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
 
-    // The launch only charges, so its cost is per warp: each warp takes
-    // `ctx.chunk_of`'s run of coarse subranges, counted on from the
-    // previous warp's (warps run in order) rather than by a division.
+    // Each warp takes `ctx.chunk_of`'s run of coarse subranges; the launch
+    // runs one warp per run of alike warps (`alike_runs`).
     let num_warps = num_subranges.clamp(1, 1 << 14);
-    let (base, rem) = (num_subranges / num_warps, num_subranges % num_warps);
-    let mut next = 0;
-    let launch = device.launch("drtopk_delegate_coarsen", num_warps, |ctx| {
-        let subranges = next..next + base + usize::from(ctx.warp_id < rem);
-        next = subranges.end;
+    let runs = alike_runs(num_subranges, num_warps);
+    let launch = device.launch_alike("drtopk_delegate_coarsen", num_warps, &runs, |ctx| {
+        let subranges = ctx.chunk_of(num_subranges);
         let own =
             &finer.values[subranges.start * block..(subranges.end * block).min(finer.values.len())];
         let staged = ctx.read_coalesced(own);

@@ -7,6 +7,13 @@
 //! its output into what it captures, and a launch returns only its cost.
 //! Host parallelism lives one level up, in the cluster's per-device run,
 //! never inside a launch.
+//!
+//! A data-oblivious kernel, whose warps come in runs that each record the
+//! same counters, is charged in closed form instead
+//! ([`Device::launch_alike`]): the launch runs one warp per run and adds
+//! that warp's counters times the run's length. Debug builds run every
+//! other warp too and assert that it recorded what its run's first warp
+//! did, so a kernel whose warps are not alike fails its tests.
 
 use std::time::Instant;
 
@@ -107,7 +114,70 @@ impl Device {
             kernel(&mut ctx);
             stats.merge(&ctx.into_stats());
         }
+        self.record_launch(name, started, stats)
+    }
 
+    /// Launch a kernel whose warps come in runs of alike warps, charged in
+    /// closed form: `runs` holds the first warp of each run, from 0 up, and
+    /// run `i` spans `runs[i]..runs[i + 1]` (the last one ends at
+    /// `num_warps`). Empty runs are skipped. `kernel` runs for the first
+    /// warp of each run, and that warp's counters count once per warp of
+    /// the run. The kernel only records: the `Fn` bound keeps it from
+    /// writing into what it captures, so a launch computes the same
+    /// outputs however many of its warps run. Returns and logs what
+    /// [`Device::launch`] would.
+    ///
+    /// Debug builds also run every other warp of each run and panic when
+    /// one records other counters than its run's first warp.
+    ///
+    /// # Panics
+    ///
+    /// When `runs` is empty while `num_warps` is not, does not start at
+    /// warp 0, decreases, or names a warp past `num_warps`.
+    pub fn launch_alike<F>(
+        &self,
+        name: &str,
+        num_warps: usize,
+        runs: &[usize],
+        kernel: F,
+    ) -> LaunchResult
+    where
+        F: Fn(&mut WarpCtx<'_>),
+    {
+        assert!(
+            runs.first().map_or(num_warps == 0, |&first| first == 0)
+                && runs.windows(2).all(|pair| pair[0] <= pair[1])
+                && runs.last().is_none_or(|&last| last <= num_warps),
+            "runs {runs:?} are not the first warps of runs over 0..{num_warps}"
+        );
+        let started = Instant::now();
+        let mut stats = KernelStats::default();
+        for (i, &first) in runs.iter().enumerate() {
+            let end = runs.get(i + 1).copied().unwrap_or(num_warps);
+            if first == end {
+                continue;
+            }
+            let mut ctx = WarpCtx::new(first, num_warps, &self.spec);
+            kernel(&mut ctx);
+            let warp = ctx.into_stats();
+            #[cfg(debug_assertions)]
+            for warp_id in first + 1..end {
+                let mut ctx = WarpCtx::new(warp_id, num_warps, &self.spec);
+                kernel(&mut ctx);
+                assert_eq!(
+                    ctx.into_stats(),
+                    warp,
+                    "`{name}`: warp {warp_id} is not alike warp {first}, the first of its run"
+                );
+            }
+            stats.merge(&warp.scaled((end - first) as u64));
+        }
+        self.record_launch(name, started, stats)
+    }
+
+    /// Log a launch's merged counters as one [`KernelRecord`] and return
+    /// its cost.
+    fn record_launch(&self, name: &str, started: Instant, stats: KernelStats) -> LaunchResult {
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let time_ms = estimate_time_ms(&stats, &self.spec);
         self.stats.lock().record(KernelRecord {
@@ -256,6 +326,83 @@ mod tests {
         assert_eq!(histogram, [1, 3, 0, 4]);
         // warp 0 saw bins 0, 1 and 3; warp 1 saw bins 1 and 3
         assert_eq!(launch.stats.atomic_operations, 5);
+    }
+
+    /// A data-oblivious kernel shaped like delegate construction: each warp
+    /// reads its run of 8-element subranges of `len` elements and stores
+    /// two values per subrange (fewer for the ragged last one).
+    fn subrange_charges(len: usize) -> impl Fn(&mut WarpCtx<'_>) {
+        move |ctx| {
+            let subranges = ctx.chunk_of(len.div_ceil(8));
+            let own = (subranges.end * 8).min(len) - subranges.start * 8;
+            ctx.record_load_coalesced::<u32>(own);
+            for subrange in 0..subranges.len() {
+                let kept = (own - 8 * subrange).min(2);
+                ctx.record_store_coalesced::<u32>(kept);
+                ctx.record_shuffles(31 * kept as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn launch_alike_equals_launch_on_an_alike_kernel() {
+        // (elements, warps, runs): three non-empty runs (1004 subranges,
+        // 3 warps of 144, 3 of 143, a ragged last one); an empty first run
+        // (700 subranges, 7 warps of 100); one warp; no warps
+        let cases: [(usize, usize, &[usize]); 4] = [
+            (8 * 1003 + 3, 7, &[0, 3, 6]),
+            (8 * 699 + 5, 7, &[0, 0, 6]),
+            (8 * 20 + 1, 1, &[0, 0, 0]),
+            (0, 0, &[0]),
+        ];
+        for (len, num_warps, runs) in cases {
+            let (looped, alike) = (
+                Device::new(DeviceSpec::v100s()),
+                Device::new(DeviceSpec::v100s()),
+            );
+            let want = looped.launch("charges", num_warps, subrange_charges(len));
+            let got = alike.launch_alike("charges", num_warps, runs, subrange_charges(len));
+            let case = format!("{len} elements over {num_warps} warps, runs {runs:?}");
+            assert_eq!(got.stats, want.stats, "{case}");
+            assert_eq!(got.time_ms.to_bits(), want.time_ms.to_bits(), "{case}");
+            assert_eq!(got.stats.warps_launched, num_warps as u64, "{case}");
+            let (want_log, got_log) = (looped.stats(), alike.stats());
+            assert_eq!(got_log.kernels.len(), 1, "{case}");
+            let (w, g) = (&want_log.kernels[0], &got_log.kernels[0]);
+            assert_eq!((&g.name, g.stats), (&w.name, w.stats), "{case}");
+            assert_eq!(g.time_ms.to_bits(), w.time_ms.to_bits(), "{case}");
+            assert_eq!(got_log.total, want_log.total, "{case}");
+        }
+    }
+
+    #[test]
+    fn launch_alike_runs_one_warp_per_run_and_debug_runs_all() {
+        let device = Device::new(DeviceSpec::v100s());
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let charges = subrange_charges(8 * 1003 + 3);
+        device.launch_alike("charges", 7, &[0, 3, 6], |ctx| {
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            charges(ctx);
+        });
+        let want = if cfg!(debug_assertions) { 7 } else { 3 };
+        assert_eq!(calls.into_inner(), want);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "warp 1 is not alike warp 0")]
+    fn launch_alike_catches_a_warp_unlike_its_run() {
+        let device = Device::new(DeviceSpec::v100s());
+        device.launch_alike("skewed", 4, &[0, 3], |ctx| {
+            ctx.record_atomics(ctx.warp_id as u64);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "are not the first warps of runs")]
+    fn launch_alike_rejects_runs_that_skip_warp_0() {
+        let device = Device::new(DeviceSpec::v100s());
+        device.launch_alike("charges", 4, &[1, 3], subrange_charges(64));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! * executes **warp-centric kernels** (a kernel is a function of a warp id,
 //!   run for every warp of a launch grid, in warp order on the launching
-//!   host thread, writing its output into what it captures),
+//!   host thread, writing its output into what it captures; a
+//!   data-oblivious kernel is charged in closed form, one warp per run of
+//!   alike warps, by [`Device::launch_alike`]),
 //! * **instruments** every global-memory transaction, shared-memory access,
 //!   shuffle instruction and atomic operation exactly the way the paper's own
 //!   cost model (Section 5.2) accounts for them, and

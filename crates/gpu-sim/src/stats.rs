@@ -75,6 +75,25 @@ impl KernelStats {
         self.warps_launched += other.warps_launched;
     }
 
+    /// These counters `n` times over: what a run of `n` warps records when
+    /// each records these.
+    pub(crate) fn scaled(&self, n: u64) -> KernelStats {
+        KernelStats {
+            global_load_transactions: self.global_load_transactions * n,
+            global_store_transactions: self.global_store_transactions * n,
+            global_loaded_bytes: self.global_loaded_bytes * n,
+            global_stored_bytes: self.global_stored_bytes * n,
+            shuffle_instructions: self.shuffle_instructions * n,
+            atomic_operations: self.atomic_operations * n,
+            atomic_serialized_ops: self.atomic_serialized_ops * n,
+            shared_ops: self.shared_ops * n,
+            bank_conflicts: self.bank_conflicts * n,
+            syncthreads: self.syncthreads * n,
+            alu_ops: self.alu_ops * n,
+            warps_launched: self.warps_launched * n,
+        }
+    }
+
     /// True when no activity has been recorded.
     pub fn is_empty(&self) -> bool {
         *self == KernelStats::default()
@@ -199,6 +218,17 @@ mod tests {
         assert_eq!(a.syncthreads, 4);
         assert_eq!(a.alu_ops, 200);
         assert_eq!(a.warps_launched, 8);
+    }
+
+    #[test]
+    fn scaled_equals_repeated_merges() {
+        let one = sample(10, 5);
+        let mut three = one;
+        three.merge(&one);
+        three.merge(&one);
+        assert_eq!(one.scaled(3), three);
+        assert_eq!(one.scaled(1), one);
+        assert!(one.scaled(0).is_empty());
     }
 
     #[test]

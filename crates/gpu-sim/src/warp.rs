@@ -1,7 +1,9 @@
 //! Warp-level execution context and instrumented primitives.
 //!
 //! Simulated kernels are *warp programs*: the launcher calls the kernel
-//! closure once per warp, and the closure uses the [`WarpCtx`] passed to it
+//! closure once per warp (once per run of alike warps for a data-oblivious
+//! kernel, [`crate::Device::launch_alike`]), and the closure uses the
+//! [`WarpCtx`] passed to it
 //! to perform (and account for) global-memory accesses, shared-memory
 //! traffic, shuffle-based intra-warp communication, atomics and barriers.
 //!
