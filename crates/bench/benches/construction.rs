@@ -1,6 +1,6 @@
 //! Host cost of delegate construction: nanoseconds per input element of
 //! `build_delegate_vector`, wall-clock on the host, over key type {u32,
-//! f32, u64, f64} × α 5–13 × β 1–4 × {uniform, ascending} input × both
+//! f32, u64, f64} × α 5–16 × β 1–4 × {uniform, ascending} input × both
 //! directions, on 2^18 keys.
 //!
 //! This is the instrument behind the per-lane/chunk-skip crossover stated
@@ -58,7 +58,7 @@ use drtopk_core::{
 use gpu_sim::Device;
 
 const N: usize = 1 << 18;
-const ALPHAS: std::ops::RangeInclusive<u32> = 5..=13;
+const ALPHAS: std::ops::RangeInclusive<u32> = 5..=16;
 const BETAS: std::ops::RangeInclusive<usize> = 1..=4;
 /// The finer vectors the coarsening cells start from, as (α′, β′, label),
 /// and their targets: every α of `COARSEN_ALPHAS` from α′ on and every β up

@@ -41,15 +41,17 @@
 //!   `delegates_into`): a branch-free running top-β in each of 8 lanes,
 //!   each element passing through β compare-exchanges in radix space, then
 //!   a pairwise fold of the lanes. This is the host analogue of RTop-K's
-//!   per-lane selection (`PAPERS.md`). For 32-bit keys the compare-exchange
-//!   is mask arithmetic (`order_pair`), because the baseline x86-64 target
-//!   (SSE2) has no unsigned 32-bit vector max or min: written with
-//!   `Ord::max`/`Ord::min` the loop stays scalar, written with masks it
-//!   vectorizes. For 32-bit keys on a CPU with AVX2, `delegates_into` runs
-//!   a second build of the same loop compiled with AVX2, whose per-lane
-//!   loop runs on 8-lane registers and keeps its lead over chunk-skip up
-//!   to 2^11 elements (2^9 or 2^10 in the portable build). Both builds
-//!   return the same bits.
+//!   per-lane selection (`PAPERS.md`). In the portable build the
+//!   compare-exchange of 32-bit keys is mask arithmetic (`order_pair`),
+//!   because the baseline x86-64 target (SSE2) has no unsigned 32-bit
+//!   vector max or min: written with `Ord::max`/`Ord::min` the loop stays
+//!   scalar, written with masks it vectorizes. For 32-bit keys on a CPU
+//!   with AVX2, `delegates_into` runs an AVX2 build whose per-lane loop is
+//!   written with AVX2 intrinsics (`per_lane_top_avx2`): one
+//!   `vpmaxud`/`vpminud` pair per compare-exchange on 8-lane registers,
+//!   and the lane fold in registers too. It keeps its lead over chunk-skip
+//!   up to 2^16 elements at β = 1, 2^13 at β = 2 and 2^11 at β 3–4 (2^9
+//!   or 2^10 in the portable build). Both builds return the same bits.
 //! * **chunk-skip** (`top_beta_into`) — everything else. It applies the
 //!   paper's maximum-delegate filtering one level down: after seeding the β
 //!   slots it scans each subrange in warp-wide chunks of 32 elements, tests
@@ -90,6 +92,12 @@
 //! copy. Longer blocks, larger β and a ragged final block go through
 //! `delegates_into`, whose eight-lane loop wins once a block holds four or
 //! more lists of two or more delegates (`merge_lists_into`).
+
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{
+    __m256i, _mm256_cvtsi256_si32, _mm256_max_epu32, _mm256_min_epu32, _mm256_permute2x128_si256,
+    _mm256_setzero_si256, _mm256_shuffle_epi32,
+};
 
 use gpu_sim::warp::SHUFFLES_PER_WARP_REDUCTION;
 use gpu_sim::{Device, KernelStats, WARP_SIZE};
@@ -204,12 +212,13 @@ impl<K> Delegates<'_, K> {
 /// [`top_beta_into`] on each subrange. The one host extraction loop of
 /// delegate construction and of the row-block fused pass ([`crate::rows`]).
 ///
-/// For 32-bit keys on a CPU with AVX2 the loop runs in a second build of
-/// the same source, compiled with AVX2 ([`delegates_into_avx2`]); 64-bit
-/// keys, and every key on another CPU, run the portable build
-/// ([`host_loop`]). The builds return the same bits; only their speed, and
-/// so their per-lane limits, differ. The AVX2 build runs chunk-skip as the
-/// portable build compiles it ([`chunk_skip_into`]). 64-bit keys stay
+/// For 32-bit keys on a CPU with AVX2 the loop runs the AVX2 build
+/// ([`delegates_into_avx2`]): its per-lane loop is written with AVX2
+/// intrinsics ([`per_lane_avx2`]), and it runs chunk-skip as the portable
+/// build compiles it ([`chunk_skip_into`]). 64-bit keys, and every key on
+/// another CPU, run the portable build ([`portable_into`]). The builds
+/// return the same bits; only their speed, and so their per-lane limits,
+/// differ. 64-bit keys stay
 /// portable: SSE2 has no 64-bit compare, AVX2 only a signed one, and in a
 /// build of this loop for every key width, 64-bit keys ran up to twice as
 /// slow as the portable build on some cells (u64, smallest direction,
@@ -261,24 +270,34 @@ impl<K> Delegates<'_, K> {
 ///
 /// The AVX2 build (32-bit keys only), from two builds whose AVX2 limit
 /// was 0 (always chunk-skip, as the portable build compiles it) and 2^20
-/// (always per-lane), at the limit and one power of two above it:
+/// (always per-lane), with the bench's α range raised to 16 (medians of
+/// ten alternating runs of 15 rounds), uniform input, largest direction:
 ///
-/// | keys | β | α = 11 | α = 12 | limit |
-/// |---|---|---|---|---|
-/// | u32 | 1 | 0.18 / 0.20 | 0.17 / 0.15 | 2^11 |
-/// | f32 | 1 | 0.27 / 0.39 | 0.28 / 0.33 | 2^11 |
-/// | u32 | 2 | 0.22 / 0.33 | 0.21 / 0.22 | 2^11 |
-/// | f32 | 2 | 0.39 / 0.54 | 0.38 / 0.41 | 2^11 |
-/// | u32 | 3 | 0.33 / 0.45 | 0.32 / 0.28 | 2^11 |
-/// | f32 | 3 | 0.33 / 0.67 | 0.32 / 0.47 | 2^11 |
-/// | u32 | 4 | 0.42 / 0.52 | 0.41 / 0.35 | 2^11 |
-/// | f32 | 4 | 0.47 / 0.83 | 0.47 / 0.55 | 2^11 |
+/// | keys | β | α = 11 | α = 12 | α = 13 | α = 14 | α = 16 | limit |
+/// |---|---|---|---|---|---|---|---|
+/// | u32 | 1 | 0.05 / 0.19 | 0.05 / 0.15 | 0.05 / 0.13 | 0.05 / 0.12 | 0.06 / 0.11 | 2^16 |
+/// | f32 | 1 | 0.10 / 0.39 | 0.10 / 0.33 | 0.10 / 0.30 | 0.10 / 0.28 | 0.10 / 0.26 | 2^16 |
+/// | u32 | 2 | 0.09 / 0.32 | 0.09 / 0.23 | 0.09 / 0.16 | 0.09 / 0.14 | 0.09 / 0.12 | 2^13 |
+/// | f32 | 2 | 0.14 / 0.55 | 0.14 / 0.42 | 0.14 / 0.35 | 0.13 / 0.31 | 0.13 / 0.27 | 2^13 |
+/// | u32 | 3 | 0.15 / 0.43 | 0.14 / 0.28 | 0.15 / 0.20 | 0.14 / 0.15 | 0.14 / 0.12 | 2^11 |
+/// | f32 | 3 | 0.18 / 0.69 | 0.17 / 0.49 | 0.17 / 0.38 | 0.17 / 0.32 | 0.17 / 0.28 | 2^11 |
+/// | u32 | 4 | 0.19 / 0.52 | 0.19 / 0.33 | 0.19 / 0.23 | 0.18 / 0.17 | 0.18 / 0.13 | 2^11 |
+/// | f32 | 4 | 0.22 / 0.84 | 0.21 / 0.57 | 0.21 / 0.43 | 0.21 / 0.35 | 0.21 / 0.29 | 2^11 |
 ///
-/// u32 sets every limit; at β = 1 it passes α = 11 by a hair (0.18
-/// against 0.20), and the smallest direction moves no limit. On ascending
-/// input at α = 10–11 the AVX2 build's per-lane loop costs 0.18–0.48
-/// against chunk-skip's 0.48–4.78, so the wider limit removes that part of
-/// chunk-skip's worst case.
+/// By the uniform rule alone u32 would set the limits at 2^16 (β = 1, the
+/// bench's largest subrange), 2^14, 2^13 and 2^12 (the smallest direction
+/// decides β 2–4). The AVX2 limits also keep chunk-skip's best case: on
+/// input sorted best first (ascending keys, smallest direction) no chunk
+/// after the first beats the floor, and chunk-skip costs 0.11–0.12 on u32
+/// at α 11–16 against the per-lane loop's 0.06 at β = 1, 0.12 at β = 2,
+/// 0.17 at β = 3 and 0.22 at β = 4. At β = 1 the per-lane loop wins that
+/// input too. At β = 2 it costs 1.02–1.04 times chunk-skip at α 12–13 and
+/// 1.09 at α = 14, so the limit is 2^13. At β 3–4 it costs 1.5–2 times
+/// from α = 12 on, so those limits stay at 2^11. Below them the per-lane
+/// loop loses only on that input (0.17 and 0.22 against 0.12 at α = 11),
+/// and at α = 11 it is 2.8 times faster than chunk-skip on uniform u32
+/// and 8–15 times faster on ascending u32 in the largest direction, where
+/// every chunk holds a new candidate.
 #[inline]
 pub(crate) fn delegates_into<K: TopKKey>(
     data: &[K],
@@ -292,48 +311,17 @@ pub(crate) fn delegates_into<K: TopKKey>(
         // CPU has it (checked just above).
         return unsafe { delegates_into_avx2(data, subrange_size, beta, out) };
     }
-    host_loop(Build::Portable, data, subrange_size, beta, out);
+    portable_into(data, subrange_size, beta, out);
 }
 
-/// [`host_loop`] compiled with AVX2, with the AVX2 build's limits. Outside
-/// AVX2 code a call is `unsafe`: the caller must have checked that the CPU
-/// has AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn delegates_into_avx2<K: TopKKey>(
-    data: &[K],
-    subrange_size: usize,
-    beta: usize,
-    out: &mut Vec<K>,
-) {
-    host_loop(Build::Avx2, data, subrange_size, beta, out);
-}
-
-/// A compilation of the host loop; it sets the per-lane limits.
-#[derive(Clone, Copy)]
-enum Build {
-    /// Compiled for the crate's target (SSE2 on baseline x86-64).
-    Portable,
-    /// Compiled with AVX2 enabled ([`delegates_into_avx2`]); 32-bit keys
-    /// only.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    Avx2,
-}
-
-/// The body of [`delegates_into`]: inlined into each build that calls it,
-/// together with the per-lane loop, so each build compiles that loop for
-/// its own instruction set. The AVX2 build calls the portable build's
-/// chunk-skip loop ([`chunk_skip_into`]).
+/// The portable build of [`delegates_into`]: the per-lane loop
+/// ([`per_lane_into`]) up to the portable limits, chunk-skip
+/// ([`top_beta_into`]) otherwise.
 #[inline(always)]
-fn host_loop<K: TopKKey>(
-    build: Build,
-    data: &[K],
-    subrange_size: usize,
-    beta: usize,
-    out: &mut Vec<K>,
-) {
+fn portable_into<K: TopKKey>(data: &[K], subrange_size: usize, beta: usize, out: &mut Vec<K>) {
     out.reserve(data.len().div_ceil(subrange_size) * beta);
-    if (beta..=per_lane_max_subrange(build, beta, K::Bits::BITS)).contains(&subrange_size) {
+    if (beta..=per_lane_max_subrange(Build::Portable, beta, K::Bits::BITS)).contains(&subrange_size)
+    {
         match beta {
             1 => return per_lane_into::<K, 1>(data, subrange_size, out),
             2 => return per_lane_into::<K, 2>(data, subrange_size, out),
@@ -342,14 +330,49 @@ fn host_loop<K: TopKKey>(
             _ => {}
         }
     }
-    match build {
-        Build::Portable => {
-            for subrange in data.chunks(subrange_size) {
-                top_beta_into(subrange, beta, out);
-            }
-        }
-        Build::Avx2 => chunk_skip_into(data, subrange_size, beta, out),
+    for subrange in data.chunks(subrange_size) {
+        top_beta_into(subrange, beta, out);
     }
+}
+
+/// The AVX2 build of [`delegates_into`] (32-bit keys): the per-lane loop
+/// on 8-lane `vpmaxud`/`vpminud` ([`per_lane_avx2`]) up to the AVX2
+/// limits, chunk-skip as the portable build compiles it
+/// ([`chunk_skip_into`]) otherwise. Outside AVX2 code a call is `unsafe`:
+/// the caller must have checked that the CPU has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn delegates_into_avx2<K: TopKKey>(
+    data: &[K],
+    subrange_size: usize,
+    beta: usize,
+    out: &mut Vec<K>,
+) {
+    debug_assert_eq!(K::Bits::BITS, 32);
+    out.reserve(data.len().div_ceil(subrange_size) * beta);
+    if (beta..=per_lane_max_subrange(Build::Avx2, beta, 32)).contains(&subrange_size) {
+        let (whole, rest) = data.split_at(data.len() - data.len() % subrange_size);
+        match beta {
+            1 => per_lane_avx2::<K, 1>(whole, subrange_size, out),
+            2 => per_lane_avx2::<K, 2>(whole, subrange_size, out),
+            3 => per_lane_avx2::<K, 3>(whole, subrange_size, out),
+            4 => per_lane_avx2::<K, 4>(whole, subrange_size, out),
+            _ => return chunk_skip_into(data, subrange_size, beta, out),
+        }
+        return top_beta_into(rest, beta, out);
+    }
+    chunk_skip_into(data, subrange_size, beta, out);
+}
+
+/// A build of the host loop; it sets the per-lane limits.
+#[derive(Clone, Copy)]
+enum Build {
+    /// Compiled for the crate's target (SSE2 on baseline x86-64):
+    /// [`portable_into`].
+    Portable,
+    /// AVX2 ([`delegates_into_avx2`]); 32-bit keys only.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    Avx2,
 }
 
 /// [`top_beta_into`] on every subrange, as the portable build compiles it:
@@ -369,6 +392,8 @@ fn chunk_skip_into<K: TopKKey>(data: &[K], subrange_size: usize, beta: usize, ou
 /// [`delegates_into`]).
 const fn per_lane_max_subrange(build: Build, beta: usize, bits: u32) -> usize {
     match (build, bits, beta) {
+        (Build::Avx2, 32, 1) => 1 << 16,
+        (Build::Avx2, 32, 2) => 1 << 13,
         (Build::Avx2, 32, _) => 1 << 11,
         (_, 32, 2) => 1 << 10,
         (_, 32, _) => 1 << 9,
@@ -451,6 +476,87 @@ fn merge_top<T: KeyBits, const B: usize>(a: [T; B], b: [T; B]) -> [T; B] {
     c
 }
 
+/// The AVX2 build's per-lane loop over whole `subrange_size`-element
+/// subranges: [`per_lane_top_avx2`] on each. Never inlined, so that each
+/// β has one instance for `scripts/check_avx2_codegen.sh` to read.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn per_lane_avx2<K: TopKKey, const B: usize>(data: &[K], subrange_size: usize, out: &mut Vec<K>) {
+    for subrange in data.chunks_exact(subrange_size) {
+        out.extend(per_lane_top_avx2::<K, B>(subrange).map(K::from_bits));
+    }
+}
+
+/// [`per_lane_top`] on AVX2 for 32-bit keys, written with intrinsics: slot
+/// `j` of all 8 lanes is one ymm register, so each compare-exchange is one
+/// `vpmaxud`/`vpminud` pair whose loop-carried part is the one `vpmaxud`.
+/// LLVM does not get there from [`per_lane_top`]'s source: it lowers the
+/// mask form of [`order_pair`] to a six-op xor swap (`vpminud`,
+/// `vpcmpeqd`, `vpxor`, `vpandn`, `vpxor`, `vpxor`), and the
+/// `Ord::max`/`Ord::min` form stays scalar (`cmov`) at β 3–4, where the
+/// lane-by-lane fold makes its cost model price the vector loop at no
+/// gain. A short final chunk is padded with zero bits, which like the
+/// slots' starting value can only tie a real zero. The fold exchanges
+/// lanes `l` and `l ^ w` for w = 4, 2, 1 ([`merge_lanes_avx2`]), after
+/// which every lane holds the top-`B`; the result's bits are those of
+/// [`per_lane_top`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn per_lane_top_avx2<K: TopKKey, const B: usize>(slice: &[K]) -> [K::Bits; B] {
+    debug_assert!(slice.len() >= B);
+    let bits = |x: K| x.to_bits().to_u128() as u32;
+    // SAFETY: any 32 bytes are a valid `__m256i`
+    let lanes = |v: [u32; LANES]| unsafe { std::mem::transmute::<[u32; LANES], __m256i>(v) };
+    let mut slots = [_mm256_setzero_si256(); B];
+    let mut insert = |mut x: __m256i| {
+        for slot in &mut slots {
+            let hi = _mm256_max_epu32(*slot, x);
+            x = _mm256_min_epu32(*slot, x);
+            *slot = hi;
+        }
+    };
+    let mut chunks = slice.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        insert(lanes(std::array::from_fn(|l| bits(chunk[l]))));
+    }
+    let rest = chunks.remainder();
+    if !rest.is_empty() {
+        insert(lanes(std::array::from_fn(|l| {
+            rest.get(l).map_or(0, |&x| bits(x))
+        })));
+    }
+    let slots = merge_lanes_avx2(slots, |v| _mm256_permute2x128_si256::<1>(v, v));
+    let slots = merge_lanes_avx2(slots, |v| _mm256_shuffle_epi32::<0b01_00_11_10>(v));
+    let slots = merge_lanes_avx2(slots, |v| _mm256_shuffle_epi32::<0b10_11_00_01>(v));
+    std::array::from_fn(|j| K::Bits::from_u128(_mm256_cvtsi256_si32(slots[j]) as u32 as u128))
+}
+
+/// One step of the AVX2 lane fold: every lane merges its descending `B`
+/// slots with those of the lane that `swap` moves onto it, by
+/// [`merge_top`]'s network with one `vpmaxud`/`vpminud` pair per
+/// compare-exchange.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn merge_lanes_avx2<const B: usize>(
+    slots: [__m256i; B],
+    swap: impl Fn(__m256i) -> __m256i,
+) -> [__m256i; B] {
+    let mut c: [__m256i; B] =
+        std::array::from_fn(|j| _mm256_max_epu32(slots[j], swap(slots[B - 1 - j])));
+    for pass in 1..B {
+        for i in 0..B - pass {
+            (c[i], c[i + 1]) = (
+                _mm256_max_epu32(c[i], c[i + 1]),
+                _mm256_min_epu32(c[i], c[i + 1]),
+            );
+        }
+    }
+    c
+}
+
 /// Branch-free compare-exchange in radix space: the larger key to `hi`, the
 /// smaller to `lo`. Keys of at most 32 bits use mask arithmetic — `m` is
 /// all ones when `lo > hi`, and xoring both with `d = (hi ^ lo) & m` swaps
@@ -458,11 +564,13 @@ fn merge_top<T: KeyBits, const B: usize>(a: [T; B], b: [T; B]) -> [T; B] {
 /// mask form: the baseline x86-64 target (SSE2) has no unsigned 32-bit
 /// vector max or min, so the `Ord` form lowers to scalar `cmp`/`cmov`
 /// while the mask form vectorizes (a biased signed compare, an `and` and
-/// `xor`s). In the AVX2 build LLVM recognizes the mask form as a max/min
-/// pair and lowers it to `vpmaxud`/`vpminud`. SSE2 has no 64-bit compare
-/// at all, so wider keys stay scalar either way, and there the two `cmov`s
-/// of the `Ord` form beat the mask's longer chain (measured on the
-/// construction bench, `crates/bench/benches/construction.rs`).
+/// `xor`s). The AVX2 build does not use this function in its per-lane
+/// loop ([`per_lane_top_avx2`]): compiled with AVX2, LLVM lowers the mask
+/// form to a six-op xor swap, not to `vpmaxud`/`vpminud`. SSE2 has no
+/// 64-bit compare at all, so wider keys stay scalar either way, and there
+/// the two `cmov`s of the `Ord` form beat the mask's longer chain
+/// (measured on the construction bench,
+/// `crates/bench/benches/construction.rs`).
 #[inline(always)]
 fn order_pair<T: KeyBits>(hi: &mut T, lo: &mut T) {
     let (a, b) = (*hi, *lo);
@@ -1264,7 +1372,7 @@ mod tests {
 
     /// [`delegates_into`], on whichever build this CPU dispatches to,
     /// appends the same bits as the portable build called directly, for β
-    /// 1–6 at subrange sizes from β to 2^13 (around both builds' limits),
+    /// 1–6 at subrange sizes from β to 2^16 (around both builds' limits),
     /// with a ragged final subrange, on uniform, ascending, descending and
     /// ≤ 8-distinct inputs. Random inputs mix uniformly random bit
     /// patterns with `specials`.
@@ -1277,7 +1385,7 @@ mod tests {
                 K::from_bits(K::Bits::from_u64(rng.next_u64()))
             }
         };
-        let longest = 3 << 13;
+        let longest = 3 << 16;
         let uniform: Vec<K> = (0..longest).map(|_| draw()).collect();
         let mut ascending = uniform.clone();
         topk_baselines::sort_keys_asc(&mut ascending);
@@ -1300,7 +1408,7 @@ mod tests {
                     ("<= 8 distinct", &few[..len]),
                 ] {
                     let mut want = Vec::new();
-                    host_loop(Build::Portable, input, size, beta, &mut want);
+                    portable_into(input, size, beta, &mut want);
                     let want: Vec<K::Bits> = want.iter().map(|x| x.to_bits()).collect();
                     assert_appends(
                         |out| delegates_into(input, size, beta, out),

@@ -228,11 +228,13 @@ impl PathHint {
     /// well-distributed crossover.
     ///
     /// `survival` holds the input's sampled survival: an `Auto` resolution
-    /// that needs it and finds `None` reads the strided sample of `data`
-    /// and stores the estimate, and one that finds `Some` reuses it. The
-    /// estimate depends on `data` alone, so a caller resolving many queries
-    /// over one input keeps one slot for it and samples it at most once;
-    /// `&mut None` samples on every call.
+    /// that needs it (one at which radix can win, see
+    /// `choose_path_with_survival`) and finds `None` reads the strided
+    /// sample of `data` and stores the estimate, and one that finds `Some`
+    /// reuses it. The estimate depends on `data` alone, so a caller
+    /// resolving many queries over one input keeps one slot for it and
+    /// samples it at most once; `&mut None` samples on every call that
+    /// needs it.
     pub fn resolve_for<K: TopKKey>(
         &self,
         data: &[K],
@@ -416,6 +418,14 @@ pub(crate) fn estimate_radix_survival<K: TopKKey>(data: &[K]) -> f64 {
     f64::from(hist.iter().copied().max().unwrap_or(0)) / sample_n as f64
 }
 
+/// The smallest survival [`estimate_radix_survival`] returns: the largest
+/// of its `2^BITS_PER_PASS` top-digit bins holds at least that share of the
+/// sample. It is also the per-pass survival of well-distributed keys, where
+/// only the bucket holding the k-th value survives; adversarially
+/// low-entropy keys shrink much slower (up to not at all), which is what
+/// routes them back to the delegate path.
+const MIN_RADIX_SURVIVAL: f64 = 1.0 / (1u64 << BITS_PER_PASS) as f64;
+
 /// The planner crossover: pick the cheaper execution path for a top-k query
 /// of `k` over `n` keys of `key_bits` bits on the device described by
 /// `spec`, under the sampled `survival` fraction, which is asked for only
@@ -437,6 +447,14 @@ pub(crate) fn estimate_radix_survival<K: TopKKey>(data: &[K]) -> f64 {
 /// Degenerate shapes (`k == 0`, `k ≥ n`, tiny inputs) return
 /// [`ChosenPath::Delegate`]: the delegate pipeline owns the fallback
 /// machinery for them.
+///
+/// `survival` is asked for only when radix wins at
+/// [`MIN_RADIX_SURVIVAL`]: no sampled survival is smaller, and radix's cost
+/// never falls as the survival grows, so a radix path that loses at the
+/// bound loses at every sample. The decision is the one a sampled survival
+/// gives. On 2^18 32-bit keys radix wins at the bound only from k = 9,729
+/// on a V100S and from k = 2,723 on the catalog's smallest device, so a
+/// serving query (k ≤ 1,024) reads no sample.
 fn choose_path_with_survival(
     n: usize,
     k: usize,
@@ -447,34 +465,44 @@ fn choose_path_with_survival(
     if k == 0 || n < 4 || k >= n {
         return ChosenPath::Delegate;
     }
-    let key_bytes = f64::from(key_bits) / f64::from(u8::BITS);
-    let alpha = auto_alpha(n, k, 2, PAPER_RULE4_CONST);
-    let delegate = modeled_path_us(
-        predicted_cost(alpha as f64, k, n, spec).total(),
-        DELEGATE_MODEL_LAUNCHES,
-        key_bytes,
-        spec,
-    );
-    let radix = modeled_path_us(
-        radix_predicted_cost(n, k, key_bits, spec, survival()).total(),
-        radix_model_launches(key_bits.div_ceil(BITS_PER_PASS)),
-        key_bytes,
-        spec,
-    );
-    if radix < delegate {
+    let delegate = delegate_path_us(n, k, key_bits, spec);
+    if radix_path_us(n, k, key_bits, spec, MIN_RADIX_SURVIVAL) < delegate
+        && radix_path_us(n, k, key_bits, spec, survival()) < delegate
+    {
         ChosenPath::Radix
     } else {
         ChosenPath::Delegate
     }
 }
 
+/// Modeled microseconds of the delegate path at the Rule 4 α.
+fn delegate_path_us(n: usize, k: usize, key_bits: u32, spec: &DeviceSpec) -> f64 {
+    let alpha = auto_alpha(n, k, 2, PAPER_RULE4_CONST);
+    modeled_path_us(
+        predicted_cost(alpha as f64, k, n, spec).total(),
+        DELEGATE_MODEL_LAUNCHES,
+        f64::from(key_bits) / f64::from(u8::BITS),
+        spec,
+    )
+}
+
+/// Modeled microseconds of the radix path at a per-pass `survival`.
+fn radix_path_us(n: usize, k: usize, key_bits: u32, spec: &DeviceSpec, survival: f64) -> f64 {
+    modeled_path_us(
+        radix_predicted_cost(n, k, key_bits, spec, survival).total(),
+        radix_model_launches(key_bits.div_ceil(BITS_PER_PASS)),
+        f64::from(key_bits) / f64::from(u8::BITS),
+        spec,
+    )
+}
+
 /// Data-aware crossover: measure the per-pass survival from the input via
 /// `estimate_radix_survival`, then resolve through
 /// `choose_path_with_survival`. This is what `PathHint::Auto` resolves
-/// to, sampling on every call ([`PathHint::resolve_for`] takes a slot
-/// that keeps the sample) — it keeps duplicate-heavy inputs on the
-/// delegate path at every k while letting well-distributed inputs escape
-/// to radix past the crossover.
+/// to, sampling on every call at which radix can win
+/// ([`PathHint::resolve_for`] takes a slot that keeps the sample) — it
+/// keeps duplicate-heavy inputs on the delegate path at every k while
+/// letting well-distributed inputs escape to radix past the crossover.
 pub fn choose_path_sampled<K: TopKKey>(data: &[K], k: usize, spec: &DeviceSpec) -> ChosenPath {
     PathHint::Auto.resolve_for(data, k, spec, &mut None)
 }
@@ -545,13 +573,6 @@ mod tests {
             .windows(3)
             .all(|w| w[0] + w[2] >= 2.0 * w[1] - 1e-6 * w[1])
     }
-
-    /// Per-pass candidate survival on well-distributed keys:
-    /// [`BITS_PER_PASS`]-bit digits split the candidates into
-    /// `2^BITS_PER_PASS` buckets, and only the bucket holding the k-th value
-    /// survives. Adversarially low-entropy keys shrink much slower (up to
-    /// not at all), which is what routes them back to the delegate path.
-    const RADIX_DIGIT_SURVIVAL: f64 = 1.0 / (1u64 << BITS_PER_PASS) as f64;
 
     #[test]
     fn rule4_matches_hand_computation() {
@@ -834,19 +855,20 @@ mod tests {
                 choose_path_sampled(&data, k, &spec)
             );
         }
-        // The slot memoizes the sample: pins and degenerate shapes leave it
-        // empty, the first `Auto` resolution that prices radix fills it,
-        // and a filled slot decides in place of the data.
+        // The slot memoizes the sample: pins, degenerate shapes and a k at
+        // which radix loses even at the smallest survival (64) leave it
+        // empty, the first `Auto` resolution that needs the sample fills
+        // it, and a filled slot decides in place of the data.
         let mut survival = None;
-        PathHint::Radix.resolve_for(&data, 64, &spec, &mut survival);
+        PathHint::Radix.resolve_for(&data, 1 << 17, &spec, &mut survival);
         PathHint::Auto.resolve_for(&data, 0, &spec, &mut survival);
-        assert_eq!(survival, None);
         PathHint::Auto.resolve_for(&data, 64, &spec, &mut survival);
-        assert_eq!(survival, Some(estimate_radix_survival(&data)));
+        assert_eq!(survival, None);
         assert_eq!(
             PathHint::Auto.resolve_for(&data, 1 << 17, &spec, &mut survival),
             ChosenPath::Radix
         );
+        assert_eq!(survival, Some(estimate_radix_survival(&data)));
         assert_eq!(
             PathHint::Auto.resolve_for(&data, 1 << 17, &spec, &mut Some(1.0)),
             ChosenPath::Delegate,
@@ -863,7 +885,7 @@ mod tests {
     fn radix_cost_is_one_input_scan_plus_linear_k_terms() {
         let spec = DeviceSpec::v100s();
         let n = 1usize << 24;
-        let c = radix_predicted_cost(n, 1 << 10, 32, &spec, RADIX_DIGIT_SURVIVAL);
+        let c = radix_predicted_cost(n, 1 << 10, 32, &spec, MIN_RADIX_SURVIVAL);
         let scan = n as f64 * spec.c_global_cycles;
         // pass 0 reads the input once and the fused filter shrinks every
         // later stage to noise: the total sits just above one full scan
@@ -871,18 +893,149 @@ mod tests {
         assert!(c.total() < 1.1 * scan, "total {} vs scan {scan}", c.total());
         // k enters through the filter width and the O(k) gather/select
         // tail: monotone, and still under two scans at k = n/16
-        let big_k = radix_predicted_cost(n, 1 << 20, 32, &spec, RADIX_DIGIT_SURVIVAL);
+        let big_k = radix_predicted_cost(n, 1 << 20, 32, &spec, MIN_RADIX_SURVIVAL);
         assert!(big_k.total() > c.total());
         assert!(big_k.total() < 2.0 * scan, "total {}", big_k.total());
         // 64-bit keys pay more passes, but the geometric shrink pins the
         // candidates down long before the extra passes can cost anything
-        let wide = radix_predicted_cost(n, 1 << 10, 64, &spec, RADIX_DIGIT_SURVIVAL);
+        let wide = radix_predicted_cost(n, 1 << 10, 64, &spec, MIN_RADIX_SURVIVAL);
         assert!(wide.total() >= c.total());
         assert!(wide.total() < 1.05 * c.total());
         // a survival of 1.0 (every key in one top bucket) disables the
         // modeled filter and re-scans the full input every pass
         let worst = radix_predicted_cost(n, 1 << 10, 32, &spec, 1.0);
         assert!(worst.total() > 10.0 * scan, "total {}", worst.total());
+    }
+
+    #[test]
+    fn radix_cost_is_monotone_in_survival() {
+        // `choose_path_with_survival` prices radix at the smallest survival
+        // before it reads a sample; that decides only if no larger survival
+        // costs less.
+        for spec in DeviceSpec::catalog() {
+            for nexp in [2u32, 4, 10, 18, 22, 26] {
+                let n = 1usize << nexp;
+                let mut survivals: Vec<f64> = (0..=4 * (nexp + 1))
+                    .map(|i| (-f64::from(i) / 4.0).exp2())
+                    .collect();
+                let filter_off = 1.0 / crate::radix_path::FILTER_BAILOUT_DIV as f64;
+                survivals.extend([
+                    0.0,
+                    1.0 / n as f64,
+                    MIN_RADIX_SURVIVAL,
+                    filter_off,
+                    filter_off * (1.0 + f64::EPSILON),
+                ]);
+                survivals.sort_by(f64::total_cmp);
+                for key_bits in [32, 64] {
+                    for k in [1, 64, 1 << 10, n / 16, n / 3, n - 1] {
+                        let costs: Vec<(f64, f64)> = survivals
+                            .iter()
+                            .map(|&s| {
+                                (
+                                    radix_predicted_cost(n, k, key_bits, &spec, s).total(),
+                                    radix_path_us(n, k, key_bits, &spec, s),
+                                )
+                            })
+                            .collect();
+                        for (w, s) in costs.windows(2).zip(survivals.windows(2)) {
+                            assert!(
+                                w[0].0 <= w[1].0 && w[0].1 <= w[1].1,
+                                "{} n={n} k={k} bits={key_bits}: survival {} costs {:?}, {} costs {:?}",
+                                spec.name,
+                                s[0],
+                                w[0],
+                                s[1],
+                                w[1]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The decision of an `Auto` resolution that always reads the sample.
+    fn always_sampled<K: TopKKey>(data: &[K], k: usize, spec: &DeviceSpec) -> ChosenPath {
+        let (n, bits) = (data.len(), <K::Bits as KeyBits>::BITS);
+        if k == 0 || n < 4 || k >= n {
+            return ChosenPath::Delegate;
+        }
+        let survival = estimate_radix_survival(data);
+        if radix_path_us(n, k, bits, spec, survival) < delegate_path_us(n, k, bits, spec) {
+            ChosenPath::Radix
+        } else {
+            ChosenPath::Delegate
+        }
+    }
+
+    /// Over a k sweep, `Auto` resolves `data` as [`always_sampled`] does,
+    /// and it reads the sample only when radix wins at the bound; returns
+    /// the ks that read it.
+    fn sample_skip_agrees<K: TopKKey>(data: &[K], case: &str) -> Vec<usize> {
+        let n = data.len();
+        let mut ks = vec![0, n - 1, n, n + 1];
+        ks.extend((0..usize::BITS - n.leading_zeros()).flat_map(|e| [1 << e, 3 << e >> 1]));
+        ks.retain(|&k| k <= n + 1);
+        let mut sampled = Vec::new();
+        for spec in DeviceSpec::catalog() {
+            for &k in &ks {
+                let want = always_sampled(data, k, &spec);
+                let mut slot = None;
+                let got = PathHint::Auto.resolve_for(data, k, &spec, &mut slot);
+                assert_eq!(got, want, "{case} n={n} k={k} on {}", spec.name);
+                assert_eq!(choose_path_sampled(data, k, &spec), want);
+                let bits = <K::Bits as KeyBits>::BITS;
+                let bound_wins = k > 0
+                    && n >= 4
+                    && k < n
+                    && radix_path_us(n, k, bits, &spec, MIN_RADIX_SURVIVAL)
+                        < delegate_path_us(n, k, bits, &spec);
+                assert_eq!(slot.is_some(), bound_wins, "{case} n={n} k={k}");
+                if slot.is_some() {
+                    sampled.push(k);
+                }
+            }
+        }
+        sampled
+    }
+
+    #[test]
+    fn skipping_the_sample_agrees_with_always_sampling() {
+        let mut rng = topk_datagen::rng::Xoshiro256StarStar::seed_from_u64(71);
+        for nexp in 4..=22 {
+            let n = 1usize << nexp;
+            let uniform: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            let step = u64::MAX / n as u64;
+            let ascending: Vec<u64> = (0..n as u64).map(|i| i * step).collect();
+            let few: Vec<u64> = uniform.iter().map(|&x| x % 8 * (u64::MAX / 8)).collect();
+            for (order, keys) in [
+                ("uniform", uniform),
+                ("ascending", ascending),
+                ("<= 8 distinct", few),
+            ] {
+                let narrow: Vec<u32> = keys.iter().map(|&x| (x >> 32) as u32).collect();
+                let sampled = sample_skip_agrees(&narrow, &format!("u32 {order}"));
+                if nexp == 18 && order == "uniform" {
+                    assert!(
+                        sampled.iter().all(|&k| k > 1024),
+                        "a serving query reads no sample: {sampled:?}"
+                    );
+                }
+                sample_skip_agrees(&keys, &format!("u64 {order}"));
+            }
+        }
+        // on 2^18 32-bit keys radix loses at the bound up to k = 1,024 on
+        // every catalog device, so no serving query reads a sample
+        let n = 1 << 18;
+        for spec in DeviceSpec::catalog() {
+            for k in 1..=1024 {
+                assert_eq!(uniform_crossover(n, k, 32, &spec), ChosenPath::Delegate);
+            }
+        }
+        let spec = DeviceSpec::v100s();
+        assert_eq!(uniform_crossover(n, 9_728, 32, &spec), ChosenPath::Delegate);
+        assert_eq!(uniform_crossover(n, 9_729, 32, &spec), ChosenPath::Radix);
     }
 
     #[test]
@@ -934,7 +1087,7 @@ mod tests {
 
     /// The crossover at the survival of well-distributed keys.
     fn uniform_crossover(n: usize, k: usize, key_bits: u32, spec: &DeviceSpec) -> ChosenPath {
-        choose_path_with_survival(n, k, key_bits, spec, || RADIX_DIGIT_SURVIVAL)
+        choose_path_with_survival(n, k, key_bits, spec, || MIN_RADIX_SURVIVAL)
     }
 
     #[test]
